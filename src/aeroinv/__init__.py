@@ -33,6 +33,7 @@ from .optics import (
     make_kernel,
     make_mixed_kernel,
     mie_qext,
+    mixed_kernel_rows,
 )
 from .orthant_mvn import (
     IntegralEstimate,

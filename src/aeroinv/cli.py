@@ -29,7 +29,7 @@ from .model_selection import (
     invert_morozov,
     invert_unconstrained,
 )
-from .optics import get_material
+from .optics import get_material, make_mixed_kernel
 from .two_component import (
     FALLBACK_TAU_GRID,
     TAU_GRID_TWO_COMPONENT,
@@ -297,19 +297,10 @@ def _cmd_simulate(args) -> int:
         mats = [m.strip() for m in args.materials.split(",")]
         if len(mats) != 2:
             raise UsageError("--materials needs exactly two names")
-        from .optics import interpolate_index, kernel_value, lorentz_lorenz_mix
-
-        comp_a, comp_b = get_material(mats[0]), get_material(mats[1])
-        med = get_material("air")
-
-        def kernel(r, l):
-            m = lorentz_lorenz_mix(
-                interpolate_index(comp_a, l),
-                interpolate_index(comp_b, l),
-                args.water_fraction,
-            )
-            return kernel_value(interpolate_index(med, l), m, r, l)
-
+        kernel = make_mixed_kernel(
+            get_material(mats[0]), get_material(mats[1]), get_material("air"),
+            args.water_fraction,
+        )
     else:
         kernel = study._single_kernel(args.material, "air")
     noise = args.noise_fraction if args.noise_fraction is not None else 0.30

@@ -35,7 +35,7 @@ from .model_selection import (
     invert_morozov,
     invert_unconstrained,
 )
-from .optics import get_material, interpolate_index, kernel_value, lorentz_lorenz_mix
+from .optics import get_material, make_kernel, mixed_kernel_rows
 from .two_component import (
     FALLBACK_TAU_GRID,
     TAU_GRID_TWO_COMPONENT,
@@ -470,15 +470,7 @@ def _run_seed(config_seed, family, param_index, repeat):
 
 
 def _single_kernel(particle: str, medium: str):
-    part = get_material(particle)
-    med = get_material(medium)
-
-    def kernel(r, l):
-        return kernel_value(
-            interpolate_index(med, l), interpolate_index(part, l), r, l
-        )
-
-    return kernel
+    return make_kernel(get_material(particle), get_material(medium))
 
 
 def run_study(config: StudyConfig) -> StudyReport:
@@ -597,20 +589,15 @@ def run_study_two_component(config: TwoComponentStudyConfig) -> StudyReport:
         comp_a, comp_b, med, wavelengths, igrid,
         anchor_count=config.anchor_count, n_frac=config.n_frac,
     )
-
-    def truth_kernel(p):
-        def kernel(r, l):
-            m_part = lorentz_lorenz_mix(
-                interpolate_index(comp_a, l), interpolate_index(comp_b, l), p
-            )
-            return kernel_value(interpolate_index(med, l), m_part, r, l)
-
-        return kernel
-
-    fine_rows_by_fraction = {
-        p: kernel_rows(truth_kernel(p), wavelengths, fgrid)
-        for p in config.water_fractions
-    }
+    fine_rows_by_fraction = dict(
+        zip(
+            config.water_fractions,
+            mixed_kernel_rows(
+                comp_a, comp_b, med, config.water_fractions, wavelengths,
+                fgrid.points,
+            ),
+        )
+    )
     records = []
     for family in config.families:
         params = parameter_grid(family)

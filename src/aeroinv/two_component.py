@@ -32,7 +32,7 @@ from .model_selection import (
     build_regularizer,
     select_models,
 )
-from .optics import IndexTable, interpolate_index, kernel_value, lorentz_lorenz_mix
+from .optics import IndexTable, mixed_kernel_rows
 from .orthant_mvn import DEFAULT_SAMPLES
 from .tikhonov_qp import WeightedProblem, solve_constrained_tikhonov
 
@@ -134,17 +134,10 @@ def build_kernel_family(
     wavelengths = np.asarray(wavelengths, dtype=float)
     anchors = np.linspace(0.0, 1.0, anchor_count)
     fractions = np.linspace(0.0, 1.0, n_frac)
-    nodes = integration_grid.points
-    rows = np.empty((anchor_count, wavelengths.size, nodes.size))
-    for ai, p in enumerate(anchors):
-        for wi, l in enumerate(wavelengths):
-            m_part = lorentz_lorenz_mix(
-                interpolate_index(component_a, l),
-                interpolate_index(component_b, l),
-                float(p),
-            )
-            m_med = interpolate_index(medium, l)
-            rows[ai, wi] = kernel_value(m_med, m_part, nodes, l)
+    rows = mixed_kernel_rows(
+        component_a, component_b, medium, anchors, wavelengths,
+        integration_grid.points,
+    )
     return KernelFamily(
         component_a,
         component_b,

@@ -10,7 +10,9 @@ from aeroinv.optics import (
     interpolate_index,
     kernel_value,
     lorentz_lorenz_mix,
+    make_mixed_kernel,
     mie_qext,
+    mixed_kernel_rows,
 )
 
 try:
@@ -114,7 +116,39 @@ class TestLorentzLorenzMix:
             assert abs(lorentz_lorenz_mix(m1, m2, 0.0) - m2) <= 1e-14
 
 
+def reference_qext(m, x):
+    """Per-order Mie sum for one size parameter: a_n and b_n by complex
+    division, D_n from a downward recurrence started 300 orders above
+    max(n_stop, |m x|)."""
+    n_stop = int(np.ceil(x + 4.0 * np.cbrt(x) + 2.0))
+    d = 0j
+    logderiv = {}
+    for n in range(max(n_stop, int(np.ceil(abs(m * x)))) + 300, 0, -1):
+        d = n / (m * x) - 1.0 / (d + n / (m * x))
+        logderiv[n - 1] = d
+    psi_prev, psi = np.cos(x), np.sin(x)
+    chi_prev, chi = -np.sin(x), np.cos(x)
+    total = 0.0
+    for n in range(1, n_stop + 1):
+        psi_prev, psi = psi, (2 * n - 1) / x * psi - psi_prev
+        chi_prev, chi = chi, (2 * n - 1) / x * chi - chi_prev
+        xi, xi_prev = psi - 1j * chi, psi_prev - 1j * chi_prev
+        ta = logderiv[n] / m + n / x
+        tb = logderiv[n] * m + n / x
+        a = (ta * psi - psi_prev) / (ta * xi - xi_prev)
+        b = (tb * psi - psi_prev) / (tb * xi - xi_prev)
+        total += (2 * n + 1) * (a.real + b.real)
+    return 2.0 * total / x**2
+
+
 class TestMieQext:
+    @pytest.mark.parametrize("m", [1.33, 1.33 + 0.01j, 1.79, 1.5 + 0.2j])
+    def test_against_per_order_reference(self, m):
+        x = np.geomspace(0.05, 90.0, 23)
+        got = mie_qext(1.0, m, x / (2 * np.pi), 1.0)
+        expect = np.array([reference_qext(m, xi) for xi in x])
+        assert got == pytest.approx(expect, rel=1e-10)
+
     def test_no_optical_contrast(self):
         assert abs(mie_qext(1.0, 1.0, 1.0, 0.6)) < 1e-10
         assert abs(mie_qext(1.33, 1.33, 2.5, 1.1)) < 1e-10
@@ -134,6 +168,16 @@ class TestMieQext:
         r = x / (2 * np.pi)
         assert mie_qext(1.0, 1.33 + 0.01j, r, 1.0) == pytest.approx(
             3.484147367246, rel=1e-9
+        )
+
+    def test_recurrence_starts_above_mx(self):
+        # CsI-like index at x = 64, where |m x| = 114.6 lies above the series
+        # truncation order 82: a D_n recurrence started at 82 + 15 gave
+        # 2.0594.  Frozen value from the same 50-digit mpmath summation.
+        x = 64.0
+        r = x / (2 * np.pi)
+        assert mie_qext(1.0, 1.79, r, 1.0) == pytest.approx(
+            2.04857491037882, rel=1e-9
         )
 
     def test_large_sphere_asymptote(self):
@@ -190,6 +234,58 @@ class TestKernelValue:
             diffs.append(worst)
         assert diffs[1] < diffs[0]
         assert diffs[2] < diffs[1]
+
+
+class TestMixedKernelRows:
+    WAVELENGTHS = (0.6, 1.2, 2.3, 3.2)
+    FRACTIONS = (0.0, 0.25, 0.6, 1.0)
+
+    @pytest.fixture(scope="class")
+    def materials(self):
+        return get_material("h2o"), get_material("csi"), get_material("air")
+
+    def test_single_fraction_matches_mie_qext(self, materials):
+        water, csi, air = materials
+        radii = np.linspace(0.01, 7.0, 50)
+        rows = mixed_kernel_rows(water, csi, air, 0.3, self.WAVELENGTHS, radii)
+        assert rows.shape == (1, len(self.WAVELENGTHS), radii.size)
+        for wi, l in enumerate(self.WAVELENGTHS):
+            m_part = lorentz_lorenz_mix(
+                interpolate_index(water, l), interpolate_index(csi, l), 0.3
+            )
+            q = mie_qext(interpolate_index(air, l), m_part, radii, l)
+            assert rows[0, wi] == pytest.approx(np.pi * radii**2 * q, rel=1e-12)
+            assert make_mixed_kernel(water, csi, air, 0.3)(radii, l) == (
+                pytest.approx(rows[0, wi], rel=1e-12)
+            )
+
+    def test_unsorted_and_scalar_radii_match_sorted(self, materials):
+        radii = np.linspace(0.01, 7.0, 40)
+        perm = np.random.default_rng(5).permutation(radii.size)
+        rows = mixed_kernel_rows(
+            *materials, self.FRACTIONS, self.WAVELENGTHS, radii
+        )
+        shuffled = mixed_kernel_rows(
+            *materials, self.FRACTIONS, self.WAVELENGTHS, radii[perm]
+        )
+        assert shuffled == pytest.approx(rows[:, :, perm], rel=1e-10, abs=0.0)
+        _, csi, air = materials
+        l = self.WAVELENGTHS[0]
+        m_med, m_part = interpolate_index(air, l), interpolate_index(csi, l)
+        sorted_values = kernel_value(m_med, m_part, radii, l)
+        for i in (0, 17, radii.size - 1):
+            scalar = kernel_value(m_med, m_part, float(radii[i]), l)
+            assert isinstance(scalar, float)
+            assert scalar == pytest.approx(sorted_values[i], rel=1e-10)
+
+    def test_identical_materials_constant_in_fraction(self, materials):
+        water, _, air = materials
+        radii = np.linspace(0.01, 7.0, 40)
+        rows = mixed_kernel_rows(
+            water, water, air, self.FRACTIONS, self.WAVELENGTHS, radii
+        )
+        for fi in range(1, len(self.FRACTIONS)):
+            assert rows[fi] == pytest.approx(rows[0], rel=1e-12)
 
 
 class TestMaterials:

@@ -59,6 +59,17 @@ class TestKernelFamily:
             )
             assert stacked[idx] == pytest.approx(direct.entries, rel=1e-10)
 
+    def test_anchor_rows_match_pointwise_kernel(self, family, materials):
+        a, b, med = materials
+        for ai, p in enumerate(family.anchor_fractions):
+            for wi, l in enumerate(WAVELENGTHS):
+                m = lorentz_lorenz_mix(
+                    interpolate_index(a, l), interpolate_index(b, l), float(p)
+                )
+                direct = kernel_value(interpolate_index(med, l), m, IGRID.points, l)
+                row = family._anchor_rows[ai, wi]
+                assert np.max(np.abs(row - direct)) <= 1e-10 * np.max(direct)
+
     def test_identical_materials_constant_in_p(self, materials):
         a, _, med = materials
         fam = build_kernel_family(
