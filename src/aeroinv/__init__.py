@@ -24,7 +24,6 @@ from .model_selection import (
 )
 from .optics import (
     IndexTable,
-    MixedMaterial,
     get_material,
     interpolate_index,
     kernel_value,

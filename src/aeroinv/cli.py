@@ -159,6 +159,13 @@ def _tau_grid(args, default):
     return values
 
 
+def _material_names(args) -> list[str]:
+    mats = [m.strip() for m in args.materials.split(",")]
+    if len(mats) != 2:
+        raise UsageError("--materials needs exactly two names")
+    return mats
+
+
 def read_measurement(path: Path) -> Measurement:
     """Read a ``wavelength_um,mean_extinction,variance[,repeats]`` table."""
     rows = []
@@ -174,13 +181,16 @@ def read_measurement(path: Path) -> Measurement:
                     continue  # header
                 rows.append(values[:3])
                 if len(values) > 3:
-                    repeats = int(values[3])
+                    repeats = values[3]
     except OSError as exc:
         raise UsageError(f"cannot read measurement file {path}: {exc}") from exc
     if not rows:
         raise UsageError(f"no measurement rows in {path}")
     data = np.array(rows)
-    return Measurement(data[:, 0], data[:, 1], data[:, 2], repeats)
+    try:
+        return Measurement(data[:, 0], data[:, 1], data[:, 2], int(repeats))
+    except (ValueError, OverflowError) as exc:
+        raise UsageError(f"bad measurement file {path}: {exc}") from exc
 
 
 def write_measurement(path: Path, meas: Measurement) -> None:
@@ -230,22 +240,19 @@ def _inversion_record(ranked, meas, elapsed, extra=None) -> dict:
     return record
 
 
-def _stats_dict(stats) -> dict:
-    return dataclasses.asdict(stats)
-
-
 def _report_dict(report) -> dict:
     return {
         "schema": REPORT_SCHEMA,
         "wall_time_s": float(report.wall_time),
         "method_stats": [
-            {"family": k[0], "method": k[1], "reg_kind": k[2], **_stats_dict(v)}
+            {"family": k[0], "method": k[1], "reg_kind": k[2],
+             **dataclasses.asdict(v)}
             for k, v in sorted(report.method_stats.items())
         ],
         "fraction_stats": None
         if report.fraction_stats is None
         else [
-            {"family": k[0], "reg_kind": k[1], **_stats_dict(v)}
+            {"family": k[0], "reg_kind": k[1], **dataclasses.asdict(v)}
             for k, v in sorted(report.fraction_stats.items())
         ],
         "records": [dataclasses.asdict(r) for r in report.records],
@@ -294,11 +301,8 @@ def _cmd_simulate(args) -> int:
     fgrid = study.fine_grid()
     dist = study.parameter_grid(args.family)[args.param_index]
     if args.materials:
-        mats = [m.strip() for m in args.materials.split(",")]
-        if len(mats) != 2:
-            raise UsageError("--materials needs exactly two names")
         kernel = make_mixed_kernel(
-            get_material(mats[0]), get_material(mats[1]), get_material("air"),
+            *map(get_material, _material_names(args)), get_material("air"),
             args.water_fraction,
         )
     else:
@@ -361,13 +365,9 @@ def _emit_recon_csv(path: Path, record: dict) -> None:
 
 def _cmd_invert2(args) -> int:
     meas = read_measurement(args.measurement)
-    mats = [m.strip() for m in args.materials.split(",")]
-    if len(mats) != 2:
-        raise UsageError("--materials needs exactly two names")
-    igrid = study.integration_grid()
     family = build_kernel_family(
-        get_material(mats[0]), get_material(mats[1]), get_material("air"),
-        meas.wavelengths, igrid,
+        *map(get_material, _material_names(args)), get_material("air"),
+        meas.wavelengths, study.integration_grid(),
     )
     reg_kind = _reg_kind(args)
     tau_grid = _tau_grid(args, TAU_GRID_TWO_COMPONENT)
@@ -401,71 +401,55 @@ def _cmd_invert2(args) -> int:
     return 0
 
 
-def _cmd_study(args) -> int:
-    families = (
-        study.FAMILIES if args.family == "all" else (args.family,)
-    )
-    methods = study.METHODS if args.method == "all" else (args.method,)
-    overrides = dict(
-        families=families, methods=methods, seed=args.seed,
-        reg_kinds=(_reg_kind(args),),
-    )
+def _study_overrides(args, default_tau_grid, **fixed) -> dict:
+    """Study-config overrides from the flags the two study commands share."""
+    overrides = dict(seed=args.seed, reg_kinds=(_reg_kind(args),), **fixed)
     if args.noise_fraction is not None:
         overrides["noise_fraction"] = args.noise_fraction
     if args.mc_samples:
         overrides["mc_samples"] = args.mc_samples
     if args.tau_grid:
-        overrides["tau_grid"] = _tau_grid(args, DEFAULT_TAU_GRID)
+        overrides["tau_grid"] = _tau_grid(args, default_tau_grid)
     if args.params:
         overrides["parameter_indices"] = tuple(
             int(v) for v in str(args.params).split(",")
         )
     if args.repeats:
         overrides["repeats_per_parameter"] = args.repeats
-    cfg = (
-        study.reduced_config(**overrides)
-        if args.scale == "reduced"
-        else study.full_config(**overrides)
-    )
-    report = study.run_study(cfg)
-    out = args.out or Path("study_report.json")
+    return overrides
+
+
+def _write_report(report, out: Path) -> int:
     _write_json(out, _report_dict(report))
     _write_report_csv(out.with_suffix(".csv"), report)
     print(f"wrote {out}")
     return 0
+
+
+def _cmd_study(args) -> int:
+    overrides = _study_overrides(
+        args, DEFAULT_TAU_GRID,
+        families=study.FAMILIES if args.family == "all" else (args.family,),
+        methods=study.METHODS if args.method == "all" else (args.method,),
+    )
+    make = study.reduced_config if args.scale == "reduced" else study.full_config
+    report = study.run_study(make(**overrides))
+    return _write_report(report, args.out or Path("study_report.json"))
 
 
 def _cmd_study2(args) -> int:
-    mats = [m.strip() for m in args.materials.split(",")]
-    if len(mats) != 2:
-        raise UsageError("--materials needs exactly two names")
-    overrides = dict(
-        families=(args.family,), seed=args.seed, reg_kinds=(_reg_kind(args),),
+    mats = _material_names(args)
+    overrides = _study_overrides(
+        args, TAU_GRID_TWO_COMPONENT, families=(args.family,),
         component_a=mats[0], component_b=mats[1],
     )
-    if args.noise_fraction is not None:
-        overrides["noise_fraction"] = args.noise_fraction
-    if args.mc_samples:
-        overrides["mc_samples"] = args.mc_samples
-    if args.tau_grid:
-        overrides["tau_grid"] = _tau_grid(args, TAU_GRID_TWO_COMPONENT)
-    if args.params:
-        overrides["parameter_indices"] = tuple(
-            int(v) for v in str(args.params).split(",")
-        )
-    if args.repeats:
-        overrides["repeats_per_parameter"] = args.repeats
-    cfg = (
-        study.reduced_two_component_config(**overrides)
+    make = (
+        study.reduced_two_component_config
         if args.scale == "reduced"
-        else study.full_two_component_config(**overrides)
+        else study.full_two_component_config
     )
-    report = study.run_study_two_component(cfg)
-    out = args.out or Path("study2_report.json")
-    _write_json(out, _report_dict(report))
-    _write_report_csv(out.with_suffix(".csv"), report)
-    print(f"wrote {out}")
-    return 0
+    report = study.run_study_two_component(make(**overrides))
+    return _write_report(report, args.out or Path("study2_report.json"))
 
 
 def run(args) -> int:

@@ -22,6 +22,7 @@ __all__ = [
     "build_collocation_grid",
     "hat_basis_values",
     "assemble_kernel_matrix",
+    "weighted_interior_basis",
     "evaluate_distribution",
 ]
 
@@ -144,21 +145,29 @@ def assemble_kernel_matrix(
     (N_l, len(integration_grid)), in which case ``kernel`` is unused.
     """
     wavelengths = np.asarray(wavelengths, dtype=float)
-    nodes = integration_grid.points
-    if not np.all(np.isin(collocation_grid.points, nodes)):
-        raise ValueError("collocation grid must be a subgrid of the integration grid")
     if len(collocation_grid) - 2 > wavelengths.size:
         raise DimensionError(
             f"model dimension {len(collocation_grid) - 2} exceeds "
             f"{wavelengths.size} measurements"
         )
-    weights = trapezoid_weights(nodes)
-    basis = hat_basis_values(collocation_grid, nodes)[1:-1]  # interior only
-    weighted_basis = basis * weights  # (N, n_nodes)
+    weighted_basis = weighted_interior_basis(integration_grid, collocation_grid)
     if kernel_rows is None:
+        nodes = integration_grid.points
         kernel_rows = np.vstack([np.asarray(kernel(nodes, l)) for l in wavelengths])
-    entries = kernel_rows @ weighted_basis.T
+    entries = kernel_rows @ weighted_basis
     return KernelMatrix(entries, wavelengths, collocation_grid, fraction_label)
+
+
+def weighted_interior_basis(
+    integration_grid: RadiusGrid, collocation_grid: RadiusGrid
+) -> np.ndarray:
+    """Interior hat functions times trapezoid weights, shape (n_nodes, N):
+    kernel rows on the integration grid times it give collocation entries."""
+    nodes = integration_grid.points
+    if not np.all(np.isin(collocation_grid.points, nodes)):
+        raise ValueError("collocation grid must be a subgrid of the integration grid")
+    basis = hat_basis_values(collocation_grid, nodes)[1:-1]  # interior only
+    return (basis * trapezoid_weights(nodes)).T
 
 
 def trapezoid_weights(nodes: np.ndarray) -> np.ndarray:

@@ -1,15 +1,17 @@
 """Model generation over discretization levels and Bayesian model ranking.
 
-Candidates are produced by walking collocation levels from coarse to fine.
-On each level the unregularized nonnegative fit decides, together with the
-data norm, which residual targets from the safety-factor grid are attainable;
-each attainable target yields one regularized reconstruction through the
-discrepancy principle.  Candidates from at most ``max_disc`` levels are then
+Every method walks the collocation levels coarse to fine in one ladder walk
+and differs only in its per-level fit.  On each level the unregularized fit
+decides, together with the data norm, which residual targets from the
+safety-factor grid are attainable; each one yields a reconstruction whose
+parameter the shared Brent search on log10 gamma (``tikhonov_qp``) sets by
+the discrepancy principle.  Candidates from at most ``max_disc`` levels are
 ranked by their marginal likelihood.
 
-Comparison methods: the single-factor "morozov" variant, the unconstrained
-variant with closed-form Gaussian evidence, and ranking by the Bayesian
-information criterion.
+Fits: constrained (nonnegative fit, constrained Tikhonov) and its
+single-factor "morozov" variant; unconstrained (least squares, ridge, with
+closed-form Gaussian evidence); and BIC, which admits a level by the
+nonnegative fit and scores its least-squares fit.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import (
     TargetOutOfRange,
 )
 from .orthant_mvn import DEFAULT_SAMPLES, QuadraticForm, orthant_integral
-from .tikhonov_qp import solve_discrepancy, solve_nnls
+from .tikhonov_qp import _discrepancy_search, solve_discrepancy, solve_nnls
 
 __all__ = [
     "Regularizer",
@@ -108,6 +110,10 @@ class Measurement:
         v = np.asarray(self.variance, dtype=float)
         if not (w.shape == m.shape == v.shape) or w.ndim != 1:
             raise ValueError("wavelengths, means, variances must be 1-D, equal length")
+        if not all(np.all(np.isfinite(a)) for a in (w, m, v)):
+            raise ValueError("wavelengths, means and variances must be finite")
+        if np.any(np.diff(w) <= 0.0):
+            raise ValueError("wavelengths must be strictly increasing")
         if np.any(v <= 0.0):
             raise ValueError("variances must be positive")
         for arr in (w, m, v):
@@ -171,36 +177,104 @@ def _weighted_system(kernel: KernelMatrix, meas: Measurement, scaling: NoiseScal
     return kernel.entries * w[:, None], meas.mean_extinction * w
 
 
-def _level_candidates(
-    kernel, meas, scaling, tau_grid, reg, data_norm_sq, gamma_max
-):
-    """Candidates for one discretization level (empty if none admissible)."""
+def _nnls_residual(kernel, meas, scaling) -> float:
+    """Residual of the level's unregularized nonnegative fit."""
+    return solve_nnls(*_weighted_system(kernel, meas, scaling)).residual_sq
+
+
+def _lstsq_fit(kernel, meas, scaling):
+    """The level's unconstrained least-squares fit and its residual."""
     K, r = _weighted_system(kernel, meas, scaling)
-    base = solve_nnls(K, r)
+    ls = np.linalg.lstsq(K, r, rcond=None)[0]
+    d = K @ ls - r
+    return ls, float(d @ d)
+
+
+def _open_targets(base_res, meas, scaling, tau_grid):
+    """(tau, target) pairs whose residual target tau * N_l * delta^2 lies
+    strictly between a level's unregularized residual and the data norm."""
+    w = scaling.normalized_weights
+    data_norm_sq = float(np.sum((meas.mean_extinction * w) ** 2))
     n_l = meas.n_wavelengths
-    out = []
-    for tau in tau_grid:
-        target = tau * n_l * scaling.delta_sq
-        if not (base.residual_sq < target and target < data_norm_sq):
-            continue
+    targets = [(float(tau), tau * n_l * scaling.delta_sq) for tau in tau_grid]
+    return [(tau, t) for tau, t in targets if base_res < t < data_norm_sq]
+
+
+def _constrained_fit(K, r, R, target_sq):
+    gamma, sol = solve_discrepancy(K, r, R, target_sq)
+    return gamma, sol.n, sol.residual_sq
+
+
+def _ridge_fit(K, r, R, target_sq):
+    """Discrepancy fit with the constraints dropped (closed-form ridge)."""
+    c = K.T @ r
+
+    def evaluate(gamma):
+        G = K.T @ K + gamma * R
         try:
-            gamma, sol = solve_discrepancy(
-                K, r, reg.matrix, target, gamma_max=gamma_max
-            )
+            n = np.linalg.solve(G, c)
+        except np.linalg.LinAlgError:
+            n = np.linalg.lstsq(G, c, rcond=None)[0]
+        d = K @ n - r
+        return float(d @ d), n
+
+    return _discrepancy_search(evaluate, target_sq)
+
+
+def _level_candidates(kernel, meas, scaling, tau_grid, reg_kind, base_res, fit):
+    """Candidates for one discretization level (empty if none admissible).
+
+    ``base_res`` is the level's unregularized residual, which decides the
+    admissible targets; ``fit(K, r, R, target)`` returns
+    ``(gamma, weights, residual_sq)`` on the weighted system.
+    """
+    targets = _open_targets(base_res, meas, scaling, tau_grid)
+    if not targets:
+        return []
+    K, r = _weighted_system(kernel, meas, scaling)
+    reg = build_regularizer(reg_kind, kernel.interior_dim)
+    out = []
+    for tau, target in targets:
+        try:
+            gamma, weights, res = fit(K, r, reg.matrix, target)
         except (TargetOutOfRange, BracketFailure):
             continue
         out.append(
             ModelCandidate(
-                weights=sol.n,
+                weights=weights,
                 kernel=kernel,
                 regularizer=reg,
                 gamma=gamma,
-                tau=float(tau),
-                residual_sq=sol.residual_sq,
+                tau=tau,
+                residual_sq=res,
                 fraction=kernel.fraction_label,
             )
         )
     return out
+
+
+def _walk_ladder(meas, kernel_builder, ladder, fit_level, max_levels):
+    """Visit ladder levels coarse to fine, collecting ``fit_level`` results.
+
+    ``fit_level(kernel_builder(n_col))`` returns a level's list of results;
+    levels whose model dimension exceeds the number of wavelengths are not
+    visited.  Stops after ``max_levels`` levels gave results; raises
+    NoModels if none did.
+    """
+    found = []
+    filled_levels = 0
+    for n_col in ladder:
+        if n_col - 2 > meas.n_wavelengths:
+            break
+        level = fit_level(kernel_builder(n_col))
+        if level:
+            found.extend(level)
+            filled_levels += 1
+            if filled_levels >= max_levels:
+                break
+    if not found:
+        raise NoModels("no admissible (level, tau) combination fits the data")
+    return found
 
 
 def generate_models(
@@ -210,36 +284,42 @@ def generate_models(
     tau_grid=DEFAULT_TAU_GRID,
     reg_kind: str = "tikhonov",
     max_disc: int = DEFAULT_MAX_DISC,
-    gamma_max: float = 1e6,
 ) -> list[ModelCandidate]:
     """Walk the discretization ladder coarse-to-fine collecting candidates.
 
     ``kernel_builder(n_col)`` must return the KernelMatrix for a collocation
-    size; levels whose model dimension exceeds the number of wavelengths are
-    not visited.  Stops after ``max_disc`` levels produced candidates; raises
+    size.  Stops after ``max_disc`` levels produced candidates; raises
     NoModels if none did.
     """
     scaling = NoiseScaling.from_measurement(meas)
-    w = scaling.normalized_weights
-    data_norm_sq = float(np.sum((meas.mean_extinction * w) ** 2))
-    candidates: list[ModelCandidate] = []
-    filled_levels = 0
-    for n_col in ladder:
-        if n_col - 2 > meas.n_wavelengths:
-            break
-        kernel = kernel_builder(n_col)
-        reg = build_regularizer(reg_kind, kernel.interior_dim)
-        level = _level_candidates(
-            kernel, meas, scaling, tau_grid, reg, data_norm_sq, gamma_max
+
+    def fit_level(kernel):
+        return _level_candidates(
+            kernel, meas, scaling, tau_grid, reg_kind,
+            _nnls_residual(kernel, meas, scaling), _constrained_fit,
         )
-        if level:
-            candidates.extend(level)
-            filled_levels += 1
-            if filled_levels >= max_disc:
-                break
-    if not candidates:
-        raise NoModels("no admissible (level, tau) combination fits the data")
-    return candidates
+
+    return _walk_ladder(meas, kernel_builder, ladder, fit_level, max_disc)
+
+
+def _statistical_system(candidate, meas, scaling):
+    """Evidence exponent, scaled prior matrix and Gaussian normalizer.
+
+    Statistics run on the unnormalized covariance, so the regularizer stored
+    with the normalized-problem parameter is rescaled by 1/delta^2 here.
+    Returns ``(QuadraticForm(H, v, q), R_stat, log_b)``.
+    """
+    var = scaling.obs_variance
+    K_stat = candidate.kernel.entries / np.sqrt(var)[:, None]
+    e_stat = meas.mean_extinction / np.sqrt(var)
+    R_stat = (candidate.gamma / scaling.delta_sq) * candidate.regularizer.matrix
+    joint = QuadraticForm(
+        K_stat.T @ K_stat + R_stat, K_stat.T @ e_stat, float(e_stat @ e_stat)
+    )
+    log_b = 0.5 * meas.n_wavelengths * np.log(2.0 * np.pi) + 0.5 * float(
+        np.sum(np.log(var))
+    )
+    return joint, R_stat, log_b
 
 
 def log_marginal_likelihood(
@@ -249,25 +329,12 @@ def log_marginal_likelihood(
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> float:
-    """Log evidence of one candidate under its truncated-Gaussian prior.
-
-    Statistics run on the unnormalized covariance, so the regularizer stored
-    with the normalized-problem parameter is rescaled by 1/delta^2 here.
-    """
-    var = scaling.obs_variance
-    K_stat = candidate.kernel.entries / np.sqrt(var)[:, None]
-    e_stat = meas.mean_extinction / np.sqrt(var)
-    R_stat = (candidate.gamma / scaling.delta_sq) * candidate.regularizer.matrix
-    H = K_stat.T @ K_stat + R_stat
-    v = K_stat.T @ e_stat
-    q = float(e_stat @ e_stat)
+    """Log evidence of one candidate under its truncated-Gaussian prior."""
+    joint, R_stat, log_b = _statistical_system(candidate, meas, scaling)
     log_prior_norm = orthant_integral(
         QuadraticForm(R_stat, np.zeros(candidate.dim)), samples, seed
     ).log_value
-    log_joint = orthant_integral(QuadraticForm(H, v, q), samples, seed).log_value
-    log_b = 0.5 * meas.n_wavelengths * np.log(2.0 * np.pi) + 0.5 * float(
-        np.sum(np.log(var))
-    )
+    log_joint = orthant_integral(joint, samples, seed).log_value
     return float(log_joint - log_b - log_prior_norm)
 
 
@@ -342,67 +409,17 @@ def invert_morozov(
     return [dataclasses.replace(candidates[0], posterior=1.0)]
 
 
-def _ridge_solve(K, r, R, gamma):
-    G = K.T @ K + gamma * R
-    c = K.T @ r
-    try:
-        return np.linalg.solve(G, c)
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(G, c, rcond=None)[0]
-
-
-def _ridge_discrepancy(K, r, R, target_sq, gamma_max=1e6):
-    """Discrepancy search for the unconstrained ridge path."""
-
-    def residual(gamma):
-        n = _ridge_solve(K, r, R, gamma)
-        d = K @ n - r
-        return float(d @ d), n
-
-    lo = 1e-12
-    res_lo, _ = residual(lo)
-    while res_lo > target_sq and lo > 1e-30:
-        lo *= 0.1
-        res_lo, _ = residual(lo)
-    hi = gamma_max
-    res_hi, _ = residual(hi)
-    while res_hi < target_sq:
-        if hi >= 1e12:
-            raise BracketFailure("ridge residual below target at gamma ceiling")
-        hi *= 10.0
-        res_hi, _ = residual(hi)
-    log_lo, log_hi = np.log10(lo), np.log10(hi)
-    for _ in range(200):
-        gamma = 10.0 ** (0.5 * (log_lo + log_hi))
-        res, n = residual(gamma)
-        if abs(res - target_sq) <= 1e-6 * target_sq:
-            return gamma, n, res
-        if res < target_sq:
-            log_lo = 0.5 * (log_lo + log_hi)
-        else:
-            log_hi = 0.5 * (log_lo + log_hi)
-    return gamma, n, res
-
-
 def _log_evidence_unconstrained(candidate, meas, scaling):
     """Closed-form Gaussian evidence (no orthant restriction)."""
-    var = scaling.obs_variance
-    K_stat = candidate.kernel.entries / np.sqrt(var)[:, None]
-    e_stat = meas.mean_extinction / np.sqrt(var)
-    R_stat = (candidate.gamma / scaling.delta_sq) * candidate.regularizer.matrix
-    H = K_stat.T @ K_stat + R_stat
-    v = K_stat.T @ e_stat
-    q = float(e_stat @ e_stat)
-    cf = scipy.linalg.cho_factor(H, lower=False)
+    joint, R_stat, log_b = _statistical_system(candidate, meas, scaling)
+    cf = scipy.linalg.cho_factor(joint.H, lower=False)
     logdet_h = 2.0 * float(np.sum(np.log(np.diag(cf[0]))))
     sign, logdet_r = np.linalg.slogdet(R_stat)
     if sign <= 0:
         raise IllConditioned("prior covariance is degenerate")
-    mode = scipy.linalg.cho_solve(cf, v)
-    log_b = 0.5 * meas.n_wavelengths * np.log(2.0 * np.pi) + 0.5 * float(
-        np.sum(np.log(var))
-    )
-    return -0.5 * (q - float(v @ mode)) - 0.5 * logdet_h + 0.5 * logdet_r - log_b
+    mode = scipy.linalg.cho_solve(cf, joint.v)
+    misfit = joint.q - float(joint.v @ mode)
+    return -0.5 * misfit - 0.5 * logdet_h + 0.5 * logdet_r - log_b
 
 
 def invert_unconstrained(
@@ -415,47 +432,14 @@ def invert_unconstrained(
 ) -> list[ModelCandidate]:
     """Same pipeline with the constraints dropped and analytic evidence."""
     scaling = NoiseScaling.from_measurement(meas)
-    w = scaling.normalized_weights
-    data_norm_sq = float(np.sum((meas.mean_extinction * w) ** 2))
-    n_l = meas.n_wavelengths
-    candidates = []
-    filled_levels = 0
-    for n_col in ladder:
-        if n_col - 2 > n_l:
-            break
-        kernel = kernel_builder(n_col)
-        reg = build_regularizer(reg_kind, kernel.interior_dim)
-        K, r = _weighted_system(kernel, meas, scaling)
-        ls = np.linalg.lstsq(K, r, rcond=None)[0]
-        d = K @ ls - r
-        base_res = float(d @ d)
-        level = []
-        for tau in tau_grid:
-            target = tau * n_l * scaling.delta_sq
-            if not (base_res < target < data_norm_sq):
-                continue
-            try:
-                gamma, n, res = _ridge_discrepancy(K, r, reg.matrix, target)
-            except BracketFailure:
-                continue
-            level.append(
-                ModelCandidate(
-                    weights=n,
-                    kernel=kernel,
-                    regularizer=reg,
-                    gamma=gamma,
-                    tau=float(tau),
-                    residual_sq=res,
-                    fraction=kernel.fraction_label,
-                )
-            )
-        if level:
-            candidates.extend(level)
-            filled_levels += 1
-            if filled_levels >= max_disc:
-                break
-    if not candidates:
-        raise NoModels("no admissible (level, tau) combination fits the data")
+
+    def fit_level(kernel):
+        return _level_candidates(
+            kernel, meas, scaling, tau_grid, reg_kind,
+            _lstsq_fit(kernel, meas, scaling)[1], _ridge_fit,
+        )
+
+    candidates = _walk_ladder(meas, kernel_builder, ladder, fit_level, max_disc)
     log_marginals = [
         _log_evidence_unconstrained(c, meas, scaling) for c in candidates
     ]
@@ -477,41 +461,29 @@ def bic_select(
     resolved toward the smaller dimension.
     """
     scaling = NoiseScaling.from_measurement(meas)
-    w = scaling.normalized_weights
-    var = scaling.obs_variance
-    data_norm_sq = float(np.sum((meas.mean_extinction * w) ** 2))
     n_l = meas.n_wavelengths
-    log_norm_const = n_l * np.log(2.0 * np.pi) + float(np.sum(np.log(var)))
-    scored = []
-    for n_col in ladder:
-        if n_col - 2 > n_l:
-            break
-        kernel = kernel_builder(n_col)
-        K, r = _weighted_system(kernel, meas, scaling)
-        nng_res = solve_nnls(K, r).residual_sq
-        admissible = any(
-            nng_res < tau * n_l * scaling.delta_sq < data_norm_sq
-            for tau in tau_grid
-        )
-        if not admissible:
-            continue
-        ls = np.linalg.lstsq(K, r, rcond=None)[0]
-        d = K @ ls - r
-        res_stat = float(d @ d) / scaling.delta_sq
-        score = log_norm_const + res_stat + (n_col - 2) * np.log(n_l)
-        scored.append((float(score), kernel.interior_dim, ls, kernel))
-        if len(scored) >= max_levels:
-            break
-    if not scored:
-        raise NoModels("discrepancy principle applicable on no level")
-    score, _, ls, kernel = min(scored, key=lambda t: (t[0], t[1]))
+    log_norm_const = n_l * np.log(2.0 * np.pi) + float(
+        np.sum(np.log(scaling.obs_variance))
+    )
+
+    def fit_level(kernel):
+        base_res = _nnls_residual(kernel, meas, scaling)
+        if not _open_targets(base_res, meas, scaling, tau_grid):
+            return []
+        ls, res = _lstsq_fit(kernel, meas, scaling)
+        dim = kernel.interior_dim
+        score = log_norm_const + res / scaling.delta_sq + dim * np.log(n_l)
+        return [(float(score), dim, ls, res, kernel)]
+
+    scored = _walk_ladder(meas, kernel_builder, ladder, fit_level, max_levels)
+    score, _, ls, res, kernel = min(scored, key=lambda t: (t[0], t[1]))
     candidate = ModelCandidate(
         weights=ls,
         kernel=kernel,
         regularizer=build_regularizer("tikhonov", kernel.interior_dim),
         gamma=0.0,
         tau=None,
-        residual_sq=float(np.sum((kernel.entries * w[:, None] @ ls - meas.mean_extinction * w) ** 2)),
+        residual_sq=res,
         posterior=1.0,
     )
     return candidate, float(score)

@@ -28,7 +28,6 @@ from .errors import DegenerateMix, NonConvergent, OutOfBand
 
 __all__ = [
     "IndexTable",
-    "MixedMaterial",
     "load_index_table",
     "get_material",
     "interpolate_index",
@@ -77,26 +76,6 @@ class IndexTable:
 
     def __call__(self, l: float) -> complex:
         return interpolate_index(self, l)
-
-
-@dataclass(frozen=True)
-class MixedMaterial:
-    """Two-component mixture with volume fraction ``fraction_a`` of component a."""
-
-    component_a: IndexTable
-    component_b: IndexTable
-    fraction_a: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.fraction_a <= 1.0:
-            raise ValueError("fraction_a must lie in [0, 1]")
-
-    def __call__(self, l: float) -> complex:
-        return lorentz_lorenz_mix(
-            interpolate_index(self.component_a, l),
-            interpolate_index(self.component_b, l),
-            self.fraction_a,
-        )
 
 
 def load_index_table(path, material_name: str | None = None) -> IndexTable:
@@ -340,10 +319,17 @@ def make_mixed_kernel(
     medium: IndexTable,
     fraction_a: float,
 ):
-    """Kernel closure for a two-component particle mixture."""
-    mix = MixedMaterial(component_a, component_b, fraction_a)
+    """Kernel closure for a particle mixing volume fraction ``fraction_a`` of
+    component a with component b by the Lorentz-Lorenz rule."""
+    if not 0.0 <= fraction_a <= 1.0:
+        raise ValueError("fraction_a must lie in [0, 1]")
 
     def kernel(r, l: float):
-        return kernel_value(interpolate_index(medium, l), mix(l), r, l)
+        m_part = lorentz_lorenz_mix(
+            interpolate_index(component_a, l),
+            interpolate_index(component_b, l),
+            fraction_a,
+        )
+        return kernel_value(interpolate_index(medium, l), m_part, r, l)
 
     return kernel

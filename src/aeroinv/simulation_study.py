@@ -397,49 +397,39 @@ class StudyReport:
     wall_time: float = 0.0
 
 
-def _aggregate_methods(records) -> dict:
+def _aggregate(records, by_fraction: bool = False) -> dict:
+    """Per-group statistics: by (family, method, reg_kind), or with
+    ``by_fraction`` by (family, reg_kind, water percent)."""
+    if by_fraction:
+        keyfn = lambda r: (r.family, r.reg_kind, r.water_fraction)
+    else:
+        keyfn = lambda r: (r.family, r.method, r.reg_kind)
     stats = {}
-    keyfn = lambda r: (r.family, r.method, r.reg_kind)
     for key, group in itertools.groupby(sorted(records, key=keyfn), key=keyfn):
         rows = list(group)
         l2 = np.array([r.l2_error for r in rows])
         times = np.array([r.runtime for r in rows])
         dims = np.array([r.model_dim for r in rows], dtype=float)
-        stats[key] = MethodStats(
+        common = dict(
             runs=len(rows),
             avg_l2=float(l2.mean()),
-            worst_l2=float(l2.max()),
             l2_failures=int(np.sum(l2 >= 100.0)),
             no_model_failures=sum(r.status == "no_model_failure" for r in rows),
             avg_time=float(times.mean()),
             worst_time=float(times.max()),
             avg_dim=float(dims.mean()),
         )
-    return stats
-
-
-def _aggregate_fractions(records) -> dict:
-    stats = {}
-    keyfn = lambda r: (r.family, r.reg_kind, r.water_fraction)
-    for key, group in itertools.groupby(sorted(records, key=keyfn), key=keyfn):
-        rows = list(group)
-        l2 = np.array([r.l2_error for r in rows])
+        if not by_fraction:
+            stats[key] = MethodStats(worst_l2=float(l2.max()), **common)
+            continue
         dev = np.array([r.fraction_dev for r in rows])
-        times = np.array([r.runtime for r in rows])
-        dims = np.array([r.model_dim for r in rows], dtype=float)
         family, reg_kind, frac = key
         stats[(family, reg_kind, round(100.0 * frac, 6))] = FractionStats(
             water_percent=100.0 * frac,
-            runs=len(rows),
-            avg_l2=float(l2.mean()),
             avg_dev=float(dev.mean()),
             worst_dev=float(dev.max()),
-            l2_failures=int(np.sum(l2 >= 100.0)),
             dev_failures=int(np.sum(dev >= 50.0)),
-            no_model_failures=sum(r.status == "no_model_failure" for r in rows),
-            avg_time=float(times.mean()),
-            worst_time=float(times.max()),
-            avg_dim=float(dims.mean()),
+            **common,
         )
     return stats
 
@@ -462,11 +452,20 @@ class KernelLevelCache:
         return self._levels[n_col]
 
 
-def _run_seed(config_seed, family, param_index, repeat):
-    fam_id = FAMILIES.index(family)
-    return np.random.SeedSequence(
-        entropy=config_seed, spawn_key=(fam_id, param_index, repeat)
+def _run_rng(config_seed, family, param_index, repeat, *extra):
+    spawn_key = (FAMILIES.index(family), param_index, repeat, *extra)
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=config_seed, spawn_key=spawn_key)
     )
+
+
+def _study_truths(config, family):
+    """(parameter index, truth) pairs a study config selects for a family."""
+    params = parameter_grid(family)
+    indices = config.parameter_indices
+    if indices is None:
+        indices = range(len(params))
+    return [(pi, params[pi]) for pi in indices]
 
 
 def _single_kernel(particle: str, medium: str):
@@ -486,21 +485,12 @@ def run_study(config: StudyConfig) -> StudyReport:
     )
     records = []
     for family in config.families:
-        params = parameter_grid(family)
-        indices = (
-            config.parameter_indices
-            if config.parameter_indices is not None
-            else tuple(range(len(params)))
-        )
-        for pi in indices:
-            dist = params[pi]
+        for pi, dist in _study_truths(config, family):
             e_true = forward_extinctions(
                 dist, kernel, wavelengths, grid=fgrid, rows=fine_rows
             )
             for rep in range(config.repeats_per_parameter):
-                rng = np.random.default_rng(
-                    _run_seed(config.seed, family, pi, rep)
-                )
+                rng = _run_rng(config.seed, family, pi, rep)
                 meas = simulate_measurement(
                     wavelengths,
                     e_true,
@@ -520,7 +510,7 @@ def run_study(config: StudyConfig) -> StudyReport:
                     )
     return StudyReport(
         records=tuple(records),
-        method_stats=_aggregate_methods(records),
+        method_stats=_aggregate(records),
         wall_time=time.perf_counter() - t_start,
     )
 
@@ -600,14 +590,7 @@ def run_study_two_component(config: TwoComponentStudyConfig) -> StudyReport:
     )
     records = []
     for family in config.families:
-        params = parameter_grid(family)
-        indices = (
-            config.parameter_indices
-            if config.parameter_indices is not None
-            else tuple(range(len(params)))
-        )
-        for pi in indices:
-            dist = params[pi]
+        for pi, dist in _study_truths(config, family):
             for p_true in config.water_fractions:
                 e_true = forward_extinctions(
                     dist,
@@ -617,16 +600,8 @@ def run_study_two_component(config: TwoComponentStudyConfig) -> StudyReport:
                     rows=fine_rows_by_fraction[p_true],
                 )
                 for rep in range(config.repeats_per_parameter):
-                    rng = np.random.default_rng(
-                        np.random.SeedSequence(
-                            entropy=config.seed,
-                            spawn_key=(
-                                FAMILIES.index(family),
-                                pi,
-                                rep,
-                                int(round(1000 * p_true)),
-                            ),
-                        )
+                    rng = _run_rng(
+                        config.seed, family, pi, rep, int(round(1000 * p_true))
                     )
                     meas = simulate_measurement(
                         wavelengths,
@@ -645,8 +620,8 @@ def run_study_two_component(config: TwoComponentStudyConfig) -> StudyReport:
                         )
     return StudyReport(
         records=tuple(records),
-        method_stats=_aggregate_methods(records),
-        fraction_stats=_aggregate_fractions(records),
+        method_stats=_aggregate(records),
+        fraction_stats=_aggregate(records, by_fraction=True),
         wall_time=time.perf_counter() - t_start,
     )
 

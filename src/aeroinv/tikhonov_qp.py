@@ -9,6 +9,13 @@ The generalized problem  min 0.5*||K n - r||^2 + 0.5*gamma*n'Rn  s.t. n >= 0
 is solved as plain nonnegative least squares on the row-augmented system
 [K; sqrt(gamma)*U] with R = U'U, which leaves the nonnegativity constraint on
 the original variables and preserves the KKT certificate in n-space.
+
+The discrepancy principle picks gamma so that the residual equals a target.
+The residual increases strictly with gamma, so one search serves every
+method: bracket the root by decades of log10 gamma, then Brent's method
+(Brent 1973, Algorithms for Minimization without Derivatives, ch. 4) on
+log10 gamma.  The constrained solver and the unconstrained ridge path both
+call it with their own per-gamma solve.
 """
 
 from __future__ import annotations
@@ -17,11 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.optimize
 
 from .errors import (
     BracketFailure,
     IllConditioned,
     MaxIterations,
+    RootFailure,
     TargetOutOfRange,
 )
 
@@ -34,9 +43,11 @@ __all__ = [
     "solve_discrepancy",
 ]
 
-_GAMMA_FLOOR = 1e-12
-_GAMMA_CEILING = 1e12
-_MAX_BISECTIONS = 200
+# decade exponents bounding the discrepancy search on log10 gamma
+_LOG_GAMMA_FLOOR = -30
+_LOG_GAMMA_LOW = -12
+_LOG_GAMMA_HIGH = 6
+_LOG_GAMMA_CEILING = 12
 _DISCREPANCY_RTOL = 1e-6
 
 
@@ -201,17 +212,16 @@ def weighted_residual(K, n, r) -> float:
     return float(resid @ resid)
 
 
-def solve_discrepancy(K, r, R, target_sq: float, gamma_max: float = 1e6):
+def solve_discrepancy(K, r, R, target_sq: float):
     """Find gamma whose constrained solution has residual equal to target_sq.
 
     Valid targets lie strictly between the unregularized residual and
     ||r||^2; within that range the residual-parameter map is a strictly
-    monotone bijection, so a log-scale bracket plus bisection converges.
-    Returns ``(gamma, QpSolution)``.
+    monotone bijection, so the shared log-gamma search applies.  Each solve
+    warm-starts from the previous active set.  Returns ``(gamma, QpSolution)``.
     """
     K = np.asarray(K, dtype=float)
     r = np.asarray(r, dtype=float)
-    R = np.asarray(R, dtype=float)
     base = solve_nnls(K, r)
     r_norm_sq = float(r @ r)
     if not base.residual_sq < target_sq < r_norm_sq:
@@ -222,47 +232,60 @@ def solve_discrepancy(K, r, R, target_sq: float, gamma_max: float = 1e6):
 
     hint = None
 
-    def evaluate(gamma: float) -> QpSolution:
+    def evaluate(gamma: float):
         nonlocal hint
         sol = solve_constrained_tikhonov(
             WeightedProblem(K, r, R, gamma), init_passive=hint
         )
         hint = sol.n > 0.0
-        return sol
+        return sol.residual_sq, sol
 
-    lo = _GAMMA_FLOOR
-    sol_lo = evaluate(lo)
-    while sol_lo.residual_sq > target_sq and lo > 1e-30:
-        lo *= 0.1
-        sol_lo = evaluate(lo)
+    gamma, sol, _ = _discrepancy_search(evaluate, target_sq)
+    return gamma, sol
 
-    hi = min(max(gamma_max, lo * 10.0), _GAMMA_CEILING)
-    sol_hi = evaluate(hi)
-    while sol_hi.residual_sq < target_sq:
-        if hi >= _GAMMA_CEILING:
-            raise BracketFailure(
-                f"residual at gamma = {hi} still below target {target_sq}"
-            )
-        hi = min(hi * 10.0, _GAMMA_CEILING)
-        sol_hi = evaluate(hi)
 
+class _Converged(Exception):
+    """Carries the first (gamma, result, residual_sq) within tolerance."""
+
+
+def _discrepancy_search(evaluate, target_sq: float):
+    """Solve residual(gamma) = target_sq on log10 gamma, for a residual that
+    increases with gamma; ``evaluate(gamma)`` returns (residual_sq, result).
+
+    The bracket's lower end steps down by decades from 1e-12 to 1e-30, the
+    upper end up from 1e6 to 1e12; Brent's method then runs inside it.  The
+    search returns ``(gamma, result, residual_sq)`` at the first evaluated
+    gamma whose residual is within ``_DISCREPANCY_RTOL`` of the target.  It
+    raises BracketFailure if an end cannot be bracketed and RootFailure if
+    Brent's method ends outside the tolerance.
+    """
     tol = _DISCREPANCY_RTOL * target_sq
-    if abs(sol_hi.residual_sq - target_sq) <= tol:
-        return hi, sol_hi
-    if abs(sol_lo.residual_sq - target_sq) <= tol:
-        return lo, sol_lo
+    seen = {}  # brentq re-evaluates the bracket ends
 
-    log_lo, log_hi = np.log10(lo), np.log10(hi)
-    best = (hi, sol_hi)
-    for _ in range(_MAX_BISECTIONS):
-        log_mid = 0.5 * (log_lo + log_hi)
-        gamma = 10.0**log_mid
-        sol = evaluate(gamma)
-        if abs(sol.residual_sq - target_sq) <= tol:
-            return gamma, sol
-        if sol.residual_sq < target_sq:
-            log_lo = log_mid
-        else:
-            log_hi = log_mid
-            best = (gamma, sol)
-    return best
+    def excess(log_gamma):
+        if log_gamma not in seen:
+            res, result = evaluate(10.0**log_gamma)
+            if abs(res - target_sq) <= tol:
+                raise _Converged(10.0**log_gamma, result, res)
+            seen[log_gamma] = res - target_sq
+        return seen[log_gamma]
+
+    lo, hi = _LOG_GAMMA_LOW, _LOG_GAMMA_HIGH
+    try:
+        while excess(lo) > 0.0:
+            if lo <= _LOG_GAMMA_FLOOR:
+                raise BracketFailure(f"residual above {target_sq} at gamma = 1e{lo}")
+            lo -= 1
+        while excess(hi) < 0.0:
+            if hi >= _LOG_GAMMA_CEILING:
+                raise BracketFailure(f"residual below {target_sq} at gamma = 1e{hi}")
+            hi += 1
+        root = scipy.optimize.brentq(excess, lo, hi)
+    except _Converged as done:
+        return done.args
+    except RuntimeError as exc:
+        raise RootFailure(f"discrepancy search did not converge: {exc}") from exc
+    raise RootFailure(
+        f"discrepancy search ended at gamma = {10.0**root} with the residual "
+        f"outside the tolerance of {target_sq}"
+    )

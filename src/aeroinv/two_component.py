@@ -19,8 +19,8 @@ from scipy.interpolate import CubicSpline
 from .discretization import (
     KernelMatrix,
     RadiusGrid,
-    assemble_kernel_matrix,
     build_collocation_grid,
+    weighted_interior_basis,
 )
 from .errors import NoModels
 from .model_selection import (
@@ -28,8 +28,9 @@ from .model_selection import (
     Measurement,
     ModelCandidate,
     NoiseScaling,
+    _constrained_fit,
     _level_candidates,
-    build_regularizer,
+    _walk_ladder,
     select_models,
 )
 from .optics import IndexTable, mixed_kernel_rows
@@ -77,17 +78,8 @@ class KernelFamily:
         """Collocation grid and stacked entries (n_frac, N_l, N) for a level."""
         if n_col not in self._levels:
             grid = build_collocation_grid(n_col, self.integration_grid)
-            anchor_mats = np.stack(
-                [
-                    assemble_kernel_matrix(
-                        None,
-                        self.wavelengths,
-                        self.integration_grid,
-                        grid,
-                        kernel_rows=rows,
-                    ).entries
-                    for rows in self._anchor_rows
-                ]
+            anchor_mats = self._anchor_rows @ weighted_interior_basis(
+                self.integration_grid, grid
             )
             spline = CubicSpline(
                 self.anchor_fractions, anchor_mats, axis=0, bc_type="natural"
@@ -205,43 +197,37 @@ def generate_models_two_component(
     reg_kind: str = "tikhonov",
     ladder=DEFAULT_LADDER,
     n_mean: int = DEFAULT_N_MEAN,
-    gamma_max: float = 1e6,
 ) -> list[ModelCandidate]:
     """Candidates from the first ladder level admitting any scanned fraction.
 
     Each level is scanned afresh; the walk stops at the first level where any
-    (selected fraction, tau) passes the discrepancy window.  If the primary
-    safety-factor grid yields nothing on any level, one retry runs with the
-    fallback grid before giving up.
+    (selected fraction, tau) passes the discrepancy window, with the scanned
+    nonnegative residual as each fraction's unregularized residual.  If the
+    primary safety-factor grid yields nothing on any level, one retry runs
+    with the fallback grid before giving up.
     """
     if scaling is None:
         scaling = NoiseScaling.from_measurement(meas)
-    w = scaling.normalized_weights
-    data_norm_sq = float(np.sum((meas.mean_extinction * w) ** 2))
-    n_l = meas.n_wavelengths
-    for grid_attempt in (tuple(tau_grid), tuple(fallback_tau_grid)):
-        for n_col in ladder:
-            if n_col - 2 > n_l:
-                break
-            scan = scan_fractions(family, meas, scaling, n_col, n_mean)
-            candidates = []
+
+    def scan_level(n_col):
+        return n_col, scan_fractions(family, meas, scaling, n_col, n_mean)
+
+    for taus in (tuple(tau_grid), tuple(fallback_tau_grid)):
+
+        def fit_level(level):
+            n_col, scan = level
+            out = []
             for fi in scan.selected:
-                admissible = any(
-                    scan.residuals[fi] < tau * n_l * scaling.delta_sq < data_norm_sq
-                    for tau in grid_attempt
+                out += _level_candidates(
+                    family.kernel_matrix(n_col, fi), meas, scaling, taus,
+                    reg_kind, scan.residuals[fi], _constrained_fit,
                 )
-                if not admissible:
-                    continue
-                kernel = family.kernel_matrix(n_col, fi)
-                reg = build_regularizer(reg_kind, kernel.interior_dim)
-                candidates.extend(
-                    _level_candidates(
-                        kernel, meas, scaling, grid_attempt, reg,
-                        data_norm_sq, gamma_max,
-                    )
-                )
-            if candidates:
-                return candidates
+            return out
+
+        try:
+            return _walk_ladder(meas, scan_level, ladder, fit_level, max_levels=1)
+        except NoModels:
+            continue
     raise NoModels("no fraction/level/tau combination fits the data")
 
 

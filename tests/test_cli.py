@@ -133,3 +133,29 @@ class TestCommands:
 
     def test_usage_error_exit_code(self):
         assert main([]) == 1
+
+
+class TestBadMeasurementInput:
+    @pytest.mark.parametrize(
+        "defect, reason", [("nan_row", "finite"), ("unsorted", "increasing")]
+    )
+    def test_rejected_at_the_boundary(self, tmp_path, capsys, defect, reason):
+        wl = np.linspace(0.6, 3.3, 8)
+        mean = np.linspace(1e3, 2e3, 8)
+        if defect == "nan_row":
+            mean[3] = np.nan
+        else:
+            wl[[2, 5]] = wl[[5, 2]]
+        path = tmp_path / "bad.csv"
+        lines = ["wavelength_um,mean_extinction,variance,repeats"]
+        lines += [f"{float(w)!r},{float(m)!r},100.0,300" for w, m in zip(wl, mean)]
+        path.write_text("\n".join(lines) + "\n")
+        code = main(
+            ["invert", "--measurement", str(path), "--method", "morozov",
+             "--out", str(tmp_path / "inv.json")]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("usage error:")
+        assert reason in err
+        assert "Traceback" not in err

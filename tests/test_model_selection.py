@@ -310,6 +310,36 @@ class TestUnconstrained:
         assert lz == pytest.approx(np.log(val), abs=1e-5)
 
 
+class TestUnconstrainedDiscrepancy:
+    def test_every_candidate_meets_its_target(self):
+        from aeroinv.simulation_study import (
+            KernelLevelCache,
+            _single_kernel,
+            forward_extinctions,
+            integration_grid,
+            kernel_rows,
+            parameter_grid,
+            simulate_measurement,
+            study_wavelengths,
+        )
+        from aeroinv.tikhonov_qp import _DISCREPANCY_RTOL
+
+        wl, igrid = study_wavelengths(), integration_grid()
+        rows = kernel_rows(_single_kernel("h2o", "air"), wl, igrid)
+        builder = KernelLevelCache(rows, wl, igrid)
+        checked = 0
+        for i, family in enumerate(("log_normal", "rrsb", "hedrih")):
+            dist = parameter_grid(family)[33]
+            e_true = forward_extinctions(dist, None, wl, grid=igrid, rows=rows)
+            meas = simulate_measurement(wl, e_true, 0.30, 300, rng=700 + i)
+            delta_sq = NoiseScaling.from_measurement(meas).delta_sq
+            for cand in invert_unconstrained(meas, builder):
+                target = cand.tau * meas.n_wavelengths * delta_sq
+                assert abs(cand.residual_sq - target) <= _DISCREPANCY_RTOL * target
+                checked += 1
+        assert checked > 0
+
+
 class TestBic:
     def test_penalty_prefers_smaller_dimension(self):
         # two levels with identical (near-zero) fit: smaller N wins the score

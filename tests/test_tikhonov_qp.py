@@ -258,3 +258,38 @@ class TestTheoryProperties:
                 errs.append(np.linalg.norm(sol.n - n0))
             means.append(np.mean(errs))
         assert means[0] > means[1] > means[2]
+
+
+class TestDiscrepancySearch:
+    """The shared log-gamma search behind the constrained and ridge fits."""
+
+    def test_monotone_residual_meets_tolerance(self):
+        from aeroinv.tikhonov_qp import _DISCREPANCY_RTOL, _discrepancy_search
+
+        evaluate = lambda gamma: (gamma / (1.0 + gamma), gamma)
+        gamma, result, res = _discrepancy_search(evaluate, 0.25)
+        assert result == gamma
+        assert abs(res - 0.25) <= _DISCREPANCY_RTOL * 0.25
+        assert gamma == pytest.approx(1.0 / 3.0, rel=1e-5)
+
+    def test_no_lower_bracket_raises_bracket_failure(self):
+        from aeroinv.errors import BracketFailure
+        from aeroinv.tikhonov_qp import _discrepancy_search
+
+        tried = []
+
+        def evaluate(gamma):
+            tried.append(gamma)
+            return 5.0, None
+
+        with pytest.raises(BracketFailure):
+            _discrepancy_search(evaluate, 2.0)
+        assert min(tried) == pytest.approx(1e-30)
+
+    def test_jump_across_target_raises_root_failure(self):
+        from aeroinv.errors import RootFailure
+        from aeroinv.tikhonov_qp import _discrepancy_search
+
+        evaluate = lambda gamma: (1.0 if gamma < 1.0 else 3.0, None)
+        with pytest.raises(RootFailure):
+            _discrepancy_search(evaluate, 2.0)
