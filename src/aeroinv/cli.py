@@ -30,6 +30,7 @@ from .model_selection import (
     invert_unconstrained,
 )
 from .optics import get_material, make_mixed_kernel
+from .orthant_mvn import DEFAULT_SAMPLES
 from .two_component import (
     FALLBACK_TAU_GRID,
     TAU_GRID_TWO_COMPONENT,
@@ -139,6 +140,11 @@ def parse_config(argv=None) -> argparse.Namespace:
                 setattr(args, attr, value)
     if args.seed is None:
         args.seed = 0
+    samples = args.mc_samples
+    if samples is not None and (
+        not isinstance(samples, int) or isinstance(samples, bool) or samples < 1
+    ):
+        raise UsageError(f"--mc-samples must be a positive integer, got {samples!r}")
     return args
 
 
@@ -210,6 +216,9 @@ def _candidate_dict(c) -> dict:
         "dim": int(c.dim),
         "posterior": None if c.posterior is None else float(c.posterior),
         "log_marginal": None if c.log_marginal is None else float(c.log_marginal),
+        "log_marginal_se": None
+        if c.log_marginal_se is None
+        else float(c.log_marginal_se),
         "residual_sq": float(c.residual_sq),
         "fraction": None if c.fraction is None else float(c.fraction),
     }
@@ -221,9 +230,10 @@ def _inversion_record(ranked, meas, elapsed, extra=None) -> dict:
     r_out = np.linspace(grid.r_min, grid.r_max, 200)
     recon = np.maximum(evaluate_distribution(top.weights, grid, r_out), 0.0)
     scaling = NoiseScaling.from_measurement(meas)
+    candidates = [_candidate_dict(c) for c in ranked]
     record = {
         "schema": RECORD_SCHEMA,
-        "candidates": [_candidate_dict(c) for c in ranked],
+        "candidates": candidates,
         "reconstruction": {
             "radius_um": [float(x) for x in r_out],
             "density": [float(x) for x in recon],
@@ -232,6 +242,7 @@ def _inversion_record(ranked, meas, elapsed, extra=None) -> dict:
             "delta_sq": float(scaling.delta_sq),
             "n_wavelengths": int(meas.n_wavelengths),
             "residual_sq": [float(c.residual_sq) for c in ranked],
+            "log_marginal_se": [d["log_marginal_se"] for d in candidates],
             "elapsed_s": float(elapsed),
         },
     }
@@ -327,7 +338,7 @@ def _cmd_invert(args) -> int:
     builder = study.KernelLevelCache(rows, wavelengths, igrid)
     reg_kind = _reg_kind(args)
     tau_grid = _tau_grid(args, DEFAULT_TAU_GRID)
-    samples = args.mc_samples or 50_000
+    samples = args.mc_samples or DEFAULT_SAMPLES
     t0 = time.perf_counter()
     if args.method == "constrained":
         ranked = invert_constrained(
@@ -371,7 +382,7 @@ def _cmd_invert2(args) -> int:
     )
     reg_kind = _reg_kind(args)
     tau_grid = _tau_grid(args, TAU_GRID_TWO_COMPONENT)
-    samples = args.mc_samples or 50_000
+    samples = args.mc_samples or DEFAULT_SAMPLES
     t0 = time.perf_counter()
     candidates = generate_models_two_component(
         family, meas, tau_grid=tau_grid, fallback_tau_grid=FALLBACK_TAU_GRID,

@@ -17,6 +17,7 @@ nonnegative fit and scores its least-squares fit.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,13 @@ from .errors import (
     NoModels,
     TargetOutOfRange,
 )
-from .orthant_mvn import DEFAULT_SAMPLES, QuadraticForm, orthant_integral
+from .orthant_mvn import (
+    DEFAULT_SAMPLES,
+    IntegralEstimate,
+    QuadraticForm,
+    log_orthant_probability,
+    orthant_integral,
+)
 from .tikhonov_qp import _discrepancy_search, solve_discrepancy, solve_nnls
 
 __all__ = [
@@ -38,12 +45,14 @@ __all__ = [
     "Measurement",
     "NoiseScaling",
     "ModelCandidate",
+    "LogEvidence",
     "REGULARIZER_KINDS",
     "DEFAULT_TAU_GRID",
     "MOROZOV_TAU",
     "DEFAULT_LADDER",
     "build_regularizer",
     "generate_models",
+    "prior_normalizer",
     "log_marginal_likelihood",
     "select_models",
     "invert_constrained",
@@ -58,6 +67,9 @@ MOROZOV_TAU = 1.1
 DEFAULT_LADDER = tuple(range(3, 51))
 DEFAULT_MAX_DISC = 3
 LOW_NOISE_DELTA_SQ = 1e-10
+# Budget and seed of the one-off prior orthant probability per (kind, N).
+_PRIOR_SAMPLES = 100_000
+_PRIOR_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -166,6 +178,7 @@ class ModelCandidate:
     log_marginal: float | None = None
     posterior: float | None = None
     fraction: float | None = None
+    log_marginal_se: float | None = None
 
     @property
     def dim(self) -> int:
@@ -303,23 +316,72 @@ def generate_models(
 
 
 def _statistical_system(candidate, meas, scaling):
-    """Evidence exponent, scaled prior matrix and Gaussian normalizer.
+    """Evidence exponent, prior scale and Gaussian normalizer.
 
     Statistics run on the unnormalized covariance, so the regularizer stored
-    with the normalized-problem parameter is rescaled by 1/delta^2 here.
-    Returns ``(QuadraticForm(H, v, q), R_stat, log_b)``.
+    with the normalized-problem parameter is rescaled by 1/delta^2 here: the
+    prior precision is ``scale * R``.  Returns ``(QuadraticForm(H, v, q),
+    scale, log_b)``.
     """
     var = scaling.obs_variance
     K_stat = candidate.kernel.entries / np.sqrt(var)[:, None]
     e_stat = meas.mean_extinction / np.sqrt(var)
-    R_stat = (candidate.gamma / scaling.delta_sq) * candidate.regularizer.matrix
+    scale = candidate.gamma / scaling.delta_sq
+    R_stat = scale * candidate.regularizer.matrix
     joint = QuadraticForm(
         K_stat.T @ K_stat + R_stat, K_stat.T @ e_stat, float(e_stat @ e_stat)
     )
     log_b = 0.5 * meas.n_wavelengths * np.log(2.0 * np.pi) + 0.5 * float(
         np.sum(np.log(var))
     )
-    return joint, R_stat, log_b
+    return joint, scale, log_b
+
+
+@functools.lru_cache(maxsize=None)
+def _log_prior_orthant_probability(kind: str, N: int) -> tuple[float, float, int]:
+    """log P(Z >= 0) for Z ~ N(0, R^-1), R the (kind, N) regularizer, with
+    its relative standard error and sample count.
+
+    The probability does not depend on the scale of R, so it is computed
+    once per (kind, N): exactly for the diagonal ``tikhonov`` stencil, by
+    the orthant estimator at a fixed seed otherwise.  The fixed seed makes
+    the cached value independent of which caller filled the cache.
+    """
+    if kind == "tikhonov":
+        return -N * np.log(2.0), 0.0, 0
+    est = log_orthant_probability(
+        build_regularizer(kind, N).matrix, np.zeros(N), _PRIOR_SAMPLES, _PRIOR_SEED
+    )
+    return est.log_value, est.std_error, est.samples
+
+
+def prior_normalizer(regularizer: Regularizer, scale: float) -> IntegralEstimate:
+    """Integral of exp(-0.5 n' (scale R) n) over the nonnegative orthant.
+
+    The Gaussian part, (2 pi)^(N/2) det(scale R)^(-1/2), is closed form with
+    log det R from the stored Cholesky factor; the orthant probability is
+    cached per (kind, N).  ``std_error`` is relative, as for
+    ``orthant_integral``.
+    """
+    N = regularizer.matrix.shape[0]
+    log_p0, rel_err, samples = _log_prior_orthant_probability(regularizer.kind, N)
+    logdet = N * np.log(scale) + 2.0 * float(
+        np.sum(np.log(np.diag(regularizer.cholesky)))
+    )
+    log_value = 0.5 * (N * np.log(2.0 * np.pi) - logdet) + log_p0
+    with np.errstate(over="ignore"):  # the linear value may not be representable
+        value = float(np.exp(log_value))
+    return IntegralEstimate(value, rel_err, samples, log_value)
+
+
+class LogEvidence(float):
+    """A log marginal likelihood carrying the standard error of its Monte
+    Carlo estimate in ``std_error``."""
+
+    def __new__(cls, value: float, std_error: float):
+        self = super().__new__(cls, value)
+        self.std_error = float(std_error)
+        return self
 
 
 def log_marginal_likelihood(
@@ -328,23 +390,30 @@ def log_marginal_likelihood(
     scaling: NoiseScaling,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
-) -> float:
-    """Log evidence of one candidate under its truncated-Gaussian prior."""
-    joint, R_stat, log_b = _statistical_system(candidate, meas, scaling)
-    log_prior_norm = orthant_integral(
-        QuadraticForm(R_stat, np.zeros(candidate.dim)), samples, seed
-    ).log_value
-    log_joint = orthant_integral(joint, samples, seed).log_value
-    return float(log_joint - log_b - log_prior_norm)
+) -> LogEvidence:
+    """Log evidence of one candidate under its truncated-Gaussian prior.
+
+    One QMC orthant integral of the joint exponent per call; its relative
+    error (the standard error of its log) is the returned ``std_error``.
+    """
+    joint, scale, log_b = _statistical_system(candidate, meas, scaling)
+    log_prior_norm = prior_normalizer(candidate.regularizer, scale).log_value
+    est = orthant_integral(joint, samples, seed)
+    return LogEvidence(est.log_value - log_b - log_prior_norm, est.std_error)
 
 
 def _rank(candidates, log_marginals):
-    log_marginals = np.asarray(log_marginals, dtype=float)
-    shifted = log_marginals - log_marginals.max()
-    post = np.exp(shifted)
+    """Posterior-sorted copies; a ``LogEvidence`` also sets ``log_marginal_se``."""
+    values = np.asarray(log_marginals, dtype=float)
+    post = np.exp(values - values.max())
     post /= post.sum()
     enriched = [
-        dataclasses.replace(c, log_marginal=float(lm), posterior=float(p))
+        dataclasses.replace(
+            c,
+            log_marginal=float(lm),
+            posterior=float(p),
+            log_marginal_se=getattr(lm, "std_error", None),
+        )
         for c, lm, p in zip(candidates, log_marginals, post)
     ]
     enriched.sort(
@@ -411,10 +480,10 @@ def invert_morozov(
 
 def _log_evidence_unconstrained(candidate, meas, scaling):
     """Closed-form Gaussian evidence (no orthant restriction)."""
-    joint, R_stat, log_b = _statistical_system(candidate, meas, scaling)
+    joint, scale, log_b = _statistical_system(candidate, meas, scaling)
     cf = scipy.linalg.cho_factor(joint.H, lower=False)
     logdet_h = 2.0 * float(np.sum(np.log(np.diag(cf[0]))))
-    sign, logdet_r = np.linalg.slogdet(R_stat)
+    sign, logdet_r = np.linalg.slogdet(scale * candidate.regularizer.matrix)
     if sign <= 0:
         raise IllConditioned("prior covariance is degenerate")
     mode = scipy.linalg.cho_solve(cf, joint.v)

@@ -1,13 +1,17 @@
 """Gaussian integrals over the nonnegative orthant by quasi-Monte Carlo.
 
 Probabilities are computed with the sequential-conditioning transform to the
-unit cube, sampled with randomly shifted square-root lattice points.  All
-accumulation happens in log space so that strongly shifted orthants and large
-normalizing prefactors cannot under- or overflow.
+unit cube (Genz 1992), after Genz–Bretz variable priority reordering (Genz &
+Bretz 2009, sec. 4.1.3): the variable with the smallest conditional tail
+probability is conditioned first.  Points are randomly shifted square-root
+lattice points.  All accumulation happens in log space so that strongly
+shifted orthants and large normalizing prefactors cannot under- or overflow;
+the relative error comes from the spread of the per-shift log estimates.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,12 +24,17 @@ __all__ = [
     "QuadraticForm",
     "IntegralEstimate",
     "genz_orthant_probability",
+    "log_orthant_probability",
     "orthant_integral",
     "DEFAULT_SAMPLES",
 ]
 
-DEFAULT_SAMPLES = 50_000
+DEFAULT_SAMPLES = 5_000
 _N_SHIFTS = 10
+# Most lattice points pushed through the sampler in one pass: the shifts are
+# batched up to this many points, which bounds the working arrays.
+_BATCH_POINTS = 10_000
+_LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -53,9 +62,9 @@ class QuadraticForm:
 class IntegralEstimate:
     """Monte Carlo estimate.
 
-    For probabilities ``std_error`` is absolute; for orthant integrals it is
-    relative (approximately the standard error of ``log_value``), since the
-    linear value may not be representable.
+    For ``genz_orthant_probability`` ``std_error`` is absolute; elsewhere it
+    is relative (approximately the standard error of ``log_value``), since
+    the linear value may not be representable.
     """
 
     value: float
@@ -64,29 +73,67 @@ class IntegralEstimate:
     log_value: float
 
 
-def _first_primes(count: int) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _lattice_roots(count: int) -> np.ndarray:
+    """Square roots of the first ``count`` primes (the lattice generator)."""
     primes, candidate = [], 2
     while len(primes) < count:
         if all(candidate % p for p in primes):
             primes.append(candidate)
         candidate += 1
-    return np.array(primes, dtype=float)
+    roots = np.sqrt(np.array(primes, dtype=float))
+    roots.setflags(write=False)
+    return roots
 
 
-def _chol_of_inverse(H: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of H^-1 and log det H."""
+def _factor(H: np.ndarray):
+    """Upper Cholesky factor U of H = U'U, log det H and H^-1 = U^-1 U^-T."""
     try:
-        cf = scipy.linalg.cho_factor(H, lower=False)
+        U = scipy.linalg.cholesky(H, lower=False)
     except scipy.linalg.LinAlgError as exc:
         raise CholeskyFailure("matrix is not positive definite") from exc
-    logdet = 2.0 * float(np.sum(np.log(np.diag(cf[0]))))
-    inv = scipy.linalg.cho_solve(cf, np.eye(H.shape[0]))
-    inv = 0.5 * (inv + inv.T)
-    try:
-        L = np.linalg.cholesky(inv)
-    except np.linalg.LinAlgError as exc:
-        raise CholeskyFailure("inverse lost positive definiteness") from exc
-    return L, logdet
+    logdet = 2.0 * float(np.sum(np.log(np.diag(U))))
+    U_inv = scipy.linalg.solve_triangular(U, np.eye(H.shape[0]), lower=False)
+    return U, logdet, U_inv @ U_inv.T
+
+
+def _priority_cholesky(cov: np.ndarray, lower: np.ndarray):
+    """Lower Cholesky factor of ``cov`` in Genz–Bretz priority order.
+
+    Step k conditions, among the variables not yet placed, the one with the
+    smallest conditional tail log-probability log P(Z_j >= lower_j) given
+    the placed ones at their truncated-normal means.  Returns the factor and
+    the lower bounds, both in the chosen order.
+    """
+    n = lower.size
+    C = np.array(cov, dtype=float)
+    a = np.array(lower, dtype=float)
+    var = np.diag(C).copy()  # conditional variances of the unplaced rows
+    L = np.zeros((n, n))
+    y = np.zeros(n)  # truncated-normal means of the placed variables
+    for k in range(n):
+        ok = var[k:] > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (a[k:] - L[k:, :k] @ y[:k]) / np.sqrt(var[k:])
+            log_tail = np.where(ok, log_ndtr(-t), np.inf)
+        j = int(np.argmin(log_tail))
+        if not ok[j]:
+            raise CholeskyFailure("covariance lost positive definiteness")
+        t_k, log_tail_k = t[j], log_tail[j]
+        j += k
+        if j != k:
+            for arr in (a, var):
+                arr[[k, j]] = arr[[j, k]]
+            C[[k, j]] = C[[j, k]]
+            C[:, [k, j]] = C[:, [j, k]]
+            L[[k, j], :k] = L[[j, k], :k]
+        d = np.sqrt(var[k])
+        L[k, k] = d
+        L[k + 1 :, k] = (C[k + 1 :, k] - L[k + 1 :, :k] @ L[k, :k]) / d
+        var[k + 1 :] -= L[k + 1 :, k] ** 2
+        # E[Z | Z >= t] = phi(t) / (1 - Phi(t)), formed in log space
+        y[k] = np.exp(-0.5 * t_k * t_k - _LOG_SQRT_2PI - log_tail_k)
+    return L, a
 
 
 def _log_orthant_prob_samples(L: np.ndarray, lower: np.ndarray, w: np.ndarray):
@@ -107,43 +154,66 @@ def _log_orthant_prob_samples(L: np.ndarray, lower: np.ndarray, w: np.ndarray):
     return logf
 
 
+def _log_probability(cov, lower, samples: int, seed: int):
+    """log P(Z >= lower) for Z ~ N(0, cov), its relative standard error and
+    the number of points used.
+
+    ``_N_SHIFTS`` independent random shifts of one lattice; the relative
+    error is the standard error of the mean of the per-shift estimates,
+    each taken relative to that mean in log space, so it stays finite when
+    the probability underflows.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    L, a = _priority_cholesky(cov, lower)
+    n_w = L.shape[0] - 1
+    n_pts = max(samples // _N_SHIFTS, 1)
+    rng = np.random.default_rng(seed)
+    shifts = rng.random((_N_SHIFTS, n_w))
+    lattice = np.arange(1, n_pts + 1)[:, None] * _lattice_roots(n_w)
+    per_batch = max(_BATCH_POINTS // n_pts, 1)
+    shift_logs = np.empty(_N_SHIFTS)
+    for start in range(0, _N_SHIFTS, per_batch):
+        block = shifts[start : start + per_batch]
+        w = np.mod(lattice[None, :, :] + block[:, None, :], 1.0)
+        logf = _log_orthant_prob_samples(L, a, w.reshape(len(block) * n_pts, n_w))
+        shift_logs[start : start + len(block)] = logsumexp(
+            logf.reshape(len(block), n_pts), axis=1
+        ) - np.log(n_pts)
+    log_value = float(logsumexp(shift_logs) - np.log(_N_SHIFTS))
+    if not np.isfinite(log_value):
+        return log_value, np.inf, n_pts * _N_SHIFTS
+    ratios = np.exp(shift_logs - log_value)
+    rel_err = float(ratios.std(ddof=1) / np.sqrt(_N_SHIFTS))
+    return log_value, rel_err, n_pts * _N_SHIFTS
+
+
+def log_orthant_probability(
+    H, lower_shift, samples: int = DEFAULT_SAMPLES, seed: int = 0
+) -> IntegralEstimate:
+    """Probability P(Z >= lower_shift) for Z ~ N(0, H^-1), with a relative
+    ``std_error``; ``value`` underflows to 0 below exp(-745), ``log_value``
+    does not."""
+    lower = np.atleast_1d(np.asarray(lower_shift, dtype=float))
+    _, _, cov = _factor(np.asarray(H, dtype=float))
+    log_value, rel_err, n = _log_probability(cov, lower, samples, seed)
+    return IntegralEstimate(float(np.exp(log_value)), rel_err, n, log_value)
+
+
 def genz_orthant_probability(
     H, lower_shift, samples: int = DEFAULT_SAMPLES, seed: int = 0
 ) -> IntegralEstimate:
-    """Probability P(Z >= lower_shift) for Z ~ N(0, H^-1).
+    """Probability P(Z >= lower_shift) for Z ~ N(0, H^-1), with an absolute
+    ``std_error``.
 
     Uses randomly shifted square-root lattice points with ``_N_SHIFTS``
     independent shifts; the spread of the per-shift estimates gives the
     standard error.
     """
-    H = np.asarray(H, dtype=float)
-    lower = np.atleast_1d(np.asarray(lower_shift, dtype=float))
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    L, _ = _chol_of_inverse(H)
-    dim = L.shape[0]
-    n_pts = max(samples // _N_SHIFTS, 1)
-    rng = np.random.default_rng(seed)
-    roots = np.sqrt(_first_primes(max(dim - 1, 1)))
-    j = np.arange(1, n_pts + 1)[:, None]
-    shift_logs = np.empty(_N_SHIFTS)
-    for k in range(_N_SHIFTS):
-        shift = rng.random(max(dim - 1, 1))
-        w = np.mod(j * roots + shift, 1.0)
-        logf = _log_orthant_prob_samples(L, lower, w[:, : max(dim - 1, 0)])
-        shift_logs[k] = logsumexp(logf) - np.log(n_pts)
-
-    log_value = logsumexp(shift_logs) - np.log(_N_SHIFTS)
-    ref = shift_logs.max()
-    if np.isfinite(ref):
-        scaled = np.exp(shift_logs - ref)
-        std_error = float(
-            np.exp(ref) * scaled.std(ddof=1) / np.sqrt(_N_SHIFTS)
-        )
-        value = float(np.exp(log_value))
-    else:
-        std_error, value = 0.0, 0.0
-    return IntegralEstimate(value, std_error, n_pts * _N_SHIFTS, float(log_value))
+    est = log_orthant_probability(H, lower_shift, samples, seed)
+    return IntegralEstimate(
+        est.value, est.value * est.std_error, est.samples, est.log_value
+    )
 
 
 def orthant_integral(
@@ -152,22 +222,17 @@ def orthant_integral(
     """Integral of exp(-0.5*(n'Hn - 2n'v + q)) over the nonnegative orthant.
 
     Completing the square gives a Gaussian prefactor times the orthant
-    probability of N(H^-1 v, H^-1); the result is carried as ``log_value``
-    with a relative ``std_error``.
+    probability of N(H^-1 v, H^-1); one Cholesky factor of H yields the
+    mode, log det H and H^-1.  The result is carried as ``log_value`` with
+    a relative ``std_error``.
     """
     H, v, q = form.H, form.v, form.q
-    dim = form.dim
-    try:
-        cf = scipy.linalg.cho_factor(H, lower=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise CholeskyFailure("quadratic form is not positive definite") from exc
-    mode = scipy.linalg.cho_solve(cf, v)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(cf[0]))))
+    U, logdet, cov = _factor(H)
+    mode = scipy.linalg.cho_solve((U, False), v)
     log_prefactor = -0.5 * (q - float(v @ mode)) + 0.5 * (
-        dim * np.log(2.0 * np.pi) - logdet
+        form.dim * np.log(2.0 * np.pi) - logdet
     )
-    prob = genz_orthant_probability(H, -mode, samples=samples, seed=seed)
-    rel_err = prob.std_error / prob.value if prob.value > 0.0 else 0.0
-    log_value = log_prefactor + prob.log_value
+    log_prob, rel_err, n = _log_probability(cov, -mode, samples, seed)
+    log_value = log_prefactor + log_prob
     value = float(np.exp(log_value)) if np.isfinite(log_value) else 0.0
-    return IntegralEstimate(value, float(rel_err), prob.samples, float(log_value))
+    return IntegralEstimate(value, rel_err, n, float(log_value))

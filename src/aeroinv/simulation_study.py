@@ -36,6 +36,7 @@ from .model_selection import (
     invert_unconstrained,
 )
 from .optics import get_material, make_kernel, mixed_kernel_rows
+from .orthant_mvn import DEFAULT_SAMPLES
 from .two_component import (
     FALLBACK_TAU_GRID,
     TAU_GRID_TWO_COMPONENT,
@@ -290,7 +291,7 @@ class StudyConfig:
     ladder: tuple[int, ...] = DEFAULT_LADDER
     tau_grid: tuple[float, ...] = DEFAULT_TAU_GRID
     max_disc: int = 3
-    mc_samples: int = 50_000
+    mc_samples: int = DEFAULT_SAMPLES
     particle: str = "h2o"
     medium: str = "air"
 
@@ -308,7 +309,7 @@ class TwoComponentStudyConfig:
     ladder: tuple[int, ...] = DEFAULT_LADDER
     tau_grid: tuple[float, ...] = TAU_GRID_TWO_COMPONENT
     fallback_tau_grid: tuple[float, ...] = FALLBACK_TAU_GRID
-    mc_samples: int = 50_000
+    mc_samples: int = DEFAULT_SAMPLES
     component_a: str = "h2o"
     component_b: str = "csi"
     medium: str = "air"

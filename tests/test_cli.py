@@ -159,3 +159,49 @@ class TestBadMeasurementInput:
         assert err.startswith("usage error:")
         assert reason in err
         assert "Traceback" not in err
+
+
+class TestMcSamplesInput:
+    @pytest.mark.parametrize("value", ["-3", "0"])
+    def test_nonpositive_rejected(self, measurement_file, tmp_path, capsys, value):
+        out = tmp_path / "inv.json"
+        code = main(
+            ["invert", "--measurement", str(measurement_file), "--out", str(out),
+             "--mc-samples", value]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("usage error:")
+        assert "--mc-samples" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_config_value_rejected(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"mc_samples": "many"}))
+        with pytest.raises(UsageError):
+            parse_config(["invert", "--measurement", "m.csv", "--config", str(cfg)])
+
+
+class TestEvidenceErrorOutput:
+    def test_constrained_candidates_carry_log_marginal_se(
+        self, measurement_file, tmp_path
+    ):
+        out = tmp_path / "inv.json"
+        code = main(["invert", "--measurement", str(measurement_file), "--out", str(out)])
+        assert code == 0
+        record = json.loads(out.read_text())
+        errs = [c["log_marginal_se"] for c in record["candidates"]]
+        assert all(e is not None and np.isfinite(e) and e >= 0.0 for e in errs)
+        assert record["diagnostics"]["log_marginal_se"] == errs
+
+    def test_classical_method_leaves_it_empty(self, measurement_file, tmp_path):
+        out = tmp_path / "inv.json"
+        code = main(
+            ["invert", "--measurement", str(measurement_file), "--out", str(out),
+             "--method", "unconstrained"]
+        )
+        assert code == 0
+        record = json.loads(out.read_text())
+        assert all(c["log_marginal_se"] is None for c in record["candidates"])
+        assert all(e is None for e in record["diagnostics"]["log_marginal_se"])

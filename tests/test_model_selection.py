@@ -233,6 +233,16 @@ class TestSelectModels:
         ranked = select_models(cands, meas, samples=2000, seed=0)
         assert ranked[0].posterior == pytest.approx(1.0)
 
+    def test_evidence_error_carried_onto_candidates(self):
+        cands, meas = self.base_candidates([0.0, 0.0])
+        sc = NoiseScaling.from_measurement(meas)
+        lm = log_marginal_likelihood(cands[0], meas, sc, samples=2000, seed=0)
+        ranked = select_models(cands, meas, samples=2000, seed=0)
+        for c in ranked:
+            assert c.log_marginal == float(lm)
+            assert c.log_marginal_se == lm.std_error
+            assert np.isfinite(c.log_marginal_se) and c.log_marginal_se >= 0.0
+
     def test_softmax_weights(self, monkeypatch):
         import aeroinv.model_selection as msel
 

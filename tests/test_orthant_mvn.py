@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 import scipy.integrate as si
+from scipy.special import ndtr
+from scipy.stats import multivariate_normal
 
+import aeroinv.model_selection as msel
 from aeroinv.errors import CholeskyFailure
+from aeroinv.model_selection import build_regularizer, prior_normalizer
 from aeroinv.orthant_mvn import (
     QuadraticForm,
     genz_orthant_probability,
+    log_orthant_probability,
     orthant_integral,
 )
 
@@ -14,6 +19,26 @@ def quadrature_orthant_prob_2d(H, cutoff=12.0):
     f = lambda y, x: np.exp(-0.5 * (np.array([x, y]) @ H @ np.array([x, y])))
     num, _ = si.dblquad(f, 0, cutoff, 0, cutoff, epsabs=1e-13, epsrel=1e-12)
     return num * np.sqrt(np.linalg.det(H)) / (2 * np.pi)
+
+
+def quadrature_orthant_prob(Sigma, mu):
+    """P(X >= 0) for X ~ N(mu, Sigma) in 2-D or 3-D: the last coordinate in
+    closed form given the others, the rest by adaptive quadrature."""
+    d = len(mu)
+    head = slice(0, d - 1)
+    s12 = Sigma[head, d - 1]
+    gain = np.linalg.solve(Sigma[head, head], s12)
+    cond_sd = np.sqrt(Sigma[d - 1, d - 1] - s12 @ gain)
+    pdf = multivariate_normal(mu[head], Sigma[head, head]).pdf
+
+    def f(*x):
+        x = np.array(x[::-1])
+        return pdf(x) * ndtr((mu[d - 1] + gain @ (x - mu[head])) / cond_sd)
+
+    hi = np.maximum(mu[head], 0.0) + 12.0 * np.sqrt(np.diag(Sigma)[head])
+    if d == 2:
+        return si.quad(f, 0, hi[0], epsabs=0, epsrel=1e-11, limit=200)[0]
+    return si.dblquad(f, 0, hi[0], 0, hi[1], epsabs=0, epsrel=1e-10)[0]
 
 
 class TestOrthantProbability:
@@ -114,3 +139,84 @@ class TestEstimatorProperties:
         assert a.std_error == b.std_error
         c = orthant_integral(form, 20000, seed=43)
         assert a.log_value != c.log_value
+
+
+class TestReorderedEstimator:
+    H2 = np.array([[2.0, 0.7], [0.7, 1.5]])
+    H3 = np.array([[2.0, 0.9, 0.3], [0.9, 1.5, 0.4], [0.3, 0.4, 1.0]])
+
+    def test_2d_far_mode_vs_quadrature(self):
+        # correlated, mode 6 sd outside the orthant in one coordinate
+        Sigma = np.linalg.inv(self.H2)
+        mu = np.array([-6.0 * np.sqrt(Sigma[0, 0]), 0.4])
+        exact = quadrature_orthant_prob(Sigma, mu)
+        est = log_orthant_probability(self.H2, -mu, 100000, seed=2)
+        assert abs(np.exp(est.log_value) - exact) / exact <= 1e-3
+
+    def test_3d_far_mode_vs_quadrature(self):
+        # correlated, mode 5.5 sd outside the orthant in one coordinate
+        Sigma = np.linalg.inv(self.H3)
+        mu = np.array([-5.5 * np.sqrt(Sigma[0, 0]), 0.3, -0.5])
+        exact = quadrature_orthant_prob(Sigma, mu)
+        v = self.H3 @ mu
+        est = orthant_integral(QuadraticForm(self.H3, v, 0.4), 100000, seed=3)
+        log_prefactor = -0.5 * (0.4 - v @ mu) + 0.5 * (
+            3 * np.log(2 * np.pi) - np.linalg.slogdet(self.H3)[1]
+        )
+        assert abs(est.log_value - log_prefactor - np.log(exact)) <= 1e-3
+
+    def test_underflowed_probability_keeps_relative_error(self):
+        mode = np.array([-28.0, -12.0, 1.0])
+        form = QuadraticForm(self.H3, self.H3 @ mode, float(mode @ self.H3 @ mode))
+        est = orthant_integral(form, 5000, seed=0)
+        log_prefactor = 0.5 * (
+            3 * np.log(2 * np.pi) - np.linalg.slogdet(self.H3)[1]
+        )
+        assert est.log_value - log_prefactor < -800.0
+        assert np.isfinite(est.std_error) and 0.0 < est.std_error < 0.1
+
+
+class TestPriorNormalizer:
+    @pytest.mark.parametrize("N", [1, 5, 20])
+    def test_tikhonov_closed_form(self, N):
+        reg = build_regularizer("tikhonov", N)
+        for gamma in (1e-3, 1.0, 1e3):
+            est = prior_normalizer(reg, gamma)
+            exact = (np.pi / (2 * gamma)) ** (N / 2)
+            assert est.value == pytest.approx(exact, rel=1e-12)
+            assert est.std_error == 0.0
+
+    @pytest.mark.parametrize("kind", ["first_diff", "twomey"])
+    def test_orthant_probability_cached_across_scales(self, kind, monkeypatch):
+        calls = []
+        inner = msel.log_orthant_probability
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(msel, "log_orthant_probability", counting)
+        msel._log_prior_orthant_probability.cache_clear()
+        N = 7
+        reg = build_regularizer(kind, N)
+        logdet_r = np.linalg.slogdet(reg.matrix)[1]
+        log_p0 = set()
+        for gamma in (1e-3, 1.0, 1e3):
+            est = prior_normalizer(reg, gamma)
+            gauss = 0.5 * (N * np.log(2 * np.pi / gamma) - logdet_r)
+            log_p0.add(round(est.log_value - gauss, 9))
+        assert len(calls) == 1
+        assert len(log_p0) == 1
+
+    @pytest.mark.parametrize("kind", ["first_diff", "twomey"])
+    @pytest.mark.parametrize("N", [5, 12])
+    def test_cached_probability_matches_orthant_integral(self, kind, N):
+        reg = build_regularizer(kind, N)
+        gamma = 2.5
+        cached = prior_normalizer(reg, gamma)
+        direct = orthant_integral(
+            QuadraticForm(gamma * reg.matrix, np.zeros(N)), 100_000, seed=1
+        )
+        tol = 3.0 * np.hypot(cached.std_error, direct.std_error)
+        assert 0.0 < tol
+        assert abs(cached.log_value - direct.log_value) <= tol
