@@ -24,6 +24,7 @@ from .model_selection import (
 )
 from .optics import (
     IndexTable,
+    MieKernel,
     get_material,
     interpolate_index,
     kernel_value,

@@ -47,7 +47,8 @@ MEASUREMENT_SCHEMA_COLUMNS = "wavelength_um,mean_extinction,variance[,repeats]"
 _COMMANDS = ("simulate", "invert", "invert2", "study", "study2")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The top-level parser and the subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="aeroinv",
         description="Aerosol size-distribution retrieval from extinction spectra",
@@ -115,12 +116,37 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", default=None, help="comma-separated parameter indices")
     p.add_argument("--repeats", type=int, default=None, help="repeats per parameter")
 
-    return parser
+    return parser, sub.choices
+
+
+def _config_value(command_parser, key: str, value):
+    """A config-file value checked like the command's flag of the same name:
+    through its ``type`` and ``choices``, or as a JSON boolean for a switch."""
+    attr = key.replace("-", "_")
+    action = next((a for a in command_parser._actions if a.dest == attr), None)
+    if action is None or action.default is argparse.SUPPRESS:
+        raise UsageError(f"unknown config key {key!r}")
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise UsageError(f"config key {key!r} needs true or false, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise UsageError(f"config key {key!r} needs a string or number, got {value!r}")
+    try:
+        converted = action.type(str(value)) if action.type else str(value)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad value {value!r} for config key {key!r}") from exc
+    if action.choices is not None and converted not in action.choices:
+        raise UsageError(
+            f"bad value {value!r} for config key {key!r}; choose from "
+            + ", ".join(map(str, action.choices))
+        )
+    return converted
 
 
 def parse_config(argv=None) -> argparse.Namespace:
     """Parse flags, layering an optional JSON config file underneath them."""
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
         raise UsageError(
@@ -131,20 +157,19 @@ def parse_config(argv=None) -> argparse.Namespace:
             file_values = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config file {args.config}: {exc}") from exc
+        command_parser = commands[args.command]
         for key, value in file_values.items():
+            value = _config_value(command_parser, key, value)
             attr = key.replace("-", "_")
-            if not hasattr(args, attr):
-                raise UsageError(f"unknown config key {key!r}")
             # flags win: only fill values the command line left at default
-            if parser.get_default(attr) == getattr(args, attr):
+            if command_parser.get_default(attr) == getattr(args, attr):
                 setattr(args, attr, value)
     if args.seed is None:
         args.seed = 0
-    samples = args.mc_samples
-    if samples is not None and (
-        not isinstance(samples, int) or isinstance(samples, bool) or samples < 1
-    ):
-        raise UsageError(f"--mc-samples must be a positive integer, got {samples!r}")
+    if args.mc_samples is not None and args.mc_samples < 1:
+        raise UsageError(
+            f"--mc-samples must be a positive integer, got {args.mc_samples!r}"
+        )
     return args
 
 

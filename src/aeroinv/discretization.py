@@ -21,6 +21,7 @@ __all__ = [
     "uniform_grid",
     "build_collocation_grid",
     "hat_basis_values",
+    "kernel_rows",
     "assemble_kernel_matrix",
     "weighted_interior_basis",
     "evaluate_distribution",
@@ -129,19 +130,30 @@ def hat_basis_values(collocation_grid: RadiusGrid, r: np.ndarray) -> np.ndarray:
     return vals
 
 
+def kernel_rows(kernel, wavelengths, grid: RadiusGrid) -> np.ndarray:
+    """Kernel values on a radius grid, one row per wavelength.
+
+    A kernel with a ``rows`` method (``optics.MieKernel``) builds them in one
+    Mie pass; any other callable ``k(r, l)`` is called once per wavelength.
+    """
+    if hasattr(kernel, "rows"):
+        return kernel.rows(wavelengths, grid.points)
+    return np.vstack([np.asarray(kernel(grid.points, l)) for l in wavelengths])
+
+
 def assemble_kernel_matrix(
     kernel,
     wavelengths,
     integration_grid: RadiusGrid,
     collocation_grid: RadiusGrid,
     fraction_label: float | None = None,
-    kernel_rows: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
 ) -> KernelMatrix:
     """Assemble the collocation matrix by the composite trapezoidal rule.
 
     Entry (i, k) approximates the integral of kernel(r, l_i) * b_k(r) over the
-    integration grid, for the interior basis functions only.  ``kernel_rows``
-    may supply precomputed kernel values on the integration grid, shape
+    integration grid, for the interior basis functions only.  ``rows`` may
+    supply precomputed kernel values on the integration grid, shape
     (N_l, len(integration_grid)), in which case ``kernel`` is unused.
     """
     wavelengths = np.asarray(wavelengths, dtype=float)
@@ -151,10 +163,9 @@ def assemble_kernel_matrix(
             f"{wavelengths.size} measurements"
         )
     weighted_basis = weighted_interior_basis(integration_grid, collocation_grid)
-    if kernel_rows is None:
-        nodes = integration_grid.points
-        kernel_rows = np.vstack([np.asarray(kernel(nodes, l)) for l in wavelengths])
-    entries = kernel_rows @ weighted_basis
+    if rows is None:
+        rows = kernel_rows(kernel, wavelengths, integration_grid)
+    entries = rows @ weighted_basis
     return KernelMatrix(entries, wavelengths, collocation_grid, fraction_label)
 
 

@@ -213,13 +213,14 @@ def _open_targets(base_res, meas, scaling, tau_grid):
     return [(tau, t) for tau, t in targets if base_res < t < data_norm_sq]
 
 
-def _constrained_fit(K, r, R, target_sq):
-    gamma, sol = solve_discrepancy(K, r, R, target_sq)
+def _constrained_fit(K, r, R, target_sq, base_res):
+    gamma, sol = solve_discrepancy(K, r, R, target_sq, base_res)
     return gamma, sol.n, sol.residual_sq
 
 
-def _ridge_fit(K, r, R, target_sq):
-    """Discrepancy fit with the constraints dropped (closed-form ridge)."""
+def _ridge_fit(K, r, R, target_sq, base_res):
+    """Discrepancy fit with the constraints dropped (closed-form ridge); the
+    search needs no range check, so ``base_res`` is not used."""
     c = K.T @ r
 
     def evaluate(gamma):
@@ -238,7 +239,7 @@ def _level_candidates(kernel, meas, scaling, tau_grid, reg_kind, base_res, fit):
     """Candidates for one discretization level (empty if none admissible).
 
     ``base_res`` is the level's unregularized residual, which decides the
-    admissible targets; ``fit(K, r, R, target)`` returns
+    admissible targets; ``fit(K, r, R, target, base_res)`` returns
     ``(gamma, weights, residual_sq)`` on the weighted system.
     """
     targets = _open_targets(base_res, meas, scaling, tau_grid)
@@ -249,7 +250,7 @@ def _level_candidates(kernel, meas, scaling, tau_grid, reg_kind, base_res, fit):
     out = []
     for tau, target in targets:
         try:
-            gamma, weights, res = fit(K, r, reg.matrix, target)
+            gamma, weights, res = fit(K, r, reg.matrix, target, base_res)
         except (TargetOutOfRange, BracketFailure):
             continue
         out.append(

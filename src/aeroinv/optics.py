@@ -5,13 +5,17 @@ wavelengths in micrometers.  Q_ext comes from the classical Mie series for a
 homogeneous sphere in a non-absorbing medium; the medium index enters through
 its real part only, which is immaterial for air.
 
-There is one Mie routine, batched over particle indices: ``mie_qext`` and
-``kernel_value`` call it with one index, ``mixed_kernel_rows`` with every
-mixing fraction of a wavelength at once.  The Riccati-Bessel functions of
-the size parameter are shared by all indices; the downward recurrence for
-D_n(mx) starts above both the series truncation order and |mx| (Wiscombe
-1980) and carries the series sum with it, so memory is one (orders, radii)
-table plus a few (indices, radii) arrays.
+There is one Mie routine, ``_qext_series``, over (wavelength, radius)
+columns that each carry A particle indices.  ``mie_qext`` and
+``kernel_value`` call it for one index at one wavelength,
+``mixed_kernel_rows`` for every mixing fraction at every wavelength, and
+``MieKernel`` (from ``make_kernel`` or ``make_mixed_kernel``) through both.
+It sorts the size parameters of all columns and runs the series over chunks
+of neighbouring size parameters.  The Riccati-Bessel functions of the size
+parameter are shared by the indices of a column; the downward recurrence for
+D_n(mx) starts above both the series truncation order and |mx| of its chunk
+(Wiscombe 1980) and carries the series sum with it.  Apart from the output,
+memory is bounded by ``_MIE_BUDGET``.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ __all__ = [
     "lorentz_lorenz_mix",
     "mie_qext",
     "kernel_value",
+    "MieKernel",
     "make_kernel",
     "make_mixed_kernel",
     "mixed_kernel_rows",
@@ -43,6 +48,11 @@ __all__ = [
 # start 300 orders higher, 15 leaves pointwise Q_ext errors up to 4e-5 on the
 # study's fine grid (water and CsI in air); 30 leaves at most 3e-13.
 _LOGDERIV_MARGIN = 30
+# Work budget of the Mie routine, in elements: a pass sorts the size
+# parameters of at most this many (wavelength, radius) columns, and a chunk of
+# them holds at most this many (index, column) elements and an eighth as many
+# columns.
+_MIE_BUDGET = 16_384
 
 
 def _validate_index(m: complex) -> complex:
@@ -165,39 +175,81 @@ def lorentz_lorenz_mix(m1: complex, m2: complex, f1: float) -> complex:
     return m
 
 
-def _qext_series(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Mie extinction efficiencies, shape (A, R), for A relative indices m
-    at R size parameters x.
+def _qext_series(m: np.ndarray, x: np.ndarray, weight=None) -> np.ndarray:
+    """Mie extinction efficiencies, shape (A, W, R), for relative indices m of
+    shape (A, W) at size parameters x of shape (W, R).
+
+    Column (w, j) is one wavelength and radius: size parameter x[w, j] and
+    the A indices m[:, w].  ``weight`` (length R), if given, multiplies each
+    radius in place; pi r^2 turns Q_ext into kernel values.
+
+    The columns go through in passes of whole wavelengths, at most
+    ``_MIE_BUDGET`` columns a pass unless one wavelength alone is larger.  A
+    pass sorts the size parameters of all its columns, across wavelengths,
+    and cuts them into chunks of at most ``_MIE_BUDGET // A`` columns, never
+    more than ``_MIE_BUDGET // 8``, which bounds the (orders, columns) table
+    when A is small.  Each chunk gathers its indices from m, runs
+    the series of ``_chunk_qext`` with its own truncation orders and its own
+    recurrence start, and is written back through its (wavelength, radius)
+    index arrays.  A column of small x thus never runs the recurrence from
+    the largest |m x| of its wavelength, and the work arrays stay
+    cache-sized; apart from the output, memory is bounded by the budget.
+    """
+    n_idx, n_wl = m.shape
+    n_r = x.shape[1]
+    m_by_wl = np.ascontiguousarray(m.T)
+    out = np.empty((n_idx, n_wl, n_r))
+    wl_per_pass = max(_MIE_BUDGET // n_r, 1)
+    chunk = max(min(_MIE_BUDGET // n_idx, _MIE_BUDGET // 8), 1)
+    for w0 in range(0, n_wl, wl_per_pass):
+        xp = x[w0 : w0 + wl_per_pass].ravel()
+        order = np.argsort(xp, kind="stable")
+        for c0 in range(0, order.size, chunk):
+            cols = order[c0 : c0 + chunk]
+            wi = w0 + cols // n_r
+            ri = cols % n_r
+            q = _chunk_qext(m_by_wl[wi], xp[cols])
+            if not np.all(np.isfinite(q)):
+                raise NonConvergent("Mie series recurrences produced non-finite values")
+            np.maximum(q, 0.0, out=q)
+            if weight is not None:
+                q *= weight[ri, None]
+            out[:, wi, ri] = q.T
+    return out
+
+
+def _chunk_qext(m: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Q_ext, shape (C, A), of C columns with ascending size parameters xs
+    and relative indices m of shape (C, A).
 
     The series for column x runs to n_trunc = ceil(x + 4 x^(1/3) + 2).
     xi_n(x) = psi_n(x) - i chi_n(x) does not depend on m, so one upward pass
-    over the size parameters builds it for every order; a column stops at
-    its own n_trunc, so the fast-growing chi cannot overflow.  The
-    logarithmic derivative D_n(mx) then runs downward over all (A, R) at
-    once, and the term of order n is added in the same step, only for the
-    columns still inside their series.  On sorted size parameters those
-    columns are a suffix, so x is sorted here and the result is put back in
-    the caller's order.
+    builds it for every order; a column stops at its own n_trunc, so the
+    fast-growing chi cannot overflow.  The logarithmic derivative D_n(mx)
+    then runs downward over all (C, A) at once, and the term of order n is
+    added in the same step, only for the columns still inside their series.
+    On ascending size parameters those columns are a suffix, which in this
+    column-major layout is one contiguous block.
 
     With t = D_n/m + n/x, a_n = (t psi_n - psi_{n-1}) / (t xi_n - xi_{n-1}).
     The Wronskian psi_n chi_{n-1} - psi_{n-1} chi_n = -1 turns this into
-    Re a_n = psi_n^2/|xi_n|^2 - Im(1/z), z = xi_n^2 t - xi_n xi_{n-1}, so the
-    per-index work is one reciprocal; b_n is the same with t = D_n m + n/x.
+    Re a_n = psi_n^2/|xi_n|^2 + Im z/|z|^2, z = xi_n^2 t - xi_n xi_{n-1}, so
+    the per-index work is one squared modulus and no complex division; b_n
+    is the same with t = D_n m + n/x.
 
     The downward recurrence starts from D = 0 at
-    max(n_trunc, ceil(max |mx|)) + _LOGDERIV_MARGIN (Wiscombe 1980, Appl.
-    Opt. 19:1505; the same rule as Bohren and Huffman's BHMIE).  Starting
-    below |mx| leaves D inaccurate at the low orders: for CsI in air a start
-    at max(n_trunc) + 15 put Q_ext off by up to 12% on the study's fine grid.
+    max(n_trunc, ceil(max |mx|)) + _LOGDERIV_MARGIN over the chunk (Wiscombe
+    1980, Appl. Opt. 19:1505; the same rule as Bohren and Huffman's BHMIE).
+    Starting below |mx| leaves D inaccurate at the low orders: for CsI in
+    air a start at max(n_trunc) + 15 put Q_ext off by up to 12% on the
+    study's fine grid.
 
-    Memory is one (orders, R) complex table and a few (A, R) work arrays,
-    updated in place; no (orders, A, R) array is formed.
+    Memory is one (orders, C) complex table and a few (C, A) work arrays,
+    updated in place; no (orders, C, A) array is formed.
     """
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
     n_trunc = np.ceil(xs + 4.0 * np.cbrt(xs) + 2.0).astype(int)
     n_max = int(n_trunc[-1])
-    # first sorted column whose series still runs at order n
+    # first column whose series still runs at order n
     first = np.searchsorted(n_trunc, np.arange(n_max + 1), side="left")
 
     # xi[n + 1] holds xi_n(x), n = -1 .. n_max; base sums the psi_n^2/|xi_n|^2
@@ -205,22 +257,37 @@ def _qext_series(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     xi = np.zeros((n_max + 2, xs.size), dtype=complex)
     xi[0] = np.cos(xs) + 1j * np.sin(xs)
     xi[1] = np.sin(xs) - 1j * np.cos(xs)
+    # the recurrence is real: run it on interleaved (psi, -chi) pairs
+    xi_flat = xi.view(float)
+    x_pairs = np.repeat(xs, 2)
     base = np.zeros(xs.size)
+    psi_sq = np.empty(xs.size)
+    abs_sq = np.empty(xs.size)
     for n in range(1, n_max + 1):
         s = first[n]
-        xi[n + 1, s:] = (2.0 * n - 1.0) / xs[s:] * xi[n, s:] - xi[n - 1, s:]
-        psi_sq = xi[n + 1, s:].real ** 2
-        abs_sq = psi_sq + xi[n + 1, s:].imag ** 2
-        base[s:] += (2.0 * n + 1.0) * 2.0 * psi_sq / abs_sq
+        row = xi_flat[n + 1, 2 * s :]
+        np.divide(2.0 * n - 1.0, x_pairs[2 * s :], out=row)
+        row *= xi_flat[n, 2 * s :]
+        row -= xi_flat[n - 1, 2 * s :]
+        np.square(row[0::2], out=psi_sq[s:])
+        np.square(row[1::2], out=abs_sq[s:])
+        abs_sq[s:] += psi_sq[s:]
+        psi_sq[s:] *= (2.0 * n + 1.0) * 2.0
+        base[s:] += psi_sq[s:] / abs_sq[s:]
 
-    inv_mx = 1.0 / np.multiply.outer(m, xs)
-    factors = (1.0 / m[:, None], m[:, None])  # t = D_n * factor + n / x
-    max_mx = int(np.ceil(np.abs(m).max() * xs[-1]))
-    n_start = max(n_max, max_mx) + _LOGDERIV_MARGIN
-    dn = np.zeros(inv_mx.shape, dtype=complex)
+    x_col = xs[:, None]
+    mx = m * x_col
+    inv_mx = 1.0 / mx
+    factors = (1.0 / m, m)  # t = D_n * factor + n / x
+    n_start = max(n_max, int(np.ceil(np.abs(mx).max()))) + _LOGDERIV_MARGIN
+    dn = np.zeros(m.shape, dtype=complex)
     rn = np.empty_like(dn)
-    z_buf = np.empty_like(dn)
-    acc = np.zeros_like(dn)  # sum of (2n + 1) / z over a_n and b_n
+    u = np.empty_like(dn)
+    z = np.empty_like(dn)
+    z_flat = z.view(float)  # (C, 2A): real and imaginary parts interleaved
+    sq = np.empty(z_flat.shape)
+    ratio = np.empty(m.shape)
+    acc = np.zeros(m.shape)  # sum of (2n + 1) Im z / |z|^2 over a_n and b_n
     for n in range(n_start, 1, -1):  # step computes D_{n-1}
         np.multiply(inv_mx, n, out=rn)
         dn += rn
@@ -230,33 +297,38 @@ def _qext_series(m: np.ndarray, x: np.ndarray) -> np.ndarray:
         if k > n_max:
             continue
         s = first[k]
-        # z / (2k + 1) = p t + c, so its reciprocal carries the series weight
-        p = xi[k + 1, s:] ** 2 / (2.0 * k + 1.0)
-        c = p * (k / xs[s:]) - xi[k + 1, s:] * xi[k, s:] / (2.0 * k + 1.0)
-        z = z_buf[:, s:]
+        # z / (2k + 1) = p t + c, so Im z / |z|^2 carries the series weight
+        w = 2.0 * k + 1.0
+        p = xi[k + 1, s:, None] ** 2 / w
+        c = p * (k / x_col[s:]) - xi[k + 1, s:, None] * xi[k, s:, None] / w
+        np.multiply(dn[s:], p, out=u[s:])
         for factor in factors:
-            np.multiply(factor, p, out=z)
-            z *= dn[:, s:]
-            z += c
-            np.reciprocal(z, out=z)
-            acc[:, s:] += z
+            np.multiply(u[s:], factor[s:], out=z[s:])
+            z[s:] += c
+            np.square(z_flat[s:], out=sq[s:])
+            np.add(sq[s:, 0::2], sq[s:, 1::2], out=ratio[s:])
+            np.divide(z_flat[s:, 1::2], ratio[s:], out=ratio[s:])
+            acc[s:] += ratio[s:]
 
-    qext = np.empty(acc.shape)
-    qext[:, order] = (base - acc.imag) * (2.0 / xs**2)
-    if not np.all(np.isfinite(qext)):
-        raise NonConvergent("Mie series recurrences produced non-finite values")
-    return np.maximum(qext, 0.0)
+    return (base[:, None] + acc) * (2.0 / x_col**2)
 
 
-def _qext(m_med: complex, m_parts, r, l: float) -> np.ndarray:
-    """Q_ext of shape (len(m_parts),) + shape(r), one Mie pass for all m_parts."""
-    m_med = _validate_index(m_med)
-    m = np.array([_validate_index(v) for v in m_parts]) / m_med
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(r_arr <= 0.0) or l <= 0.0:
+def _extinction(m_med, m_parts, r, wavelengths, weight=None) -> np.ndarray:
+    """Q_ext (times ``weight``), shape (A, W, R), of particle indices
+    m_parts (A, W) in media m_med (W,) at radii r (R,) and wavelengths (W,)."""
+    m_med = np.asarray(m_med, dtype=complex)
+    m_parts = np.asarray(m_parts, dtype=complex)
+    for v in (m_med, m_parts):
+        bad = (v.real <= 0.0) | (v.imag < 0.0)
+        if bad.any():
+            raise ValueError(
+                f"refractive index {v[bad][0]} must have Re > 0 and Im >= 0"
+            )
+    wavelengths = np.asarray(wavelengths, dtype=float)
+    if np.any(r <= 0.0) or np.any(wavelengths <= 0.0):
         raise ValueError("radius and wavelength must be positive")
-    x = 2.0 * np.pi * m_med.real * r_arr.ravel() / l
-    return _qext_series(m, x).reshape((m.size,) + r_arr.shape)
+    x = 2.0 * np.pi * m_med.real[:, None] * r / wavelengths[:, None]
+    return _qext_series(m_parts / m_med, x, weight)
 
 
 def mie_qext(m_med: complex, m_part: complex, r, l: float):
@@ -265,8 +337,9 @@ def mie_qext(m_med: complex, m_part: complex, r, l: float):
     Uses size parameter x = 2*pi*Re(m_med)*r/l and relative index
     m = m_part/m_med.  Accepts a scalar or array of radii.
     """
-    q = _qext(m_med, [m_part], r, l)[0]
-    return q if np.ndim(r) else float(q[0])
+    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
+    q = _extinction([m_med], [[m_part]], r_arr.ravel(), [l])[0, 0]
+    return q.reshape(r_arr.shape) if np.ndim(r) else float(q[0])
 
 
 def kernel_value(m_med: complex, m_part: complex, r, l: float):
@@ -285,32 +358,60 @@ def mixed_kernel_rows(
 ) -> np.ndarray:
     """Mixture kernel rows, shape (fractions, wavelengths, radii).
 
-    ``fractions`` are volume fractions of component a.  Each wavelength
-    takes one Mie pass over every fraction; the values are those of
-    ``make_mixed_kernel(..., fraction)(r, l)``.
+    ``fractions`` are volume fractions of component a.  One size-sorted Mie
+    pass covers every (fraction, wavelength, radius); the values are those
+    of ``make_mixed_kernel(..., fraction)(r, l)``.
     """
     fractions = np.atleast_1d(np.asarray(fractions, dtype=float))
-    wavelengths = np.asarray(wavelengths, dtype=float)
-    r = np.asarray(r, dtype=float)
-    rows = np.empty((fractions.size, wavelengths.size, r.size))
+    wavelengths = np.atleast_1d(np.asarray(wavelengths, dtype=float))
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    m_med = np.empty(wavelengths.size, dtype=complex)
+    m_parts = np.empty((fractions.size, wavelengths.size), dtype=complex)
     for wi, l in enumerate(wavelengths):
         m_a = interpolate_index(component_a, l)
         m_b = interpolate_index(component_b, l)
-        m_parts = [lorentz_lorenz_mix(m_a, m_b, float(p)) for p in fractions]
-        q = _qext(interpolate_index(medium, l), m_parts, r, l)
-        rows[:, wi] = np.pi * r**2 * q
-    return rows
+        m_med[wi] = interpolate_index(medium, l)
+        m_parts[:, wi] = [lorentz_lorenz_mix(m_a, m_b, float(p)) for p in fractions]
+    return _extinction(m_med, m_parts, r, wavelengths, weight=np.pi * r**2)
 
 
-def make_kernel(particle: IndexTable, medium: IndexTable):
-    """Bind material tables into a kernel closure ``k(r, l)``."""
+@dataclass(frozen=True)
+class MieKernel:
+    """Extinction kernel of spheres mixing volume fraction ``fraction_a`` of
+    component a with component b (Lorentz-Lorenz) in ``medium``.
 
-    def kernel(r, l: float):
-        return kernel_value(
-            interpolate_index(medium, l), interpolate_index(particle, l), r, l
+    Callable as ``k(r, l)``; ``rows(wavelengths, r)`` builds every row in
+    one Mie pass.  A single material is fraction 1 of (material, material).
+    """
+
+    component_a: IndexTable
+    component_b: IndexTable
+    medium: IndexTable
+    fraction_a: float = 1.0
+
+    def __post_init__(self):
+        if not 0.0 <= self.fraction_a <= 1.0:
+            raise ValueError("fraction_a must lie in [0, 1]")
+
+    def __call__(self, r, l: float):
+        m_part = lorentz_lorenz_mix(
+            interpolate_index(self.component_a, l),
+            interpolate_index(self.component_b, l),
+            self.fraction_a,
         )
+        return kernel_value(interpolate_index(self.medium, l), m_part, r, l)
 
-    return kernel
+    def rows(self, wavelengths, r) -> np.ndarray:
+        """Kernel values, shape (wavelengths, radii)."""
+        return mixed_kernel_rows(
+            self.component_a, self.component_b, self.medium, self.fraction_a,
+            wavelengths, r,
+        )[0]
+
+
+def make_kernel(particle: IndexTable, medium: IndexTable) -> MieKernel:
+    """Bind material tables into a kernel ``k(r, l)``."""
+    return MieKernel(particle, particle, medium)
 
 
 def make_mixed_kernel(
@@ -318,18 +419,7 @@ def make_mixed_kernel(
     component_b: IndexTable,
     medium: IndexTable,
     fraction_a: float,
-):
-    """Kernel closure for a particle mixing volume fraction ``fraction_a`` of
+) -> MieKernel:
+    """Kernel of a particle mixing volume fraction ``fraction_a`` of
     component a with component b by the Lorentz-Lorenz rule."""
-    if not 0.0 <= fraction_a <= 1.0:
-        raise ValueError("fraction_a must lie in [0, 1]")
-
-    def kernel(r, l: float):
-        m_part = lorentz_lorenz_mix(
-            interpolate_index(component_a, l),
-            interpolate_index(component_b, l),
-            fraction_a,
-        )
-        return kernel_value(interpolate_index(medium, l), m_part, r, l)
-
-    return kernel
+    return MieKernel(component_a, component_b, medium, fraction_a)

@@ -23,6 +23,7 @@ from .discretization import (
     assemble_kernel_matrix,
     build_collocation_grid,
     evaluate_distribution,
+    kernel_rows,
     uniform_grid,
 )
 from .errors import NoModels, NonPositiveIntensity, RootFailure, ZeroTruth
@@ -198,11 +199,6 @@ def parameter_grid(
     else:
         raise ValueError(f"unknown family {family!r}")
     return out
-
-
-def kernel_rows(kernel, wavelengths, grid: RadiusGrid) -> np.ndarray:
-    """Kernel values on a radius grid, one row per wavelength."""
-    return np.vstack([np.asarray(kernel(grid.points, l)) for l in wavelengths])
 
 
 def forward_extinctions(
@@ -448,7 +444,7 @@ class KernelLevelCache:
         if n_col not in self._levels:
             cgrid = build_collocation_grid(n_col, self.igrid)
             self._levels[n_col] = assemble_kernel_matrix(
-                None, self.wavelengths, self.igrid, cgrid, kernel_rows=self.rows
+                None, self.wavelengths, self.igrid, cgrid, rows=self.rows
             )
         return self._levels[n_col]
 

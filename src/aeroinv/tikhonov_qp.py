@@ -212,22 +212,25 @@ def weighted_residual(K, n, r) -> float:
     return float(resid @ resid)
 
 
-def solve_discrepancy(K, r, R, target_sq: float):
+def solve_discrepancy(K, r, R, target_sq: float, base_residual_sq=None):
     """Find gamma whose constrained solution has residual equal to target_sq.
 
     Valid targets lie strictly between the unregularized residual and
     ||r||^2; within that range the residual-parameter map is a strictly
-    monotone bijection, so the shared log-gamma search applies.  Each solve
-    warm-starts from the previous active set.  Returns ``(gamma, QpSolution)``.
+    monotone bijection, so the shared log-gamma search applies.
+    ``base_residual_sq`` is the unregularized (NNLS) residual if the caller
+    has it; otherwise it is solved for here.  Each solve warm-starts from
+    the previous active set.  Returns ``(gamma, QpSolution)``.
     """
     K = np.asarray(K, dtype=float)
     r = np.asarray(r, dtype=float)
-    base = solve_nnls(K, r)
+    if base_residual_sq is None:
+        base_residual_sq = solve_nnls(K, r).residual_sq
     r_norm_sq = float(r @ r)
-    if not base.residual_sq < target_sq < r_norm_sq:
+    if not base_residual_sq < target_sq < r_norm_sq:
         raise TargetOutOfRange(
             f"target {target_sq} outside attainable range "
-            f"({base.residual_sq}, {r_norm_sq})"
+            f"({base_residual_sq}, {r_norm_sq})"
         )
 
     hint = None

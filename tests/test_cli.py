@@ -35,6 +35,34 @@ class TestParseConfig:
         assert args.reg == "twomey"  # flag wins
         assert args.seed == 7  # file fills the default
 
+    def test_config_fills_subcommand_option(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"method": "morozov"}))
+        args = parse_config(
+            ["invert", "--measurement", "m.csv", "--config", str(cfg)]
+        )
+        assert args.method == "morozov"
+        args = parse_config(
+            ["invert", "--measurement", "m.csv", "--config", str(cfg),
+             "--method", "bic"]
+        )
+        assert args.method == "bic"  # flag wins
+
+    @pytest.mark.parametrize(
+        "values, key",
+        [({"seed": "abc"}, "seed"), ({"reg": "bogus"}, "reg"),
+         ({"method": "fastest"}, "method")],
+    )
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, values, key):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(values))
+        code = main(["invert", "--measurement", "m.csv", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("usage error:")
+        assert repr(key) in err
+        assert "Traceback" not in err
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"bogus": 1}))

@@ -418,6 +418,7 @@ class TestRankingSeedStability:
             study_wavelengths,
         )
         from aeroinv.model_selection import generate_models, select_models
+        from aeroinv.orthant_mvn import DEFAULT_SAMPLES
 
         wl = study_wavelengths()
         igrid, fgrid = integration_grid(), fine_grid()
@@ -433,7 +434,7 @@ class TestRankingSeedStability:
             cands = generate_models(meas, builder)
             tops = set()
             for seed in range(5):
-                ranked = select_models(cands, meas, samples=50000, seed=seed)
+                ranked = select_models(cands, meas, samples=DEFAULT_SAMPLES, seed=seed)
                 top = ranked[0]
                 tops.add((top.dim, top.tau))
             stable += len(tops) == 1

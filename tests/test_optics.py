@@ -1,19 +1,25 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from aeroinv import optics
+from aeroinv.discretization import kernel_rows
 from aeroinv.errors import OutOfBand
 from aeroinv.optics import (
     IndexTable,
+    MieKernel,
     get_material,
     interpolate_index,
     kernel_value,
     lorentz_lorenz_mix,
+    make_kernel,
     make_mixed_kernel,
     mie_qext,
     mixed_kernel_rows,
 )
+from aeroinv.simulation_study import fine_grid, integration_grid, study_wavelengths
 
 try:
     from importlib import resources
@@ -286,6 +292,103 @@ class TestMixedKernelRows:
         )
         for fi in range(1, len(self.FRACTIONS)):
             assert rows[fi] == pytest.approx(rows[0], rel=1e-12)
+
+
+def row_error(rows, reference):
+    """Largest deviation, relative to the maximum of its row."""
+    scale = np.abs(reference).max(axis=-1, keepdims=True)
+    return float(np.max(np.abs(rows - reference) / scale))
+
+
+class TestSizeSortedPass:
+    """Every (wavelength, radius) column in one size-sorted, chunked pass."""
+
+    @pytest.fixture(scope="class")
+    def materials(self):
+        return get_material("h2o"), get_material("csi"), get_material("air")
+
+    @pytest.fixture(scope="class")
+    def family_rows(self, materials):
+        anchors = np.linspace(0.0, 1.0, 101)
+        return mixed_kernel_rows(
+            *materials, anchors, study_wavelengths(), integration_grid().points
+        )
+
+    def test_family_rows_against_late_recurrence_start(
+        self, materials, family_rows, monkeypatch
+    ):
+        monkeypatch.setattr(optics, "_LOGDERIV_MARGIN", optics._LOGDERIV_MARGIN + 270)
+        reference = mixed_kernel_rows(
+            *materials, np.linspace(0.0, 1.0, 101), study_wavelengths(),
+            integration_grid().points,
+        )
+        assert row_error(family_rows, reference) <= 1e-10
+
+    def test_fine_grid_rows_against_late_recurrence_start(
+        self, materials, monkeypatch
+    ):
+        water, _, air = materials
+        kernel = make_kernel(water, air)
+        wl, grid = study_wavelengths(), fine_grid()
+        rows = kernel_rows(kernel, wl, grid)
+        monkeypatch.setattr(optics, "_LOGDERIV_MARGIN", optics._LOGDERIV_MARGIN + 270)
+        assert row_error(rows, kernel_rows(kernel, wl, grid)) <= 1e-10
+
+    def test_rows_independent_of_chunk_budget(self, materials, monkeypatch):
+        # a 64-element budget cuts 12-column chunks, each with its own
+        # recurrence start, and runs every wavelength in its own pass
+        args = (
+            *materials, np.linspace(0.0, 1.0, 5), study_wavelengths(),
+            integration_grid().points,
+        )
+        rows = mixed_kernel_rows(*args)
+        monkeypatch.setattr(optics, "_MIE_BUDGET", 64)
+        assert row_error(mixed_kernel_rows(*args), rows) <= 1e-10
+
+    def test_shuffled_wavelengths_and_radii_permute_rows(self, materials):
+        wl, radii = study_wavelengths(), integration_grid().points
+        rng = np.random.default_rng(11)
+        wl_perm, r_perm = rng.permutation(wl.size), rng.permutation(radii.size)
+        fractions = (0.0, 0.4, 1.0)
+        rows = mixed_kernel_rows(*materials, fractions, wl, radii)
+        shuffled = mixed_kernel_rows(
+            *materials, fractions, wl[wl_perm], radii[r_perm]
+        )
+        assert row_error(shuffled, rows[:, wl_perm][:, :, r_perm]) <= 1e-12
+
+    def test_closure_loop_equals_batched_rows(self, materials):
+        water, csi, air = materials
+        kernel = make_mixed_kernel(water, csi, air, 0.3)
+        closure = lambda r, l: kernel(r, l)  # no ``rows``: one call per wavelength
+        wl, grid = study_wavelengths(), integration_grid()
+        batched = kernel_rows(kernel, wl, grid)
+        assert row_error(kernel_rows(closure, wl, grid), batched) <= 1e-12
+
+    def test_single_material_is_fraction_one_of_itself(self, materials):
+        water, _, air = materials
+        kernel = make_kernel(water, air)
+        assert isinstance(kernel, MieKernel)
+        assert kernel.component_a is kernel.component_b is water
+        assert kernel.fraction_a == 1.0
+        radii = np.linspace(0.01, 7.0, 30)
+        for l in (0.6, 2.3):
+            expect = kernel_value(
+                interpolate_index(air, l), interpolate_index(water, l), radii, l
+            )
+            assert np.array_equal(kernel(radii, l), expect)
+
+    def test_fine_grid_rows_peak_memory(self, materials):
+        water, _, air = materials
+        kernel = make_kernel(water, air)
+        wl, grid = study_wavelengths(), fine_grid()
+        tracemalloc.start()
+        try:
+            kernel_rows(kernel, wl, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the per-wavelength pass this replaced peaked at 16.5 MB
+        assert peak <= 16.5e6
 
 
 class TestMaterials:

@@ -160,6 +160,22 @@ class TestDiscrepancy:
             assert lo.residual_sq <= target * (1 + 1e-5)
             assert hi.residual_sq >= target * (1 - 1e-5)
 
+    def test_given_base_residual_skips_the_range_nnls(self, monkeypatch):
+        import aeroinv.tikhonov_qp as qp
+
+        K, r = self.make_instance(3)
+        base = solve_nnls(K, r).residual_sq
+        target = 0.5 * (base + float(r @ r))
+        gamma, sol = solve_discrepancy(K, r, np.eye(4), target)
+        calls = []
+        monkeypatch.setattr(qp, "solve_nnls", lambda *a: calls.append(a))
+        gamma_b, sol_b = solve_discrepancy(K, r, np.eye(4), target, base)
+        assert calls == []
+        assert gamma_b == gamma
+        assert np.array_equal(sol_b.n, sol.n)
+        with pytest.raises(TargetOutOfRange):
+            solve_discrepancy(K, r, np.eye(4), 0.5 * base, base)
+
     def test_general_regularizer_target(self):
         rng = np.random.default_rng(11)
         K = rng.normal(size=(12, 5))
