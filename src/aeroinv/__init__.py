@@ -31,7 +31,6 @@ from .optics import (
     lorentz_lorenz_mix,
     load_index_table,
     make_kernel,
-    make_mixed_kernel,
     mie_qext,
     mixed_kernel_rows,
 )

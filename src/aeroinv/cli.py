@@ -28,8 +28,9 @@ from .model_selection import (
     invert_constrained,
     invert_morozov,
     invert_unconstrained,
+    select_models,
 )
-from .optics import get_material, make_mixed_kernel
+from .optics import get_material, mixed_kernel_rows
 from .orthant_mvn import DEFAULT_SAMPLES
 from .two_component import (
     FALLBACK_TAU_GRID,
@@ -37,7 +38,6 @@ from .two_component import (
     build_kernel_family,
     generate_models_two_component,
     scan_fractions,
-    select_models_two_component,
 )
 
 RECORD_SCHEMA = "aeroinv-inversion/1"
@@ -97,7 +97,7 @@ def _build_parser():
     p = sub.add_parser("study", help="single-component comparative study")
     common(p)
     p.add_argument("--scale", choices=("reduced", "full"), default="reduced")
-    p.add_argument("--family", default="all")
+    p.add_argument("--family", choices=(*study.FAMILIES, "all"), default="all")
     p.add_argument(
         "--method",
         choices=("constrained", "morozov", "unconstrained", "bic", "all"),
@@ -110,7 +110,7 @@ def _build_parser():
     p = sub.add_parser("study2", help="two-component study")
     common(p)
     p.add_argument("--scale", choices=("reduced", "full"), default="reduced")
-    p.add_argument("--family", default="log_normal")
+    p.add_argument("--family", choices=study.FAMILIES, default="log_normal")
     p.add_argument("--materials", default="h2o,csi")
     p.add_argument("--noise-fraction", type=float, default=None)
     p.add_argument("--params", default=None, help="comma-separated parameter indices")
@@ -166,9 +166,14 @@ def parse_config(argv=None) -> argparse.Namespace:
                 setattr(args, attr, value)
     if args.seed is None:
         args.seed = 0
-    if args.mc_samples is not None and args.mc_samples < 1:
+    for attr in ("mc_samples", "repeats"):
+        value = getattr(args, attr, None)
+        if value is not None and value < 1:
+            flag = "--" + attr.replace("_", "-")
+            raise UsageError(f"{flag} must be a positive integer, got {value!r}")
+    if not 0.0 <= getattr(args, "water_fraction", 1.0) <= 1.0:
         raise UsageError(
-            f"--mc-samples must be a positive integer, got {args.mc_samples!r}"
+            f"--water-fraction must lie in [0, 1], got {args.water_fraction!r}"
         )
     return args
 
@@ -188,6 +193,15 @@ def _tau_grid(args, default):
     if not values or any(v <= 0 for v in values):
         raise UsageError("--tau-grid needs positive comma-separated values")
     return values
+
+
+def _parameter_indices(indices, flag, families) -> tuple[int, ...]:
+    """Parameter indices, each checked against every family's grid."""
+    n = min(len(study.parameter_grid(f)) for f in families)
+    for i in indices:
+        if not 0 <= i < n:
+            raise UsageError(f"{flag} needs indices in [0, {n - 1}], got {i}")
+    return tuple(indices)
 
 
 def _material_names(args) -> list[str]:
@@ -335,16 +349,16 @@ def _write_report_csv(path: Path, report) -> None:
 def _cmd_simulate(args) -> int:
     wavelengths = study.study_wavelengths()
     fgrid = study.fine_grid()
-    dist = study.parameter_grid(args.family)[args.param_index]
-    if args.materials:
-        kernel = make_mixed_kernel(
-            *map(get_material, _material_names(args)), get_material("air"),
-            args.water_fraction,
-        )
-    else:
-        kernel = study._single_kernel(args.material, "air")
+    (pi,) = _parameter_indices((args.param_index,), "--param-index", (args.family,))
+    dist = study.parameter_grid(args.family)[pi]
+    names = _material_names(args) if args.materials else [args.material] * 2
+    fraction = args.water_fraction if args.materials else 1.0
+    (rows,) = mixed_kernel_rows(
+        *map(get_material, names), get_material("air"), fraction, wavelengths,
+        fgrid.points,
+    )
     noise = args.noise_fraction if args.noise_fraction is not None else 0.30
-    e_true = study.forward_extinctions(dist, kernel, wavelengths, grid=fgrid)
+    e_true = study.forward_extinctions(dist, None, wavelengths, grid=fgrid, rows=rows)
     meas = study.simulate_measurement(
         wavelengths, e_true, noise, args.repeats, np.random.default_rng(args.seed)
     )
@@ -356,11 +370,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_invert(args) -> int:
     meas = read_measurement(args.measurement)
-    wavelengths = meas.wavelengths
-    igrid = study.integration_grid()
-    kernel = study._single_kernel(args.material, "air")
-    rows = study.kernel_rows(kernel, wavelengths, igrid)
-    builder = study.KernelLevelCache(rows, wavelengths, igrid)
+    material = get_material(args.material)
+    builder = build_kernel_family(
+        material, material, get_material("air"), meas.wavelengths,
+        study.integration_grid(), anchor_count=1, n_frac=1,
+    )
     reg_kind = _reg_kind(args)
     tau_grid = _tau_grid(args, DEFAULT_TAU_GRID)
     samples = args.mc_samples or DEFAULT_SAMPLES
@@ -413,9 +427,7 @@ def _cmd_invert2(args) -> int:
         family, meas, tau_grid=tau_grid, fallback_tau_grid=FALLBACK_TAU_GRID,
         reg_kind=reg_kind,
     )
-    ranked = select_models_two_component(
-        candidates, meas, samples=samples, seed=args.seed
-    )
+    ranked = select_models(candidates, meas, samples=samples, seed=args.seed)
     elapsed = time.perf_counter() - t0
     record = _inversion_record(
         ranked, meas, elapsed,
@@ -447,10 +459,14 @@ def _study_overrides(args, default_tau_grid, **fixed) -> dict:
     if args.tau_grid:
         overrides["tau_grid"] = _tau_grid(args, default_tau_grid)
     if args.params:
-        overrides["parameter_indices"] = tuple(
-            int(v) for v in str(args.params).split(",")
+        try:
+            indices = [int(v) for v in str(args.params).split(",")]
+        except ValueError as exc:
+            raise UsageError(f"bad --params {args.params!r}") from exc
+        overrides["parameter_indices"] = _parameter_indices(
+            indices, "--params", fixed["families"]
         )
-    if args.repeats:
+    if args.repeats is not None:
         overrides["repeats_per_parameter"] = args.repeats
     return overrides
 

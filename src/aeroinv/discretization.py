@@ -147,14 +147,11 @@ def assemble_kernel_matrix(
     integration_grid: RadiusGrid,
     collocation_grid: RadiusGrid,
     fraction_label: float | None = None,
-    rows: np.ndarray | None = None,
 ) -> KernelMatrix:
     """Assemble the collocation matrix by the composite trapezoidal rule.
 
     Entry (i, k) approximates the integral of kernel(r, l_i) * b_k(r) over the
-    integration grid, for the interior basis functions only.  ``rows`` may
-    supply precomputed kernel values on the integration grid, shape
-    (N_l, len(integration_grid)), in which case ``kernel`` is unused.
+    integration grid, for the interior basis functions only.
     """
     wavelengths = np.asarray(wavelengths, dtype=float)
     if len(collocation_grid) - 2 > wavelengths.size:
@@ -162,10 +159,8 @@ def assemble_kernel_matrix(
             f"model dimension {len(collocation_grid) - 2} exceeds "
             f"{wavelengths.size} measurements"
         )
-    weighted_basis = weighted_interior_basis(integration_grid, collocation_grid)
-    if rows is None:
-        rows = kernel_rows(kernel, wavelengths, integration_grid)
-    entries = rows @ weighted_basis
+    rows = kernel_rows(kernel, wavelengths, integration_grid)
+    entries = rows @ weighted_interior_basis(integration_grid, collocation_grid)
     return KernelMatrix(entries, wavelengths, collocation_grid, fraction_label)
 
 

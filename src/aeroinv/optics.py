@@ -7,9 +7,11 @@ its real part only, which is immaterial for air.
 
 There is one Mie routine, ``_qext_series``, over (wavelength, radius)
 columns that each carry A particle indices.  ``mie_qext`` and
-``kernel_value`` call it for one index at one wavelength,
-``mixed_kernel_rows`` for every mixing fraction at every wavelength, and
-``MieKernel`` (from ``make_kernel`` or ``make_mixed_kernel``) through both.
+``kernel_value`` call it for one index at one wavelength, and
+``mixed_kernel_rows`` for every mixing fraction at every wavelength; the
+package builds every forward operator from those rows (a single material is
+fraction 1 of itself).  ``MieKernel`` (from ``make_kernel``, or built with a
+fraction) is the pointwise kernel ``k(r, l)`` over the same routine.
 It sorts the size parameters of all columns and runs the series over chunks
 of neighbouring size parameters.  The Riccati-Bessel functions of the size
 parameter are shared by the indices of a column; the downward recurrence for
@@ -40,7 +42,6 @@ __all__ = [
     "kernel_value",
     "MieKernel",
     "make_kernel",
-    "make_mixed_kernel",
     "mixed_kernel_rows",
 ]
 
@@ -360,7 +361,7 @@ def mixed_kernel_rows(
 
     ``fractions`` are volume fractions of component a.  One size-sorted Mie
     pass covers every (fraction, wavelength, radius); the values are those
-    of ``make_mixed_kernel(..., fraction)(r, l)``.
+    of ``MieKernel(component_a, component_b, medium, fraction)(r, l)``.
     """
     fractions = np.atleast_1d(np.asarray(fractions, dtype=float))
     wavelengths = np.atleast_1d(np.asarray(wavelengths, dtype=float))
@@ -413,13 +414,3 @@ def make_kernel(particle: IndexTable, medium: IndexTable) -> MieKernel:
     """Bind material tables into a kernel ``k(r, l)``."""
     return MieKernel(particle, particle, medium)
 
-
-def make_mixed_kernel(
-    component_a: IndexTable,
-    component_b: IndexTable,
-    medium: IndexTable,
-    fraction_a: float,
-) -> MieKernel:
-    """Kernel of a particle mixing volume fraction ``fraction_a`` of
-    component a with component b by the Lorentz-Lorenz rule."""
-    return MieKernel(component_a, component_b, medium, fraction_a)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import simpson
@@ -20,8 +20,6 @@ from scipy.optimize import brentq
 
 from .discretization import (
     RadiusGrid,
-    assemble_kernel_matrix,
-    build_collocation_grid,
     evaluate_distribution,
     kernel_rows,
     uniform_grid,
@@ -35,15 +33,16 @@ from .model_selection import (
     invert_constrained,
     invert_morozov,
     invert_unconstrained,
+    select_models,
 )
-from .optics import get_material, make_kernel, mixed_kernel_rows
+from .optics import get_material, mixed_kernel_rows
 from .orthant_mvn import DEFAULT_SAMPLES
 from .two_component import (
     FALLBACK_TAU_GRID,
     TAU_GRID_TWO_COMPONENT,
+    KernelFamily,
     build_kernel_family,
     generate_models_two_component,
-    select_models_two_component,
 )
 
 __all__ = [
@@ -431,22 +430,12 @@ def _aggregate(records, by_fraction: bool = False) -> dict:
     return stats
 
 
-class KernelLevelCache:
-    """Per-level kernel matrices assembled once from cached kernel rows."""
+class KernelLevelCache(KernelFamily):
+    """One-fraction kernel family from precomputed kernel rows (N_l, n_nodes)."""
 
     def __init__(self, rows, wavelengths, igrid):
-        self.rows = rows
-        self.wavelengths = wavelengths
-        self.igrid = igrid
-        self._levels = {}
-
-    def __call__(self, n_col):
-        if n_col not in self._levels:
-            cgrid = build_collocation_grid(n_col, self.igrid)
-            self._levels[n_col] = assemble_kernel_matrix(
-                None, self.wavelengths, self.igrid, cgrid, rows=self.rows
-            )
-        return self._levels[n_col]
+        one = np.zeros(1)
+        super().__init__(wavelengths, igrid, one, one, np.asarray(rows)[None])
 
 
 def _run_rng(config_seed, family, param_index, repeat, *extra):
@@ -465,26 +454,25 @@ def _study_truths(config, family):
     return [(pi, params[pi]) for pi in indices]
 
 
-def _single_kernel(particle: str, medium: str):
-    return make_kernel(get_material(particle), get_material(medium))
-
-
 def run_study(config: StudyConfig) -> StudyReport:
     """Single-component comparative study across methods and families."""
     t_start = time.perf_counter()
     wavelengths = study_wavelengths()
     igrid = integration_grid()
     fgrid = fine_grid()
-    kernel = _single_kernel(config.particle, config.medium)
-    fine_rows = kernel_rows(kernel, wavelengths, fgrid)
-    builder = KernelLevelCache(
-        kernel_rows(kernel, wavelengths, igrid), wavelengths, igrid
+    particle = get_material(config.particle)
+    medium = get_material(config.medium)
+    (fine_rows,) = mixed_kernel_rows(
+        particle, particle, medium, 1.0, wavelengths, fgrid.points
+    )
+    builder = build_kernel_family(
+        particle, particle, medium, wavelengths, igrid, anchor_count=1, n_frac=1
     )
     records = []
     for family in config.families:
         for pi, dist in _study_truths(config, family):
             e_true = forward_extinctions(
-                dist, kernel, wavelengths, grid=fgrid, rows=fine_rows
+                dist, None, wavelengths, grid=fgrid, rows=fine_rows
             )
             for rep in range(config.repeats_per_parameter):
                 rng = _run_rng(config.seed, family, pi, rep)
@@ -513,8 +501,11 @@ def run_study(config: StudyConfig) -> StudyReport:
 
 
 def _invert_one(
-    meas, builder, method, reg_kind, config, mc_seed, dist, family, pi, rep, fgrid
+    meas, builder, method, reg_kind, config, mc_seed, dist, family, pi, rep, fgrid,
+    p_true=None,
 ):
+    """One study run; the mixture study's ``constrained2`` runs pass the true
+    water fraction ``p_true``, which adds the retrieved one to the record."""
     t0 = time.perf_counter()
     status = "success"
     try:
@@ -530,6 +521,19 @@ def _invert_one(
                 seed=mc_seed,
             )
             top = ranked[0]
+        elif method == "constrained2":
+            candidates = generate_models_two_component(
+                builder,
+                meas,
+                tau_grid=config.tau_grid,
+                fallback_tau_grid=config.fallback_tau_grid,
+                reg_kind=reg_kind,
+                ladder=config.ladder,
+            )
+            ranked = select_models(
+                candidates, meas, samples=config.mc_samples, seed=mc_seed
+            )
+            top = ranked[0]
         elif method == "morozov":
             top = invert_morozov(meas, builder, config.ladder, reg_kind)[0]
         elif method == "unconstrained":
@@ -542,14 +546,23 @@ def _invert_one(
         else:
             raise ValueError(f"unknown method {method!r}")
         weights, grid, dim = top.weights, top.kernel.collocation_grid, top.dim
+        p_recon = top.fraction
     except NoModels:
         status = "no_model_failure"
         grid = builder(3).collocation_grid
-        weights, dim = np.zeros(len(grid) - 2), 0
+        weights, dim, p_recon = np.zeros(len(grid) - 2), 0, 0.5
     runtime = time.perf_counter() - t0
     l2 = relative_l2_error(weights, grid, dist, fgrid)
     if status == "success" and l2 >= 100.0:
         status = "l2_failure"
+    fraction = {}
+    if p_true is not None:
+        dev = abs(100.0 * p_true - 100.0 * p_recon)
+        if status == "success" and dev >= 50.0:
+            status = "fraction_failure"
+        fraction = dict(
+            water_fraction=p_true, retrieved_fraction=p_recon, fraction_dev=dev
+        )
     return RunRecord(
         family=family,
         method=method,
@@ -560,6 +573,7 @@ def _invert_one(
         model_dim=dim,
         runtime=runtime,
         status=status,
+        **fraction,
     )
 
 
@@ -610,9 +624,9 @@ def run_study_two_component(config: TwoComponentStudyConfig) -> StudyReport:
                     mc_seed = int(rng.integers(2**31 - 1))
                     for reg_kind in config.reg_kinds:
                         records.append(
-                            _invert_one_mixture(
-                                meas, family_ops, reg_kind, config, mc_seed,
-                                dist, family, pi, rep, p_true, fgrid,
+                            _invert_one(
+                                meas, family_ops, "constrained2", reg_kind, config,
+                                mc_seed, dist, family, pi, rep, fgrid, p_true,
                             )
                         )
     return StudyReport(
@@ -620,52 +634,4 @@ def run_study_two_component(config: TwoComponentStudyConfig) -> StudyReport:
         method_stats=_aggregate(records),
         fraction_stats=_aggregate(records, by_fraction=True),
         wall_time=time.perf_counter() - t_start,
-    )
-
-
-def _invert_one_mixture(
-    meas, family_ops, reg_kind, config, mc_seed, dist, family, pi, rep, p_true, fgrid
-):
-    t0 = time.perf_counter()
-    status = "success"
-    try:
-        candidates = generate_models_two_component(
-            family_ops,
-            meas,
-            tau_grid=config.tau_grid,
-            fallback_tau_grid=config.fallback_tau_grid,
-            reg_kind=reg_kind,
-            ladder=config.ladder,
-        )
-        ranked = select_models_two_component(
-            candidates, meas, samples=config.mc_samples, seed=mc_seed
-        )
-        top = ranked[0]
-        weights, grid, dim = top.weights, top.kernel.collocation_grid, top.dim
-        p_recon = float(top.fraction)
-    except NoModels:
-        status = "no_model_failure"
-        grid = build_collocation_grid(3, family_ops.integration_grid)
-        weights, dim, p_recon = np.zeros(len(grid) - 2), 0, 0.5
-    runtime = time.perf_counter() - t0
-    l2 = relative_l2_error(weights, grid, dist, fgrid)
-    dev = abs(100.0 * p_true - 100.0 * p_recon)
-    if status == "success":
-        if l2 >= 100.0:
-            status = "l2_failure"
-        elif dev >= 50.0:
-            status = "fraction_failure"
-    return RunRecord(
-        family=family,
-        method="constrained2",
-        reg_kind=reg_kind,
-        param_index=pi,
-        repeat=rep,
-        l2_error=l2,
-        model_dim=dim,
-        runtime=runtime,
-        status=status,
-        water_fraction=p_true,
-        retrieved_fraction=p_recon,
-        fraction_dev=dev,
     )

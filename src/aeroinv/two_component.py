@@ -1,16 +1,19 @@
-"""Volume-fraction retrieval for two-component aerosols.
+"""Kernel families, the package's forward operators, and volume-fraction
+retrieval for two-component aerosols.
 
 A kernel family holds the discrete forward operators for a grid of mixing
 fractions.  Mie kernels are assembled at a coarser set of anchor fractions
 and interpolated entrywise by natural cubic splines onto the full fraction
-grid.  Model generation scans the unregularized nonnegative residual across
-all fractions, keeps a spread of fractions from the best sliding window, and
-applies the discrepancy principle there; ranking reuses the marginal
-likelihood machinery with a uniform prior over all stored triplets.
+grid; a single material is a one-fraction family, without a spline.  Model
+generation scans the unregularized nonnegative residual across all
+fractions, keeps a spread of fractions from the best sliding window, and
+applies the discrepancy principle there; ranking is ``select_models`` with a
+uniform prior over all stored triplets.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +37,6 @@ from .model_selection import (
     select_models,
 )
 from .optics import IndexTable, mixed_kernel_rows
-from .orthant_mvn import DEFAULT_SAMPLES
 from .tikhonov_qp import WeightedProblem, solve_constrained_tikhonov
 
 __all__ = [
@@ -58,17 +60,20 @@ DEFAULT_N_MEAN = 5
 
 @dataclass
 class KernelFamily:
-    """Forward operators on a fraction grid, one stack per ladder level."""
+    """Forward operators on a fraction grid, one stack per ladder level.
 
-    component_a: IndexTable
-    component_b: IndexTable
-    medium: IndexTable
+    ``family(n_col)`` is the level's matrix at the first fraction: a
+    one-fraction family, whose matrices carry no fraction label, is the
+    ladder's ``kernel_builder``.
+    """
+
     wavelengths: np.ndarray
     integration_grid: RadiusGrid
     fractions: np.ndarray
     anchor_fractions: np.ndarray
     _anchor_rows: np.ndarray = field(repr=False)  # (anchors, N_l, n_nodes)
     _levels: dict = field(default_factory=dict, repr=False)
+    _matrices: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_fractions(self) -> int:
@@ -78,23 +83,30 @@ class KernelFamily:
         """Collocation grid and stacked entries (n_frac, N_l, N) for a level."""
         if n_col not in self._levels:
             grid = build_collocation_grid(n_col, self.integration_grid)
-            anchor_mats = self._anchor_rows @ weighted_interior_basis(
+            stacked = self._anchor_rows @ weighted_interior_basis(
                 self.integration_grid, grid
             )
-            spline = CubicSpline(
-                self.anchor_fractions, anchor_mats, axis=0, bc_type="natural"
-            )
-            self._levels[n_col] = (grid, spline(self.fractions))
+            if self.n_fractions > 1:
+                spline = CubicSpline(
+                    self.anchor_fractions, stacked, axis=0, bc_type="natural"
+                )
+                stacked = spline(self.fractions)
+            self._levels[n_col] = (grid, stacked)
         return self._levels[n_col]
 
     def kernel_matrix(self, n_col: int, fraction_index: int) -> KernelMatrix:
-        grid, stacked = self.level_matrices(n_col)
-        return KernelMatrix(
-            stacked[fraction_index],
-            self.wavelengths,
-            grid,
-            fraction_label=float(self.fractions[fraction_index]),
-        )
+        key = (n_col, fraction_index)
+        if key not in self._matrices:
+            grid, stacked = self.level_matrices(n_col)
+            label = float(self.fractions[fraction_index])
+            self._matrices[key] = KernelMatrix(
+                stacked[fraction_index], self.wavelengths, grid,
+                label if self.n_fractions > 1 else None,
+            )
+        return self._matrices[key]
+
+    def __call__(self, n_col: int) -> KernelMatrix:
+        return self.kernel_matrix(n_col, 0)
 
 
 @dataclass(frozen=True)
@@ -119,7 +131,8 @@ def build_kernel_family(
     """Assemble Mie kernels at anchor fractions for later interpolation.
 
     Only the kernel values on the integration grid are stored per anchor;
-    level matrices are assembled and splined lazily.
+    level matrices are assembled and splined lazily.  A single material is
+    ``build_kernel_family(p, p, medium, ..., anchor_count=1, n_frac=1)``.
     """
     if anchor_count > n_frac:
         raise ValueError("anchor_count must not exceed n_frac")
@@ -130,16 +143,7 @@ def build_kernel_family(
         component_a, component_b, medium, anchors, wavelengths,
         integration_grid.points,
     )
-    return KernelFamily(
-        component_a,
-        component_b,
-        medium,
-        wavelengths,
-        integration_grid,
-        fractions,
-        anchors,
-        rows,
-    )
+    return KernelFamily(wavelengths, integration_grid, fractions, anchors, rows)
 
 
 def minimal_mean_window(residuals, n_mean: int) -> int:
@@ -200,15 +204,16 @@ def generate_models_two_component(
 ) -> list[ModelCandidate]:
     """Candidates from the first ladder level admitting any scanned fraction.
 
-    Each level is scanned afresh; the walk stops at the first level where any
-    (selected fraction, tau) passes the discrepancy window, with the scanned
-    nonnegative residual as each fraction's unregularized residual.  If the
-    primary safety-factor grid yields nothing on any level, one retry runs
-    with the fallback grid before giving up.
+    The walk stops at the first level where any (selected fraction, tau)
+    passes the discrepancy window, with the scanned nonnegative residual as
+    each fraction's unregularized residual.  If the primary safety-factor
+    grid yields nothing on any level, one retry runs with the fallback grid
+    before giving up; it reuses each level's fraction scan.
     """
     if scaling is None:
         scaling = NoiseScaling.from_measurement(meas)
 
+    @functools.cache
     def scan_level(n_col):
         return n_col, scan_fractions(family, meas, scaling, n_col, n_mean)
 
@@ -231,13 +236,4 @@ def generate_models_two_component(
     raise NoModels("no fraction/level/tau combination fits the data")
 
 
-def select_models_two_component(
-    candidates,
-    meas: Measurement,
-    scaling: NoiseScaling | None = None,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-) -> list[ModelCandidate]:
-    """Rank (dimension, fraction, tau) triplets; the top fraction is the
-    retrieved one."""
-    return select_models(candidates, meas, scaling, samples, seed)
+select_models_two_component = select_models

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.integrate as si
 
+from aeroinv.optics import get_material, make_kernel
 from aeroinv.orthant_mvn import QuadraticForm, genz_orthant_probability, orthant_integral
 from aeroinv.simulation_study import (
     integration_grid,
@@ -23,7 +24,7 @@ from aeroinv.simulation_study import (
     run_study_two_component,
     study_wavelengths,
 )
-from aeroinv.simulation_study import KernelLevelCache, _single_kernel
+from aeroinv.simulation_study import KernelLevelCache
 from aeroinv.tikhonov_qp import (
     WeightedProblem,
     solve_constrained_tikhonov,
@@ -304,7 +305,7 @@ class TestCriterion7ChiSquare:
         # noise-free data, draws add 30% Gaussian noise per wavelength
         wavelengths = study_wavelengths()
         igrid = integration_grid()
-        kernel = _single_kernel("h2o", "air")
+        kernel = make_kernel(get_material("h2o"), get_material("air"))
         builder = KernelLevelCache(kernel_rows(kernel, wavelengths, igrid),
                               wavelengths, igrid)
         km = builder(12)

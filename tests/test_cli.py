@@ -233,3 +233,30 @@ class TestEvidenceErrorOutput:
         record = json.loads(out.read_text())
         assert all(c["log_marginal_se"] is None for c in record["candidates"])
         assert all(e is None for e in record["diagnostics"]["log_marginal_se"])
+
+
+class TestNumericFlagsAtTheBoundary:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["simulate", "--param-index", "100"], "--param-index"),
+            (["simulate", "--param-index", "-1"], "--param-index"),
+            (["simulate", "--repeats", "0"], "--repeats"),
+            (["simulate", "--materials", "h2o,csi", "--water-fraction", "1.5"],
+             "--water-fraction"),
+            (["study", "--params", "200"], "--params"),
+            (["study", "--params", "abc"], "--params"),
+            (["study", "--repeats", "0"], "--repeats"),
+            (["study2", "--repeats", "0"], "--repeats"),
+        ],
+        ids=lambda v: "_".join(v) if isinstance(v, list) else None,
+    )
+    def test_rejected_as_usage_error(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "out.json"
+        code = main(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("usage error:")
+        assert flag in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()

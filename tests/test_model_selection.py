@@ -322,9 +322,9 @@ class TestUnconstrained:
 
 class TestUnconstrainedDiscrepancy:
     def test_every_candidate_meets_its_target(self):
+        from aeroinv.optics import get_material, make_kernel
         from aeroinv.simulation_study import (
             KernelLevelCache,
-            _single_kernel,
             forward_extinctions,
             integration_grid,
             kernel_rows,
@@ -335,7 +335,8 @@ class TestUnconstrainedDiscrepancy:
         from aeroinv.tikhonov_qp import _DISCREPANCY_RTOL
 
         wl, igrid = study_wavelengths(), integration_grid()
-        rows = kernel_rows(_single_kernel("h2o", "air"), wl, igrid)
+        kernel = make_kernel(get_material("h2o"), get_material("air"))
+        rows = kernel_rows(kernel, wl, igrid)
         builder = KernelLevelCache(rows, wl, igrid)
         checked = 0
         for i, family in enumerate(("log_normal", "rrsb", "hedrih")):
@@ -406,9 +407,9 @@ class TestRankingSeedStability:
     def test_top_candidate_stable_across_mc_seeds(self):
         # >= 95% of study-style inversions keep the same top candidate over
         # five Monte Carlo seeds at the default sample budget
+        from aeroinv.optics import get_material, make_kernel
         from aeroinv.simulation_study import (
             KernelLevelCache,
-            _single_kernel,
             forward_extinctions,
             fine_grid,
             integration_grid,
@@ -422,7 +423,7 @@ class TestRankingSeedStability:
 
         wl = study_wavelengths()
         igrid, fgrid = integration_grid(), fine_grid()
-        kernel = _single_kernel("h2o", "air")
+        kernel = make_kernel(get_material("h2o"), get_material("air"))
         frows = kernel_rows(kernel, wl, fgrid)
         builder = KernelLevelCache(kernel_rows(kernel, wl, igrid), wl, igrid)
         params = parameter_grid("log_normal")

@@ -15,7 +15,6 @@ from aeroinv.optics import (
     kernel_value,
     lorentz_lorenz_mix,
     make_kernel,
-    make_mixed_kernel,
     mie_qext,
     mixed_kernel_rows,
 )
@@ -261,7 +260,7 @@ class TestMixedKernelRows:
             )
             q = mie_qext(interpolate_index(air, l), m_part, radii, l)
             assert rows[0, wi] == pytest.approx(np.pi * radii**2 * q, rel=1e-12)
-            assert make_mixed_kernel(water, csi, air, 0.3)(radii, l) == (
+            assert MieKernel(water, csi, air, 0.3)(radii, l) == (
                 pytest.approx(rows[0, wi], rel=1e-12)
             )
 
@@ -358,7 +357,7 @@ class TestSizeSortedPass:
 
     def test_closure_loop_equals_batched_rows(self, materials):
         water, csi, air = materials
-        kernel = make_mixed_kernel(water, csi, air, 0.3)
+        kernel = MieKernel(water, csi, air, 0.3)
         closure = lambda r, l: kernel(r, l)  # no ``rows``: one call per wavelength
         wl, grid = study_wavelengths(), integration_grid()
         batched = kernel_rows(kernel, wl, grid)

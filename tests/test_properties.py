@@ -1,0 +1,104 @@
+"""Property tests: invariants that must hold on every input of a class.
+
+Examples are derandomized and bounded, so a run is deterministic and fast.
+"""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from aeroinv.cli import read_measurement, write_measurement
+from aeroinv.model_selection import Measurement
+from aeroinv.optics import lorentz_lorenz_mix
+from aeroinv.tikhonov_qp import WeightedProblem, solve_constrained_tikhonov
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=150, database=None)
+
+entries = st.floats(-10.0, 10.0, allow_subnormal=False)
+
+
+@st.composite
+def tikhonov_problems(draw):
+    m = draw(st.integers(2, 8))
+    n = draw(st.integers(1, 5))
+    K = draw(arrays(float, (m, n), elements=entries))
+    r = draw(arrays(float, m, elements=entries))
+    M = draw(arrays(float, (n, n), elements=entries))
+    gamma = draw(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)))
+    return K, r, M @ M.T + np.eye(n), gamma
+
+
+@SETTINGS
+@given(tikhonov_problems())
+def test_constrained_tikhonov_kkt_certificate(problem):
+    K, r, R, gamma = problem
+    sol = solve_constrained_tikhonov(WeightedProblem(K, r, R, gamma))
+    scale = max(np.max(np.abs(K.T @ r)), 1e-30)
+    grad = K.T @ (K @ sol.n - r) + gamma * (R @ sol.n)
+    assert np.all(sol.n >= 0.0)
+    assert np.all(sol.duals >= 0.0)
+    assert np.max(np.abs(sol.n * sol.duals)) <= 1e-10 * max(scale, 1.0)
+    assert np.linalg.norm(grad - sol.duals) <= 1e-8 * scale
+
+
+@SETTINGS
+@given(tikhonov_problems(), st.floats(1e-3, 10.0), st.floats(1.01, 100.0))
+def test_constrained_residual_grows_with_gamma(problem, gamma, factor):
+    # the discrepancy search rests on this: a larger gamma never fits better
+    K, r, R, _ = problem
+    low = solve_constrained_tikhonov(WeightedProblem(K, r, R, gamma))
+    high = solve_constrained_tikhonov(WeightedProblem(K, r, R, gamma * factor))
+    assert high.residual_sq >= low.residual_sq - 1e-9 * max(float(r @ r), 1e-300)
+
+
+indices = st.builds(complex, st.floats(1.0, 3.0), st.floats(0.0, 2.0))
+
+
+def _polarizability(m):
+    return (m**2 - 1.0) / (m**2 + 2.0)
+
+
+@SETTINGS
+@given(indices, indices, st.floats(0.0, 1.0))
+def test_lorentz_lorenz_root(m1, m2, f1):
+    m = lorentz_lorenz_mix(m1, m2, f1)
+    assert m.real > 0.0
+    assert m.imag >= 0.0
+    expect = f1 * _polarizability(m1) + (1.0 - f1) * _polarizability(m2)
+    assert abs(_polarizability(m) - expect) <= 1e-12
+    assert lorentz_lorenz_mix(m1, m2, 1.0) == m1
+    assert lorentz_lorenz_mix(m1, m2, 0.0) == m2
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def measurements(draw):
+    size = draw(st.integers(1, 12))
+    wavelengths = sorted(draw(st.sets(finite, min_size=size, max_size=size)))
+    means = draw(st.lists(finite, min_size=size, max_size=size))
+    variances = draw(
+        st.lists(
+            st.floats(0.0, 1e300, exclude_min=True), min_size=size, max_size=size
+        )
+    )
+    repeats = draw(st.integers(1, 10**6))
+    return Measurement(
+        np.array(wavelengths), np.array(means), np.array(variances), repeats
+    )
+
+
+@SETTINGS
+@given(measurements())
+def test_measurement_file_round_trip_bit_exact(tmp_path_factory, meas):
+    path = tmp_path_factory.mktemp("meas") / "m.csv"
+    write_measurement(path, meas)
+    back = read_measurement(path)
+    for field in ("wavelengths", "mean_extinction", "variance"):
+        assert getattr(back, field).tobytes() == getattr(meas, field).tobytes()
+    assert back.repeats == meas.repeats

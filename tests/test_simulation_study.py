@@ -219,3 +219,49 @@ class TestStudyHarness:
         report = run_study(self.tiny_config())
         valid = {"success", "l2_failure", "fraction_failure", "no_model_failure"}
         assert {r.status for r in report.records} <= valid
+
+
+class TestNoModelRecords:
+    """A run whose data no model fits records the coarsest grid, dimension 0
+    and, in the mixture study, the uninformative fraction 0.5."""
+
+    WAVELENGTHS = np.linspace(0.6, 3.3, 8)
+
+    @pytest.fixture(scope="class")
+    def weak_measurement(self):
+        from aeroinv.model_selection import Measurement
+
+        return Measurement(self.WAVELENGTHS, np.full(8, 1e-9), np.ones(8), 1)
+
+    @pytest.mark.parametrize(
+        "method, anchors, n_frac, p_true",
+        [("morozov", 1, 1, None), ("constrained2", 3, 5, 0.8)],
+    )
+    def test_no_model_record(
+        self, weak_measurement, method, anchors, n_frac, p_true
+    ):
+        from aeroinv.discretization import uniform_grid
+        from aeroinv.optics import get_material
+        from aeroinv.simulation_study import TwoComponentStudyConfig, _invert_one
+        from aeroinv.two_component import build_kernel_family
+
+        water, csi, air = map(get_material, ("h2o", "csi", "air"))
+        igrid = uniform_grid(0.01, 7.0, 40)
+        family = build_kernel_family(
+            water, water if anchors == 1 else csi, air, self.WAVELENGTHS, igrid,
+            anchor_count=anchors, n_frac=n_frac,
+        )
+        config = reduced_config() if p_true is None else TwoComponentStudyConfig()
+        dist = parameter_grid("log_normal")[0]
+        rec = _invert_one(
+            weak_measurement, family, method, "tikhonov", config, 0, dist,
+            "log_normal", 0, 0, uniform_grid(0.01, 7.0, 201), p_true,
+        )
+        assert rec.status == "no_model_failure"
+        assert rec.model_dim == 0
+        assert rec.l2_error == pytest.approx(100.0)
+        if p_true is None:
+            assert rec.retrieved_fraction is None and rec.fraction_dev is None
+        else:
+            assert rec.retrieved_fraction == 0.5
+            assert rec.fraction_dev == pytest.approx(30.0)

@@ -1,16 +1,30 @@
 import numpy as np
 import pytest
 
-from aeroinv.discretization import assemble_kernel_matrix, uniform_grid
-from aeroinv.model_selection import NoiseScaling
+from collections import Counter
+
+from aeroinv import two_component
+from aeroinv.discretization import (
+    assemble_kernel_matrix,
+    uniform_grid,
+    weighted_interior_basis,
+)
+from aeroinv.model_selection import DEFAULT_LADDER, NoiseScaling, invert_morozov
 from aeroinv.optics import (
     get_material,
     interpolate_index,
     kernel_value,
     lorentz_lorenz_mix,
+    make_kernel,
 )
-from aeroinv.simulation_study import kernel_rows, simulate_measurement
+from aeroinv.simulation_study import (
+    KernelLevelCache,
+    kernel_rows,
+    simulate_measurement,
+)
 from aeroinv.two_component import (
+    FALLBACK_TAU_GRID,
+    KernelFamily,
     build_kernel_family,
     generate_models_two_component,
     minimal_mean_window,
@@ -109,6 +123,55 @@ class TestKernelFamily:
         assert jumps[1] <= 0.6 * jumps[0]
 
 
+class TestOneFractionFamily:
+    """A single material is a one-fraction family and a ladder builder."""
+
+    @pytest.fixture(scope="class")
+    def study_geometry(self, materials):
+        from aeroinv.simulation_study import integration_grid, study_wavelengths
+
+        water, _, air = materials
+        wl, igrid = study_wavelengths(), integration_grid()
+        family = build_kernel_family(
+            water, water, air, wl, igrid, anchor_count=1, n_frac=1
+        )
+        rows = make_kernel(water, air).rows(wl, igrid.points)
+        return wl, igrid, family, rows
+
+    def test_levels_equal_rows_times_basis(self, study_geometry):
+        wl, igrid, family, rows = study_geometry
+        assert family.n_fractions == 1
+        for n_col in DEFAULT_LADDER:
+            km = family(n_col)
+            expect = rows @ weighted_interior_basis(igrid, km.collocation_grid)
+            assert np.array_equal(km.entries, expect)
+            assert km.fraction_label is None
+            assert family(n_col) is km
+
+    def test_level_cache_is_a_family(self, study_geometry):
+        wl, igrid, family, rows = study_geometry
+        cache = KernelLevelCache(rows, wl, igrid)
+        assert isinstance(cache, KernelFamily)
+        for n_col in (3, 12, 50):
+            assert np.array_equal(cache(n_col).entries, family(n_col).entries)
+            assert cache(n_col).fraction_label is None
+
+    def test_single_component_candidates_carry_no_fraction(self, materials):
+        water, _, air = materials
+        family = build_kernel_family(
+            water, water, air, WAVELENGTHS, IGRID, anchor_count=1, n_frac=1
+        )
+        fine = uniform_grid(0.01, 7.0, 2001)
+        rows = make_kernel(water, air).rows(WAVELENGTHS, fine.points)
+        from aeroinv.simulation_study import SizeDistribution, forward_extinctions
+
+        dist = SizeDistribution("log_normal", 1e4, (0.3, 1.8))
+        e_true = forward_extinctions(dist, None, WAVELENGTHS, grid=fine, rows=rows)
+        meas = simulate_measurement(WAVELENGTHS, e_true, 0.05, 300, rng=8)
+        (top,) = invert_morozov(meas, family)
+        assert top.fraction is None
+
+
 class TestWindowSelection:
     def test_unique_minimum_plateau(self):
         res = np.full(201, 5.0)
@@ -197,6 +260,33 @@ class TestGenerateAndSelect:
         scan = scan_fractions(family, meas, n_col=n_col)
         allowed = {float(family.fractions[i]) for i in scan.selected}
         assert {float(c.fraction) for c in cands} <= allowed
+
+    def test_fallback_pass_reuses_each_level_scan(
+        self, family, materials, monkeypatch
+    ):
+        # a primary grid no level admits forces the fallback pass, which must
+        # not scan any level again and must give the fallback grid's models
+        meas = self.make_measurement(family, materials, 0.675, 0.05, seed=2)
+        expect = generate_models_two_component(
+            family, meas, tau_grid=FALLBACK_TAU_GRID
+        )
+        scanned = Counter()
+        scan = two_component.scan_fractions
+
+        def counting_scan(fam, m, scaling, n_col, n_mean):
+            scanned[n_col] += 1
+            return scan(fam, m, scaling, n_col, n_mean)
+
+        monkeypatch.setattr(two_component, "scan_fractions", counting_scan)
+        got = generate_models_two_component(family, meas, tau_grid=(1e-12,))
+        assert len(scanned) > 1
+        assert set(scanned.values()) == {1}
+        assert len(got) == len(expect) > 0
+        for g, e in zip(got, expect):
+            assert np.array_equal(g.weights, e.weights)
+            assert (g.gamma, g.tau, g.fraction, g.dim) == (
+                e.gamma, e.tau, e.fraction, e.dim
+            )
 
     def test_single_and_duplicate_triplets(self, family, materials):
         meas = self.make_measurement(family, materials, 0.675, 0.05, seed=4)
