@@ -20,31 +20,13 @@ import numpy as np
 from . import simulation_study as study
 from .discretization import evaluate_distribution
 from .errors import AeroinvError, NoModels, UsageError
-from .model_selection import (
-    DEFAULT_TAU_GRID,
-    Measurement,
-    NoiseScaling,
-    bic_select,
-    invert_constrained,
-    invert_morozov,
-    invert_unconstrained,
-    select_models,
-)
+from .model_selection import Measurement, NoiseScaling
 from .optics import get_material, mixed_kernel_rows
-from .orthant_mvn import DEFAULT_SAMPLES
-from .two_component import (
-    FALLBACK_TAU_GRID,
-    TAU_GRID_TWO_COMPONENT,
-    build_kernel_family,
-    generate_models_two_component,
-    scan_fractions,
-)
+from .two_component import scan_fractions
 
 RECORD_SCHEMA = "aeroinv-inversion/1"
 REPORT_SCHEMA = "aeroinv-report/1"
 MEASUREMENT_SCHEMA_COLUMNS = "wavelength_um,mean_extinction,variance[,repeats]"
-
-_COMMANDS = ("simulate", "invert", "invert2", "study", "study2")
 
 
 def _build_parser():
@@ -83,11 +65,7 @@ def _build_parser():
     common(p)
     p.add_argument("--measurement", type=Path, required=True)
     p.add_argument("--material", default="h2o")
-    p.add_argument(
-        "--method",
-        choices=("constrained", "morozov", "unconstrained", "bic"),
-        default="constrained",
-    )
+    p.add_argument("--method", choices=study.METHODS, default="constrained")
 
     p = sub.add_parser("invert2", help="two-component inversion")
     common(p)
@@ -98,11 +76,7 @@ def _build_parser():
     common(p)
     p.add_argument("--scale", choices=("reduced", "full"), default="reduced")
     p.add_argument("--family", choices=(*study.FAMILIES, "all"), default="all")
-    p.add_argument(
-        "--method",
-        choices=("constrained", "morozov", "unconstrained", "bic", "all"),
-        default="all",
-    )
+    p.add_argument("--method", choices=(*study.METHODS, "all"), default="all")
     p.add_argument("--noise-fraction", type=float, default=None)
     p.add_argument("--params", default=None, help="comma-separated parameter indices")
     p.add_argument("--repeats", type=int, default=None, help="repeats per parameter")
@@ -150,7 +124,7 @@ def parse_config(argv=None) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.command is None:
         raise UsageError(
-            "no command given; available commands: " + ", ".join(_COMMANDS)
+            "no command given; available commands: " + ", ".join(commands)
         )
     if getattr(args, "config", None):
         try:
@@ -175,6 +149,12 @@ def parse_config(argv=None) -> argparse.Namespace:
         raise UsageError(
             f"--water-fraction must lie in [0, 1], got {args.water_fraction!r}"
         )
+    noise = getattr(args, "noise_fraction", None)
+    if noise is not None and not 0.0 <= noise < np.inf:
+        raise UsageError(
+            f"--noise-fraction must be finite and nonnegative, got {noise!r}"
+        )
+    _resolve_materials(args)
     return args
 
 
@@ -204,37 +184,63 @@ def _parameter_indices(indices, flag, families) -> tuple[int, ...]:
     return tuple(indices)
 
 
-def _material_names(args) -> list[str]:
-    mats = [m.strip() for m in args.materials.split(",")]
-    if len(mats) != 2:
-        raise UsageError("--materials needs exactly two names")
-    return mats
+def _resolve_materials(args) -> None:
+    """Split ``--material`` (one name) and ``--materials`` (two) into lists
+    of names that each resolve to a refractive-index table."""
+    for attr, count in (("material", 1), ("materials", 2)):
+        value = getattr(args, attr, None)
+        if value is None:
+            continue
+        names = [m.strip() for m in str(value).split(",")]
+        if len(names) != count:
+            raise UsageError(
+                f"--{attr} needs {count} name{'s' * (count > 1)}, got {value!r}"
+            )
+        for name in names:
+            try:
+                get_material(name)
+            except FileNotFoundError as exc:
+                raise UsageError(f"--{attr}: {exc}") from exc
+        setattr(args, attr, names)
+
+
+def _repeat_count(text: str, path: Path) -> int:
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not (value.is_integer() and value >= 1):
+        raise UsageError(f"repeats in {path} must be positive integers, got {text!r}")
+    return int(value)
 
 
 def read_measurement(path: Path) -> Measurement:
     """Read a ``wavelength_um,mean_extinction,variance[,repeats]`` table."""
     rows = []
-    repeats = 1
+    counts = set()
     try:
         with open(path, newline="") as fh:
             for row in csv.reader(fh):
                 if not row or not row[0].strip():
                     continue
                 try:
-                    values = [float(v) for v in row[: 4 if len(row) > 3 else 3]]
+                    values = [float(v) for v in row[:3]]
                 except ValueError:
                     continue  # header
-                rows.append(values[:3])
-                if len(values) > 3:
-                    repeats = values[3]
+                if len(values) < 3:
+                    raise UsageError(f"row {row!r} of {path} has no variance")
+                rows.append(values)
+                counts.add(_repeat_count(row[3], path) if len(row) > 3 else 1)
     except OSError as exc:
         raise UsageError(f"cannot read measurement file {path}: {exc}") from exc
     if not rows:
         raise UsageError(f"no measurement rows in {path}")
+    if len(counts) > 1:
+        raise UsageError(f"repeats differ between rows of {path}: {sorted(counts)}")
     data = np.array(rows)
     try:
-        return Measurement(data[:, 0], data[:, 1], data[:, 2], int(repeats))
-    except (ValueError, OverflowError) as exc:
+        return Measurement(data[:, 0], data[:, 1], data[:, 2], counts.pop())
+    except ValueError as exc:
         raise UsageError(f"bad measurement file {path}: {exc}") from exc
 
 
@@ -263,7 +269,7 @@ def _candidate_dict(c) -> dict:
     }
 
 
-def _inversion_record(ranked, meas, elapsed, extra=None) -> dict:
+def _inversion_record(ranked, meas, elapsed, method) -> dict:
     top = ranked[0]
     grid = top.kernel.collocation_grid
     r_out = np.linspace(grid.r_min, grid.r_max, 200)
@@ -284,9 +290,10 @@ def _inversion_record(ranked, meas, elapsed, extra=None) -> dict:
             "log_marginal_se": [d["log_marginal_se"] for d in candidates],
             "elapsed_s": float(elapsed),
         },
+        "method": method,
     }
-    if extra:
-        record.update(extra)
+    if top.fraction is not None:
+        record["retrieved_fraction"] = float(top.fraction)
     return record
 
 
@@ -351,7 +358,7 @@ def _cmd_simulate(args) -> int:
     fgrid = study.fine_grid()
     (pi,) = _parameter_indices((args.param_index,), "--param-index", (args.family,))
     dist = study.parameter_grid(args.family)[pi]
-    names = _material_names(args) if args.materials else [args.material] * 2
+    names = args.materials or args.material * 2
     fraction = args.water_fraction if args.materials else 1.0
     (rows,) = mixed_kernel_rows(
         *map(get_material, names), get_material("air"), fraction, wavelengths,
@@ -368,103 +375,78 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_invert(args) -> int:
-    meas = read_measurement(args.measurement)
-    material = get_material(args.material)
-    builder = build_kernel_family(
-        material, material, get_material("air"), meas.wavelengths,
-        study.integration_grid(), anchor_count=1, n_frac=1,
+def _record_path(args) -> Path:
+    """Where ``invert`` or ``invert2`` writes its record, and any command
+    its error record."""
+    default = "inversion2.json" if args.command == "invert2" else "inversion.json"
+    return Path(args.out or default)
+
+
+def _study_config(make, args, **fixed):
+    """``make(...)`` with the values of the flags every command but
+    ``simulate`` has; a flag left out keeps the config's default."""
+    config = make(seed=args.seed, reg_kinds=(_reg_kind(args),), **fixed)
+    return dataclasses.replace(
+        config,
+        tau_grid=_tau_grid(args, config.tau_grid),
+        mc_samples=args.mc_samples or config.mc_samples,
     )
-    reg_kind = _reg_kind(args)
-    tau_grid = _tau_grid(args, DEFAULT_TAU_GRID)
-    samples = args.mc_samples or DEFAULT_SAMPLES
-    t0 = time.perf_counter()
-    if args.method == "constrained":
-        ranked = invert_constrained(
-            meas, builder, tau_grid=tau_grid, reg_kind=reg_kind,
-            samples=samples, seed=args.seed,
-        )
-    elif args.method == "morozov":
-        ranked = invert_morozov(meas, builder, reg_kind=reg_kind)
-    elif args.method == "unconstrained":
-        ranked = invert_unconstrained(
-            meas, builder, tau_grid=tau_grid, reg_kind=reg_kind
-        )
-    else:
-        top, _score = bic_select(meas, builder, tau_grid=tau_grid)
-        ranked = [top]
-    elapsed = time.perf_counter() - t0
-    record = _inversion_record(ranked, meas, elapsed, {"method": args.method})
-    out = args.out or Path("inversion.json")
-    _write_json(out, record)
-    if args.emit_plot_data:
-        _emit_recon_csv(out.with_suffix(".recon.csv"), record)
-    print(f"wrote {out}")
-    return 0
 
 
-def _emit_recon_csv(path: Path, record: dict) -> None:
+def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["radius_um", "density"])
-        for r, n in zip(
-            record["reconstruction"]["radius_um"], record["reconstruction"]["density"]
-        ):
-            writer.writerow([repr(r), repr(n)])
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) for v in row] for row in rows)
 
 
-def _cmd_invert2(args) -> int:
+def _cmd_invert(args) -> int:
+    """``invert`` and ``invert2``: the mixture command passes two material
+    names, method ``constrained2`` and the two-component config."""
+    if args.command == "invert2":
+        names, method = args.materials, "constrained2"
+        config = _study_config(study.TwoComponentStudyConfig, args)
+    else:
+        names, method = args.material, args.method
+        config = _study_config(study.StudyConfig, args)
     meas = read_measurement(args.measurement)
-    family = build_kernel_family(
-        *map(get_material, _material_names(args)), get_material("air"),
-        meas.wavelengths, study.integration_grid(),
-    )
-    reg_kind = _reg_kind(args)
-    tau_grid = _tau_grid(args, TAU_GRID_TWO_COMPONENT)
-    samples = args.mc_samples or DEFAULT_SAMPLES
+    forward = study.kernel_family(config, names, meas.wavelengths)
     t0 = time.perf_counter()
-    candidates = generate_models_two_component(
-        family, meas, tau_grid=tau_grid, fallback_tau_grid=FALLBACK_TAU_GRID,
-        reg_kind=reg_kind,
-    )
-    ranked = select_models(candidates, meas, samples=samples, seed=args.seed)
+    ranked = study.invert(meas, forward, method, _reg_kind(args), config, args.seed)
     elapsed = time.perf_counter() - t0
-    record = _inversion_record(
-        ranked, meas, elapsed,
-        {"method": "constrained2", "retrieved_fraction": float(ranked[0].fraction)},
-    )
-    out = args.out or Path("inversion2.json")
+    record = _inversion_record(ranked, meas, elapsed, method)
+    out = _record_path(args)
     _write_json(out, record)
     if args.emit_plot_data:
-        _emit_recon_csv(out.with_suffix(".recon.csv"), record)
-        scan = scan_fractions(
-            family, meas, n_col=len(ranked[0].kernel.collocation_grid)
+        recon = record["reconstruction"]
+        _write_csv(
+            out.with_suffix(".recon.csv"), ["radius_um", "density"],
+            zip(recon["radius_um"], recon["density"]),
         )
-        with open(out.with_suffix(".fractions.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["fraction", "nnls_residual_sq"])
-            for p, res in zip(family.fractions, scan.residuals):
-                writer.writerow([repr(float(p)), repr(float(res))])
+    if args.emit_plot_data and forward.n_fractions > 1:
+        scan = scan_fractions(
+            forward, meas, n_col=len(ranked[0].kernel.collocation_grid)
+        )
+        _write_csv(
+            out.with_suffix(".fractions.csv"), ["fraction", "nnls_residual_sq"],
+            zip(forward.fractions, scan.residuals),
+        )
     print(f"wrote {out}")
     return 0
 
 
-def _study_overrides(args, default_tau_grid, **fixed) -> dict:
-    """Study-config overrides from the flags the two study commands share."""
-    overrides = dict(seed=args.seed, reg_kinds=(_reg_kind(args),), **fixed)
+def _study_flags(args, families) -> dict:
+    """Config values of the flags ``study`` and ``study2`` add."""
+    overrides = dict(families=families)
     if args.noise_fraction is not None:
         overrides["noise_fraction"] = args.noise_fraction
-    if args.mc_samples:
-        overrides["mc_samples"] = args.mc_samples
-    if args.tau_grid:
-        overrides["tau_grid"] = _tau_grid(args, default_tau_grid)
     if args.params:
         try:
             indices = [int(v) for v in str(args.params).split(",")]
         except ValueError as exc:
             raise UsageError(f"bad --params {args.params!r}") from exc
         overrides["parameter_indices"] = _parameter_indices(
-            indices, "--params", fixed["families"]
+            indices, "--params", families
         )
     if args.repeats is not None:
         overrides["repeats_per_parameter"] = args.repeats
@@ -479,28 +461,29 @@ def _write_report(report, out: Path) -> int:
 
 
 def _cmd_study(args) -> int:
-    overrides = _study_overrides(
-        args, DEFAULT_TAU_GRID,
-        families=study.FAMILIES if args.family == "all" else (args.family,),
-        methods=study.METHODS if args.method == "all" else (args.method,),
-    )
     make = study.reduced_config if args.scale == "reduced" else study.full_config
-    report = study.run_study(make(**overrides))
+    config = _study_config(
+        make, args,
+        methods=study.METHODS if args.method == "all" else (args.method,),
+        **_study_flags(
+            args, study.FAMILIES if args.family == "all" else (args.family,)
+        ),
+    )
+    report = study.run_study(config)
     return _write_report(report, args.out or Path("study_report.json"))
 
 
 def _cmd_study2(args) -> int:
-    mats = _material_names(args)
-    overrides = _study_overrides(
-        args, TAU_GRID_TWO_COMPONENT, families=(args.family,),
-        component_a=mats[0], component_b=mats[1],
-    )
     make = (
         study.reduced_two_component_config
         if args.scale == "reduced"
         else study.full_two_component_config
     )
-    report = study.run_study_two_component(make(**overrides))
+    config = _study_config(
+        make, args, component_a=args.materials[0], component_b=args.materials[1],
+        **_study_flags(args, (args.family,)),
+    )
+    report = study.run_study_two_component(config)
     return _write_report(report, args.out or Path("study2_report.json"))
 
 
@@ -509,7 +492,7 @@ def run(args) -> int:
     handlers = {
         "simulate": _cmd_simulate,
         "invert": _cmd_invert,
-        "invert2": _cmd_invert2,
+        "invert2": _cmd_invert,
         "study": _cmd_study,
         "study2": _cmd_study2,
     }
@@ -523,8 +506,7 @@ def run(args) -> int:
             "schema": RECORD_SCHEMA,
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
-        out = getattr(args, "out", None) or Path("inversion.json")
-        _write_json(Path(out), payload)
+        _write_json(_record_path(args), payload)
         print(f"error: {exc}", file=sys.stderr)
         return 2 if no_models else 1
 

@@ -128,6 +128,8 @@ class Measurement:
             raise ValueError("wavelengths must be strictly increasing")
         if np.any(v <= 0.0):
             raise ValueError("variances must be positive")
+        if self.repeats < 1:
+            raise ValueError("repeats must be at least 1")
         for arr in (w, m, v):
             arr.setflags(write=False)
         object.__setattr__(self, "wavelengths", w)
@@ -154,7 +156,7 @@ class NoiseScaling:
 
     @classmethod
     def from_measurement(cls, meas: Measurement) -> "NoiseScaling":
-        obs_variance = meas.variance / max(meas.repeats, 1)
+        obs_variance = meas.variance / meas.repeats
         delta_sq = float(obs_variance.max())
         return cls(delta_sq, obs_variance / delta_sq, obs_variance)
 

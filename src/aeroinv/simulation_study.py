@@ -5,7 +5,8 @@ parameter grids are chosen so the distributions are effectively supported
 inside the radius domain.  Forward extinctions are synthesized on a fine
 Simpson grid (deliberately finer than, and distinct from, the inversion's
 trapezoidal integration grid), then perturbed by repeated Gaussian noise
-draws whose sample means and variances form the measurement.
+draws whose sample means and variances form the measurement.  One method
+table, ``invert``, serves the CLI and both studies, which share one loop.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .model_selection import (
     DEFAULT_LADDER,
     DEFAULT_TAU_GRID,
     Measurement,
+    ModelCandidate,
     bic_select,
     invert_constrained,
     invert_morozov,
@@ -67,6 +69,8 @@ __all__ = [
     "relative_l2_error",
     "run_study",
     "run_study_two_component",
+    "kernel_family",
+    "invert",
     "reduced_config",
     "full_config",
     "reduced_two_component_config",
@@ -454,49 +458,107 @@ def _study_truths(config, family):
     return [(pi, params[pi]) for pi in indices]
 
 
-def run_study(config: StudyConfig) -> StudyReport:
-    """Single-component comparative study across methods and families."""
+def _tables(config, names):
+    """Index tables of components a and b and the medium; one name is both."""
+    return [get_material(n) for n in (names[0], names[-1], config.medium)]
+
+
+def kernel_family(config, names, wavelengths) -> KernelFamily:
+    """The forward model of material ``names`` in ``config.medium``: one name
+    is the one-fraction family, two are the config's anchored mixture."""
+    one = len(names) == 1
+    return build_kernel_family(
+        *_tables(config, names), wavelengths, integration_grid(),
+        anchor_count=1 if one else config.anchor_count,
+        n_frac=1 if one else config.n_frac,
+    )
+
+
+def invert(meas, forward, method, reg_kind, config, seed) -> list[ModelCandidate]:
+    """Ranked candidates of one inversion ``method`` (a ``METHODS`` entry or
+    ``constrained2``); ``config`` supplies the ladder, the tau grids,
+    ``max_disc`` and the sample budget."""
+    methods = {
+        "constrained": lambda: invert_constrained(
+            meas, forward, config.ladder, config.tau_grid, reg_kind,
+            config.max_disc, config.mc_samples, seed,
+        ),
+        "constrained2": lambda: select_models(
+            generate_models_two_component(
+                forward, meas, tau_grid=config.tau_grid,
+                fallback_tau_grid=config.fallback_tau_grid, reg_kind=reg_kind,
+                ladder=config.ladder,
+            ),
+            meas, samples=config.mc_samples, seed=seed,
+        ),
+        "morozov": lambda: invert_morozov(meas, forward, config.ladder, reg_kind),
+        "unconstrained": lambda: invert_unconstrained(
+            meas, forward, config.ladder, config.tau_grid, reg_kind,
+            config.max_disc,
+        ),
+        "bic": lambda: [bic_select(meas, forward, config.ladder, config.tau_grid)[0]],
+    }
+    if method not in methods:
+        raise ValueError(f"unknown method {method!r}")
+    return methods[method]()
+
+
+def _closed_loop(config, names, fractions, methods) -> StudyReport:
+    """Truth, noisy draw, inversion and record for every family, parameter,
+    true fraction, repeat, method and reg_kind.  A single material is the
+    fraction ``None``, whose RNG spawn key has no fraction term."""
     t_start = time.perf_counter()
     wavelengths = study_wavelengths()
-    igrid = integration_grid()
     fgrid = fine_grid()
-    particle = get_material(config.particle)
-    medium = get_material(config.medium)
-    (fine_rows,) = mixed_kernel_rows(
-        particle, particle, medium, 1.0, wavelengths, fgrid.points
-    )
-    builder = build_kernel_family(
-        particle, particle, medium, wavelengths, igrid, anchor_count=1, n_frac=1
+    forward = kernel_family(config, names, wavelengths)
+    fine_rows = mixed_kernel_rows(
+        *_tables(config, names), [1.0 if p is None else p for p in fractions],
+        wavelengths, fgrid.points,
     )
     records = []
     for family in config.families:
         for pi, dist in _study_truths(config, family):
-            e_true = forward_extinctions(
-                dist, None, wavelengths, grid=fgrid, rows=fine_rows
-            )
-            for rep in range(config.repeats_per_parameter):
-                rng = _run_rng(config.seed, family, pi, rep)
-                meas = simulate_measurement(
-                    wavelengths,
-                    e_true,
-                    config.noise_fraction,
-                    config.measurement_repeats,
-                    rng,
+            for p_true, rows in zip(fractions, fine_rows):
+                e_true = forward_extinctions(
+                    dist, None, wavelengths, grid=fgrid, rows=rows
                 )
-                mc_seed = int(rng.integers(2**31 - 1))
-                for method, reg_kind in itertools.product(
-                    config.methods, config.reg_kinds
-                ):
-                    records.append(
-                        _invert_one(
-                            meas, builder, method, reg_kind, config, mc_seed,
-                            dist, family, pi, rep, fgrid,
-                        )
+                extra = () if p_true is None else (int(round(1000 * p_true)),)
+                for rep in range(config.repeats_per_parameter):
+                    rng = _run_rng(config.seed, family, pi, rep, *extra)
+                    meas = simulate_measurement(
+                        wavelengths, e_true, config.noise_fraction,
+                        config.measurement_repeats, rng,
                     )
+                    mc_seed = int(rng.integers(2**31 - 1))
+                    for method, reg_kind in itertools.product(
+                        methods, config.reg_kinds
+                    ):
+                        records.append(
+                            _invert_one(
+                                meas, forward, method, reg_kind, config, mc_seed,
+                                dist, family, pi, rep, fgrid, p_true,
+                            )
+                        )
     return StudyReport(
         records=tuple(records),
         method_stats=_aggregate(records),
         wall_time=time.perf_counter() - t_start,
+    )
+
+
+def run_study(config: StudyConfig) -> StudyReport:
+    """Single-component comparative study across methods and families."""
+    return _closed_loop(config, (config.particle,), (None,), config.methods)
+
+
+def run_study_two_component(config: TwoComponentStudyConfig) -> StudyReport:
+    """Water/CsI mixture study retrieving distributions and volume fractions."""
+    report = _closed_loop(
+        config, (config.component_a, config.component_b), config.water_fractions,
+        ("constrained2",),
+    )
+    return replace(
+        report, fraction_stats=_aggregate(report.records, by_fraction=True)
     )
 
 
@@ -509,42 +571,7 @@ def _invert_one(
     t0 = time.perf_counter()
     status = "success"
     try:
-        if method == "constrained":
-            ranked = invert_constrained(
-                meas,
-                builder,
-                ladder=config.ladder,
-                tau_grid=config.tau_grid,
-                reg_kind=reg_kind,
-                max_disc=config.max_disc,
-                samples=config.mc_samples,
-                seed=mc_seed,
-            )
-            top = ranked[0]
-        elif method == "constrained2":
-            candidates = generate_models_two_component(
-                builder,
-                meas,
-                tau_grid=config.tau_grid,
-                fallback_tau_grid=config.fallback_tau_grid,
-                reg_kind=reg_kind,
-                ladder=config.ladder,
-            )
-            ranked = select_models(
-                candidates, meas, samples=config.mc_samples, seed=mc_seed
-            )
-            top = ranked[0]
-        elif method == "morozov":
-            top = invert_morozov(meas, builder, config.ladder, reg_kind)[0]
-        elif method == "unconstrained":
-            top = invert_unconstrained(
-                meas, builder, config.ladder, config.tau_grid, reg_kind,
-                config.max_disc,
-            )[0]
-        elif method == "bic":
-            top, _ = bic_select(meas, builder, config.ladder, config.tau_grid)
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        top = invert(meas, builder, method, reg_kind, config, mc_seed)[0]
         weights, grid, dim = top.weights, top.kernel.collocation_grid, top.dim
         p_recon = top.fraction
     except NoModels:
@@ -574,64 +601,4 @@ def _invert_one(
         runtime=runtime,
         status=status,
         **fraction,
-    )
-
-
-def run_study_two_component(config: TwoComponentStudyConfig) -> StudyReport:
-    """Water/CsI mixture study retrieving distributions and volume fractions."""
-    t_start = time.perf_counter()
-    wavelengths = study_wavelengths()
-    igrid = integration_grid()
-    fgrid = fine_grid()
-    comp_a = get_material(config.component_a)
-    comp_b = get_material(config.component_b)
-    med = get_material(config.medium)
-    family_ops = build_kernel_family(
-        comp_a, comp_b, med, wavelengths, igrid,
-        anchor_count=config.anchor_count, n_frac=config.n_frac,
-    )
-    fine_rows_by_fraction = dict(
-        zip(
-            config.water_fractions,
-            mixed_kernel_rows(
-                comp_a, comp_b, med, config.water_fractions, wavelengths,
-                fgrid.points,
-            ),
-        )
-    )
-    records = []
-    for family in config.families:
-        for pi, dist in _study_truths(config, family):
-            for p_true in config.water_fractions:
-                e_true = forward_extinctions(
-                    dist,
-                    None,
-                    wavelengths,
-                    grid=fgrid,
-                    rows=fine_rows_by_fraction[p_true],
-                )
-                for rep in range(config.repeats_per_parameter):
-                    rng = _run_rng(
-                        config.seed, family, pi, rep, int(round(1000 * p_true))
-                    )
-                    meas = simulate_measurement(
-                        wavelengths,
-                        e_true,
-                        config.noise_fraction,
-                        config.measurement_repeats,
-                        rng,
-                    )
-                    mc_seed = int(rng.integers(2**31 - 1))
-                    for reg_kind in config.reg_kinds:
-                        records.append(
-                            _invert_one(
-                                meas, family_ops, "constrained2", reg_kind, config,
-                                mc_seed, dist, family, pi, rep, fgrid, p_true,
-                            )
-                        )
-    return StudyReport(
-        records=tuple(records),
-        method_stats=_aggregate(records),
-        fraction_stats=_aggregate(records, by_fraction=True),
-        wall_time=time.perf_counter() - t_start,
     )

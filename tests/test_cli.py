@@ -162,21 +162,97 @@ class TestCommands:
     def test_usage_error_exit_code(self):
         assert main([]) == 1
 
+    def test_invert2_emits_fraction_and_plot_data(self, tmp_path):
+        meas = tmp_path / "mix.csv"
+        code = main(
+            ["simulate", "--family", "rrsb", "--param-index", "7", "--seed", "3",
+             "--materials", "h2o,csi", "--water-fraction", "0.3", "--out", str(meas)]
+        )
+        assert code == 0
+        out = tmp_path / "inv2.json"
+        code = main(
+            ["invert2", "--measurement", str(meas), "--out", str(out),
+             "--mc-samples", "2000", "--emit-plot-data"]
+        )
+        assert code == 0
+        record = json.loads(out.read_text())
+        assert record["method"] == "constrained2"
+        assert 0.0 <= record["retrieved_fraction"] <= 1.0
+        assert record["candidates"][0]["fraction"] == record["retrieved_fraction"]
+        assert out.with_suffix(".recon.csv").exists()
+        rows = out.with_suffix(".fractions.csv").read_text().splitlines()
+        assert rows[0] == "fraction,nnls_residual_sq"
+        assert len(rows) == 1 + 201
+
+    def test_study2_reduced_reports_fraction_table(self, tmp_path):
+        out = tmp_path / "study2.json"
+        code = main(
+            ["study2", "--scale", "reduced", "--params", "0", "--repeats", "1",
+             "--mc-samples", "2000", "--out", str(out)]
+        )
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert len(report["records"]) == 4  # one per default water fraction
+        percents = [s["water_percent"] for s in report["fraction_stats"]]
+        assert percents == pytest.approx([0.0, 33.0, 67.0, 100.0])
+        assert all(r["method"] == "constrained2" for r in report["records"])
+        lines = out.with_suffix(".csv").read_text().splitlines()
+        assert "" in lines
+        assert lines[lines.index("") + 1].startswith(
+            "family,reg_kind,water_percent,avg_l2_pct,avg_dev_pct"
+        )
+        assert len(lines) == lines.index("") + 2 + 4
+
+    def test_invert2_error_record_leaves_inversion_json(
+        self, tmp_path, monkeypatch
+    ):
+        # an earlier invert result in the working directory must survive
+        monkeypatch.chdir(tmp_path)
+        earlier = tmp_path / "inversion.json"
+        earlier.write_text('{"earlier": true}')
+        wl = np.linspace(0.6, 3.3, 8)
+        write_measurement(
+            tmp_path / "weak.csv", Measurement(wl, np.full(8, 1e-9), np.ones(8))
+        )
+        assert main(["invert2", "--measurement", "weak.csv"]) == 2
+        record = json.loads((tmp_path / "inversion2.json").read_text())
+        assert record["error"]["type"] == "NoModels"
+        assert earlier.read_text() == '{"earlier": true}'
+
 
 class TestBadMeasurementInput:
     @pytest.mark.parametrize(
-        "defect, reason", [("nan_row", "finite"), ("unsorted", "increasing")]
+        "defect, reason",
+        [("nan_row", "finite"), ("unsorted", "increasing"),
+         ("zero_repeats", "repeats"), ("negative_repeats", "repeats"),
+         ("fractional_repeats", "repeats"), ("text_repeats", "repeats"),
+         ("rows_disagree_on_repeats", "repeats"),
+         ("row_without_repeats", "repeats"), ("no_variance", "variance")],
     )
     def test_rejected_at_the_boundary(self, tmp_path, capsys, defect, reason):
         wl = np.linspace(0.6, 3.3, 8)
         mean = np.linspace(1e3, 2e3, 8)
+        repeats = ["300"] * 8
         if defect == "nan_row":
             mean[3] = np.nan
-        else:
+        elif defect == "unsorted":
             wl[[2, 5]] = wl[[5, 2]]
+        elif defect == "rows_disagree_on_repeats":
+            repeats[5] = "3"
+        else:
+            value = {"zero_repeats": "0", "negative_repeats": "-3",
+                     "fractional_repeats": "2.7", "text_repeats": "many"}
+            repeats[5] = value.get(defect, "")
         path = tmp_path / "bad.csv"
         lines = ["wavelength_um,mean_extinction,variance,repeats"]
-        lines += [f"{float(w)!r},{float(m)!r},100.0,300" for w, m in zip(wl, mean)]
+        lines += [
+            f"{float(w)!r},{float(m)!r},100.0,{n}"
+            for w, m, n in zip(wl, mean, repeats)
+        ]
+        if defect == "row_without_repeats":
+            lines[3] = lines[3].rsplit(",", 1)[0]
+        elif defect == "no_variance":
+            lines[3] = lines[3].split(",100.0")[0]
         path.write_text("\n".join(lines) + "\n")
         code = main(
             ["invert", "--measurement", str(path), "--method", "morozov",
@@ -187,6 +263,11 @@ class TestBadMeasurementInput:
         assert err.startswith("usage error:")
         assert reason in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("repeats", [0, -3])
+    def test_measurement_needs_a_repeat(self, repeats):
+        with pytest.raises(ValueError, match="repeats"):
+            Measurement(np.array([0.6]), np.ones(1), np.ones(1), repeats)
 
 
 class TestMcSamplesInput:
@@ -248,6 +329,11 @@ class TestNumericFlagsAtTheBoundary:
             (["study", "--params", "abc"], "--params"),
             (["study", "--repeats", "0"], "--repeats"),
             (["study2", "--repeats", "0"], "--repeats"),
+            (["simulate", "--noise-fraction", "-0.3"], "--noise-fraction"),
+            (["simulate", "--noise-fraction", "nan"], "--noise-fraction"),
+            (["study", "--noise-fraction", "-0.001"], "--noise-fraction"),
+            (["study", "--noise-fraction", "inf"], "--noise-fraction"),
+            (["study2", "--noise-fraction", "-0.05"], "--noise-fraction"),
         ],
         ids=lambda v: "_".join(v) if isinstance(v, list) else None,
     )
@@ -260,3 +346,34 @@ class TestNumericFlagsAtTheBoundary:
         assert flag in err
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
+
+
+class TestUnknownMaterial:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["invert", "--material", "bogus"], "--material"),
+            (["simulate", "--material", "bogus"], "--material"),
+            (["simulate", "--materials", "h2o,bogus"], "--materials"),
+            (["invert2", "--materials", "bogus,csi"], "--materials"),
+            (["study2", "--materials", "h2o,bogus"], "--materials"),
+        ],
+        ids=lambda v: "_".join(v) if isinstance(v, list) else None,
+    )
+    def test_rejected_as_usage_error(
+        self, measurement_file, tmp_path, capsys, argv, flag
+    ):
+        if argv[0].startswith("invert"):
+            argv = argv + ["--measurement", str(measurement_file)]
+        out = tmp_path / "out.json"
+        code = main(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"usage error: {flag}:")
+        assert "'bogus'" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_material_count_checked(self, capsys):
+        assert main(["invert2", "--measurement", "m.csv", "--materials", "h2o"]) == 1
+        assert "--materials needs 2" in capsys.readouterr().err
