@@ -26,7 +26,6 @@ from .two_component import scan_fractions
 
 RECORD_SCHEMA = "aeroinv-inversion/1"
 REPORT_SCHEMA = "aeroinv-report/1"
-MEASUREMENT_SCHEMA_COLUMNS = "wavelength_um,mean_extinction,variance[,repeats]"
 
 
 def _build_parser():
@@ -215,7 +214,11 @@ def _repeat_count(text: str, path: Path) -> int:
 
 
 def read_measurement(path: Path) -> Measurement:
-    """Read a ``wavelength_um,mean_extinction,variance[,repeats]`` table."""
+    """Read a ``wavelength_um,mean_extinction,variance[,repeats]`` table.
+
+    Rows before the first data row may be headers; a later row that does
+    not parse is a usage error.
+    """
     rows = []
     counts = set()
     try:
@@ -226,7 +229,11 @@ def read_measurement(path: Path) -> Measurement:
                 try:
                     values = [float(v) for v in row[:3]]
                 except ValueError:
-                    continue  # header
+                    if not rows:
+                        continue  # header
+                    raise UsageError(
+                        f"row {row!r} of {path} is not numeric"
+                    ) from None
                 if len(values) < 3:
                     raise UsageError(f"row {row!r} of {path} has no variance")
                 rows.append(values)
@@ -360,11 +367,15 @@ def _cmd_simulate(args) -> int:
     dist = study.parameter_grid(args.family)[pi]
     names = args.materials or args.material * 2
     fraction = args.water_fraction if args.materials else 1.0
+    defaults = study.StudyConfig()
     (rows,) = mixed_kernel_rows(
-        *map(get_material, names), get_material("air"), fraction, wavelengths,
-        fgrid.points,
+        *map(get_material, names), get_material(defaults.medium), fraction,
+        wavelengths, fgrid.points,
     )
-    noise = args.noise_fraction if args.noise_fraction is not None else 0.30
+    noise = (
+        args.noise_fraction if args.noise_fraction is not None
+        else defaults.noise_fraction
+    )
     e_true = study.forward_extinctions(dist, None, wavelengths, grid=fgrid, rows=rows)
     meas = study.simulate_measurement(
         wavelengths, e_true, noise, args.repeats, np.random.default_rng(args.seed)

@@ -4,13 +4,16 @@ Every method walks the collocation levels coarse to fine in one ladder walk
 and differs only in its per-level fit.  On each level the unregularized fit
 decides, together with the data norm, which residual targets from the
 safety-factor grid are attainable; each one yields a reconstruction whose
-parameter the shared Brent search on log10 gamma (``tikhonov_qp``) sets by
-the discrepancy principle.  Candidates from at most ``max_disc`` levels are
-ranked by their marginal likelihood.
+parameter the shared search on log10 gamma (``tikhonov_qp``) sets by the
+discrepancy principle.  A level's fit prepares one per-target solver, so
+whatever the targets share is factored once per level.  Candidates from at
+most ``max_disc`` levels are ranked by their marginal likelihood.
 
-Fits: constrained (nonnegative fit, constrained Tikhonov) and its
-single-factor "morozov" variant; unconstrained (least squares, ridge, with
-closed-form Gaussian evidence); and BIC, which admits a level by the
+Fits: constrained (nonnegative fit, constrained Tikhonov, whose search
+roots passive-set ridge curves and falls back to Brent's method on NNLS
+solves) and its single-factor "morozov" variant; unconstrained (least
+squares, then one ridge curve per level, whose eigendecomposition also gives
+the Gaussian evidence in closed form); and BIC, which admits a level by the
 nonnegative fit and scores its least-squares fit.
 """
 
@@ -38,7 +41,7 @@ from .orthant_mvn import (
     log_orthant_probability,
     orthant_integral,
 )
-from .tikhonov_qp import _discrepancy_search, solve_discrepancy, solve_nnls
+from .tikhonov_qp import RidgeCurve, solve_discrepancy, solve_nnls
 
 __all__ = [
     "Regularizer",
@@ -74,15 +77,17 @@ _PRIOR_SEED = 0
 
 @dataclass(frozen=True)
 class Regularizer:
-    """SPD regularization matrix with its upper Cholesky factor."""
+    """SPD regularization matrix with its upper Cholesky factor, both
+    read-only: ``build_regularizer`` shares one instance per (kind, N)."""
 
     kind: str
     matrix: np.ndarray
     cholesky: np.ndarray
 
 
+@functools.lru_cache(maxsize=None)
 def build_regularizer(kind: str, N: int) -> Regularizer:
-    """Construct the regularizer stencil of the given kind and dimension."""
+    """The regularizer stencil of the given kind and dimension (cached)."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if kind == "tikhonov":
@@ -104,6 +109,8 @@ def build_regularizer(kind: str, N: int) -> Regularizer:
         U = scipy.linalg.cholesky(R, lower=False)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover
         raise IllConditioned(f"{kind} regularizer is not SPD") from exc
+    R.setflags(write=False)
+    U.setflags(write=False)
     return Regularizer(kind, R, U)
 
 
@@ -215,33 +222,22 @@ def _open_targets(base_res, meas, scaling, tau_grid):
     return [(tau, t) for tau, t in targets if base_res < t < data_norm_sq]
 
 
-def _constrained_fit(K, r, R, target_sq, base_res):
-    gamma, sol = solve_discrepancy(K, r, R, target_sq, base_res)
-    return gamma, sol.n, sol.residual_sq
+def _constrained_fit(K, r, R, base_res):
+    """Per-target constrained discrepancy solver for one level."""
 
+    def solve(target_sq):
+        gamma, sol = solve_discrepancy(K, r, R, target_sq, base_res)
+        return gamma, sol.n, sol.residual_sq
 
-def _ridge_fit(K, r, R, target_sq, base_res):
-    """Discrepancy fit with the constraints dropped (closed-form ridge); the
-    search needs no range check, so ``base_res`` is not used."""
-    c = K.T @ r
-
-    def evaluate(gamma):
-        G = K.T @ K + gamma * R
-        try:
-            n = np.linalg.solve(G, c)
-        except np.linalg.LinAlgError:
-            n = np.linalg.lstsq(G, c, rcond=None)[0]
-        d = K @ n - r
-        return float(d @ d), n
-
-    return _discrepancy_search(evaluate, target_sq)
+    return solve
 
 
 def _level_candidates(kernel, meas, scaling, tau_grid, reg_kind, base_res, fit):
     """Candidates for one discretization level (empty if none admissible).
 
     ``base_res`` is the level's unregularized residual, which decides the
-    admissible targets; ``fit(K, r, R, target, base_res)`` returns
+    admissible targets.  ``fit(K, r, R, base_res)`` is called once per level
+    with an admissible target and returns a solver that maps a target to
     ``(gamma, weights, residual_sq)`` on the weighted system.
     """
     targets = _open_targets(base_res, meas, scaling, tau_grid)
@@ -249,10 +245,11 @@ def _level_candidates(kernel, meas, scaling, tau_grid, reg_kind, base_res, fit):
         return []
     K, r = _weighted_system(kernel, meas, scaling)
     reg = build_regularizer(reg_kind, kernel.interior_dim)
+    solve = fit(K, r, reg.matrix, base_res)
     out = []
     for tau, target in targets:
         try:
-            gamma, weights, res = fit(K, r, reg.matrix, target, base_res)
+            gamma, weights, res = solve(target)
         except (TargetOutOfRange, BracketFailure):
             continue
         out.append(
@@ -334,10 +331,14 @@ def _statistical_system(candidate, meas, scaling):
     joint = QuadraticForm(
         K_stat.T @ K_stat + R_stat, K_stat.T @ e_stat, float(e_stat @ e_stat)
     )
-    log_b = 0.5 * meas.n_wavelengths * np.log(2.0 * np.pi) + 0.5 * float(
-        np.sum(np.log(var))
+    return joint, scale, _log_likelihood_normalizer(meas, scaling)
+
+
+def _log_likelihood_normalizer(meas, scaling) -> float:
+    """log of the Gaussian likelihood's normalizing constant."""
+    return 0.5 * meas.n_wavelengths * np.log(2.0 * np.pi) + 0.5 * float(
+        np.sum(np.log(scaling.obs_variance))
     )
-    return joint, scale, log_b
 
 
 @functools.lru_cache(maxsize=None)
@@ -481,17 +482,27 @@ def invert_morozov(
     return [dataclasses.replace(candidates[0], posterior=1.0)]
 
 
-def _log_evidence_unconstrained(candidate, meas, scaling):
-    """Closed-form Gaussian evidence (no orthant restriction)."""
-    joint, scale, log_b = _statistical_system(candidate, meas, scaling)
-    cf = scipy.linalg.cho_factor(joint.H, lower=False)
-    logdet_h = 2.0 * float(np.sum(np.log(np.diag(cf[0]))))
-    sign, logdet_r = np.linalg.slogdet(scale * candidate.regularizer.matrix)
-    if sign <= 0:
-        raise IllConditioned("prior covariance is degenerate")
-    mode = scipy.linalg.cho_solve(cf, joint.v)
-    misfit = joint.q - float(joint.v @ mode)
-    return -0.5 * misfit - 0.5 * logdet_h + 0.5 * logdet_r - log_b
+def _log_evidence_unconstrained(candidate, meas, scaling, curve=None):
+    """Closed-form Gaussian evidence (no orthant restriction).
+
+    On the weighted system the statistical precision is
+    (K'K + gamma R) / delta^2, so the level's ridge curve (built here unless
+    given) diagonalizes it: with y its coefficients at gamma, the misfit is
+    (residual + gamma y'y) / delta^2 and the prior-to-posterior determinant
+    ratio is prod gamma / (lam + gamma); det V cancels.
+    """
+    if curve is None:
+        K, r = _weighted_system(candidate.kernel, meas, scaling)
+        curve = RidgeCurve(K, r, candidate.regularizer.matrix)
+    gamma = candidate.gamma
+    res, _ = curve.evaluate(gamma)
+    y = curve.coefficients(gamma)
+    misfit = (res + gamma * float(y @ y)) / scaling.delta_sq
+    log_det_ratio = -float(np.sum(np.log1p(curve.eigenvalues / gamma)))
+    return (
+        -0.5 * misfit + 0.5 * log_det_ratio
+        - _log_likelihood_normalizer(meas, scaling)
+    )
 
 
 def invert_unconstrained(
@@ -506,16 +517,23 @@ def invert_unconstrained(
     scaling = NoiseScaling.from_measurement(meas)
 
     def fit_level(kernel):
-        return _level_candidates(
-            kernel, meas, scaling, tau_grid, reg_kind,
-            _lstsq_fit(kernel, meas, scaling)[1], _ridge_fit,
-        )
+        curves = []  # the level's ridge curve, built once it has a target
 
-    candidates = _walk_ladder(meas, kernel_builder, ladder, fit_level, max_disc)
-    log_marginals = [
-        _log_evidence_unconstrained(c, meas, scaling) for c in candidates
-    ]
-    return _rank(candidates, log_marginals)
+        def ridge_fit(K, r, R, base_res):
+            curves.append(RidgeCurve(K, r, R))
+            return curves[0].discrepancy
+
+        level = _level_candidates(
+            kernel, meas, scaling, tau_grid, reg_kind,
+            _lstsq_fit(kernel, meas, scaling)[1], ridge_fit,
+        )
+        return [
+            (c, _log_evidence_unconstrained(c, meas, scaling, curves[0]))
+            for c in level
+        ]
+
+    scored = _walk_ladder(meas, kernel_builder, ladder, fit_level, max_disc)
+    return _rank([c for c, _ in scored], [lm for _, lm in scored])
 
 
 def bic_select(

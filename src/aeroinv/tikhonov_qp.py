@@ -8,14 +8,33 @@ statistical computations.
 The generalized problem  min 0.5*||K n - r||^2 + 0.5*gamma*n'Rn  s.t. n >= 0
 is solved as plain nonnegative least squares on the row-augmented system
 [K; sqrt(gamma)*U] with R = U'U, which leaves the nonnegativity constraint on
-the original variables and preserves the KKT certificate in n-space.
+the original variables and preserves the KKT certificate in n-space.  The
+start is the passive set of scipy's compiled Lawson-Hanson NNLS on that
+system (Lawson & Hanson 1974, Solving Least Squares Problems, ch. 23); the
+package's own active-set loop on the Gram form then certifies it or
+finishes from it, so every solution carries the KKT check.
+
+With the constraints dropped (or at a fixed set of free variables) the
+solution is a ridge solution.  A ``RidgeCurve`` holds one generalized
+eigendecomposition K'K V = R V diag(lam), V'RV = I (Hansen 1998,
+Rank-Deficient and Discrete Ill-Posed Problems, ch. 2), after which
+n(gamma) = V z / (lam + gamma), z = V'K'r, and its residual cost
+O(N * N_lambda) per gamma.  It is computed in standard form, from the
+singular values and right singular vectors of K U^-1, so that K'K is never
+formed and the small eigenvalues keep their accuracy.
 
 The discrepancy principle picks gamma so that the residual equals a target.
 The residual increases strictly with gamma, so one search serves every
 method: bracket the root by decades of log10 gamma, then Brent's method
 (Brent 1973, Algorithms for Minimization without Derivatives, ch. 4) on
-log10 gamma.  The constrained solver and the unconstrained ridge path both
-call it with their own per-gamma solve.
+log10 gamma.  The unconstrained fit runs it on its ridge curve.  The
+constrained fit runs it on the ridge curve of a passive set P, starting
+with every variable free: if the root's solution is positive on P with
+nonnegative duals off P, the Gram loop certifies it at that gamma;
+otherwise one NNLS at that gamma supplies the next P.  When no round's
+solution meets the target within ``_PASSIVE_ROUNDS`` rounds, a curve cannot
+bracket the target or a round leaves P unchanged, the search falls back to
+Brent's method with one warm-started NNLS per evaluation.
 """
 
 from __future__ import annotations
@@ -37,6 +56,7 @@ from .errors import (
 __all__ = [
     "WeightedProblem",
     "QpSolution",
+    "RidgeCurve",
     "solve_constrained_tikhonov",
     "solve_nnls",
     "weighted_residual",
@@ -49,6 +69,8 @@ _LOG_GAMMA_LOW = -12
 _LOG_GAMMA_HIGH = 6
 _LOG_GAMMA_CEILING = 12
 _DISCREPANCY_RTOL = 1e-6
+# passive-set rounds of the constrained search before the Brent fallback
+_PASSIVE_ROUNDS = 8
 
 
 @dataclass(frozen=True)
@@ -170,19 +192,43 @@ def _nnls_gram(G, c, max_iter, dual_tol, init_passive=None):
             passive &= ~drop
 
 
+def _dual_tol(c: np.ndarray) -> float:
+    """Smallest gradient component that counts as a violated dual."""
+    return 1e-10 * max(np.max(np.abs(c), initial=0.0), 1e-300)
+
+
+def _compiled_passive_set(A: np.ndarray, b: np.ndarray):
+    """Passive set of scipy's compiled Lawson-Hanson NNLS on (A, b), or
+    None if it stopped at its iteration cap."""
+    try:
+        x, _ = scipy.optimize.nnls(A, b)
+    except RuntimeError:
+        return None
+    return x > 0.0
+
+
 def solve_constrained_tikhonov(
     problem: WeightedProblem, init_passive: np.ndarray | None = None
 ) -> QpSolution:
-    """Global minimizer of the constrained (generalized) Tikhonov functional."""
+    """Global minimizer of the constrained (generalized) Tikhonov functional.
+
+    The Gram-form loop starts from ``init_passive`` if given, otherwise from
+    the compiled NNLS on the row-augmented system; a start it cannot finish
+    within the iteration cap is dropped for a start from scratch.
+    """
     K, r, R, gamma = problem.K, problem.r, problem.R, problem.gamma
     N = K.shape[1]
     G = K.T @ K
     c = K.T @ r
+    A, b = K, r
     if gamma > 0.0:
         U = _cholesky_upper(R)
         G = G + gamma * (U.T @ U)
-    scale = max(np.max(np.abs(c)), 1e-300)
-    dual_tol = 1e-10 * scale
+        A = np.vstack([K, np.sqrt(gamma) * U])
+        b = np.concatenate([r, np.zeros(N)])
+    if init_passive is None:
+        init_passive = _compiled_passive_set(A, b)
+    dual_tol = _dual_tol(c)
     try:
         n, g, passive = _nnls_gram(G, c, 10 * max(N, 1), dual_tol, init_passive)
     except MaxIterations:
@@ -212,6 +258,42 @@ def weighted_residual(K, n, r) -> float:
     return float(resid @ resid)
 
 
+class RidgeCurve:
+    """Minimizers of ||K n - r||^2 + gamma n'Rn over all n, for every gamma.
+
+    The generalized eigendecomposition K'K V = R V diag(lam), V'RV = I,
+    comes from the SVD K U^-1 = P diag(s) W' with R = U'U: lam = s^2 (and 0
+    past the rank) and V = U^-1 W.  Then n(gamma) = V z / (lam + gamma) with
+    z = V'K'r; ``evaluate(gamma)`` returns ``(residual_sq, n)`` with the
+    residual computed from n.
+    """
+
+    def __init__(self, K: np.ndarray, r: np.ndarray, R: np.ndarray):
+        U = _cholesky_upper(R)
+        K_std = scipy.linalg.solve_triangular(U, K.T, trans="T").T
+        _, s, Wt = scipy.linalg.svd(
+            K_std, full_matrices=K.shape[0] < K.shape[1], lapack_driver="gesvd"
+        )
+        self.K, self.r = K, r
+        self.eigenvalues = np.zeros(K.shape[1])
+        self.eigenvalues[: s.size] = s**2
+        self.V = scipy.linalg.solve_triangular(U, Wt.T)
+        self.z = self.V.T @ (K.T @ r)
+
+    def coefficients(self, gamma: float) -> np.ndarray:
+        """y = z / (lam + gamma), the solution in the eigenbasis; y'y = n'Rn."""
+        return self.z / (self.eigenvalues + gamma)
+
+    def evaluate(self, gamma: float):
+        n = self.V @ self.coefficients(gamma)
+        d = self.K @ n - self.r
+        return float(d @ d), n
+
+    def discrepancy(self, target_sq: float):
+        """``(gamma, n, residual_sq)`` with the residual at the target."""
+        return _discrepancy_search(self.evaluate, target_sq)
+
+
 def solve_discrepancy(K, r, R, target_sq: float, base_residual_sq=None):
     """Find gamma whose constrained solution has residual equal to target_sq.
 
@@ -219,8 +301,10 @@ def solve_discrepancy(K, r, R, target_sq: float, base_residual_sq=None):
     ||r||^2; within that range the residual-parameter map is a strictly
     monotone bijection, so the shared log-gamma search applies.
     ``base_residual_sq`` is the unregularized (NNLS) residual if the caller
-    has it; otherwise it is solved for here.  Each solve warm-starts from
-    the previous active set.  Returns ``(gamma, QpSolution)``.
+    has it; otherwise it is solved for here.  The search runs on the ridge
+    curve of a passive set, updated by one NNLS per round (see the module
+    docstring), and falls back to Brent's method on warm-started NNLS
+    solves.  Returns ``(gamma, QpSolution)``.
     """
     K = np.asarray(K, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -232,7 +316,45 @@ def solve_discrepancy(K, r, R, target_sq: float, base_residual_sq=None):
             f"target {target_sq} outside attainable range "
             f"({base_residual_sq}, {r_norm_sq})"
         )
+    found = _passive_set_search(K, r, R, target_sq)
+    if found is not None:
+        return found
+    return _nnls_discrepancy_search(K, r, R, target_sq)
 
+
+def _passive_set_search(K, r, R, target_sq: float):
+    """``(gamma, QpSolution)`` from at most ``_PASSIVE_ROUNDS`` ridge-curve
+    roots on passive sets, or None if no round met the target."""
+    N = K.shape[1]
+    dual_tol = _dual_tol(K.T @ r)
+    passive = np.ones(N, dtype=bool)
+    for _ in range(_PASSIVE_ROUNDS):
+        idx = np.flatnonzero(passive)
+        try:
+            gamma, n_p, _ = RidgeCurve(
+                K[:, idx], r, R[np.ix_(idx, idx)]
+            ).discrepancy(target_sq)
+        except (BracketFailure, RootFailure):
+            return None
+        n = np.zeros(N)
+        n[idx] = n_p
+        grad = K.T @ (K @ n - r) + gamma * (R @ n)
+        certified = np.all(n_p > 0.0) and np.all(grad[~passive] >= -dual_tol)
+        sol = solve_constrained_tikhonov(
+            WeightedProblem(K, r, R, gamma), passive if certified else None
+        )
+        if abs(sol.residual_sq - target_sq) <= _DISCREPANCY_RTOL * target_sq:
+            return gamma, sol
+        new = sol.n > 0.0
+        if np.array_equal(new, passive) or not new.any():
+            return None
+        passive = new
+    return None
+
+
+def _nnls_discrepancy_search(K, r, R, target_sq: float):
+    """The shared Brent search with one constrained solve per evaluation,
+    each warm-started from the previous active set."""
     hint = None
 
     def evaluate(gamma: float):

@@ -227,7 +227,8 @@ class TestBadMeasurementInput:
          ("zero_repeats", "repeats"), ("negative_repeats", "repeats"),
          ("fractional_repeats", "repeats"), ("text_repeats", "repeats"),
          ("rows_disagree_on_repeats", "repeats"),
-         ("row_without_repeats", "repeats"), ("no_variance", "variance")],
+         ("row_without_repeats", "repeats"), ("no_variance", "variance"),
+         ("text_between_rows", "abc")],
     )
     def test_rejected_at_the_boundary(self, tmp_path, capsys, defect, reason):
         wl = np.linspace(0.6, 3.3, 8)
@@ -253,6 +254,8 @@ class TestBadMeasurementInput:
             lines[3] = lines[3].rsplit(",", 1)[0]
         elif defect == "no_variance":
             lines[3] = lines[3].split(",100.0")[0]
+        elif defect == "text_between_rows":
+            lines[4] = f"{float(wl[3])!r},abc,100.0,300"
         path.write_text("\n".join(lines) + "\n")
         code = main(
             ["invert", "--measurement", str(path), "--method", "morozov",
@@ -263,6 +266,15 @@ class TestBadMeasurementInput:
         assert err.startswith("usage error:")
         assert reason in err
         assert "Traceback" not in err
+
+    def test_only_leading_rows_may_be_headers(self, tmp_path):
+        path = tmp_path / "m.csv"
+        good = ["0.6,1000.0,100.0,300", "0.9,1100.0,100.0,300"]
+        path.write_text("\n".join(["# extinction", "wl,mean,var,n", *good]) + "\n")
+        assert read_measurement(path).n_wavelengths == 2
+        path.write_text("\n".join([good[0], "0.7,abc,100.0,300", good[1]]) + "\n")
+        with pytest.raises(UsageError, match="0.7"):
+            read_measurement(path)
 
     @pytest.mark.parametrize("repeats", [0, -3])
     def test_measurement_needs_a_repeat(self, repeats):

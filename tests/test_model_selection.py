@@ -48,6 +48,14 @@ class TestRegularizers:
             reg = build_regularizer(kind, 7)
             assert reg.cholesky.T @ reg.cholesky == pytest.approx(reg.matrix)
 
+    def test_one_read_only_instance_per_kind_and_size(self):
+        for kind in ("tikhonov", "first_diff", "twomey"):
+            reg = build_regularizer(kind, 6)
+            assert build_regularizer(kind, 6) is reg
+            for arr in (reg.matrix, reg.cholesky):
+                with pytest.raises(ValueError):
+                    arr[0, 0] = 1.0
+
 
 class TestMeasurementScaling:
     def test_validation(self):
@@ -349,6 +357,59 @@ class TestUnconstrainedDiscrepancy:
                 assert abs(cand.residual_sq - target) <= _DISCREPANCY_RTOL * target
                 checked += 1
         assert checked > 0
+
+
+def cho_factor_evidence(candidate, meas, scaling):
+    """The unconstrained log evidence by a Cholesky factorization of the
+    statistical precision (the reference for the closed form)."""
+    import scipy.linalg
+
+    from aeroinv.model_selection import _statistical_system
+
+    joint, scale, log_b = _statistical_system(candidate, meas, scaling)
+    cf = scipy.linalg.cho_factor(joint.H, lower=False)
+    logdet_h = 2.0 * float(np.sum(np.log(np.diag(cf[0]))))
+    sign, logdet_r = np.linalg.slogdet(scale * candidate.regularizer.matrix)
+    assert sign > 0
+    misfit = joint.q - float(joint.v @ scipy.linalg.cho_solve(cf, joint.v))
+    return -0.5 * misfit - 0.5 * logdet_h + 0.5 * logdet_r - log_b
+
+
+class TestUnconstrainedEvidenceOnStudyLevels:
+    def test_closed_form_matches_the_cholesky_formula(self):
+        from aeroinv.model_selection import REGULARIZER_KINDS
+        from aeroinv.optics import get_material, make_kernel
+        from aeroinv.simulation_study import (
+            KernelLevelCache,
+            forward_extinctions,
+            integration_grid,
+            kernel_rows,
+            parameter_grid,
+            simulate_measurement,
+            study_wavelengths,
+        )
+
+        wl, igrid = study_wavelengths(), integration_grid()
+        rows = kernel_rows(
+            make_kernel(get_material("h2o"), get_material("air")), wl, igrid
+        )
+        builder = KernelLevelCache(rows, wl, igrid)
+        dims = set()
+        # index 0 puts twomey candidates on levels whose smallest eigenvalue
+        # is close to gamma, where the log-determinant term is most sensitive
+        for i, (family, index) in enumerate(
+            (fam, idx) for fam in ("log_normal", "rrsb", "hedrih") for idx in (0, 55)
+        ):
+            dist = parameter_grid(family)[index]
+            e_true = forward_extinctions(dist, None, wl, grid=igrid, rows=rows)
+            meas = simulate_measurement(wl, e_true, 0.30, 300, rng=900 + i)
+            sc = NoiseScaling.from_measurement(meas)
+            for kind in REGULARIZER_KINDS:
+                for cand in invert_unconstrained(meas, builder, reg_kind=kind):
+                    expect = cho_factor_evidence(cand, meas, sc)
+                    assert cand.log_marginal == pytest.approx(expect, rel=1e-9)
+                    dims.add(cand.dim)
+        assert len(dims) >= 3
 
 
 class TestBic:

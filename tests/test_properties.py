@@ -12,9 +12,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from aeroinv.cli import read_measurement, write_measurement
-from aeroinv.model_selection import Measurement
+from aeroinv.model_selection import REGULARIZER_KINDS, Measurement, build_regularizer
 from aeroinv.optics import lorentz_lorenz_mix
-from aeroinv.tikhonov_qp import WeightedProblem, solve_constrained_tikhonov
+from aeroinv.tikhonov_qp import (
+    _DISCREPANCY_RTOL,
+    RidgeCurve,
+    WeightedProblem,
+    solve_constrained_tikhonov,
+    solve_discrepancy,
+    solve_nnls,
+    weighted_residual,
+)
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150, database=None)
 
@@ -32,17 +40,68 @@ def tikhonov_problems(draw):
     return K, r, M @ M.T + np.eye(n), gamma
 
 
-@SETTINGS
-@given(tikhonov_problems())
-def test_constrained_tikhonov_kkt_certificate(problem):
-    K, r, R, gamma = problem
-    sol = solve_constrained_tikhonov(WeightedProblem(K, r, R, gamma))
+def assert_kkt_certificate(sol, K, r, R, gamma):
     scale = max(np.max(np.abs(K.T @ r)), 1e-30)
     grad = K.T @ (K @ sol.n - r) + gamma * (R @ sol.n)
     assert np.all(sol.n >= 0.0)
     assert np.all(sol.duals >= 0.0)
     assert np.max(np.abs(sol.n * sol.duals)) <= 1e-10 * max(scale, 1.0)
     assert np.linalg.norm(grad - sol.duals) <= 1e-8 * scale
+
+
+@SETTINGS
+@given(tikhonov_problems())
+def test_constrained_tikhonov_kkt_certificate(problem):
+    K, r, R, gamma = problem
+    sol = solve_constrained_tikhonov(WeightedProblem(K, r, R, gamma))
+    assert_kkt_certificate(sol, K, r, R, gamma)
+
+
+@st.composite
+def discrepancy_problems(draw):
+    """A well-posed K (a random block over a diagonal with entries >= 0.5),
+    data, a regularizer kind and a position in (0, 1) of the target between
+    the unregularized residual and the data norm."""
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 6))
+    block = draw(arrays(float, (m, n), elements=entries))
+    diag = draw(arrays(float, n, elements=st.floats(0.5, 5.0)))
+    K = np.vstack([block, np.diag(diag)])
+    r = draw(arrays(float, m + n, elements=entries))
+    kind = draw(st.sampled_from(REGULARIZER_KINDS))
+    position = draw(st.floats(0.01, 0.99))
+    return K, r, build_regularizer(kind, n).matrix, position
+
+
+def target_between(base, r, position):
+    r_norm_sq = float(r @ r)
+    hypothesis.assume(r_norm_sq - base > 1e-6 * r_norm_sq)
+    return base + position * (r_norm_sq - base)
+
+
+@SETTINGS
+@given(discrepancy_problems())
+def test_constrained_discrepancy_search_meets_any_admissible_target(problem):
+    K, r, R, position = problem
+    target = target_between(solve_nnls(K, r).residual_sq, r, position)
+    gamma, sol = solve_discrepancy(K, r, R, target)
+    assert abs(sol.residual_sq - target) <= _DISCREPANCY_RTOL * target
+    assert sol.residual_sq == weighted_residual(K, sol.n, r)
+    assert_kkt_certificate(sol, K, r, R, gamma)
+
+
+@SETTINGS
+@given(discrepancy_problems())
+def test_ridge_discrepancy_search_meets_any_admissible_target(problem):
+    K, r, R, position = problem
+    ls = np.linalg.lstsq(K, r, rcond=None)[0]
+    target = target_between(weighted_residual(K, ls, r), r, position)
+    gamma, n, res = RidgeCurve(K, r, R).discrepancy(target)
+    assert abs(res - target) <= _DISCREPANCY_RTOL * target
+    assert res == weighted_residual(K, n, r)
+    # the returned weights solve the normal equations at gamma
+    lhs = K.T @ (K @ n) + gamma * (R @ n)
+    assert np.linalg.norm(lhs - K.T @ r) <= 1e-8 * max(np.linalg.norm(K.T @ r), 1e-30)
 
 
 @SETTINGS

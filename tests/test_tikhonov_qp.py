@@ -309,3 +309,185 @@ class TestDiscrepancySearch:
         evaluate = lambda gamma: (1.0 if gamma < 1.0 else 3.0, None)
         with pytest.raises(RootFailure):
             _discrepancy_search(evaluate, 2.0)
+
+
+def brent_on_nnls(K, r, R, target, monkeypatch):
+    """``solve_discrepancy`` with the passive-set rounds switched off."""
+    import aeroinv.tikhonov_qp as qp
+
+    with monkeypatch.context() as m:
+        m.setattr(qp, "_PASSIVE_ROUNDS", 0)
+        return solve_discrepancy(K, r, R, target)
+
+
+def residual_slope(K, r, R, gamma, h=1e-3):
+    """d residual / d gamma of the constrained solution, by central difference."""
+    lo, hi = (
+        solve_constrained_tikhonov(WeightedProblem(K, r, R, gamma * f)).residual_sq
+        for f in (1.0 - h, 1.0 + h)
+    )
+    return (hi - lo) / (2.0 * h * gamma)
+
+
+class TestPassiveSetSearch:
+    """The constrained search on passive-set ridge curves and its fallback."""
+
+    def instance(self, seed, m=14, n=7):
+        rng = np.random.default_rng(seed)
+        K = np.abs(rng.normal(size=(m, n)))
+        n0 = np.where(rng.uniform(size=n) < 0.4, 0.0, rng.uniform(0.5, 2.0, n))
+        r = K @ n0 + 0.5 * rng.normal(size=m)
+        M = rng.normal(size=(n, n))
+        R = np.eye(n) if seed % 2 else M @ M.T + n * np.eye(n)
+        base = solve_nnls(K, r).residual_sq
+        return K, r, R, base + rng.uniform(0.1, 0.9) * (float(r @ r) - base)
+
+    def test_passive_and_brent_find_gamma_within_the_tolerance(self, monkeypatch):
+        import aeroinv.tikhonov_qp as qp
+
+        fallbacks = []
+        inner = qp._nnls_discrepancy_search
+        monkeypatch.setattr(
+            qp, "_nnls_discrepancy_search",
+            lambda *a: fallbacks.append(a) or inner(*a),
+        )
+        for seed in range(12):
+            K, r, R, target = self.instance(seed)
+            gamma, sol = solve_discrepancy(K, r, R, target)
+            assert fallbacks == []  # the passive-set rounds found it
+            gamma_b, sol_b = brent_on_nnls(K, r, R, target, monkeypatch)
+            assert len(fallbacks) == 1
+            fallbacks.clear()
+            tol = qp._DISCREPANCY_RTOL * target
+            for g, s in ((gamma, sol), (gamma_b, sol_b)):
+                assert abs(s.residual_sq - target) <= tol
+                check_kkt(s, K, r, R, g)
+            # both residuals lie within tol of the target, so the gammas may
+            # differ by at most 2 tol over the residual's slope
+            slope = residual_slope(K, r, R, gamma)
+            assert abs(gamma - gamma_b) <= 1.05 * 2.0 * tol / slope
+            assert sol.n == pytest.approx(sol_b.n, rel=1e-3, abs=1e-6)
+
+    def test_forced_fallback_is_the_brent_search(self, monkeypatch):
+        import aeroinv.tikhonov_qp as qp
+
+        K, r, R, target = self.instance(3)
+        searches = []
+        inner = qp._discrepancy_search
+        monkeypatch.setattr(
+            qp, "_discrepancy_search", lambda *a: searches.append(a) or inner(*a)
+        )
+        gamma, sol = brent_on_nnls(K, r, R, target, monkeypatch)
+        assert len(searches) == 1  # no ridge-curve root was searched for
+        hint = None
+
+        def evaluate(g):
+            nonlocal hint
+            s = solve_constrained_tikhonov(WeightedProblem(K, r, R, g), hint)
+            hint = s.n > 0.0
+            return s.residual_sq, s
+
+        gamma_ref, sol_ref, _ = inner(evaluate, target)
+        assert gamma == gamma_ref
+        assert np.array_equal(sol.n, sol_ref.n)
+        check_kkt(sol, K, r, R, gamma)
+
+    def test_typed_error_when_no_gamma_meets_the_target(self, monkeypatch):
+        import aeroinv.tikhonov_qp as qp
+        from aeroinv.errors import AeroinvError
+
+        K, r, R, target = self.instance(5)
+        # a residual that jumps over the target defeats both searches
+        monkeypatch.setattr(qp, "_PASSIVE_ROUNDS", 0)
+        monkeypatch.setattr(
+            qp, "solve_constrained_tikhonov",
+            lambda p, init_passive=None: QpSolution(
+                np.zeros(K.shape[1]), np.zeros(K.shape[1]),
+                0.0 if p.gamma < 1.0 else 2.0 * target, np.arange(0),
+            ),
+        )
+        with pytest.raises(AeroinvError):
+            solve_discrepancy(K, r, R, target, 0.0)
+
+
+class TestRidgeCurve:
+    def test_matches_the_normal_equations(self):
+        from aeroinv.tikhonov_qp import RidgeCurve
+
+        rng = np.random.default_rng(4)
+        K = rng.normal(size=(9, 5))
+        r = rng.normal(size=9)
+        M = rng.normal(size=(5, 5))
+        R = M @ M.T + np.eye(5)
+        curve = RidgeCurve(K, r, R)
+        for gamma in (1e-6, 1e-2, 1.0, 1e3):
+            direct = np.linalg.solve(K.T @ K + gamma * R, K.T @ r)
+            res, n = curve.evaluate(gamma)
+            assert n == pytest.approx(direct, rel=1e-9, abs=1e-12)
+            assert res == pytest.approx(weighted_residual(K, direct, r), rel=1e-12)
+            y = curve.coefficients(gamma)
+            assert float(y @ y) == pytest.approx(float(n @ R @ n), rel=1e-10)
+
+
+def degenerate_problems():
+    rng = np.random.default_rng(21)
+    K = np.abs(rng.normal(size=(8, 5)))
+    r = rng.normal(size=8)
+    yield "zero data", K, np.zeros(8), 0.0
+    yield "negative data", K, -np.abs(r), 0.0
+    zero_col = K.copy()
+    zero_col[:, 2] = 0.0
+    yield "zero column", zero_col, r, 0.0
+    yield "zero column, regularized", zero_col, r, 0.5
+    dup = np.vstack([K, K])
+    yield "duplicated rows", dup, np.concatenate([r, r]), 0.1
+    yield "huge gamma", K, r, 1e14
+    yield "tiny gamma", K, np.abs(r), 1e-14
+    wide = rng.normal(size=(3, 6))
+    yield "more variables than rows, regularized", wide, rng.normal(size=3), 1e-3
+
+
+class TestCompiledStart:
+    """The compiled NNLS start against the Gram loop started from scratch."""
+
+    def gram_only(self, K, r, R, gamma):
+        from aeroinv.tikhonov_qp import _dual_tol, _nnls_gram
+
+        G = K.T @ K + gamma * R
+        c = K.T @ r
+        return _nnls_gram(G, c, 10 * K.shape[1], _dual_tol(c))
+
+    def test_random_problems(self):
+        rng = np.random.default_rng(13)
+        for _ in range(60):
+            m, n = rng.integers(3, 15), rng.integers(1, 9)
+            K = rng.normal(size=(m, n))
+            r = rng.normal(size=m)
+            gamma = float(rng.choice([0.0, 1e-3, 0.1, 10.0]))
+            sol = solve_constrained_tikhonov(WeightedProblem(K, r, np.eye(n), gamma))
+            n_ref, _, passive = self.gram_only(K, r, np.eye(n), gamma)
+            assert np.array_equal(sol.active_set, np.flatnonzero(~passive))
+            assert np.max(np.abs(sol.n - n_ref), initial=0.0) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "name, K, r, gamma", list(degenerate_problems()),
+        ids=[p[0] for p in degenerate_problems()],
+    )
+    def test_degenerate_problems(self, name, K, r, gamma):
+        R = np.eye(K.shape[1])
+        sol = solve_constrained_tikhonov(WeightedProblem(K, r, R, gamma))
+        n_ref, _, passive = self.gram_only(K, r, R, gamma)
+        assert np.array_equal(sol.active_set, np.flatnonzero(~passive))
+        assert np.max(np.abs(sol.n - n_ref)) <= 1e-10
+        check_kkt(sol, K, r, R, gamma)
+
+    def test_iteration_cap_falls_back_to_the_gram_loop(self, monkeypatch):
+        import scipy.optimize
+
+        def capped(A, b):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr(scipy.optimize, "nnls", capped)
+        K, r, _ = TestTheoryProperties().consistent_instance(2)
+        sol = solve_constrained_tikhonov(WeightedProblem(K, r, np.eye(6), 0.3))
+        check_kkt(sol, K, r, np.eye(6), 0.3)
