@@ -334,29 +334,29 @@ def _write_report_csv(path: Path, report) -> None:
         writer = csv.writer(fh)
         writer.writerow(
             ["family", "method", "reg_kind", "avg_l2_pct", "worst_l2_pct",
-             "l2_failures", "no_model_failures", "avg_time_s", "worst_time_s",
-             "avg_dim", "runs"]
+             "l2_failures", "no_model_failures", "search_failures",
+             "avg_time_s", "worst_time_s", "avg_dim", "runs"]
         )
         for (fam, meth, reg), st in sorted(report.method_stats.items()):
             writer.writerow(
                 [fam, meth, reg, st.avg_l2, st.worst_l2, st.l2_failures,
-                 st.no_model_failures, st.avg_time, st.worst_time, st.avg_dim,
-                 st.runs]
+                 st.no_model_failures, st.search_failures, st.avg_time,
+                 st.worst_time, st.avg_dim, st.runs]
             )
         if report.fraction_stats:
             writer.writerow([])
             writer.writerow(
                 ["family", "reg_kind", "water_percent", "avg_l2_pct", "avg_dev_pct",
                  "worst_dev_pct", "l2_failures", "dev_failures",
-                 "no_model_failures", "avg_time_s", "worst_time_s", "avg_dim",
-                 "runs"]
+                 "no_model_failures", "search_failures", "avg_time_s",
+                 "worst_time_s", "avg_dim", "runs"]
             )
             for (fam, reg, _), st in sorted(report.fraction_stats.items()):
                 writer.writerow(
                     [fam, reg, st.water_percent, st.avg_l2, st.avg_dev,
                      st.worst_dev, st.l2_failures, st.dev_failures,
-                     st.no_model_failures, st.avg_time, st.worst_time,
-                     st.avg_dim, st.runs]
+                     st.no_model_failures, st.search_failures, st.avg_time,
+                     st.worst_time, st.avg_dim, st.runs]
                 )
 
 

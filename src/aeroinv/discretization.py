@@ -9,7 +9,7 @@ collocation nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,6 +65,7 @@ class KernelMatrix:
     wavelengths: np.ndarray
     collocation_grid: RadiusGrid
     fraction_label: float | None = None
+    _memo: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)
@@ -83,6 +84,18 @@ class KernelMatrix:
     @property
     def n_wavelengths(self) -> int:
         return self.entries.shape[0]
+
+    def memo(self, key, make):
+        """``make()``, computed once while ``key`` is the latest key asked for.
+
+        A one-entry memo compared by identity: it holds ``key`` itself, so
+        an id can never be reused while the entry lives.  Model selection
+        keeps a level's fits to one measurement here, shared by every method
+        that visits the level.
+        """
+        if not self._memo or self._memo[0] is not key:
+            self._memo[:] = [key, make()]
+        return self._memo[1]
 
 
 def build_collocation_grid(n_col: int, integration_grid: RadiusGrid) -> RadiusGrid:

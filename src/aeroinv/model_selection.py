@@ -4,16 +4,23 @@ Every method walks the collocation levels coarse to fine in one ladder walk
 and differs only in its per-level fit.  On each level the unregularized fit
 decides, together with the data norm, which residual targets from the
 safety-factor grid are attainable; each one yields a reconstruction whose
-parameter the shared search on log10 gamma (``tikhonov_qp``) sets by the
-discrepancy principle.  A level's fit prepares one per-target solver, so
-whatever the targets share is factored once per level.  Candidates from at
-most ``max_disc`` levels are ranked by their marginal likelihood.
+parameter the discrepancy principle sets (``tikhonov_qp``).  A level's fit
+receives all of the level's open targets and prepares one per-target solver,
+so whatever the targets share is factored once per level.  Candidates from
+at most ``max_disc`` levels are ranked by their marginal likelihood.
+
+What every method first computes on a level for a measurement (the weighted
+system, the admission NNLS residual and the least-squares fit) is computed
+once and shared: it lives in a one-entry memo on the level's
+``KernelMatrix``, keyed by the identity of the measurement, so every method
+that visits the level of a caching kernel builder reuses it.
 
 Fits: constrained (nonnegative fit, constrained Tikhonov, whose search
 roots passive-set ridge curves and falls back to Brent's method on NNLS
 solves) and its single-factor "morozov" variant; unconstrained (least
-squares, then one ridge curve per level, whose eigendecomposition also gives
-the Gaussian evidence in closed form); and BIC, which admits a level by the
+squares, then one ridge curve per level, whose closed-form Newton roots
+serve every open target at once and whose eigendecomposition also gives the
+Gaussian evidence in closed form); and BIC, which admits a level by the
 nonnegative fit and scores its least-squares fit.
 """
 
@@ -194,35 +201,57 @@ class ModelCandidate:
         return self.kernel.interior_dim
 
 
-def _weighted_system(kernel: KernelMatrix, meas: Measurement, scaling: NoiseScaling):
-    w = scaling.normalized_weights
-    return kernel.entries * w[:, None], meas.mean_extinction * w
+class _LevelFit:
+    """One level's fits to one measurement, shared by every method that
+    visits the level: the weighted system, and on first use the admission
+    NNLS residual and the least-squares fit.  All arrays are read-only."""
+
+    def __init__(self, kernel: KernelMatrix, meas: Measurement, scaling: NoiseScaling):
+        w = scaling.normalized_weights
+        self.sigma_normalized = scaling.sigma_normalized
+        self.delta_sq = scaling.delta_sq
+        self.K = kernel.entries * w[:, None]
+        self.r = meas.mean_extinction * w
+        self.K.setflags(write=False)
+        self.r.setflags(write=False)
+        self.data_norm_sq = float(np.sum(self.r**2))
+
+    def open_targets(self, base_res: float, tau_grid):
+        """(tau, target) pairs whose residual target tau * N_l * delta^2
+        lies strictly between the unregularized residual ``base_res`` and
+        the data norm."""
+        n_l = self.r.size
+        targets = [(float(tau), tau * n_l * self.delta_sq) for tau in tau_grid]
+        return [(tau, t) for tau, t in targets if base_res < t < self.data_norm_sq]
+
+    @functools.cached_property
+    def nnls_residual(self) -> float:
+        """Residual of the level's unregularized nonnegative fit."""
+        return solve_nnls(self.K, self.r).residual_sq
+
+    @functools.cached_property
+    def lstsq(self):
+        """The level's unconstrained least-squares fit and its residual."""
+        ls = np.linalg.lstsq(self.K, self.r, rcond=None)[0]
+        ls.setflags(write=False)
+        d = self.K @ ls - self.r
+        return ls, float(d @ d)
 
 
-def _nnls_residual(kernel, meas, scaling) -> float:
-    """Residual of the level's unregularized nonnegative fit."""
-    return solve_nnls(*_weighted_system(kernel, meas, scaling)).residual_sq
+def _level_fit(kernel: KernelMatrix, meas: Measurement, scaling: NoiseScaling):
+    """The level's fits to ``meas``, memoized on the kernel matrix while
+    ``meas`` is its latest measurement (``KernelMatrix.memo``), so a kernel
+    builder that caches its matrices shares them across methods.  A scaling
+    other than the measurement's own gets fits of its own."""
+    fit = kernel.memo(meas, lambda: _LevelFit(kernel, meas, scaling))
+    if fit.sigma_normalized is scaling.sigma_normalized or np.array_equal(
+        fit.sigma_normalized, scaling.sigma_normalized
+    ):
+        return fit
+    return _LevelFit(kernel, meas, scaling)
 
 
-def _lstsq_fit(kernel, meas, scaling):
-    """The level's unconstrained least-squares fit and its residual."""
-    K, r = _weighted_system(kernel, meas, scaling)
-    ls = np.linalg.lstsq(K, r, rcond=None)[0]
-    d = K @ ls - r
-    return ls, float(d @ d)
-
-
-def _open_targets(base_res, meas, scaling, tau_grid):
-    """(tau, target) pairs whose residual target tau * N_l * delta^2 lies
-    strictly between a level's unregularized residual and the data norm."""
-    w = scaling.normalized_weights
-    data_norm_sq = float(np.sum((meas.mean_extinction * w) ** 2))
-    n_l = meas.n_wavelengths
-    targets = [(float(tau), tau * n_l * scaling.delta_sq) for tau in tau_grid]
-    return [(tau, t) for tau, t in targets if base_res < t < data_norm_sq]
-
-
-def _constrained_fit(K, r, R, base_res):
+def _constrained_fit(K, r, R, base_res, targets):
     """Per-target constrained discrepancy solver for one level."""
 
     def solve(target_sq):
@@ -236,16 +265,16 @@ def _level_candidates(kernel, meas, scaling, tau_grid, reg_kind, base_res, fit):
     """Candidates for one discretization level (empty if none admissible).
 
     ``base_res`` is the level's unregularized residual, which decides the
-    admissible targets.  ``fit(K, r, R, base_res)`` is called once per level
-    with an admissible target and returns a solver that maps a target to
-    ``(gamma, weights, residual_sq)`` on the weighted system.
+    admissible targets.  ``fit(K, r, R, base_res, targets)`` is called once
+    per level with its admissible targets and returns a solver that maps
+    each of them to ``(gamma, weights, residual_sq)`` on the weighted system.
     """
-    targets = _open_targets(base_res, meas, scaling, tau_grid)
+    level = _level_fit(kernel, meas, scaling)
+    targets = level.open_targets(base_res, tau_grid)
     if not targets:
         return []
-    K, r = _weighted_system(kernel, meas, scaling)
     reg = build_regularizer(reg_kind, kernel.interior_dim)
-    solve = fit(K, r, reg.matrix, base_res)
+    solve = fit(level.K, level.r, reg.matrix, base_res, [t for _, t in targets])
     out = []
     for tau, target in targets:
         try:
@@ -309,7 +338,7 @@ def generate_models(
     def fit_level(kernel):
         return _level_candidates(
             kernel, meas, scaling, tau_grid, reg_kind,
-            _nnls_residual(kernel, meas, scaling), _constrained_fit,
+            _level_fit(kernel, meas, scaling).nnls_residual, _constrained_fit,
         )
 
     return _walk_ladder(meas, kernel_builder, ladder, fit_level, max_disc)
@@ -492,8 +521,8 @@ def _log_evidence_unconstrained(candidate, meas, scaling, curve=None):
     ratio is prod gamma / (lam + gamma); det V cancels.
     """
     if curve is None:
-        K, r = _weighted_system(candidate.kernel, meas, scaling)
-        curve = RidgeCurve(K, r, candidate.regularizer.matrix)
+        level = _level_fit(candidate.kernel, meas, scaling)
+        curve = RidgeCurve(level.K, level.r, candidate.regularizer.matrix)
     gamma = candidate.gamma
     res, _ = curve.evaluate(gamma)
     y = curve.coefficients(gamma)
@@ -519,13 +548,14 @@ def invert_unconstrained(
     def fit_level(kernel):
         curves = []  # the level's ridge curve, built once it has a target
 
-        def ridge_fit(K, r, R, base_res):
+        def ridge_fit(K, r, R, base_res, targets):
             curves.append(RidgeCurve(K, r, R))
-            return curves[0].discrepancy
+            roots = dict(zip(targets, curves[0].roots(targets)))
+            return lambda target: curves[0].discrepancy(target, roots[target])
 
         level = _level_candidates(
             kernel, meas, scaling, tau_grid, reg_kind,
-            _lstsq_fit(kernel, meas, scaling)[1], ridge_fit,
+            _level_fit(kernel, meas, scaling).lstsq[1], ridge_fit,
         )
         return [
             (c, _log_evidence_unconstrained(c, meas, scaling, curves[0]))
@@ -557,10 +587,10 @@ def bic_select(
     )
 
     def fit_level(kernel):
-        base_res = _nnls_residual(kernel, meas, scaling)
-        if not _open_targets(base_res, meas, scaling, tau_grid):
+        level = _level_fit(kernel, meas, scaling)
+        if not level.open_targets(level.nnls_residual, tau_grid):
             return []
-        ls, res = _lstsq_fit(kernel, meas, scaling)
+        ls, res = level.lstsq
         dim = kernel.interior_dim
         score = log_norm_const + res / scaling.delta_sq + dim * np.log(n_l)
         return [(float(score), dim, ls, res, kernel)]

@@ -356,7 +356,8 @@ class RunRecord:
     l2_error: float
     model_dim: int
     runtime: float
-    status: str  # success | l2_failure | fraction_failure | no_model_failure
+    # success | l2_failure | fraction_failure | no_model_failure | search_failure
+    status: str
     water_fraction: float | None = None
     retrieved_fraction: float | None = None
     fraction_dev: float | None = None
@@ -369,6 +370,7 @@ class MethodStats:
     worst_l2: float
     l2_failures: int
     no_model_failures: int
+    search_failures: int
     avg_time: float
     worst_time: float
     avg_dim: float
@@ -384,6 +386,7 @@ class FractionStats:
     l2_failures: int
     dev_failures: int
     no_model_failures: int
+    search_failures: int
     avg_time: float
     worst_time: float
     avg_dim: float
@@ -415,6 +418,7 @@ def _aggregate(records, by_fraction: bool = False) -> dict:
             avg_l2=float(l2.mean()),
             l2_failures=int(np.sum(l2 >= 100.0)),
             no_model_failures=sum(r.status == "no_model_failure" for r in rows),
+            search_failures=sum(r.status == "search_failure" for r in rows),
             avg_time=float(times.mean()),
             worst_time=float(times.max()),
             avg_dim=float(dims.mean()),
@@ -567,15 +571,19 @@ def _invert_one(
     p_true=None,
 ):
     """One study run; the mixture study's ``constrained2`` runs pass the true
-    water fraction ``p_true``, which adds the retrieved one to the record."""
+    water fraction ``p_true``, which adds the retrieved one to the record.
+    A run that finds no model, or whose discrepancy search fails to converge
+    (``RootFailure``), records the coarsest grid with zero weights."""
     t0 = time.perf_counter()
     status = "success"
     try:
         top = invert(meas, builder, method, reg_kind, config, mc_seed)[0]
         weights, grid, dim = top.weights, top.kernel.collocation_grid, top.dim
         p_recon = top.fraction
-    except NoModels:
-        status = "no_model_failure"
+    except (NoModels, RootFailure) as exc:
+        status = (
+            "no_model_failure" if isinstance(exc, NoModels) else "search_failure"
+        )
         grid = builder(3).collocation_grid
         weights, dim, p_recon = np.zeros(len(grid) - 2), 0, 0.5
     runtime = time.perf_counter() - t0

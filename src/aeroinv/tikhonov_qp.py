@@ -20,17 +20,22 @@ eigendecomposition K'K V = R V diag(lam), V'RV = I (Hansen 1998,
 Rank-Deficient and Discrete Ill-Posed Problems, ch. 2), after which
 n(gamma) = V z / (lam + gamma), z = V'K'r, and its residual cost
 O(N * N_lambda) per gamma.  It is computed in standard form, from the
-singular values and right singular vectors of K U^-1, so that K'K is never
-formed and the small eigenvalues keep their accuracy.
+singular values and singular vectors of K U^-1, so that K'K is never
+formed and the small eigenvalues keep their accuracy; the left singular
+vectors also give the residual in closed form (the secular equation).
 
 The discrepancy principle picks gamma so that the residual equals a target.
-The residual increases strictly with gamma, so one search serves every
-method: bracket the root by decades of log10 gamma, then Brent's method
-(Brent 1973, Algorithms for Minimization without Derivatives, ch. 4) on
-log10 gamma.  The unconstrained fit runs it on its ridge curve.  The
-constrained fit runs it on the ridge curve of a passive set P, starting
-with every variable free: if the root's solution is positive on P with
-nonnegative duals off P, the Gram loop certifies it at that gamma;
+The residual increases strictly with gamma.  On a ridge curve every target
+of a level is solved at once: the closed-form residual on a grid of log
+gamma brackets each root, and a vectorized, safeguarded Newton iteration on
+log gamma finishes inside the bracket.  The residual is then recomputed
+from n at each root and must meet the target within ``_DISCREPANCY_RTOL``;
+a root that fails this certificate falls back to the generic search:
+bracket the root by decades of log10 gamma, then Brent's method (Brent
+1973, Algorithms for Minimization without Derivatives, ch. 4) on log10
+gamma.  The constrained fit roots the ridge curve of a passive set P,
+starting with every variable free: if the root's solution is positive on P
+with nonnegative duals off P, the Gram loop certifies it at that gamma;
 otherwise one NNLS at that gamma supplies the next P.  When no round's
 solution meets the target within ``_PASSIVE_ROUNDS`` rounds, a curve cannot
 bracket the target or a round leaves P unchanged, the search falls back to
@@ -71,6 +76,14 @@ _LOG_GAMMA_CEILING = 12
 _DISCREPANCY_RTOL = 1e-6
 # passive-set rounds of the constrained search before the Brent fallback
 _PASSIVE_ROUNDS = 8
+# closed-form roots: the ln gamma grid (4 points per decade) that brackets
+# them, and the Newton iteration's relative residual tolerance and step cap
+_ROOT_GRID = np.log(10.0) * np.arange(
+    4 * _LOG_GAMMA_FLOOR, 4 * _LOG_GAMMA_CEILING + 1
+) / 4.0
+_ROOT_GRID.setflags(write=False)
+_NEWTON_RTOL = 1e-2 * _DISCREPANCY_RTOL
+_NEWTON_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -120,7 +133,7 @@ def _cholesky_upper(R: np.ndarray) -> np.ndarray:
 
 def _solve_passive(G: np.ndarray, c: np.ndarray, passive: np.ndarray) -> np.ndarray:
     idx = np.flatnonzero(passive)
-    sub = G[np.ix_(idx, idx)]
+    sub = G[idx[:, None], idx]
     try:
         s = np.linalg.solve(sub, c[idx])
     except np.linalg.LinAlgError:
@@ -262,16 +275,18 @@ class RidgeCurve:
     """Minimizers of ||K n - r||^2 + gamma n'Rn over all n, for every gamma.
 
     The generalized eigendecomposition K'K V = R V diag(lam), V'RV = I,
-    comes from the SVD K U^-1 = P diag(s) W' with R = U'U: lam = s^2 (and 0
+    comes from the SVD K U^-1 = Q diag(s) W' with R = U'U: lam = s^2 (and 0
     past the rank) and V = U^-1 W.  Then n(gamma) = V z / (lam + gamma) with
     z = V'K'r; ``evaluate(gamma)`` returns ``(residual_sq, n)`` with the
-    residual computed from n.
+    residual computed from n.  With b = Q'r the residual is also closed form,
+    res(gamma) = res_ls + sum (gamma / (s^2 + gamma))^2 b^2 with
+    res_ls = ||r - Q b||^2, which ``roots`` solves for gamma.
     """
 
     def __init__(self, K: np.ndarray, r: np.ndarray, R: np.ndarray):
         U = _cholesky_upper(R)
         K_std = scipy.linalg.solve_triangular(U, K.T, trans="T").T
-        _, s, Wt = scipy.linalg.svd(
+        Q, s, Wt = scipy.linalg.svd(
             K_std, full_matrices=K.shape[0] < K.shape[1], lapack_driver="gesvd"
         )
         self.K, self.r = K, r
@@ -279,6 +294,10 @@ class RidgeCurve:
         self.eigenvalues[: s.size] = s**2
         self.V = scipy.linalg.solve_triangular(U, Wt.T)
         self.z = self.V.T @ (K.T @ r)
+        b = Q.T @ r
+        d = r - Q @ b
+        self.residual_ls = float(d @ d)
+        self._lam, self._b_sq = self.eigenvalues[: s.size], b**2
 
     def coefficients(self, gamma: float) -> np.ndarray:
         """y = z / (lam + gamma), the solution in the eigenbasis; y'y = n'Rn."""
@@ -289,8 +308,61 @@ class RidgeCurve:
         d = self.K @ n - self.r
         return float(d @ d), n
 
-    def discrepancy(self, target_sq: float):
-        """``(gamma, n, residual_sq)`` with the residual at the target."""
+    def _secular(self, log_gamma: np.ndarray):
+        """Closed-form residual at each gamma = exp(log_gamma) and its
+        derivative with respect to log gamma."""
+        gamma = np.exp(log_gamma)[:, None]
+        lam = self._lam
+        phi = gamma / (lam + gamma)
+        terms = phi**2 * self._b_sq
+        slope = 2.0 * (terms * (lam / (lam + gamma))).sum(axis=1)
+        return self.residual_ls + terms.sum(axis=1), slope
+
+    def roots(self, targets) -> np.ndarray:
+        """The gamma whose closed-form residual meets each target, all at once.
+
+        The residual on ``_ROOT_GRID``, four points per decade from 1e-30 to
+        1e12, brackets each target between two grid points; safeguarded
+        Newton on log gamma then runs inside that bracket, bisecting
+        whenever a step leaves it.  A target the grid does not bracket, or
+        whose iteration has not converged to within ``_NEWTON_RTOL`` after
+        ``_NEWTON_STEPS`` steps, gets nan.
+        """
+        targets = np.asarray(targets, dtype=float)
+        ladder = np.maximum.accumulate(self._secular(_ROOT_GRID)[0])
+        j = np.clip(np.searchsorted(ladder, targets), 1, _ROOT_GRID.size - 1)
+        lo, hi = _ROOT_GRID[j - 1], _ROOT_GRID[j]
+        f_lo, f_hi = ladder[j - 1] - targets, ladder[j] - targets
+        bracketed = (f_lo < 0.0) & (f_hi >= 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(bracketed, lo - f_lo * (hi - lo) / (f_hi - f_lo), lo)
+            for _ in range(_NEWTON_STEPS):
+                res, slope = self._secular(t)
+                f = res - targets
+                done = np.abs(f) <= _NEWTON_RTOL * targets
+                if (done | ~bracketed).all():
+                    break
+                lo = np.where(f < 0.0, t, lo)
+                hi = np.where(f > 0.0, t, hi)
+                step = t - f / slope
+                inside = (step > lo) & (step < hi)
+                t = np.where(done, t, np.where(inside, step, 0.5 * (lo + hi)))
+        return np.where(bracketed & done, np.exp(t), np.nan)
+
+    def discrepancy(self, target_sq: float, gamma: float | None = None):
+        """``(gamma, n, residual_sq)`` with the residual at the target.
+
+        ``gamma`` is the target's entry of ``roots`` if already found.  The
+        residual is recomputed from n at the root; a root outside
+        ``_DISCREPANCY_RTOL`` of the target, or none, falls back to the
+        shared Brent search on this curve.
+        """
+        if gamma is None:
+            gamma = self.roots([target_sq])[0]
+        if np.isfinite(gamma):
+            res, n = self.evaluate(gamma)
+            if abs(res - target_sq) <= _DISCREPANCY_RTOL * target_sq:
+                return float(gamma), n, res
         return _discrepancy_search(self.evaluate, target_sq)
 
 

@@ -518,3 +518,132 @@ class TestChiSquareCalibration:
         mean = np.mean(values)
         se = np.sqrt(2.0 * n_l / draws)
         assert abs(mean - n_l) <= 3.0 * se
+
+
+class TestSharedLevelFits:
+    """Morozov, unconstrained and BIC on one family and one measurement fit
+    each visited level once: one admission NNLS and one least-squares fit."""
+
+    @pytest.fixture(scope="class")
+    def study_inputs(self):
+        from aeroinv.optics import get_material, make_kernel
+        from aeroinv.simulation_study import (
+            forward_extinctions,
+            integration_grid,
+            kernel_rows,
+            parameter_grid,
+            simulate_measurement,
+            study_wavelengths,
+        )
+
+        wl, igrid = study_wavelengths(), integration_grid()
+        rows = kernel_rows(
+            make_kernel(get_material("h2o"), get_material("air")), wl, igrid
+        )
+        dist = parameter_grid("rrsb")[44]
+        e_true = forward_extinctions(dist, None, wl, grid=igrid, rows=rows)
+        meas = simulate_measurement(wl, e_true, 0.30, 300, rng=17)
+        return rows, wl, igrid, meas
+
+    @staticmethod
+    def family(study_inputs):
+        from aeroinv.simulation_study import KernelLevelCache
+
+        rows, wl, igrid, _ = study_inputs
+        return KernelLevelCache(rows, wl, igrid)
+
+    @staticmethod
+    def classical(meas, builders):
+        from aeroinv.model_selection import invert_morozov
+
+        morozov, unconstrained, bic = builders
+        return (
+            invert_morozov(meas, morozov),
+            invert_unconstrained(meas, unconstrained),
+            [bic_select(meas, bic)[0]],
+        )
+
+    @staticmethod
+    def counted(monkeypatch):
+        """Per-level (model dimension) counts of the admission NNLS and of
+        the least-squares fits."""
+        import aeroinv.model_selection as ms
+
+        counts = {"nnls": {}, "lstsq": {}}
+
+        def counting(name, inner):
+            def call(K, r, *args, **kwargs):
+                dim = np.shape(K)[1]
+                counts[name][dim] = counts[name].get(dim, 0) + 1
+                return inner(K, r, *args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(ms, "solve_nnls", counting("nnls", ms.solve_nnls))
+        monkeypatch.setattr(
+            ms.np.linalg, "lstsq", counting("lstsq", ms.np.linalg.lstsq)
+        )
+        return counts
+
+    @staticmethod
+    def visiting(builder, visited):
+        def build(n_col):
+            visited.add(n_col - 2)
+            return builder(n_col)
+
+        return build
+
+    def assert_same(self, results, expected):
+        for ranked, ranked_ref in zip(results, expected):
+            assert len(ranked) == len(ranked_ref)
+            for c, ref in zip(ranked, ranked_ref):
+                assert (c.dim, c.tau, c.gamma) == (ref.dim, ref.tau, ref.gamma)
+                assert c.residual_sq == ref.residual_sq
+                assert c.log_marginal == ref.log_marginal
+                assert np.array_equal(c.weights, ref.weights)
+
+    def test_each_level_is_fitted_once(self, study_inputs, monkeypatch):
+        meas = study_inputs[3]
+        family = self.family(study_inputs)
+        visited = [set(), set(), set()]
+        counts = self.counted(monkeypatch)
+        results = self.classical(
+            meas, [self.visiting(family, v) for v in visited]
+        )
+        morozov, unconstrained, bic = visited
+        assert counts["nnls"] == {dim: 1 for dim in morozov | bic}
+        assert counts["lstsq"] == {dim: 1 for dim in unconstrained | bic}
+        # BIC admits every level Morozov visits, so it reuses their NNLS
+        assert morozov <= bic and len(bic) > len(morozov)
+        monkeypatch.undo()
+        expected = self.classical(
+            meas, [self.family(study_inputs) for _ in range(3)]
+        )
+        self.assert_same(results, expected)
+
+    def test_a_new_measurement_gets_fresh_fits(self, study_inputs, monkeypatch):
+        meas = study_inputs[3]
+        family = self.family(study_inputs)
+        first = self.classical(meas, [family] * 3)
+        twin = Measurement(
+            meas.wavelengths, meas.mean_extinction, meas.variance, meas.repeats
+        )
+        counts = self.counted(monkeypatch)
+        second = self.classical(twin, [family] * 3)
+        assert counts["nnls"] and counts["lstsq"]
+        assert set(counts["nnls"].values()) == {1}
+        self.assert_same(second, first)
+
+    def test_fresh_matrices_share_nothing(self, study_inputs, monkeypatch):
+        meas = study_inputs[3]
+        family = self.family(study_inputs)
+        fresh = lambda n_col: KernelMatrix(
+            family(n_col).entries, family.wavelengths,
+            family(n_col).collocation_grid,
+        )
+        counts = self.counted(monkeypatch)
+        results = self.classical(meas, [fresh] * 3)
+        assert max(counts["nnls"].values()) == 2  # Morozov's levels, again in BIC
+        monkeypatch.undo()
+        expected = self.classical(meas, [self.family(study_inputs)] * 3)
+        self.assert_same(results, expected)

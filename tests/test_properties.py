@@ -161,3 +161,96 @@ def test_measurement_file_round_trip_bit_exact(tmp_path_factory, meas):
     for field in ("wavelengths", "mean_extinction", "variance"):
         assert getattr(back, field).tobytes() == getattr(meas, field).tobytes()
     assert back.repeats == meas.repeats
+
+
+@st.composite
+def ridge_curves(draw):
+    """K = P diag(s) W' from random orthogonal factors, in three kinds:
+    well-conditioned (s in [0.5, 2]), ill-conditioned (s from 1e-8 to 1)
+    and rank-deficient (fewer rows than columns); then data, a regularizer
+    kind and three increasing target positions."""
+    kind = draw(st.sampled_from(("well", "ill", "rank_deficient")))
+    n = draw(st.integers(2, 8))
+    m = draw(st.integers(1, n - 1)) if kind == "rank_deficient" else n + draw(
+        st.integers(0, 6)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    P = np.linalg.qr(rng.normal(size=(m, m)))[0]
+    W = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    k = min(m, n)
+    if kind == "ill":
+        s = np.logspace(-8.0, 0.0, k)
+    else:
+        s = rng.uniform(0.5, 2.0, k)
+    K = P[:, :k] @ np.diag(s) @ W[:, :k].T
+    r = rng.normal(size=m)
+    reg = draw(st.sampled_from(REGULARIZER_KINDS))
+    positions = [draw(st.floats(lo, lo + 0.3)) for lo in (0.01, 0.35, 0.69)]
+    hypothesis.event(kind)
+    return K, r, build_regularizer(reg, n).matrix, positions
+
+
+def ridge_targets(curve, r, positions):
+    r_norm_sq = float(r @ r)
+    hypothesis.assume(r_norm_sq - curve.residual_ls > 1e-6 * r_norm_sq)
+    return [
+        curve.residual_ls + p * (r_norm_sq - curve.residual_ls) for p in positions
+    ]
+
+
+@SETTINGS
+@given(ridge_curves())
+def test_closed_form_roots_meet_their_targets_in_order(problem):
+    K, r, R, positions = problem
+    curve = RidgeCurve(K, r, R)
+    targets = ridge_targets(curve, r, positions)
+    gammas = curve.roots(targets)
+    assert np.all(np.isfinite(gammas))
+    assert np.all(np.diff(gammas) > 0.0)  # a larger target needs a larger gamma
+    for target, root in zip(targets, gammas):
+        gamma, n, res = curve.discrepancy(target, root)
+        assert gamma == root  # the root passed its certificate
+        assert abs(res - target) <= _DISCREPANCY_RTOL * target
+        assert res == weighted_residual(K, n, r)
+
+
+@SETTINGS
+@given(ridge_curves())
+def test_closed_form_roots_agree_with_the_brent_search(problem):
+    from aeroinv.tikhonov_qp import _discrepancy_search
+
+    K, r, R, positions = problem
+    curve = RidgeCurve(K, r, R)
+    targets = ridge_targets(curve, r, positions)
+    for target, root in zip(targets, curve.roots(targets)):
+        gamma_b, n_b, res_b = _discrepancy_search(curve.evaluate, target)
+        tol = _DISCREPANCY_RTOL * target
+        assert abs(res_b - target) <= tol
+        assert abs(curve.evaluate(root)[0] - target) <= tol
+        # both roots lie in the tolerance band, so they differ by at most
+        # its width, 2 tol over the residual's slope d res / d gamma
+        _, slope = curve._secular(np.log([min(root, gamma_b), max(root, gamma_b)]))
+        width = 2.0 * tol / (np.min(slope) / max(root, gamma_b))
+        assert abs(root - gamma_b) <= 1.05 * width
+
+
+@SETTINGS
+@given(ridge_curves(), st.floats(0.01, 0.99), st.booleans())
+def test_targets_outside_the_window_raise(problem, shift, below):
+    from aeroinv.errors import BracketFailure, TargetOutOfRange
+
+    K, r, R, _ = problem
+    curve = RidgeCurve(K, r, R)
+    r_norm_sq = float(r @ r)
+    if below:
+        hypothesis.assume(curve.residual_ls > 1e-6 * r_norm_sq)
+        target = (1.0 - shift) * curve.residual_ls
+    else:
+        target = (1.0 + shift) * r_norm_sq
+    assert np.isnan(curve.roots([target])[0])
+    with pytest.raises((TargetOutOfRange, BracketFailure)):
+        curve.discrepancy(target)
+    base = solve_nnls(K, r).residual_sq
+    if not base < target < r_norm_sq:
+        with pytest.raises((TargetOutOfRange, BracketFailure)):
+            solve_discrepancy(K, r, R, target, base)

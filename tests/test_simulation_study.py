@@ -265,3 +265,33 @@ class TestNoModelRecords:
         else:
             assert rec.retrieved_fraction == 0.5
             assert rec.fraction_dev == pytest.approx(30.0)
+
+
+def test_root_failure_becomes_a_search_failure_record(monkeypatch):
+    import aeroinv.simulation_study as study
+    from aeroinv.errors import RootFailure
+
+    inner = study.invert
+
+    def failing_morozov(meas, forward, method, *args):
+        if method == "morozov":
+            raise RootFailure("discrepancy search did not converge")
+        return inner(meas, forward, method, *args)
+
+    monkeypatch.setattr(study, "invert", failing_morozov)
+    config = reduced_config(
+        methods=("morozov", "unconstrained", "bic"), parameter_indices=(0, 44),
+        repeats_per_parameter=1,
+    )
+    report = run_study(config)
+    assert len(report.records) == 18
+    for rec in report.records:
+        if rec.method == "morozov":
+            assert rec.status == "search_failure"
+            assert rec.model_dim == 0
+            assert rec.l2_error == pytest.approx(100.0)
+        else:
+            assert rec.status in ("success", "l2_failure")
+    for (_, method, _), stats in report.method_stats.items():
+        assert stats.search_failures == (2 if method == "morozov" else 0)
+        assert stats.no_model_failures == 0
