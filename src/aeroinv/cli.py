@@ -20,7 +20,7 @@ import numpy as np
 from . import simulation_study as study
 from .discretization import evaluate_distribution
 from .errors import AeroinvError, NoModels, UsageError
-from .model_selection import Measurement, NoiseScaling
+from .model_selection import Measurement, NoiseScaling, top_within_noise
 from .optics import get_material, mixed_kernel_rows
 from .two_component import scan_fractions
 
@@ -295,6 +295,7 @@ def _inversion_record(ranked, meas, elapsed, method) -> dict:
             "n_wavelengths": int(meas.n_wavelengths),
             "residual_sq": [float(c.residual_sq) for c in ranked],
             "log_marginal_se": [d["log_marginal_se"] for d in candidates],
+            "top_within_noise": top_within_noise(ranked),
             "elapsed_s": float(elapsed),
         },
         "method": method,

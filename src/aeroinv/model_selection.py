@@ -4,24 +4,25 @@ Every method walks the collocation levels coarse to fine in one ladder walk
 and differs only in its per-level fit.  On each level the unregularized fit
 decides, together with the data norm, which residual targets from the
 safety-factor grid are attainable; each one yields a reconstruction whose
-parameter the discrepancy principle sets (``tikhonov_qp``).  A level's fit
-receives all of the level's open targets and prepares one per-target solver,
-so whatever the targets share is factored once per level.  Candidates from
-at most ``max_disc`` levels are ranked by their marginal likelihood.
+parameter the discrepancy principle sets (``tikhonov_qp``).  The level's
+ridge curve roots all of its open targets in one call, and the per-target
+fit starts from that root.  Candidates from at most ``max_disc`` levels are
+ranked by their marginal likelihood.
 
 What every method first computes on a level for a measurement (the weighted
-system, the admission NNLS residual and the least-squares fit) is computed
+system, the admission NNLS residual, the least-squares fit and, per
+regularizer kind, the ridge curve with every variable free) is computed
 once and shared: it lives in a one-entry memo on the level's
 ``KernelMatrix``, keyed by the identity of the measurement, so every method
 that visits the level of a caching kernel builder reuses it.
 
 Fits: constrained (nonnegative fit, constrained Tikhonov, whose search
-roots passive-set ridge curves and falls back to Brent's method on NNLS
-solves) and its single-factor "morozov" variant; unconstrained (least
-squares, then one ridge curve per level, whose closed-form Newton roots
-serve every open target at once and whose eigendecomposition also gives the
-Gaussian evidence in closed form); and BIC, which admits a level by the
-nonnegative fit and scores its least-squares fit.
+starts on the level's ridge curve, goes on to passive-set ridge curves and
+falls back to Brent's method on NNLS solves) and its single-factor
+"morozov" variant; unconstrained (least squares, then the level's ridge
+curve, whose eigendecomposition also gives the Gaussian evidence in closed
+form); and BIC, which admits a level by the nonnegative fit and scores its
+least-squares fit.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ __all__ = [
     "prior_normalizer",
     "log_marginal_likelihood",
     "select_models",
+    "top_within_noise",
     "invert_constrained",
     "invert_morozov",
     "invert_unconstrained",
@@ -204,7 +206,8 @@ class ModelCandidate:
 class _LevelFit:
     """One level's fits to one measurement, shared by every method that
     visits the level: the weighted system, and on first use the admission
-    NNLS residual and the least-squares fit.  All arrays are read-only."""
+    NNLS residual, the least-squares fit and, per regularizer kind, the
+    ridge curve.  All arrays are read-only."""
 
     def __init__(self, kernel: KernelMatrix, meas: Measurement, scaling: NoiseScaling):
         w = scaling.normalized_weights
@@ -215,6 +218,7 @@ class _LevelFit:
         self.K.setflags(write=False)
         self.r.setflags(write=False)
         self.data_norm_sq = float(np.sum(self.r**2))
+        self._curves = {}  # regularizer kind -> RidgeCurve
 
     def open_targets(self, base_res: float, tau_grid):
         """(tau, target) pairs whose residual target tau * N_l * delta^2
@@ -237,6 +241,14 @@ class _LevelFit:
         d = self.K @ ls - self.r
         return ls, float(d @ d)
 
+    def ridge_curve(self, kind: str) -> RidgeCurve:
+        """The level's ridge curve under the ``kind`` regularizer with every
+        variable free, built on first use per kind."""
+        if kind not in self._curves:
+            R = build_regularizer(kind, self.K.shape[1]).matrix
+            self._curves[kind] = RidgeCurve(self.K, self.r, R)
+        return self._curves[kind]
+
 
 def _level_fit(kernel: KernelMatrix, meas: Measurement, scaling: NoiseScaling):
     """The level's fits to ``meas``, memoized on the kernel matrix while
@@ -251,34 +263,40 @@ def _level_fit(kernel: KernelMatrix, meas: Measurement, scaling: NoiseScaling):
     return _LevelFit(kernel, meas, scaling)
 
 
-def _constrained_fit(K, r, R, base_res, targets):
-    """Per-target constrained discrepancy solver for one level."""
+def _constrained_fit(level, reg, base_res, target_sq, root):
+    """Constrained discrepancy solve whose passive-set search starts from
+    the level's ridge curve and its ``root`` at the target."""
+    gamma, sol = solve_discrepancy(
+        level.K, level.r, reg.matrix, target_sq, base_res,
+        curve=level.ridge_curve(reg.kind), gamma=root,
+    )
+    return gamma, sol.n, sol.residual_sq
 
-    def solve(target_sq):
-        gamma, sol = solve_discrepancy(K, r, R, target_sq, base_res)
-        return gamma, sol.n, sol.residual_sq
 
-    return solve
+def _ridge_fit(level, reg, base_res, target_sq, root):
+    """Unconstrained discrepancy solution on the level's ridge curve."""
+    return level.ridge_curve(reg.kind).discrepancy(target_sq, root)
 
 
 def _level_candidates(kernel, meas, scaling, tau_grid, reg_kind, base_res, fit):
     """Candidates for one discretization level (empty if none admissible).
 
     ``base_res`` is the level's unregularized residual, which decides the
-    admissible targets.  ``fit(K, r, R, base_res, targets)`` is called once
-    per level with its admissible targets and returns a solver that maps
-    each of them to ``(gamma, weights, residual_sq)`` on the weighted system.
+    admissible targets.  The level's ridge curve (``_LevelFit.ridge_curve``)
+    roots all of them in one call; ``fit(level, reg, base_res, target,
+    root)`` then maps each target and its root to ``(gamma, weights,
+    residual_sq)`` on the weighted system.
     """
     level = _level_fit(kernel, meas, scaling)
     targets = level.open_targets(base_res, tau_grid)
     if not targets:
         return []
     reg = build_regularizer(reg_kind, kernel.interior_dim)
-    solve = fit(level.K, level.r, reg.matrix, base_res, [t for _, t in targets])
+    roots = level.ridge_curve(reg_kind).roots([t for _, t in targets])
     out = []
-    for tau, target in targets:
+    for (tau, target), root in zip(targets, roots):
         try:
-            gamma, weights, res = solve(target)
+            gamma, weights, res = fit(level, reg, base_res, target, root)
         except (TargetOutOfRange, BracketFailure):
             continue
         out.append(
@@ -376,12 +394,19 @@ def _log_prior_orthant_probability(kind: str, N: int) -> tuple[float, float, int
     its relative standard error and sample count.
 
     The probability does not depend on the scale of R, so it is computed
-    once per (kind, N): exactly for the diagonal ``tikhonov`` stencil, by
-    the orthant estimator at a fixed seed otherwise.  The fixed seed makes
-    the cached value independent of which caller filled the cache.
+    once per (kind, N).  It is exact for two kinds: 2^-N for the diagonal
+    ``tikhonov`` stencil, and 1/(N+1) for ``first_diff``, whose R = D'D (D
+    the zero-padded forward difference) is the precision of a Gaussian
+    random-walk bridge pinned at 0 at both ends; its N+1 increments are
+    exchangeable, so by the cycle lemma exactly one of their N+1 cyclic
+    shifts keeps every partial sum positive (Spitzer 1956, Trans. AMS 82,
+    323).  ``twomey`` uses the orthant estimator at a fixed seed, which
+    makes the cached value independent of which caller filled the cache.
     """
     if kind == "tikhonov":
         return -N * np.log(2.0), 0.0, 0
+    if kind == "first_diff":
+        return -np.log(N + 1.0), 0.0, 0
     est = log_orthant_probability(
         build_regularizer(kind, N).matrix, np.zeros(N), _PRIOR_SAMPLES, _PRIOR_SEED
     )
@@ -455,6 +480,23 @@ def _rank(candidates, log_marginals):
     return enriched
 
 
+def top_within_noise(ranked) -> bool | None:
+    """Whether the top candidate's log-evidence lead over the runner-up is
+    at most two combined standard errors, 2 sqrt(se_1^2 + se_2^2), so that
+    the Monte Carlo noise could have swapped them.  None with fewer than two
+    candidates or when either standard error is unknown.  The ranking is
+    not changed.
+    """
+    if len(ranked) < 2:
+        return None
+    first, second = ranked[0], ranked[1]
+    if first.log_marginal_se is None or second.log_marginal_se is None:
+        return None
+    lead = first.log_marginal - second.log_marginal
+    noise = np.hypot(first.log_marginal_se, second.log_marginal_se)
+    return bool(lead <= 2.0 * noise)
+
+
 def select_models(
     candidates,
     meas: Measurement,
@@ -511,22 +553,21 @@ def invert_morozov(
     return [dataclasses.replace(candidates[0], posterior=1.0)]
 
 
-def _log_evidence_unconstrained(candidate, meas, scaling, curve=None):
+def _log_evidence_unconstrained(candidate, meas, scaling):
     """Closed-form Gaussian evidence (no orthant restriction).
 
     On the weighted system the statistical precision is
-    (K'K + gamma R) / delta^2, so the level's ridge curve (built here unless
-    given) diagonalizes it: with y its coefficients at gamma, the misfit is
-    (residual + gamma y'y) / delta^2 and the prior-to-posterior determinant
+    (K'K + gamma R) / delta^2, so the level's shared ridge curve
+    diagonalizes it: with y its coefficients at gamma, the misfit is
+    (residual + gamma y'y) / delta^2, with the residual the candidate's own
+    (its ridge solution at gamma), and the prior-to-posterior determinant
     ratio is prod gamma / (lam + gamma); det V cancels.
     """
-    if curve is None:
-        level = _level_fit(candidate.kernel, meas, scaling)
-        curve = RidgeCurve(level.K, level.r, candidate.regularizer.matrix)
+    level = _level_fit(candidate.kernel, meas, scaling)
+    curve = level.ridge_curve(candidate.regularizer.kind)
     gamma = candidate.gamma
-    res, _ = curve.evaluate(gamma)
     y = curve.coefficients(gamma)
-    misfit = (res + gamma * float(y @ y)) / scaling.delta_sq
+    misfit = (candidate.residual_sq + gamma * float(y @ y)) / scaling.delta_sq
     log_det_ratio = -float(np.sum(np.log1p(curve.eigenvalues / gamma)))
     return (
         -0.5 * misfit + 0.5 * log_det_ratio
@@ -546,21 +587,11 @@ def invert_unconstrained(
     scaling = NoiseScaling.from_measurement(meas)
 
     def fit_level(kernel):
-        curves = []  # the level's ridge curve, built once it has a target
-
-        def ridge_fit(K, r, R, base_res, targets):
-            curves.append(RidgeCurve(K, r, R))
-            roots = dict(zip(targets, curves[0].roots(targets)))
-            return lambda target: curves[0].discrepancy(target, roots[target])
-
         level = _level_candidates(
             kernel, meas, scaling, tau_grid, reg_kind,
-            _level_fit(kernel, meas, scaling).lstsq[1], ridge_fit,
+            _level_fit(kernel, meas, scaling).lstsq[1], _ridge_fit,
         )
-        return [
-            (c, _log_evidence_unconstrained(c, meas, scaling, curves[0]))
-            for c in level
-        ]
+        return [(c, _log_evidence_unconstrained(c, meas, scaling)) for c in level]
 
     scored = _walk_ladder(meas, kernel_builder, ladder, fit_level, max_disc)
     return _rank([c for c, _ in scored], [lm for _, lm in scored])

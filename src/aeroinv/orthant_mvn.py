@@ -4,9 +4,12 @@ Probabilities are computed with the sequential-conditioning transform to the
 unit cube (Genz 1992), after Genz–Bretz variable priority reordering (Genz &
 Bretz 2009, sec. 4.1.3): the variable with the smallest conditional tail
 probability is conditioned first.  Points are randomly shifted square-root
-lattice points.  All accumulation happens in log space so that strongly
-shifted orthants and large normalizing prefactors cannot under- or overflow;
-the relative error comes from the spread of the per-shift log estimates.
+lattice points, wrapped into the unit cube by x - floor(x) (x mod 1,
+exactly, for x >= 0).  All accumulation happens in log space so that
+strongly shifted orthants and large normalizing prefactors cannot under- or
+overflow; the log-space means use the module's own ``_logsumexp``, which
+repeats scipy's arithmetic bit for bit without its array-API dispatch.  The
+relative error comes from the spread of the per-shift log estimates.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.special import log_ndtr, logsumexp, ndtri_exp
+from scipy.special import log_ndtr, ndtri_exp
 
 from .errors import CholeskyFailure
 
@@ -136,6 +139,29 @@ def _priority_cholesky(cov: np.ndarray, lower: np.ndarray):
     return L, a
 
 
+def _logsumexp(a: np.ndarray, axis=None):
+    """log(sum(exp(a))) over ``axis``, bit for bit as
+    ``scipy.special.logsumexp`` computes it for real, unweighted input,
+    without its array-API dispatch.
+
+    The maxima (all ties) are taken out of the sum: with m of them at a_max,
+    the result is log1p(s / m) + log(m) + a_max, s the sum of exp(a - a_max)
+    over the rest.  Where that is not finite (an all -inf or an inf row),
+    the direct log(sum(exp(a))) is the result.
+    """
+    a_max = np.max(a, axis=axis, keepdims=True)
+    is_max = a == a_max
+    m = np.sum(is_max, axis=axis, keepdims=True, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rest = np.exp(np.where(is_max, -np.inf, a) - a_max)
+        s = np.sum(rest, axis=axis, keepdims=True)
+        out = np.log1p(s / m) + np.log(m) + a_max
+        if not np.isfinite(out).all():
+            direct = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))
+            out = np.where(np.isfinite(out), out, direct)
+    return np.squeeze(out, axis=axis)[()]
+
+
 def _log_orthant_prob_samples(L: np.ndarray, lower: np.ndarray, w: np.ndarray):
     """Per-sample log weights of P(Z >= lower), Z ~ N(0, L L')."""
     dim = L.shape[0]
@@ -175,12 +201,13 @@ def _log_probability(cov, lower, samples: int, seed: int):
     shift_logs = np.empty(_N_SHIFTS)
     for start in range(0, _N_SHIFTS, per_batch):
         block = shifts[start : start + per_batch]
-        w = np.mod(lattice[None, :, :] + block[:, None, :], 1.0)
+        w = lattice[None, :, :] + block[:, None, :]
+        w -= np.floor(w)  # the lattice wrap: x mod 1, exactly, for x >= 0
         logf = _log_orthant_prob_samples(L, a, w.reshape(len(block) * n_pts, n_w))
-        shift_logs[start : start + len(block)] = logsumexp(
+        shift_logs[start : start + len(block)] = _logsumexp(
             logf.reshape(len(block), n_pts), axis=1
         ) - np.log(n_pts)
-    log_value = float(logsumexp(shift_logs) - np.log(_N_SHIFTS))
+    log_value = float(_logsumexp(shift_logs) - np.log(_N_SHIFTS))
     if not np.isfinite(log_value):
         return log_value, np.inf, n_pts * _N_SHIFTS
     ratios = np.exp(shift_logs - log_value)

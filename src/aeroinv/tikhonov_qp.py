@@ -39,7 +39,11 @@ with nonnegative duals off P, the Gram loop certifies it at that gamma;
 otherwise one NNLS at that gamma supplies the next P.  When no round's
 solution meets the target within ``_PASSIVE_ROUNDS`` rounds, a curve cannot
 bracket the target or a round leaves P unchanged, the search falls back to
-Brent's method with one warm-started NNLS per evaluation.
+Brent's method with one warm-started NNLS per evaluation.  The all-free
+curve of round one depends only on (K, r, R), so a caller that searches
+several targets on one system builds it once, roots every target with one
+``RidgeCurve.roots`` call and passes the curve and each root to
+``solve_discrepancy``.
 """
 
 from __future__ import annotations
@@ -366,7 +370,9 @@ class RidgeCurve:
         return _discrepancy_search(self.evaluate, target_sq)
 
 
-def solve_discrepancy(K, r, R, target_sq: float, base_residual_sq=None):
+def solve_discrepancy(
+    K, r, R, target_sq: float, base_residual_sq=None, *, curve=None, gamma=None
+):
     """Find gamma whose constrained solution has residual equal to target_sq.
 
     Valid targets lie strictly between the unregularized residual and
@@ -376,7 +382,10 @@ def solve_discrepancy(K, r, R, target_sq: float, base_residual_sq=None):
     has it; otherwise it is solved for here.  The search runs on the ridge
     curve of a passive set, updated by one NNLS per round (see the module
     docstring), and falls back to Brent's method on warm-started NNLS
-    solves.  Returns ``(gamma, QpSolution)``.
+    solves.  Round one frees every variable: ``curve`` is that all-passive
+    ``RidgeCurve(K, r, R)`` and ``gamma`` its entry of ``curve.roots`` for
+    this target, if the caller shares them across targets; otherwise round
+    one builds and roots its own.  Returns ``(gamma, QpSolution)``.
     """
     K = np.asarray(K, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -388,26 +397,28 @@ def solve_discrepancy(K, r, R, target_sq: float, base_residual_sq=None):
             f"target {target_sq} outside attainable range "
             f"({base_residual_sq}, {r_norm_sq})"
         )
-    found = _passive_set_search(K, r, R, target_sq)
+    found = _passive_set_search(K, r, R, target_sq, curve, gamma)
     if found is not None:
         return found
     return _nnls_discrepancy_search(K, r, R, target_sq)
 
 
-def _passive_set_search(K, r, R, target_sq: float):
+def _passive_set_search(K, r, R, target_sq: float, curve=None, gamma=None):
     """``(gamma, QpSolution)`` from at most ``_PASSIVE_ROUNDS`` ridge-curve
-    roots on passive sets, or None if no round met the target."""
+    roots on passive sets, or None if no round met the target.  Round one
+    uses ``curve`` (with its root ``gamma``) when given."""
     N = K.shape[1]
     dual_tol = _dual_tol(K.T @ r)
     passive = np.ones(N, dtype=bool)
     for _ in range(_PASSIVE_ROUNDS):
         idx = np.flatnonzero(passive)
+        if curve is None:
+            curve, gamma = RidgeCurve(K[:, idx], r, R[np.ix_(idx, idx)]), None
         try:
-            gamma, n_p, _ = RidgeCurve(
-                K[:, idx], r, R[np.ix_(idx, idx)]
-            ).discrepancy(target_sq)
+            gamma, n_p, _ = curve.discrepancy(target_sq, gamma)
         except (BracketFailure, RootFailure):
             return None
+        curve = None
         n = np.zeros(N)
         n[idx] = n_p
         grad = K.T @ (K @ n - r) + gamma * (R @ n)

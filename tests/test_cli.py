@@ -328,6 +328,27 @@ class TestEvidenceErrorOutput:
         assert all(e is None for e in record["diagnostics"]["log_marginal_se"])
 
 
+    def test_top_within_noise_flag(self, measurement_file, tmp_path):
+        records = {}
+        for method in ("constrained", "unconstrained"):
+            out = tmp_path / f"{method}.json"
+            code = main(
+                ["invert", "--measurement", str(measurement_file), "--out",
+                 str(out), "--method", method, "--mc-samples", "3000"]
+            )
+            assert code == 0
+            records[method] = json.loads(out.read_text())
+        record = records["constrained"]
+        flag = record["diagnostics"]["top_within_noise"]
+        first, second = record["candidates"][:2]
+        lead = first["log_marginal"] - second["log_marginal"]
+        noise = np.hypot(first["log_marginal_se"], second["log_marginal_se"])
+        assert isinstance(flag, bool)
+        assert flag == (lead <= 2.0 * noise)
+        # no standard errors for the closed-form evidence
+        assert records["unconstrained"]["diagnostics"]["top_within_noise"] is None
+
+
 class TestNumericFlagsAtTheBoundary:
     @pytest.mark.parametrize(
         "argv, flag",

@@ -15,6 +15,7 @@ from aeroinv.model_selection import (
     invert_unconstrained,
     log_marginal_likelihood,
     select_models,
+    top_within_noise,
 )
 
 
@@ -278,6 +279,27 @@ class TestSelectModels:
         # tie-break: smaller tau first (same dim)
         assert ranked[0].tau <= ranked[1].tau
 
+    def test_top_within_noise(self):
+        import dataclasses
+
+        cands, _ = self.base_candidates([0.0, 0.0, 0.0])
+
+        def ranked(*evidence):
+            return [
+                dataclasses.replace(c, log_marginal=lm, log_marginal_se=se)
+                for c, (lm, se) in zip(cands, evidence)
+            ]
+
+        # 2 * hypot(0.75, 1.0) = 2.5 exactly; the third candidate is ignored
+        assert top_within_noise(ranked((2.5, 0.75), (0.0, 1.0), (-9.0, 0.0)))
+        assert not top_within_noise(ranked((2.5001, 0.75), (0.0, 1.0)))
+        assert top_within_noise(ranked((1.0, 0.0), (1.0, 0.0)))
+        assert not top_within_noise(ranked((1e-9, 0.0), (0.0, 0.0)))
+        assert top_within_noise(ranked((0.5, None), (0.0, 1.0))) is None
+        assert top_within_noise(ranked((0.5, 1.0), (0.0, None))) is None
+        assert top_within_noise(ranked((0.5, 1.0))) is None
+        assert isinstance(top_within_noise(ranked((3.0, 0.1), (0.0, 0.1))), bool)
+
 
 class TestUnconstrained:
     def test_identity_ridge(self):
@@ -304,9 +326,13 @@ class TestUnconstrained:
         sc = NoiseScaling.from_measurement(meas)
         kernel = make_kernel_matrix(K_N)
         reg = build_regularizer("tikhonov", 2)
+        # the candidate's own ridge solution at gamma on the weighted system
+        w = sc.normalized_weights
+        K_w, r_w = K_N * w[:, None], e * w
+        n = np.linalg.solve(K_w.T @ K_w + 0.7 * np.eye(2), K_w.T @ r_w)
         cand = ModelCandidate(
-            weights=np.zeros(2), kernel=kernel, regularizer=reg,
-            gamma=0.7, tau=1.0, residual_sq=0.0,
+            weights=n, kernel=kernel, regularizer=reg,
+            gamma=0.7, tau=1.0, residual_sq=float(np.sum((K_w @ n - r_w) ** 2)),
         )
         lz = _log_evidence_unconstrained(cand, meas, sc)
         R_stat = (0.7 / sc.delta_sq) * np.eye(2)
@@ -647,3 +673,93 @@ class TestSharedLevelFits:
         monkeypatch.undo()
         expected = self.classical(meas, [self.family(study_inputs)] * 3)
         self.assert_same(results, expected)
+
+
+class TestSharedRidgeCurves:
+    """Every method on one family and one measurement builds one all-passive
+    ridge curve per (level, regularizer kind): the constrained search's
+    round one for every tau, Morozov's round one and the unconstrained fit
+    and evidence all use it."""
+
+    study_inputs = TestSharedLevelFits.study_inputs
+    family = staticmethod(TestSharedLevelFits.family)
+    assert_same = TestSharedLevelFits.assert_same
+
+    @staticmethod
+    def counted(monkeypatch, family, meas):
+        """All-passive curves built, per (model dimension, kind): the curves
+        on a level's whole weighted system, not on a passive block of it."""
+        import aeroinv.tikhonov_qp as qp
+
+        w = NoiseScaling.from_measurement(meas).normalized_weights
+        counts = {}
+        inner = qp.RidgeCurve.__init__
+
+        def init(self, K, r, R):
+            dim = K.shape[1]
+            if np.array_equal(K, family(dim + 2).entries * w[:, None]):
+                kind = next(
+                    k for k in ("tikhonov", "first_diff", "twomey")
+                    if np.array_equal(R, build_regularizer(k, dim).matrix)
+                )
+                counts[dim, kind] = counts.get((dim, kind), 0) + 1
+            inner(self, K, r, R)
+
+        monkeypatch.setattr(qp.RidgeCurve, "__init__", init)
+        return counts
+
+    @staticmethod
+    def methods(meas, builder):
+        from aeroinv.model_selection import invert_constrained, invert_morozov
+
+        return [
+            invert_constrained(meas, builder, reg_kind=kind, samples=500)
+            for kind in ("tikhonov", "twomey")
+        ] + [
+            invert_morozov(meas, builder),
+            invert_unconstrained(meas, builder),
+        ]
+
+    def test_one_curve_per_level_and_kind(self, study_inputs, monkeypatch):
+        import aeroinv.model_selection as ms
+
+        meas = study_inputs[3]
+        searches = []
+        inner_search = ms.solve_discrepancy
+        monkeypatch.setattr(
+            ms, "solve_discrepancy",
+            lambda *a, **k: searches.append(k) or inner_search(*a, **k),
+        )
+        family = self.family(study_inputs)
+        counts = self.counted(monkeypatch, family, meas)
+        results = self.methods(meas, family)
+        assert counts and set(counts.values()) == {1}
+        constrained, _, morozov, unconstrained = results
+        # Morozov's level and the unconstrained levels reuse the tikhonov
+        # curves the constrained search built on the same levels
+        assert (morozov[0].dim, "tikhonov") in counts
+        assert {c.dim for c in constrained} & {c.dim for c in unconstrained}
+        # every search started from a shared curve and its root
+        assert searches and all(k["curve"] is not None for k in searches)
+        monkeypatch.undo()
+
+        # the same searches, each building its own round-one curve
+        monkeypatch.setattr(
+            ms, "solve_discrepancy",
+            lambda K, r, R, t, base, **_: inner_search(K, r, R, t, base),
+        )
+        self.assert_same(results, self.methods(meas, self.family(study_inputs)))
+
+    def test_fresh_matrices_share_the_curve_across_taus(
+        self, study_inputs, monkeypatch
+    ):
+        meas = study_inputs[3]
+        family = self.family(study_inputs)
+        fresh = lambda n_col: KernelMatrix(
+            family(n_col).entries, family.wavelengths,
+            family(n_col).collocation_grid,
+        )
+        counts = self.counted(monkeypatch, family, meas)
+        candidates = generate_models(meas, fresh)
+        assert len(candidates) > len({c.dim for c in candidates})  # several taus
+        assert counts == {(dim, "tikhonov"): 1 for dim in {c.dim for c in candidates}}

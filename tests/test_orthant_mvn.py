@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.integrate as si
+import scipy.special
 from scipy.special import ndtr
 from scipy.stats import multivariate_normal
 
@@ -9,6 +10,8 @@ from aeroinv.errors import CholeskyFailure
 from aeroinv.model_selection import build_regularizer, prior_normalizer
 from aeroinv.orthant_mvn import (
     QuadraticForm,
+    _lattice_roots,
+    _logsumexp,
     genz_orthant_probability,
     log_orthant_probability,
     orthant_integral,
@@ -205,7 +208,8 @@ class TestPriorNormalizer:
             est = prior_normalizer(reg, gamma)
             gauss = 0.5 * (N * np.log(2 * np.pi / gamma) - logdet_r)
             log_p0.add(round(est.log_value - gauss, 9))
-        assert len(calls) == 1
+        # first_diff is closed form: the estimator never runs for it
+        assert len(calls) == (0 if kind == "first_diff" else 1)
         assert len(log_p0) == 1
 
     @pytest.mark.parametrize("kind", ["first_diff", "twomey"])
@@ -220,3 +224,63 @@ class TestPriorNormalizer:
         tol = 3.0 * np.hypot(cached.std_error, direct.std_error)
         assert 0.0 < tol
         assert abs(cached.log_value - direct.log_value) <= tol
+
+    @pytest.mark.parametrize("N", [2, 5, 13, 29, 48])
+    def test_first_diff_is_one_over_n_plus_one(self, N):
+        """The cycle lemma's 1/(N+1) against the 100k-point estimate."""
+        est = log_orthant_probability(
+            build_regularizer("first_diff", N).matrix, np.zeros(N), 100_000, 0
+        )
+        exact = prior_normalizer(build_regularizer("first_diff", N), 1.0)
+        gauss = 0.5 * (
+            N * np.log(2 * np.pi)
+            - np.linalg.slogdet(build_regularizer("first_diff", N).matrix)[1]
+        )
+        assert exact.std_error == 0.0 and exact.samples == 0
+        assert exact.log_value - gauss == pytest.approx(-np.log(N + 1), abs=1e-12)
+        assert abs(est.log_value + np.log(N + 1)) <= 3.0 * est.std_error
+
+
+class TestInPackageArithmetic:
+    """The orthant sampler's own logsumexp and lattice wrap reproduce
+    ``scipy.special.logsumexp`` and ``np.mod`` bit for bit."""
+
+    @staticmethod
+    def rows(seed):
+        """Log weights spanning 1e3 in log scale, with tied maxima and
+        all -inf rows mixed in."""
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-1e3, 0.0, (6, 257)) * rng.uniform(1e-3, 1.0, (6, 1))
+        a[1, [3, 40, 200]] = a[1].max() + 1.0  # a three-way tie at the top
+        a[2, :] = a[2, 0]  # every entry tied
+        a[3, :] = -np.inf
+        a[4, ::2] = -np.inf
+        a[5, 7] = a[5, 9] = 0.0  # two tied maxima with other mass near them
+        a[5, 8] = -1e-16
+        return a
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_logsumexp_rows_match_scipy(self, seed):
+        a = self.rows(seed)
+        ours, ref = _logsumexp(a, axis=1), scipy.special.logsumexp(a, axis=1)
+        assert ours.shape == ref.shape
+        assert np.array_equal(ours, ref)
+        assert ours[3] == -np.inf
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_logsumexp_vectors_match_scipy(self, seed):
+        for row in self.rows(seed):
+            ours, ref = _logsumexp(row), scipy.special.logsumexp(row)
+            assert np.shape(ours) == np.shape(ref) == ()
+            assert np.array_equal(ours, ref)
+        short = np.array([-3.0, 2.5, 2.5, -np.inf])
+        assert _logsumexp(short) == scipy.special.logsumexp(short)
+
+    def test_floor_wrap_is_mod_one(self):
+        rng = np.random.default_rng(3)
+        for dim in range(1, 49):
+            lattice = np.arange(1, 501)[:, None] * _lattice_roots(dim)
+            w = lattice[None, :, :] + rng.random((4, dim))[:, None, :]
+            ref = np.mod(w, 1.0)
+            w -= np.floor(w)
+            assert np.array_equal(w, ref)

@@ -392,6 +392,42 @@ class TestPassiveSetSearch:
         assert np.array_equal(sol.n, sol_ref.n)
         check_kkt(sol, K, r, R, gamma)
 
+    def test_shared_round_one_curve_changes_nothing(self):
+        from aeroinv.tikhonov_qp import RidgeCurve
+
+        for seed in range(12):
+            K, r, R, target = self.instance(seed)
+            curve = RidgeCurve(K, r, R)
+            targets = [0.5 * target, target]
+            base = solve_nnls(K, r).residual_sq
+            for t, root in zip(targets, curve.roots(targets)):
+                if not base < t:
+                    continue
+                gamma, sol = solve_discrepancy(K, r, R, t, base)
+                gamma_s, sol_s = solve_discrepancy(
+                    K, r, R, t, base, curve=curve, gamma=root
+                )
+                assert gamma_s == gamma
+                assert np.array_equal(sol_s.n, sol.n)
+                assert sol_s.residual_sq == sol.residual_sq
+
+    def test_forced_fallback_ignores_a_shared_curve(self, monkeypatch):
+        import aeroinv.tikhonov_qp as qp
+        from aeroinv.tikhonov_qp import RidgeCurve
+
+        K, r, R, target = self.instance(3)
+        gamma, sol = brent_on_nnls(K, r, R, target, monkeypatch)
+        curve = RidgeCurve(K, r, R)
+        built = []
+        monkeypatch.setattr(qp, "RidgeCurve", lambda *a: built.append(a))
+        monkeypatch.setattr(qp, "_PASSIVE_ROUNDS", 0)
+        gamma_s, sol_s = solve_discrepancy(
+            K, r, R, target, curve=curve, gamma=curve.roots([target])[0]
+        )
+        assert built == []
+        assert gamma_s == gamma
+        assert np.array_equal(sol_s.n, sol.n)
+
     def test_typed_error_when_no_gamma_meets_the_target(self, monkeypatch):
         import aeroinv.tikhonov_qp as qp
         from aeroinv.errors import AeroinvError
