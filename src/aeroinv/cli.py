@@ -336,13 +336,15 @@ def _write_report_csv(path: Path, report) -> None:
         writer.writerow(
             ["family", "method", "reg_kind", "avg_l2_pct", "worst_l2_pct",
              "l2_failures", "no_model_failures", "search_failures",
-             "avg_time_s", "worst_time_s", "avg_dim", "runs"]
+             "avg_time_s", "worst_time_s", "avg_dim", "runs",
+             "avg_log_marginal_se", "worst_log_marginal_se"]
         )
         for (fam, meth, reg), st in sorted(report.method_stats.items()):
             writer.writerow(
                 [fam, meth, reg, st.avg_l2, st.worst_l2, st.l2_failures,
                  st.no_model_failures, st.search_failures, st.avg_time,
-                 st.worst_time, st.avg_dim, st.runs]
+                 st.worst_time, st.avg_dim, st.runs, st.avg_log_marginal_se,
+                 st.worst_log_marginal_se]
             )
         if report.fraction_stats:
             writer.writerow([])
@@ -350,14 +352,16 @@ def _write_report_csv(path: Path, report) -> None:
                 ["family", "reg_kind", "water_percent", "avg_l2_pct", "avg_dev_pct",
                  "worst_dev_pct", "l2_failures", "dev_failures",
                  "no_model_failures", "search_failures", "avg_time_s",
-                 "worst_time_s", "avg_dim", "runs"]
+                 "worst_time_s", "avg_dim", "runs", "avg_log_marginal_se",
+                 "worst_log_marginal_se"]
             )
             for (fam, reg, _), st in sorted(report.fraction_stats.items()):
                 writer.writerow(
                     [fam, reg, st.water_percent, st.avg_l2, st.avg_dev,
                      st.worst_dev, st.l2_failures, st.dev_failures,
                      st.no_model_failures, st.search_failures, st.avg_time,
-                     st.worst_time, st.avg_dim, st.runs]
+                     st.worst_time, st.avg_dim, st.runs, st.avg_log_marginal_se,
+                     st.worst_log_marginal_se]
                 )
 
 

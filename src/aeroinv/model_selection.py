@@ -27,9 +27,11 @@ least-squares fit.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import functools
 from dataclasses import dataclass
+from importlib import resources
 
 import numpy as np
 import scipy.linalg
@@ -82,6 +84,8 @@ LOW_NOISE_DELTA_SQ = 1e-10
 # Budget and seed of the one-off prior orthant probability per (kind, N).
 _PRIOR_SAMPLES = 100_000
 _PRIOR_SEED = 0
+# Package resource holding those estimates for twomey, N = 1..48.
+_TWOMEY_PRIOR_TABLE = "tables/twomey_prior.csv"
 
 
 @dataclass(frozen=True)
@@ -388,6 +392,32 @@ def _log_likelihood_normalizer(meas, scaling) -> float:
     )
 
 
+def _estimate_log_prior_orthant_probability(kind: str, N: int):
+    """The orthant estimator's log P(Z >= 0) for Z ~ N(0, R^-1), R the
+    (kind, N) regularizer, at the fixed prior budget and seed, which makes
+    the value independent of which caller asks for it: ``(log_value,
+    std_error, samples)``.  The shipped ``twomey`` table holds exactly these
+    values (``tools/twomey_prior_table.py`` writes it)."""
+    est = log_orthant_probability(
+        build_regularizer(kind, N).matrix, np.zeros(N), _PRIOR_SAMPLES, _PRIOR_SEED
+    )
+    return est.log_value, est.std_error, est.samples
+
+
+@functools.cache
+def _twomey_prior_table() -> dict[int, tuple[float, float, int]]:
+    """N -> (log P0, std_error, samples) from the shipped ``twomey`` table,
+    read on first use."""
+    ref = resources.files("aeroinv").joinpath(_TWOMEY_PRIOR_TABLE)
+    with ref.open(newline="") as fh:
+        return {
+            int(row["N"]): (
+                float(row["log_p0"]), float(row["std_error"]), int(row["samples"])
+            )
+            for row in csv.DictReader(fh)
+        }
+
+
 @functools.lru_cache(maxsize=None)
 def _log_prior_orthant_probability(kind: str, N: int) -> tuple[float, float, int]:
     """log P(Z >= 0) for Z ~ N(0, R^-1), R the (kind, N) regularizer, with
@@ -400,17 +430,17 @@ def _log_prior_orthant_probability(kind: str, N: int) -> tuple[float, float, int
     random-walk bridge pinned at 0 at both ends; its N+1 increments are
     exchangeable, so by the cycle lemma exactly one of their N+1 cyclic
     shifts keeps every partial sum positive (Spitzer 1956, Trans. AMS 82,
-    323).  ``twomey`` uses the orthant estimator at a fixed seed, which
-    makes the cached value independent of which caller filled the cache.
+    323).  ``twomey`` has no closed form: N = 1..48 come from the shipped
+    table of orthant estimates, and any other N runs the same estimator
+    once (``_estimate_log_prior_orthant_probability``).
     """
     if kind == "tikhonov":
         return -N * np.log(2.0), 0.0, 0
     if kind == "first_diff":
         return -np.log(N + 1.0), 0.0, 0
-    est = log_orthant_probability(
-        build_regularizer(kind, N).matrix, np.zeros(N), _PRIOR_SAMPLES, _PRIOR_SEED
-    )
-    return est.log_value, est.std_error, est.samples
+    if kind == "twomey" and N in _twomey_prior_table():
+        return _twomey_prior_table()[N]
+    return _estimate_log_prior_orthant_probability(kind, N)
 
 
 def prior_normalizer(regularizer: Regularizer, scale: float) -> IntegralEstimate:

@@ -26,7 +26,7 @@ import csv
 import os
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
+from pathlib import Path, PurePosixPath, PureWindowsPath
 
 import numpy as np
 
@@ -116,13 +116,25 @@ _MATERIAL_ALIASES = {
 }
 
 
+def _is_bare_stem(key: str) -> bool:
+    """Whether ``key`` names a file in its directory and nothing else: no
+    path separator (POSIX or Windows), no drive, and not ``.`` or ``..``."""
+    return key not in ("", ".", "..") and all(
+        flavour(key).name == key for flavour in (PurePosixPath, PureWindowsPath)
+    )
+
+
 def get_material(name: str) -> IndexTable:
     """Resolve a material name to its index table.
 
     Files in ``$AEROSOL_DATA_DIR`` (named ``<name>.csv``, lowercase) take
-    precedence over the tables shipped with the package.
+    precedence over the tables shipped with the package.  A name must be a
+    bare file stem; one that is a path (a separator, a drive, ``.`` or
+    ``..``) resolves to nothing.
     """
     key = _MATERIAL_ALIASES.get(name.strip().lower(), name.strip().lower())
+    if not _is_bare_stem(key):
+        raise FileNotFoundError(f"no refractive-index table for material {name!r}")
     data_dir = os.environ.get("AEROSOL_DATA_DIR")
     if data_dir:
         candidate = Path(data_dir) / f"{key}.csv"

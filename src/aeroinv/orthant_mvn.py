@@ -95,8 +95,12 @@ def _factor(H: np.ndarray):
         U = scipy.linalg.cholesky(H, lower=False)
     except scipy.linalg.LinAlgError as exc:
         raise CholeskyFailure("matrix is not positive definite") from exc
+    # LAPACK's triangular inverse: at dimensions up to ~50 a threaded BLAS-3
+    # solve against the identity spends more on thread start-up than on work
+    U_inv, info = scipy.linalg.lapack.dtrtri(U, lower=0)
+    if info != 0:
+        raise CholeskyFailure(f"Cholesky factor is singular (dtrtri info {info})")
     logdet = 2.0 * float(np.sum(np.log(np.diag(U))))
-    U_inv = scipy.linalg.solve_triangular(U, np.eye(H.shape[0]), lower=False)
     return U, logdet, U_inv @ U_inv.T
 
 

@@ -361,6 +361,9 @@ class RunRecord:
     water_fraction: float | None = None
     retrieved_fraction: float | None = None
     fraction_dev: float | None = None
+    # standard error of the top candidate's log evidence; None where the
+    # method has no Monte Carlo evidence (the classical methods) or no model
+    log_marginal_se: float | None = None
 
 
 @dataclass(frozen=True)
@@ -374,6 +377,9 @@ class MethodStats:
     avg_time: float
     worst_time: float
     avg_dim: float
+    # mean and largest RunRecord.log_marginal_se over the runs that have one
+    avg_log_marginal_se: float | None
+    worst_log_marginal_se: float | None
 
 
 @dataclass(frozen=True)
@@ -390,6 +396,8 @@ class FractionStats:
     avg_time: float
     worst_time: float
     avg_dim: float
+    avg_log_marginal_se: float | None
+    worst_log_marginal_se: float | None
 
 
 @dataclass(frozen=True)
@@ -413,6 +421,9 @@ def _aggregate(records, by_fraction: bool = False) -> dict:
         l2 = np.array([r.l2_error for r in rows])
         times = np.array([r.runtime for r in rows])
         dims = np.array([r.model_dim for r in rows], dtype=float)
+        se = np.array(
+            [r.log_marginal_se for r in rows if r.log_marginal_se is not None]
+        )
         common = dict(
             runs=len(rows),
             avg_l2=float(l2.mean()),
@@ -422,6 +433,8 @@ def _aggregate(records, by_fraction: bool = False) -> dict:
             avg_time=float(times.mean()),
             worst_time=float(times.max()),
             avg_dim=float(dims.mean()),
+            avg_log_marginal_se=float(se.mean()) if se.size else None,
+            worst_log_marginal_se=float(se.max()) if se.size else None,
         )
         if not by_fraction:
             stats[key] = MethodStats(worst_l2=float(l2.max()), **common)
@@ -579,13 +592,13 @@ def _invert_one(
     try:
         top = invert(meas, builder, method, reg_kind, config, mc_seed)[0]
         weights, grid, dim = top.weights, top.kernel.collocation_grid, top.dim
-        p_recon = top.fraction
+        p_recon, se = top.fraction, top.log_marginal_se
     except (NoModels, RootFailure) as exc:
         status = (
             "no_model_failure" if isinstance(exc, NoModels) else "search_failure"
         )
         grid = builder(3).collocation_grid
-        weights, dim, p_recon = np.zeros(len(grid) - 2), 0, 0.5
+        weights, dim, p_recon, se = np.zeros(len(grid) - 2), 0, 0.5, None
     runtime = time.perf_counter() - t0
     l2 = relative_l2_error(weights, grid, dist, fgrid)
     if status == "success" and l2 >= 100.0:
@@ -609,4 +622,5 @@ def _invert_one(
         runtime=runtime,
         status=status,
         **fraction,
+        log_marginal_se=se,
     )

@@ -289,14 +289,17 @@ class RidgeCurve:
 
     def __init__(self, K: np.ndarray, r: np.ndarray, R: np.ndarray):
         U = _cholesky_upper(R)
-        K_std = scipy.linalg.solve_triangular(U, K.T, trans="T").T
+        U_inv, info = scipy.linalg.lapack.dtrtri(U, lower=0)
+        if info != 0:
+            raise IllConditioned(f"regularizer factor is singular (dtrtri info {info})")
+        K_std = K @ U_inv
         Q, s, Wt = scipy.linalg.svd(
             K_std, full_matrices=K.shape[0] < K.shape[1], lapack_driver="gesvd"
         )
         self.K, self.r = K, r
         self.eigenvalues = np.zeros(K.shape[1])
         self.eigenvalues[: s.size] = s**2
-        self.V = scipy.linalg.solve_triangular(U, Wt.T)
+        self.V = U_inv @ Wt.T
         self.z = self.V.T @ (K.T @ r)
         b = Q.T @ r
         d = r - Q @ b

@@ -407,6 +407,21 @@ class TestUnknownMaterial:
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "name", ["../data/h2o", "../../aeroinv/data/csi", "data/h2o", "..", "."]
+    )
+    def test_path_names_rejected(self, measurement_file, tmp_path, capsys, name):
+        """A material name that is a path reaches no file, even one that
+        exists."""
+        out = tmp_path / "out.json"
+        argv = ["invert", "--material", name, "--measurement", str(measurement_file)]
+        code = main(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("usage error: --material:")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_material_count_checked(self, capsys):
         assert main(["invert2", "--measurement", "m.csv", "--materials", "h2o"]) == 1
         assert "--materials needs 2" in capsys.readouterr().err

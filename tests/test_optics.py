@@ -397,6 +397,25 @@ class TestMaterials:
             assert table.wavelengths[0] <= 0.5
             assert table.wavelengths[-1] >= 3.4
 
+    @pytest.mark.parametrize(
+        "name",
+        ["../data/h2o", "../../aeroinv/data/csi", "../sub/h2o", "data/h2o",
+         "data\\h2o", "c:h2o", "..", ".", "", "  ", "twomey_prior",
+         "../tables/twomey_prior"],
+    )
+    def test_only_bare_stems_resolve(self, name, tmp_path, monkeypatch):
+        """A name with a path separator, a drive, or a ``.``/``..`` component
+        resolves to nothing, in the package data and in the override
+        directory, even where the file it points at exists; nor does any
+        name reach the package's twomey prior table."""
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "sub" / "h2o.csv").write_text(
+            "wavelength_um,real,imag\n0.4,1.5,0\n4.0,1.5,0\n"
+        )
+        monkeypatch.setenv("AEROSOL_DATA_DIR", str(tmp_path / "sub"))
+        with pytest.raises(FileNotFoundError, match="no refractive-index table"):
+            get_material(name)
+
     def test_data_dir_override(self, tmp_path, monkeypatch):
         path = tmp_path / "h2o.csv"
         path.write_text("wavelength_um,real,imag\n0.4,1.5,0\n4.0,1.5,0\n")

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.integrate as si
+import scipy.linalg
 import scipy.special
 from scipy.special import ndtr
 from scipy.stats import multivariate_normal
@@ -69,6 +74,14 @@ class TestOrthantProbability:
     def test_not_spd_raises(self):
         with pytest.raises(CholeskyFailure):
             genz_orthant_probability(np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros(2))
+
+    def test_singular_factor_raises_cholesky_failure(self, monkeypatch):
+        """A factor LAPACK cannot invert (info > 0) is a typed error."""
+        singular = np.triu(np.ones((3, 3)))
+        singular[1, 1] = 0.0
+        monkeypatch.setattr(scipy.linalg, "cholesky", lambda H, lower: singular)
+        with pytest.raises(CholeskyFailure, match="singular"):
+            log_orthant_probability(np.eye(3), np.zeros(3))
 
 
 class TestOrthantIntegral:
@@ -191,6 +204,10 @@ class TestPriorNormalizer:
 
     @pytest.mark.parametrize("kind", ["first_diff", "twomey"])
     def test_orthant_probability_cached_across_scales(self, kind, monkeypatch):
+        """One log P0 per (kind, N) whatever the scale.  first_diff is closed
+        form and twomey N = 7 is in the shipped table, so the estimator
+        never runs for them; twomey N = 49 lies past the table's end and
+        runs it exactly once."""
         calls = []
         inner = msel.log_orthant_probability
 
@@ -200,17 +217,18 @@ class TestPriorNormalizer:
 
         monkeypatch.setattr(msel, "log_orthant_probability", counting)
         msel._log_prior_orthant_probability.cache_clear()
-        N = 7
-        reg = build_regularizer(kind, N)
-        logdet_r = np.linalg.slogdet(reg.matrix)[1]
-        log_p0 = set()
-        for gamma in (1e-3, 1.0, 1e3):
-            est = prior_normalizer(reg, gamma)
-            gauss = 0.5 * (N * np.log(2 * np.pi / gamma) - logdet_r)
-            log_p0.add(round(est.log_value - gauss, 9))
-        # first_diff is closed form: the estimator never runs for it
-        assert len(calls) == (0 if kind == "first_diff" else 1)
-        assert len(log_p0) == 1
+        cases = [(7, 0)] if kind == "first_diff" else [(7, 0), (49, 1)]
+        for N, expected_calls in cases:
+            calls.clear()
+            reg = build_regularizer(kind, N)
+            logdet_r = np.linalg.slogdet(reg.matrix)[1]
+            log_p0 = set()
+            for gamma in (1e-3, 1.0, 1e3):
+                est = prior_normalizer(reg, gamma)
+                gauss = 0.5 * (N * np.log(2 * np.pi / gamma) - logdet_r)
+                log_p0.add(round(est.log_value - gauss, 9))
+            assert len(calls) == expected_calls, N
+            assert len(log_p0) == 1
 
     @pytest.mark.parametrize("kind", ["first_diff", "twomey"])
     @pytest.mark.parametrize("N", [5, 12])
@@ -239,6 +257,80 @@ class TestPriorNormalizer:
         assert exact.std_error == 0.0 and exact.samples == 0
         assert exact.log_value - gauss == pytest.approx(-np.log(N + 1), abs=1e-12)
         assert abs(est.log_value + np.log(N + 1)) <= 3.0 * est.std_error
+
+
+class TestTwomeyPriorTable:
+    """The shipped twomey P0 table holds the prior estimator's own values."""
+
+    @staticmethod
+    def table():
+        return msel._twomey_prior_table()
+
+    def test_covers_one_to_48_with_finite_values(self):
+        table = self.table()
+        assert sorted(table) == list(range(1, 49))
+        for N, (log_p0, std_error, samples) in table.items():
+            assert np.isfinite(log_p0) and np.isfinite(std_error)
+            assert log_p0 < 0.0
+            assert samples == msel._PRIOR_SAMPLES
+            assert std_error > 0.0 if N >= 2 else std_error == 0.0
+
+    def test_n1_is_one_half(self):
+        """One variable: P0 = 1/2.  The sampler's log-space mean of 10,000
+        equal terms rounds once, so the entry may sit one ulp from log 1/2."""
+        log_p0, std_error, _ = self.table()[1]
+        assert abs(log_p0 - np.log(0.5)) <= abs(np.spacing(np.log(0.5)))
+        assert std_error == 0.0
+
+    @staticmethod
+    def correlations(N):
+        cov = np.linalg.inv(build_regularizer("twomey", N).matrix)
+        sd = np.sqrt(np.diag(cov))
+        return cov / np.outer(sd, sd)
+
+    def test_n2_and_n3_closed_forms(self):
+        """Orthant probabilities of 2 and 3 correlated standard normals:
+        1/4 + asin(rho)/(2 pi), and 1/8 + sum asin(rho_ij)/(4 pi)."""
+        rho = self.correlations(2)
+        exact2 = 0.25 + np.arcsin(rho[0, 1]) / (2 * np.pi)
+        rho = self.correlations(3)
+        exact3 = 0.125 + sum(
+            np.arcsin(rho[i, j]) for i, j in ((0, 1), (0, 2), (1, 2))
+        ) / (4 * np.pi)
+        for N, exact in ((2, exact2), (3, exact3)):
+            log_p0, std_error, _ = self.table()[N]
+            assert abs(log_p0 - np.log(exact)) <= 3.0 * std_error, N
+
+    @pytest.mark.parametrize("N", [2, 13, 48])
+    def test_entries_match_a_fresh_estimate(self, N):
+        """Within three standard errors anywhere; bit for bit on a machine
+        whose floating point matches the one that wrote the table."""
+        log_p0, std_error, samples = self.table()[N]
+        fresh = msel._estimate_log_prior_orthant_probability("twomey", N)
+        assert fresh[2] == samples
+        tol = 3.0 * np.hypot(std_error, fresh[1])
+        assert abs(fresh[0] - log_p0) <= tol
+
+    def test_no_estimator_run_up_to_48(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            msel, "log_orthant_probability", lambda *a, **k: calls.append(a)
+        )
+        msel._log_prior_orthant_probability.cache_clear()
+        for N in range(1, 49):
+            prior_normalizer(build_regularizer("twomey", N), 1.0)
+        assert calls == []
+
+    def test_read_on_first_use_not_at_import(self):
+        code = (
+            "import aeroinv, aeroinv.model_selection as m; "
+            "print(m._twomey_prior_table.cache_info().currsize)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert out.stdout.strip() == "0"
 
 
 class TestInPackageArithmetic:

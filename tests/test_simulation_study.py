@@ -215,6 +215,25 @@ class TestStudyHarness:
         b = run_study(self.tiny_config())
         assert [strip(r) for r in a.records] == [strip(r) for r in b.records]
 
+    def test_top_candidate_evidence_error_on_record(self):
+        """Constrained records carry the top candidate's log-evidence
+        standard error and the method aggregate its mean and maximum; the
+        classical methods have none."""
+        config = dataclasses.replace(
+            self.tiny_config(), methods=("constrained", "morozov", "bic")
+        )
+        report = run_study(config)
+        by_method = {r.method: r for r in report.records}
+        se = by_method["constrained"].log_marginal_se
+        assert se is not None and 0.0 < se < np.inf
+        assert by_method["morozov"].log_marginal_se is None
+        assert by_method["bic"].log_marginal_se is None
+        for method in ("constrained", "morozov", "bic"):
+            stats = report.method_stats[("log_normal", method, "tikhonov")]
+            expected = se if method == "constrained" else None
+            assert stats.avg_log_marginal_se == expected
+            assert stats.worst_log_marginal_se == expected
+
     def test_run_labels_exhaustive(self):
         report = run_study(self.tiny_config())
         valid = {"success", "l2_failure", "fraction_failure", "no_model_failure"}
@@ -259,12 +278,36 @@ class TestNoModelRecords:
         )
         assert rec.status == "no_model_failure"
         assert rec.model_dim == 0
+        assert rec.log_marginal_se is None
         assert rec.l2_error == pytest.approx(100.0)
         if p_true is None:
             assert rec.retrieved_fraction is None and rec.fraction_dev is None
         else:
             assert rec.retrieved_fraction == 0.5
             assert rec.fraction_dev == pytest.approx(30.0)
+
+
+@pytest.mark.parametrize("by_fraction", [False, True])
+def test_aggregate_evidence_error_skips_runs_without_one(by_fraction):
+    from aeroinv.simulation_study import RunRecord, _aggregate
+
+    def record(se):
+        return RunRecord(
+            family="log_normal", method="constrained2", reg_kind="tikhonov",
+            param_index=0, repeat=0, l2_error=10.0, model_dim=5, runtime=1.0,
+            status="success" if se is not None else "no_model_failure",
+            water_fraction=0.33, retrieved_fraction=0.3, fraction_dev=3.0,
+            log_marginal_se=se,
+        )
+
+    (stats,) = _aggregate(
+        [record(0.02), record(None), record(0.06)], by_fraction
+    ).values()
+    assert stats.avg_log_marginal_se == pytest.approx(0.04)
+    assert stats.worst_log_marginal_se == 0.06
+    (stats,) = _aggregate([record(None)], by_fraction).values()
+    assert stats.avg_log_marginal_se is None
+    assert stats.worst_log_marginal_se is None
 
 
 def test_root_failure_becomes_a_search_failure_record(monkeypatch):

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from aeroinv.errors import TargetOutOfRange
+from aeroinv.errors import IllConditioned, TargetOutOfRange
 from aeroinv.tikhonov_qp import (
     QpSolution,
     WeightedProblem,
@@ -463,6 +463,18 @@ class TestRidgeCurve:
             assert res == pytest.approx(weighted_residual(K, direct, r), rel=1e-12)
             y = curve.coefficients(gamma)
             assert float(y @ y) == pytest.approx(float(n @ R @ n), rel=1e-10)
+
+    def test_singular_factor_raises_ill_conditioned(self, monkeypatch):
+        """A factor LAPACK cannot invert (info > 0) is a typed error."""
+        from aeroinv import tikhonov_qp
+        from aeroinv.tikhonov_qp import RidgeCurve
+
+        singular = np.triu(np.ones((4, 4)))
+        singular[2, 2] = 0.0
+        monkeypatch.setattr(tikhonov_qp, "_cholesky_upper", lambda R: singular)
+        rng = np.random.default_rng(5)
+        with pytest.raises(IllConditioned, match="singular"):
+            RidgeCurve(rng.normal(size=(6, 4)), rng.normal(size=6), np.eye(4))
 
 
 def degenerate_problems():
