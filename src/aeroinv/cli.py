@@ -139,6 +139,8 @@ def parse_config(argv=None) -> argparse.Namespace:
                 setattr(args, attr, value)
     if args.seed is None:
         args.seed = 0
+    if args.seed < 0:
+        raise UsageError(f"--seed must be a nonnegative integer, got {args.seed!r}")
     for attr in ("mc_samples", "repeats"):
         value = getattr(args, attr, None)
         if value is not None and value < 1:
@@ -169,8 +171,8 @@ def _tau_grid(args, default):
         values = tuple(float(v) for v in str(args.tau_grid).split(","))
     except ValueError as exc:
         raise UsageError(f"bad --tau-grid {args.tau_grid!r}") from exc
-    if not values or any(v <= 0 for v in values):
-        raise UsageError("--tau-grid needs positive comma-separated values")
+    if not values or not all(0.0 < v < np.inf for v in values):
+        raise UsageError("--tau-grid needs finite positive comma-separated values")
     return values
 
 

@@ -34,13 +34,11 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-import scipy.linalg
 
 from .discretization import KernelMatrix
 from .errors import (
     BracketFailure,
     EmptyCandidates,
-    IllConditioned,
     NoModels,
     TargetOutOfRange,
 )
@@ -51,7 +49,12 @@ from .orthant_mvn import (
     log_orthant_probability,
     orthant_integral,
 )
-from .tikhonov_qp import RidgeCurve, solve_discrepancy, solve_nnls
+from .tikhonov_qp import (
+    RidgeCurve,
+    regularizer_factor,
+    solve_discrepancy,
+    solve_nnls,
+)
 
 __all__ = [
     "Regularizer",
@@ -90,12 +93,19 @@ _TWOMEY_PRIOR_TABLE = "tables/twomey_prior.csv"
 
 @dataclass(frozen=True)
 class Regularizer:
-    """SPD regularization matrix with its upper Cholesky factor, both
-    read-only: ``build_regularizer`` shares one instance per (kind, N)."""
+    """SPD regularization matrix with its upper Cholesky factor and the
+    factor's inverse, all read-only: ``build_regularizer`` shares one
+    instance per (kind, N)."""
 
     kind: str
     matrix: np.ndarray
     cholesky: np.ndarray
+    cholesky_inverse: np.ndarray
+
+    @property
+    def factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(U, U^-1)``, the ``factor`` keyword of the ``tikhonov_qp`` solvers."""
+        return self.cholesky, self.cholesky_inverse
 
 
 @functools.lru_cache(maxsize=None)
@@ -118,13 +128,10 @@ def build_regularizer(kind: str, N: int) -> Regularizer:
         R = H.T @ H
     else:
         raise ValueError(f"unknown regularizer kind {kind!r}")
-    try:
-        U = scipy.linalg.cholesky(R, lower=False)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-        raise IllConditioned(f"{kind} regularizer is not SPD") from exc
-    R.setflags(write=False)
-    U.setflags(write=False)
-    return Regularizer(kind, R, U)
+    U, U_inv = regularizer_factor(R)
+    for a in (R, U, U_inv):
+        a.setflags(write=False)
+    return Regularizer(kind, R, U, U_inv)
 
 
 @dataclass(frozen=True)
@@ -249,8 +256,10 @@ class _LevelFit:
         """The level's ridge curve under the ``kind`` regularizer with every
         variable free, built on first use per kind."""
         if kind not in self._curves:
-            R = build_regularizer(kind, self.K.shape[1]).matrix
-            self._curves[kind] = RidgeCurve(self.K, self.r, R)
+            reg = build_regularizer(kind, self.K.shape[1])
+            self._curves[kind] = RidgeCurve(
+                self.K, self.r, reg.matrix, factor=reg.factor
+            )
         return self._curves[kind]
 
 
@@ -272,7 +281,7 @@ def _constrained_fit(level, reg, base_res, target_sq, root):
     the level's ridge curve and its ``root`` at the target."""
     gamma, sol = solve_discrepancy(
         level.K, level.r, reg.matrix, target_sq, base_res,
-        curve=level.ridge_curve(reg.kind), gamma=root,
+        curve=level.ridge_curve(reg.kind), gamma=root, factor=reg.factor,
     )
     return gamma, sol.n, sol.residual_sq
 

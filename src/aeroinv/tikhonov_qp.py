@@ -66,6 +66,7 @@ __all__ = [
     "WeightedProblem",
     "QpSolution",
     "RidgeCurve",
+    "regularizer_factor",
     "solve_constrained_tikhonov",
     "solve_nnls",
     "weighted_residual",
@@ -133,6 +134,16 @@ def _cholesky_upper(R: np.ndarray) -> np.ndarray:
         return scipy.linalg.cholesky(R, lower=False)
     except scipy.linalg.LinAlgError as exc:
         raise IllConditioned("regularizer is not positive definite") from exc
+
+
+def regularizer_factor(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(U, U^-1)`` with R = U'U and U upper triangular: the ``factor``
+    that ``RidgeCurve`` and ``solve_constrained_tikhonov`` accept."""
+    U = _cholesky_upper(R)
+    U_inv, info = scipy.linalg.lapack.dtrtri(U, lower=0)
+    if info != 0:
+        raise IllConditioned(f"regularizer factor is singular (dtrtri info {info})")
+    return U, U_inv
 
 
 def _solve_passive(G: np.ndarray, c: np.ndarray, passive: np.ndarray) -> np.ndarray:
@@ -225,13 +236,15 @@ def _compiled_passive_set(A: np.ndarray, b: np.ndarray):
 
 
 def solve_constrained_tikhonov(
-    problem: WeightedProblem, init_passive: np.ndarray | None = None
+    problem: WeightedProblem, init_passive: np.ndarray | None = None, *, factor=None
 ) -> QpSolution:
     """Global minimizer of the constrained (generalized) Tikhonov functional.
 
     The Gram-form loop starts from ``init_passive`` if given, otherwise from
     the compiled NNLS on the row-augmented system; a start it cannot finish
     within the iteration cap is dropped for a start from scratch.
+    ``factor`` is ``regularizer_factor(problem.R)`` if the caller keeps it;
+    otherwise R is factored here when gamma > 0.
     """
     K, r, R, gamma = problem.K, problem.r, problem.R, problem.gamma
     N = K.shape[1]
@@ -239,7 +252,7 @@ def solve_constrained_tikhonov(
     c = K.T @ r
     A, b = K, r
     if gamma > 0.0:
-        U = _cholesky_upper(R)
+        U = _cholesky_upper(R) if factor is None else factor[0]
         G = G + gamma * (U.T @ U)
         A = np.vstack([K, np.sqrt(gamma) * U])
         b = np.concatenate([r, np.zeros(N)])
@@ -284,14 +297,13 @@ class RidgeCurve:
     z = V'K'r; ``evaluate(gamma)`` returns ``(residual_sq, n)`` with the
     residual computed from n.  With b = Q'r the residual is also closed form,
     res(gamma) = res_ls + sum (gamma / (s^2 + gamma))^2 b^2 with
-    res_ls = ||r - Q b||^2, which ``roots`` solves for gamma.
+    res_ls = ||r - Q b||^2, which ``roots`` solves for gamma.  ``factor`` is
+    ``regularizer_factor(R)`` if the caller keeps it; otherwise it is
+    computed here.
     """
 
-    def __init__(self, K: np.ndarray, r: np.ndarray, R: np.ndarray):
-        U = _cholesky_upper(R)
-        U_inv, info = scipy.linalg.lapack.dtrtri(U, lower=0)
-        if info != 0:
-            raise IllConditioned(f"regularizer factor is singular (dtrtri info {info})")
+    def __init__(self, K: np.ndarray, r: np.ndarray, R: np.ndarray, *, factor=None):
+        _, U_inv = regularizer_factor(R) if factor is None else factor
         K_std = K @ U_inv
         Q, s, Wt = scipy.linalg.svd(
             K_std, full_matrices=K.shape[0] < K.shape[1], lapack_driver="gesvd"
@@ -374,7 +386,8 @@ class RidgeCurve:
 
 
 def solve_discrepancy(
-    K, r, R, target_sq: float, base_residual_sq=None, *, curve=None, gamma=None
+    K, r, R, target_sq: float, base_residual_sq=None, *, curve=None, gamma=None,
+    factor=None,
 ):
     """Find gamma whose constrained solution has residual equal to target_sq.
 
@@ -388,7 +401,9 @@ def solve_discrepancy(
     solves.  Round one frees every variable: ``curve`` is that all-passive
     ``RidgeCurve(K, r, R)`` and ``gamma`` its entry of ``curve.roots`` for
     this target, if the caller shares them across targets; otherwise round
-    one builds and roots its own.  Returns ``(gamma, QpSolution)``.
+    one builds and roots its own.  ``factor`` is ``regularizer_factor(R)``
+    if the caller keeps it; every solve on the full R uses it.  Returns
+    ``(gamma, QpSolution)``.
     """
     K = np.asarray(K, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -400,23 +415,29 @@ def solve_discrepancy(
             f"target {target_sq} outside attainable range "
             f"({base_residual_sq}, {r_norm_sq})"
         )
-    found = _passive_set_search(K, r, R, target_sq, curve, gamma)
+    found = _passive_set_search(K, r, R, target_sq, curve, gamma, factor)
     if found is not None:
         return found
-    return _nnls_discrepancy_search(K, r, R, target_sq)
+    return _nnls_discrepancy_search(K, r, R, target_sq, factor)
 
 
-def _passive_set_search(K, r, R, target_sq: float, curve=None, gamma=None):
+def _passive_set_search(
+    K, r, R, target_sq: float, curve=None, gamma=None, factor=None
+):
     """``(gamma, QpSolution)`` from at most ``_PASSIVE_ROUNDS`` ridge-curve
     roots on passive sets, or None if no round met the target.  Round one
-    uses ``curve`` (with its root ``gamma``) when given."""
+    uses ``curve`` (with its root ``gamma``) when given, and builds it from
+    ``factor`` otherwise; later rounds factor their own principal
+    submatrix of R."""
     N = K.shape[1]
     dual_tol = _dual_tol(K.T @ r)
     passive = np.ones(N, dtype=bool)
     for _ in range(_PASSIVE_ROUNDS):
         idx = np.flatnonzero(passive)
         if curve is None:
-            curve, gamma = RidgeCurve(K[:, idx], r, R[np.ix_(idx, idx)]), None
+            sub_factor = factor if idx.size == N else None
+            curve = RidgeCurve(K[:, idx], r, R[np.ix_(idx, idx)], factor=sub_factor)
+            gamma = None
         try:
             gamma, n_p, _ = curve.discrepancy(target_sq, gamma)
         except (BracketFailure, RootFailure):
@@ -427,7 +448,8 @@ def _passive_set_search(K, r, R, target_sq: float, curve=None, gamma=None):
         grad = K.T @ (K @ n - r) + gamma * (R @ n)
         certified = np.all(n_p > 0.0) and np.all(grad[~passive] >= -dual_tol)
         sol = solve_constrained_tikhonov(
-            WeightedProblem(K, r, R, gamma), passive if certified else None
+            WeightedProblem(K, r, R, gamma), passive if certified else None,
+            factor=factor,
         )
         if abs(sol.residual_sq - target_sq) <= _DISCREPANCY_RTOL * target_sq:
             return gamma, sol
@@ -438,7 +460,7 @@ def _passive_set_search(K, r, R, target_sq: float, curve=None, gamma=None):
     return None
 
 
-def _nnls_discrepancy_search(K, r, R, target_sq: float):
+def _nnls_discrepancy_search(K, r, R, target_sq: float, factor=None):
     """The shared Brent search with one constrained solve per evaluation,
     each warm-started from the previous active set."""
     hint = None
@@ -446,7 +468,7 @@ def _nnls_discrepancy_search(K, r, R, target_sq: float):
     def evaluate(gamma: float):
         nonlocal hint
         sol = solve_constrained_tikhonov(
-            WeightedProblem(K, r, R, gamma), init_passive=hint
+            WeightedProblem(K, r, R, gamma), init_passive=hint, factor=factor
         )
         hint = sol.n > 0.0
         return sol.residual_sq, sol

@@ -367,6 +367,12 @@ class TestNumericFlagsAtTheBoundary:
             (["study", "--noise-fraction", "-0.001"], "--noise-fraction"),
             (["study", "--noise-fraction", "inf"], "--noise-fraction"),
             (["study2", "--noise-fraction", "-0.05"], "--noise-fraction"),
+            (["simulate", "--seed=-1"], "--seed"),
+            (["study", "--seed=-1"], "--seed"),
+            (["invert", "--measurement", "m.csv", "--method", "constrained",
+              "--seed=-1"], "--seed"),
+            (["invert", "--measurement", "m.csv", "--method", "bic", "--seed=-1"],
+             "--seed"),
         ],
         ids=lambda v: "_".join(v) if isinstance(v, list) else None,
     )
@@ -378,6 +384,33 @@ class TestNumericFlagsAtTheBoundary:
         assert err.startswith("usage error:")
         assert flag in err
         assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+
+    def test_negative_config_seed_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"seed": -2}))
+        out = tmp_path / "out.csv"
+        code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("usage error:")
+        assert "--seed" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400", "1.1,nan"])
+    def test_non_finite_tau_grid_rejected(
+        self, measurement_file, tmp_path, capsys, value
+    ):
+        out = tmp_path / "inv.json"
+        code = main(
+            ["invert", "--measurement", str(measurement_file), "--method", "bic",
+             f"--tau-grid={value}", "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("usage error:")
+        assert "--tau-grid" in err
         assert not out.exists()
 
 

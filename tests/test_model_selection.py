@@ -48,12 +48,13 @@ class TestRegularizers:
         for kind in ("tikhonov", "first_diff", "twomey"):
             reg = build_regularizer(kind, 7)
             assert reg.cholesky.T @ reg.cholesky == pytest.approx(reg.matrix)
+            assert reg.cholesky @ reg.cholesky_inverse == pytest.approx(np.eye(7))
 
     def test_one_read_only_instance_per_kind_and_size(self):
         for kind in ("tikhonov", "first_diff", "twomey"):
             reg = build_regularizer(kind, 6)
             assert build_regularizer(kind, 6) is reg
-            for arr in (reg.matrix, reg.cholesky):
+            for arr in (reg.matrix, reg.cholesky, reg.cholesky_inverse):
                 with pytest.raises(ValueError):
                     arr[0, 0] = 1.0
 
@@ -695,7 +696,7 @@ class TestSharedRidgeCurves:
         counts = {}
         inner = qp.RidgeCurve.__init__
 
-        def init(self, K, r, R):
+        def init(self, K, r, R, **kwargs):
             dim = K.shape[1]
             if np.array_equal(K, family(dim + 2).entries * w[:, None]):
                 kind = next(
@@ -703,7 +704,7 @@ class TestSharedRidgeCurves:
                     if np.array_equal(R, build_regularizer(k, dim).matrix)
                 )
                 counts[dim, kind] = counts.get((dim, kind), 0) + 1
-            inner(self, K, r, R)
+            inner(self, K, r, R, **kwargs)
 
         monkeypatch.setattr(qp.RidgeCurve, "__init__", init)
         return counts
@@ -763,3 +764,23 @@ class TestSharedRidgeCurves:
         candidates = generate_models(meas, fresh)
         assert len(candidates) > len({c.dim for c in candidates})  # several taus
         assert counts == {(dim, "tikhonov"): 1 for dim in {c.dim for c in candidates}}
+
+    def test_full_regularizer_is_never_factored_again(
+        self, study_inputs, monkeypatch
+    ):
+        import aeroinv.tikhonov_qp as qp
+
+        meas = study_inputs[3]
+        self.methods(meas, self.family(study_inputs))  # every (kind, N) built
+        factored = []
+        inner = qp._cholesky_upper
+        monkeypatch.setattr(
+            qp, "_cholesky_upper", lambda R: factored.append(R) or inner(R)
+        )
+        invert_unconstrained(meas, self.family(study_inputs))
+        assert factored == []
+        self.methods(meas, self.family(study_inputs))
+        # what is left are round-two curves on passive blocks, fresh copies
+        # of R; every search on a whole level passes the shared read-only
+        # regularizer and its stored factor
+        assert all(R.flags.writeable for R in factored)

@@ -1,4 +1,7 @@
+import concurrent.futures
 import csv
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,7 +9,7 @@ import pytest
 
 from aeroinv import optics
 from aeroinv.discretization import kernel_rows
-from aeroinv.errors import OutOfBand
+from aeroinv.errors import NonConvergent, OutOfBand
 from aeroinv.optics import (
     IndexTable,
     MieKernel,
@@ -375,6 +378,65 @@ class TestSizeSortedPass:
                 interpolate_index(air, l), interpolate_index(water, l), radii, l
             )
             assert np.array_equal(kernel(radii, l), expect)
+
+    def test_wide_pass_rows_independent_of_worker_count(
+        self, materials, monkeypatch
+    ):
+        args = (
+            *materials, np.linspace(0.0, 1.0, 11), study_wavelengths(),
+            integration_grid().points,
+        )
+        pooled = mixed_kernel_rows(*args)
+        monkeypatch.setattr(optics, "_usable_cpus", lambda: 1)
+        serial = mixed_kernel_rows(*args)
+        assert np.array_equal(serial, pooled)
+        # more workers than cores, switching often: a lost or misplaced
+        # chunk write would change the rows
+        monkeypatch.setattr(optics, "_usable_cpus", lambda: 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert np.array_equal(mixed_kernel_rows(*args), serial)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_non_finite_chunk_in_worker_raises_and_joins_pool(
+        self, materials, monkeypatch
+    ):
+        chunk_qext = optics._chunk_qext
+        main = threading.get_ident()
+        helper_ran = threading.Event()
+
+        def poisoned(m, xs):
+            # the calling thread takes chunks too; let a pool thread run one
+            if threading.get_ident() == main:
+                assert helper_ran.wait(timeout=30)
+            q = chunk_qext(m, xs)
+            if threading.get_ident() != main:
+                helper_ran.set()
+                q[0, 0] = np.nan
+            return q
+
+        monkeypatch.setattr(optics, "_chunk_qext", poisoned)
+        monkeypatch.setattr(optics, "_usable_cpus", lambda: 3)
+        before = threading.active_count()
+        with pytest.raises(NonConvergent):
+            mixed_kernel_rows(
+                *materials, np.linspace(0.0, 1.0, 11), study_wavelengths(),
+                integration_grid().points,
+            )
+        assert threading.active_count() == before
+
+    def test_narrow_pass_builds_no_pool(self, materials, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-index pass must not build a thread pool")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        water, _, air = materials
+        rows = make_kernel(water, air).rows(
+            study_wavelengths(), integration_grid().points
+        )
+        assert np.all(np.isfinite(rows))
 
     def test_fine_grid_rows_peak_memory(self, materials):
         water, _, air = materials

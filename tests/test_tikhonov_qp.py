@@ -437,7 +437,7 @@ class TestPassiveSetSearch:
         monkeypatch.setattr(qp, "_PASSIVE_ROUNDS", 0)
         monkeypatch.setattr(
             qp, "solve_constrained_tikhonov",
-            lambda p, init_passive=None: QpSolution(
+            lambda p, init_passive=None, **_: QpSolution(
                 np.zeros(K.shape[1]), np.zeros(K.shape[1]),
                 0.0 if p.gamma < 1.0 else 2.0 * target, np.arange(0),
             ),
