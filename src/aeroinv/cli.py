@@ -47,7 +47,14 @@ def _build_parser():
             help="regularizer kind",
         )
         p.add_argument("--tau-grid", default=None, help="comma-separated factors")
-        p.add_argument("--mc-samples", type=int, default=None)
+        p.add_argument(
+            "--mc-samples",
+            type=int,
+            default=None,
+            help="QMC points per fully estimated evidence integral (default "
+            f"{study.DEFAULT_SAMPLES}); a candidate screened out of the "
+            "ranking gets a fifth",
+        )
         p.add_argument("--emit-plot-data", action="store_true")
 
     p = sub.add_parser("simulate", help="write a synthetic measurement file")
@@ -273,6 +280,7 @@ def _candidate_dict(c) -> dict:
         "log_marginal_se": None
         if c.log_marginal_se is None
         else float(c.log_marginal_se),
+        "log_marginal_samples": c.log_marginal_samples,
         "residual_sq": float(c.residual_sq),
         "fraction": None if c.fraction is None else float(c.fraction),
     }
@@ -297,6 +305,7 @@ def _inversion_record(ranked, meas, elapsed, method) -> dict:
             "n_wavelengths": int(meas.n_wavelengths),
             "residual_sq": [float(c.residual_sq) for c in ranked],
             "log_marginal_se": [d["log_marginal_se"] for d in candidates],
+            "log_marginal_samples": [d["log_marginal_samples"] for d in candidates],
             "top_within_noise": top_within_noise(ranked),
             "elapsed_s": float(elapsed),
         },

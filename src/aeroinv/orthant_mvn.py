@@ -29,13 +29,14 @@ __all__ = [
     "genz_orthant_probability",
     "log_orthant_probability",
     "orthant_integral",
+    "log_gaussian_integral",
     "DEFAULT_SAMPLES",
 ]
 
 DEFAULT_SAMPLES = 5_000
 _N_SHIFTS = 10
-# Most lattice points pushed through the sampler in one pass: the shifts are
-# batched up to this many points, which bounds the working arrays.
+# Most lattice points pushed through the sampler in one pass, which bounds
+# the working arrays at any budget.
 _BATCH_POINTS = 10_000
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
@@ -200,17 +201,27 @@ def _log_probability(cov, lower, samples: int, seed: int):
     n_pts = max(samples // _N_SHIFTS, 1)
     rng = np.random.default_rng(seed)
     shifts = rng.random((_N_SHIFTS, n_w))
-    lattice = np.arange(1, n_pts + 1)[:, None] * _lattice_roots(n_w)
+    roots = _lattice_roots(n_w)
+    # Whole shifts are batched up to _BATCH_POINTS points; a shift with more
+    # points streams them in chunks of _BATCH_POINTS, whose log-sum-exps are
+    # combined below.  A single chunk per shift passes through that
+    # combination unchanged, bit for bit.
+    chunk = min(n_pts, _BATCH_POINTS)
     per_batch = max(_BATCH_POINTS // n_pts, 1)
-    shift_logs = np.empty(_N_SHIFTS)
+    chunk_logs = np.empty((_N_SHIFTS, -(-n_pts // chunk)))
     for start in range(0, _N_SHIFTS, per_batch):
         block = shifts[start : start + per_batch]
-        w = lattice[None, :, :] + block[:, None, :]
-        w -= np.floor(w)  # the lattice wrap: x mod 1, exactly, for x >= 0
-        logf = _log_orthant_prob_samples(L, a, w.reshape(len(block) * n_pts, n_w))
-        shift_logs[start : start + len(block)] = _logsumexp(
-            logf.reshape(len(block), n_pts), axis=1
-        ) - np.log(n_pts)
+        for c, first in enumerate(range(0, n_pts, chunk)):
+            idx = np.arange(first + 1, min(first + chunk, n_pts) + 1)
+            w = (idx[:, None] * roots)[None, :, :] + block[:, None, :]
+            w -= np.floor(w)  # the lattice wrap: x mod 1, exactly, for x >= 0
+            logf = _log_orthant_prob_samples(
+                L, a, w.reshape(len(block) * idx.size, n_w)
+            )
+            chunk_logs[start : start + len(block), c] = _logsumexp(
+                logf.reshape(len(block), idx.size), axis=1
+            )
+    shift_logs = _logsumexp(chunk_logs, axis=1) - np.log(n_pts)
     log_value = float(_logsumexp(shift_logs) - np.log(_N_SHIFTS))
     if not np.isfinite(log_value):
         return log_value, np.inf, n_pts * _N_SHIFTS
@@ -247,6 +258,30 @@ def genz_orthant_probability(
     )
 
 
+def _complete_square(form: QuadraticForm):
+    """log of the integral of exp(-0.5*(n'Hn - 2n'v + q)) over all of R^N,
+    with the mode H^-1 v and the covariance H^-1 of the completed square."""
+    H, v, q = form.H, form.v, form.q
+    U, logdet, cov = _factor(H)
+    mode = scipy.linalg.cho_solve((U, False), v)
+    log_full = -0.5 * (q - float(v @ mode)) + 0.5 * (
+        form.dim * np.log(2.0 * np.pi) - logdet
+    )
+    return log_full, mode, cov
+
+
+def log_gaussian_integral(form: QuadraticForm) -> float:
+    """log of the integral of exp(-0.5*(n'Hn - 2n'v + q)) over all of R^N.
+
+    ``orthant_integral`` estimates the same integral over the nonnegative
+    orthant as this value plus a log probability, a mean of products of
+    conditional tail probabilities that are each at most 1; so every
+    ``orthant_integral(form).log_value`` is at most this value, up to
+    rounding.
+    """
+    return _complete_square(form)[0]
+
+
 def orthant_integral(
     form: QuadraticForm, samples: int = DEFAULT_SAMPLES, seed: int = 0
 ) -> IntegralEstimate:
@@ -257,12 +292,7 @@ def orthant_integral(
     mode, log det H and H^-1.  The result is carried as ``log_value`` with
     a relative ``std_error``.
     """
-    H, v, q = form.H, form.v, form.q
-    U, logdet, cov = _factor(H)
-    mode = scipy.linalg.cho_solve((U, False), v)
-    log_prefactor = -0.5 * (q - float(v @ mode)) + 0.5 * (
-        form.dim * np.log(2.0 * np.pi) - logdet
-    )
+    log_prefactor, mode, cov = _complete_square(form)
     log_prob, rel_err, n = _log_probability(cov, -mode, samples, seed)
     log_value = log_prefactor + log_prob
     value = float(np.exp(log_value)) if np.isfinite(log_value) else 0.0

@@ -41,6 +41,12 @@ def report(criterion, ok, detail=""):
     return ok
 
 
+def print_l2_line(criterion, family, stats):
+    """One family's average L2 error per method, in ``stats`` order."""
+    line = " ".join(f"{m}={s.avg_l2:.2f}%" for m, s in stats.items())
+    print(f"  [criterion {criterion}] {family}: {line}")
+
+
 def random_premise_instance(rng, n_l=None, dim=None):
     """Random instance with nonzero nonnegative fit and residual < ||r||^2."""
     while True:
@@ -238,8 +244,7 @@ class TestCriterion5ReducedStudy:
             stats = {
                 m: reportobj.method_stats[(family, m, "tikhonov")] for m in order
             }
-            line = " ".join(f"{m}={stats[m].avg_l2:.2f}%" for m in order)
-            print(f"  [criterion 5] {family}: {line}")
+            print_l2_line(5, family, stats)
             for a, b in zip(order, order[1:]):
                 if not stats[a].avg_l2 < stats[b].avg_l2:
                     failures.append(f"{family}: {a} !< {b}")
@@ -354,6 +359,7 @@ class TestCriterion8FullScale:
             stats = {
                 m: reportobj.method_stats[(family, m, "tikhonov")] for m in order
             }
+            print_l2_line(8, family, stats)
             cell = self.PAPER_CONSTRAINED_AVG[family]
             if abs(stats["constrained"].avg_l2 - cell) > 8.0:
                 failures.append(

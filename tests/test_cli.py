@@ -315,6 +315,11 @@ class TestEvidenceErrorOutput:
         errs = [c["log_marginal_se"] for c in record["candidates"]]
         assert all(e is not None and np.isfinite(e) and e >= 0.0 for e in errs)
         assert record["diagnostics"]["log_marginal_se"] == errs
+        # a candidate screened out of the ranking gets a fifth of the budget
+        counts = [c["log_marginal_samples"] for c in record["candidates"]]
+        assert counts[0] == 5000
+        assert set(counts) <= {1000, 5000}
+        assert record["diagnostics"]["log_marginal_samples"] == counts
 
     def test_classical_method_leaves_it_empty(self, measurement_file, tmp_path):
         out = tmp_path / "inv.json"
@@ -326,6 +331,8 @@ class TestEvidenceErrorOutput:
         record = json.loads(out.read_text())
         assert all(c["log_marginal_se"] is None for c in record["candidates"])
         assert all(e is None for e in record["diagnostics"]["log_marginal_se"])
+        assert all(c["log_marginal_samples"] is None for c in record["candidates"])
+        assert all(n is None for n in record["diagnostics"]["log_marginal_samples"])
 
 
     def test_top_within_noise_flag(self, measurement_file, tmp_path):

@@ -280,6 +280,27 @@ class TestSelectModels:
         # tie-break: smaller tau first (same dim)
         assert ranked[0].tau <= ranked[1].tau
 
+    def test_screen_visits_by_bound_and_gives_a_fifth_far_below(self, monkeypatch):
+        import aeroinv.model_selection as msel
+
+        cands, meas = self.base_candidates([0.0] * 5)
+        # per candidate: (bound, log evidence); the first two bounds tie
+        table = [(0.0, -1.0), (0.0, -2.0), (-10.6, -11.0), (-10.4, -12.0), (1.0, -0.5)]
+        index = {id(c): i for i, c in enumerate(cands)}
+        calls = []
+
+        def fake_evidence(c, meas, scaling, samples, seed):
+            calls.append((index[id(c)], samples))
+            return table[index[id(c)]][1]
+
+        monkeypatch.setattr(
+            msel, "_log_evidence_bound", lambda c, *a: table[index[id(c)]][0]
+        )
+        monkeypatch.setattr(msel, "log_marginal_likelihood", fake_evidence)
+        msel.select_models(cands, meas, samples=5000, seed=0)
+        # best full-budget value -0.5: only the bound below -10.5 is screened
+        assert calls == [(4, 5000), (0, 5000), (1, 5000), (3, 5000), (2, 1000)]
+
     def test_top_within_noise(self):
         import dataclasses
 
@@ -437,6 +458,94 @@ class TestUnconstrainedEvidenceOnStudyLevels:
                     assert cand.log_marginal == pytest.approx(expect, rel=1e-9)
                     dims.add(cand.dim)
         assert len(dims) >= 3
+
+
+class TestEvidenceScreen:
+    """The closed-form bound of ``select_models``' screen on rrsb[44]."""
+
+    @pytest.fixture(scope="class")
+    def study_inputs(self):
+        from aeroinv.optics import get_material, make_kernel
+        from aeroinv.simulation_study import (
+            KernelLevelCache,
+            forward_extinctions,
+            integration_grid,
+            kernel_rows,
+            parameter_grid,
+            simulate_measurement,
+            study_wavelengths,
+        )
+
+        wl, igrid = study_wavelengths(), integration_grid()
+        rows = kernel_rows(
+            make_kernel(get_material("h2o"), get_material("air")), wl, igrid
+        )
+        dist = parameter_grid("rrsb")[44]
+        e_true = forward_extinctions(dist, None, wl, grid=igrid, rows=rows)
+        meas = simulate_measurement(
+            wl, e_true, 0.30, 300, rng=np.random.default_rng(5)
+        )
+        return KernelLevelCache(rows, wl, igrid), meas
+
+    @pytest.mark.parametrize("kind", ["tikhonov", "twomey"])
+    def test_bound_is_the_unconstrained_evidence_over_the_prior_orthant(
+        self, study_inputs, kind
+    ):
+        # two independent formulas: the ridge curve's eigenvalues against a
+        # Cholesky factor of the joint precision
+        from aeroinv.model_selection import (
+            _log_evidence_bound,
+            _log_prior_orthant_probability,
+        )
+
+        builder, meas = study_inputs
+        sc = NoiseScaling.from_measurement(meas)
+        ranked = invert_unconstrained(meas, builder, reg_kind=kind)
+        assert len(ranked) >= 3
+        for cand in ranked:
+            log_p0 = _log_prior_orthant_probability(kind, cand.dim)[0]
+            bound = _log_evidence_bound(cand, meas, sc)
+            assert bound == pytest.approx(cand.log_marginal - log_p0, rel=1e-9)
+
+    def test_select_models_screens_only_far_below_the_top(self, study_inputs):
+        from aeroinv.model_selection import (
+            _SCREEN_DIVISOR,
+            _SCREEN_NATS,
+            _log_evidence_bound,
+        )
+        from aeroinv.orthant_mvn import DEFAULT_SAMPLES
+
+        builder, meas = study_inputs
+        sc = NoiseScaling.from_measurement(meas)
+        cands = generate_models(meas, builder)
+        ranked = select_models(cands, meas, sc, DEFAULT_SAMPLES, seed=5)
+        screened_budget = DEFAULT_SAMPLES // _SCREEN_DIVISOR
+        results = {(r.dim, r.tau): r for r in ranked}
+        assert len(results) == len(cands) == len(ranked)
+        top = ranked[0]
+        assert top.log_marginal_samples == DEFAULT_SAMPLES
+        screened = []
+        # replay the rule: descending bound, best full-budget value so far
+        best = -np.inf
+        bounds = [_log_evidence_bound(c, meas, sc) for c in cands]
+        for i in np.argsort([-b for b in bounds], kind="stable"):
+            r = results[(cands[i].dim, cands[i].tau)]
+            budget = r.log_marginal_samples
+            assert budget == (
+                screened_budget if bounds[i] < best - _SCREEN_NATS
+                else DEFAULT_SAMPLES
+            )
+            lm = log_marginal_likelihood(cands[i], meas, sc, budget, seed=5)
+            assert r.log_marginal == float(lm)
+            assert r.log_marginal_se == lm.std_error
+            if budget == screened_budget:
+                screened.append(r)
+                assert bounds[i] < top.log_marginal - _SCREEN_NATS
+            else:
+                best = max(best, r.log_marginal)
+        assert screened
+        posterior = sum(r.posterior for r in screened)
+        assert posterior <= len(ranked) * np.exp(-_SCREEN_NATS)
 
 
 class TestBic:

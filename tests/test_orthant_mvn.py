@@ -11,6 +11,7 @@ from scipy.special import ndtr
 from scipy.stats import multivariate_normal
 
 import aeroinv.model_selection as msel
+import aeroinv.orthant_mvn as ortho
 from aeroinv.errors import CholeskyFailure
 from aeroinv.model_selection import build_regularizer, prior_normalizer
 from aeroinv.orthant_mvn import (
@@ -190,6 +191,79 @@ class TestReorderedEstimator:
         )
         assert est.log_value - log_prefactor < -800.0
         assert np.isfinite(est.std_error) and 0.0 < est.std_error < 0.1
+
+
+class TestLargeBudgetChunks:
+    """A shift of more than ``_BATCH_POINTS`` lattice points is streamed in
+    chunks of at most that many; smaller budgets batch whole shifts."""
+
+    H = np.array(
+        [
+            [2.0, 0.9, 0.3, 0.1, 0.0],
+            [0.9, 1.5, 0.4, 0.2, 0.1],
+            [0.3, 0.4, 1.0, 0.3, 0.2],
+            [0.1, 0.2, 0.3, 1.2, 0.4],
+            [0.0, 0.1, 0.2, 0.4, 0.9],
+        ]
+    )
+    mode = np.array([-1.5, 0.3, -0.8, 0.6, -0.2])
+
+    def estimate(self, samples):
+        return orthant_integral(QuadraticForm(self.H, self.H @ self.mode), samples, 4)
+
+    @staticmethod
+    def whole_shift_batches(cov, lower, samples, seed):
+        """Reference: every shift's lattice points in one pass, whole shifts
+        batched up to ``_BATCH_POINTS`` points."""
+        L, a = ortho._priority_cholesky(cov, lower)
+        n_w = L.shape[0] - 1
+        n_pts = max(samples // ortho._N_SHIFTS, 1)
+        shifts = np.random.default_rng(seed).random((ortho._N_SHIFTS, n_w))
+        lattice = np.arange(1, n_pts + 1)[:, None] * _lattice_roots(n_w)
+        per_batch = max(ortho._BATCH_POINTS // n_pts, 1)
+        shift_logs = np.empty(ortho._N_SHIFTS)
+        for start in range(0, ortho._N_SHIFTS, per_batch):
+            block = shifts[start : start + per_batch]
+            w = lattice[None, :, :] + block[:, None, :]
+            w -= np.floor(w)
+            logf = ortho._log_orthant_prob_samples(
+                L, a, w.reshape(len(block) * n_pts, n_w)
+            )
+            shift_logs[start : start + len(block)] = _logsumexp(
+                logf.reshape(len(block), n_pts), axis=1
+            ) - np.log(n_pts)
+        log_value = float(_logsumexp(shift_logs) - np.log(ortho._N_SHIFTS))
+        ratios = np.exp(shift_logs - log_value)
+        return log_value, float(ratios.std(ddof=1) / np.sqrt(ortho._N_SHIFTS))
+
+    @pytest.mark.parametrize("samples", [5_000, 20_000, 100_000])
+    def test_whole_shift_budgets_are_unchanged(self, samples):
+        cov = np.linalg.inv(self.H)
+        log_value, rel_err, n = ortho._log_probability(cov, -self.mode, samples, 4)
+        ref = self.whole_shift_batches(cov, -self.mode, samples, 4)
+        assert (log_value, rel_err) == ref
+        assert n == samples
+
+    def test_no_pass_exceeds_the_batch(self, monkeypatch):
+        rows = []
+        inner = ortho._log_orthant_prob_samples
+
+        def counting(L, lower, w):
+            rows.append(w.shape[0])
+            return inner(L, lower, w)
+
+        monkeypatch.setattr(ortho, "_log_orthant_prob_samples", counting)
+        est = self.estimate(300_000)
+        assert est.samples == 300_000
+        assert max(rows) <= ortho._BATCH_POINTS
+        assert sum(rows) == 300_000
+
+    def test_chunks_combine_to_the_whole_shift_estimate(self, monkeypatch):
+        chunked = self.estimate(300_000)
+        monkeypatch.setattr(ortho, "_BATCH_POINTS", 10**6)
+        whole = self.estimate(300_000)
+        assert chunked.log_value == pytest.approx(whole.log_value, rel=1e-12, abs=0)
+        assert chunked.std_error == pytest.approx(whole.std_error, rel=1e-9, abs=0)
 
 
 class TestPriorNormalizer:

@@ -254,3 +254,48 @@ def test_targets_outside_the_window_raise(problem, shift, below):
     if not base < target < r_norm_sq:
         with pytest.raises((TargetOutOfRange, BracketFailure)):
             solve_discrepancy(K, r, R, target, base)
+
+
+@st.composite
+def evidence_candidates(draw):
+    """A small candidate of any regularizer kind with its measurement."""
+    from aeroinv.discretization import KernelMatrix, RadiusGrid
+    from aeroinv.model_selection import ModelCandidate
+
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 6))
+    K = draw(arrays(float, (m, n), elements=entries))
+    wavelengths = np.linspace(0.5, 3.0, m)
+    kernel = KernelMatrix(K, wavelengths, RadiusGrid(np.linspace(0.0, 1.0, n + 2)))
+    meas = Measurement(
+        wavelengths,
+        draw(arrays(float, m, elements=entries)),
+        draw(arrays(float, m, elements=st.floats(0.1, 10.0))),
+        draw(st.integers(1, 300)),
+    )
+    reg = build_regularizer(draw(st.sampled_from(REGULARIZER_KINDS)), n)
+    candidate = ModelCandidate(
+        weights=np.zeros(n), kernel=kernel, regularizer=reg,
+        gamma=draw(st.floats(1e-3, 1e3)), tau=1.0, residual_sq=0.0,
+    )
+    return candidate, meas
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(evidence_candidates(), st.integers(0, 2**16))
+def test_log_evidence_never_exceeds_its_closed_form_bound(problem, seed):
+    # the ranking screen rests on this: the bound drops only the orthant
+    # probability, and every estimate of that probability is at most 1
+    from aeroinv.model_selection import (
+        NoiseScaling,
+        _log_evidence_bound,
+        log_marginal_likelihood,
+    )
+
+    candidate, meas = problem
+    sc = NoiseScaling.from_measurement(meas)
+    bound = _log_evidence_bound(candidate, meas, sc)
+    assert np.isfinite(bound)
+    for samples in (1, 200, 1000, 5000):
+        lm = log_marginal_likelihood(candidate, meas, sc, samples, seed)
+        assert lm <= bound + 1e-9
