@@ -26,6 +26,9 @@ from .two_component import scan_fractions
 
 RECORD_SCHEMA = "aeroinv-inversion/1"
 REPORT_SCHEMA = "aeroinv-report/1"
+# Largest --mc-samples accepted: the evidence sampler's time grows linearly
+# with its budget, so larger values only run for hours.
+MAX_MC_SAMPLES = 10_000_000
 
 
 def _build_parser():
@@ -51,9 +54,9 @@ def _build_parser():
             "--mc-samples",
             type=int,
             default=None,
-            help="QMC points per fully estimated evidence integral (default "
-            f"{study.DEFAULT_SAMPLES}); a candidate screened out of the "
-            "ranking gets a fifth",
+            help="QMC points per fully estimated evidence integral, at most "
+            f"{MAX_MC_SAMPLES:,} (default {study.DEFAULT_SAMPLES:,}); a "
+            "candidate screened out of the ranking gets a fifth",
         )
         p.add_argument("--emit-plot-data", action="store_true")
 
@@ -153,6 +156,10 @@ def parse_config(argv=None) -> argparse.Namespace:
         if value is not None and value < 1:
             flag = "--" + attr.replace("_", "-")
             raise UsageError(f"{flag} must be a positive integer, got {value!r}")
+    if (getattr(args, "mc_samples", None) or 0) > MAX_MC_SAMPLES:
+        raise UsageError(
+            f"--mc-samples must be at most {MAX_MC_SAMPLES}, got {args.mc_samples!r}"
+        )
     if not 0.0 <= getattr(args, "water_fraction", 1.0) <= 1.0:
         raise UsageError(
             f"--water-fraction must lie in [0, 1], got {args.water_fraction!r}"
@@ -306,6 +313,7 @@ def _inversion_record(ranked, meas, elapsed, method) -> dict:
             "residual_sq": [float(c.residual_sq) for c in ranked],
             "log_marginal_se": [d["log_marginal_se"] for d in candidates],
             "log_marginal_samples": [d["log_marginal_samples"] for d in candidates],
+            "untilted_integrals": sum(c.log_marginal_tilted is False for c in ranked),
             "top_within_noise": top_within_noise(ranked),
             "elapsed_s": float(elapsed),
         },

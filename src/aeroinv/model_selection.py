@@ -215,6 +215,7 @@ class ModelCandidate:
     fraction: float | None = None
     log_marginal_se: float | None = None
     log_marginal_samples: int | None = None
+    log_marginal_tilted: bool | None = None
 
     @property
     def dim(self) -> int:
@@ -382,13 +383,23 @@ def generate_models(
     return _walk_ladder(meas, kernel_builder, ladder, fit_level, max_disc)
 
 
-def _statistical_system(candidate, meas, scaling):
-    """Evidence exponent, prior scale and Gaussian normalizer.
+@dataclass(frozen=True)
+class _StatisticalSystem:
+    """A candidate's evidence integral: the log evidence is the log of the
+    orthant integral of ``joint`` minus ``log_b`` (the likelihood's
+    normalizer) minus ``log_prior_norm`` (the prior's)."""
+
+    joint: QuadraticForm
+    log_b: float
+    log_prior_norm: float
+
+
+def _statistical_system(candidate, meas, scaling) -> _StatisticalSystem:
+    """Evidence exponent, likelihood normalizer and prior normalizer.
 
     Statistics run on the unnormalized covariance, so the regularizer stored
     with the normalized-problem parameter is rescaled by 1/delta^2 here: the
-    prior precision is ``scale * R``.  Returns ``(QuadraticForm(H, v, q),
-    scale, log_b)``.
+    prior precision is ``scale * R``.
     """
     var = scaling.obs_variance
     K_stat = candidate.kernel.entries / np.sqrt(var)[:, None]
@@ -398,7 +409,11 @@ def _statistical_system(candidate, meas, scaling):
     joint = QuadraticForm(
         K_stat.T @ K_stat + R_stat, K_stat.T @ e_stat, float(e_stat @ e_stat)
     )
-    return joint, scale, _log_likelihood_normalizer(meas, scaling)
+    return _StatisticalSystem(
+        joint,
+        _log_likelihood_normalizer(meas, scaling),
+        prior_normalizer(candidate.regularizer, scale).log_value,
+    )
 
 
 def _log_likelihood_normalizer(meas, scaling) -> float:
@@ -480,14 +495,26 @@ def prior_normalizer(regularizer: Regularizer, scale: float) -> IntegralEstimate
 
 class LogEvidence(float):
     """A log marginal likelihood carrying the standard error of its Monte
-    Carlo estimate in ``std_error`` and its number of QMC points in
-    ``samples``."""
+    Carlo estimate in ``std_error``, its number of QMC points in
+    ``samples`` and whether its sampler ran with the minimax tilt in
+    ``tilted``."""
 
-    def __new__(cls, value: float, std_error: float, samples: int):
+    def __new__(cls, value: float, std_error: float, samples: int, tilted: bool):
         self = super().__new__(cls, value)
         self.std_error = float(std_error)
         self.samples = int(samples)
+        self.tilted = bool(tilted)
         return self
+
+
+def _log_evidence(system: _StatisticalSystem, samples: int, seed: int) -> LogEvidence:
+    """One QMC orthant integral of the joint exponent; its relative error
+    (the standard error of its log) is the returned ``std_error``."""
+    est = orthant_integral(system.joint, samples, seed)
+    return LogEvidence(
+        est.log_value - system.log_b - system.log_prior_norm,
+        est.std_error, est.samples, est.tilted,
+    )
 
 
 def log_marginal_likelihood(
@@ -497,35 +524,23 @@ def log_marginal_likelihood(
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> LogEvidence:
-    """Log evidence of one candidate under its truncated-Gaussian prior.
-
-    One QMC orthant integral of the joint exponent per call; its relative
-    error (the standard error of its log) is the returned ``std_error``.
-    """
-    joint, scale, log_b = _statistical_system(candidate, meas, scaling)
-    log_prior_norm = prior_normalizer(candidate.regularizer, scale).log_value
-    est = orthant_integral(joint, samples, seed)
-    return LogEvidence(
-        est.log_value - log_b - log_prior_norm, est.std_error, est.samples
-    )
+    """Log evidence of one candidate under its truncated-Gaussian prior."""
+    return _log_evidence(_statistical_system(candidate, meas, scaling), samples, seed)
 
 
-def _log_evidence_bound(
-    candidate: ModelCandidate, meas: Measurement, scaling: NoiseScaling
-) -> float:
-    """Closed-form upper bound on ``log_marginal_likelihood``: the log
-    evidence with the joint orthant probability set to 1, i.e. the joint
-    Gaussian integral over all of R^N (``log_gaussian_integral``) in place
-    of the orthant integral.  Every estimate, at any budget and seed, is at
-    most this value up to rounding."""
-    joint, scale, log_b = _statistical_system(candidate, meas, scaling)
-    log_prior_norm = prior_normalizer(candidate.regularizer, scale).log_value
-    return log_gaussian_integral(joint) - log_b - log_prior_norm
+def _log_evidence_bound(system: _StatisticalSystem) -> float:
+    """Closed-form upper bound on the log evidence: the log evidence with
+    the joint orthant probability set to 1, i.e. the joint Gaussian
+    integral over all of R^N (``log_gaussian_integral``) in place of the
+    orthant integral.  Every estimate, at any budget and seed, is at most
+    this value up to rounding.  The joint form keeps its Cholesky factor,
+    so the estimate that follows does not factor it again."""
+    return log_gaussian_integral(system.joint) - system.log_b - system.log_prior_norm
 
 
 def _rank(candidates, log_marginals):
-    """Posterior-sorted copies; a ``LogEvidence`` also sets ``log_marginal_se``
-    and ``log_marginal_samples``."""
+    """Posterior-sorted copies; a ``LogEvidence`` also sets ``log_marginal_se``,
+    ``log_marginal_samples`` and ``log_marginal_tilted``."""
     values = np.asarray(log_marginals, dtype=float)
     post = np.exp(values - values.max())
     post /= post.sum()
@@ -536,6 +551,7 @@ def _rank(candidates, log_marginals):
             posterior=float(p),
             log_marginal_se=getattr(lm, "std_error", None),
             log_marginal_samples=getattr(lm, "samples", None),
+            log_marginal_tilted=getattr(lm, "tilted", None),
         )
         for c, lm, p in zip(candidates, log_marginals, post)
     ]
@@ -571,10 +587,12 @@ def select_models(
 ) -> list[ModelCandidate]:
     """Rank candidates by posterior probability under a uniform model prior.
 
-    Candidates are visited in descending ``_log_evidence_bound`` (a stable
-    sort, so ties keep their order).  One whose bound lies more than
-    ``_SCREEN_NATS`` below the largest full-budget log evidence so far is
-    screened: its estimate gets ``samples // _SCREEN_DIVISOR`` points.
+    Each candidate's statistical system is built once and serves both its
+    bound and its estimate.  Candidates are visited in descending
+    ``_log_evidence_bound`` (a stable sort, so ties keep their order).  One
+    whose bound lies more than ``_SCREEN_NATS`` below the largest
+    full-budget log evidence so far is screened: its estimate gets
+    ``samples // _SCREEN_DIVISOR`` points.
     Every other candidate gets ``samples`` points, the same call with the
     same arguments as without the screen.  Since every estimate is at most
     its bound, a screened candidate never ranks first and its posterior is
@@ -584,15 +602,14 @@ def select_models(
         raise EmptyCandidates("no candidates to select from")
     if scaling is None:
         scaling = NoiseScaling.from_measurement(meas)
-    bounds = [_log_evidence_bound(c, meas, scaling) for c in candidates]
+    systems = [_statistical_system(c, meas, scaling) for c in candidates]
+    bounds = [_log_evidence_bound(s) for s in systems]
     log_marginals = [None] * len(candidates)
     best = -np.inf
     for i in sorted(range(len(candidates)), key=lambda i: -bounds[i]):
         screened = bounds[i] < best - _SCREEN_NATS
         budget = max(samples // _SCREEN_DIVISOR, 1) if screened else samples
-        log_marginals[i] = log_marginal_likelihood(
-            candidates[i], meas, scaling, budget, seed
-        )
+        log_marginals[i] = _log_evidence(systems[i], budget, seed)
         if not screened:
             best = max(best, log_marginals[i])
     return _rank(candidates, log_marginals)

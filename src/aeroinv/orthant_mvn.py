@@ -3,17 +3,23 @@
 Probabilities are computed with the sequential-conditioning transform to the
 unit cube (Genz 1992), after Genz–Bretz variable priority reordering (Genz &
 Bretz 2009, sec. 4.1.3): the variable with the smallest conditional tail
-probability is conditioned first.  Points are randomly shifted square-root
+probability is conditioned first.  Each conditional standard normal is drawn
+from a tilted proposal, N(mu_i, 1) truncated to its bound, with the minimax
+tilt mu of Botev (2017, J. R. Stat. Soc. B 79:125): the saddle point of
+psi(x, mu), found by Newton's method, which also gives the upper bound
+exp(psi*) on the probability.  Points are randomly shifted square-root
 lattice points, wrapped into the unit cube by x - floor(x) (x mod 1,
-exactly, for x >= 0).  All accumulation happens in log space so that
-strongly shifted orthants and large normalizing prefactors cannot under- or
-overflow; the log-space means use the module's own ``_logsumexp``, which
-repeats scipy's arithmetic bit for bit without its array-API dispatch.  The
-relative error comes from the spread of the per-shift log estimates.
+exactly, for x >= 0) and folded by the baker's transform |2w - 1|.  All
+accumulation happens in log space so that strongly shifted orthants and
+large normalizing prefactors cannot under- or overflow; the log-space means
+use the module's own ``_logsumexp``, which repeats scipy's arithmetic bit
+for bit without its array-API dispatch.  The relative error comes from the
+spread of the per-shift log estimates.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 
@@ -33,12 +39,20 @@ __all__ = [
     "DEFAULT_SAMPLES",
 ]
 
-DEFAULT_SAMPLES = 5_000
+DEFAULT_SAMPLES = 1_000
 _N_SHIFTS = 10
 # Most lattice points pushed through the sampler in one pass, which bounds
 # the working arrays at any budget.
 _BATCH_POINTS = 10_000
+# Newton's method for the minimax tilt stops once every component of the
+# saddle-point gradient is at most _TILT_TOL times 1 + the largest inverse
+# Mills ratio (the scale of its terms), and gives up (the sampler then runs
+# untilted) after _TILT_STEPS steps or a step halved _TILT_HALVINGS times.
+_TILT_TOL = 1e-10
+_TILT_STEPS = 100
+_TILT_HALVINGS = 40
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
+_TENT_MAX = 1.0 - 2.0**-53  # the largest double below 1
 
 
 @dataclass(frozen=True)
@@ -61,6 +75,23 @@ class QuadraticForm:
     def dim(self) -> int:
         return self.H.shape[0]
 
+    @functools.cached_property
+    def completed_square(self):
+        """``(log of the integral over all of R^N, mode H^-1 v, H^-1)``,
+        from one Cholesky factor of H, computed on first use; the closed
+        form and the orthant integral of one form share it.  ``H`` and
+        ``v`` must not change afterwards."""
+        U, logdet, cov = _factor(self.H)
+        # LAPACK's Cholesky solve, what scipy.linalg.cho_solve calls, without
+        # its argument checks
+        mode, info = scipy.linalg.lapack.dpotrs(U, self.v, lower=0)
+        if info != 0:
+            raise CholeskyFailure(f"Cholesky solve failed (dpotrs info {info})")
+        log_full = -0.5 * (self.q - float(self.v @ mode)) + 0.5 * (
+            self.dim * np.log(2.0 * np.pi) - logdet
+        )
+        return log_full, mode, cov
+
 
 @dataclass(frozen=True)
 class IntegralEstimate:
@@ -68,13 +99,18 @@ class IntegralEstimate:
 
     For ``genz_orthant_probability`` ``std_error`` is absolute; elsewhere it
     is relative (approximately the standard error of ``log_value``), since
-    the linear value may not be representable.
+    the linear value may not be representable.  ``log_bound`` is an upper
+    bound on the log of the exact value (psi* of the minimax tilt; inf where
+    none is known) and ``tilted`` whether the sampler ran with the tilt
+    (False after a failed tilt search, which falls back to mu = 0).
     """
 
     value: float
     std_error: float
     samples: int
     log_value: float
+    log_bound: float = np.inf
+    tilted: bool = False
 
 
 @functools.lru_cache(maxsize=None)
@@ -110,8 +146,9 @@ def _priority_cholesky(cov: np.ndarray, lower: np.ndarray):
 
     Step k conditions, among the variables not yet placed, the one with the
     smallest conditional tail log-probability log P(Z_j >= lower_j) given
-    the placed ones at their truncated-normal means.  Returns the factor and
-    the lower bounds, both in the chosen order.
+    the placed ones at their truncated-normal means.  Returns the factor,
+    the lower bounds and those means (of the standardized variables), all
+    in the chosen order.
     """
     n = lower.size
     C = np.array(cov, dtype=float)
@@ -119,29 +156,31 @@ def _priority_cholesky(cov: np.ndarray, lower: np.ndarray):
     var = np.diag(C).copy()  # conditional variances of the unplaced rows
     L = np.zeros((n, n))
     y = np.zeros(n)  # truncated-normal means of the placed variables
-    for k in range(n):
-        ok = var[k:] > 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
+    # one errstate for the whole loop: entering one per step costs more
+    # than the step's arithmetic at these sizes
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(n):
+            ok = var[k:] > 0.0
             t = (a[k:] - L[k:, :k] @ y[:k]) / np.sqrt(var[k:])
             log_tail = np.where(ok, log_ndtr(-t), np.inf)
-        j = int(np.argmin(log_tail))
-        if not ok[j]:
-            raise CholeskyFailure("covariance lost positive definiteness")
-        t_k, log_tail_k = t[j], log_tail[j]
-        j += k
-        if j != k:
-            for arr in (a, var):
-                arr[[k, j]] = arr[[j, k]]
-            C[[k, j]] = C[[j, k]]
-            C[:, [k, j]] = C[:, [j, k]]
-            L[[k, j], :k] = L[[j, k], :k]
-        d = np.sqrt(var[k])
-        L[k, k] = d
-        L[k + 1 :, k] = (C[k + 1 :, k] - L[k + 1 :, :k] @ L[k, :k]) / d
-        var[k + 1 :] -= L[k + 1 :, k] ** 2
-        # E[Z | Z >= t] = phi(t) / (1 - Phi(t)), formed in log space
-        y[k] = np.exp(-0.5 * t_k * t_k - _LOG_SQRT_2PI - log_tail_k)
-    return L, a
+            j = int(np.argmin(log_tail))
+            if not ok[j]:
+                raise CholeskyFailure("covariance lost positive definiteness")
+            t_k, log_tail_k = t[j], log_tail[j]
+            j += k
+            if j != k:
+                for arr in (a, var):
+                    arr[[k, j]] = arr[[j, k]]
+                C[[k, j]] = C[[j, k]]
+                C[:, [k, j]] = C[:, [j, k]]
+                L[[k, j], :k] = L[[j, k], :k]
+            d = np.sqrt(var[k])
+            L[k, k] = d
+            L[k + 1 :, k] = (C[k + 1 :, k] - L[k + 1 :, :k] @ L[k, :k]) / d
+            var[k + 1 :] -= L[k + 1 :, k] ** 2
+            # E[Z | Z >= t] = phi(t) / (1 - Phi(t)), formed in log space
+            y[k] = np.exp(-0.5 * t_k * t_k - _LOG_SQRT_2PI - log_tail_k)
+    return L, a, y
 
 
 def _logsumexp(a: np.ndarray, axis=None):
@@ -167,36 +206,132 @@ def _logsumexp(a: np.ndarray, axis=None):
     return np.squeeze(out, axis=axis)[()]
 
 
-def _log_orthant_prob_samples(L: np.ndarray, lower: np.ndarray, w: np.ndarray):
-    """Per-sample log weights of P(Z >= lower), Z ~ N(0, L L')."""
+def _tent(w: np.ndarray) -> np.ndarray:
+    """The baker's (tent) transform |2w - 1| of lattice points in [0, 1).
+
+    It makes the integrand's periodic extension continuous, which lifts the
+    lattice rule's convergence from about 1/n towards 1/n^2 for smooth
+    integrands (Hickernell 2002).  w = 0 would map to 1, where the sampler's
+    log(1 - w) is -inf; it is kept just below 1.
+    """
+    return np.minimum(np.abs(2.0 * w - 1.0), _TENT_MAX)
+
+
+def _minimax_tilt(L: np.ndarray, lower: np.ndarray, means: np.ndarray):
+    """Botev's minimax tilt for P(Z >= lower), Z ~ N(0, L L'), with the
+    variables in the order of ``L``: ``(mu, psi*)``, or None when Newton's
+    method fails.
+
+    With c_k(x) = (lower_k - sum_{j<k} L_kj x_j) / L_kk the conditional
+    bound of variable k,
+    psi(x, mu) = sum_k [log Phi(mu_k - c_k(x)) + mu_k^2 / 2 - x_k mu_k],
+    with x_d = mu_d = 0 for the last variable, which is never sampled.
+    psi is concave in x and convex in mu, so its stationary point (x*, mu*)
+    is the minimax point and psi* = psi(x*, mu*) <= max_x psi(x, 0) <= 0;
+    since psi(., mu*) peaks at x*, every tilted sample's log weight, and so
+    every estimate, is at most psi*.  grad psi = 0 is solved by Newton
+    steps with the analytic Jacobian, each step halved until the squared
+    gradient norm decreases (far-shifted orthants need that).  They start
+    from mu = 0 and x = ``means``, the Genz–Bretz truncated-normal means,
+    which solve the mu half of the system at mu = 0.
+    """
+    m = lower.size - 1  # free variables of x and of mu each
+    diag = np.diag(L)
+    l = lower / diag
+    if m == 0:
+        return np.zeros(1), float(log_ndtr(-l[0]))
+    B = L[:, :m] / diag[:, None]
+    B[np.arange(m), np.arange(m)] = 0.0  # scaled strictly lower factor
+
+    def system(z):
+        """t, log Phi(-t), the inverse Mills ratio P and grad psi at
+        z = (x, mu)."""
+        x, mu = z[:m], z[m:]
+        t = l - B @ x
+        t[:m] -= mu
+        log_sf = log_ndtr(-t)
+        P = np.exp(-0.5 * t * t - _LOG_SQRT_2PI - log_sf)
+        return t, log_sf, P, np.concatenate((B.T @ P - mu, mu - x + P[:m]))
+
+    z = np.concatenate((means[:m], np.zeros(m)))
+    t, log_sf, P, grad = system(z)
+    J = np.zeros((2 * m, 2 * m))
+    diag_mu = (np.arange(m, 2 * m), np.arange(m, 2 * m))
+    for _ in range(_TILT_STEPS):
+        norm_sq = grad @ grad
+        if not np.isfinite(norm_sq):
+            return None
+        if np.abs(grad).max() <= _TILT_TOL * (1.0 + P.max()):
+            x, mu = z[:m], z[m:]
+            psi = float(np.sum(log_sf) + mu @ (0.5 * mu - x))
+            return np.append(mu, 0.0), psi
+        # the Jacobian [[B'dP B, C'], [C, 1 + dP]], C = dP B - I
+        dP = (t - P) * P  # dP/dmu, in (-1, 0)
+        C = dP[:m, None] * B[:m]
+        C[np.arange(m), np.arange(m)] -= 1.0
+        J[:m, :m] = B.T @ (dP[:, None] * B)
+        J[:m, m:] = C.T
+        J[m:, :m] = C
+        J[diag_mu] = 1.0 + dP[:m]
+        _, _, step, info = scipy.linalg.lapack.dgesv(J, -grad)
+        if info != 0:
+            return None
+        for _ in range(_TILT_HALVINGS):
+            trial = system(z + step)
+            if trial[3] @ trial[3] < norm_sq:
+                break  # never taken by a non-finite gradient
+            step *= 0.5
+        else:
+            return None
+        z = z + step
+        t, log_sf, P, grad = trial
+    return None
+
+
+def _log_orthant_prob_samples(
+    L: np.ndarray, lower: np.ndarray, w: np.ndarray, mu: np.ndarray
+):
+    """Per-sample log weights of P(Z >= lower), Z ~ N(0, L L'), each
+    conditional standard normal drawn from N(mu_i, 1) truncated to its
+    bound.  A zero mu_i is the untilted draw, bit for bit."""
     dim = L.shape[0]
     n_pts = w.shape[0]
     logf = np.zeros(n_pts)
     y = np.zeros((n_pts, max(dim - 1, 0)))
+    log_1mw = np.log1p(-w)
     for i in range(dim):
         shifted = lower[i] - y[:, :i] @ L[i, :i] if i else np.full(n_pts, lower[i])
         t = shifted / L[i, i]
+        if mu[i]:
+            t -= mu[i]
         log_sf = log_ndtr(-t)
-        logf = logf + log_sf
+        logf += log_sf
         if i < dim - 1:
             # conditional truncated-normal sample: y = Phi^-1(1 - (1-w)(1-d))
-            log_u = np.log1p(-w[:, i]) + log_sf
-            y[:, i] = -ndtri_exp(log_u)
+            y[:, i] = -ndtri_exp(log_1mw[:, i] + log_sf)
+            if mu[i]:
+                # the draw's mean and its likelihood ratio mu^2/2 - mu z
+                y[:, i] += mu[i]
+                logf += mu[i] * (0.5 * mu[i] - y[:, i])
     return logf
 
 
 def _log_probability(cov, lower, samples: int, seed: int):
-    """log P(Z >= lower) for Z ~ N(0, cov), its relative standard error and
-    the number of points used.
+    """log P(Z >= lower) for Z ~ N(0, cov), its relative standard error,
+    the number of points used, psi* (an upper bound on the log
+    probability) and whether the sampler ran tilted.
 
     ``_N_SHIFTS`` independent random shifts of one lattice; the relative
     error is the standard error of the mean of the per-shift estimates,
     each taken relative to that mean in log space, so it stays finite when
-    the probability underflows.
+    the probability underflows.  If the tilt search fails the sampler runs
+    at mu = 0 and the bound is log 1.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    L, a = _priority_cholesky(cov, lower)
+    L, a, means = _priority_cholesky(cov, lower)
+    tilt = _minimax_tilt(L, a, means)
+    mu, log_bound = tilt if tilt is not None else (np.zeros(a.size), 0.0)
     n_w = L.shape[0] - 1
     n_pts = max(samples // _N_SHIFTS, 1)
     rng = np.random.default_rng(seed)
@@ -215,19 +350,21 @@ def _log_probability(cov, lower, samples: int, seed: int):
             idx = np.arange(first + 1, min(first + chunk, n_pts) + 1)
             w = (idx[:, None] * roots)[None, :, :] + block[:, None, :]
             w -= np.floor(w)  # the lattice wrap: x mod 1, exactly, for x >= 0
+            w = _tent(w)
             logf = _log_orthant_prob_samples(
-                L, a, w.reshape(len(block) * idx.size, n_w)
+                L, a, w.reshape(len(block) * idx.size, n_w), mu
             )
             chunk_logs[start : start + len(block), c] = _logsumexp(
                 logf.reshape(len(block), idx.size), axis=1
             )
     shift_logs = _logsumexp(chunk_logs, axis=1) - np.log(n_pts)
     log_value = float(_logsumexp(shift_logs) - np.log(_N_SHIFTS))
+    n = n_pts * _N_SHIFTS
     if not np.isfinite(log_value):
-        return log_value, np.inf, n_pts * _N_SHIFTS
+        return log_value, np.inf, n, log_bound, tilt is not None
     ratios = np.exp(shift_logs - log_value)
     rel_err = float(ratios.std(ddof=1) / np.sqrt(_N_SHIFTS))
-    return log_value, rel_err, n_pts * _N_SHIFTS
+    return log_value, rel_err, n, log_bound, tilt is not None
 
 
 def log_orthant_probability(
@@ -238,8 +375,12 @@ def log_orthant_probability(
     does not."""
     lower = np.atleast_1d(np.asarray(lower_shift, dtype=float))
     _, _, cov = _factor(np.asarray(H, dtype=float))
-    log_value, rel_err, n = _log_probability(cov, lower, samples, seed)
-    return IntegralEstimate(float(np.exp(log_value)), rel_err, n, log_value)
+    log_value, rel_err, n, log_bound, tilted = _log_probability(
+        cov, lower, samples, seed
+    )
+    return IntegralEstimate(
+        float(np.exp(log_value)), rel_err, n, log_value, log_bound, tilted
+    )
 
 
 def genz_orthant_probability(
@@ -253,33 +394,19 @@ def genz_orthant_probability(
     standard error.
     """
     est = log_orthant_probability(H, lower_shift, samples, seed)
-    return IntegralEstimate(
-        est.value, est.value * est.std_error, est.samples, est.log_value
-    )
-
-
-def _complete_square(form: QuadraticForm):
-    """log of the integral of exp(-0.5*(n'Hn - 2n'v + q)) over all of R^N,
-    with the mode H^-1 v and the covariance H^-1 of the completed square."""
-    H, v, q = form.H, form.v, form.q
-    U, logdet, cov = _factor(H)
-    mode = scipy.linalg.cho_solve((U, False), v)
-    log_full = -0.5 * (q - float(v @ mode)) + 0.5 * (
-        form.dim * np.log(2.0 * np.pi) - logdet
-    )
-    return log_full, mode, cov
+    return dataclasses.replace(est, std_error=est.value * est.std_error)
 
 
 def log_gaussian_integral(form: QuadraticForm) -> float:
     """log of the integral of exp(-0.5*(n'Hn - 2n'v + q)) over all of R^N.
 
     ``orthant_integral`` estimates the same integral over the nonnegative
-    orthant as this value plus a log probability, a mean of products of
-    conditional tail probabilities that are each at most 1; so every
-    ``orthant_integral(form).log_value`` is at most this value, up to
-    rounding.
+    orthant as this value plus a log probability whose every sample's log
+    weight is at most psi* <= 0 (at most 0 untilted, a product of tail
+    probabilities); so every ``orthant_integral(form).log_value`` is at
+    most this value, up to rounding.
     """
-    return _complete_square(form)[0]
+    return form.completed_square[0]
 
 
 def orthant_integral(
@@ -290,10 +417,13 @@ def orthant_integral(
     Completing the square gives a Gaussian prefactor times the orthant
     probability of N(H^-1 v, H^-1); one Cholesky factor of H yields the
     mode, log det H and H^-1.  The result is carried as ``log_value`` with
-    a relative ``std_error``.
+    a relative ``std_error``; ``log_bound`` is the prefactor plus psi*.
     """
-    log_prefactor, mode, cov = _complete_square(form)
-    log_prob, rel_err, n = _log_probability(cov, -mode, samples, seed)
+    log_prefactor, mode, cov = form.completed_square
+    log_prob, rel_err, n, log_bound, tilted = _log_probability(
+        cov, -mode, samples, seed
+    )
     log_value = log_prefactor + log_prob
     value = float(np.exp(log_value)) if np.isfinite(log_value) else 0.0
-    return IntegralEstimate(value, rel_err, n, float(log_value))
+    log_bound = float(log_prefactor + log_bound)
+    return IntegralEstimate(value, rel_err, n, float(log_value), log_bound, tilted)

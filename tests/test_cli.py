@@ -3,9 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from aeroinv.cli import main, parse_config, read_measurement, write_measurement
+from aeroinv.cli import (
+    MAX_MC_SAMPLES,
+    main,
+    parse_config,
+    read_measurement,
+    write_measurement,
+)
 from aeroinv.errors import UsageError
-from aeroinv.model_selection import Measurement
+from aeroinv.model_selection import _SCREEN_DIVISOR, Measurement
+from aeroinv.orthant_mvn import DEFAULT_SAMPLES
 
 
 class TestParseConfig:
@@ -303,6 +310,27 @@ class TestMcSamplesInput:
         with pytest.raises(UsageError):
             parse_config(["invert", "--measurement", "m.csv", "--config", str(cfg)])
 
+    def test_budget_above_the_cap_rejected(self, measurement_file, tmp_path, capsys):
+        """A budget past MAX_MC_SAMPLES is a usage error, not the sampler's
+        memory error; at the cap it parses."""
+        out = tmp_path / "inv.json"
+        code = main(
+            ["invert", "--measurement", str(measurement_file), "--out", str(out),
+             "--method", "constrained", "--mc-samples", "99999999999999"]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert "--mc-samples" in err and "Traceback" not in err
+        assert not out.exists()
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"mc_samples": MAX_MC_SAMPLES + 1}))
+        with pytest.raises(UsageError, match="--mc-samples"):
+            parse_config(["invert", "--measurement", "m.csv", "--config", str(cfg)])
+        cfg.write_text(json.dumps({"mc_samples": MAX_MC_SAMPLES}))
+        args = parse_config(["invert", "--measurement", "m.csv", "--config", str(cfg)])
+        assert args.mc_samples == MAX_MC_SAMPLES
+
 
 class TestEvidenceErrorOutput:
     def test_constrained_candidates_carry_log_marginal_se(
@@ -317,9 +345,10 @@ class TestEvidenceErrorOutput:
         assert record["diagnostics"]["log_marginal_se"] == errs
         # a candidate screened out of the ranking gets a fifth of the budget
         counts = [c["log_marginal_samples"] for c in record["candidates"]]
-        assert counts[0] == 5000
-        assert set(counts) <= {1000, 5000}
+        assert counts[0] == DEFAULT_SAMPLES
+        assert set(counts) <= {DEFAULT_SAMPLES // _SCREEN_DIVISOR, DEFAULT_SAMPLES}
         assert record["diagnostics"]["log_marginal_samples"] == counts
+        assert record["diagnostics"]["untilted_integrals"] == 0
 
     def test_classical_method_leaves_it_empty(self, measurement_file, tmp_path):
         out = tmp_path / "inv.json"

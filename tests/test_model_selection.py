@@ -258,9 +258,7 @@ class TestSelectModels:
 
         cands, meas = self.base_candidates([0.0, -1.0, -2.0])
         values = iter([0.0, -1.0, -2.0])
-        monkeypatch.setattr(
-            msel, "log_marginal_likelihood", lambda *a, **k: next(values)
-        )
+        monkeypatch.setattr(msel, "_log_evidence", lambda *a, **k: next(values))
         ranked = msel.select_models(cands, meas, samples=1000, seed=0)
         post = np.array([c.posterior for c in ranked])
         expect = np.exp([0.0, -1.0, -2.0])
@@ -272,9 +270,7 @@ class TestSelectModels:
         import aeroinv.model_selection as msel
 
         cands, meas = self.base_candidates([0.5, 0.5])
-        monkeypatch.setattr(
-            msel, "log_marginal_likelihood", lambda *a, **k: 0.5
-        )
+        monkeypatch.setattr(msel, "_log_evidence", lambda *a, **k: 0.5)
         ranked = msel.select_models(cands, meas, samples=1000, seed=0)
         assert [c.posterior for c in ranked] == pytest.approx([0.5, 0.5])
         # tie-break: smaller tau first (same dim)
@@ -289,14 +285,16 @@ class TestSelectModels:
         index = {id(c): i for i, c in enumerate(cands)}
         calls = []
 
-        def fake_evidence(c, meas, scaling, samples, seed):
-            calls.append((index[id(c)], samples))
-            return table[index[id(c)]][1]
+        def fake_evidence(i, samples, seed):
+            calls.append((i, samples))
+            return table[i][1]
 
+        # each candidate's statistical system stands in as its index
         monkeypatch.setattr(
-            msel, "_log_evidence_bound", lambda c, *a: table[index[id(c)]][0]
+            msel, "_statistical_system", lambda c, *a: index[id(c)]
         )
-        monkeypatch.setattr(msel, "log_marginal_likelihood", fake_evidence)
+        monkeypatch.setattr(msel, "_log_evidence_bound", lambda i: table[i][0])
+        monkeypatch.setattr(msel, "_log_evidence", fake_evidence)
         msel.select_models(cands, meas, samples=5000, seed=0)
         # best full-budget value -0.5: only the bound below -10.5 is screened
         assert calls == [(4, 5000), (0, 5000), (1, 5000), (3, 5000), (2, 1000)]
@@ -414,7 +412,9 @@ def cho_factor_evidence(candidate, meas, scaling):
 
     from aeroinv.model_selection import _statistical_system
 
-    joint, scale, log_b = _statistical_system(candidate, meas, scaling)
+    system = _statistical_system(candidate, meas, scaling)
+    joint, log_b = system.joint, system.log_b
+    scale = candidate.gamma / scaling.delta_sq
     cf = scipy.linalg.cho_factor(joint.H, lower=False)
     logdet_h = 2.0 * float(np.sum(np.log(np.diag(cf[0]))))
     sign, logdet_r = np.linalg.slogdet(scale * candidate.regularizer.matrix)
@@ -496,6 +496,7 @@ class TestEvidenceScreen:
         from aeroinv.model_selection import (
             _log_evidence_bound,
             _log_prior_orthant_probability,
+            _statistical_system,
         )
 
         builder, meas = study_inputs
@@ -504,7 +505,7 @@ class TestEvidenceScreen:
         assert len(ranked) >= 3
         for cand in ranked:
             log_p0 = _log_prior_orthant_probability(kind, cand.dim)[0]
-            bound = _log_evidence_bound(cand, meas, sc)
+            bound = _log_evidence_bound(_statistical_system(cand, meas, sc))
             assert bound == pytest.approx(cand.log_marginal - log_p0, rel=1e-9)
 
     def test_select_models_screens_only_far_below_the_top(self, study_inputs):
@@ -512,6 +513,7 @@ class TestEvidenceScreen:
             _SCREEN_DIVISOR,
             _SCREEN_NATS,
             _log_evidence_bound,
+            _statistical_system,
         )
         from aeroinv.orthant_mvn import DEFAULT_SAMPLES
 
@@ -527,7 +529,9 @@ class TestEvidenceScreen:
         screened = []
         # replay the rule: descending bound, best full-budget value so far
         best = -np.inf
-        bounds = [_log_evidence_bound(c, meas, sc) for c in cands]
+        bounds = [
+            _log_evidence_bound(_statistical_system(c, meas, sc)) for c in cands
+        ]
         for i in np.argsort([-b for b in bounds], kind="stable"):
             r = results[(cands[i].dim, cands[i].tau)]
             budget = r.log_marginal_samples
@@ -546,6 +550,44 @@ class TestEvidenceScreen:
         assert screened
         posterior = sum(r.posterior for r in screened)
         assert posterior <= len(ranked) * np.exp(-_SCREEN_NATS)
+
+    def test_one_statistical_system_per_candidate(self, study_inputs, monkeypatch):
+        """select_models builds each candidate's system once, for its bound
+        and its estimate; the bound is the formula it replaced, bit for bit:
+        a fresh scipy Cholesky factor and ``cho_solve`` for the mode."""
+        import scipy.linalg
+
+        import aeroinv.model_selection as msel
+
+        builder, meas = study_inputs
+        sc = NoiseScaling.from_measurement(meas)
+        cands = generate_models(meas, builder)
+        systems, bounds = [], []
+        build, bound = msel._statistical_system, msel._log_evidence_bound
+
+        def counting_build(c, *args):
+            systems.append(build(c, *args))
+            return systems[-1]
+
+        def recording_bound(system):
+            bounds.append(bound(system))
+            return bounds[-1]
+
+        monkeypatch.setattr(msel, "_statistical_system", counting_build)
+        monkeypatch.setattr(msel, "_log_evidence_bound", recording_bound)
+        msel.select_models(cands, meas, sc, seed=5)
+        assert len(systems) == len(cands) == len(bounds)
+        for c, system, b in zip(cands, systems, bounds):
+            scale = c.gamma / sc.delta_sq
+            H, v, q = system.joint.H, system.joint.v, system.joint.q
+            U = scipy.linalg.cholesky(H, lower=False)
+            logdet = 2.0 * float(np.sum(np.log(np.diag(U))))
+            mode = scipy.linalg.cho_solve((U, False), v)
+            log_full = -0.5 * (q - float(v @ mode)) + 0.5 * (
+                c.dim * np.log(2.0 * np.pi) - logdet
+            )
+            log_prior_norm = msel.prior_normalizer(c.regularizer, scale).log_value
+            assert b == log_full - system.log_b - log_prior_norm
 
 
 class TestBic:

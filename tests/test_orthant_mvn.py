@@ -8,7 +8,7 @@ import scipy.integrate as si
 import scipy.linalg
 import scipy.special
 from scipy.special import ndtr
-from scipy.stats import multivariate_normal
+from scipy.stats import multivariate_normal, norm
 
 import aeroinv.model_selection as msel
 import aeroinv.orthant_mvn as ortho
@@ -212,10 +212,12 @@ class TestLargeBudgetChunks:
         return orthant_integral(QuadraticForm(self.H, self.H @ self.mode), samples, 4)
 
     @staticmethod
-    def whole_shift_batches(cov, lower, samples, seed):
+    def whole_shift_batches(cov, lower, samples, seed, tilted=True):
         """Reference: every shift's lattice points in one pass, whole shifts
-        batched up to ``_BATCH_POINTS`` points."""
-        L, a = ortho._priority_cholesky(cov, lower)
+        batched up to ``_BATCH_POINTS`` points, under the minimax tilt or,
+        with ``tilted`` False, at mu = 0."""
+        L, a, means = ortho._priority_cholesky(cov, lower)
+        mu = ortho._minimax_tilt(L, a, means)[0] if tilted else np.zeros(a.size)
         n_w = L.shape[0] - 1
         n_pts = max(samples // ortho._N_SHIFTS, 1)
         shifts = np.random.default_rng(seed).random((ortho._N_SHIFTS, n_w))
@@ -226,8 +228,9 @@ class TestLargeBudgetChunks:
             block = shifts[start : start + per_batch]
             w = lattice[None, :, :] + block[:, None, :]
             w -= np.floor(w)
+            w = np.abs(2.0 * w - 1.0)
             logf = ortho._log_orthant_prob_samples(
-                L, a, w.reshape(len(block) * n_pts, n_w)
+                L, a, w.reshape(len(block) * n_pts, n_w), mu
             )
             shift_logs[start : start + len(block)] = _logsumexp(
                 logf.reshape(len(block), n_pts), axis=1
@@ -239,7 +242,10 @@ class TestLargeBudgetChunks:
     @pytest.mark.parametrize("samples", [5_000, 20_000, 100_000])
     def test_whole_shift_budgets_are_unchanged(self, samples):
         cov = np.linalg.inv(self.H)
-        log_value, rel_err, n = ortho._log_probability(cov, -self.mode, samples, 4)
+        log_value, rel_err, n, _, tilted = ortho._log_probability(
+            cov, -self.mode, samples, 4
+        )
+        assert tilted
         ref = self.whole_shift_batches(cov, -self.mode, samples, 4)
         assert (log_value, rel_err) == ref
         assert n == samples
@@ -248,9 +254,9 @@ class TestLargeBudgetChunks:
         rows = []
         inner = ortho._log_orthant_prob_samples
 
-        def counting(L, lower, w):
+        def counting(L, lower, w, mu):
             rows.append(w.shape[0])
-            return inner(L, lower, w)
+            return inner(L, lower, w, mu)
 
         monkeypatch.setattr(ortho, "_log_orthant_prob_samples", counting)
         est = self.estimate(300_000)
@@ -264,6 +270,171 @@ class TestLargeBudgetChunks:
         whole = self.estimate(300_000)
         assert chunked.log_value == pytest.approx(whole.log_value, rel=1e-12, abs=0)
         assert chunked.std_error == pytest.approx(whole.std_error, rel=1e-9, abs=0)
+
+    def test_tiny_batches_combine_to_the_unchunked_estimate(self, monkeypatch):
+        """Chunks of 10 points (10 per shift at 1,000 points) combine to
+        the whole-shift estimate."""
+        whole = self.estimate(1_000)
+        monkeypatch.setattr(ortho, "_BATCH_POINTS", 10)
+        chunked = self.estimate(1_000)
+        assert chunked.samples == whole.samples == 1_000
+        assert chunked.log_value == pytest.approx(whole.log_value, rel=0, abs=1e-12)
+        assert chunked.std_error == pytest.approx(whole.std_error, rel=1e-9, abs=0)
+
+
+class TestMinimaxTilt:
+    """Botev's minimax exponential tilt: the saddle point of psi, its bound,
+    and the untilted fallback when Newton's method fails."""
+
+    H = TestLargeBudgetChunks.H
+    mode = np.array([-2.5, 0.3, -1.8, 0.6, -3.0])
+
+    def saddle(self):
+        cov = np.linalg.inv(self.H)
+        L, a, means = ortho._priority_cholesky(cov, -self.mode)
+        return L, a, means, ortho._minimax_tilt(L, a, means)
+
+    def test_saddle_point_solves_the_system(self):
+        L, a, _, (mu, psi) = self.saddle()
+        m = a.size - 1
+        diag = np.diag(L)
+        B = L / diag[:, None] - np.eye(a.size)
+        # x* from the mu equations, x = mu + P(t) (t_k depends on x_j, j < k
+        # only); then the x equations
+        x = np.zeros(a.size)
+        for k in range(m):
+            t_k = a[k] / diag[k] - B[k, :k] @ x[:k] - mu[k]
+            x[k] = mu[k] + np.exp(norm.logpdf(t_k) - norm.logsf(t_k))
+        t = a / diag - B @ x - mu
+        P = np.exp(norm.logpdf(t) - norm.logsf(t))
+        assert mu[-1] == 0.0
+        assert np.allclose(B[:, :m].T @ P, mu[:m], atol=1e-8)
+        expect = np.sum(norm.logsf(t)) + np.sum(0.5 * mu**2 - x * mu)
+        assert psi == pytest.approx(expect, abs=1e-9)
+        assert psi <= 0.0
+
+    def test_every_log_weight_is_at_most_psi_star(self):
+        L, a, _, (mu, psi) = self.saddle()
+        w = np.random.default_rng(0).random((5_000, a.size - 1))
+        logf = ortho._log_orthant_prob_samples(L, a, w, mu)
+        assert np.max(logf) <= psi + 1e-12
+
+    def test_estimate_is_at_most_its_bound(self):
+        form = QuadraticForm(self.H, self.H @ self.mode, 0.3)
+        est = orthant_integral(form, ortho.DEFAULT_SAMPLES, seed=2)
+        assert est.tilted
+        assert est.log_value <= est.log_bound
+        assert est.log_bound <= ortho.log_gaussian_integral(form)
+
+    @pytest.mark.parametrize("failure", ["singular_jacobian", "no_convergence"])
+    def test_newton_failure_falls_back_to_the_untilted_estimate(
+        self, monkeypatch, failure
+    ):
+        if failure == "singular_jacobian":
+            def singular(J, b):
+                return J, np.zeros(J.shape[0], dtype=np.int32), b, 1
+
+            monkeypatch.setattr(scipy.linalg.lapack, "dgesv", singular)
+        else:
+            monkeypatch.setattr(ortho, "_TILT_STEPS", 0)
+        cov = np.linalg.inv(self.H)
+        L, a, means = ortho._priority_cholesky(cov, -self.mode)
+        assert ortho._minimax_tilt(L, a, means) is None
+        form = QuadraticForm(self.H, self.H @ self.mode)
+        est = orthant_integral(form, 5_000, seed=4)
+        assert not est.tilted
+        ref = TestLargeBudgetChunks.whole_shift_batches(
+            cov, -self.mode, 5_000, 4, tilted=False
+        )
+        log_prefactor = ortho.log_gaussian_integral(form)
+        assert (est.log_value - log_prefactor, est.std_error) == pytest.approx(
+            ref, rel=1e-12, abs=1e-12
+        )
+        # the only bound left is P <= 1
+        assert est.log_bound == log_prefactor
+
+
+class TestHardEvidenceIntegrals:
+    """Joint evidence integrals of rrsb[44], log_normal[11], hedrih[77] and
+    log_normal[88] at 30% noise: on each measurement, the candidate that
+    the untilted sampler estimates worst at 5,000 points."""
+
+    @pytest.fixture(scope="class")
+    def draw(self):
+        """``draw(family, index, seed)``: one water-in-air measurement of a
+        truth at 30% noise (300 repeats, ``default_rng(seed)``), its noise
+        scaling and its tikhonov candidates."""
+        from aeroinv.optics import get_material, make_kernel
+        from aeroinv.simulation_study import (
+            KernelLevelCache,
+            fine_grid,
+            forward_extinctions,
+            integration_grid,
+            kernel_rows,
+            parameter_grid,
+            simulate_measurement,
+            study_wavelengths,
+        )
+
+        wl, igrid, fgrid = study_wavelengths(), integration_grid(), fine_grid()
+        kernel = make_kernel(get_material("h2o"), get_material("air"))
+        builder = KernelLevelCache(kernel_rows(kernel, wl, igrid), wl, igrid)
+        fine_rows = kernel_rows(kernel, wl, fgrid)
+
+        def make(family, index, seed):
+            dist = parameter_grid(family)[index]
+            e_true = forward_extinctions(dist, None, wl, grid=fgrid, rows=fine_rows)
+            meas = simulate_measurement(
+                wl, e_true, 0.30, 300, rng=np.random.default_rng(seed)
+            )
+            sc = msel.NoiseScaling.from_measurement(meas)
+            return meas, sc, msel.generate_models(meas, builder)
+
+        return make
+
+    @pytest.mark.parametrize(
+        "family, index, seed",
+        [("rrsb", 44, 0), ("log_normal", 11, 5), ("hedrih", 77, 5),
+         ("log_normal", 88, 3)],
+    )
+    def test_default_budget_is_accurate(self, draw, monkeypatch, family, index, seed):
+        meas, sc, cands = draw(family, index, seed)
+        with monkeypatch.context() as m:
+            m.setattr(ortho, "_minimax_tilt", lambda *a: None)
+            untilted = [
+                msel.log_marginal_likelihood(c, meas, sc, 5_000, 0) for c in cands
+            ]
+        worst = cands[int(np.argmax([u.std_error for u in untilted]))]
+        est = msel.log_marginal_likelihood(worst, meas, sc, seed=0)
+        ref = msel.log_marginal_likelihood(worst, meas, sc, 20_000, 1)
+        assert est.tilted and est.samples == ortho.DEFAULT_SAMPLES
+        assert est.std_error <= 0.05
+        assert abs(est - ref) <= 3.0 * np.hypot(est.std_error, ref.std_error)
+
+    def test_far_shifted_orthant_needs_step_halving(self, draw, monkeypatch):
+        """rrsb[50]'s most shifted joint orthant (psi* near -110): full
+        Newton steps do not converge there, halved ones do, and the tilted
+        estimate agrees with a larger one where the untilted sampler is off
+        by hundreds of nats."""
+        meas, sc, cands = draw("rrsb", 50, 50)
+        forms = [msel._statistical_system(c, meas, sc).joint for c in cands]
+        ests = [orthant_integral(f, seed=0) for f in forms]
+        gaps = [
+            e.log_bound - ortho.log_gaussian_integral(f) for e, f in zip(ests, forms)
+        ]
+        form, est = forms[int(np.argmin(gaps))], ests[int(np.argmin(gaps))]
+        assert min(gaps) < -100.0
+        ref = orthant_integral(form, 20_000, seed=1)
+        assert est.tilted and ref.tilted
+        assert est.std_error <= 0.05
+        assert abs(est.log_value - ref.log_value) <= 3.0 * np.hypot(
+            est.std_error, ref.std_error
+        )
+        with monkeypatch.context() as m:
+            m.setattr(ortho, "_TILT_HALVINGS", 1)  # full steps only
+            untilted = orthant_integral(form, seed=0)
+        assert not untilted.tilted
+        assert untilted.log_value < ref.log_value - 100.0
 
 
 class TestPriorNormalizer:
@@ -331,6 +502,26 @@ class TestPriorNormalizer:
         assert exact.std_error == 0.0 and exact.samples == 0
         assert exact.log_value - gauss == pytest.approx(-np.log(N + 1), abs=1e-12)
         assert abs(est.log_value + np.log(N + 1)) <= 3.0 * est.std_error
+
+    @pytest.mark.parametrize("N", [2, 5, 13])
+    def test_tent_transform_shrinks_the_error(self, monkeypatch, N):
+        """Over seeds 0-19 at 10,000 points, the root-mean-square error of
+        log P(first_diff orthant) against log 1/(N+1) is smaller with the
+        baker's transform than with the bare wrapped lattice."""
+        H = build_regularizer("first_diff", N).matrix
+
+        def rms_error():
+            errs = [
+                log_orthant_probability(H, np.zeros(N), 10_000, seed).log_value
+                + np.log(N + 1)
+                for seed in range(20)
+            ]
+            return np.sqrt(np.mean(np.square(errs)))
+
+        tent = rms_error()
+        monkeypatch.setattr(ortho, "_tent", lambda w: w)
+        bare = rms_error()
+        assert tent < 0.8 * bare
 
 
 class TestTwomeyPriorTable:

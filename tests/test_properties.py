@@ -289,13 +289,41 @@ def test_log_evidence_never_exceeds_its_closed_form_bound(problem, seed):
     from aeroinv.model_selection import (
         NoiseScaling,
         _log_evidence_bound,
+        _statistical_system,
         log_marginal_likelihood,
     )
 
     candidate, meas = problem
     sc = NoiseScaling.from_measurement(meas)
-    bound = _log_evidence_bound(candidate, meas, sc)
+    bound = _log_evidence_bound(_statistical_system(candidate, meas, sc))
     assert np.isfinite(bound)
     for samples in (1, 200, 1000, 5000):
         lm = log_marginal_likelihood(candidate, meas, sc, samples, seed)
         assert lm <= bound + 1e-9
+
+
+@st.composite
+def quadratic_forms(draw):
+    """An SPD exponent of dimension 1 to 12 whose mode may lie far outside
+    the orthant."""
+    from aeroinv.orthant_mvn import QuadraticForm
+
+    n = draw(st.integers(1, 12))
+    M = draw(arrays(float, (n, n), elements=st.floats(-3.0, 3.0)))
+    H = M @ M.T + draw(st.floats(0.05, 5.0)) * np.eye(n)
+    mode = draw(arrays(float, n, elements=st.floats(-8.0, 4.0)))
+    return QuadraticForm(H, H @ mode, draw(st.floats(0.0, 10.0)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80, database=None)
+@given(quadratic_forms(), st.sampled_from([200, 1000]), st.integers(0, 2**16))
+def test_orthant_estimate_never_exceeds_its_tilt_bound(form, samples, seed):
+    # Newton's method finds the minimax tilt; exp(psi*) bounds the orthant
+    # probability, and every tilted sample's weight is at most exp(psi*)
+    from aeroinv.orthant_mvn import log_gaussian_integral, orthant_integral
+
+    est = orthant_integral(form, samples, seed)
+    assert est.tilted
+    assert np.isfinite(est.log_value) and np.isfinite(est.log_bound)
+    assert est.log_value <= est.log_bound + 3.0 * est.std_error
+    assert est.log_bound <= log_gaussian_integral(form) + 1e-9
