@@ -37,7 +37,6 @@ from .optics import (
 from .orthant_mvn import (
     IntegralEstimate,
     QuadraticForm,
-    genz_orthant_probability,
     orthant_integral,
 )
 from .simulation_study import (

@@ -20,7 +20,7 @@ import numpy as np
 from . import simulation_study as study
 from .discretization import evaluate_distribution
 from .errors import AeroinvError, NoModels, UsageError
-from .model_selection import Measurement, NoiseScaling, top_within_noise
+from .model_selection import Measurement, top_within_noise
 from .optics import get_material, mixed_kernel_rows
 from .two_component import scan_fractions
 
@@ -65,7 +65,7 @@ def _build_parser():
     p.add_argument("--family", choices=study.FAMILIES, default="log_normal")
     p.add_argument("--param-index", type=int, default=0)
     p.add_argument("--noise-fraction", type=float, default=None)
-    p.add_argument("--repeats", type=int, default=300)
+    p.add_argument("--repeats", type=int, default=study.DEFAULT_REPEATS)
     p.add_argument("--material", default="h2o")
     p.add_argument("--materials", default=None, help="A,B for a mixture truth")
     p.add_argument("--water-fraction", type=float, default=1.0)
@@ -298,7 +298,6 @@ def _inversion_record(ranked, meas, elapsed, method) -> dict:
     grid = top.kernel.collocation_grid
     r_out = np.linspace(grid.r_min, grid.r_max, 200)
     recon = np.maximum(evaluate_distribution(top.weights, grid, r_out), 0.0)
-    scaling = NoiseScaling.from_measurement(meas)
     candidates = [_candidate_dict(c) for c in ranked]
     record = {
         "schema": RECORD_SCHEMA,
@@ -308,7 +307,7 @@ def _inversion_record(ranked, meas, elapsed, method) -> dict:
             "density": [float(x) for x in recon],
         },
         "diagnostics": {
-            "delta_sq": float(scaling.delta_sq),
+            "delta_sq": float(meas.scaling.delta_sq),
             "n_wavelengths": int(meas.n_wavelengths),
             "residual_sq": [float(c.residual_sq) for c in ranked],
             "log_marginal_se": [d["log_marginal_se"] for d in candidates],
@@ -391,14 +390,13 @@ def _cmd_simulate(args) -> int:
     dist = study.parameter_grid(args.family)[pi]
     names = args.materials or args.material * 2
     fraction = args.water_fraction if args.materials else 1.0
-    defaults = study.StudyConfig()
     (rows,) = mixed_kernel_rows(
-        *map(get_material, names), get_material(defaults.medium), fraction,
+        *map(get_material, names), get_material(study.MEDIUM), fraction,
         wavelengths, fgrid.points,
     )
     noise = (
         args.noise_fraction if args.noise_fraction is not None
-        else defaults.noise_fraction
+        else study.StudyConfig().noise_fraction
     )
     e_true = study.forward_extinctions(dist, None, wavelengths, grid=fgrid, rows=rows)
     meas = study.simulate_measurement(
@@ -445,7 +443,7 @@ def _cmd_invert(args) -> int:
         names, method = args.material, args.method
         config = _study_config(study.StudyConfig, args)
     meas = read_measurement(args.measurement)
-    forward = study.kernel_family(config, names, meas.wavelengths)
+    forward = study.kernel_family(names, meas.wavelengths)
     t0 = time.perf_counter()
     ranked = study.invert(meas, forward, method, _reg_kind(args), config, args.seed)
     elapsed = time.perf_counter() - t0

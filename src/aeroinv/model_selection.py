@@ -173,6 +173,13 @@ class Measurement:
     def n_wavelengths(self) -> int:
         return self.wavelengths.size
 
+    @functools.cached_property
+    def scaling(self) -> "NoiseScaling":
+        """``NoiseScaling.from_measurement(self)``: the noise scaling the
+        measurement fixes, computed on first use and shared by every method
+        that reads it."""
+        return NoiseScaling.from_measurement(self)
+
 
 @dataclass(frozen=True)
 class NoiseScaling:
@@ -228,10 +235,9 @@ class _LevelFit:
     NNLS residual, the least-squares fit and, per regularizer kind, the
     ridge curve.  All arrays are read-only."""
 
-    def __init__(self, kernel: KernelMatrix, meas: Measurement, scaling: NoiseScaling):
-        w = scaling.normalized_weights
-        self.sigma_normalized = scaling.sigma_normalized
-        self.delta_sq = scaling.delta_sq
+    def __init__(self, kernel: KernelMatrix, meas: Measurement):
+        w = meas.scaling.normalized_weights
+        self.delta_sq = meas.scaling.delta_sq
         self.K = kernel.entries * w[:, None]
         self.r = meas.mean_extinction * w
         self.K.setflags(write=False)
@@ -271,17 +277,11 @@ class _LevelFit:
         return self._curves[kind]
 
 
-def _level_fit(kernel: KernelMatrix, meas: Measurement, scaling: NoiseScaling):
+def _level_fit(kernel: KernelMatrix, meas: Measurement) -> _LevelFit:
     """The level's fits to ``meas``, memoized on the kernel matrix while
     ``meas`` is its latest measurement (``KernelMatrix.memo``), so a kernel
-    builder that caches its matrices shares them across methods.  A scaling
-    other than the measurement's own gets fits of its own."""
-    fit = kernel.memo(meas, lambda: _LevelFit(kernel, meas, scaling))
-    if fit.sigma_normalized is scaling.sigma_normalized or np.array_equal(
-        fit.sigma_normalized, scaling.sigma_normalized
-    ):
-        return fit
-    return _LevelFit(kernel, meas, scaling)
+    builder that caches its matrices shares them across methods."""
+    return kernel.memo(meas, lambda: _LevelFit(kernel, meas))
 
 
 def _constrained_fit(level, reg, base_res, target_sq, root):
@@ -299,7 +299,7 @@ def _ridge_fit(level, reg, base_res, target_sq, root):
     return level.ridge_curve(reg.kind).discrepancy(target_sq, root)
 
 
-def _level_candidates(kernel, meas, scaling, tau_grid, reg_kind, base_res, fit):
+def _level_candidates(kernel, meas, tau_grid, reg_kind, base_res, fit):
     """Candidates for one discretization level (empty if none admissible).
 
     ``base_res`` is the level's unregularized residual, which decides the
@@ -308,7 +308,7 @@ def _level_candidates(kernel, meas, scaling, tau_grid, reg_kind, base_res, fit):
     root)`` then maps each target and its root to ``(gamma, weights,
     residual_sq)`` on the weighted system.
     """
-    level = _level_fit(kernel, meas, scaling)
+    level = _level_fit(kernel, meas)
     targets = level.open_targets(base_res, tau_grid)
     if not targets:
         return []
@@ -372,12 +372,11 @@ def generate_models(
     size.  Stops after ``max_disc`` levels produced candidates; raises
     NoModels if none did.
     """
-    scaling = NoiseScaling.from_measurement(meas)
 
     def fit_level(kernel):
         return _level_candidates(
-            kernel, meas, scaling, tau_grid, reg_kind,
-            _level_fit(kernel, meas, scaling).nnls_residual, _constrained_fit,
+            kernel, meas, tau_grid, reg_kind,
+            _level_fit(kernel, meas).nnls_residual, _constrained_fit,
         )
 
     return _walk_ladder(meas, kernel_builder, ladder, fit_level, max_disc)
@@ -394,13 +393,14 @@ class _StatisticalSystem:
     log_prior_norm: float
 
 
-def _statistical_system(candidate, meas, scaling) -> _StatisticalSystem:
+def _statistical_system(candidate, meas) -> _StatisticalSystem:
     """Evidence exponent, likelihood normalizer and prior normalizer.
 
     Statistics run on the unnormalized covariance, so the regularizer stored
     with the normalized-problem parameter is rescaled by 1/delta^2 here: the
     prior precision is ``scale * R``.
     """
+    scaling = meas.scaling
     var = scaling.obs_variance
     K_stat = candidate.kernel.entries / np.sqrt(var)[:, None]
     e_stat = meas.mean_extinction / np.sqrt(var)
@@ -411,15 +411,15 @@ def _statistical_system(candidate, meas, scaling) -> _StatisticalSystem:
     )
     return _StatisticalSystem(
         joint,
-        _log_likelihood_normalizer(meas, scaling),
+        _log_likelihood_normalizer(meas),
         prior_normalizer(candidate.regularizer, scale).log_value,
     )
 
 
-def _log_likelihood_normalizer(meas, scaling) -> float:
+def _log_likelihood_normalizer(meas) -> float:
     """log of the Gaussian likelihood's normalizing constant."""
     return 0.5 * meas.n_wavelengths * np.log(2.0 * np.pi) + 0.5 * float(
-        np.sum(np.log(scaling.obs_variance))
+        np.sum(np.log(meas.scaling.obs_variance))
     )
 
 
@@ -488,9 +488,7 @@ def prior_normalizer(regularizer: Regularizer, scale: float) -> IntegralEstimate
         np.sum(np.log(np.diag(regularizer.cholesky)))
     )
     log_value = 0.5 * (N * np.log(2.0 * np.pi) - logdet) + log_p0
-    with np.errstate(over="ignore"):  # the linear value may not be representable
-        value = float(np.exp(log_value))
-    return IntegralEstimate(value, rel_err, samples, log_value)
+    return IntegralEstimate(rel_err, samples, log_value)
 
 
 class LogEvidence(float):
@@ -520,12 +518,11 @@ def _log_evidence(system: _StatisticalSystem, samples: int, seed: int) -> LogEvi
 def log_marginal_likelihood(
     candidate: ModelCandidate,
     meas: Measurement,
-    scaling: NoiseScaling,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> LogEvidence:
     """Log evidence of one candidate under its truncated-Gaussian prior."""
-    return _log_evidence(_statistical_system(candidate, meas, scaling), samples, seed)
+    return _log_evidence(_statistical_system(candidate, meas), samples, seed)
 
 
 def _log_evidence_bound(system: _StatisticalSystem) -> float:
@@ -581,7 +578,6 @@ def top_within_noise(ranked) -> bool | None:
 def select_models(
     candidates,
     meas: Measurement,
-    scaling: NoiseScaling | None = None,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> list[ModelCandidate]:
@@ -600,9 +596,7 @@ def select_models(
     """
     if not candidates:
         raise EmptyCandidates("no candidates to select from")
-    if scaling is None:
-        scaling = NoiseScaling.from_measurement(meas)
-    systems = [_statistical_system(c, meas, scaling) for c in candidates]
+    systems = [_statistical_system(c, meas) for c in candidates]
     bounds = [_log_evidence_bound(s) for s in systems]
     log_marginals = [None] * len(candidates)
     best = -np.inf
@@ -631,13 +625,12 @@ def invert_constrained(
     Bayesian ranking is skipped in favor of the coarsest admissible model at
     the classical safety factor.
     """
-    scaling = NoiseScaling.from_measurement(meas)
-    if scaling.delta_sq < LOW_NOISE_DELTA_SQ:
+    if meas.scaling.delta_sq < LOW_NOISE_DELTA_SQ:
         return invert_morozov(meas, kernel_builder, ladder, reg_kind)
     candidates = generate_models(
         meas, kernel_builder, ladder, tau_grid, reg_kind, max_disc
     )
-    return select_models(candidates, meas, scaling, samples, seed)
+    return select_models(candidates, meas, samples, seed)
 
 
 def invert_morozov(
@@ -653,7 +646,7 @@ def invert_morozov(
     return [dataclasses.replace(candidates[0], posterior=1.0)]
 
 
-def _log_evidence_unconstrained(candidate, meas, scaling):
+def _log_evidence_unconstrained(candidate, meas):
     """Closed-form Gaussian evidence (no orthant restriction).
 
     On the weighted system the statistical precision is
@@ -663,16 +656,13 @@ def _log_evidence_unconstrained(candidate, meas, scaling):
     (its ridge solution at gamma), and the prior-to-posterior determinant
     ratio is prod gamma / (lam + gamma); det V cancels.
     """
-    level = _level_fit(candidate.kernel, meas, scaling)
+    level = _level_fit(candidate.kernel, meas)
     curve = level.ridge_curve(candidate.regularizer.kind)
     gamma = candidate.gamma
     y = curve.coefficients(gamma)
-    misfit = (candidate.residual_sq + gamma * float(y @ y)) / scaling.delta_sq
+    misfit = (candidate.residual_sq + gamma * float(y @ y)) / level.delta_sq
     log_det_ratio = -float(np.sum(np.log1p(curve.eigenvalues / gamma)))
-    return (
-        -0.5 * misfit + 0.5 * log_det_ratio
-        - _log_likelihood_normalizer(meas, scaling)
-    )
+    return -0.5 * misfit + 0.5 * log_det_ratio - _log_likelihood_normalizer(meas)
 
 
 def invert_unconstrained(
@@ -684,14 +674,13 @@ def invert_unconstrained(
     max_disc: int = DEFAULT_MAX_DISC,
 ) -> list[ModelCandidate]:
     """Same pipeline with the constraints dropped and analytic evidence."""
-    scaling = NoiseScaling.from_measurement(meas)
 
     def fit_level(kernel):
         level = _level_candidates(
-            kernel, meas, scaling, tau_grid, reg_kind,
-            _level_fit(kernel, meas, scaling).lstsq[1], _ridge_fit,
+            kernel, meas, tau_grid, reg_kind,
+            _level_fit(kernel, meas).lstsq[1], _ridge_fit,
         )
-        return [(c, _log_evidence_unconstrained(c, meas, scaling)) for c in level]
+        return [(c, _log_evidence_unconstrained(c, meas)) for c in level]
 
     scored = _walk_ladder(meas, kernel_builder, ladder, fit_level, max_disc)
     return _rank([c for c, _ in scored], [lm for _, lm in scored])
@@ -702,31 +691,28 @@ def bic_select(
     kernel_builder,
     ladder=DEFAULT_LADDER,
     tau_grid=DEFAULT_TAU_GRID,
-    max_levels: int = 3,
 ):
     """Score the coarsest admissible levels by the information criterion.
 
     Admissibility reuses the constrained residual window of the model
     generation step; the scored fit per level is the unconstrained
-    maximum-likelihood solution.  Returns ``(candidate, score)`` with ties
+    maximum-likelihood solution.  Like the other methods it scores at most
+    ``DEFAULT_MAX_DISC`` levels.  Returns ``(candidate, score)`` with ties
     resolved toward the smaller dimension.
     """
-    scaling = NoiseScaling.from_measurement(meas)
     n_l = meas.n_wavelengths
-    log_norm_const = n_l * np.log(2.0 * np.pi) + float(
-        np.sum(np.log(scaling.obs_variance))
-    )
+    log_norm_const = 2.0 * _log_likelihood_normalizer(meas)
 
     def fit_level(kernel):
-        level = _level_fit(kernel, meas, scaling)
+        level = _level_fit(kernel, meas)
         if not level.open_targets(level.nnls_residual, tau_grid):
             return []
         ls, res = level.lstsq
         dim = kernel.interior_dim
-        score = log_norm_const + res / scaling.delta_sq + dim * np.log(n_l)
+        score = log_norm_const + res / level.delta_sq + dim * np.log(n_l)
         return [(float(score), dim, ls, res, kernel)]
 
-    scored = _walk_ladder(meas, kernel_builder, ladder, fit_level, max_levels)
+    scored = _walk_ladder(meas, kernel_builder, ladder, fit_level, DEFAULT_MAX_DISC)
     score, _, ls, res, kernel = min(scored, key=lambda t: (t[0], t[1]))
     candidate = ModelCandidate(
         weights=ls,

@@ -19,7 +19,6 @@ spread of the per-shift log estimates.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from dataclasses import dataclass
 
@@ -32,7 +31,6 @@ from .errors import CholeskyFailure
 __all__ = [
     "QuadraticForm",
     "IntegralEstimate",
-    "genz_orthant_probability",
     "log_orthant_probability",
     "orthant_integral",
     "log_gaussian_integral",
@@ -97,20 +95,26 @@ class QuadraticForm:
 class IntegralEstimate:
     """Monte Carlo estimate.
 
-    For ``genz_orthant_probability`` ``std_error`` is absolute; elsewhere it
-    is relative (approximately the standard error of ``log_value``), since
-    the linear value may not be representable.  ``log_bound`` is an upper
-    bound on the log of the exact value (psi* of the minimax tilt; inf where
-    none is known) and ``tilted`` whether the sampler ran with the tilt
-    (False after a failed tilt search, which falls back to mu = 0).
+    ``std_error`` is relative (approximately the standard error of
+    ``log_value``), since the linear value may not be representable.
+    ``log_bound`` is an upper bound on the log of the exact value (psi* of
+    the minimax tilt; inf where none is known) and ``tilted`` whether the
+    sampler ran with the tilt (False after a failed tilt search, which falls
+    back to mu = 0).
     """
 
-    value: float
     std_error: float
     samples: int
     log_value: float
     log_bound: float = np.inf
     tilted: bool = False
+
+    @property
+    def value(self) -> float:
+        """exp(``log_value``): 0 below exp(-745) and inf above exp(709),
+        without an overflow warning."""
+        with np.errstate(over="ignore"):
+            return float(np.exp(self.log_value))
 
 
 @functools.lru_cache(maxsize=None)
@@ -378,23 +382,7 @@ def log_orthant_probability(
     log_value, rel_err, n, log_bound, tilted = _log_probability(
         cov, lower, samples, seed
     )
-    return IntegralEstimate(
-        float(np.exp(log_value)), rel_err, n, log_value, log_bound, tilted
-    )
-
-
-def genz_orthant_probability(
-    H, lower_shift, samples: int = DEFAULT_SAMPLES, seed: int = 0
-) -> IntegralEstimate:
-    """Probability P(Z >= lower_shift) for Z ~ N(0, H^-1), with an absolute
-    ``std_error``.
-
-    Uses randomly shifted square-root lattice points with ``_N_SHIFTS``
-    independent shifts; the spread of the per-shift estimates gives the
-    standard error.
-    """
-    est = log_orthant_probability(H, lower_shift, samples, seed)
-    return dataclasses.replace(est, std_error=est.value * est.std_error)
+    return IntegralEstimate(rel_err, n, log_value, log_bound, tilted)
 
 
 def log_gaussian_integral(form: QuadraticForm) -> float:
@@ -423,7 +411,7 @@ def orthant_integral(
     log_prob, rel_err, n, log_bound, tilted = _log_probability(
         cov, -mode, samples, seed
     )
-    log_value = log_prefactor + log_prob
-    value = float(np.exp(log_value)) if np.isfinite(log_value) else 0.0
-    log_bound = float(log_prefactor + log_bound)
-    return IntegralEstimate(value, rel_err, n, float(log_value), log_bound, tilted)
+    return IntegralEstimate(
+        rel_err, n, float(log_prefactor + log_prob),
+        float(log_prefactor + log_bound), tilted,
+    )

@@ -27,7 +27,6 @@ from .discretization import (
 )
 from .errors import NoModels, NonPositiveIntensity, RootFailure, ZeroTruth
 from .model_selection import (
-    DEFAULT_LADDER,
     DEFAULT_TAU_GRID,
     Measurement,
     ModelCandidate,
@@ -40,7 +39,8 @@ from .model_selection import (
 from .optics import get_material, mixed_kernel_rows
 from .orthant_mvn import DEFAULT_SAMPLES
 from .two_component import (
-    FALLBACK_TAU_GRID,
+    DEFAULT_ANCHOR_COUNT,
+    DEFAULT_N_FRAC,
     TAU_GRID_TWO_COMPONENT,
     KernelFamily,
     build_kernel_family,
@@ -83,6 +83,8 @@ N_INTEGRATION = 300
 N_FINE = 10001
 DEFAULT_REPEATS = 300
 VARIANCE_FLOOR = 1e-30
+# The medium of every study and CLI forward model.
+MEDIUM = "air"
 
 # inclusive linspaces per detector band; 8+8+8+16+8 = 48 wavelengths
 WAVELENGTH_BANDS = (
@@ -146,14 +148,14 @@ def eval_size_distribution(dist: SizeDistribution, r):
     return out
 
 
-def parameter_grid(
-    family: str, amplitude: float = 1e4, tol: float = 10.0, r_max: float = R_MAX
-) -> list[SizeDistribution]:
-    """The 100 study parameter sets per family.
+def parameter_grid(family: str) -> list[SizeDistribution]:
+    """The 100 study parameter sets per family, each of amplitude 1e4.
 
     Parameters are spread between the smallest value keeping the modal radius
-    at 1 um and the largest value keeping the density at r_max below ``tol``.
+    at 1 um and the largest value keeping the density at ``R_MAX`` below
+    ``tol`` = 10.
     """
+    amplitude, tol, r_max = 1e4, 10.0, R_MAX
     out = []
     if family == "log_normal":
         for k in range(10):
@@ -285,14 +287,10 @@ class StudyConfig:
     noise_fraction: float = 0.30
     parameter_indices: tuple[int, ...] | None = None  # None = all 100
     repeats_per_parameter: int = 10
-    measurement_repeats: int = DEFAULT_REPEATS
     seed: int = 0
-    ladder: tuple[int, ...] = DEFAULT_LADDER
     tau_grid: tuple[float, ...] = DEFAULT_TAU_GRID
-    max_disc: int = 3
     mc_samples: int = DEFAULT_SAMPLES
     particle: str = "h2o"
-    medium: str = "air"
 
 
 @dataclass(frozen=True)
@@ -303,17 +301,11 @@ class TwoComponentStudyConfig:
     water_fractions: tuple[float, ...] = (0.0, 0.33, 0.67, 1.0)
     parameter_indices: tuple[int, ...] | None = None
     repeats_per_parameter: int = 1
-    measurement_repeats: int = DEFAULT_REPEATS
     seed: int = 0
-    ladder: tuple[int, ...] = DEFAULT_LADDER
     tau_grid: tuple[float, ...] = TAU_GRID_TWO_COMPONENT
-    fallback_tau_grid: tuple[float, ...] = FALLBACK_TAU_GRID
     mc_samples: int = DEFAULT_SAMPLES
     component_a: str = "h2o"
     component_b: str = "csi"
-    medium: str = "air"
-    anchor_count: int = 101
-    n_frac: int = 201
 
 
 REDUCED_PARAMETER_INDICES = tuple(range(0, 100, 11))  # 10 spread indices
@@ -475,45 +467,43 @@ def _study_truths(config, family):
     return [(pi, params[pi]) for pi in indices]
 
 
-def _tables(config, names):
-    """Index tables of components a and b and the medium; one name is both."""
-    return [get_material(n) for n in (names[0], names[-1], config.medium)]
+def _tables(names):
+    """Index tables of components a and b and ``MEDIUM``; one name is both."""
+    return [get_material(n) for n in (names[0], names[-1], MEDIUM)]
 
 
-def kernel_family(config, names, wavelengths) -> KernelFamily:
-    """The forward model of material ``names`` in ``config.medium``: one name
-    is the one-fraction family, two are the config's anchored mixture."""
+def kernel_family(names, wavelengths) -> KernelFamily:
+    """The forward model of material ``names`` in ``MEDIUM``: one name is the
+    one-fraction family, two are the anchored mixture."""
     one = len(names) == 1
     return build_kernel_family(
-        *_tables(config, names), wavelengths, integration_grid(),
-        anchor_count=1 if one else config.anchor_count,
-        n_frac=1 if one else config.n_frac,
+        *_tables(names), wavelengths, integration_grid(),
+        anchor_count=1 if one else DEFAULT_ANCHOR_COUNT,
+        n_frac=1 if one else DEFAULT_N_FRAC,
     )
 
 
 def invert(meas, forward, method, reg_kind, config, seed) -> list[ModelCandidate]:
     """Ranked candidates of one inversion ``method`` (a ``METHODS`` entry or
-    ``constrained2``); ``config`` supplies the ladder, the tau grids,
-    ``max_disc`` and the sample budget."""
+    ``constrained2``) on the default ladder; ``config`` supplies the tau
+    grid and the sample budget."""
+    tau_grid, samples = config.tau_grid, config.mc_samples
     methods = {
         "constrained": lambda: invert_constrained(
-            meas, forward, config.ladder, config.tau_grid, reg_kind,
-            config.max_disc, config.mc_samples, seed,
+            meas, forward, tau_grid=tau_grid, reg_kind=reg_kind,
+            samples=samples, seed=seed,
         ),
         "constrained2": lambda: select_models(
             generate_models_two_component(
-                forward, meas, tau_grid=config.tau_grid,
-                fallback_tau_grid=config.fallback_tau_grid, reg_kind=reg_kind,
-                ladder=config.ladder,
+                forward, meas, tau_grid=tau_grid, reg_kind=reg_kind
             ),
-            meas, samples=config.mc_samples, seed=seed,
+            meas, samples=samples, seed=seed,
         ),
-        "morozov": lambda: invert_morozov(meas, forward, config.ladder, reg_kind),
+        "morozov": lambda: invert_morozov(meas, forward, reg_kind=reg_kind),
         "unconstrained": lambda: invert_unconstrained(
-            meas, forward, config.ladder, config.tau_grid, reg_kind,
-            config.max_disc,
+            meas, forward, tau_grid=tau_grid, reg_kind=reg_kind
         ),
-        "bic": lambda: [bic_select(meas, forward, config.ladder, config.tau_grid)[0]],
+        "bic": lambda: [bic_select(meas, forward, tau_grid=tau_grid)[0]],
     }
     if method not in methods:
         raise ValueError(f"unknown method {method!r}")
@@ -527,9 +517,9 @@ def _closed_loop(config, names, fractions, methods) -> StudyReport:
     t_start = time.perf_counter()
     wavelengths = study_wavelengths()
     fgrid = fine_grid()
-    forward = kernel_family(config, names, wavelengths)
+    forward = kernel_family(names, wavelengths)
     fine_rows = mixed_kernel_rows(
-        *_tables(config, names), [1.0 if p is None else p for p in fractions],
+        *_tables(names), [1.0 if p is None else p for p in fractions],
         wavelengths, fgrid.points,
     )
     records = []
@@ -543,8 +533,7 @@ def _closed_loop(config, names, fractions, methods) -> StudyReport:
                 for rep in range(config.repeats_per_parameter):
                     rng = _run_rng(config.seed, family, pi, rep, *extra)
                     meas = simulate_measurement(
-                        wavelengths, e_true, config.noise_fraction,
-                        config.measurement_repeats, rng,
+                        wavelengths, e_true, config.noise_fraction, rng=rng
                     )
                     mc_seed = int(rng.integers(2**31 - 1))
                     for method, reg_kind in itertools.product(

@@ -30,7 +30,6 @@ from .model_selection import (
     DEFAULT_LADDER,
     Measurement,
     ModelCandidate,
-    NoiseScaling,
     _constrained_fit,
     _level_candidates,
     _walk_ladder,
@@ -159,21 +158,16 @@ def minimal_mean_window(residuals, n_mean: int) -> int:
 
 
 def scan_fractions(
-    family: KernelFamily,
-    meas: Measurement,
-    scaling: NoiseScaling | None = None,
-    n_col: int = 3,
-    n_mean: int = DEFAULT_N_MEAN,
+    family: KernelFamily, meas: Measurement, n_col: int = 3
 ) -> FractionScan:
-    """Nonnegative-fit residual at every fraction plus the minimal-mean window.
+    """Nonnegative-fit residual at every fraction plus the minimal-mean window
+    of ``DEFAULT_N_MEAN`` fractions.
 
     Ties between equal-mean windows resolve to the lowest starting index; the
     selected sub-indices are the first, third, and fifth window members.
     """
-    if scaling is None:
-        scaling = NoiseScaling.from_measurement(meas)
     _, stacked = family.level_matrices(n_col)
-    w = scaling.normalized_weights
+    w = meas.scaling.normalized_weights
     r = meas.mean_extinction * w
     dim = stacked.shape[2]
     eye = np.eye(dim)
@@ -186,46 +180,42 @@ def scan_fractions(
         )
         hint = sol.n > 0.0
         residuals[i] = sol.residual_sq
-    i0 = minimal_mean_window(residuals, n_mean)
-    best_window = np.arange(i0, i0 + n_mean)
-    selected = tuple(i0 + k for k in (0, 2, 4) if k < n_mean)
-    return FractionScan(residuals, n_mean, best_window, selected)
+    i0 = minimal_mean_window(residuals, DEFAULT_N_MEAN)
+    best_window = np.arange(i0, i0 + DEFAULT_N_MEAN)
+    selected = (i0, i0 + 2, i0 + 4)
+    return FractionScan(residuals, DEFAULT_N_MEAN, best_window, selected)
 
 
 def generate_models_two_component(
     family: KernelFamily,
     meas: Measurement,
-    scaling: NoiseScaling | None = None,
     tau_grid=TAU_GRID_TWO_COMPONENT,
-    fallback_tau_grid=FALLBACK_TAU_GRID,
     reg_kind: str = "tikhonov",
     ladder=DEFAULT_LADDER,
-    n_mean: int = DEFAULT_N_MEAN,
 ) -> list[ModelCandidate]:
     """Candidates from the first ladder level admitting any scanned fraction.
 
     The walk stops at the first level where any (selected fraction, tau)
     passes the discrepancy window, with the scanned nonnegative residual as
     each fraction's unregularized residual.  If the primary safety-factor
-    grid yields nothing on any level, one retry runs with the fallback grid
-    before giving up; it reuses each level's fraction scan.
+    grid yields nothing on any level, one retry runs with
+    ``FALLBACK_TAU_GRID`` before giving up; it reuses each level's fraction
+    scan.
     """
-    if scaling is None:
-        scaling = NoiseScaling.from_measurement(meas)
 
     @functools.cache
     def scan_level(n_col):
-        return n_col, scan_fractions(family, meas, scaling, n_col, n_mean)
+        return n_col, scan_fractions(family, meas, n_col)
 
-    for taus in (tuple(tau_grid), tuple(fallback_tau_grid)):
+    for taus in (tuple(tau_grid), FALLBACK_TAU_GRID):
 
         def fit_level(level):
             n_col, scan = level
             out = []
             for fi in scan.selected:
                 out += _level_candidates(
-                    family.kernel_matrix(n_col, fi), meas, scaling, taus,
-                    reg_kind, scan.residuals[fi], _constrained_fit,
+                    family.kernel_matrix(n_col, fi), meas, taus, reg_kind,
+                    scan.residuals[fi], _constrained_fit,
                 )
             return out
 

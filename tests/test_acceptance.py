@@ -14,7 +14,7 @@ import pytest
 import scipy.integrate as si
 
 from aeroinv.optics import get_material, make_kernel
-from aeroinv.orthant_mvn import QuadraticForm, genz_orthant_probability, orthant_integral
+from aeroinv.orthant_mvn import QuadraticForm, log_orthant_probability, orthant_integral
 from aeroinv.simulation_study import (
     integration_grid,
     kernel_rows,
@@ -207,7 +207,7 @@ class TestCriterion4Orthant:
         f2 = lambda y, x: np.exp(-0.5 * (np.array([x, y]) @ H2 @ np.array([x, y])))
         num, _ = si.dblquad(f2, 0, 12, 0, 12, epsabs=1e-13, epsrel=1e-12)
         exact2 = num * np.sqrt(np.linalg.det(H2)) / (2 * np.pi)
-        est2 = genz_orthant_probability(H2, np.zeros(2), 100000, 12)
+        est2 = log_orthant_probability(H2, np.zeros(2), 100000, 12)
         ok_2d = abs(est2.value - exact2) / exact2 <= 1e-3
 
         rng = np.random.default_rng(404)

@@ -78,6 +78,11 @@ class TestMeasurementScaling:
         assert sc.sigma_normalized == pytest.approx([1.0, 0.25, 0.5])
         assert np.all(sc.sigma_normalized <= 1.0)
         assert sc.obs_variance == pytest.approx([1.0, 0.25, 0.5])
+        # the measurement's own scaling: computed once, the same values
+        assert meas.scaling is meas.scaling
+        assert meas.scaling.delta_sq == sc.delta_sq
+        assert np.array_equal(meas.scaling.sigma_normalized, sc.sigma_normalized)
+        assert np.array_equal(meas.scaling.obs_variance, sc.obs_variance)
 
 
 def orthogonal_instance(n_l=6, dim=2, resid_scale=0.5, seed=0):
@@ -165,11 +170,11 @@ class TestMarginalLikelihood:
             tau=1.0,
             residual_sq=0.0,
         )
-        return cand, meas, NoiseScaling.from_measurement(meas)
+        return cand, meas
 
     def test_scalar_toy_against_quadrature(self):
-        cand, meas, sc = self.toy_candidate(gamma=1.0)
-        got = log_marginal_likelihood(cand, meas, sc, samples=5000, seed=0)
+        cand, meas = self.toy_candidate(gamma=1.0)
+        got = log_marginal_likelihood(cand, meas, samples=5000, seed=0)
         # direct evaluation: int_0^inf N(0; n, 1) * prior(n) dn over the
         # normalized prior restricted to n >= 0
         joint = si.quad(lambda n: np.exp(-0.5 * n**2 - 0.5 * n**2), 0, 30)[0]
@@ -178,9 +183,9 @@ class TestMarginalLikelihood:
         assert got == pytest.approx(expect, abs=1e-6)
 
     def test_identical_candidates_identical_values(self):
-        cand, meas, sc = self.toy_candidate()
-        a = log_marginal_likelihood(cand, meas, sc, samples=4000, seed=3)
-        b = log_marginal_likelihood(cand, meas, sc, samples=4000, seed=3)
+        cand, meas = self.toy_candidate()
+        a = log_marginal_likelihood(cand, meas, samples=4000, seed=3)
+        b = log_marginal_likelihood(cand, meas, samples=4000, seed=3)
         assert a == b
 
     def test_overshrunk_prior_penalized(self):
@@ -200,7 +205,7 @@ class TestMarginalLikelihood:
                 weights=np.zeros(2), kernel=kernel, regularizer=reg,
                 gamma=gamma, tau=1.0, residual_sq=0.0,
             )
-            lm[gamma] = log_marginal_likelihood(cand, meas, sc, 200000, seed=4)
+            lm[gamma] = log_marginal_likelihood(cand, meas, 200000, seed=4)
         assert lm[5e4] < lm[0.5]
 
         # cross-check the moderate-gamma value against dense 2-D quadrature
@@ -245,8 +250,7 @@ class TestSelectModels:
 
     def test_evidence_error_carried_onto_candidates(self):
         cands, meas = self.base_candidates([0.0, 0.0])
-        sc = NoiseScaling.from_measurement(meas)
-        lm = log_marginal_likelihood(cands[0], meas, sc, samples=2000, seed=0)
+        lm = log_marginal_likelihood(cands[0], meas, samples=2000, seed=0)
         ranked = select_models(cands, meas, samples=2000, seed=0)
         for c in ranked:
             assert c.log_marginal == float(lm)
@@ -354,7 +358,7 @@ class TestUnconstrained:
             weights=n, kernel=kernel, regularizer=reg,
             gamma=0.7, tau=1.0, residual_sq=float(np.sum((K_w @ n - r_w) ** 2)),
         )
-        lz = _log_evidence_unconstrained(cand, meas, sc)
+        lz = _log_evidence_unconstrained(cand, meas)
         R_stat = (0.7 / sc.delta_sq) * np.eye(2)
 
         def integrand(n2, n1):
@@ -412,7 +416,7 @@ def cho_factor_evidence(candidate, meas, scaling):
 
     from aeroinv.model_selection import _statistical_system
 
-    system = _statistical_system(candidate, meas, scaling)
+    system = _statistical_system(candidate, meas)
     joint, log_b = system.joint, system.log_b
     scale = candidate.gamma / scaling.delta_sq
     cf = scipy.linalg.cho_factor(joint.H, lower=False)
@@ -500,12 +504,11 @@ class TestEvidenceScreen:
         )
 
         builder, meas = study_inputs
-        sc = NoiseScaling.from_measurement(meas)
         ranked = invert_unconstrained(meas, builder, reg_kind=kind)
         assert len(ranked) >= 3
         for cand in ranked:
             log_p0 = _log_prior_orthant_probability(kind, cand.dim)[0]
-            bound = _log_evidence_bound(_statistical_system(cand, meas, sc))
+            bound = _log_evidence_bound(_statistical_system(cand, meas))
             assert bound == pytest.approx(cand.log_marginal - log_p0, rel=1e-9)
 
     def test_select_models_screens_only_far_below_the_top(self, study_inputs):
@@ -518,9 +521,8 @@ class TestEvidenceScreen:
         from aeroinv.orthant_mvn import DEFAULT_SAMPLES
 
         builder, meas = study_inputs
-        sc = NoiseScaling.from_measurement(meas)
         cands = generate_models(meas, builder)
-        ranked = select_models(cands, meas, sc, DEFAULT_SAMPLES, seed=5)
+        ranked = select_models(cands, meas, DEFAULT_SAMPLES, seed=5)
         screened_budget = DEFAULT_SAMPLES // _SCREEN_DIVISOR
         results = {(r.dim, r.tau): r for r in ranked}
         assert len(results) == len(cands) == len(ranked)
@@ -530,7 +532,7 @@ class TestEvidenceScreen:
         # replay the rule: descending bound, best full-budget value so far
         best = -np.inf
         bounds = [
-            _log_evidence_bound(_statistical_system(c, meas, sc)) for c in cands
+            _log_evidence_bound(_statistical_system(c, meas)) for c in cands
         ]
         for i in np.argsort([-b for b in bounds], kind="stable"):
             r = results[(cands[i].dim, cands[i].tau)]
@@ -539,7 +541,7 @@ class TestEvidenceScreen:
                 screened_budget if bounds[i] < best - _SCREEN_NATS
                 else DEFAULT_SAMPLES
             )
-            lm = log_marginal_likelihood(cands[i], meas, sc, budget, seed=5)
+            lm = log_marginal_likelihood(cands[i], meas, budget, seed=5)
             assert r.log_marginal == float(lm)
             assert r.log_marginal_se == lm.std_error
             if budget == screened_budget:
@@ -575,7 +577,7 @@ class TestEvidenceScreen:
 
         monkeypatch.setattr(msel, "_statistical_system", counting_build)
         monkeypatch.setattr(msel, "_log_evidence_bound", recording_bound)
-        msel.select_models(cands, meas, sc, seed=5)
+        msel.select_models(cands, meas, seed=5)
         assert len(systems) == len(cands) == len(bounds)
         for c, system, b in zip(cands, systems, bounds):
             scale = c.gamma / sc.delta_sq

@@ -287,18 +287,16 @@ def test_log_evidence_never_exceeds_its_closed_form_bound(problem, seed):
     # the ranking screen rests on this: the bound drops only the orthant
     # probability, and every estimate of that probability is at most 1
     from aeroinv.model_selection import (
-        NoiseScaling,
         _log_evidence_bound,
         _statistical_system,
         log_marginal_likelihood,
     )
 
     candidate, meas = problem
-    sc = NoiseScaling.from_measurement(meas)
-    bound = _log_evidence_bound(_statistical_system(candidate, meas, sc))
+    bound = _log_evidence_bound(_statistical_system(candidate, meas))
     assert np.isfinite(bound)
     for samples in (1, 200, 1000, 5000):
-        lm = log_marginal_likelihood(candidate, meas, sc, samples, seed)
+        lm = log_marginal_likelihood(candidate, meas, samples, seed)
         assert lm <= bound + 1e-9
 
 

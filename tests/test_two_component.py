@@ -273,9 +273,9 @@ class TestGenerateAndSelect:
         scanned = Counter()
         scan = two_component.scan_fractions
 
-        def counting_scan(fam, m, scaling, n_col, n_mean):
+        def counting_scan(fam, m, n_col):
             scanned[n_col] += 1
-            return scan(fam, m, scaling, n_col, n_mean)
+            return scan(fam, m, n_col)
 
         monkeypatch.setattr(two_component, "scan_fractions", counting_scan)
         got = generate_models_two_component(family, meas, tau_grid=(1e-12,))
