@@ -12,7 +12,6 @@ from .model_selection import (
     Measurement,
     ModelCandidate,
     NoiseScaling,
-    Regularizer,
     bic_select,
     build_regularizer,
     generate_models,
@@ -55,7 +54,7 @@ from .simulation_study import (
 )
 from .tikhonov_qp import (
     QpSolution,
-    WeightedProblem,
+    Regularizer,
     solve_constrained_tikhonov,
     solve_discrepancy,
     solve_nnls,

@@ -214,7 +214,7 @@ def _resolve_materials(args) -> None:
         for name in names:
             try:
                 get_material(name)
-            except FileNotFoundError as exc:
+            except (OSError, ValueError) as exc:  # missing or malformed table
                 raise UsageError(f"--{attr}: {exc}") from exc
         setattr(args, attr, names)
 

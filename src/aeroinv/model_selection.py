@@ -51,8 +51,8 @@ from .orthant_mvn import (
     orthant_integral,
 )
 from .tikhonov_qp import (
+    Regularizer,
     RidgeCurve,
-    regularizer_factor,
     solve_discrepancy,
     solve_nnls,
 )
@@ -97,26 +97,10 @@ _SCREEN_NATS = 10.0
 _SCREEN_DIVISOR = 5
 
 
-@dataclass(frozen=True)
-class Regularizer:
-    """SPD regularization matrix with its upper Cholesky factor and the
-    factor's inverse, all read-only: ``build_regularizer`` shares one
-    instance per (kind, N)."""
-
-    kind: str
-    matrix: np.ndarray
-    cholesky: np.ndarray
-    cholesky_inverse: np.ndarray
-
-    @property
-    def factor(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(U, U^-1)``, the ``factor`` keyword of the ``tikhonov_qp`` solvers."""
-        return self.cholesky, self.cholesky_inverse
-
-
 @functools.lru_cache(maxsize=None)
 def build_regularizer(kind: str, N: int) -> Regularizer:
-    """The regularizer stencil of the given kind and dimension (cached)."""
+    """The regularizer stencil of the given kind and dimension, factored
+    (cached: one read-only instance per kind and dimension)."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if kind == "tikhonov":
@@ -134,10 +118,7 @@ def build_regularizer(kind: str, N: int) -> Regularizer:
         R = H.T @ H
     else:
         raise ValueError(f"unknown regularizer kind {kind!r}")
-    U, U_inv = regularizer_factor(R)
-    for a in (R, U, U_inv):
-        a.setflags(write=False)
-    return Regularizer(kind, R, U, U_inv)
+    return Regularizer(R, kind)
 
 
 @dataclass(frozen=True)
@@ -271,9 +252,7 @@ class _LevelFit:
         variable free, built on first use per kind."""
         if kind not in self._curves:
             reg = build_regularizer(kind, self.K.shape[1])
-            self._curves[kind] = RidgeCurve(
-                self.K, self.r, reg.matrix, factor=reg.factor
-            )
+            self._curves[kind] = RidgeCurve(self.K, self.r, reg)
         return self._curves[kind]
 
 
@@ -288,8 +267,8 @@ def _constrained_fit(level, reg, base_res, target_sq, root):
     """Constrained discrepancy solve whose passive-set search starts from
     the level's ridge curve and its ``root`` at the target."""
     gamma, sol = solve_discrepancy(
-        level.K, level.r, reg.matrix, target_sq, base_res,
-        curve=level.ridge_curve(reg.kind), gamma=root, factor=reg.factor,
+        level.K, level.r, reg, target_sq, base_res,
+        curve=level.ridge_curve(reg.kind), gamma=root,
     )
     return gamma, sol.n, sol.residual_sq
 

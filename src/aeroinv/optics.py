@@ -89,6 +89,8 @@ class IndexTable:
         m = np.asarray(self.indices, dtype=complex)
         if w.ndim != 1 or w.size != m.size:
             raise ValueError("wavelengths and indices must be 1-D of equal length")
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(m))):
+            raise ValueError("wavelengths and indices must be finite")
         if w.size < 2 or np.any(np.diff(w) <= 0.0):
             raise ValueError("wavelengths must be strictly increasing, length >= 2")
         if np.any(m.real <= 0.0) or np.any(m.imag < 0.0):
@@ -103,19 +105,28 @@ class IndexTable:
 
 
 def load_index_table(path, material_name: str | None = None) -> IndexTable:
-    """Read a ``wavelength_um,real,imag`` text table (header line permitted)."""
+    """Read a ``wavelength_um,real,imag`` text table.
+
+    Blank rows are skipped and rows before the first data row may be
+    headers; any later row that does not parse, or a row with fewer than
+    three cells, is a ValueError that names the file and the row.
+    """
     path = Path(path)
     wavelengths, values = [], []
     with open(path, newline="") as fh:
         for row in csv.reader(fh):
-            if not row or not row[0].strip():
+            if not any(v.strip() for v in row):
                 continue
             try:
-                l = float(row[0])
+                cells = [float(v) for v in row[:3]]
             except ValueError:
-                continue  # header
-            wavelengths.append(l)
-            values.append(complex(float(row[1]), float(row[2])))
+                if not wavelengths:
+                    continue  # header
+                raise ValueError(f"row {row!r} of {path} is not numeric") from None
+            if len(cells) < 3:
+                raise ValueError(f"row {row!r} of {path} has fewer than three cells")
+            wavelengths.append(cells[0])
+            values.append(complex(cells[1], cells[2]))
     return IndexTable(
         np.array(wavelengths), np.array(values), material_name or path.stem
     )

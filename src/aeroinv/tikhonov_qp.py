@@ -8,11 +8,13 @@ statistical computations.
 The generalized problem  min 0.5*||K n - r||^2 + 0.5*gamma*n'Rn  s.t. n >= 0
 is solved as plain nonnegative least squares on the row-augmented system
 [K; sqrt(gamma)*U] with R = U'U, which leaves the nonnegativity constraint on
-the original variables and preserves the KKT certificate in n-space.  The
-start is the passive set of scipy's compiled Lawson-Hanson NNLS on that
-system (Lawson & Hanson 1974, Solving Least Squares Problems, ch. 23); the
-package's own active-set loop on the Gram form then certifies it or
-finishes from it, so every solution carries the KKT check.
+the original variables and preserves the KKT certificate in n-space.  A
+``Regularizer`` holds R with U and U^-1, factored once when it is built,
+and every solver takes one in place of R.  The start is the passive set of
+scipy's compiled Lawson-Hanson NNLS on that system (Lawson & Hanson 1974,
+Solving Least Squares Problems, ch. 23); the package's own active-set loop
+on the Gram form then certifies it or finishes from it, so every solution
+carries the KKT check.
 
 With the constraints dropped (or at a fixed set of free variables) the
 solution is a ridge solution.  A ``RidgeCurve`` holds one generalized
@@ -63,10 +65,9 @@ from .errors import (
 )
 
 __all__ = [
-    "WeightedProblem",
+    "Regularizer",
     "QpSolution",
     "RidgeCurve",
-    "regularizer_factor",
     "solve_constrained_tikhonov",
     "solve_nnls",
     "weighted_residual",
@@ -92,30 +93,6 @@ _NEWTON_STEPS = 60
 
 
 @dataclass(frozen=True)
-class WeightedProblem:
-    """Pre-weighted Tikhonov instance with SPD regularizer R and gamma >= 0."""
-
-    K: np.ndarray
-    r: np.ndarray
-    R: np.ndarray
-    gamma: float = 0.0
-
-    def __post_init__(self):
-        K = np.asarray(self.K, dtype=float)
-        r = np.asarray(self.r, dtype=float)
-        R = np.asarray(self.R, dtype=float)
-        if K.ndim != 2 or r.shape != (K.shape[0],) or R.shape != (K.shape[1],) * 2:
-            raise ValueError("inconsistent problem dimensions")
-        if not np.all(np.isfinite(K)) or not np.all(np.isfinite(r)):
-            raise ValueError("K and r must be finite")
-        if self.gamma < 0.0:
-            raise ValueError("gamma must be nonnegative")
-        object.__setattr__(self, "K", K)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "R", R)
-
-
-@dataclass(frozen=True)
 class QpSolution:
     """KKT-certified minimizer of a nonnegativity-constrained problem."""
 
@@ -136,14 +113,30 @@ def _cholesky_upper(R: np.ndarray) -> np.ndarray:
         raise IllConditioned("regularizer is not positive definite") from exc
 
 
-def regularizer_factor(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(U, U^-1)`` with R = U'U and U upper triangular: the ``factor``
-    that ``RidgeCurve`` and ``solve_constrained_tikhonov`` accept."""
-    U = _cholesky_upper(R)
-    U_inv, info = scipy.linalg.lapack.dtrtri(U, lower=0)
-    if info != 0:
-        raise IllConditioned(f"regularizer factor is singular (dtrtri info {info})")
-    return U, U_inv
+@dataclass(frozen=True)
+class Regularizer:
+    """SPD regularization matrix R with its upper Cholesky factor U (R = U'U)
+    and U^-1, all read-only, factored once on construction.  ``kind`` names
+    the stencil (``model_selection.build_regularizer`` shares one instance
+    per kind and size); a principal block of R has none."""
+
+    matrix: np.ndarray
+    kind: str | None = None
+    cholesky: np.ndarray = field(init=False, repr=False)
+    cholesky_inverse: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        R = np.asarray(self.matrix, dtype=float)
+        U = _cholesky_upper(R)
+        U_inv, info = scipy.linalg.lapack.dtrtri(U, lower=0)
+        if info != 0:
+            raise IllConditioned(
+                f"regularizer factor is singular (dtrtri info {info})"
+            )
+        R = R.copy()  # the caller's array stays writeable
+        for name, a in (("matrix", R), ("cholesky", U), ("cholesky_inverse", U_inv)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
 
 def _solve_passive(G: np.ndarray, c: np.ndarray, passive: np.ndarray) -> np.ndarray:
@@ -236,23 +229,35 @@ def _compiled_passive_set(A: np.ndarray, b: np.ndarray):
 
 
 def solve_constrained_tikhonov(
-    problem: WeightedProblem, init_passive: np.ndarray | None = None, *, factor=None
+    K, r, reg: Regularizer | None, gamma: float,
+    init_passive: np.ndarray | None = None,
 ) -> QpSolution:
-    """Global minimizer of the constrained (generalized) Tikhonov functional.
+    """Global minimizer of the constrained (generalized) Tikhonov functional
+    on pre-weighted (K, r) with regularizer ``reg`` and gamma >= 0; a
+    gamma = 0 solve needs no regularizer.
 
     The Gram-form loop starts from ``init_passive`` if given, otherwise from
     the compiled NNLS on the row-augmented system; a start it cannot finish
     within the iteration cap is dropped for a start from scratch.
-    ``factor`` is ``regularizer_factor(problem.R)`` if the caller keeps it;
-    otherwise R is factored here when gamma > 0.
     """
-    K, r, R, gamma = problem.K, problem.r, problem.R, problem.gamma
+    K = np.asarray(K, dtype=float)
+    r = np.asarray(r, dtype=float)
+    if K.ndim != 2 or r.shape != (K.shape[0],) or (
+        reg is not None and reg.matrix.shape != (K.shape[1],) * 2
+    ):
+        raise ValueError("inconsistent problem dimensions")
+    if not np.all(np.isfinite(K)) or not np.all(np.isfinite(r)):
+        raise ValueError("K and r must be finite")
+    if gamma < 0.0:
+        raise ValueError("gamma must be nonnegative")
+    if gamma > 0.0 and reg is None:
+        raise ValueError("gamma > 0 needs a regularizer")
     N = K.shape[1]
     G = K.T @ K
     c = K.T @ r
     A, b = K, r
     if gamma > 0.0:
-        U = _cholesky_upper(R) if factor is None else factor[0]
+        U = reg.cholesky
         G = G + gamma * (U.T @ U)
         A = np.vstack([K, np.sqrt(gamma) * U])
         b = np.concatenate([r, np.zeros(N)])
@@ -277,9 +282,7 @@ def solve_constrained_tikhonov(
 
 def solve_nnls(K, r) -> QpSolution:
     """Nonnegative least squares (the gamma = 0 subproblem)."""
-    K = np.asarray(K, dtype=float)
-    problem = WeightedProblem(K, r, np.eye(K.shape[1]), 0.0)
-    return solve_constrained_tikhonov(problem)
+    return solve_constrained_tikhonov(K, r, None, 0.0)
 
 
 def weighted_residual(K, n, r) -> float:
@@ -297,13 +300,11 @@ class RidgeCurve:
     z = V'K'r; ``evaluate(gamma)`` returns ``(residual_sq, n)`` with the
     residual computed from n.  With b = Q'r the residual is also closed form,
     res(gamma) = res_ls + sum (gamma / (s^2 + gamma))^2 b^2 with
-    res_ls = ||r - Q b||^2, which ``roots`` solves for gamma.  ``factor`` is
-    ``regularizer_factor(R)`` if the caller keeps it; otherwise it is
-    computed here.
+    res_ls = ||r - Q b||^2, which ``roots`` solves for gamma.
     """
 
-    def __init__(self, K: np.ndarray, r: np.ndarray, R: np.ndarray, *, factor=None):
-        _, U_inv = regularizer_factor(R) if factor is None else factor
+    def __init__(self, K: np.ndarray, r: np.ndarray, reg: Regularizer):
+        U_inv = reg.cholesky_inverse
         K_std = K @ U_inv
         Q, s, Wt = scipy.linalg.svd(
             K_std, full_matrices=K.shape[0] < K.shape[1], lapack_driver="gesvd"
@@ -386,8 +387,8 @@ class RidgeCurve:
 
 
 def solve_discrepancy(
-    K, r, R, target_sq: float, base_residual_sq=None, *, curve=None, gamma=None,
-    factor=None,
+    K, r, reg: Regularizer, target_sq: float, base_residual_sq=None, *,
+    curve=None, gamma=None,
 ):
     """Find gamma whose constrained solution has residual equal to target_sq.
 
@@ -399,11 +400,9 @@ def solve_discrepancy(
     curve of a passive set, updated by one NNLS per round (see the module
     docstring), and falls back to Brent's method on warm-started NNLS
     solves.  Round one frees every variable: ``curve`` is that all-passive
-    ``RidgeCurve(K, r, R)`` and ``gamma`` its entry of ``curve.roots`` for
-    this target, if the caller shares them across targets; otherwise round
-    one builds and roots its own.  ``factor`` is ``regularizer_factor(R)``
-    if the caller keeps it; every solve on the full R uses it.  Returns
-    ``(gamma, QpSolution)``.
+    ``RidgeCurve(K, r, reg)`` and ``gamma`` its entry of ``curve.roots``
+    for this target, if the caller shares them across targets; otherwise
+    round one builds and roots its own.  Returns ``(gamma, QpSolution)``.
     """
     K = np.asarray(K, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -415,28 +414,26 @@ def solve_discrepancy(
             f"target {target_sq} outside attainable range "
             f"({base_residual_sq}, {r_norm_sq})"
         )
-    found = _passive_set_search(K, r, R, target_sq, curve, gamma, factor)
+    found = _passive_set_search(K, r, reg, target_sq, curve, gamma)
     if found is not None:
         return found
-    return _nnls_discrepancy_search(K, r, R, target_sq, factor)
+    return _nnls_discrepancy_search(K, r, reg, target_sq)
 
 
-def _passive_set_search(
-    K, r, R, target_sq: float, curve=None, gamma=None, factor=None
-):
+def _passive_set_search(K, r, reg, target_sq: float, curve=None, gamma=None):
     """``(gamma, QpSolution)`` from at most ``_PASSIVE_ROUNDS`` ridge-curve
     roots on passive sets, or None if no round met the target.  Round one
-    uses ``curve`` (with its root ``gamma``) when given, and builds it from
-    ``factor`` otherwise; later rounds factor their own principal
-    submatrix of R."""
+    uses ``curve`` (with its root ``gamma``) when given, and builds it on
+    ``reg`` otherwise; a later round on a strict subset of the variables
+    factors its own principal block of R."""
     N = K.shape[1]
     dual_tol = _dual_tol(K.T @ r)
     passive = np.ones(N, dtype=bool)
     for _ in range(_PASSIVE_ROUNDS):
         idx = np.flatnonzero(passive)
         if curve is None:
-            sub_factor = factor if idx.size == N else None
-            curve = RidgeCurve(K[:, idx], r, R[np.ix_(idx, idx)], factor=sub_factor)
+            sub = reg if idx.size == N else Regularizer(reg.matrix[np.ix_(idx, idx)])
+            curve = RidgeCurve(K[:, idx], r, sub)
             gamma = None
         try:
             gamma, n_p, _ = curve.discrepancy(target_sq, gamma)
@@ -445,11 +442,10 @@ def _passive_set_search(
         curve = None
         n = np.zeros(N)
         n[idx] = n_p
-        grad = K.T @ (K @ n - r) + gamma * (R @ n)
+        grad = K.T @ (K @ n - r) + gamma * (reg.matrix @ n)
         certified = np.all(n_p > 0.0) and np.all(grad[~passive] >= -dual_tol)
         sol = solve_constrained_tikhonov(
-            WeightedProblem(K, r, R, gamma), passive if certified else None,
-            factor=factor,
+            K, r, reg, gamma, passive if certified else None
         )
         if abs(sol.residual_sq - target_sq) <= _DISCREPANCY_RTOL * target_sq:
             return gamma, sol
@@ -460,16 +456,14 @@ def _passive_set_search(
     return None
 
 
-def _nnls_discrepancy_search(K, r, R, target_sq: float, factor=None):
+def _nnls_discrepancy_search(K, r, reg, target_sq: float):
     """The shared Brent search with one constrained solve per evaluation,
     each warm-started from the previous active set."""
     hint = None
 
     def evaluate(gamma: float):
         nonlocal hint
-        sol = solve_constrained_tikhonov(
-            WeightedProblem(K, r, R, gamma), init_passive=hint, factor=factor
-        )
+        sol = solve_constrained_tikhonov(K, r, reg, gamma, hint)
         hint = sol.n > 0.0
         return sol.residual_sq, sol
 

@@ -36,7 +36,7 @@ from .model_selection import (
     select_models,
 )
 from .optics import IndexTable, mixed_kernel_rows
-from .tikhonov_qp import WeightedProblem, solve_constrained_tikhonov
+from .tikhonov_qp import solve_constrained_tikhonov
 
 __all__ = [
     "KernelFamily",
@@ -110,11 +110,10 @@ class KernelFamily:
 
 @dataclass(frozen=True)
 class FractionScan:
-    """Unregularized residuals over the fraction grid and the best window."""
+    """Unregularized residuals over the fraction grid and the fractions
+    selected from their best window."""
 
     residuals: np.ndarray
-    window_size: int
-    best_window: np.ndarray
     selected: tuple[int, ...]
 
 
@@ -145,12 +144,14 @@ def build_kernel_family(
     return KernelFamily(wavelengths, integration_grid, fractions, anchors, rows)
 
 
-def minimal_mean_window(residuals, n_mean: int) -> int:
-    """Start index of the length-n_mean window with minimal mean residual.
+def minimal_mean_window(residuals) -> int:
+    """Start index of the length-``DEFAULT_N_MEAN`` window with minimal mean
+    residual.
 
     Ties resolve to the lowest starting index.
     """
     residuals = np.asarray(residuals, dtype=float)
+    n_mean = DEFAULT_N_MEAN
     if residuals.size < n_mean:
         raise ValueError("residual vector shorter than the window")
     window_means = np.convolve(residuals, np.ones(n_mean), mode="valid") / n_mean
@@ -169,21 +170,15 @@ def scan_fractions(
     _, stacked = family.level_matrices(n_col)
     w = meas.scaling.normalized_weights
     r = meas.mean_extinction * w
-    dim = stacked.shape[2]
-    eye = np.eye(dim)
     residuals = np.empty(family.n_fractions)
     hint = None
     for i in range(family.n_fractions):
         K = stacked[i] * w[:, None]
-        sol = solve_constrained_tikhonov(
-            WeightedProblem(K, r, eye, 0.0), init_passive=hint
-        )
+        sol = solve_constrained_tikhonov(K, r, None, 0.0, hint)
         hint = sol.n > 0.0
         residuals[i] = sol.residual_sq
-    i0 = minimal_mean_window(residuals, DEFAULT_N_MEAN)
-    best_window = np.arange(i0, i0 + DEFAULT_N_MEAN)
-    selected = (i0, i0 + 2, i0 + 4)
-    return FractionScan(residuals, DEFAULT_N_MEAN, best_window, selected)
+    i0 = minimal_mean_window(residuals)
+    return FractionScan(residuals, (i0, i0 + 2, i0 + 4))
 
 
 def generate_models_two_component(

@@ -26,7 +26,7 @@ from aeroinv.simulation_study import (
 )
 from aeroinv.simulation_study import KernelLevelCache
 from aeroinv.tikhonov_qp import (
-    WeightedProblem,
+    Regularizer,
     solve_constrained_tikhonov,
     solve_nnls,
 )
@@ -72,11 +72,9 @@ class TestCriterion1Monotonicity:
             ladder = scale * np.logspace(-3.0, 3.0, 20)
             res_prev = base.residual_sq
             norm_prev = float(np.linalg.norm(base.n))
-            eye = np.eye(K.shape[1])
+            reg = Regularizer(np.eye(K.shape[1]))
             for gamma in ladder:
-                sol = solve_constrained_tikhonov(
-                    WeightedProblem(K, r, eye, float(gamma))
-                )
+                sol = solve_constrained_tikhonov(K, r, reg, float(gamma))
                 if not sol.residual_sq > res_prev + 1e-12 * r_norm_sq:
                     violations += 1
                 if np.linalg.norm(sol.n) > norm_prev + 1e-12:
@@ -133,7 +131,7 @@ class TestCriterion2QpOracle:
                 R = M @ M.T + n * np.eye(n)
             else:
                 gamma, R = 0.0, np.eye(n)
-            sol = solve_constrained_tikhonov(WeightedProblem(K, r, R, gamma))
+            sol = solve_constrained_tikhonov(K, r, Regularizer(R), gamma)
             oracle = self.brute_force(K, r, R, gamma)
             worst = max(worst, float(np.max(np.abs(sol.n - oracle))))
         elapsed = time.perf_counter() - t0
@@ -155,7 +153,7 @@ class TestCriterion3Convergence:
             r = K @ n0
             for alpha in np.logspace(-4, 0, 9):
                 sol = solve_constrained_tikhonov(
-                    WeightedProblem(K, r, np.eye(6), float(alpha))
+                    K, r, Regularizer(np.eye(6)), float(alpha)
                 )
                 if np.linalg.norm(K @ (n0 - sol.n)) > np.sqrt(alpha) * np.linalg.norm(
                     n0
@@ -169,10 +167,8 @@ class TestCriterion3Convergence:
             errs = [
                 np.linalg.norm(
                     solve_constrained_tikhonov(
-                        WeightedProblem(
-                            K, r_true + delta * rng.standard_normal(15),
-                            np.eye(5), delta,
-                        )
+                        K, r_true + delta * rng.standard_normal(15),
+                        Regularizer(np.eye(5)), delta,
                     ).n
                     - n0
                 )

@@ -491,6 +491,36 @@ class TestUnknownMaterial:
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["0.5,1.33,0.0", "1.0,1.33"],
+            ["0.5,1.33,0.0", "1.0,abc,0.0"],
+            ["1.0,1.33,0.0", "0.5,1.33,0.0"],
+            ["0.5,1.33,0.0", "1.0,nan,0.0"],
+            ["0.5,1.33,0.0", ",1.40,0.0", "1.0,1.33,0.0"],
+        ],
+        ids=["two_cell_row", "text_index", "decreasing", "nan_index", "blank_wavelength"],
+    )
+    def test_malformed_table_rejected(
+        self, measurement_file, tmp_path, capsys, monkeypatch, rows
+    ):
+        """A malformed table in ``$AEROSOL_DATA_DIR`` is a usage error."""
+        data_dir = tmp_path / "mat"
+        data_dir.mkdir()
+        lines = ["wavelength_um,real,imag"] + rows
+        (data_dir / "bad.csv").write_text("\n".join(lines) + "\n")
+        monkeypatch.setenv("AEROSOL_DATA_DIR", str(data_dir))
+        out = tmp_path / "out.json"
+        argv = ["invert", "--material", "bad", "--measurement", str(measurement_file)]
+        code = main(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("usage error: --material:")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_material_count_checked(self, capsys):
         assert main(["invert2", "--measurement", "m.csv", "--materials", "h2o"]) == 1
         assert "--materials needs 2" in capsys.readouterr().err

@@ -849,15 +849,15 @@ class TestSharedRidgeCurves:
         counts = {}
         inner = qp.RidgeCurve.__init__
 
-        def init(self, K, r, R, **kwargs):
+        def init(self, K, r, reg):
             dim = K.shape[1]
             if np.array_equal(K, family(dim + 2).entries * w[:, None]):
                 kind = next(
                     k for k in ("tikhonov", "first_diff", "twomey")
-                    if np.array_equal(R, build_regularizer(k, dim).matrix)
+                    if np.array_equal(reg.matrix, build_regularizer(k, dim).matrix)
                 )
                 counts[dim, kind] = counts.get((dim, kind), 0) + 1
-            inner(self, K, r, R, **kwargs)
+            inner(self, K, r, reg)
 
         monkeypatch.setattr(qp.RidgeCurve, "__init__", init)
         return counts

@@ -6,7 +6,7 @@ import pytest
 from aeroinv.errors import IllConditioned, TargetOutOfRange
 from aeroinv.tikhonov_qp import (
     QpSolution,
-    WeightedProblem,
+    Regularizer,
     solve_constrained_tikhonov,
     solve_discrepancy,
     solve_nnls,
@@ -54,13 +54,23 @@ class TestSolvers:
         K = np.random.default_rng(0).normal(size=(5, 3))
         for gamma in (0.0, 1.0):
             sol = solve_constrained_tikhonov(
-                WeightedProblem(K, np.zeros(5), np.eye(3), gamma)
+                K, np.zeros(5), Regularizer(np.eye(3)), gamma
             )
             assert np.array_equal(sol.n, np.zeros(3))
 
+    def test_problem_checks(self):
+        K, r = np.eye(3), np.ones(3)
+        with pytest.raises(ValueError, match="needs a regularizer"):
+            solve_constrained_tikhonov(K, r, None, 0.5)
+        with pytest.raises(ValueError, match="dimensions"):
+            solve_constrained_tikhonov(K, r, Regularizer(np.eye(2)), 0.5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            solve_constrained_tikhonov(K, r, Regularizer(np.eye(3)), -1.0)
+        assert solve_constrained_tikhonov(K, r, None, 0.0).n == pytest.approx(r)
+
     def test_identity_clamp(self):
         sol = solve_constrained_tikhonov(
-            WeightedProblem(np.eye(3), np.array([1.0, -2.0, 3.0]), np.eye(3), 0.0)
+            np.eye(3), np.array([1.0, -2.0, 3.0]), Regularizer(np.eye(3)), 0.0
         )
         assert sol.n == pytest.approx([1.0, 0.0, 3.0])
 
@@ -71,7 +81,7 @@ class TestSolvers:
             r = rng.normal(size=6)
             M = rng.normal(size=(4, 4))
             R = M @ M.T + 4 * np.eye(4)
-            sol = solve_constrained_tikhonov(WeightedProblem(K, r, R, 0.1))
+            sol = solve_constrained_tikhonov(K, r, Regularizer(R), 0.1)
             oracle = brute_force_qp(K, r, R, 0.1)
             assert sol.n == pytest.approx(oracle, abs=1e-8)
             check_kkt(sol, K, r, R, 0.1)
@@ -134,28 +144,28 @@ class TestDiscrepancy:
         K, r = self.make_instance()
         base = solve_nnls(K, r)
         with pytest.raises(TargetOutOfRange):
-            solve_discrepancy(K, r, np.eye(4), 0.5 * base.residual_sq)
+            solve_discrepancy(K, r, Regularizer(np.eye(4)), 0.5 * base.residual_sq)
 
     def test_target_at_or_above_data_norm(self):
         K, r = self.make_instance()
         with pytest.raises(TargetOutOfRange):
-            solve_discrepancy(K, r, np.eye(4), float(r @ r))
+            solve_discrepancy(K, r, Regularizer(np.eye(4)), float(r @ r))
         with pytest.raises(TargetOutOfRange):
-            solve_discrepancy(K, r, np.eye(4), 2.0 * float(r @ r))
+            solve_discrepancy(K, r, Regularizer(np.eye(4)), 2.0 * float(r @ r))
 
     def test_bracketing_oracle(self):
         for seed in range(5):
             K, r = self.make_instance(seed)
             base = solve_nnls(K, r)
             target = 0.5 * (base.residual_sq + float(r @ r))
-            gamma, sol = solve_discrepancy(K, r, np.eye(4), target)
+            gamma, sol = solve_discrepancy(K, r, Regularizer(np.eye(4)), target)
             assert abs(sol.residual_sq - target) <= 1e-6 * target
             # independent local check: residuals at gamma*(1 +/- 1%) bracket
             lo = solve_constrained_tikhonov(
-                WeightedProblem(K, r, np.eye(4), gamma * 0.99)
+                K, r, Regularizer(np.eye(4)), gamma * 0.99
             )
             hi = solve_constrained_tikhonov(
-                WeightedProblem(K, r, np.eye(4), gamma * 1.01)
+                K, r, Regularizer(np.eye(4)), gamma * 1.01
             )
             assert lo.residual_sq <= target * (1 + 1e-5)
             assert hi.residual_sq >= target * (1 - 1e-5)
@@ -166,15 +176,15 @@ class TestDiscrepancy:
         K, r = self.make_instance(3)
         base = solve_nnls(K, r).residual_sq
         target = 0.5 * (base + float(r @ r))
-        gamma, sol = solve_discrepancy(K, r, np.eye(4), target)
+        gamma, sol = solve_discrepancy(K, r, Regularizer(np.eye(4)), target)
         calls = []
         monkeypatch.setattr(qp, "solve_nnls", lambda *a: calls.append(a))
-        gamma_b, sol_b = solve_discrepancy(K, r, np.eye(4), target, base)
+        gamma_b, sol_b = solve_discrepancy(K, r, Regularizer(np.eye(4)), target, base)
         assert calls == []
         assert gamma_b == gamma
         assert np.array_equal(sol_b.n, sol.n)
         with pytest.raises(TargetOutOfRange):
-            solve_discrepancy(K, r, np.eye(4), 0.5 * base, base)
+            solve_discrepancy(K, r, Regularizer(np.eye(4)), 0.5 * base, base)
 
     def test_general_regularizer_target(self):
         rng = np.random.default_rng(11)
@@ -184,7 +194,7 @@ class TestDiscrepancy:
         R = M @ M.T + 5 * np.eye(5)
         base = solve_nnls(K, r)
         target = 0.3 * base.residual_sq + 0.7 * float(r @ r)
-        gamma, sol = solve_discrepancy(K, r, R, target)
+        gamma, sol = solve_discrepancy(K, r, Regularizer(R), target)
         assert abs(sol.residual_sq - target) <= 1e-6 * target
         check_kkt(sol, K, r, R, gamma)
 
@@ -211,7 +221,7 @@ class TestTheoryProperties:
             res_prev, norm_prev = base.residual_sq, np.linalg.norm(base.n)
             for gamma in self.gamma_ladder(K):
                 sol = solve_constrained_tikhonov(
-                    WeightedProblem(K, r, np.eye(K.shape[1]), gamma)
+                    K, r, Regularizer(np.eye(K.shape[1])), gamma
                 )
                 assert sol.residual_sq > res_prev + 1e-12 * r_norm_sq
                 assert np.linalg.norm(sol.n) <= norm_prev + 1e-12
@@ -220,7 +230,7 @@ class TestTheoryProperties:
     def test_limit_large_gamma(self):
         K, r, _ = self.consistent_instance(5)
         sol = solve_constrained_tikhonov(
-            WeightedProblem(K, r, np.eye(K.shape[1]), 1e14)
+            K, r, Regularizer(np.eye(K.shape[1])), 1e14
         )
         assert np.linalg.norm(sol.n) <= 1e-10
         assert sol.residual_sq == pytest.approx(float(r @ r), rel=1e-8)
@@ -234,7 +244,7 @@ class TestTheoryProperties:
             r = K @ n0
             for alpha in np.logspace(-4, 0, 9):
                 sol = solve_constrained_tikhonov(
-                    WeightedProblem(K, r, np.eye(6), alpha)
+                    K, r, Regularizer(np.eye(6)), alpha
                 )
                 lhs = np.linalg.norm(K @ (n0 - sol.n))
                 assert lhs <= np.sqrt(alpha) * np.linalg.norm(n0) + 1e-10
@@ -248,10 +258,10 @@ class TestTheoryProperties:
             r2 = r1 + 0.1 * rng.normal(size=10)
             for alpha in (1e-2, 1e-1, 1.0):
                 s1 = solve_constrained_tikhonov(
-                    WeightedProblem(K, r1, np.eye(5), alpha)
+                    K, r1, Regularizer(np.eye(5)), alpha
                 )
                 s2 = solve_constrained_tikhonov(
-                    WeightedProblem(K, r2, np.eye(5), alpha)
+                    K, r2, Regularizer(np.eye(5)), alpha
                 )
                 dr = np.linalg.norm(r1 - r2)
                 assert np.linalg.norm(K @ (s1.n - s2.n)) <= dr + 1e-10
@@ -269,7 +279,7 @@ class TestTheoryProperties:
             for _ in range(50):
                 r = r_true + delta * rng.standard_normal(15)
                 sol = solve_constrained_tikhonov(
-                    WeightedProblem(K, r, np.eye(5), delta)
+                    K, r, Regularizer(np.eye(5)), delta
                 )
                 errs.append(np.linalg.norm(sol.n - n0))
             means.append(np.mean(errs))
@@ -311,19 +321,19 @@ class TestDiscrepancySearch:
             _discrepancy_search(evaluate, 2.0)
 
 
-def brent_on_nnls(K, r, R, target, monkeypatch):
+def brent_on_nnls(K, r, reg, target, monkeypatch):
     """``solve_discrepancy`` with the passive-set rounds switched off."""
     import aeroinv.tikhonov_qp as qp
 
     with monkeypatch.context() as m:
         m.setattr(qp, "_PASSIVE_ROUNDS", 0)
-        return solve_discrepancy(K, r, R, target)
+        return solve_discrepancy(K, r, reg, target)
 
 
-def residual_slope(K, r, R, gamma, h=1e-3):
+def residual_slope(K, r, reg, gamma, h=1e-3):
     """d residual / d gamma of the constrained solution, by central difference."""
     lo, hi = (
-        solve_constrained_tikhonov(WeightedProblem(K, r, R, gamma * f)).residual_sq
+        solve_constrained_tikhonov(K, r, reg, gamma * f).residual_sq
         for f in (1.0 - h, 1.0 + h)
     )
     return (hi - lo) / (2.0 * h * gamma)
@@ -340,7 +350,8 @@ class TestPassiveSetSearch:
         M = rng.normal(size=(n, n))
         R = np.eye(n) if seed % 2 else M @ M.T + n * np.eye(n)
         base = solve_nnls(K, r).residual_sq
-        return K, r, R, base + rng.uniform(0.1, 0.9) * (float(r @ r) - base)
+        target = base + rng.uniform(0.1, 0.9) * (float(r @ r) - base)
+        return K, r, Regularizer(R), target
 
     def test_passive_and_brent_find_gamma_within_the_tolerance(self, monkeypatch):
         import aeroinv.tikhonov_qp as qp
@@ -352,60 +363,60 @@ class TestPassiveSetSearch:
             lambda *a: fallbacks.append(a) or inner(*a),
         )
         for seed in range(12):
-            K, r, R, target = self.instance(seed)
-            gamma, sol = solve_discrepancy(K, r, R, target)
+            K, r, reg, target = self.instance(seed)
+            gamma, sol = solve_discrepancy(K, r, reg, target)
             assert fallbacks == []  # the passive-set rounds found it
-            gamma_b, sol_b = brent_on_nnls(K, r, R, target, monkeypatch)
+            gamma_b, sol_b = brent_on_nnls(K, r, reg, target, monkeypatch)
             assert len(fallbacks) == 1
             fallbacks.clear()
             tol = qp._DISCREPANCY_RTOL * target
             for g, s in ((gamma, sol), (gamma_b, sol_b)):
                 assert abs(s.residual_sq - target) <= tol
-                check_kkt(s, K, r, R, g)
+                check_kkt(s, K, r, reg.matrix, g)
             # both residuals lie within tol of the target, so the gammas may
             # differ by at most 2 tol over the residual's slope
-            slope = residual_slope(K, r, R, gamma)
+            slope = residual_slope(K, r, reg, gamma)
             assert abs(gamma - gamma_b) <= 1.05 * 2.0 * tol / slope
             assert sol.n == pytest.approx(sol_b.n, rel=1e-3, abs=1e-6)
 
     def test_forced_fallback_is_the_brent_search(self, monkeypatch):
         import aeroinv.tikhonov_qp as qp
 
-        K, r, R, target = self.instance(3)
+        K, r, reg, target = self.instance(3)
         searches = []
         inner = qp._discrepancy_search
         monkeypatch.setattr(
             qp, "_discrepancy_search", lambda *a: searches.append(a) or inner(*a)
         )
-        gamma, sol = brent_on_nnls(K, r, R, target, monkeypatch)
+        gamma, sol = brent_on_nnls(K, r, reg, target, monkeypatch)
         assert len(searches) == 1  # no ridge-curve root was searched for
         hint = None
 
         def evaluate(g):
             nonlocal hint
-            s = solve_constrained_tikhonov(WeightedProblem(K, r, R, g), hint)
+            s = solve_constrained_tikhonov(K, r, reg, g, hint)
             hint = s.n > 0.0
             return s.residual_sq, s
 
         gamma_ref, sol_ref, _ = inner(evaluate, target)
         assert gamma == gamma_ref
         assert np.array_equal(sol.n, sol_ref.n)
-        check_kkt(sol, K, r, R, gamma)
+        check_kkt(sol, K, r, reg.matrix, gamma)
 
     def test_shared_round_one_curve_changes_nothing(self):
         from aeroinv.tikhonov_qp import RidgeCurve
 
         for seed in range(12):
-            K, r, R, target = self.instance(seed)
-            curve = RidgeCurve(K, r, R)
+            K, r, reg, target = self.instance(seed)
+            curve = RidgeCurve(K, r, reg)
             targets = [0.5 * target, target]
             base = solve_nnls(K, r).residual_sq
             for t, root in zip(targets, curve.roots(targets)):
                 if not base < t:
                     continue
-                gamma, sol = solve_discrepancy(K, r, R, t, base)
+                gamma, sol = solve_discrepancy(K, r, reg, t, base)
                 gamma_s, sol_s = solve_discrepancy(
-                    K, r, R, t, base, curve=curve, gamma=root
+                    K, r, reg, t, base, curve=curve, gamma=root
                 )
                 assert gamma_s == gamma
                 assert np.array_equal(sol_s.n, sol.n)
@@ -415,14 +426,14 @@ class TestPassiveSetSearch:
         import aeroinv.tikhonov_qp as qp
         from aeroinv.tikhonov_qp import RidgeCurve
 
-        K, r, R, target = self.instance(3)
-        gamma, sol = brent_on_nnls(K, r, R, target, monkeypatch)
-        curve = RidgeCurve(K, r, R)
+        K, r, reg, target = self.instance(3)
+        gamma, sol = brent_on_nnls(K, r, reg, target, monkeypatch)
+        curve = RidgeCurve(K, r, reg)
         built = []
         monkeypatch.setattr(qp, "RidgeCurve", lambda *a: built.append(a))
         monkeypatch.setattr(qp, "_PASSIVE_ROUNDS", 0)
         gamma_s, sol_s = solve_discrepancy(
-            K, r, R, target, curve=curve, gamma=curve.roots([target])[0]
+            K, r, reg, target, curve=curve, gamma=curve.roots([target])[0]
         )
         assert built == []
         assert gamma_s == gamma
@@ -432,18 +443,18 @@ class TestPassiveSetSearch:
         import aeroinv.tikhonov_qp as qp
         from aeroinv.errors import AeroinvError
 
-        K, r, R, target = self.instance(5)
+        K, r, reg, target = self.instance(5)
         # a residual that jumps over the target defeats both searches
         monkeypatch.setattr(qp, "_PASSIVE_ROUNDS", 0)
         monkeypatch.setattr(
             qp, "solve_constrained_tikhonov",
-            lambda p, init_passive=None, **_: QpSolution(
+            lambda K_, r_, reg_, gamma, init_passive=None: QpSolution(
                 np.zeros(K.shape[1]), np.zeros(K.shape[1]),
-                0.0 if p.gamma < 1.0 else 2.0 * target, np.arange(0),
+                0.0 if gamma < 1.0 else 2.0 * target, np.arange(0),
             ),
         )
         with pytest.raises(AeroinvError):
-            solve_discrepancy(K, r, R, target, 0.0)
+            solve_discrepancy(K, r, reg, target, 0.0)
 
 
 class TestRidgeCurve:
@@ -455,7 +466,7 @@ class TestRidgeCurve:
         r = rng.normal(size=9)
         M = rng.normal(size=(5, 5))
         R = M @ M.T + np.eye(5)
-        curve = RidgeCurve(K, r, R)
+        curve = RidgeCurve(K, r, Regularizer(R))
         for gamma in (1e-6, 1e-2, 1.0, 1e3):
             direct = np.linalg.solve(K.T @ K + gamma * R, K.T @ r)
             res, n = curve.evaluate(gamma)
@@ -467,14 +478,27 @@ class TestRidgeCurve:
     def test_singular_factor_raises_ill_conditioned(self, monkeypatch):
         """A factor LAPACK cannot invert (info > 0) is a typed error."""
         from aeroinv import tikhonov_qp
-        from aeroinv.tikhonov_qp import RidgeCurve
 
         singular = np.triu(np.ones((4, 4)))
         singular[2, 2] = 0.0
         monkeypatch.setattr(tikhonov_qp, "_cholesky_upper", lambda R: singular)
-        rng = np.random.default_rng(5)
         with pytest.raises(IllConditioned, match="singular"):
-            RidgeCurve(rng.normal(size=(6, 4)), rng.normal(size=6), np.eye(4))
+            Regularizer(np.eye(4))
+
+    def test_indefinite_matrix_raises_ill_conditioned(self):
+        with pytest.raises(IllConditioned, match="not positive definite"):
+            Regularizer(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_regularizer_is_frozen(self):
+        import dataclasses
+
+        R = np.array([[2.0, 1.0], [1.0, 2.0]])
+        reg = Regularizer(R)
+        for name in ("matrix", "kind", "cholesky", "cholesky_inverse"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(reg, name, None)
+        assert not reg.matrix.flags.writeable and R.flags.writeable
+        np.testing.assert_allclose(reg.cholesky.T @ reg.cholesky, R, rtol=1e-15)
 
 
 def degenerate_problems():
@@ -512,7 +536,7 @@ class TestCompiledStart:
             K = rng.normal(size=(m, n))
             r = rng.normal(size=m)
             gamma = float(rng.choice([0.0, 1e-3, 0.1, 10.0]))
-            sol = solve_constrained_tikhonov(WeightedProblem(K, r, np.eye(n), gamma))
+            sol = solve_constrained_tikhonov(K, r, Regularizer(np.eye(n)), gamma)
             n_ref, _, passive = self.gram_only(K, r, np.eye(n), gamma)
             assert np.array_equal(sol.active_set, np.flatnonzero(~passive))
             assert np.max(np.abs(sol.n - n_ref), initial=0.0) <= 1e-10
@@ -523,7 +547,7 @@ class TestCompiledStart:
     )
     def test_degenerate_problems(self, name, K, r, gamma):
         R = np.eye(K.shape[1])
-        sol = solve_constrained_tikhonov(WeightedProblem(K, r, R, gamma))
+        sol = solve_constrained_tikhonov(K, r, Regularizer(R), gamma)
         n_ref, _, passive = self.gram_only(K, r, R, gamma)
         assert np.array_equal(sol.active_set, np.flatnonzero(~passive))
         assert np.max(np.abs(sol.n - n_ref)) <= 1e-10
@@ -537,5 +561,5 @@ class TestCompiledStart:
 
         monkeypatch.setattr(scipy.optimize, "nnls", capped)
         K, r, _ = TestTheoryProperties().consistent_instance(2)
-        sol = solve_constrained_tikhonov(WeightedProblem(K, r, np.eye(6), 0.3))
+        sol = solve_constrained_tikhonov(K, r, Regularizer(np.eye(6)), 0.3)
         check_kkt(sol, K, r, np.eye(6), 0.3)

@@ -176,17 +176,17 @@ class TestWindowSelection:
     def test_unique_minimum_plateau(self):
         res = np.full(201, 5.0)
         res[98:105] = 1.0
-        i0 = minimal_mean_window(res, 5)
+        i0 = minimal_mean_window(res)
         assert 98 <= i0 <= 100
 
     def test_constant_residuals_first_window(self):
-        assert minimal_mean_window(np.ones(50), 5) == 0
+        assert minimal_mean_window(np.ones(50)) == 0
 
     def test_window_optimality_exhaustive(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             res = rng.uniform(0.5, 3.0, 60)
-            i0 = minimal_mean_window(res, 5)
+            i0 = minimal_mean_window(res)
             best = np.mean(res[i0 : i0 + 5])
             for j in range(len(res) - 4):
                 assert best <= np.mean(res[j : j + 5]) + 1e-12
@@ -208,7 +208,8 @@ class TestScanFractions:
         argmin = int(np.argmin(scan.residuals))
         step = 1.0 / (family.n_fractions - 1)
         assert abs(family.fractions[argmin] - p_true) <= 2 * step + 1e-12
-        assert set(scan.selected) <= set(scan.best_window)
+        i0 = minimal_mean_window(scan.residuals)
+        assert scan.selected == (i0, i0 + 2, i0 + 4)
 
     def test_scan_structure(self, family, materials):
         rows = kernel_rows(
@@ -223,9 +224,8 @@ class TestScanFractions:
         meas = simulate_measurement(WAVELENGTHS, e_true, 0.05, 100, rng=1)
         scan = scan_fractions(family, meas, n_col=6)
         assert scan.residuals.shape == (family.n_fractions,)
-        assert scan.window_size == 5
-        assert len(scan.best_window) == 5
-        assert scan.selected == tuple(scan.best_window[[0, 2, 4]])
+        i0 = minimal_mean_window(scan.residuals)
+        assert scan.selected == (i0, i0 + 2, i0 + 4)
 
 
 class TestGenerateAndSelect:
