@@ -232,8 +232,8 @@ def _repeat_count(text: str, path: Path) -> int:
 def read_measurement(path: Path) -> Measurement:
     """Read a ``wavelength_um,mean_extinction,variance[,repeats]`` table.
 
-    Rows before the first data row may be headers; a later row that does
-    not parse is a usage error.
+    Rows before the first data row may be headers, if their first cell is
+    not a number; any other row that does not parse is a usage error.
     """
     rows = []
     counts = set()
@@ -245,8 +245,11 @@ def read_measurement(path: Path) -> Measurement:
                 try:
                     values = [float(v) for v in row[:3]]
                 except ValueError:
-                    if not rows:
-                        continue  # header
+                    try:
+                        float(row[0])
+                    except ValueError:
+                        if not rows:
+                            continue  # header
                     raise UsageError(
                         f"row {row!r} of {path} is not numeric"
                     ) from None

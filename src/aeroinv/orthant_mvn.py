@@ -152,12 +152,15 @@ def _priority_cholesky(cov: np.ndarray, lower: np.ndarray):
     smallest conditional tail log-probability log P(Z_j >= lower_j) given
     the placed ones at their truncated-normal means.  Returns the factor,
     the lower bounds and those means (of the standardized variables), all
-    in the chosen order.
+    in the chosen order.  ``cov`` itself is never permuted: ``perm[i]`` is
+    the variable at position i, and each step gathers the one column of
+    ``cov`` it needs.
     """
     n = lower.size
-    C = np.array(cov, dtype=float)
+    cov = np.asarray(cov, dtype=float)
     a = np.array(lower, dtype=float)
-    var = np.diag(C).copy()  # conditional variances of the unplaced rows
+    var = np.diag(cov).copy()  # conditional variances of the unplaced rows
+    perm = np.arange(n)
     L = np.zeros((n, n))
     y = np.zeros(n)  # truncated-normal means of the placed variables
     # one errstate for the whole loop: entering one per step costs more
@@ -173,14 +176,13 @@ def _priority_cholesky(cov: np.ndarray, lower: np.ndarray):
             t_k, log_tail_k = t[j], log_tail[j]
             j += k
             if j != k:
-                for arr in (a, var):
-                    arr[[k, j]] = arr[[j, k]]
-                C[[k, j]] = C[[j, k]]
-                C[:, [k, j]] = C[:, [j, k]]
+                for arr in (a, var, perm):
+                    arr[k], arr[j] = arr[j], arr[k]
                 L[[k, j], :k] = L[[j, k], :k]
             d = np.sqrt(var[k])
             L[k, k] = d
-            L[k + 1 :, k] = (C[k + 1 :, k] - L[k + 1 :, :k] @ L[k, :k]) / d
+            column = cov[perm[k + 1 :], perm[k]]
+            L[k + 1 :, k] = (column - L[k + 1 :, :k] @ L[k, :k]) / d
             var[k + 1 :] -= L[k + 1 :, k] ** 2
             # E[Z | Z >= t] = phi(t) / (1 - Phi(t)), formed in log space
             y[k] = np.exp(-0.5 * t_k * t_k - _LOG_SQRT_2PI - log_tail_k)

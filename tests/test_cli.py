@@ -283,6 +283,29 @@ class TestBadMeasurementInput:
         with pytest.raises(UsageError, match="0.7"):
             read_measurement(path)
 
+    def test_malformed_first_row_is_not_a_header(self, tmp_path):
+        path = tmp_path / "m.csv"
+        rows = ["0.7,abc,100.0,300", "0.9,1100.0,100.0,300", "1.2,1200.0,100.0,300"]
+        for lines in (rows, ["wl,mean,var,n", *rows]):
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(UsageError, match="0.7"):
+                read_measurement(path)
+
+    def test_malformed_first_row_exits_with_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        lines = ["0.7,abc,100.0,300"]
+        lines += [f"{w!r},1000.0,100.0,300" for w in np.linspace(0.9, 3.3, 8)]
+        path.write_text("\n".join(lines) + "\n")
+        code = main(
+            ["invert", "--measurement", str(path), "--method", "morozov",
+             "--out", str(tmp_path / "inv.json")]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("usage error:") and "0.7" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "inv.json").exists()
+
     @pytest.mark.parametrize("repeats", [0, -3])
     def test_measurement_needs_a_repeat(self, repeats):
         with pytest.raises(ValueError, match="repeats"):

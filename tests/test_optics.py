@@ -16,6 +16,7 @@ from aeroinv.optics import (
     get_material,
     interpolate_index,
     kernel_value,
+    load_index_table,
     lorentz_lorenz_mix,
     make_kernel,
     mie_qext,
@@ -147,6 +148,53 @@ def reference_qext(m, x):
         b = (tb * psi - psi_prev) / (tb * xi - xi_prev)
         total += (2 * n + 1) * (a.real + b.real)
     return 2.0 * total / x**2
+
+
+def wiscombe_bound(re):
+    return 13.78 * re**2 - 10.8 * re + 3.9
+
+
+class TestRecurrenceRegime:
+    """D_n runs upward only where Wiscombe's test allows; elsewhere the call
+    keeps the downward kernel."""
+
+    @pytest.mark.parametrize(
+        "m, x_max", [(0.75, 150.0), (1.5 + 0.5j, 200.0), (2.0 + 2.0j, 200.0)]
+    )
+    def test_outside_regime_against_per_order_reference(self, m, x_max):
+        # an upward pass is off by 2-10% at the largest x of each case
+        x = np.linspace(x_max / 8, x_max, 8)
+        assert not optics._upward_regime(np.array([[m]]), x[None])
+        got = mie_qext(1.0, m, x / (2 * np.pi), 1.0)
+        expect = np.array([reference_qext(m, xi) for xi in x])
+        assert got == pytest.approx(expect, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "re, share",
+        # not 1.0005 + 0j: there Q_ext ~ (m - 1)^2 cancels, and the downward
+        # kernel and the reference disagree by 1e-9 as well
+        [(re, share) for re in (1.0005, 1.01, 1.1, 1.33, 1.79, 2.5, 4.0, 8.0)
+         for share in (0.0, 0.3, 0.99) if (re, share) != (1.0005, 0.0)],
+    )
+    def test_inside_regime_against_per_order_reference(self, re, share):
+        # Im(m) x at the given share of the bound, one size parameter a call
+        x = np.geomspace(0.05, 300.0, 25)
+        got, expect = [], []
+        for xi in x:
+            m = complex(re, share * wiscombe_bound(re) / xi)
+            assert optics._upward_regime(np.array([[m]]), np.array([[xi]]))
+            got.append(mie_qext(1.0, m, xi / (2 * np.pi), 1.0))
+            expect.append(reference_qext(m, xi))
+        assert np.array(got) == pytest.approx(np.array(expect), rel=1e-10)
+
+    def test_predicate_takes_every_index_at_its_largest_x(self):
+        x = np.array([[1.0, 10.0], [1.0, 30.0]])  # (wavelengths, radii)
+        im = 0.99 * wiscombe_bound(1.5)
+        assert optics._upward_regime(np.array([[1.5, 1.5 + 1j * im / 30]]), x)
+        # inside at the first wavelength's x, outside at its own
+        assert not optics._upward_regime(np.array([[1.5, 1.5 + 1j * im / 10]]), x)
+        assert not optics._upward_regime(np.array([[1.5, 0.999]]), x)
+        assert not optics._upward_regime(np.array([[1.5, 1.5], [1.5, 0.999]]), x)
 
 
 class TestMieQext:
@@ -316,10 +364,17 @@ class TestSizeSortedPass:
             *materials, anchors, study_wavelengths(), integration_grid().points
         )
 
+    @staticmethod
+    def force_late_downward_start(monkeypatch):
+        """Make the reference: every call runs the downward kernel, its D_n
+        recurrence started 270 orders later than the kernel's own."""
+        monkeypatch.setattr(optics, "_upward_regime", lambda m, x: False)
+        monkeypatch.setattr(optics, "_LOGDERIV_MARGIN", optics._LOGDERIV_MARGIN + 270)
+
     def test_family_rows_against_late_recurrence_start(
         self, materials, family_rows, monkeypatch
     ):
-        monkeypatch.setattr(optics, "_LOGDERIV_MARGIN", optics._LOGDERIV_MARGIN + 270)
+        self.force_late_downward_start(monkeypatch)
         reference = mixed_kernel_rows(
             *materials, np.linspace(0.0, 1.0, 101), study_wavelengths(),
             integration_grid().points,
@@ -333,12 +388,30 @@ class TestSizeSortedPass:
         kernel = make_kernel(water, air)
         wl, grid = study_wavelengths(), fine_grid()
         rows = kernel_rows(kernel, wl, grid)
-        monkeypatch.setattr(optics, "_LOGDERIV_MARGIN", optics._LOGDERIV_MARGIN + 270)
+        self.force_late_downward_start(monkeypatch)
         assert row_error(rows, kernel_rows(kernel, wl, grid)) <= 1e-10
+
+    def test_one_material_rows_run_as_one_chunk(self, materials, monkeypatch):
+        calls = []
+        chunk_qext = optics._chunk_qext
+
+        def counted(m, xs):
+            calls.append(xs.size)
+            return chunk_qext(m, xs)
+
+        def refuse(m, xs):
+            raise AssertionError("study rows lie in the upward regime")
+
+        monkeypatch.setattr(optics, "_chunk_qext", counted)
+        monkeypatch.setattr(optics, "_chunk_qext_downward", refuse)
+        water, _, air = materials
+        wl, radii = study_wavelengths(), integration_grid().points
+        make_kernel(water, air).rows(wl, radii)
+        assert calls == [wl.size * radii.size]
 
     def test_rows_independent_of_chunk_budget(self, materials, monkeypatch):
         # a 64-element budget cuts 12-column chunks, each with its own
-        # recurrence start, and runs every wavelength in its own pass
+        # truncation orders, and runs every wavelength in its own pass
         args = (
             *materials, np.linspace(0.0, 1.0, 5), study_wavelengths(),
             integration_grid().points,
@@ -477,6 +550,16 @@ class TestMaterials:
         monkeypatch.setenv("AEROSOL_DATA_DIR", str(tmp_path / "sub"))
         with pytest.raises(FileNotFoundError, match="no refractive-index table"):
             get_material(name)
+
+    def test_malformed_first_row_is_not_a_header(self, tmp_path):
+        path = tmp_path / "m.csv"
+        rows = ["0.5,abc,0.0", "1.0,1.33,0.0", "2.0,1.33,0.0"]
+        for lines in (rows, ["wavelength_um,real,imag", *rows]):
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(ValueError, match="0.5"):
+                load_index_table(path)
+        path.write_text("\n".join(["# water", "wl,n,k", *rows[1:]]) + "\n")
+        assert load_index_table(path).wavelengths.tolist() == [1.0, 2.0]
 
     def test_data_dir_override(self, tmp_path, monkeypatch):
         path = tmp_path / "h2o.csv"
