@@ -1,8 +1,11 @@
 """Command-line front end: simulate, invert, invert2, study, study2.
 
-Inversion results and study reports are written as JSON (with an embedded
-schema tag) plus flat CSV tables for plotting; ``--emit-plot-data`` adds
-reconstruction and fraction-residual curves.
+Each command parses only the flags it reads.  The values of a ``--config``
+JSON file are the command's defaults, so a flag given always wins.  Every
+bad input, argparse's own errors included, is one ``usage error:`` line and
+exit 1; exit 2 means that no admissible model fits the data.  Results and
+reports are JSON (with a schema tag) plus flat CSV tables for plotting;
+``--emit-plot-data`` adds reconstruction and fraction-residual curves.
 """
 
 from __future__ import annotations
@@ -21,83 +24,86 @@ from . import simulation_study as study
 from .discretization import evaluate_distribution
 from .errors import AeroinvError, NoModels, UsageError
 from .model_selection import Measurement, top_within_noise
-from .optics import get_material, mixed_kernel_rows
+from .optics import get_material, mixed_kernel_rows, read_table
 from .two_component import scan_fractions
 
 RECORD_SCHEMA = "aeroinv-inversion/1"
 REPORT_SCHEMA = "aeroinv-report/1"
+MEASUREMENT_COLUMNS = ("wavelength_um", "mean_extinction", "variance")
 # Largest --mc-samples accepted: the evidence sampler's time grows linearly
 # with its budget, so larger values only run for hours.
 MAX_MC_SAMPLES = 10_000_000
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and subcommand parser, whose errors are usage errors."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _build_parser():
     """The top-level parser and the subcommand parsers by name."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="aeroinv",
         description="Aerosol size-distribution retrieval from extinction spectra",
     )
     sub = parser.add_subparsers(dest="command")
 
-    def common(p):
-        p.add_argument("--config", type=Path, help="JSON config file; flags win")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", type=Path, default=None)
+    def command(name, help, inverts=True):
+        """A subcommand parser with the flags every command reads and, if it
+        ``inverts``, those of the inversion."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", type=Path, help="JSON defaults; flags win")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", type=Path)
+        if not inverts:
+            return p
+        p.add_argument("--reg", choices=("tikhonov", "firstdiff", "twomey"),
+                       default="tikhonov", help="regularizer kind")
+        p.add_argument("--tau-grid", help="comma-separated factors")
         p.add_argument(
-            "--reg",
-            choices=("tikhonov", "firstdiff", "twomey"),
-            default=None,
-            help="regularizer kind",
-        )
-        p.add_argument("--tau-grid", default=None, help="comma-separated factors")
-        p.add_argument(
-            "--mc-samples",
-            type=int,
-            default=None,
+            "--mc-samples", type=int,
             help="QMC points per fully estimated evidence integral, at most "
             f"{MAX_MC_SAMPLES:,} (default {study.DEFAULT_SAMPLES:,}); a "
             "candidate screened out of the ranking gets a fifth",
         )
-        p.add_argument("--emit-plot-data", action="store_true")
+        return p
 
-    p = sub.add_parser("simulate", help="write a synthetic measurement file")
-    common(p)
+    p = command("simulate", "write a synthetic measurement file", inverts=False)
     p.add_argument("--family", choices=study.FAMILIES, default="log_normal")
     p.add_argument("--param-index", type=int, default=0)
-    p.add_argument("--noise-fraction", type=float, default=None)
+    p.add_argument(
+        "--noise-fraction", type=float, default=study.StudyConfig.noise_fraction
+    )
     p.add_argument("--repeats", type=int, default=study.DEFAULT_REPEATS)
-    p.add_argument("--material", default="h2o")
-    p.add_argument("--materials", default=None, help="A,B for a mixture truth")
-    p.add_argument("--water-fraction", type=float, default=1.0)
+    p.add_argument("--material", help="one material (default h2o)")
+    p.add_argument("--materials", help="A,B for a mixture truth")
+    p.add_argument("--water-fraction", type=float, help="share of A (default 1)")
 
-    p = sub.add_parser("invert", help="single-component inversion")
-    common(p)
+    p = command("invert", "single-component inversion")
+    p.add_argument("--emit-plot-data", action="store_true")
     p.add_argument("--measurement", type=Path, required=True)
     p.add_argument("--material", default="h2o")
     p.add_argument("--method", choices=study.METHODS, default="constrained")
 
-    p = sub.add_parser("invert2", help="two-component inversion")
-    common(p)
+    p = command("invert2", "two-component inversion")
+    p.add_argument("--emit-plot-data", action="store_true")
     p.add_argument("--measurement", type=Path, required=True)
     p.add_argument("--materials", default="h2o,csi")
 
-    p = sub.add_parser("study", help="single-component comparative study")
-    common(p)
-    p.add_argument("--scale", choices=("reduced", "full"), default="reduced")
+    for name, kind in (("study", "single"), ("study2", "two")):
+        p = command(name, f"{kind}-component comparative study")
+        p.add_argument("--scale", choices=("reduced", "full"), default="reduced")
+        p.add_argument("--noise-fraction", type=float)
+        p.add_argument("--params", help="comma-separated parameter indices")
+        p.add_argument("--repeats", type=int, help="repeats per parameter")
+    p = sub.choices["study"]
     p.add_argument("--family", choices=(*study.FAMILIES, "all"), default="all")
     p.add_argument("--method", choices=(*study.METHODS, "all"), default="all")
-    p.add_argument("--noise-fraction", type=float, default=None)
-    p.add_argument("--params", default=None, help="comma-separated parameter indices")
-    p.add_argument("--repeats", type=int, default=None, help="repeats per parameter")
-
-    p = sub.add_parser("study2", help="two-component study")
-    common(p)
-    p.add_argument("--scale", choices=("reduced", "full"), default="reduced")
+    p = sub.choices["study2"]
     p.add_argument("--family", choices=study.FAMILIES, default="log_normal")
     p.add_argument("--materials", default="h2o,csi")
-    p.add_argument("--noise-fraction", type=float, default=None)
-    p.add_argument("--params", default=None, help="comma-separated parameter indices")
-    p.add_argument("--repeats", type=int, default=None, help="repeats per parameter")
 
     return parser, sub.choices
 
@@ -128,27 +134,27 @@ def _config_value(command_parser, key: str, value):
 
 
 def parse_config(argv=None) -> argparse.Namespace:
-    """Parse flags, layering an optional JSON config file underneath them."""
+    """Parse flags over the command's defaults.  The values of an optional
+    JSON config file replace those defaults, so every flag given wins."""
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
         raise UsageError(
             "no command given; available commands: " + ", ".join(commands)
         )
-    if getattr(args, "config", None):
+    if args.config:
         try:
             file_values = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
             raise UsageError(f"cannot read config file {args.config}: {exc}") from exc
+        if not isinstance(file_values, dict):
+            raise UsageError(f"config file {args.config} is not a JSON object")
         command_parser = commands[args.command]
-        for key, value in file_values.items():
-            value = _config_value(command_parser, key, value)
-            attr = key.replace("-", "_")
-            # flags win: only fill values the command line left at default
-            if command_parser.get_default(attr) == getattr(args, attr):
-                setattr(args, attr, value)
-    if args.seed is None:
-        args.seed = 0
+        command_parser.set_defaults(**{
+            key.replace("-", "_"): _config_value(command_parser, key, value)
+            for key, value in file_values.items()
+        })
+        args = parser.parse_args(argv)
     if args.seed < 0:
         raise UsageError(f"--seed must be a nonnegative integer, got {args.seed!r}")
     for attr in ("mc_samples", "repeats"):
@@ -160,22 +166,30 @@ def parse_config(argv=None) -> argparse.Namespace:
         raise UsageError(
             f"--mc-samples must be at most {MAX_MC_SAMPLES}, got {args.mc_samples!r}"
         )
-    if not 0.0 <= getattr(args, "water_fraction", 1.0) <= 1.0:
-        raise UsageError(
-            f"--water-fraction must lie in [0, 1], got {args.water_fraction!r}"
-        )
     noise = getattr(args, "noise_fraction", None)
     if noise is not None and not 0.0 <= noise < np.inf:
         raise UsageError(
             f"--noise-fraction must be finite and nonnegative, got {noise!r}"
         )
+    if args.command == "simulate":
+        _simulated_materials(args)
     _resolve_materials(args)
     return args
 
 
-def _reg_kind(args) -> str:
-    mapping = {"firstdiff": "first_diff", None: "tikhonov"}
-    return mapping.get(args.reg, args.reg)
+def _simulated_materials(args) -> None:
+    """``simulate`` takes one ``--material`` (h2o if neither is given) or a
+    ``--materials`` mixture with its ``--water-fraction`` (1 if not given),
+    never a flag of the other kind."""
+    if args.materials is None:
+        if args.water_fraction is not None:
+            raise UsageError("--water-fraction needs --materials")
+        args.material = args.material or "h2o"
+    elif args.material is not None:
+        raise UsageError("--material and --materials exclude each other")
+    fraction = args.water_fraction
+    if fraction is not None and not 0.0 <= fraction <= 1.0:
+        raise UsageError(f"--water-fraction must lie in [0, 1], got {fraction!r}")
 
 
 def _tau_grid(args, default):
@@ -230,40 +244,17 @@ def _repeat_count(text: str, path: Path) -> int:
 
 
 def read_measurement(path: Path) -> Measurement:
-    """Read a ``wavelength_um,mean_extinction,variance[,repeats]`` table.
-
-    Rows before the first data row may be headers, if their first cell is
-    not a number; any other row that does not parse is a usage error.
-    """
-    rows = []
-    counts = set()
+    """Read a ``wavelength_um,mean_extinction,variance[,repeats]`` table by
+    the rule of ``optics.read_table``; a row it rejects is a usage error."""
     try:
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or not row[0].strip():
-                    continue
-                try:
-                    values = [float(v) for v in row[:3]]
-                except ValueError:
-                    try:
-                        float(row[0])
-                    except ValueError:
-                        if not rows:
-                            continue  # header
-                    raise UsageError(
-                        f"row {row!r} of {path} is not numeric"
-                    ) from None
-                if len(values) < 3:
-                    raise UsageError(f"row {row!r} of {path} has no variance")
-                rows.append(values)
-                counts.add(_repeat_count(row[3], path) if len(row) > 3 else 1)
-    except OSError as exc:
-        raise UsageError(f"cannot read measurement file {path}: {exc}") from exc
-    if not rows:
+        data, rest = read_table(path, MEASUREMENT_COLUMNS)
+    except (OSError, ValueError) as exc:  # each names the file
+        raise UsageError(f"--measurement: {exc}") from exc
+    if not data.size:
         raise UsageError(f"no measurement rows in {path}")
+    counts = {_repeat_count(cells[0], path) if cells else 1 for cells in rest}
     if len(counts) > 1:
         raise UsageError(f"repeats differ between rows of {path}: {sorted(counts)}")
-    data = np.array(rows)
     try:
         return Measurement(data[:, 0], data[:, 1], data[:, 2], counts.pop())
     except ValueError as exc:
@@ -273,26 +264,25 @@ def read_measurement(path: Path) -> Measurement:
 def write_measurement(path: Path, meas: Measurement) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["wavelength_um", "mean_extinction", "variance", "repeats"])
+        writer.writerow([*MEASUREMENT_COLUMNS, "repeats"])
         for wl, m, v in zip(meas.wavelengths, meas.mean_extinction, meas.variance):
             writer.writerow([repr(float(wl)), repr(float(m)), repr(float(v)), meas.repeats])
 
 
 def _candidate_dict(c) -> dict:
+    maybe = lambda v: None if v is None else float(v)
     return {
         "weights": [float(x) for x in c.weights],
         "grid_points": [float(x) for x in c.kernel.collocation_grid.points],
         "gamma": float(c.gamma),
-        "tau": None if c.tau is None else float(c.tau),
+        "tau": maybe(c.tau),
         "dim": int(c.dim),
-        "posterior": None if c.posterior is None else float(c.posterior),
-        "log_marginal": None if c.log_marginal is None else float(c.log_marginal),
-        "log_marginal_se": None
-        if c.log_marginal_se is None
-        else float(c.log_marginal_se),
+        "posterior": maybe(c.posterior),
+        "log_marginal": maybe(c.log_marginal),
+        "log_marginal_se": maybe(c.log_marginal_se),
         "log_marginal_samples": c.log_marginal_samples,
         "residual_sq": float(c.residual_sq),
-        "fraction": None if c.fraction is None else float(c.fraction),
+        "fraction": maybe(c.fraction),
     }
 
 
@@ -392,18 +382,15 @@ def _cmd_simulate(args) -> int:
     (pi,) = _parameter_indices((args.param_index,), "--param-index", (args.family,))
     dist = study.parameter_grid(args.family)[pi]
     names = args.materials or args.material * 2
-    fraction = args.water_fraction if args.materials else 1.0
     (rows,) = mixed_kernel_rows(
-        *map(get_material, names), get_material(study.MEDIUM), fraction,
+        *map(get_material, names), get_material(study.MEDIUM),
+        1.0 if args.water_fraction is None else args.water_fraction,
         wavelengths, fgrid.points,
-    )
-    noise = (
-        args.noise_fraction if args.noise_fraction is not None
-        else study.StudyConfig().noise_fraction
     )
     e_true = study.forward_extinctions(dist, None, wavelengths, grid=fgrid, rows=rows)
     meas = study.simulate_measurement(
-        wavelengths, e_true, noise, args.repeats, np.random.default_rng(args.seed)
+        wavelengths, e_true, args.noise_fraction, args.repeats,
+        np.random.default_rng(args.seed),
     )
     out = args.out or Path("measurement.csv")
     write_measurement(out, meas)
@@ -412,8 +399,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _record_path(args) -> Path:
-    """Where ``invert`` or ``invert2`` writes its record, and any command
-    its error record."""
+    """Where ``invert`` or ``invert2`` writes its record, and any error."""
     default = "inversion2.json" if args.command == "invert2" else "inversion.json"
     return Path(args.out or default)
 
@@ -421,7 +407,8 @@ def _record_path(args) -> Path:
 def _study_config(make, args, **fixed):
     """``make(...)`` with the values of the flags every command but
     ``simulate`` has; a flag left out keeps the config's default."""
-    config = make(seed=args.seed, reg_kinds=(_reg_kind(args),), **fixed)
+    reg_kind = "first_diff" if args.reg == "firstdiff" else args.reg
+    config = make(seed=args.seed, reg_kind=reg_kind, **fixed)
     return dataclasses.replace(
         config,
         tau_grid=_tau_grid(args, config.tau_grid),
@@ -448,7 +435,7 @@ def _cmd_invert(args) -> int:
     meas = read_measurement(args.measurement)
     forward = study.kernel_family(names, meas.wavelengths)
     t0 = time.perf_counter()
-    ranked = study.invert(meas, forward, method, _reg_kind(args), config, args.seed)
+    ranked = study.invert(meas, forward, method, config.reg_kind, config, args.seed)
     elapsed = time.perf_counter() - t0
     record = _inversion_record(ranked, meas, elapsed, method)
     out = _record_path(args)
@@ -476,7 +463,7 @@ def _study_flags(args, families) -> dict:
     overrides = dict(families=families)
     if args.noise_fraction is not None:
         overrides["noise_fraction"] = args.noise_fraction
-    if args.params:
+    if args.params is not None:
         try:
             indices = [int(v) for v in str(args.params).split(",")]
         except ValueError as exc:
@@ -525,26 +512,20 @@ def _cmd_study2(args) -> int:
 
 def run(args) -> int:
     """Dispatch a parsed command; returns the process exit status."""
-    handlers = {
-        "simulate": _cmd_simulate,
-        "invert": _cmd_invert,
-        "invert2": _cmd_invert,
-        "study": _cmd_study,
-        "study2": _cmd_study2,
-    }
+    handlers = {"simulate": _cmd_simulate, "invert": _cmd_invert,
+                "invert2": _cmd_invert, "study": _cmd_study, "study2": _cmd_study2}
     try:
         return handlers[args.command](args)
     except UsageError:
         raise
     except AeroinvError as exc:
-        no_models = isinstance(exc, NoModels)
         payload = {
             "schema": RECORD_SCHEMA,
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
         _write_json(_record_path(args), payload)
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if no_models else 1
+        return 2 if isinstance(exc, NoModels) else 1
 
 
 def main(argv=None) -> int:
@@ -553,6 +534,9 @@ def main(argv=None) -> int:
         return run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # a file the OS refuses, such as an unwritable --out
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

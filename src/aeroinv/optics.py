@@ -45,6 +45,7 @@ from .errors import DegenerateMix, NonConvergent, OutOfBand
 __all__ = [
     "IndexTable",
     "load_index_table",
+    "read_table",
     "get_material",
     "interpolate_index",
     "lorentz_lorenz_mix",
@@ -109,35 +110,47 @@ class IndexTable:
         return interpolate_index(self, l)
 
 
-def load_index_table(path, material_name: str | None = None) -> IndexTable:
-    """Read a ``wavelength_um,real,imag`` text table.
+def read_table(path, names) -> tuple[np.ndarray, list[list[str]]]:
+    """Columns ``names`` of a comma-separated text table as numbers, shape
+    (rows, len(names)), and the cells of each row after them.
 
-    Blank rows are skipped and rows before the first data row may be
-    headers, if their first cell is not a number; any other row that does
-    not parse, or a row with fewer than three cells, is a ValueError that
-    names the file and the row.
+    Fully blank rows are skipped.  A row before the first data row is a
+    header if its first cell is non-blank text that is not a number.  Any
+    other row with a blank, missing or non-numeric cell among the first
+    len(names) is a ValueError naming the file, the row and the column.
     """
-    path = Path(path)
-    wavelengths, values = [], []
+    data, rest = [], []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not any(v.strip() for v in row):
-                continue
-            try:
-                cells = [float(v) for v in row[:3]]
-            except ValueError:
-                try:
-                    float(row[0])
-                except ValueError:
-                    if not wavelengths:
-                        continue  # header
-                raise ValueError(f"row {row!r} of {path} is not numeric") from None
-            if len(cells) < 3:
-                raise ValueError(f"row {row!r} of {path} has fewer than three cells")
-            wavelengths.append(cells[0])
-            values.append(complex(cells[1], cells[2]))
+        try:
+            rows = list(csv.reader(fh))
+        except csv.Error as exc:  # an overlong field, say
+            raise ValueError(f"{path} is not a readable table: {exc}") from None
+    for row in rows:
+        cells = [v.strip() for v in row] + [""] * (len(names) - len(row))
+        if not any(cells):
+            continue
+        values = [_number(v) for v in cells[: len(names)]]
+        if None not in values:
+            data.append(values)
+            rest.append(row[len(names) :])
+        elif data or not cells[0] or values[0] is not None:
+            name = names[values.index(None)]
+            raise ValueError(f"row {row!r} of {path} has no number for {name}")
+    return np.array(data, dtype=float).reshape(-1, len(names)), rest
+
+
+def _number(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def load_index_table(path, material_name: str | None = None) -> IndexTable:
+    """Read a ``wavelength_um,real,imag`` text table (see ``read_table``)."""
+    data, _ = read_table(path, ("wavelength_um", "real", "imag"))
     return IndexTable(
-        np.array(wavelengths), np.array(values), material_name or path.stem
+        data[:, 0], data[:, 1] + 1j * data[:, 2], material_name or Path(path).stem
     )
 
 
@@ -258,6 +271,8 @@ def _qext_series(m: np.ndarray, x: np.ndarray, weight=None) -> np.ndarray:
     n_r = x.shape[1]
     m_by_wl = np.ascontiguousarray(m.T)
     out = np.empty((n_idx, n_wl, n_r))
+    if not out.size:  # no index, wavelength or radius: nothing to sum
+        return out
     wl_per_pass = max(_MIE_BUDGET // n_r, 1)
     if _upward_regime(m, x):
         kernel, chunk = _chunk_qext, max(_MIE_BUDGET // n_idx, 1)

@@ -83,8 +83,10 @@ N_INTEGRATION = 300
 N_FINE = 10001
 DEFAULT_REPEATS = 300
 VARIANCE_FLOOR = 1e-30
-# The medium of every study and CLI forward model.
+# The medium of every study and CLI forward model, and the particle
+# material of the single-component study.
 MEDIUM = "air"
+PARTICLE = "h2o"
 
 # inclusive linspaces per detector band; 8+8+8+16+8 = 48 wavelengths
 WAVELENGTH_BANDS = (
@@ -283,20 +285,19 @@ def relative_l2_error(
 class StudyConfig:
     families: tuple[str, ...] = FAMILIES
     methods: tuple[str, ...] = METHODS
-    reg_kinds: tuple[str, ...] = ("tikhonov",)
+    reg_kind: str = "tikhonov"
     noise_fraction: float = 0.30
     parameter_indices: tuple[int, ...] | None = None  # None = all 100
     repeats_per_parameter: int = 10
     seed: int = 0
     tau_grid: tuple[float, ...] = DEFAULT_TAU_GRID
     mc_samples: int = DEFAULT_SAMPLES
-    particle: str = "h2o"
 
 
 @dataclass(frozen=True)
 class TwoComponentStudyConfig:
     families: tuple[str, ...] = ("log_normal",)
-    reg_kinds: tuple[str, ...] = ("tikhonov",)
+    reg_kind: str = "tikhonov"
     noise_fraction: float = 0.05
     water_fractions: tuple[float, ...] = (0.0, 0.33, 0.67, 1.0)
     parameter_indices: tuple[int, ...] | None = None
@@ -512,7 +513,7 @@ def invert(meas, forward, method, reg_kind, config, seed) -> list[ModelCandidate
 
 def _closed_loop(config, names, fractions, methods) -> StudyReport:
     """Truth, noisy draw, inversion and record for every family, parameter,
-    true fraction, repeat, method and reg_kind.  A single material is the
+    true fraction, repeat and method.  A single material is the
     fraction ``None``, whose RNG spawn key has no fraction term."""
     t_start = time.perf_counter()
     wavelengths = study_wavelengths()
@@ -536,15 +537,13 @@ def _closed_loop(config, names, fractions, methods) -> StudyReport:
                         wavelengths, e_true, config.noise_fraction, rng=rng
                     )
                     mc_seed = int(rng.integers(2**31 - 1))
-                    for method, reg_kind in itertools.product(
-                        methods, config.reg_kinds
-                    ):
-                        records.append(
-                            _invert_one(
-                                meas, forward, method, reg_kind, config, mc_seed,
-                                dist, family, pi, rep, fgrid, p_true,
-                            )
+                    records += [
+                        _invert_one(
+                            meas, forward, method, config.reg_kind, config,
+                            mc_seed, dist, family, pi, rep, fgrid, p_true,
                         )
+                        for method in methods
+                    ]
     return StudyReport(
         records=tuple(records),
         method_stats=_aggregate(records),
@@ -554,7 +553,7 @@ def _closed_loop(config, names, fractions, methods) -> StudyReport:
 
 def run_study(config: StudyConfig) -> StudyReport:
     """Single-component comparative study across methods and families."""
-    return _closed_loop(config, (config.particle,), (None,), config.methods)
+    return _closed_loop(config, (PARTICLE,), (None,), config.methods)
 
 
 def run_study_two_component(config: TwoComponentStudyConfig) -> StudyReport:

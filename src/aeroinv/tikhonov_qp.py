@@ -31,21 +31,22 @@ The residual increases strictly with gamma.  On a ridge curve every target
 of a level is solved at once: the closed-form residual on a grid of log
 gamma brackets each root, and a vectorized, safeguarded Newton iteration on
 log gamma finishes inside the bracket.  The residual is then recomputed
-from n at each root and must meet the target within ``_DISCREPANCY_RTOL``;
-a root that fails this certificate falls back to the generic search:
-bracket the root by decades of log10 gamma, then Brent's method (Brent
-1973, Algorithms for Minimization without Derivatives, ch. 4) on log10
-gamma.  The constrained fit roots the ridge curve of a passive set P,
-starting with every variable free: if the root's solution is positive on P
-with nonnegative duals off P, the Gram loop certifies it at that gamma;
+from n at each root and must meet the target within ``_DISCREPANCY_RTOL``.
+A target the grid cannot bracket raises BracketFailure, and a root that
+fails the certificate RootFailure: the grid spans the gamma range that a
+generic bracket search would, so a fallback finds nothing more.  The
+constrained fit roots the ridge curve of a passive set P, starting with
+every variable free: if the root's solution is positive on P with
+nonnegative duals off P, the Gram loop certifies it at that gamma;
 otherwise one NNLS at that gamma supplies the next P.  When no round's
 solution meets the target within ``_PASSIVE_ROUNDS`` rounds, a curve cannot
 bracket the target or a round leaves P unchanged, the search falls back to
-Brent's method with one warm-started NNLS per evaluation.  The all-free
-curve of round one depends only on (K, r, R), so a caller that searches
-several targets on one system builds it once, roots every target with one
-``RidgeCurve.roots`` call and passes the curve and each root to
-``solve_discrepancy``.
+Brent's method (Brent 1973, Algorithms for Minimization without
+Derivatives, ch. 4) on log10 gamma, bracketed by decades, with one
+warm-started NNLS per evaluation.  The all-free curve of round one depends
+only on (K, r, R), so a caller that searches several targets on one system
+builds it once, roots every target with one ``RidgeCurve.roots`` call and
+passes the curve and each root to ``solve_discrepancy``.
 """
 
 from __future__ import annotations
@@ -372,18 +373,19 @@ class RidgeCurve:
     def discrepancy(self, target_sq: float, gamma: float | None = None):
         """``(gamma, n, residual_sq)`` with the residual at the target.
 
-        ``gamma`` is the target's entry of ``roots`` if already found.  The
-        residual is recomputed from n at the root; a root outside
-        ``_DISCREPANCY_RTOL`` of the target, or none, falls back to the
-        shared Brent search on this curve.
+        ``gamma`` is the target's entry of ``roots`` if already found.  No
+        root (nan: the grid of ``roots`` cannot bracket the target) raises
+        BracketFailure.  The residual is recomputed from n at the root; one
+        outside ``_DISCREPANCY_RTOL`` of the target raises RootFailure.
         """
         if gamma is None:
             gamma = self.roots([target_sq])[0]
-        if np.isfinite(gamma):
-            res, n = self.evaluate(gamma)
-            if abs(res - target_sq) <= _DISCREPANCY_RTOL * target_sq:
-                return float(gamma), n, res
-        return _discrepancy_search(self.evaluate, target_sq)
+        if not np.isfinite(gamma):
+            raise BracketFailure(f"no ridge-curve root for target {target_sq}")
+        res, n = self.evaluate(gamma)
+        if abs(res - target_sq) > _DISCREPANCY_RTOL * target_sq:
+            raise RootFailure(f"ridge root {gamma} misses target {target_sq}: {res}")
+        return float(gamma), n, res
 
 
 def solve_discrepancy(
@@ -457,8 +459,8 @@ def _passive_set_search(K, r, reg, target_sq: float, curve=None, gamma=None):
 
 
 def _nnls_discrepancy_search(K, r, reg, target_sq: float):
-    """The shared Brent search with one constrained solve per evaluation,
-    each warm-started from the previous active set."""
+    """The Brent search with one constrained solve per evaluation, each
+    warm-started from the previous active set."""
     hint = None
 
     def evaluate(gamma: float):

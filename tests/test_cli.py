@@ -419,6 +419,7 @@ class TestNumericFlagsAtTheBoundary:
              "--water-fraction"),
             (["study", "--params", "200"], "--params"),
             (["study", "--params", "abc"], "--params"),
+            (["study", "--params", ""], "--params"),
             (["study", "--repeats", "0"], "--repeats"),
             (["study2", "--repeats", "0"], "--repeats"),
             (["simulate", "--noise-fraction", "-0.3"], "--noise-fraction"),
@@ -432,6 +433,18 @@ class TestNumericFlagsAtTheBoundary:
               "--seed=-1"], "--seed"),
             (["invert", "--measurement", "m.csv", "--method", "bic", "--seed=-1"],
              "--seed"),
+            # argparse's own errors take the same path: no usage block, exit 1
+            (["invert", "--measurement", "m.csv", "--seed", "abc"], "--seed"),
+            (["bogus"], "bogus"),
+            (["invert", "--measurement", "m.csv", "--bogus"], "--bogus"),
+            (["invert"], "--measurement"),
+            # a flag the command does not read
+            (["simulate", "--reg", "twomey"], "--reg"),
+            (["simulate", "--tau-grid", "1.1"], "--tau-grid"),
+            (["simulate", "--mc-samples", "5"], "--mc-samples"),
+            (["simulate", "--emit-plot-data"], "--emit-plot-data"),
+            (["study", "--emit-plot-data"], "--emit-plot-data"),
+            (["study2", "--emit-plot-data"], "--emit-plot-data"),
         ],
         ids=lambda v: "_".join(v) if isinstance(v, list) else None,
     )
@@ -547,3 +560,86 @@ class TestUnknownMaterial:
     def test_material_count_checked(self, capsys):
         assert main(["invert2", "--measurement", "m.csv", "--materials", "h2o"]) == 1
         assert "--materials needs 2" in capsys.readouterr().err
+
+
+class TestOneInputPath:
+    """Config values are the command's defaults, so flags win; a command
+    takes no config key or flag combination whose value it would ignore."""
+
+    def test_explicit_flag_equal_to_its_default_beats_the_config(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"material": "csi", "method": "bic", "seed": 4}))
+        args = parse_config(
+            ["invert", "--measurement", "m.csv", "--config", str(cfg),
+             "--material", "h2o", "--method", "constrained", "--seed", "0"]
+        )
+        assert (args.material, args.method, args.seed) == (["h2o"], "constrained", 0)
+        args = parse_config(["invert", "--measurement", "m.csv", "--config", str(cfg)])
+        assert (args.material, args.method, args.seed) == (["csi"], "bic", 4)
+
+    def test_simulate_rejects_inversion_config_keys(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"reg": "twomey"}))
+        out = tmp_path / "m.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "unknown config key 'reg'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [b"[1, 2]", b"\xff\xfe{"], ids=["list", "binary"])
+    def test_config_must_be_a_json_object(self, tmp_path, capsys, content):
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(content)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "m")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["simulate", "--water-fraction", "0.3"],
+             ("--water-fraction", "--materials")),
+            (["simulate", "--material", "h2o", "--materials", "h2o,csi"],
+             ("--material", "--materials")),
+        ],
+        ids=["water_fraction_without_mixture", "material_and_materials"],
+    )
+    def test_simulate_rejects_ignored_material_flags(
+        self, tmp_path, capsys, argv, flags
+    ):
+        out = tmp_path / "m.csv"
+        code = main(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("usage error:")
+        assert all(f in err for f in flags)
+        assert not out.exists()
+
+    def test_blank_wavelength_row_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        rows = ["1.0,1000.0,0.01,300", ",2.0,0.01,300", "3.0,1200.0,0.01,300"]
+        path.write_text("\n".join(["wavelength_um,mean,var,n", *rows]) + "\n")
+        with pytest.raises(UsageError, match="wavelength_um"):
+            read_measurement(path)
+        code = main(["invert", "--measurement", str(path), "--method", "morozov",
+                     "--out", str(tmp_path / "inv.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("usage error:")
+        assert "['', '2.0', '0.01', '300']" in err  # the row, named
+        assert len(err.strip().splitlines()) == 1
+
+    def test_unreadable_table_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        path.write_text('wavelength_um,mean,var\n0.6,1.0,"' + "x" * 200_000 + '"\n')
+        out = tmp_path / "inv.json"
+        code = main(["invert", "--measurement", str(path), "--method", "morozov",
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and not out.exists()
+        assert err.startswith("usage error:") and str(path) in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_unwritable_output_is_one_error_line(self, tmp_path, capsys):
+        assert main(["simulate", "--out", str(tmp_path)]) == 1  # a directory
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1

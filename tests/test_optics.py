@@ -212,6 +212,10 @@ class TestMieQext:
     def test_vanishing_particle(self):
         assert mie_qext(1.0, 1.33, 1e-6, 1.0) < 1e-8
 
+    def test_no_radii_no_values(self):
+        assert mie_qext(1.0, 1.33, np.array([]), 1.0).shape == (0,)
+        assert kernel_value(1.0, 1.33, np.array([]), 1.0).shape == (0,)
+
     def test_against_long_series_oracle(self):
         # frozen values from a 50-digit direct per-order summation at 4x the
         # truncation order (mpmath Bessel functions)
@@ -299,6 +303,13 @@ class TestMixedKernelRows:
     @pytest.fixture(scope="class")
     def materials(self):
         return get_material("h2o"), get_material("csi"), get_material("air")
+
+    def test_empty_axes_give_empty_rows(self, materials):
+        water, csi, air = materials
+        rows = mixed_kernel_rows(water, csi, air, 0.5, self.WAVELENGTHS, [])
+        assert rows.shape == (1, len(self.WAVELENGTHS), 0)
+        rows = mixed_kernel_rows(water, csi, air, [], self.WAVELENGTHS, [0.5])
+        assert rows.shape == (0, len(self.WAVELENGTHS), 1)
 
     def test_single_fraction_matches_mie_qext(self, materials):
         water, csi, air = materials
@@ -559,6 +570,42 @@ class TestMaterials:
             with pytest.raises(ValueError, match="0.5"):
                 load_index_table(path)
         path.write_text("\n".join(["# water", "wl,n,k", *rows[1:]]) + "\n")
+        assert load_index_table(path).wavelengths.tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [("h2o", "798329047561481b742b29d248933f902bcd5a07baf90e1e96506bb3ef436f17"),
+         ("csi", "da5f9deb602f7e85a2a866ed3a1725249b2029bf96f8511ea1a9b928e5062f44"),
+         ("air", "9807d04e6bf2f7860c2a62b34daa68f24a75130fe841d88fe72aa4269788da11")],
+    )
+    def test_shipped_tables_read_bit_for_bit(self, name, digest):
+        """The shipped tables read back to the same float64 and complex128
+        bits as the reader they were frozen with."""
+        import hashlib
+
+        table = get_material(name)
+        raw = table.wavelengths.tobytes() + table.indices.tobytes()
+        assert hashlib.sha256(raw).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "rows, column",
+        [([",1.40,0.0", "1.0,1.33,0.0", "2.0,1.33,0.0"], "wavelength_um"),
+         (["1.0,1.33,0.0", " ,1.40,0.0", "2.0,1.33,0.0"], "wavelength_um"),
+         (["1.0,1.33,0.0", "2.0,1.33"], "imag"),
+         (["1.0,1.33,0.0", "2.0,,0.0"], "real")],
+        ids=["blank_first_cell_leading", "blank_first_cell", "short", "blank_cell"],
+    )
+    def test_rows_with_a_missing_cell_name_it(self, tmp_path, rows, column):
+        """Only a leading row whose first cell is text may be a header; a
+        row with a blank or missing cell is an error naming the column."""
+        path = tmp_path / "m.csv"
+        path.write_text("\n".join(["wavelength_um,real,imag", *rows]) + "\n")
+        with pytest.raises(ValueError, match=column):
+            load_index_table(path)
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("\n,,\nwl,n,k\n1.0,1.33,0.0\n\n , \n2.0,1.34,0.0\n")
         assert load_index_table(path).wavelengths.tolist() == [1.0, 2.0]
 
     def test_data_dir_override(self, tmp_path, monkeypatch):

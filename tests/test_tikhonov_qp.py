@@ -475,6 +475,38 @@ class TestRidgeCurve:
             y = curve.coefficients(gamma)
             assert float(y @ y) == pytest.approx(float(n @ R @ n), rel=1e-10)
 
+    def test_unbracketable_target_raises_without_evaluating(self, monkeypatch):
+        """A target past ||r||^2 has no root on the grid: BracketFailure at
+        once, with no residual evaluated along the way."""
+        from aeroinv.errors import BracketFailure
+        from aeroinv.tikhonov_qp import RidgeCurve
+
+        rng = np.random.default_rng(6)
+        K, r = rng.normal(size=(9, 5)), rng.normal(size=9)
+        curve = RidgeCurve(K, r, Regularizer(np.eye(5)))
+        calls = []
+        monkeypatch.setattr(curve, "evaluate", lambda gamma: calls.append(gamma))
+        target = 2.0 * float(r @ r)
+        assert np.isnan(curve.roots([target])[0])
+        with pytest.raises(BracketFailure):
+            curve.discrepancy(target)
+        with pytest.raises(BracketFailure):
+            curve.discrepancy(target, np.nan)
+        assert calls == []
+
+    def test_root_off_the_target_raises_root_failure(self):
+        from aeroinv.errors import RootFailure
+        from aeroinv.tikhonov_qp import RidgeCurve
+
+        rng = np.random.default_rng(6)
+        K, r = rng.normal(size=(9, 5)), rng.normal(size=9)
+        curve = RidgeCurve(K, r, Regularizer(np.eye(5)))
+        target = 0.5 * (curve.residual_ls + float(r @ r))
+        (root,) = curve.roots([target])
+        assert curve.discrepancy(target, root)[0] == root
+        with pytest.raises(RootFailure):
+            curve.discrepancy(target, 10.0 * root)
+
     def test_singular_factor_raises_ill_conditioned(self, monkeypatch):
         """A factor LAPACK cannot invert (info > 0) is a typed error."""
         from aeroinv import tikhonov_qp
