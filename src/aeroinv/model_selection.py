@@ -49,6 +49,7 @@ from .orthant_mvn import (
     log_gaussian_integral,
     log_orthant_probability,
     orthant_integral,
+    prepare,
 )
 from .tikhonov_qp import (
     Regularizer,
@@ -563,8 +564,11 @@ def select_models(
     """Rank candidates by posterior probability under a uniform model prior.
 
     Each candidate's statistical system is built once and serves both its
-    bound and its estimate.  Candidates are visited in descending
-    ``_log_evidence_bound`` (a stable sort, so ties keep their order).  One
+    bound and its estimate.  The samplers of candidates of one dimension
+    are set up together (``orthant_mvn.prepare``), which changes no
+    estimate; each estimate then runs only its points.  Candidates are
+    visited in descending ``_log_evidence_bound`` (a stable sort, so ties
+    keep their order).  One
     whose bound lies more than ``_SCREEN_NATS`` below the largest
     full-budget log evidence so far is screened: its estimate gets
     ``samples // _SCREEN_DIVISOR`` points.
@@ -577,6 +581,7 @@ def select_models(
         raise EmptyCandidates("no candidates to select from")
     systems = [_statistical_system(c, meas) for c in candidates]
     bounds = [_log_evidence_bound(s) for s in systems]
+    prepare(s.joint for s in systems)
     log_marginals = [None] * len(candidates)
     best = -np.inf
     for i in sorted(range(len(candidates)), key=lambda i: -bounds[i]):

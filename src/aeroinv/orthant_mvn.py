@@ -7,7 +7,12 @@ probability is conditioned first.  Each conditional standard normal is drawn
 from a tilted proposal, N(mu_i, 1) truncated to its bound, with the minimax
 tilt mu of Botev (2017, J. R. Stat. Soc. B 79:125): the saddle point of
 psi(x, mu), found by Newton's method, which also gives the upper bound
-exp(psi*) on the probability.  Points are randomly shifted square-root
+exp(psi*) on the probability.  That set-up (the reordered factor and the
+tilt) does not depend on the sample budget.  It runs on stacks of integrals
+of one dimension: ``prepare`` sets up many forms in one pass per
+dimension, and a form set up alone is a stack of one.  Each member's arithmetic is the same,
+operation by operation, whatever it is stacked with, so its set-up and its
+estimate do not depend on the stack.  Points are randomly shifted square-root
 lattice points, wrapped into the unit cube by x - floor(x) (x mod 1,
 exactly, for x >= 0) and folded by the baker's transform |2w - 1|.  All
 accumulation happens in log space so that strongly shifted orthants and
@@ -34,6 +39,7 @@ __all__ = [
     "log_orthant_probability",
     "orthant_integral",
     "log_gaussian_integral",
+    "prepare",
     "DEFAULT_SAMPLES",
 ]
 
@@ -62,10 +68,9 @@ class QuadraticForm:
     q: float = 0.0
 
     def __post_init__(self):
-        H = np.asarray(self.H, dtype=float)
-        v = np.asarray(self.v, dtype=float)
-        if H.ndim != 2 or H.shape[0] != H.shape[1] or v.shape != (H.shape[0],):
-            raise ValueError("H must be square and v of matching length")
+        H, v = _checked(self.H, self.v)
+        if not np.isfinite(self.q):
+            raise ValueError("q must be finite")
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "v", v)
 
@@ -89,6 +94,29 @@ class QuadraticForm:
             self.dim * np.log(2.0 * np.pi) - logdet
         )
         return log_full, mode, cov
+
+    @functools.cached_property
+    def sampler_setup(self) -> _SamplerSetup:
+        """The orthant sampler's set-up for N(H^-1 v, H^-1), computed on
+        first use as a stack of one unless ``prepare`` filled it."""
+        _, mode, cov = self.completed_square
+        return _setup_of(cov, -mode)
+
+
+@dataclass(frozen=True)
+class _SamplerSetup:
+    """What the orthant sampler needs before its first point, for
+    P(Z >= lower), Z ~ N(0, L L'), with the variables in Genz–Bretz
+    priority order: the factor ``L``, the bounds ``lower`` and the minimax
+    tilt ``mu`` in that order, psi* as ``log_bound`` and whether the tilt
+    search converged (``tilted``; otherwise mu = 0 and the bound is log 1).
+    """
+
+    L: np.ndarray
+    lower: np.ndarray
+    mu: np.ndarray
+    log_bound: float
+    tilted: bool
 
 
 @dataclass(frozen=True)
@@ -130,6 +158,20 @@ def _lattice_roots(count: int) -> np.ndarray:
     return roots
 
 
+def _checked(H, v):
+    """``H`` and ``v`` as float arrays: a nonempty square matrix and a
+    vector of its length, all finite, or a ValueError."""
+    H = np.asarray(H, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if H.ndim != 2 or H.shape[0] != H.shape[1] or v.shape != (H.shape[0],):
+        raise ValueError("H must be square and its vector of matching length")
+    if H.shape[0] == 0:
+        raise ValueError("H must have at least one row")
+    if not (np.isfinite(H).all() and np.isfinite(v).all()):
+        raise ValueError("H and its vector must be finite")
+    return H, v
+
+
 def _factor(H: np.ndarray):
     """Upper Cholesky factor U of H = U'U, log det H and H^-1 = U^-1 U^-T."""
     try:
@@ -146,46 +188,49 @@ def _factor(H: np.ndarray):
 
 
 def _priority_cholesky(cov: np.ndarray, lower: np.ndarray):
-    """Lower Cholesky factor of ``cov`` in Genz–Bretz priority order.
+    """Lower Cholesky factors of a stack of covariances ``cov`` (count, n,
+    n) in Genz–Bretz priority order, one order per member.
 
-    Step k conditions, among the variables not yet placed, the one with the
-    smallest conditional tail log-probability log P(Z_j >= lower_j) given
-    the placed ones at their truncated-normal means.  Returns the factor,
-    the lower bounds and those means (of the standardized variables), all
-    in the chosen order.  ``cov`` itself is never permuted: ``perm[i]`` is
-    the variable at position i, and each step gathers the one column of
-    ``cov`` it needs.
+    Step k conditions, among each member's variables not yet placed, the
+    one with the smallest conditional tail log-probability
+    log P(Z_j >= lower_j) given the placed ones at their truncated-normal
+    means.  Returns the factors, the lower bounds and those means (of the
+    standardized variables), all in each member's chosen order.  ``cov``
+    itself is never permuted: ``perm[b, i]`` is member b's variable at
+    position i, and each step gathers the one column of ``cov`` it needs.
     """
-    n = lower.size
-    cov = np.asarray(cov, dtype=float)
+    count, n = lower.shape
+    rows = np.arange(count)
     a = np.array(lower, dtype=float)
-    var = np.diag(cov).copy()  # conditional variances of the unplaced rows
-    perm = np.arange(n)
-    L = np.zeros((n, n))
-    y = np.zeros(n)  # truncated-normal means of the placed variables
+    # conditional variances of the unplaced rows
+    var = np.diagonal(cov, axis1=1, axis2=2).copy()
+    perm = np.tile(np.arange(n), (count, 1))
+    L = np.zeros((count, n, n))
+    y = np.zeros((count, n))  # truncated-normal means of the placed variables
     # one errstate for the whole loop: entering one per step costs more
     # than the step's arithmetic at these sizes
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(n):
-            ok = var[k:] > 0.0
-            t = (a[k:] - L[k:, :k] @ y[:k]) / np.sqrt(var[k:])
-            log_tail = np.where(ok, log_ndtr(-t), np.inf)
-            j = int(np.argmin(log_tail))
-            if not ok[j]:
+            placeable = var[:, k:] > 0.0
+            shift = np.matmul(L[:, k:, :k], y[:, :k, None])[:, :, 0]
+            t = (a[:, k:] - shift) / np.sqrt(var[:, k:])
+            log_tail = np.where(placeable, log_ndtr(-t), np.inf)
+            j = np.argmin(log_tail, axis=1)
+            if not placeable[rows, j].all():
                 raise CholeskyFailure("covariance lost positive definiteness")
-            t_k, log_tail_k = t[j], log_tail[j]
+            t_k, log_tail_k = t[rows, j], log_tail[rows, j]
             j += k
-            if j != k:
-                for arr in (a, var, perm):
-                    arr[k], arr[j] = arr[j], arr[k]
-                L[[k, j], :k] = L[[j, k], :k]
-            d = np.sqrt(var[k])
-            L[k, k] = d
-            column = cov[perm[k + 1 :], perm[k]]
-            L[k + 1 :, k] = (column - L[k + 1 :, :k] @ L[k, :k]) / d
-            var[k + 1 :] -= L[k + 1 :, k] ** 2
+            for arr in (a, var, perm):
+                arr[rows, k], arr[rows, j] = arr[rows, j], arr[rows, k]
+            L[rows, k, :k], L[rows, j, :k] = L[rows, j, :k], L[rows, k, :k]
+            d = np.sqrt(var[:, k])
+            L[:, k, k] = d
+            column = cov[rows[:, None], perm[:, k + 1 :], perm[:, k, None]]
+            placed = np.matmul(L[:, k + 1 :, :k], L[:, k, :k, None])[:, :, 0]
+            L[:, k + 1 :, k] = (column - placed) / d[:, None]
+            var[:, k + 1 :] -= L[:, k + 1 :, k] ** 2
             # E[Z | Z >= t] = phi(t) / (1 - Phi(t)), formed in log space
-            y[k] = np.exp(-0.5 * t_k * t_k - _LOG_SQRT_2PI - log_tail_k)
+            y[:, k] = np.exp(-0.5 * t_k * t_k - _LOG_SQRT_2PI - log_tail_k)
     return L, a, y
 
 
@@ -224,9 +269,11 @@ def _tent(w: np.ndarray) -> np.ndarray:
 
 
 def _minimax_tilt(L: np.ndarray, lower: np.ndarray, means: np.ndarray):
-    """Botev's minimax tilt for P(Z >= lower), Z ~ N(0, L L'), with the
-    variables in the order of ``L``: ``(mu, psi*)``, or None when Newton's
-    method fails.
+    """Botev's minimax tilt for P(Z >= lower), Z ~ N(0, L L'), for each
+    member of a stack (``L`` of shape (count, d, d), ``lower`` and
+    ``means`` (count, d)), with the variables in the order of ``L``:
+    ``(mu, psi*, tilted)``.  A member whose Newton's method fails gets
+    mu = 0, psi* = 0 (log 1) and ``tilted`` False.
 
     With c_k(x) = (lower_k - sum_{j<k} L_kj x_j) / L_kk the conditional
     bound of variable k,
@@ -239,59 +286,94 @@ def _minimax_tilt(L: np.ndarray, lower: np.ndarray, means: np.ndarray):
     steps with the analytic Jacobian, each step halved until the squared
     gradient norm decreases (far-shifted orthants need that).  They start
     from mu = 0 and x = ``means``, the Genz–Bretz truncated-normal means,
-    which solve the mu half of the system at mu = 0.
+    which solve the mu half of the system at mu = 0.  Every unfinished
+    member takes its step together; one that has converged or failed drops
+    out, and each halves its own step.
     """
-    m = lower.size - 1  # free variables of x and of mu each
-    diag = np.diag(L)
+    count, d = lower.shape
+    m = d - 1  # free variables of x and of mu each
+    mu_star = np.zeros((count, d))
+    psi_star = np.zeros(count)
+    tilted = np.zeros(count, dtype=bool)
+    diag = np.diagonal(L, axis1=1, axis2=2)
     l = lower / diag
     if m == 0:
-        return np.zeros(1), float(log_ndtr(-l[0]))
-    B = L[:, :m] / diag[:, None]
-    B[np.arange(m), np.arange(m)] = 0.0  # scaled strictly lower factor
+        return mu_star, log_ndtr(-l[:, 0]), np.ones(count, dtype=bool)
+    B = L[:, :, :m] / diag[:, :, None]
+    free = np.arange(m)
+    B[:, free, free] = 0.0  # scaled strictly lower factors
 
-    def system(z):
+    def system(z, B, l):
         """t, log Phi(-t), the inverse Mills ratio P and grad psi at
-        z = (x, mu)."""
-        x, mu = z[:m], z[m:]
-        t = l - B @ x
-        t[:m] -= mu
+        z = (x, mu), with the squared norm of grad psi."""
+        x, mu = z[:, :m], z[:, m:]
+        t = l - np.matmul(B, x[:, :, None])[:, :, 0]
+        t[:, :m] -= mu
         log_sf = log_ndtr(-t)
         P = np.exp(-0.5 * t * t - _LOG_SQRT_2PI - log_sf)
-        return t, log_sf, P, np.concatenate((B.T @ P - mu, mu - x + P[:m]))
+        BtP = np.matmul(B.transpose(0, 2, 1), P[:, :, None])[:, :, 0]
+        grad = np.concatenate((BtP - mu, mu - x + P[:, :m]), axis=1)
+        return [t, log_sf, P, grad, _dots(grad, grad)]
 
-    z = np.concatenate((means[:m], np.zeros(m)))
-    t, log_sf, P, grad = system(z)
-    J = np.zeros((2 * m, 2 * m))
-    diag_mu = (np.arange(m, 2 * m), np.arange(m, 2 * m))
+    idx = np.arange(count)  # the members still iterating
+    z = np.concatenate((means[:, :m], np.zeros((count, m))), axis=1)
+    state = system(z, B, l)
     for _ in range(_TILT_STEPS):
-        norm_sq = grad @ grad
-        if not np.isfinite(norm_sq):
-            return None
-        if np.abs(grad).max() <= _TILT_TOL * (1.0 + P.max()):
-            x, mu = z[:m], z[m:]
-            psi = float(np.sum(log_sf) + mu @ (0.5 * mu - x))
-            return np.append(mu, 0.0), psi
+        t, log_sf, P, grad, norm_sq = state
+        finite = np.isfinite(norm_sq)
+        done = finite & (
+            np.abs(grad).max(axis=1) <= _TILT_TOL * (1.0 + P.max(axis=1))
+        )
+        x, mu = z[done, :m], z[done, m:]
+        mu_star[idx[done], :m] = mu
+        psi_star[idx[done]] = np.sum(log_sf[done], axis=1) + _dots(mu, 0.5 * mu - x)
+        tilted[idx[done]] = True
+        go = finite & ~done
+        if not go.all():
+            idx, z, B, l = idx[go], z[go], B[go], l[go]
+            state = [arr[go] for arr in state]
+            t, _, P, grad, norm_sq = state
+        if not idx.size:
+            break
         # the Jacobian [[B'dP B, C'], [C, 1 + dP]], C = dP B - I
         dP = (t - P) * P  # dP/dmu, in (-1, 0)
-        C = dP[:m, None] * B[:m]
-        C[np.arange(m), np.arange(m)] -= 1.0
-        J[:m, :m] = B.T @ (dP[:, None] * B)
-        J[:m, m:] = C.T
-        J[m:, :m] = C
-        J[diag_mu] = 1.0 + dP[:m]
-        _, _, step, info = scipy.linalg.lapack.dgesv(J, -grad)
-        if info != 0:
-            return None
+        C = dP[:, :m, None] * B[:, :m]
+        C[:, free, free] -= 1.0
+        J = np.zeros((idx.size, 2 * m, 2 * m))
+        J[:, :m, :m] = np.matmul(B.transpose(0, 2, 1), dP[:, :, None] * B)
+        J[:, :m, m:] = C.transpose(0, 2, 1)
+        J[:, m:, :m] = C
+        J[:, m + free, m + free] = 1.0 + dP[:, :m]
+        step = np.empty_like(z)
+        solved = np.ones(idx.size, dtype=bool)
+        for b in range(idx.size):
+            _, _, step[b], info = scipy.linalg.lapack.dgesv(J[b], -grad[b])
+            solved[b] = info == 0
+        state = [np.empty_like(arr) for arr in state]
+        trying = np.flatnonzero(solved)  # the members still halving
         for _ in range(_TILT_HALVINGS):
-            trial = system(z + step)
-            if trial[3] @ trial[3] < norm_sq:
-                break  # never taken by a non-finite gradient
-            step *= 0.5
-        else:
-            return None
-        z = z + step
-        t, log_sf, P, grad = trial
-    return None
+            if not trying.size:
+                break
+            trial_z = z[trying] + step[trying]
+            trial = system(trial_z, B[trying], l[trying])
+            better = trial[4] < norm_sq[trying]  # never a non-finite norm
+            won = trying[better]
+            z[won] = trial_z[better]
+            for arr, value in zip(state, trial):
+                arr[won] = value[better]
+            trying = trying[~better]
+            step[trying] *= 0.5
+        moved = solved
+        moved[trying] = False
+        idx, z, B, l = idx[moved], z[moved], B[moved], l[moved]
+        state = [arr[moved] for arr in state]
+    return mu_star, psi_star, tilted
+
+
+def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (count, n) stacks, each the same BLAS
+    dot a 1-D ``u[b] @ v[b]`` makes."""
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
 
 
 def _log_orthant_prob_samples(
@@ -322,22 +404,60 @@ def _log_orthant_prob_samples(
     return logf
 
 
-def _log_probability(cov, lower, samples: int, seed: int):
-    """log P(Z >= lower) for Z ~ N(0, cov), its relative standard error,
-    the number of points used, psi* (an upper bound on the log
-    probability) and whether the sampler ran tilted.
+def _setups(cov: np.ndarray, lower: np.ndarray) -> list[_SamplerSetup]:
+    """The sampler set-up of P(Z >= lower[b]), Z ~ N(0, cov[b]), for every
+    member of a stack of one dimension, in one stacked pass."""
+    L, a, means = _priority_cholesky(cov, lower)
+    mu, log_bound, tilted = _minimax_tilt(L, a, means)
+    return [
+        _SamplerSetup(L[b], a[b], mu[b], float(log_bound[b]), bool(tilted[b]))
+        for b in range(len(a))
+    ]
+
+
+def _setup_of(cov: np.ndarray, lower: np.ndarray) -> _SamplerSetup:
+    """The sampler set-up of one probability, as a stack of one."""
+    return _setups(cov[None], lower[None])[0]
+
+
+def prepare(forms) -> None:
+    """Set up the orthant sampler of every form in ``forms``
+    (``QuadraticForm.sampler_setup``) in one stacked pass per dimension.
+
+    Each form gets the set-up it would compute alone, bit for bit, so
+    ``orthant_integral`` returns the same estimate either way; only the
+    point loop is left to run.  If a member's reordered factor fails, no
+    form of its dimension is set up here: each is set up alone when its
+    integral asks, and that member raises then.
+    """
+    groups = {}
+    for form in forms:
+        groups.setdefault(form.dim, []).append(form)
+    for group in groups.values():
+        squares = [form.completed_square for form in group]
+        cov = np.stack([square[2] for square in squares])
+        lower = -np.stack([square[1] for square in squares])
+        try:
+            setups = _setups(cov, lower)
+        except CholeskyFailure:
+            continue
+        for form, setup in zip(group, setups):
+            form.__dict__["sampler_setup"] = setup
+
+
+def _log_probability(setup: _SamplerSetup, samples: int, seed: int):
+    """log P(Z >= lower) for the set-up's Z ~ N(0, L L'), its relative
+    standard error and the number of points used.
 
     ``_N_SHIFTS`` independent random shifts of one lattice; the relative
     error is the standard error of the mean of the per-shift estimates,
     each taken relative to that mean in log space, so it stays finite when
-    the probability underflows.  If the tilt search fails the sampler runs
-    at mu = 0 and the bound is log 1.
+    the probability underflows.  The sampler runs at the set-up's tilt
+    (mu = 0 if the tilt search failed).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    L, a, means = _priority_cholesky(cov, lower)
-    tilt = _minimax_tilt(L, a, means)
-    mu, log_bound = tilt if tilt is not None else (np.zeros(a.size), 0.0)
+    L, a, mu = setup.L, setup.lower, setup.mu
     n_w = L.shape[0] - 1
     n_pts = max(samples // _N_SHIFTS, 1)
     rng = np.random.default_rng(seed)
@@ -367,10 +487,10 @@ def _log_probability(cov, lower, samples: int, seed: int):
     log_value = float(_logsumexp(shift_logs) - np.log(_N_SHIFTS))
     n = n_pts * _N_SHIFTS
     if not np.isfinite(log_value):
-        return log_value, np.inf, n, log_bound, tilt is not None
+        return log_value, np.inf, n
     ratios = np.exp(shift_logs - log_value)
     rel_err = float(ratios.std(ddof=1) / np.sqrt(_N_SHIFTS))
-    return log_value, rel_err, n, log_bound, tilt is not None
+    return log_value, rel_err, n
 
 
 def log_orthant_probability(
@@ -378,13 +498,12 @@ def log_orthant_probability(
 ) -> IntegralEstimate:
     """Probability P(Z >= lower_shift) for Z ~ N(0, H^-1), with a relative
     ``std_error``; ``value`` underflows to 0 below exp(-745), ``log_value``
-    does not."""
-    lower = np.atleast_1d(np.asarray(lower_shift, dtype=float))
-    _, _, cov = _factor(np.asarray(H, dtype=float))
-    log_value, rel_err, n, log_bound, tilted = _log_probability(
-        cov, lower, samples, seed
-    )
-    return IntegralEstimate(rel_err, n, log_value, log_bound, tilted)
+    does not.  ``H`` and ``lower_shift`` must be finite."""
+    H, lower = _checked(H, np.atleast_1d(np.asarray(lower_shift, dtype=float)))
+    _, _, cov = _factor(H)
+    setup = _setup_of(cov, lower)
+    log_value, rel_err, n = _log_probability(setup, samples, seed)
+    return IntegralEstimate(rel_err, n, log_value, setup.log_bound, setup.tilted)
 
 
 def log_gaussian_integral(form: QuadraticForm) -> float:
@@ -406,14 +525,15 @@ def orthant_integral(
 
     Completing the square gives a Gaussian prefactor times the orthant
     probability of N(H^-1 v, H^-1); one Cholesky factor of H yields the
-    mode, log det H and H^-1.  The result is carried as ``log_value`` with
-    a relative ``std_error``; ``log_bound`` is the prefactor plus psi*.
+    mode, log det H and H^-1.  The sampler runs from the form's
+    ``sampler_setup`` (made on first use, or by ``prepare``).  The result
+    is carried as ``log_value`` with a relative ``std_error``;
+    ``log_bound`` is the prefactor plus psi*.
     """
-    log_prefactor, mode, cov = form.completed_square
-    log_prob, rel_err, n, log_bound, tilted = _log_probability(
-        cov, -mode, samples, seed
-    )
+    log_prefactor = form.completed_square[0]
+    setup = form.sampler_setup
+    log_prob, rel_err, n = _log_probability(setup, samples, seed)
     return IntegralEstimate(
         rel_err, n, float(log_prefactor + log_prob),
-        float(log_prefactor + log_bound), tilted,
+        float(log_prefactor + setup.log_bound), setup.tilted,
     )

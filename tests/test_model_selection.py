@@ -298,6 +298,7 @@ class TestSelectModels:
             msel, "_statistical_system", lambda c, *a: index[id(c)]
         )
         monkeypatch.setattr(msel, "_log_evidence_bound", lambda i: table[i][0])
+        monkeypatch.setattr(msel, "prepare", lambda forms: None)  # no forms here
         monkeypatch.setattr(msel, "_log_evidence", fake_evidence)
         msel.select_models(cands, meas, samples=5000, seed=0)
         # best full-budget value -0.5: only the bound below -10.5 is screened
@@ -590,6 +591,86 @@ class TestEvidenceScreen:
             )
             log_prior_norm = msel.prior_normalizer(c.regularizer, scale).log_value
             assert b == log_full - system.log_b - log_prior_norm
+
+
+class TestStackedSetupRanking:
+    """``select_models`` sets up the evidence integrals of one dimension
+    together; its output is field for field what a loop of separate
+    ``log_marginal_likelihood`` calls, in bound order under the screening
+    rule, gives."""
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        from aeroinv.optics import get_material, make_kernel
+        from aeroinv.simulation_study import (
+            KernelLevelCache,
+            forward_extinctions,
+            integration_grid,
+            kernel_rows,
+            parameter_grid,
+            simulate_measurement,
+            study_wavelengths,
+        )
+
+        wl, igrid = study_wavelengths(), integration_grid()
+        rows = kernel_rows(
+            make_kernel(get_material("h2o"), get_material("air")), wl, igrid
+        )
+        builder = KernelLevelCache(rows, wl, igrid)
+        draws = []
+        for family, index, seed in [
+            ("rrsb", 44, 5), ("log_normal", 11, 5), ("hedrih", 77, 3)
+        ]:
+            dist = parameter_grid(family)[index]
+            e_true = forward_extinctions(dist, None, wl, grid=igrid, rows=rows)
+            draws.append(simulate_measurement(
+                wl, e_true, 0.30, 300, rng=np.random.default_rng(seed)
+            ))
+        return builder, draws
+
+    @staticmethod
+    def reference_ranking(cands, meas, samples, seed):
+        from aeroinv.model_selection import (
+            _SCREEN_DIVISOR,
+            _SCREEN_NATS,
+            _log_evidence_bound,
+            _rank,
+            _statistical_system,
+        )
+
+        bounds = [_log_evidence_bound(_statistical_system(c, meas)) for c in cands]
+        log_marginals = [None] * len(cands)
+        best = -np.inf
+        for i in sorted(range(len(cands)), key=lambda i: -bounds[i]):
+            screened = bounds[i] < best - _SCREEN_NATS
+            budget = max(samples // _SCREEN_DIVISOR, 1) if screened else samples
+            log_marginals[i] = log_marginal_likelihood(cands[i], meas, budget, seed)
+            if not screened:
+                best = max(best, log_marginals[i])
+        return _rank(cands, log_marginals)
+
+    @pytest.mark.parametrize("kind", ["tikhonov", "twomey"])
+    @pytest.mark.parametrize("draw", [0, 1, 2])
+    def test_every_field_matches_separate_integrals(self, draws, kind, draw):
+        import dataclasses
+
+        from aeroinv.orthant_mvn import DEFAULT_SAMPLES
+
+        builder, measurements = draws
+        meas = measurements[draw]
+        cands = generate_models(meas, builder, reg_kind=kind)
+        assert len({c.dim for c in cands}) < len(cands)  # a shared dimension
+        ranked = select_models(cands, meas, DEFAULT_SAMPLES, seed=7)
+        ref = self.reference_ranking(cands, meas, DEFAULT_SAMPLES, seed=7)
+        assert len(ranked) == len(ref) == len(cands)
+        for got, want in zip(ranked, ref):
+            for field in dataclasses.fields(got):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                if isinstance(a, np.ndarray):
+                    assert np.array_equal(a, b), field.name
+                else:
+                    assert a == b, field.name
+        assert top_within_noise(ranked) == top_within_noise(ref)
 
 
 class TestBic:

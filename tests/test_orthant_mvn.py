@@ -24,6 +24,12 @@ from aeroinv.orthant_mvn import (
 )
 
 
+def untilted_fallback(L, lower, means):
+    """``_minimax_tilt`` when every member's Newton's method fails."""
+    count = lower.shape[0]
+    return np.zeros_like(lower), np.zeros(count), np.zeros(count, dtype=bool)
+
+
 def quadrature_orthant_prob_2d(H, cutoff=12.0):
     f = lambda y, x: np.exp(-0.5 * (np.array([x, y]) @ H @ np.array([x, y])))
     num, _ = si.dblquad(f, 0, cutoff, 0, cutoff, epsabs=1e-13, epsrel=1e-12)
@@ -85,6 +91,183 @@ class TestOrthantProbability:
         monkeypatch.setattr(scipy.linalg, "cholesky", lambda H, lower: singular)
         with pytest.raises(CholeskyFailure, match="singular"):
             log_orthant_probability(np.eye(3), np.zeros(3))
+
+
+class TestInputChecks:
+    """Bad exponent data is a ValueError before any factorization, not a
+    NaN estimate or a LAPACK message."""
+
+    @pytest.mark.parametrize(
+        "H, v, q",
+        [
+            (np.eye(2), [np.nan, 0.0], 0.0),
+            (np.eye(2), [-np.inf, 0.0], 0.0),
+            (np.eye(2), [np.inf, 0.0], 0.0),
+            (np.eye(2), [0.0, 0.0], np.nan),
+            (np.eye(2), [0.0, 0.0], np.inf),
+            (np.array([[1.0, np.nan], [np.nan, 1.0]]), [0.0, 0.0], 0.0),
+            (np.diag([1.0, np.inf]), [0.0, 0.0], 0.0),
+        ],
+    )
+    def test_non_finite_form_raises(self, H, v, q):
+        with pytest.raises(ValueError, match="finite"):
+            QuadraticForm(H, v, q)
+
+    @pytest.mark.parametrize(
+        "H, lower",
+        [
+            (np.eye(3), [0.0, np.inf, 0.0]),
+            (np.eye(3), [0.0, -np.inf, 0.0]),
+            (np.eye(3), [np.nan, 0.0, 0.0]),
+            (np.diag([1.0, np.nan, 1.0]), [0.0, 0.0, 0.0]),
+        ],
+    )
+    def test_non_finite_probability_raises(self, H, lower):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                log_orthant_probability(H, lower)
+
+    def test_zero_dimensions_raise_without_lapack_output(self, capfd):
+        with pytest.raises(ValueError, match="at least one row"):
+            QuadraticForm(np.zeros((0, 0)), np.zeros(0))
+        with pytest.raises(ValueError, match="at least one row"):
+            log_orthant_probability(np.zeros((0, 0)), [])
+        out, err = capfd.readouterr()
+        assert out == err == ""
+
+    def test_mismatched_shift_raises(self):
+        with pytest.raises(ValueError, match="matching length"):
+            log_orthant_probability(np.eye(3), np.zeros(2))
+
+
+def random_forms(d, count, seed):
+    """``count`` random SPD forms of dimension ``d`` whose modes lie up to a
+    few standard deviations outside the orthant."""
+    rng = np.random.default_rng(seed)
+    forms = []
+    for _ in range(count):
+        A = rng.normal(size=(d, d))
+        H = A @ A.T / d + 0.1 * np.eye(d)
+        mode = rng.normal(scale=rng.uniform(0.5, 3.0), size=d)
+        forms.append(QuadraticForm(H, H @ mode, float(mode @ H @ mode)))
+    return forms
+
+
+def far_form(seed):
+    """A 7-dimensional form whose mode lies about 30 sd outside a nearly
+    singular orthant."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(7, 7))
+    H = A @ A.T + 1e-4 * np.eye(7)
+    mode = rng.normal(scale=30, size=7)
+    return QuadraticForm(H, H @ mode)
+
+
+def fresh(form):
+    """An equal form that has not been set up."""
+    return QuadraticForm(form.H, form.v, form.q)
+
+
+def assert_same_setup(got, want):
+    assert np.array_equal(got.L, want.L)
+    assert np.array_equal(got.lower, want.lower)
+    assert np.array_equal(got.mu, want.mu)
+    assert got.log_bound == want.log_bound
+    assert got.tilted == want.tilted
+
+
+class TestStackedSetup:
+    """``prepare`` sets up forms of one dimension in one stacked pass; each
+    member's set-up, and so its estimate, is bit for bit the one it gets
+    alone, whatever it is stacked with."""
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 20])
+    def test_set_up_and_estimate_do_not_depend_on_the_batch(self, d):
+        forms = random_forms(d, 8, seed=d)
+        alone = [fresh(f) for f in forms]
+        ests = [orthant_integral(f, seed=3) for f in alone]  # stacks of one
+        assert all(f.sampler_setup.tilted for f in alone)
+        rng = np.random.default_rng(100 + d)
+        for size in range(1, 9):
+            pick = rng.choice(8, size=size, replace=False)
+            batch = [fresh(forms[i]) for i in pick]
+            ortho.prepare(batch)
+            for i, form in zip(pick, batch):
+                assert "sampler_setup" in vars(form)  # set by prepare
+                assert_same_setup(form.sampler_setup, alone[i].sampler_setup)
+                assert orthant_integral(form, seed=3) == ests[i]
+
+    def test_a_failed_tilt_leaves_the_others_unchanged(self):
+        """Two modes about 30 sd outside nearly singular orthants: on one
+        (seed 152) Newton's method gives up after 8 steps, when no halving
+        of its step lowers the gradient norm; the other (seed 259) goes on
+        to converge after 13, well after the rest of the batch."""
+        forms = random_forms(7, 4, seed=7)
+        forms.insert(1, far_form(152))
+        forms.append(far_form(259))
+        alone = [fresh(f) for f in forms]
+        assert [f.sampler_setup.tilted for f in alone] == [True, False] + [True] * 4
+        batch = [fresh(f) for f in forms]
+        ortho.prepare(batch)
+        for form, ref in zip(batch, alone):
+            assert_same_setup(form.sampler_setup, ref.sampler_setup)
+            assert orthant_integral(form, seed=1) == orthant_integral(ref, seed=1)
+        failed = batch[1].sampler_setup
+        assert not failed.mu.any() and failed.log_bound == 0.0
+
+    def test_a_failed_factor_leaves_each_form_to_set_up_alone(self, monkeypatch):
+        forms = random_forms(4, 3, seed=2)
+        refs = [orthant_integral(fresh(f), seed=5) for f in forms]
+        inner = ortho._priority_cholesky
+
+        def failing_in_stacks(cov, lower):
+            if len(lower) > 1:
+                raise CholeskyFailure("covariance lost positive definiteness")
+            return inner(cov, lower)
+
+        monkeypatch.setattr(ortho, "_priority_cholesky", failing_in_stacks)
+        ortho.prepare(forms)
+        assert not any("sampler_setup" in vars(f) for f in forms)
+        assert [orthant_integral(f, seed=5) for f in forms] == refs
+
+    def test_forms_are_stacked_by_dimension(self, monkeypatch):
+        forms = random_forms(3, 3, seed=0) + random_forms(5, 2, seed=1)
+        forms.insert(1, forms.pop())  # the dimensions interleaved
+        alone = [fresh(f) for f in forms]
+        stacked = []
+        inner = ortho._setups
+
+        def recording(cov, lower):
+            stacked.append(lower.shape)
+            return inner(cov, lower)
+
+        monkeypatch.setattr(ortho, "_setups", recording)
+        ortho.prepare(forms)
+        assert stacked == [(3, 3), (2, 5)]
+        for form, ref in zip(forms, alone):
+            assert_same_setup(form.sampler_setup, ref.sampler_setup)
+
+    def test_an_emptied_stack_stops(self, monkeypatch):
+        """Once every member has failed, Newton's method stops: the work
+        done does not depend on the steps still allowed."""
+        _, mode, cov = far_form(152).completed_square  # fails after 8 steps
+        L, a, means = ortho._priority_cholesky(cov[None], -mode[None])
+        calls = []
+        inner = ortho._dots
+
+        def counting(u, v):
+            calls.append(u.shape[0])
+            return inner(u, v)
+
+        monkeypatch.setattr(ortho, "_dots", counting)
+        counts = []
+        for steps in (ortho._TILT_STEPS, 10 * ortho._TILT_STEPS):
+            monkeypatch.setattr(ortho, "_TILT_STEPS", steps)
+            calls.clear()
+            assert not ortho._minimax_tilt(L, a, means)[2][0]
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
 
 class TestOrthantIntegral:
@@ -229,8 +412,9 @@ class TestLargeBudgetChunks:
         """Reference: every shift's lattice points in one pass, whole shifts
         batched up to ``_BATCH_POINTS`` points, under the minimax tilt or,
         with ``tilted`` False, at mu = 0."""
-        L, a, means = ortho._priority_cholesky(cov, lower)
-        mu = ortho._minimax_tilt(L, a, means)[0] if tilted else np.zeros(a.size)
+        setup = ortho._setup_of(cov, lower)
+        L, a = setup.L, setup.lower
+        mu = setup.mu if tilted else np.zeros(a.size)
         n_w = L.shape[0] - 1
         n_pts = max(samples // ortho._N_SHIFTS, 1)
         shifts = np.random.default_rng(seed).random((ortho._N_SHIFTS, n_w))
@@ -255,9 +439,9 @@ class TestLargeBudgetChunks:
     @pytest.mark.parametrize("samples", [5_000, 20_000, 100_000])
     def test_whole_shift_budgets_are_unchanged(self, samples):
         cov = np.linalg.inv(self.H)
-        log_value, rel_err, n, _, tilted = ortho._log_probability(
-            cov, -self.mode, samples, 4
-        )
+        setup = ortho._setup_of(cov, -self.mode)
+        log_value, rel_err, n = ortho._log_probability(setup, samples, 4)
+        tilted = setup.tilted
         assert tilted
         ref = self.whole_shift_batches(cov, -self.mode, samples, 4)
         assert (log_value, rel_err) == ref
@@ -304,8 +488,10 @@ class TestMinimaxTilt:
 
     def saddle(self):
         cov = np.linalg.inv(self.H)
-        L, a, means = ortho._priority_cholesky(cov, -self.mode)
-        return L, a, means, ortho._minimax_tilt(L, a, means)
+        L, a, means = ortho._priority_cholesky(cov[None], -self.mode[None])
+        mu, psi, tilted = ortho._minimax_tilt(L, a, means)
+        tilt = (mu[0], psi[0]) if tilted[0] else None
+        return L[0], a[0], means[0], tilt
 
     def test_saddle_point_solves_the_system(self):
         L, a, _, (mu, psi) = self.saddle()
@@ -351,8 +537,7 @@ class TestMinimaxTilt:
         else:
             monkeypatch.setattr(ortho, "_TILT_STEPS", 0)
         cov = np.linalg.inv(self.H)
-        L, a, means = ortho._priority_cholesky(cov, -self.mode)
-        assert ortho._minimax_tilt(L, a, means) is None
+        assert self.saddle()[3] is None
         form = QuadraticForm(self.H, self.H @ self.mode)
         est = orthant_integral(form, 5_000, seed=4)
         assert not est.tilted
@@ -412,7 +597,7 @@ class TestHardEvidenceIntegrals:
     def test_default_budget_is_accurate(self, draw, monkeypatch, family, index, seed):
         meas, cands = draw(family, index, seed)
         with monkeypatch.context() as m:
-            m.setattr(ortho, "_minimax_tilt", lambda *a: None)
+            m.setattr(ortho, "_minimax_tilt", untilted_fallback)
             untilted = [
                 msel.log_marginal_likelihood(c, meas, 5_000, 0) for c in cands
             ]
@@ -444,7 +629,8 @@ class TestHardEvidenceIntegrals:
         )
         with monkeypatch.context() as m:
             m.setattr(ortho, "_TILT_HALVINGS", 1)  # full steps only
-            untilted = orthant_integral(form, seed=0)
+            # ``form`` keeps the set-up it was estimated with
+            untilted = orthant_integral(fresh(form), seed=0)
         assert not untilted.tilted
         assert untilted.log_value < ref.log_value - 100.0
 
