@@ -30,7 +30,6 @@ from .optics import (
     lorentz_lorenz_mix,
     load_index_table,
     make_kernel,
-    mie_qext,
     mixed_kernel_rows,
 )
 from .orthant_mvn import (
@@ -58,7 +57,6 @@ from .tikhonov_qp import (
     solve_constrained_tikhonov,
     solve_discrepancy,
     solve_nnls,
-    weighted_residual,
 )
 from .two_component import (
     FractionScan,

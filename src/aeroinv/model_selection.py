@@ -18,11 +18,11 @@ that visits the level of a caching kernel builder reuses it.
 
 Fits: constrained (nonnegative fit, constrained Tikhonov, whose search
 starts on the level's ridge curve, goes on to passive-set ridge curves and
-falls back to Brent's method on NNLS solves) and its single-factor
-"morozov" variant; unconstrained (least squares, then the level's ridge
-curve, whose eigendecomposition also gives the Gaussian evidence in closed
-form); and BIC, which admits a level by the nonnegative fit and scores its
-least-squares fit.
+bisects its log-gamma bracket where no curve has a root in it) and its
+single-factor "morozov" variant; unconstrained (least squares, then the
+level's ridge curve, whose eigendecomposition also gives the Gaussian
+evidence in closed form); and BIC, which admits a level by the nonnegative
+fit and scores its least-squares fit.
 """
 
 from __future__ import annotations

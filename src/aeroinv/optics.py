@@ -6,12 +6,12 @@ homogeneous sphere in a non-absorbing medium; the medium index enters through
 its real part only, which is immaterial for air.
 
 There is one Mie routine, ``_qext_series``, over (wavelength, radius)
-columns that each carry A particle indices.  ``mie_qext`` and
-``kernel_value`` call it for one index at one wavelength, and
-``mixed_kernel_rows`` for every mixing fraction at every wavelength; the
-package builds every forward operator from those rows (a single material is
-fraction 1 of itself).  ``MieKernel`` (from ``make_kernel``, or built with a
-fraction) is the pointwise kernel ``k(r, l)`` over the same routine.
+columns that each carry A particle indices.  ``kernel_value`` calls it
+for one index at one wavelength, and ``mixed_kernel_rows`` for every mixing
+fraction at every wavelength; the package builds every forward operator
+from those rows (a single material is fraction 1 of itself).  A
+``MieKernel`` (from ``make_kernel``, or built with a fraction) binds the
+materials whose rows ``MieKernel.rows`` builds.
 It sorts the size parameters of all columns and runs the series over chunks
 of neighbouring size parameters.  The Riccati-Bessel functions of the size
 parameter are shared by the indices of a column.  Where every index and
@@ -49,7 +49,6 @@ __all__ = [
     "get_material",
     "interpolate_index",
     "lorentz_lorenz_mix",
-    "mie_qext",
     "kernel_value",
     "MieKernel",
     "make_kernel",
@@ -555,21 +554,13 @@ def _extinction(m_med, m_parts, r, wavelengths, weight=None) -> np.ndarray:
     return _qext_series(m_parts / m_med, x, weight)
 
 
-def mie_qext(m_med: complex, m_part: complex, r, l: float):
-    """Extinction efficiency Q_ext for spheres of radius r (um) at wavelength l.
-
-    Uses size parameter x = 2*pi*Re(m_med)*r/l and relative index
-    m = m_part/m_med.  Accepts a scalar or array of radii.
-    """
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    q = _extinction([m_med], [[m_part]], r_arr.ravel(), [l])[0, 0]
-    return q.reshape(r_arr.shape) if np.ndim(r) else float(q[0])
-
-
 def kernel_value(m_med: complex, m_part: complex, r, l: float):
-    """Extinction kernel k(r, l) = pi * r^2 * Q_ext, in um^2."""
+    """Extinction kernel k(r, l) = pi * r^2 * Q_ext, in um^2, for spheres of
+    radius r (um, a scalar or an array) at wavelength l, with size parameter
+    x = 2*pi*Re(m_med)*r/l and relative index m = m_part/m_med."""
     r_arr = np.asarray(r, dtype=float)
-    return np.pi * r_arr**2 * mie_qext(m_med, m_part, r, l)
+    q = _extinction([m_med], [[m_part]], r_arr.ravel(), [l])[0, 0]
+    return np.pi * r_arr**2 * q.reshape(r_arr.shape)
 
 
 def mixed_kernel_rows(
@@ -584,7 +575,7 @@ def mixed_kernel_rows(
 
     ``fractions`` are volume fractions of component a.  One size-sorted Mie
     pass covers every (fraction, wavelength, radius); the values are those
-    of ``MieKernel(component_a, component_b, medium, fraction)(r, l)``.
+    of ``kernel_value`` at the Lorentz-Lorenz mixed index.
     """
     fractions = np.atleast_1d(np.asarray(fractions, dtype=float))
     wavelengths = np.atleast_1d(np.asarray(wavelengths, dtype=float))
@@ -604,8 +595,8 @@ class MieKernel:
     """Extinction kernel of spheres mixing volume fraction ``fraction_a`` of
     component a with component b (Lorentz-Lorenz) in ``medium``.
 
-    Callable as ``k(r, l)``; ``rows(wavelengths, r)`` builds every row in
-    one Mie pass.  A single material is fraction 1 of (material, material).
+    ``rows(wavelengths, r)`` builds every row in one Mie pass.  A single
+    material is fraction 1 of (material, material).
     """
 
     component_a: IndexTable
@@ -617,14 +608,6 @@ class MieKernel:
         if not 0.0 <= self.fraction_a <= 1.0:
             raise ValueError("fraction_a must lie in [0, 1]")
 
-    def __call__(self, r, l: float):
-        m_part = lorentz_lorenz_mix(
-            interpolate_index(self.component_a, l),
-            interpolate_index(self.component_b, l),
-            self.fraction_a,
-        )
-        return kernel_value(interpolate_index(self.medium, l), m_part, r, l)
-
     def rows(self, wavelengths, r) -> np.ndarray:
         """Kernel values, shape (wavelengths, radii)."""
         return mixed_kernel_rows(
@@ -634,6 +617,6 @@ class MieKernel:
 
 
 def make_kernel(particle: IndexTable, medium: IndexTable) -> MieKernel:
-    """Bind material tables into a kernel ``k(r, l)``."""
+    """Bind material tables into a single-material ``MieKernel``."""
     return MieKernel(particle, particle, medium)
 

@@ -33,20 +33,22 @@ gamma brackets each root, and a vectorized, safeguarded Newton iteration on
 log gamma finishes inside the bracket.  The residual is then recomputed
 from n at each root and must meet the target within ``_DISCREPANCY_RTOL``.
 A target the grid cannot bracket raises BracketFailure, and a root that
-fails the certificate RootFailure: the grid spans the gamma range that a
-generic bracket search would, so a fallback finds nothing more.  The
-constrained fit roots the ridge curve of a passive set P, starting with
-every variable free: if the root's solution is positive on P with
-nonnegative duals off P, the Gram loop certifies it at that gamma;
-otherwise one NNLS at that gamma supplies the next P.  When no round's
-solution meets the target within ``_PASSIVE_ROUNDS`` rounds, a curve cannot
-bracket the target or a round leaves P unchanged, the search falls back to
-Brent's method (Brent 1973, Algorithms for Minimization without
-Derivatives, ch. 4) on log10 gamma, bracketed by decades, with one
-warm-started NNLS per evaluation.  The all-free curve of round one depends
-only on (K, r, R), so a caller that searches several targets on one system
-builds it once, roots every target with one ``RidgeCurve.roots`` call and
-passes the curve and each root to ``solve_discrepancy``.
+fails the certificate RootFailure: the grid spans the whole gamma range of
+the constrained search, so no other bracket finds more.  The constrained
+fit keeps a bracket on log10 gamma, from 1e-30 to 1e12, and a passive set
+P, starting with every variable free.  Each step roots the ridge curve of
+P; if that root lies strictly inside the bracket it is the trial gamma, and
+if the root's solution is positive on P with nonnegative duals off P, the
+Gram loop certifies it there.  Otherwise the trial is the bracket's
+log-midpoint, solved by one NNLS warm-started from P: a gamma outside the
+bracket cannot meet the target, since the residual rises with gamma.  The
+trial's residual moves one end of the bracket, and its solution's positive
+set is the next P.  A search that meets no target within ``_SEARCH_STEPS``
+steps raises BracketFailure if an end of the bracket never moved and
+RootFailure otherwise.  The all-free curve of the first step depends only on
+(K, r, R), so a caller that searches several targets on one system builds
+it once, roots every target with one ``RidgeCurve.roots`` call and passes
+the curve and each root to ``solve_discrepancy``.
 """
 
 from __future__ import annotations
@@ -71,18 +73,15 @@ __all__ = [
     "RidgeCurve",
     "solve_constrained_tikhonov",
     "solve_nnls",
-    "weighted_residual",
     "solve_discrepancy",
 ]
 
 # decade exponents bounding the discrepancy search on log10 gamma
 _LOG_GAMMA_FLOOR = -30
-_LOG_GAMMA_LOW = -12
-_LOG_GAMMA_HIGH = 6
 _LOG_GAMMA_CEILING = 12
 _DISCREPANCY_RTOL = 1e-6
-# passive-set rounds of the constrained search before the Brent fallback
-_PASSIVE_ROUNDS = 8
+# step cap of the constrained search
+_SEARCH_STEPS = 100
 # closed-form roots: the ln gamma grid (4 points per decade) that brackets
 # them, and the Newton iteration's relative residual tolerance and step cap
 _ROOT_GRID = np.log(10.0) * np.arange(
@@ -286,12 +285,6 @@ def solve_nnls(K, r) -> QpSolution:
     return solve_constrained_tikhonov(K, r, None, 0.0)
 
 
-def weighted_residual(K, n, r) -> float:
-    """Squared Euclidean residual ||K n - r||_2^2."""
-    resid = np.asarray(K) @ np.asarray(n) - np.asarray(r)
-    return float(resid @ resid)
-
-
 class RidgeCurve:
     """Minimizers of ||K n - r||^2 + gamma n'Rn over all n, for every gamma.
 
@@ -396,15 +389,15 @@ def solve_discrepancy(
 
     Valid targets lie strictly between the unregularized residual and
     ||r||^2; within that range the residual-parameter map is a strictly
-    monotone bijection, so the shared log-gamma search applies.
+    monotone bijection, so a bracket on log10 gamma holds the root.
     ``base_residual_sq`` is the unregularized (NNLS) residual if the caller
-    has it; otherwise it is solved for here.  The search runs on the ridge
-    curve of a passive set, updated by one NNLS per round (see the module
-    docstring), and falls back to Brent's method on warm-started NNLS
-    solves.  Round one frees every variable: ``curve`` is that all-passive
+    has it; otherwise it is solved for here.  Each step tries the
+    ridge-curve root of the passive set P if it lies inside the bracket and
+    the bracket's midpoint otherwise (see the module docstring).  The first
+    P frees every variable: ``curve`` is that all-passive
     ``RidgeCurve(K, r, reg)`` and ``gamma`` its entry of ``curve.roots``
     for this target, if the caller shares them across targets; otherwise
-    round one builds and roots its own.  Returns ``(gamma, QpSolution)``.
+    the search builds and roots its own.  Returns ``(gamma, QpSolution)``.
     """
     K = np.asarray(K, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -416,105 +409,62 @@ def solve_discrepancy(
             f"target {target_sq} outside attainable range "
             f"({base_residual_sq}, {r_norm_sq})"
         )
-    found = _passive_set_search(K, r, reg, target_sq, curve, gamma)
-    if found is not None:
-        return found
-    return _nnls_discrepancy_search(K, r, reg, target_sq)
-
-
-def _passive_set_search(K, r, reg, target_sq: float, curve=None, gamma=None):
-    """``(gamma, QpSolution)`` from at most ``_PASSIVE_ROUNDS`` ridge-curve
-    roots on passive sets, or None if no round met the target.  Round one
-    uses ``curve`` (with its root ``gamma``) when given, and builds it on
-    ``reg`` otherwise; a later round on a strict subset of the variables
-    factors its own principal block of R."""
     N = K.shape[1]
-    dual_tol = _dual_tol(K.T @ r)
-    passive = np.ones(N, dtype=bool)
-    for _ in range(_PASSIVE_ROUNDS):
-        idx = np.flatnonzero(passive)
-        if curve is None:
-            sub = reg if idx.size == N else Regularizer(reg.matrix[np.ix_(idx, idx)])
-            curve = RidgeCurve(K[:, idx], r, sub)
-            gamma = None
-        try:
-            gamma, n_p, _ = curve.discrepancy(target_sq, gamma)
-        except (BracketFailure, RootFailure):
-            return None
-        curve = None
-        n = np.zeros(N)
-        n[idx] = n_p
-        grad = K.T @ (K @ n - r) + gamma * (reg.matrix @ n)
-        certified = np.all(n_p > 0.0) and np.all(grad[~passive] >= -dual_tol)
-        sol = solve_constrained_tikhonov(
-            K, r, reg, gamma, passive if certified else None
-        )
-        if abs(sol.residual_sq - target_sq) <= _DISCREPANCY_RTOL * target_sq:
-            return gamma, sol
-        new = sol.n > 0.0
-        if np.array_equal(new, passive) or not new.any():
-            return None
-        passive = new
-    return None
-
-
-def _nnls_discrepancy_search(K, r, reg, target_sq: float):
-    """The Brent search with one constrained solve per evaluation, each
-    warm-started from the previous active set."""
-    hint = None
-
-    def evaluate(gamma: float):
-        nonlocal hint
-        sol = solve_constrained_tikhonov(K, r, reg, gamma, hint)
-        hint = sol.n > 0.0
-        return sol.residual_sq, sol
-
-    gamma, sol, _ = _discrepancy_search(evaluate, target_sq)
-    return gamma, sol
-
-
-class _Converged(Exception):
-    """Carries the first (gamma, result, residual_sq) within tolerance."""
-
-
-def _discrepancy_search(evaluate, target_sq: float):
-    """Solve residual(gamma) = target_sq on log10 gamma, for a residual that
-    increases with gamma; ``evaluate(gamma)`` returns (residual_sq, result).
-
-    The bracket's lower end steps down by decades from 1e-12 to 1e-30, the
-    upper end up from 1e6 to 1e12; Brent's method then runs inside it.  The
-    search returns ``(gamma, result, residual_sq)`` at the first evaluated
-    gamma whose residual is within ``_DISCREPANCY_RTOL`` of the target.  It
-    raises BracketFailure if an end cannot be bracketed and RootFailure if
-    Brent's method ends outside the tolerance.
-    """
     tol = _DISCREPANCY_RTOL * target_sq
-    seen = {}  # brentq re-evaluates the bracket ends
-
-    def excess(log_gamma):
-        if log_gamma not in seen:
-            res, result = evaluate(10.0**log_gamma)
-            if abs(res - target_sq) <= tol:
-                raise _Converged(10.0**log_gamma, result, res)
-            seen[log_gamma] = res - target_sq
-        return seen[log_gamma]
-
-    lo, hi = _LOG_GAMMA_LOW, _LOG_GAMMA_HIGH
-    try:
-        while excess(lo) > 0.0:
-            if lo <= _LOG_GAMMA_FLOOR:
-                raise BracketFailure(f"residual above {target_sq} at gamma = 1e{lo}")
-            lo -= 1
-        while excess(hi) < 0.0:
-            if hi >= _LOG_GAMMA_CEILING:
-                raise BracketFailure(f"residual below {target_sq} at gamma = 1e{hi}")
-            hi += 1
-        root = scipy.optimize.brentq(excess, lo, hi)
-    except _Converged as done:
-        return done.args
-    except RuntimeError as exc:
-        raise RootFailure(f"discrepancy search did not converge: {exc}") from exc
+    dual_tol = _dual_tol(K.T @ r)
+    lo, hi = _LOG_GAMMA_FLOOR, _LOG_GAMMA_CEILING
+    passive = np.ones(N, dtype=bool)
+    root = _ridge_root(K, r, reg, passive, target_sq, curve, gamma)
+    for _ in range(_SEARCH_STEPS):
+        if root is not None and lo < np.log10(root[0]) < hi:
+            gamma, n_p = root
+            n = np.zeros(N)
+            n[passive] = n_p
+            grad = K.T @ (K @ n - r) + gamma * (reg.matrix @ n)
+            certified = np.all(n_p > 0.0) and np.all(grad[~passive] >= -dual_tol)
+            sol = solve_constrained_tikhonov(
+                K, r, reg, gamma, passive if certified else None
+            )
+        else:
+            gamma = 10.0 ** (0.5 * (lo + hi))
+            sol = solve_constrained_tikhonov(K, r, reg, gamma, passive)
+        excess = sol.residual_sq - target_sq
+        if abs(excess) <= tol:
+            return gamma, sol
+        if excess < 0.0:
+            lo = np.log10(gamma)
+        else:
+            hi = np.log10(gamma)
+        new = sol.n > 0.0
+        if not np.array_equal(new, passive):
+            passive = new
+            root = _ridge_root(K, r, reg, passive, target_sq)
+    if lo == _LOG_GAMMA_FLOOR or hi == _LOG_GAMMA_CEILING:
+        raise BracketFailure(
+            f"no gamma in [1e{_LOG_GAMMA_FLOOR}, 1e{_LOG_GAMMA_CEILING}] "
+            f"brackets the target {target_sq}"
+        )
     raise RootFailure(
-        f"discrepancy search ended at gamma = {10.0**root} with the residual "
-        f"outside the tolerance of {target_sq}"
+        f"discrepancy search ended in gamma [{10.0**lo:.6g}, {10.0**hi:.6g}] "
+        f"with the residual outside the tolerance of {target_sq}"
     )
+
+
+def _ridge_root(K, r, reg, passive, target_sq: float, curve=None, gamma=None):
+    """``(gamma, n_P)`` at the ridge-curve root of the target on the
+    variables of ``passive``, or None if that curve has no certified root.
+    ``curve`` (with its root ``gamma``) is the curve if the caller has it;
+    otherwise it is built on the principal block of R."""
+    idx = np.flatnonzero(passive)
+    if idx.size == 0:
+        return None
+    if curve is None:
+        sub = reg if idx.size == passive.size else Regularizer(
+            reg.matrix[np.ix_(idx, idx)]
+        )
+        curve, gamma = RidgeCurve(K[:, idx], r, sub), None
+    try:
+        gamma, n_p, _ = curve.discrepancy(target_sq, gamma)
+    except (BracketFailure, RootFailure):
+        return None
+    return gamma, n_p

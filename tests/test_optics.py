@@ -19,7 +19,6 @@ from aeroinv.optics import (
     load_index_table,
     lorentz_lorenz_mix,
     make_kernel,
-    mie_qext,
     mixed_kernel_rows,
 )
 from aeroinv.simulation_study import fine_grid, integration_grid, study_wavelengths
@@ -30,6 +29,14 @@ try:
     _H2O_PATH = resources.files("aeroinv.data").joinpath("h2o.csv")
 except Exception:  # pragma: no cover
     _H2O_PATH = None
+
+
+def mie_qext(m_med, m_part, r, l):
+    """Extinction efficiency Q_ext of spheres of radius r (um) at wavelength
+    l: one column of the package's Mie routine."""
+    r_arr = np.asarray(r, dtype=float)
+    q = optics._extinction([m_med], [[m_part]], r_arr.ravel(), [l])[0, 0]
+    return q.reshape(r_arr.shape)
 
 
 def simple_table():
@@ -322,7 +329,7 @@ class TestMixedKernelRows:
             )
             q = mie_qext(interpolate_index(air, l), m_part, radii, l)
             assert rows[0, wi] == pytest.approx(np.pi * radii**2 * q, rel=1e-12)
-            assert MieKernel(water, csi, air, 0.3)(radii, l) == (
+            assert kernel_value(interpolate_index(air, l), m_part, radii, l) == (
                 pytest.approx(rows[0, wi], rel=1e-12)
             )
 
@@ -445,7 +452,13 @@ class TestSizeSortedPass:
     def test_closure_loop_equals_batched_rows(self, materials):
         water, csi, air = materials
         kernel = MieKernel(water, csi, air, 0.3)
-        closure = lambda r, l: kernel(r, l)  # no ``rows``: one call per wavelength
+
+        def closure(r, l):  # no ``rows``: one call per wavelength
+            m_part = lorentz_lorenz_mix(
+                interpolate_index(water, l), interpolate_index(csi, l), 0.3
+            )
+            return kernel_value(interpolate_index(air, l), m_part, r, l)
+
         wl, grid = study_wavelengths(), integration_grid()
         batched = kernel_rows(kernel, wl, grid)
         assert row_error(kernel_rows(closure, wl, grid), batched) <= 1e-12
@@ -461,7 +474,7 @@ class TestSizeSortedPass:
             expect = kernel_value(
                 interpolate_index(air, l), interpolate_index(water, l), radii, l
             )
-            assert np.array_equal(kernel(radii, l), expect)
+            assert np.array_equal(kernel.rows([l], radii)[0], expect)
 
     def test_wide_pass_rows_independent_of_worker_count(
         self, materials, monkeypatch

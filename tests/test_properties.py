@@ -21,12 +21,16 @@ from aeroinv.tikhonov_qp import (
     solve_constrained_tikhonov,
     solve_discrepancy,
     solve_nnls,
-    weighted_residual,
 )
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=150, database=None)
 
 entries = st.floats(-10.0, 10.0, allow_subnormal=False)
+
+
+def weighted_residual(K, n, r):
+    d = K @ n - r
+    return float(d @ d)
 
 
 @st.composite
@@ -223,13 +227,23 @@ def test_closed_form_roots_meet_their_targets_in_order(problem):
 @SETTINGS
 @given(ridge_curves())
 def test_closed_form_roots_agree_with_the_brent_search(problem):
-    from aeroinv.tikhonov_qp import _discrepancy_search
+    from scipy.optimize import brentq
 
     K, r, reg, positions = problem
     curve = RidgeCurve(K, r, reg)
     targets = ridge_targets(curve, r, positions)
     for target, root in zip(targets, curve.roots(targets)):
-        gamma_b, n_b, res_b = _discrepancy_search(curve.evaluate, target)
+        # reference: Brent's method on log10 gamma over the evaluated
+        # residual, bracketed by decades out from [1e-12, 1e6] (far below
+        # the roots, n on a rank-deficient K blows up in rounding)
+        excess = lambda t: curve.evaluate(10.0**t)[0] - target
+        lo, hi = -12, 6
+        while excess(lo) > 0.0 and lo > -30:
+            lo -= 1
+        while excess(hi) < 0.0 and hi < 12:
+            hi += 1
+        gamma_b = 10.0 ** brentq(excess, lo, hi)
+        res_b = curve.evaluate(gamma_b)[0]
         tol = _DISCREPANCY_RTOL * target
         assert abs(res_b - target) <= tol
         assert abs(curve.evaluate(root)[0] - target) <= tol

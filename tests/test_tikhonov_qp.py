@@ -10,7 +10,6 @@ from aeroinv.tikhonov_qp import (
     solve_constrained_tikhonov,
     solve_discrepancy,
     solve_nnls,
-    weighted_residual,
 )
 
 
@@ -114,22 +113,6 @@ class TestSolvers:
             sol = solve_nnls(K, r)
             ref, _ = scipy_nnls(K, r)
             assert sol.n == pytest.approx(ref, abs=1e-8)
-
-
-class TestWeightedResidual:
-    def test_zero_solution(self):
-        r = np.array([1.0, 2.0])
-        assert weighted_residual(np.eye(2), np.zeros(2), r) == pytest.approx(5.0)
-
-    def test_exact_solution(self):
-        K = np.array([[2.0, 0.0], [0.0, 3.0]])
-        n = np.array([1.0, 2.0])
-        assert weighted_residual(K, n, K @ n) == 0.0
-
-    def test_hand_value(self):
-        assert weighted_residual(
-            np.eye(2), np.array([1.0, 1.0]), np.array([2.0, 0.0])
-        ) == pytest.approx(2.0)
 
 
 class TestDiscrepancy:
@@ -287,47 +270,61 @@ class TestTheoryProperties:
 
 
 class TestDiscrepancySearch:
-    """The shared log-gamma search behind the constrained and ridge fits."""
+    """The bracketed log-gamma search of ``solve_discrepancy``, driven by a
+    stand-in residual map in place of the constrained solve."""
 
-    def test_monotone_residual_meets_tolerance(self):
-        from aeroinv.tikhonov_qp import _DISCREPANCY_RTOL, _discrepancy_search
+    def search(self, monkeypatch, residual, target):
+        """``solve_discrepancy`` on a 1 x 1 problem whose constrained
+        residual at gamma is ``residual(gamma)``; the stand-in solution is
+        zero, so every step after the first bisects."""
+        import aeroinv.tikhonov_qp as qp
 
-        evaluate = lambda gamma: (gamma / (1.0 + gamma), gamma)
-        gamma, result, res = _discrepancy_search(evaluate, 0.25)
-        assert result == gamma
-        assert abs(res - 0.25) <= _DISCREPANCY_RTOL * 0.25
+        monkeypatch.setattr(
+            qp, "solve_constrained_tikhonov",
+            lambda K, r, reg, gamma, init_passive=None: QpSolution(
+                np.zeros(1), np.zeros(1), residual(gamma), np.arange(1)
+            ),
+        )
+        K, r, reg = np.ones((1, 1)), np.array([3.0]), Regularizer(np.eye(1))
+        return solve_discrepancy(K, r, reg, target, 0.0)
+
+    def test_monotone_residual_meets_tolerance(self, monkeypatch):
+        from aeroinv.tikhonov_qp import _DISCREPANCY_RTOL
+
+        residual = lambda gamma: gamma / (1.0 + gamma)
+        gamma, sol = self.search(monkeypatch, residual, 0.25)
+        assert sol.residual_sq == residual(gamma)
+        assert abs(sol.residual_sq - 0.25) <= _DISCREPANCY_RTOL * 0.25
         assert gamma == pytest.approx(1.0 / 3.0, rel=1e-5)
 
-    def test_no_lower_bracket_raises_bracket_failure(self):
+    def test_no_lower_bracket_raises_bracket_failure(self, monkeypatch):
         from aeroinv.errors import BracketFailure
-        from aeroinv.tikhonov_qp import _discrepancy_search
 
         tried = []
-
-        def evaluate(gamma):
-            tried.append(gamma)
-            return 5.0, None
-
+        residual = lambda gamma: tried.append(gamma) or 5.0
         with pytest.raises(BracketFailure):
-            _discrepancy_search(evaluate, 2.0)
+            self.search(monkeypatch, residual, 2.0)
         assert min(tried) == pytest.approx(1e-30)
 
-    def test_jump_across_target_raises_root_failure(self):
+    def test_jump_across_target_raises_root_failure(self, monkeypatch):
         from aeroinv.errors import RootFailure
-        from aeroinv.tikhonov_qp import _discrepancy_search
 
-        evaluate = lambda gamma: (1.0 if gamma < 1.0 else 3.0, None)
         with pytest.raises(RootFailure):
-            _discrepancy_search(evaluate, 2.0)
+            self.search(monkeypatch, lambda gamma: 1.0 if gamma < 1.0 else 3.0, 2.0)
 
 
-def brent_on_nnls(K, r, reg, target, monkeypatch):
-    """``solve_discrepancy`` with the passive-set rounds switched off."""
-    import aeroinv.tikhonov_qp as qp
+def brent_on_nnls(K, r, reg, target):
+    """Reference ``(gamma, QpSolution)``: Brent's method on log10 gamma over
+    constrained solves, bracketed by the search's gamma span."""
+    from scipy.optimize import brentq
 
-    with monkeypatch.context() as m:
-        m.setattr(qp, "_PASSIVE_ROUNDS", 0)
-        return solve_discrepancy(K, r, reg, target)
+    from aeroinv.tikhonov_qp import _LOG_GAMMA_CEILING, _LOG_GAMMA_FLOOR
+
+    excess = lambda t: (
+        solve_constrained_tikhonov(K, r, reg, 10.0**t).residual_sq - target
+    )
+    gamma = 10.0 ** brentq(excess, _LOG_GAMMA_FLOOR, _LOG_GAMMA_CEILING)
+    return gamma, solve_constrained_tikhonov(K, r, reg, gamma)
 
 
 def residual_slope(K, r, reg, gamma, h=1e-3):
@@ -339,8 +336,31 @@ def residual_slope(K, r, reg, gamma, h=1e-3):
     return (hi - lo) / (2.0 * h * gamma)
 
 
+def record_steps(monkeypatch):
+    """Lists that fill with the ridge-curve roots the search computes and
+    the gammas it solves at; a solve at no root is a bisection step."""
+    import aeroinv.tikhonov_qp as qp
+
+    roots, solves = [], []
+    ridge_root, solve = qp._ridge_root, qp.solve_constrained_tikhonov
+
+    def root_of(*args, **kwargs):
+        found = ridge_root(*args, **kwargs)
+        roots.append(None if found is None else found[0])
+        return found
+
+    def solve_at(K, r, reg, gamma, init_passive=None):
+        solves.append(gamma)
+        return solve(K, r, reg, gamma, init_passive)
+
+    monkeypatch.setattr(qp, "_ridge_root", root_of)
+    monkeypatch.setattr(qp, "solve_constrained_tikhonov", solve_at)
+    return roots, solves
+
+
 class TestPassiveSetSearch:
-    """The constrained search on passive-set ridge curves and its fallback."""
+    """The constrained search on passive-set ridge curves and its bisection
+    steps."""
 
     def instance(self, seed, m=14, n=7):
         rng = np.random.default_rng(seed)
@@ -353,55 +373,67 @@ class TestPassiveSetSearch:
         target = base + rng.uniform(0.1, 0.9) * (float(r @ r) - base)
         return K, r, Regularizer(R), target
 
-    def test_passive_and_brent_find_gamma_within_the_tolerance(self, monkeypatch):
+    def unreachable_round_two(self):
+        """A problem whose second passive set cannot reach the target: that
+        set's ridge curve stays above it for every gamma."""
+        K = np.array([
+            [-1.0, 0.3, 0.2, -1.8],
+            [-2.2, 0.5, -1.0, 1.0],
+            [2.1, -0.6, -0.7, 0.0],
+            [0.7, -1.1, 1.2, 1.0],
+            [0.7, -0.5, 0.9, 0.9],
+        ])
+        r = np.array([2.1, -0.3, 0.4, -0.5, 0.4])
+        base = solve_nnls(K, r).residual_sq
+        return K, r, Regularizer(np.eye(4)), base + 0.1 * (float(r @ r) - base)
+
+    def assert_meets_brent_reference(self, K, r, reg, target, gamma, sol):
         import aeroinv.tikhonov_qp as qp
 
-        fallbacks = []
-        inner = qp._nnls_discrepancy_search
-        monkeypatch.setattr(
-            qp, "_nnls_discrepancy_search",
-            lambda *a: fallbacks.append(a) or inner(*a),
-        )
+        gamma_b, sol_b = brent_on_nnls(K, r, reg, target)
+        tol = qp._DISCREPANCY_RTOL * target
+        for g, s in ((gamma, sol), (gamma_b, sol_b)):
+            assert abs(s.residual_sq - target) <= tol
+            check_kkt(s, K, r, reg.matrix, g)
+        # both residuals lie within tol of the target, so the gammas may
+        # differ by at most 2 tol over the residual's slope
+        slope = residual_slope(K, r, reg, gamma)
+        assert abs(gamma - gamma_b) <= 1.05 * 2.0 * tol / slope
+        assert sol.n == pytest.approx(sol_b.n, rel=1e-3, abs=1e-6)
+
+    def test_passive_and_brent_find_gamma_within_the_tolerance(self):
         for seed in range(12):
             K, r, reg, target = self.instance(seed)
             gamma, sol = solve_discrepancy(K, r, reg, target)
-            assert fallbacks == []  # the passive-set rounds found it
-            gamma_b, sol_b = brent_on_nnls(K, r, reg, target, monkeypatch)
-            assert len(fallbacks) == 1
-            fallbacks.clear()
-            tol = qp._DISCREPANCY_RTOL * target
-            for g, s in ((gamma, sol), (gamma_b, sol_b)):
-                assert abs(s.residual_sq - target) <= tol
-                check_kkt(s, K, r, reg.matrix, g)
-            # both residuals lie within tol of the target, so the gammas may
-            # differ by at most 2 tol over the residual's slope
-            slope = residual_slope(K, r, reg, gamma)
-            assert abs(gamma - gamma_b) <= 1.05 * 2.0 * tol / slope
-            assert sol.n == pytest.approx(sol_b.n, rel=1e-3, abs=1e-6)
+            self.assert_meets_brent_reference(K, r, reg, target, gamma, sol)
+
+    def test_unreachable_round_two_bisects_to_the_target(self, monkeypatch):
+        from aeroinv.tikhonov_qp import RidgeCurve
+
+        K, r, reg, target = self.unreachable_round_two()
+        roots, solves = record_steps(monkeypatch)
+        gamma, sol = solve_discrepancy(K, r, reg, target)
+        assert roots[1] is None  # round two's curve has no root
+        assert any(g not in roots for g in solves)  # a midpoint step ran
+        self.assert_meets_brent_reference(K, r, reg, target, gamma, sol)
+        # the level's shared curve and root change nothing here either
+        curve = RidgeCurve(K, r, reg)
+        gamma_s, sol_s = solve_discrepancy(
+            K, r, reg, target, curve=curve, gamma=curve.roots([target])[0]
+        )
+        assert gamma_s == gamma
+        assert np.array_equal(sol_s.n, sol.n)
 
     def test_forced_fallback_is_the_brent_search(self, monkeypatch):
         import aeroinv.tikhonov_qp as qp
 
-        K, r, reg, target = self.instance(3)
-        searches = []
-        inner = qp._discrepancy_search
-        monkeypatch.setattr(
-            qp, "_discrepancy_search", lambda *a: searches.append(a) or inner(*a)
-        )
-        gamma, sol = brent_on_nnls(K, r, reg, target, monkeypatch)
-        assert len(searches) == 1  # no ridge-curve root was searched for
-        hint = None
-
-        def evaluate(g):
-            nonlocal hint
-            s = solve_constrained_tikhonov(K, r, reg, g, hint)
-            hint = s.n > 0.0
-            return s.residual_sq, s
-
-        gamma_ref, sol_ref, _ = inner(evaluate, target)
-        assert gamma == gamma_ref
-        assert np.array_equal(sol.n, sol_ref.n)
-        check_kkt(sol, K, r, reg.matrix, gamma)
+        # with no ridge-curve root at all, every step falls back to the
+        # bracket's midpoint
+        monkeypatch.setattr(qp, "_ridge_root", lambda *a, **k: None)
+        for seed in (3, 4):
+            K, r, reg, target = self.instance(seed)
+            gamma, sol = solve_discrepancy(K, r, reg, target)
+            self.assert_meets_brent_reference(K, r, reg, target, gamma, sol)
 
     def test_shared_round_one_curve_changes_nothing(self):
         from aeroinv.tikhonov_qp import RidgeCurve
@@ -427,11 +459,11 @@ class TestPassiveSetSearch:
         from aeroinv.tikhonov_qp import RidgeCurve
 
         K, r, reg, target = self.instance(3)
-        gamma, sol = brent_on_nnls(K, r, reg, target, monkeypatch)
         curve = RidgeCurve(K, r, reg)
+        monkeypatch.setattr(qp, "_ridge_root", lambda *a, **k: None)
+        gamma, sol = solve_discrepancy(K, r, reg, target)
         built = []
         monkeypatch.setattr(qp, "RidgeCurve", lambda *a: built.append(a))
-        monkeypatch.setattr(qp, "_PASSIVE_ROUNDS", 0)
         gamma_s, sol_s = solve_discrepancy(
             K, r, reg, target, curve=curve, gamma=curve.roots([target])[0]
         )
@@ -444,8 +476,7 @@ class TestPassiveSetSearch:
         from aeroinv.errors import AeroinvError
 
         K, r, reg, target = self.instance(5)
-        # a residual that jumps over the target defeats both searches
-        monkeypatch.setattr(qp, "_PASSIVE_ROUNDS", 0)
+        # a residual that jumps over the target defeats the search
         monkeypatch.setattr(
             qp, "solve_constrained_tikhonov",
             lambda K_, r_, reg_, gamma, init_passive=None: QpSolution(
@@ -471,7 +502,8 @@ class TestRidgeCurve:
             direct = np.linalg.solve(K.T @ K + gamma * R, K.T @ r)
             res, n = curve.evaluate(gamma)
             assert n == pytest.approx(direct, rel=1e-9, abs=1e-12)
-            assert res == pytest.approx(weighted_residual(K, direct, r), rel=1e-12)
+            d = K @ direct - r
+            assert res == pytest.approx(float(d @ d), rel=1e-12)
             y = curve.coefficients(gamma)
             assert float(y @ y) == pytest.approx(float(n @ R @ n), rel=1e-10)
 
