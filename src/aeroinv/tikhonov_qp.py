@@ -291,8 +291,9 @@ class RidgeCurve:
     The generalized eigendecomposition K'K V = R V diag(lam), V'RV = I,
     comes from the SVD K U^-1 = Q diag(s) W' with R = U'U: lam = s^2 (and 0
     past the rank) and V = U^-1 W.  Then n(gamma) = V z / (lam + gamma) with
-    z = V'K'r; ``evaluate(gamma)`` returns ``(residual_sq, n)`` with the
-    residual computed from n.  With b = Q'r the residual is also closed form,
+    z = V'K'r (0 past the rank); ``evaluate(gamma)`` returns
+    ``(residual_sq, n)`` with the residual computed from n.  With b = Q'r
+    the residual is also closed form,
     res(gamma) = res_ls + sum (gamma / (s^2 + gamma))^2 b^2 with
     res_ls = ||r - Q b||^2, which ``roots`` solves for gamma.
     """
@@ -308,6 +309,9 @@ class RidgeCurve:
         self.eigenvalues[: s.size] = s**2
         self.V = U_inv @ Wt.T
         self.z = self.V.T @ (K.T @ r)
+        # past the rank V spans the null space of K, so these entries are
+        # rounding noise that 1 / gamma would amplify; _secular drops them
+        self.z[s.size :] = 0.0
         b = Q.T @ r
         d = r - Q @ b
         self.residual_ls = float(d @ d)

@@ -9,6 +9,18 @@ generation scans the unregularized nonnegative residual across all
 fractions, keeps a spread of fractions from the best sliding window, and
 applies the discrepancy principle there; ranking is ``select_models`` with a
 uniform prior over all stored triplets.
+
+A level admits a fraction in a pass only if that fraction's nonnegative
+residual lies below the pass's largest target, max(tau) * N_l * delta^2.
+Before it scans a level, generation bounds every fraction's nonnegative
+residual from below by its least-squares residual (one batched Householder
+QR, a chunk of fractions at a time) and solves NNLS only for the fractions
+whose bound lies below that target times 1 + ``_PRECHECK_MARGIN``.  If no
+solve lands below it either, no fraction of the level can be admitted, and
+the level is skipped without a scan.  Any other level, including one with a
+fraction inside the margin or a pre-check solve that raises, gets the same
+warm-started ``scan_fractions`` as before, so every candidate comes from
+the same scan and the records cannot change.
 """
 
 from __future__ import annotations
@@ -25,7 +37,7 @@ from .discretization import (
     build_collocation_grid,
     weighted_interior_basis,
 )
-from .errors import NoModels
+from .errors import AeroinvError, NoModels
 from .model_selection import (
     DEFAULT_LADDER,
     Measurement,
@@ -55,6 +67,15 @@ FALLBACK_TAU_GRID = tuple(np.round(np.arange(2.5, 5.01, 0.5), 10))
 DEFAULT_ANCHOR_COUNT = 101
 DEFAULT_N_FRAC = 201
 DEFAULT_N_MEAN = 5
+# Relative slack on the pass's largest target in the scan pre-check.  The
+# bound and the pre-check's cold NNLS residuals are rounded, and a cold solve
+# may stop at another point than the scan's warm-started one within the
+# solver's dual tolerance (1e-10 of max |K'r|); both move a residual by far
+# less than 1e-6 of the target, so a skipped level has no fraction that the
+# scan could find below the target.
+_PRECHECK_MARGIN = 1e-6
+# fractions per batched QR of the pre-check, which keeps its workspace small
+_QR_CHUNK = 16
 
 
 @dataclass
@@ -181,6 +202,42 @@ def scan_fractions(
     return FractionScan(residuals, (i0, i0 + 2, i0 + 4))
 
 
+def _least_squares_bounds(stacked: np.ndarray, w: np.ndarray, r: np.ndarray):
+    """Unconstrained least-squares residual of each weighted system
+    (``stacked[i] * w[:, None]``, r).
+
+    Each K gets a Householder QR and the residual is ||r - Q Q'r||^2, formed
+    from the difference so that nothing cancels.  Range K lies in span Q
+    even when K is rank-deficient, so no value exceeds the system's
+    nonnegative residual (Lawson & Hanson 1974, ch. 23).
+    """
+    bounds = np.empty(len(stacked))
+    for s in range(0, len(stacked), _QR_CHUNK):
+        Q = np.linalg.qr(stacked[s : s + _QR_CHUNK] * w[:, None]).Q
+        d = r - (Q @ (r @ Q)[..., None])[..., 0]
+        bounds[s : s + _QR_CHUNK] = np.einsum("fi,fi->f", d, d)
+    return bounds
+
+
+def _may_admit(stacked, w, r, bounds, limit: float) -> bool:
+    """Whether any weighted system may have a nonnegative residual below
+    ``limit``.
+
+    Only systems whose least-squares bound lies below ``limit`` get a cold
+    NNLS solve, and the first of those below ``limit`` settles the answer.
+    A solve that raises (or a bound that is not a number) leaves the
+    decision to the scan.
+    """
+    try:
+        for i in np.flatnonzero(~(bounds >= limit)):
+            sol = solve_constrained_tikhonov(stacked[i] * w[:, None], r, None, 0.0)
+            if not sol.residual_sq >= limit:
+                return True
+    except (AeroinvError, ValueError, np.linalg.LinAlgError):
+        return True
+    return False
+
+
 def generate_models_two_component(
     family: KernelFamily,
     meas: Measurement,
@@ -195,17 +252,33 @@ def generate_models_two_component(
     each fraction's unregularized residual.  If the primary safety-factor
     grid yields nothing on any level, one retry runs with
     ``FALLBACK_TAU_GRID`` before giving up; it reuses each level's fraction
-    scan.
+    scan.  A level is scanned only if ``_may_admit`` finds that some
+    fraction may lie below the pass's largest target (see the module
+    docstring); a level it settles has no fraction below that target, so
+    its scan would have admitted nothing.
     """
 
     @functools.cache
     def scan_level(n_col):
-        return n_col, scan_fractions(family, meas, n_col)
+        return scan_fractions(family, meas, n_col)
 
+    w = meas.scaling.normalized_weights
+    r = meas.mean_extinction * w
+
+    @functools.cache
+    def bound_level(n_col):
+        stacked = family.level_matrices(n_col)[1]
+        return n_col, stacked, _least_squares_bounds(stacked, w, r)
+
+    n_l, delta_sq = meas.n_wavelengths, meas.scaling.delta_sq
     for taus in (tuple(tau_grid), FALLBACK_TAU_GRID):
+        limit = max(taus, default=0.0) * n_l * delta_sq * (1.0 + _PRECHECK_MARGIN)
 
         def fit_level(level):
-            n_col, scan = level
+            n_col, stacked, bounds = level
+            if not _may_admit(stacked, w, r, bounds, limit):
+                return []
+            scan = scan_level(n_col)
             out = []
             for fi in scan.selected:
                 out += _level_candidates(
@@ -215,7 +288,7 @@ def generate_models_two_component(
             return out
 
         try:
-            return _walk_ladder(meas, scan_level, ladder, fit_level, max_levels=1)
+            return _walk_ladder(meas, bound_level, ladder, fit_level, max_levels=1)
         except NoModels:
             continue
     raise NoModels("no fraction/level/tau combination fits the data")

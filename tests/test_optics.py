@@ -311,6 +311,30 @@ class TestMixedKernelRows:
     def materials(self):
         return get_material("h2o"), get_material("csi"), get_material("air")
 
+    def test_indices_equal_the_scalar_interpolation(self, materials):
+        # one np.interp over all wavelengths gives the scalar calls' bits
+        wavelengths = np.concatenate(
+            [study_wavelengths(), np.random.default_rng(0).uniform(0.5, 3.4, 500)]
+        )
+        for table, got in zip(
+            materials, optics._interpolate_indices(materials, wavelengths)
+        ):
+            want = np.array([interpolate_index(table, l) for l in wavelengths])
+            assert np.array_equal(got.view(float), want.view(float))
+
+    def test_out_of_band_names_the_first_wavelength_and_material(self, materials):
+        # the shipped tables cover 0.5-3.4 um, "wide" 0.1-5 um; the error
+        # names the first wavelength out of band and the first table (a, b,
+        # medium) that misses it
+        water, csi, air = materials
+        wide = IndexTable(np.array([0.1, 5.0]), np.array([1.4 + 0j, 1.4 + 0j]), "wide")
+        with pytest.raises(OutOfBand, match=r"wavelength 3\.5 um .* for 'h2o'"):
+            mixed_kernel_rows(water, csi, air, 0.5, (1.0, 3.5, 0.2), [0.5])
+        with pytest.raises(OutOfBand, match=r"wavelength 0\.2 um .* for 'csi'"):
+            mixed_kernel_rows(wide, csi, air, 0.5, (1.0, 0.2, 3.5), [0.5])
+        with pytest.raises(OutOfBand, match=r"wavelength 4\.0 um .* for 'air'"):
+            mixed_kernel_rows(wide, wide, air, 0.5, (1.0, 4.0, 0.05), [0.5])
+
     def test_empty_axes_give_empty_rows(self, materials):
         water, csi, air = materials
         rows = mixed_kernel_rows(water, csi, air, 0.5, self.WAVELENGTHS, [])

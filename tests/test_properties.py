@@ -345,3 +345,35 @@ def test_orthant_estimate_never_exceeds_its_tilt_bound(form, samples, seed):
     assert np.isfinite(est.log_value) and np.isfinite(est.log_bound)
     assert est.log_value <= est.log_bound + 3.0 * est.std_error
     assert est.log_bound <= log_gaussian_integral(form) + 1e-9
+
+
+@st.composite
+def weighted_stacks(draw):
+    """A stack of up to 20 systems (more than one QR chunk) of m rows and
+    N <= m columns, each of rank at most ``rank``, with row weights."""
+    m = draw(st.integers(2, 8))
+    n = m if draw(st.booleans()) else draw(st.integers(1, m))
+    rank = draw(st.integers(1, n))
+    count = draw(st.integers(1, 20))
+    small = st.floats(-3.0, 3.0, allow_subnormal=False)
+    B = draw(arrays(float, (count, m, rank), elements=small))
+    C = draw(arrays(float, (rank, n), elements=small))
+    w = draw(arrays(float, m, elements=st.floats(0.1, 10.0)))
+    r = draw(arrays(float, m, elements=entries))
+    return B @ C, w, r
+
+
+@SETTINGS
+@given(weighted_stacks())
+def test_least_squares_bound_never_exceeds_the_nnls_residual(problem):
+    from aeroinv.two_component import _least_squares_bounds
+
+    stacked, w, r = problem
+    bounds = _least_squares_bounds(stacked, w, r)
+    assert bounds.shape == (len(stacked),)
+    for K, bound in zip(stacked * w[:, None], bounds):
+        sol = solve_nnls(K, r)
+        # both residuals are rounded at about eps times ||r||^2 and the
+        # products K n they subtract
+        scale = float(r @ r) + float(np.sum((np.abs(K) @ np.abs(sol.n)) ** 2))
+        assert 0.0 <= bound <= sol.residual_sq + 1e-12 * scale

@@ -507,6 +507,21 @@ class TestRidgeCurve:
             y = curve.coefficients(gamma)
             assert float(y @ y) == pytest.approx(float(n @ R @ n), rel=1e-10)
 
+    def test_evaluate_matches_the_closed_form_past_the_rank(self):
+        """With N > N_l the entries of z past the rank are zero, so the
+        evaluated residual at a tiny gamma is the closed form's (res_ls = 0
+        here), not rounding noise amplified by 1 / gamma."""
+        from aeroinv.tikhonov_qp import _DISCREPANCY_RTOL, RidgeCurve
+
+        rng = np.random.default_rng(3)
+        K, r = rng.normal(size=(1, 2)), rng.normal(size=1)
+        curve = RidgeCurve(K, r, Regularizer(np.eye(2)))
+        assert np.all(curve.z[1:] == 0.0)
+        for gamma in (1e-30, 1e-20, 1e-12):
+            closed = curve._secular(np.log([gamma]))[0][0]
+            res, _ = curve.evaluate(gamma)
+            assert abs(res - closed) <= _DISCREPANCY_RTOL * float(r @ r)
+
     def test_unbracketable_target_raises_without_evaluating(self, monkeypatch):
         """A target past ||r||^2 has no root on the grid: BracketFailure at
         once, with no residual evaluated along the way."""

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import dataclasses
 from collections import Counter
 
 from aeroinv import two_component
@@ -304,6 +305,84 @@ class TestGenerateAndSelect:
         cands = generate_models_two_component(family, meas)
         ranked = select_models_two_component(cands, meas, samples=5000, seed=1)
         assert sum(c.posterior for c in ranked) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestScanPrecheck:
+    """Generation with the scan pre-check equals generation that scans every
+    level it visits."""
+
+    @staticmethod
+    def measurement(materials, family_name, params, p_true, seed):
+        from aeroinv.simulation_study import SizeDistribution, forward_extinctions
+
+        fine = uniform_grid(0.01, 7.0, 2001)
+        rows = kernel_rows(mixed_kernel(materials, p_true), WAVELENGTHS, fine)
+        dist = SizeDistribution(family_name, 1e4, params)
+        e_true = forward_extinctions(dist, None, WAVELENGTHS, grid=fine, rows=rows)
+        return simulate_measurement(WAVELENGTHS, e_true, 0.05, 300, rng=seed)
+
+    def test_records_equal_a_walk_that_scans_every_level(
+        self, family, materials, monkeypatch
+    ):
+        cases = [("log_normal", (0.3, 1.8), p, 0) for p in (0.0, 0.33, 0.67, 1.0)]
+        cases.append(("hedrih", (1.3,), 0.0, 0))  # its walk needs the fallback
+        precheck = two_component._may_admit
+        calls = []
+
+        def recording(stacked, w, r, bounds, limit):
+            may = precheck(stacked, w, r, bounds, limit)
+            calls.append((limit, may, bool(np.any(bounds < limit))))
+            return may
+
+        settled_by_nnls = fallback_walks = 0
+        for case in cases:
+            meas = self.measurement(materials, *case)
+            calls.clear()
+            monkeypatch.setattr(two_component, "_may_admit", recording)
+            got = generate_models_two_component(family, meas)
+            settled_by_nnls += sum(low and not may for _, may, low in calls)
+            fallback_walks += len({limit for limit, _, _ in calls}) > 1
+            monkeypatch.setattr(two_component, "_may_admit", lambda *a: True)
+            self.assert_same(got, generate_models_two_component(family, meas))
+        # some level was settled by its subset NNLS, not by its bounds alone,
+        # and one walk reached the fallback pass
+        assert settled_by_nnls > 0
+        assert fallback_walks == 1
+
+    def test_a_precheck_solve_that_raises_leaves_the_level_to_the_scan(
+        self, family, materials, monkeypatch
+    ):
+        from aeroinv.errors import MaxIterations
+
+        meas = self.measurement(materials, "log_normal", (0.3, 1.8), 0.67, 0)
+        solve = two_component.solve_constrained_tikhonov
+        raised = []
+
+        def cold_solve_fails(*args):
+            # the pre-check solves cold (4 arguments), the scan with a hint
+            if len(args) == 4:
+                raised.append(args)
+                raise MaxIterations("stand-in")
+            return solve(*args)
+
+        name = "solve_constrained_tikhonov"
+        monkeypatch.setattr(two_component, name, cold_solve_fails)
+        got = generate_models_two_component(family, meas)
+        assert raised
+        monkeypatch.setattr(two_component, name, solve)
+        monkeypatch.setattr(two_component, "_may_admit", lambda *a: True)
+        self.assert_same(got, generate_models_two_component(family, meas))
+
+    @staticmethod
+    def assert_same(got, expect):
+        assert len(got) == len(expect) > 0
+        for g, e in zip(got, expect):
+            for f in dataclasses.fields(g):
+                a, b = getattr(g, f.name), getattr(e, f.name)
+                if isinstance(a, np.ndarray):
+                    assert np.array_equal(a, b)
+                else:  # the family and regularizer caches share objects
+                    assert a is b or a == b, f.name
 
 
 @pytest.fixture(scope="module")
