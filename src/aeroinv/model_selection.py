@@ -4,15 +4,16 @@ Every method walks the collocation levels coarse to fine in one ladder walk
 and differs only in its per-level fit.  On each level the unregularized fit
 decides, together with the data norm, which residual targets from the
 safety-factor grid are attainable; each one yields a reconstruction whose
-parameter the discrepancy principle sets (``tikhonov_qp``).  The level's
-ridge curve roots all of its open targets in one call, and the per-target
-fit starts from that root.  Candidates from at most ``max_disc`` levels are
-ranked by their marginal likelihood.
+parameter the discrepancy principle sets (``tikhonov_qp``).  Each ridge
+curve of the level roots all of its open targets in one call, and each
+target's search starts from the passive set where the previous one ended.
+Candidates from at most ``max_disc`` levels are ranked by their marginal
+likelihood.
 
 What every method first computes on a level for a measurement (the weighted
 system, the admission NNLS residual, the least-squares fit and, per
-regularizer kind, the ridge curve with every variable free) is computed
-once and shared: it lives in a one-entry memo on the level's
+regularizer kind, the discrepancy-search state with its ridge curves) is
+computed once and shared: it lives in a one-entry memo on the level's
 ``KernelMatrix``, keyed by the identity of the measurement, so every method
 that visits the level of a caching kernel builder reuses it.
 
@@ -53,7 +54,7 @@ from .orthant_mvn import (
 )
 from .tikhonov_qp import (
     Regularizer,
-    RidgeCurve,
+    SearchState,
     solve_discrepancy,
     solve_nnls,
 )
@@ -215,7 +216,12 @@ class _LevelFit:
     """One level's fits to one measurement, shared by every method that
     visits the level: the weighted system, and on first use the admission
     NNLS residual, the least-squares fit and, per regularizer kind, the
-    ridge curve.  All arrays are read-only."""
+    discrepancy-search state (``tikhonov_qp.SearchState``).  That state
+    holds the ridge curve of every passive set a search on the level has
+    met, each with its table of roots; its all-free curve is the one the
+    unconstrained fit and its evidence read.  A neighbour start it carries
+    serves one pass only: every pass opens with ``SearchState.begin``.
+    All arrays are read-only."""
 
     def __init__(self, kernel: KernelMatrix, meas: Measurement):
         w = meas.scaling.normalized_weights
@@ -225,7 +231,7 @@ class _LevelFit:
         self.K.setflags(write=False)
         self.r.setflags(write=False)
         self.data_norm_sq = float(np.sum(self.r**2))
-        self._curves = {}  # regularizer kind -> RidgeCurve
+        self._searches = {}  # regularizer kind -> SearchState
 
     def open_targets(self, base_res: float, tau_grid):
         """(tau, target) pairs whose residual target tau * N_l * delta^2
@@ -248,13 +254,13 @@ class _LevelFit:
         d = self.K @ ls - self.r
         return ls, float(d @ d)
 
-    def ridge_curve(self, kind: str) -> RidgeCurve:
-        """The level's ridge curve under the ``kind`` regularizer with every
-        variable free, built on first use per kind."""
-        if kind not in self._curves:
+    def search(self, kind: str) -> SearchState:
+        """The level's discrepancy-search state under the ``kind``
+        regularizer, made on first use per kind."""
+        if kind not in self._searches:
             reg = build_regularizer(kind, self.K.shape[1])
-            self._curves[kind] = RidgeCurve(self.K, self.r, reg)
-        return self._curves[kind]
+            self._searches[kind] = SearchState(self.K, self.r, reg)
+        return self._searches[kind]
 
 
 def _level_fit(kernel: KernelMatrix, meas: Measurement) -> _LevelFit:
@@ -264,47 +270,48 @@ def _level_fit(kernel: KernelMatrix, meas: Measurement) -> _LevelFit:
     return kernel.memo(meas, lambda: _LevelFit(kernel, meas))
 
 
-def _constrained_fit(level, reg, base_res, target_sq, root):
-    """Constrained discrepancy solve whose passive-set search starts from
-    the level's ridge curve and its ``root`` at the target."""
+def _constrained_fit(search, base_res, target_sq):
+    """Constrained discrepancy solve on the level's shared search state."""
     gamma, sol = solve_discrepancy(
-        level.K, level.r, reg, target_sq, base_res,
-        curve=level.ridge_curve(reg.kind), gamma=root,
+        search.K, search.r, search.reg, target_sq, base_res, state=search
     )
     return gamma, sol.n, sol.residual_sq
 
 
-def _ridge_fit(level, reg, base_res, target_sq, root):
-    """Unconstrained discrepancy solution on the level's ridge curve."""
-    return level.ridge_curve(reg.kind).discrepancy(target_sq, root)
+def _ridge_fit(search, base_res, target_sq):
+    """Unconstrained discrepancy solution on the level's all-free curve."""
+    curve, root = search.root(None, target_sq)
+    return curve.discrepancy(target_sq, root)
 
 
 def _level_candidates(kernel, meas, tau_grid, reg_kind, base_res, fit):
     """Candidates for one discretization level (empty if none admissible).
 
     ``base_res`` is the level's unregularized residual, which decides the
-    admissible targets.  The level's ridge curve (``_LevelFit.ridge_curve``)
-    roots all of them in one call; ``fit(level, reg, base_res, target,
-    root)`` then maps each target and its root to ``(gamma, weights,
+    admissible targets.  One pass of the level's search state
+    (``_LevelFit.search``) is opened over them, so each ridge curve roots
+    them all in one call and each search after the first starts from the
+    positive set of the last one that returned; ``fit(search, base_res,
+    target)`` maps each target, in ascending order, to ``(gamma, weights,
     residual_sq)`` on the weighted system.
     """
     level = _level_fit(kernel, meas)
     targets = level.open_targets(base_res, tau_grid)
     if not targets:
         return []
-    reg = build_regularizer(reg_kind, kernel.interior_dim)
-    roots = level.ridge_curve(reg_kind).roots([t for _, t in targets])
+    search = level.search(reg_kind)
+    search.begin(t for _, t in targets)
     out = []
-    for (tau, target), root in zip(targets, roots):
+    for tau, target in targets:
         try:
-            gamma, weights, res = fit(level, reg, base_res, target, root)
+            gamma, weights, res = fit(search, base_res, target)
         except (TargetOutOfRange, BracketFailure):
             continue
         out.append(
             ModelCandidate(
                 weights=weights,
                 kernel=kernel,
-                regularizer=reg,
+                regularizer=search.reg,
                 gamma=gamma,
                 tau=tau,
                 residual_sq=res,
@@ -641,7 +648,7 @@ def _log_evidence_unconstrained(candidate, meas):
     ratio is prod gamma / (lam + gamma); det V cancels.
     """
     level = _level_fit(candidate.kernel, meas)
-    curve = level.ridge_curve(candidate.regularizer.kind)
+    curve = level.search(candidate.regularizer.kind).curve()
     gamma = candidate.gamma
     y = curve.coefficients(gamma)
     misfit = (candidate.residual_sq + gamma * float(y @ y)) / level.delta_sq

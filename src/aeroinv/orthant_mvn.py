@@ -465,8 +465,9 @@ def _log_probability(setup: _SamplerSetup, samples: int, seed: int):
     roots = _lattice_roots(n_w)
     # Whole shifts are batched up to _BATCH_POINTS points; a shift with more
     # points streams them in chunks of _BATCH_POINTS, whose log-sum-exps are
-    # combined below.  A single chunk per shift passes through that
-    # combination unchanged, bit for bit.
+    # combined below.  A single chunk per shift (every budget up to
+    # _N_SHIFTS * _BATCH_POINTS) would pass through that combination
+    # unchanged, bit for bit, infinities included, so it is taken as is.
     chunk = min(n_pts, _BATCH_POINTS)
     per_batch = max(_BATCH_POINTS // n_pts, 1)
     chunk_logs = np.empty((_N_SHIFTS, -(-n_pts // chunk)))
@@ -483,7 +484,10 @@ def _log_probability(setup: _SamplerSetup, samples: int, seed: int):
             chunk_logs[start : start + len(block), c] = _logsumexp(
                 logf.reshape(len(block), idx.size), axis=1
             )
-    shift_logs = _logsumexp(chunk_logs, axis=1) - np.log(n_pts)
+    if chunk_logs.shape[1] == 1:
+        shift_logs = chunk_logs[:, 0] - np.log(n_pts)
+    else:
+        shift_logs = _logsumexp(chunk_logs, axis=1) - np.log(n_pts)
     log_value = float(_logsumexp(shift_logs) - np.log(_N_SHIFTS))
     n = n_pts * _N_SHIFTS
     if not np.isfinite(log_value):

@@ -45,10 +45,14 @@ bracket cannot meet the target, since the residual rises with gamma.  The
 trial's residual moves one end of the bracket, and its solution's positive
 set is the next P.  A search that meets no target within ``_SEARCH_STEPS``
 steps raises BracketFailure if an end of the bracket never moved and
-RootFailure otherwise.  The all-free curve of the first step depends only on
-(K, r, R), so a caller that searches several targets on one system builds
-it once, roots every target with one ``RidgeCurve.roots`` call and passes
-the curve and each root to ``solve_discrepancy``.
+RootFailure otherwise.  The ridge curve of a passive set P depends only on
+(K[:, P], r, R_PP), not on the target, so the searches of several targets
+on one system share a ``SearchState``: it builds each P's curve once, and
+that curve roots every target of the pass in one ``RidgeCurve.roots``
+call, whose roots equal single-target ones bit for bit.  Within a pass,
+each search starts from the positive set of the previous search that
+returned (neighbouring targets tend to share it) instead of the all-free
+set, and ``begin`` opens the next pass with no start.
 """
 
 from __future__ import annotations
@@ -71,6 +75,7 @@ __all__ = [
     "Regularizer",
     "QpSolution",
     "RidgeCurve",
+    "SearchState",
     "solve_constrained_tikhonov",
     "solve_nnls",
     "solve_discrepancy",
@@ -385,9 +390,67 @@ class RidgeCurve:
         return float(gamma), n, res
 
 
+class SearchState:
+    """What the discrepancy searches on one weighted system (K, r) under
+    the regularizer ``reg`` share.
+
+    Each passive set P (a boolean mask; None frees every variable) gets one
+    ridge curve, built on first use from the columns of P and the principal
+    block R_PP: it depends on (K[:, P], r, R_PP) alone.  Each curve keeps a
+    table of its roots.  ``root(P, target)`` looks the target up there; a
+    target not yet in it is rooted together with every other target of the
+    open pass not in it, in one ``RidgeCurve.roots`` call.
+    ``begin(targets)`` opens a pass over ``targets`` and clears ``start``.
+    ``solve_discrepancy`` sets ``start`` to the positive set of every
+    solution it returns, and the next search on the state starts from that
+    passive set.
+    """
+
+    def __init__(self, K: np.ndarray, r: np.ndarray, reg: Regularizer):
+        self.K, self.r, self.reg = K, r, reg
+        self.start = None
+        self._targets = ()
+        self._all_free = np.ones(K.shape[1], dtype=bool).tobytes()
+        self._curves = {}  # passive-set bytes -> (RidgeCurve, {target: root})
+
+    def begin(self, targets) -> None:
+        """Open a pass over ``targets``; its first search starts all-free."""
+        self._targets = tuple(targets)
+        self.start = None
+
+    def _entry(self, passive):
+        key = self._all_free if passive is None else passive.tobytes()
+        entry = self._curves.get(key)
+        if entry is None:
+            K, reg = self.K, self.reg
+            if key != self._all_free:
+                idx = np.flatnonzero(passive)
+                K, reg = K[:, idx], Regularizer(reg.matrix[np.ix_(idx, idx)])
+            entry = self._curves[key] = (RidgeCurve(K, self.r, reg), {})
+        return entry
+
+    def curve(self) -> RidgeCurve:
+        """The all-free curve, on (K, r, R) itself."""
+        return self._entry(None)[0]
+
+    def root(self, passive, target_sq: float):
+        """``(curve, gamma)``: P's curve and its ``roots`` entry (nan if
+        the grid cannot bracket the target)."""
+        curve, table = self._entry(passive)
+        gamma = table.get(target_sq)
+        if gamma is None:
+            new = [
+                t for t in dict.fromkeys((*self._targets, target_sq))
+                if t not in table
+            ]
+            table.update(zip(new, curve.roots(new)))
+            gamma = table[target_sq]
+        return curve, gamma
+
+
 def solve_discrepancy(
     K, r, reg: Regularizer, target_sq: float, base_residual_sq=None, *,
-    curve=None, gamma=None,
+    state: SearchState | None = None,
 ):
     """Find gamma whose constrained solution has residual equal to target_sq.
 
@@ -397,11 +460,11 @@ def solve_discrepancy(
     ``base_residual_sq`` is the unregularized (NNLS) residual if the caller
     has it; otherwise it is solved for here.  Each step tries the
     ridge-curve root of the passive set P if it lies inside the bracket and
-    the bracket's midpoint otherwise (see the module docstring).  The first
-    P frees every variable: ``curve`` is that all-passive
-    ``RidgeCurve(K, r, reg)`` and ``gamma`` its entry of ``curve.roots``
-    for this target, if the caller shares them across targets; otherwise
-    the search builds and roots its own.  Returns ``(gamma, QpSolution)``.
+    the bracket's midpoint otherwise (see the module docstring).  ``state``
+    is a ``SearchState`` on the same (K, r, reg) if the caller shares one
+    across targets; otherwise the search makes its own.  The first P is the
+    state's ``start`` if that is neither empty nor full, and every variable
+    otherwise.  Returns ``(gamma, QpSolution)``.
     """
     K = np.asarray(K, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -413,12 +476,16 @@ def solve_discrepancy(
             f"target {target_sq} outside attainable range "
             f"({base_residual_sq}, {r_norm_sq})"
         )
+    if state is None:
+        state = SearchState(K, r, reg)
     N = K.shape[1]
     tol = _DISCREPANCY_RTOL * target_sq
     dual_tol = _dual_tol(K.T @ r)
     lo, hi = _LOG_GAMMA_FLOOR, _LOG_GAMMA_CEILING
-    passive = np.ones(N, dtype=bool)
-    root = _ridge_root(K, r, reg, passive, target_sq, curve, gamma)
+    passive = state.start
+    if passive is None or not 0 < np.count_nonzero(passive) < N:
+        passive = np.ones(N, dtype=bool)
+    root = _ridge_root(state, passive, target_sq)
     for _ in range(_SEARCH_STEPS):
         if root is not None and lo < np.log10(root[0]) < hi:
             gamma, n_p = root
@@ -434,6 +501,7 @@ def solve_discrepancy(
             sol = solve_constrained_tikhonov(K, r, reg, gamma, passive)
         excess = sol.residual_sq - target_sq
         if abs(excess) <= tol:
+            state.start = sol.n > 0.0
             return gamma, sol
         if excess < 0.0:
             lo = np.log10(gamma)
@@ -442,7 +510,7 @@ def solve_discrepancy(
         new = sol.n > 0.0
         if not np.array_equal(new, passive):
             passive = new
-            root = _ridge_root(K, r, reg, passive, target_sq)
+            root = _ridge_root(state, passive, target_sq)
     if lo == _LOG_GAMMA_FLOOR or hi == _LOG_GAMMA_CEILING:
         raise BracketFailure(
             f"no gamma in [1e{_LOG_GAMMA_FLOOR}, 1e{_LOG_GAMMA_CEILING}] "
@@ -454,19 +522,12 @@ def solve_discrepancy(
     )
 
 
-def _ridge_root(K, r, reg, passive, target_sq: float, curve=None, gamma=None):
+def _ridge_root(state: SearchState, passive, target_sq: float):
     """``(gamma, n_P)`` at the ridge-curve root of the target on the
-    variables of ``passive``, or None if that curve has no certified root.
-    ``curve`` (with its root ``gamma``) is the curve if the caller has it;
-    otherwise it is built on the principal block of R."""
-    idx = np.flatnonzero(passive)
-    if idx.size == 0:
+    variables of ``passive``, or None if that curve has no certified root."""
+    if not passive.any():
         return None
-    if curve is None:
-        sub = reg if idx.size == passive.size else Regularizer(
-            reg.matrix[np.ix_(idx, idx)]
-        )
-        curve, gamma = RidgeCurve(K[:, idx], r, sub), None
+    curve, gamma = state.root(passive, target_sq)
     try:
         gamma, n_p, _ = curve.discrepancy(target_sq, gamma)
     except (BracketFailure, RootFailure):

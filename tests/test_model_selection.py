@@ -912,9 +912,9 @@ class TestSharedLevelFits:
 
 class TestSharedRidgeCurves:
     """Every method on one family and one measurement builds one all-passive
-    ridge curve per (level, regularizer kind): the constrained search's
-    round one for every tau, Morozov's round one and the unconstrained fit
-    and evidence all use it."""
+    ridge curve per (level, regularizer kind): the constrained searches of
+    every tau, Morozov's search and the unconstrained fit and evidence all
+    use it."""
 
     study_inputs = TestSharedLevelFits.study_inputs
     family = staticmethod(TestSharedLevelFits.family)
@@ -974,11 +974,12 @@ class TestSharedRidgeCurves:
         # curves the constrained search built on the same levels
         assert (morozov[0].dim, "tikhonov") in counts
         assert {c.dim for c in constrained} & {c.dim for c in unconstrained}
-        # every search started from a shared curve and its root
-        assert searches and all(k["curve"] is not None for k in searches)
+        # every search ran on the level's shared search state
+        assert searches and all(k["state"] is not None for k in searches)
         monkeypatch.undo()
 
-        # the same searches, each building its own round-one curve
+        # the same searches, each on a state of its own: its own curves,
+        # and a start with every variable free
         monkeypatch.setattr(
             ms, "solve_discrepancy",
             lambda K, r, R, t, base, **_: inner_search(K, r, R, t, base),
@@ -1018,3 +1019,123 @@ class TestSharedRidgeCurves:
         # of R; every search on a whole level passes the shared read-only
         # regularizer and its stored factor
         assert all(R.flags.writeable for R in factored)
+
+
+class TestSearchState:
+    """The discrepancy searches of one level and regularizer kind share one
+    ``SearchState``: each passive set's ridge curve is built once and roots
+    a pass's targets in one call, and a search starts from the passive set
+    where the previous search of its pass ended, never from another pass's."""
+
+    study_inputs = TestSharedLevelFits.study_inputs
+    family = staticmethod(TestSharedLevelFits.family)
+
+    @staticmethod
+    def curves(monkeypatch):
+        """Ridge-curve builds and ``roots`` calls per system, keyed by the
+        system's (K, r, R) bytes: a passive block of a level is its own
+        system."""
+        from collections import Counter
+
+        import aeroinv.tikhonov_qp as qp
+
+        built, rooted = Counter(), Counter()
+        init, roots = qp.RidgeCurve.__init__, qp.RidgeCurve.roots
+
+        def counting_init(self, K, r, reg):
+            init(self, K, r, reg)
+            self.key = (K.shape, K.tobytes(), r.tobytes(), reg.matrix.tobytes())
+            built[self.key] += 1
+
+        def counting_roots(self, targets):
+            rooted[self.key] += 1
+            return roots(self, targets)
+
+        monkeypatch.setattr(qp.RidgeCurve, "__init__", counting_init)
+        monkeypatch.setattr(qp.RidgeCurve, "roots", counting_roots)
+        return built, rooted
+
+    def test_each_passive_set_curve_is_built_once(self, study_inputs, monkeypatch):
+        meas = study_inputs[3]
+        built, rooted = self.curves(monkeypatch)
+        dims = set()
+        for kind in ("tikhonov", "twomey"):
+            candidates = generate_models(meas, self.family(study_inputs), reg_kind=kind)
+            dims |= {(c.dim, kind) for c in candidates}
+        # the searches left the all-free set, so passive blocks were built
+        assert len(built) > len(dims)
+        assert set(built.values()) == {1}
+        # one pass per level and kind: every curve roots its targets at once
+        assert set(rooted.values()) == {1}
+
+    def test_candidates_meet_their_targets_with_a_kkt_certificate(
+        self, study_inputs
+    ):
+        from aeroinv.model_selection import _level_fit, invert_morozov
+        from aeroinv.tikhonov_qp import _DISCREPANCY_RTOL, _dual_tol
+
+        meas = study_inputs[3]
+        family = self.family(study_inputs)
+        candidates = [
+            c for kind in ("tikhonov", "first_diff", "twomey")
+            for c in generate_models(meas, family, reg_kind=kind)
+        ] + invert_morozov(meas, family)
+        for c in candidates:
+            level = _level_fit(c.kernel, meas)
+            target = c.tau * meas.n_wavelengths * level.delta_sq
+            assert abs(c.residual_sq - target) <= _DISCREPANCY_RTOL * target
+            K, r, n = level.K, level.r, c.weights
+            d = K @ n - r
+            assert c.residual_sq == float(d @ d)
+            grad = K.T @ d + c.gamma * (c.regularizer.matrix @ n)
+            free = n > 0.0
+            assert np.all(n >= 0.0) and free.any()
+            # the Gram loop stops once no gradient entry off the positive
+            # set is below -dual_tol; on it the gradient vanishes up to
+            # the rounding of the passive solve
+            assert np.all(grad[~free] >= -_dual_tol(K.T @ r))
+            assert np.max(np.abs(grad[free])) <= 1e-8 * np.max(np.abs(K.T @ r))
+
+    def test_morozov_after_generation_starts_all_free(
+        self, study_inputs, monkeypatch
+    ):
+        """On a shared level cache the constrained pass leaves curves,
+        roots and its last passive set on Morozov's level; Morozov's one
+        search still starts with every variable free and returns the
+        fresh-cache candidate field for field."""
+        import dataclasses
+
+        import aeroinv.tikhonov_qp as qp
+        from aeroinv.model_selection import _level_fit, invert_morozov
+
+        meas = study_inputs[3]
+        fresh = invert_morozov(meas, self.family(study_inputs))
+        shared = self.family(study_inputs)
+        generate_models(meas, shared)
+        (dim,) = {c.dim for c in fresh}
+        state = _level_fit(shared(dim + 2), meas).search("tikhonov")
+        assert state.start is not None and not state.start.all()
+
+        searches, starts = [], []
+        search, ridge_root = qp.solve_discrepancy, qp._ridge_root
+
+        def first_root(state, passive, target_sq):
+            if len(starts) < len(searches):  # the search's first passive set
+                starts.append(passive.copy())
+            return ridge_root(state, passive, target_sq)
+
+        monkeypatch.setattr(qp, "_ridge_root", first_root)
+        monkeypatch.setattr(
+            "aeroinv.model_selection.solve_discrepancy",
+            lambda *a, **k: searches.append(a) or search(*a, **k),
+        )
+        after = invert_morozov(meas, shared)
+        assert len(searches) == len(starts) == 1 and starts[0].all()
+        (got,), (expect,) = after, fresh
+        for f in dataclasses.fields(got):
+            a, b = getattr(got, f.name), getattr(expect, f.name)
+            if isinstance(a, np.ndarray):
+                assert np.array_equal(a, b), f.name
+            elif f.name != "kernel":  # fresh caches hold equal matrices
+                assert a == b, f.name
+        assert np.array_equal(got.kernel.entries, expect.kernel.entries)

@@ -478,6 +478,47 @@ class TestLargeBudgetChunks:
         assert chunked.log_value == pytest.approx(whole.log_value, rel=0, abs=1e-12)
         assert chunked.std_error == pytest.approx(whole.std_error, rel=1e-9, abs=0)
 
+    def test_one_chunk_per_shift_skips_the_chunk_combination(self, monkeypatch):
+        """With one chunk per shift (every budget up to _N_SHIFTS *
+        _BATCH_POINTS) the per-chunk log-sum-exps are the per-shift ones:
+        the combination over one column returns it bit for bit, -inf (a
+        shift whose every weight underflows) and +inf included, so the
+        estimate equals the two-level combination it skips."""
+        column = np.array(
+            [-np.inf, -1e300, -745.5, -1.25, 0.0, 5e-324, 709.75, 1e300, np.inf]
+        )
+        combined = _logsumexp(column[:, None], axis=1)
+        assert combined.tobytes() == column.tobytes()
+
+        cov = np.linalg.inv(self.H)
+        setup = ortho._setup_of(cov, -self.mode)
+        samples, n_pts = 1_000, 100
+        assert n_pts <= ortho._BATCH_POINTS  # one chunk per shift
+        inner = ortho._log_orthant_prob_samples
+        for special in (-np.inf, np.inf):
+            drawn = []
+
+            def weights(L, lower, w, mu):
+                logf = inner(L, lower, w, mu).reshape(ortho._N_SHIFTS, n_pts)
+                logf[[0, 3]] = -np.inf  # two shifts underflow entirely
+                logf[5, 7] = special
+                drawn.append(logf)
+                return logf.ravel()
+
+            monkeypatch.setattr(ortho, "_log_orthant_prob_samples", weights)
+            got = ortho._log_probability(setup, samples, 4)
+            (logf,) = drawn
+            chunk_logs = _logsumexp(logf, axis=1)[:, None]
+            shift_logs = _logsumexp(chunk_logs, axis=1) - np.log(n_pts)
+            log_value = float(_logsumexp(shift_logs) - np.log(ortho._N_SHIFTS))
+            if np.isfinite(log_value):
+                ratios = np.exp(shift_logs - log_value)
+                rel_err = float(ratios.std(ddof=1) / np.sqrt(ortho._N_SHIFTS))
+            else:
+                rel_err = np.inf
+            assert np.isfinite(log_value) == (special == -np.inf)
+            assert got == (log_value, rel_err, samples)
+
 
 class TestMinimaxTilt:
     """Botev's minimax exponential tilt: the saddle point of psi, its bound,

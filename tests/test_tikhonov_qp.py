@@ -408,7 +408,7 @@ class TestPassiveSetSearch:
             self.assert_meets_brent_reference(K, r, reg, target, gamma, sol)
 
     def test_unreachable_round_two_bisects_to_the_target(self, monkeypatch):
-        from aeroinv.tikhonov_qp import RidgeCurve
+        from aeroinv.tikhonov_qp import SearchState
 
         K, r, reg, target = self.unreachable_round_two()
         roots, solves = record_steps(monkeypatch)
@@ -416,11 +416,10 @@ class TestPassiveSetSearch:
         assert roots[1] is None  # round two's curve has no root
         assert any(g not in roots for g in solves)  # a midpoint step ran
         self.assert_meets_brent_reference(K, r, reg, target, gamma, sol)
-        # the level's shared curve and root change nothing here either
-        curve = RidgeCurve(K, r, reg)
-        gamma_s, sol_s = solve_discrepancy(
-            K, r, reg, target, curve=curve, gamma=curve.roots([target])[0]
-        )
+        # a shared search state changes nothing here either
+        state = SearchState(K, r, reg)
+        state.begin([target])
+        gamma_s, sol_s = solve_discrepancy(K, r, reg, target, state=state)
         assert gamma_s == gamma
         assert np.array_equal(sol_s.n, sol.n)
 
@@ -436,37 +435,39 @@ class TestPassiveSetSearch:
             self.assert_meets_brent_reference(K, r, reg, target, gamma, sol)
 
     def test_shared_round_one_curve_changes_nothing(self):
-        from aeroinv.tikhonov_qp import RidgeCurve
+        """A state shared by both targets (its curves and their batched
+        roots), each search opening its own pass so that neither starts
+        from the other's passive set, gives each target's own search."""
+        from aeroinv.tikhonov_qp import SearchState
 
         for seed in range(12):
             K, r, reg, target = self.instance(seed)
-            curve = RidgeCurve(K, r, reg)
+            state = SearchState(K, r, reg)
             targets = [0.5 * target, target]
             base = solve_nnls(K, r).residual_sq
-            for t, root in zip(targets, curve.roots(targets)):
+            for t in targets:
                 if not base < t:
                     continue
                 gamma, sol = solve_discrepancy(K, r, reg, t, base)
-                gamma_s, sol_s = solve_discrepancy(
-                    K, r, reg, t, base, curve=curve, gamma=root
-                )
+                state.begin(targets)
+                gamma_s, sol_s = solve_discrepancy(K, r, reg, t, base, state=state)
                 assert gamma_s == gamma
                 assert np.array_equal(sol_s.n, sol.n)
                 assert sol_s.residual_sq == sol.residual_sq
 
     def test_forced_fallback_ignores_a_shared_curve(self, monkeypatch):
         import aeroinv.tikhonov_qp as qp
-        from aeroinv.tikhonov_qp import RidgeCurve
+        from aeroinv.tikhonov_qp import SearchState
 
         K, r, reg, target = self.instance(3)
-        curve = RidgeCurve(K, r, reg)
+        state = SearchState(K, r, reg)
+        state.begin([target])
+        state.root(None, target)  # the all-free curve, built and rooted
         monkeypatch.setattr(qp, "_ridge_root", lambda *a, **k: None)
         gamma, sol = solve_discrepancy(K, r, reg, target)
         built = []
         monkeypatch.setattr(qp, "RidgeCurve", lambda *a: built.append(a))
-        gamma_s, sol_s = solve_discrepancy(
-            K, r, reg, target, curve=curve, gamma=curve.roots([target])[0]
-        )
+        gamma_s, sol_s = solve_discrepancy(K, r, reg, target, state=state)
         assert built == []
         assert gamma_s == gamma
         assert np.array_equal(sol_s.n, sol.n)
@@ -553,6 +554,45 @@ class TestRidgeCurve:
         assert curve.discrepancy(target, root)[0] == root
         with pytest.raises(RootFailure):
             curve.discrepancy(target, 10.0 * root)
+
+    @pytest.mark.parametrize("block", range(6))
+    def test_batched_roots_equal_single_target_roots(self, block):
+        """``roots(ts)`` equals ``[roots([t])[0] for t in ts]`` bit for bit,
+        nan where that is nan: a search state roots every target of a pass
+        in one call and shares the table between searches.  50 systems per
+        block with N from 1 to 50, N > N_l and rank-deficient K among them,
+        each with targets below residual_ls, inside the window and above
+        ||r||^2, in random order."""
+        from aeroinv.model_selection import REGULARIZER_KINDS, build_regularizer
+        from aeroinv.tikhonov_qp import RidgeCurve
+
+        rng = np.random.default_rng(1000 + block)
+        nan_seen = finite_seen = 0
+        for _ in range(50):
+            N = int(rng.integers(1, 51))
+            n_l = int(rng.integers(1, 61))
+            rank = int(rng.integers(1, min(N, n_l) + 1))
+            K = rng.normal(size=(n_l, rank)) @ rng.normal(size=(rank, N))
+            K *= 10.0 ** rng.uniform(-3.0, 3.0)
+            r = rng.normal(size=n_l) * 10.0 ** rng.uniform(-3.0, 3.0)
+            kind = REGULARIZER_KINDS[int(rng.integers(len(REGULARIZER_KINDS)))]
+            curve = RidgeCurve(K, r, build_regularizer(kind, N))
+            r_norm_sq = float(r @ r)
+            lo, hi = curve.residual_ls, r_norm_sq
+            targets = np.concatenate([
+                lo * rng.uniform(0.0, 1.0, 2),
+                lo + rng.uniform(0.0, 1.0, 8) * (hi - lo),
+                hi * rng.uniform(1.0, 2.0, 2),
+                [lo, hi],
+            ])
+            rng.shuffle(targets)
+            batched = curve.roots(targets)
+            single = np.array([curve.roots([t])[0] for t in targets])
+            assert np.array_equal(np.isnan(batched), np.isnan(single))
+            assert batched.tobytes() == single.tobytes()
+            nan_seen += int(np.isnan(batched).sum())
+            finite_seen += int(np.isfinite(batched).sum())
+        assert nan_seen and finite_seen
 
     def test_singular_factor_raises_ill_conditioned(self, monkeypatch):
         """A factor LAPACK cannot invert (info > 0) is a typed error."""

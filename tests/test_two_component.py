@@ -289,6 +289,59 @@ class TestGenerateAndSelect:
                 e.gamma, e.tau, e.fraction, e.dim
             )
 
+    def test_fallback_pass_reuses_the_primary_curves(
+        self, family, materials, monkeypatch
+    ):
+        """On a one-level ladder whose primary-pass searches all run and are
+        then rejected, the fallback tau grid searches the same fractions of
+        the same level again: it builds no ridge curve a second time, and
+        each curve roots the fallback's targets in one more call."""
+        import aeroinv.tikhonov_qp as qp
+        from aeroinv.errors import BracketFailure
+        from aeroinv.model_selection import Measurement
+
+        meas = self.make_measurement(family, materials, 0.675, 0.05, seed=2)
+        (n_col,) = {
+            len(c.kernel.collocation_grid)
+            for c in generate_models_two_component(family, meas)
+        }
+        # a twin measurement gets fresh level fits, with nothing built yet
+        meas = Measurement(
+            meas.wavelengths, meas.mean_extinction, meas.variance, meas.repeats
+        )
+        primary_limit = 2.25 * meas.n_wavelengths * meas.scaling.delta_sq
+        inner = two_component._constrained_fit
+        searches = Counter()
+
+        def primary_rejected(search, base_res, target_sq):
+            out = inner(search, base_res, target_sq)
+            if target_sq < primary_limit:
+                searches["primary"] += 1
+                raise BracketFailure("stand-in: primary-pass search rejected")
+            searches["fallback"] += 1
+            return out
+
+        built, rooted = Counter(), Counter()
+        init, roots = qp.RidgeCurve.__init__, qp.RidgeCurve.roots
+
+        def counting_init(self, K, r, reg):
+            init(self, K, r, reg)
+            self.key = (K.shape, K.tobytes(), r.tobytes(), reg.matrix.tobytes())
+            built[self.key] += 1
+
+        def counting_roots(self, targets):
+            rooted[self.key] += 1
+            return roots(self, targets)
+
+        monkeypatch.setattr(two_component, "_constrained_fit", primary_rejected)
+        monkeypatch.setattr(qp.RidgeCurve, "__init__", counting_init)
+        monkeypatch.setattr(qp.RidgeCurve, "roots", counting_roots)
+        got = generate_models_two_component(family, meas, ladder=(n_col,))
+        assert got and {c.tau for c in got} <= set(FALLBACK_TAU_GRID)
+        assert searches["primary"] and searches["fallback"]
+        assert set(built.values()) == {1}
+        assert 2 in rooted.values() and max(rooted.values()) == 2
+
     def test_single_and_duplicate_triplets(self, family, materials):
         meas = self.make_measurement(family, materials, 0.675, 0.05, seed=4)
         cands = generate_models_two_component(family, meas)
