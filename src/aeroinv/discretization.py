@@ -9,7 +9,7 @@ collocation nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,14 +30,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RadiusGrid:
-    """Strictly increasing radius nodes (um) spanning [r_min, r_max]."""
+    """Finite, strictly increasing radius nodes (um) spanning [r_min, r_max]."""
 
     points: np.ndarray
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 1 or pts.size < 2 or np.any(np.diff(pts) <= 0.0):
-            raise ValueError("grid points must be strictly increasing, length >= 2")
+        ok = pts.ndim == 1 and pts.size >= 2 and np.all(np.isfinite(pts))
+        if not (ok and np.all(np.diff(pts) > 0.0)):
+            raise ValueError("grid points must be finite, strictly increasing, >= 2")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -57,15 +58,17 @@ def uniform_grid(r_min: float, r_max: float, n: int) -> RadiusGrid:
     return RadiusGrid(np.linspace(r_min, r_max, n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelMatrix:
-    """Discrete forward operator mapping interior basis weights to extinctions."""
+    """Discrete forward operator mapping interior basis weights to extinctions.
+
+    Compared and hashed by identity: its ``KernelFamily`` keys a level's
+    fits by the matrix itself."""
 
     entries: np.ndarray  # (N_l, interior_dim)
     wavelengths: np.ndarray
     collocation_grid: RadiusGrid
     fraction_label: float | None = None
-    _memo: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)
@@ -84,18 +87,6 @@ class KernelMatrix:
     @property
     def n_wavelengths(self) -> int:
         return self.entries.shape[0]
-
-    def memo(self, key, make):
-        """``make()``, computed once while ``key`` is the latest key asked for.
-
-        A one-entry memo compared by identity: it holds ``key`` itself, so
-        an id can never be reused while the entry lives.  Model selection
-        keeps a level's fits to one measurement here, shared by every method
-        that visits the level.
-        """
-        if not self._memo or self._memo[0] is not key:
-            self._memo[:] = [key, make()]
-        return self._memo[1]
 
 
 def build_collocation_grid(n_col: int, integration_grid: RadiusGrid) -> RadiusGrid:

@@ -66,9 +66,5 @@ class RootFailure(AeroinvError):
     """Auxiliary scalar root-finding failed."""
 
 
-class NonPositiveIntensity(AeroinvError):
-    """Cleaned detector intensities must be positive to take logarithms."""
-
-
 class UsageError(AeroinvError):
     """Invalid command-line arguments or configuration."""

@@ -13,9 +13,9 @@ likelihood.
 What every method first computes on a level for a measurement (the weighted
 system, the admission NNLS residual, the least-squares fit and, per
 regularizer kind, the discrepancy-search state with its ridge curves) is
-computed once and shared: it lives in a one-entry memo on the level's
-``KernelMatrix``, keyed by the identity of the measurement, so every method
-that visits the level of a caching kernel builder reuses it.
+computed once and shared: it lives on the forward model, a ``KernelFamily``,
+keyed by the identity of the measurement, so every method run on the family
+reuses it, and it is freed with the family.
 
 Fits: constrained (nonnegative fit, constrained Tikhonov, whose search
 starts on the level's ridge curve, goes on to passive-set ridge curves and
@@ -263,11 +263,17 @@ class _LevelFit:
         return self._searches[kind]
 
 
-def _level_fit(kernel: KernelMatrix, meas: Measurement) -> _LevelFit:
-    """The level's fits to ``meas``, memoized on the kernel matrix while
-    ``meas`` is its latest measurement (``KernelMatrix.memo``), so a kernel
-    builder that caches its matrices shares them across methods."""
-    return kernel.memo(meas, lambda: _LevelFit(kernel, meas))
+def _level_fit(forward, kernel: KernelMatrix, meas: Measurement) -> _LevelFit:
+    """The fits of the family ``forward``'s level matrix ``kernel`` to
+    ``meas``, made on first use and kept in the family's slot while ``meas``
+    is its latest measurement; the slot holds ``meas`` itself, so an id can
+    never be reused while the fits live."""
+    slot = forward._fits
+    if not slot or slot[0] is not meas:
+        slot[:] = [meas, {}]
+    if kernel not in slot[1]:
+        slot[1][kernel] = _LevelFit(kernel, meas)
+    return slot[1][kernel]
 
 
 def _constrained_fit(search, base_res, target_sq):
@@ -284,8 +290,9 @@ def _ridge_fit(search, base_res, target_sq):
     return curve.discrepancy(target_sq, root)
 
 
-def _level_candidates(kernel, meas, tau_grid, reg_kind, base_res, fit):
-    """Candidates for one discretization level (empty if none admissible).
+def _level_candidates(forward, kernel, meas, tau_grid, reg_kind, base_res, fit):
+    """Candidates for the level ``kernel`` of ``forward`` (empty if none
+    admissible).
 
     ``base_res`` is the level's unregularized residual, which decides the
     admissible targets.  One pass of the level's search state
@@ -295,7 +302,7 @@ def _level_candidates(kernel, meas, tau_grid, reg_kind, base_res, fit):
     target)`` maps each target, in ascending order, to ``(gamma, weights,
     residual_sq)`` on the weighted system.
     """
-    level = _level_fit(kernel, meas)
+    level = _level_fit(forward, kernel, meas)
     targets = level.open_targets(base_res, tau_grid)
     if not targets:
         return []
@@ -355,15 +362,19 @@ def generate_models(
 ) -> list[ModelCandidate]:
     """Walk the discretization ladder coarse-to-fine collecting candidates.
 
-    ``kernel_builder(n_col)`` must return the KernelMatrix for a collocation
-    size.  Stops after ``max_disc`` levels produced candidates; raises
-    NoModels if none did.
+    ``kernel_builder`` is the forward model, a ``KernelFamily``:
+    ``kernel_builder(n_col)`` is the KernelMatrix for a collocation size,
+    and the fits of its levels live on the family (``_level_fit``), so the
+    methods run on one family for one measurement fit each level once.
+    Stops after ``max_disc`` levels produced candidates; raises NoModels if
+    none did.
     """
 
     def fit_level(kernel):
         return _level_candidates(
-            kernel, meas, tau_grid, reg_kind,
-            _level_fit(kernel, meas).nnls_residual, _constrained_fit,
+            kernel_builder, kernel, meas, tau_grid, reg_kind,
+            _level_fit(kernel_builder, kernel, meas).nnls_residual,
+            _constrained_fit,
         )
 
     return _walk_ladder(meas, kernel_builder, ladder, fit_level, max_disc)
@@ -637,8 +648,9 @@ def invert_morozov(
     return [dataclasses.replace(candidates[0], posterior=1.0)]
 
 
-def _log_evidence_unconstrained(candidate, meas):
-    """Closed-form Gaussian evidence (no orthant restriction).
+def _log_evidence_unconstrained(level, candidate, meas):
+    """Closed-form Gaussian evidence (no orthant restriction) of a candidate
+    on the level whose fits are ``level``.
 
     On the weighted system the statistical precision is
     (K'K + gamma R) / delta^2, so the level's shared ridge curve
@@ -647,7 +659,6 @@ def _log_evidence_unconstrained(candidate, meas):
     (its ridge solution at gamma), and the prior-to-posterior determinant
     ratio is prod gamma / (lam + gamma); det V cancels.
     """
-    level = _level_fit(candidate.kernel, meas)
     curve = level.search(candidate.regularizer.kind).curve()
     gamma = candidate.gamma
     y = curve.coefficients(gamma)
@@ -667,11 +678,11 @@ def invert_unconstrained(
     """Same pipeline with the constraints dropped and analytic evidence."""
 
     def fit_level(kernel):
+        fits = _level_fit(kernel_builder, kernel, meas)
         level = _level_candidates(
-            kernel, meas, tau_grid, reg_kind,
-            _level_fit(kernel, meas).lstsq[1], _ridge_fit,
+            kernel_builder, kernel, meas, tau_grid, reg_kind, fits.lstsq[1], _ridge_fit
         )
-        return [(c, _log_evidence_unconstrained(c, meas)) for c in level]
+        return [(c, _log_evidence_unconstrained(fits, c, meas)) for c in level]
 
     scored = _walk_ladder(meas, kernel_builder, ladder, fit_level, max_disc)
     return _rank([c for c, _ in scored], [lm for _, lm in scored])
@@ -695,7 +706,7 @@ def bic_select(
     log_norm_const = 2.0 * _log_likelihood_normalizer(meas)
 
     def fit_level(kernel):
-        level = _level_fit(kernel, meas)
+        level = _level_fit(kernel_builder, kernel, meas)
         if not level.open_targets(level.nnls_residual, tau_grid):
             return []
         ls, res = level.lstsq

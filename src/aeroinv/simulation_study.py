@@ -25,7 +25,7 @@ from .discretization import (
     kernel_rows,
     uniform_grid,
 )
-from .errors import NoModels, NonPositiveIntensity, RootFailure, ZeroTruth
+from .errors import NoModels, RootFailure, ZeroTruth
 from .model_selection import (
     DEFAULT_TAU_GRID,
     Measurement,
@@ -65,7 +65,6 @@ __all__ = [
     "parameter_grid",
     "forward_extinctions",
     "simulate_measurement",
-    "compute_extinction_from_intensities",
     "relative_l2_error",
     "run_study",
     "run_study_two_component",
@@ -245,24 +244,6 @@ def simulate_measurement(
         variances = np.zeros_like(means)
     variances = np.maximum(variances, VARIANCE_FLOOR)
     return Measurement(np.asarray(wavelengths, float), means, variances, repeats)
-
-
-def compute_extinction_from_intensities(
-    i_long, i_short, offsets_long, offsets_short, g_long, g_short, x_floated=0.0
-):
-    """Path-length-normalized log intensity ratio.
-
-    The floated protective-gas section shortens both paths equally, so only
-    the geometric gap enters.
-    """
-    i_long = np.asarray(i_long, float) - np.asarray(offsets_long, float)
-    i_short = np.asarray(i_short, float) - np.asarray(offsets_short, float)
-    if np.any(i_long <= 0.0) or np.any(i_short <= 0.0):
-        raise NonPositiveIntensity("cleaned intensities must be positive")
-    gap = (g_long - x_floated) - (g_short - x_floated)
-    if gap <= 0.0:
-        raise ValueError("long path must exceed short path")
-    return -(np.log(i_long) - np.log(i_short)) / gap
 
 
 def relative_l2_error(

@@ -84,7 +84,12 @@ class KernelFamily:
 
     ``family(n_col)`` is the level's matrix at the first fraction: a
     one-fraction family, whose matrices carry no fraction label, is the
-    ladder's ``kernel_builder``.
+    ``kernel_builder`` of every method in ``model_selection``.  The family
+    also keeps the level fits (``model_selection._level_fit``) in one slot:
+    the latest ``Measurement`` object and a dict from the family's matrices
+    to their fits, shared by every method run on the family for that
+    measurement.  Another measurement object, even with equal arrays,
+    replaces the slot, and the fits are freed with the family.
     """
 
     wavelengths: np.ndarray
@@ -94,6 +99,7 @@ class KernelFamily:
     _anchor_rows: np.ndarray = field(repr=False)  # (anchors, N_l, n_nodes)
     _levels: dict = field(default_factory=dict, repr=False)
     _matrices: dict = field(default_factory=dict, repr=False)
+    _fits: list = field(default_factory=list, repr=False)  # [meas, {matrix: fit}]
 
     @property
     def n_fractions(self) -> int:
@@ -153,8 +159,10 @@ def build_kernel_family(
     level matrices are assembled and splined lazily.  A single material is
     ``build_kernel_family(p, p, medium, ..., anchor_count=1, n_frac=1)``.
     """
-    if anchor_count > n_frac:
-        raise ValueError("anchor_count must not exceed n_frac")
+    if not 1 <= anchor_count <= n_frac:
+        raise ValueError("anchor_count must lie in [1, n_frac]")
+    if anchor_count == 1 and n_frac > 1:
+        raise ValueError("a spline over several fractions needs two anchors")
     wavelengths = np.asarray(wavelengths, dtype=float)
     anchors = np.linspace(0.0, 1.0, anchor_count)
     fractions = np.linspace(0.0, 1.0, n_frac)
@@ -282,7 +290,7 @@ def generate_models_two_component(
             out = []
             for fi in scan.selected:
                 out += _level_candidates(
-                    family.kernel_matrix(n_col, fi), meas, taus, reg_kind,
+                    family, family.kernel_matrix(n_col, fi), meas, taus, reg_kind,
                     scan.residuals[fi], _constrained_fit,
                 )
             return out

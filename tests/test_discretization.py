@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import simpson
 
 from aeroinv.discretization import (
+    RadiusGrid,
     assemble_kernel_matrix,
     build_collocation_grid,
     evaluate_distribution,
@@ -45,6 +46,12 @@ class TestCollocationGrid:
             build_collocation_grid(2, igrid)
         with pytest.raises(ValueError):
             build_collocation_grid(11, igrid)
+        # NaN compares false, so only a finiteness check rejects these
+        with pytest.raises(ValueError):
+            RadiusGrid([0.0, np.nan, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            with np.errstate(invalid="ignore"):
+                uniform_grid(0.01, np.inf, 5)
 
 
 class TestAssembly:

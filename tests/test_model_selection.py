@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.integrate as si
@@ -17,6 +19,7 @@ from aeroinv.model_selection import (
     select_models,
     top_within_noise,
 )
+from aeroinv.two_component import KernelFamily
 
 
 def make_kernel_matrix(entries, fraction=None):
@@ -24,6 +27,19 @@ def make_kernel_matrix(entries, fraction=None):
     n_l, dim = entries.shape
     grid = RadiusGrid(np.linspace(0.0, 1.0, dim + 2))
     return KernelMatrix(entries, np.linspace(0.5, 3.0, n_l), grid, fraction)
+
+
+class HandMadeFamily(KernelFamily):
+    """A one-fraction family whose ladder levels are the given matrices,
+    each at its own collocation size."""
+
+    def __init__(self, *kernels):
+        one = np.zeros(1)
+        super().__init__(kernels[0].wavelengths, None, one, one, None)
+        self.levels = {len(k.collocation_grid): k for k in kernels}
+
+    def __call__(self, n_col):
+        return self.levels[n_col]
 
 
 class TestRegularizers:
@@ -108,7 +124,7 @@ class TestGenerateModels:
         data_norm = float(np.sum(meas.mean_extinction**2))
         cands = generate_models(
             meas,
-            lambda n_col: kernel,
+            HandMadeFamily(kernel),
             ladder=(kernel.interior_dim + 2,),
             tau_grid=DEFAULT_TAU_GRID,
         )
@@ -132,7 +148,7 @@ class TestGenerateModels:
         )
         kernel = make_kernel_matrix(np.eye(n_l)[:, :2])
         with pytest.raises(NoModels):
-            generate_models(meas, lambda n: kernel, ladder=(4,))
+            generate_models(meas, HandMadeFamily(kernel), ladder=(4,))
 
     def test_max_disc_bounds_levels(self):
         # every level admissible: only the first max_disc levels contribute
@@ -146,7 +162,8 @@ class TestGenerateModels:
         for n_col in (3, 4, 5, 6, 7):
             kernels[n_col] = make_kernel_matrix(Q[:, : n_col - 2])
         cands = generate_models(
-            meas, lambda n: kernels[n], ladder=(3, 4, 5, 6, 7), max_disc=3
+            meas, HandMadeFamily(*kernels.values()), ladder=(3, 4, 5, 6, 7),
+            max_disc=3,
         )
         dims = sorted({c.dim for c in cands})
         # the 1-dim level misses the residual window; exactly the next three
@@ -333,7 +350,7 @@ class TestUnconstrained:
         meas = Measurement(np.linspace(0.5, 3.0, n_l), e, np.ones(n_l), repeats=1)
         kernel = make_kernel_matrix(np.eye(4))
         ranked = invert_unconstrained(
-            meas, lambda n: kernel, ladder=(6,), tau_grid=(0.5, 0.8)
+            meas, HandMadeFamily(kernel), ladder=(6,), tau_grid=(0.5, 0.8)
         )
         for cand in ranked:
             expect = e / (1.0 + cand.gamma)
@@ -341,7 +358,7 @@ class TestUnconstrained:
         assert sum(c.posterior for c in ranked) == pytest.approx(1.0, abs=1e-12)
 
     def test_evidence_matches_quadrature(self):
-        from aeroinv.model_selection import _log_evidence_unconstrained
+        from aeroinv.model_selection import _level_fit, _log_evidence_unconstrained
 
         rng = np.random.default_rng(0)
         K_N = rng.uniform(0.5, 2.0, (4, 2))
@@ -359,7 +376,8 @@ class TestUnconstrained:
             weights=n, kernel=kernel, regularizer=reg,
             gamma=0.7, tau=1.0, residual_sq=float(np.sum((K_w @ n - r_w) ** 2)),
         )
-        lz = _log_evidence_unconstrained(cand, meas)
+        level = _level_fit(HandMadeFamily(kernel), kernel, meas)
+        lz = _log_evidence_unconstrained(level, cand, meas)
         R_stat = (0.7 / sc.delta_sq) * np.eye(2)
 
         def integrand(n2, n1):
@@ -682,7 +700,7 @@ class TestBic:
         e = Q[:, :2] @ np.array([2.0, 1.0]) + np.sqrt(0.9 * n_l) * Q[:, 4]
         meas = Measurement(np.linspace(0.5, 3.0, n_l), e, np.ones(n_l), repeats=1)
         kernels = {4: make_kernel_matrix(Q[:, :2]), 5: make_kernel_matrix(Q[:, :3])}
-        top, score = bic_select(meas, lambda n: kernels[n], ladder=(4, 5))
+        top, score = bic_select(meas, HandMadeFamily(*kernels.values()), ladder=(4, 5))
         assert top.dim == 2
 
     def test_perfect_fit_score_formula(self):
@@ -693,7 +711,9 @@ class TestBic:
         var = np.full(n_l, 0.25)
         meas = Measurement(np.linspace(0.5, 3.0, n_l), e, var, repeats=1)
         kernel = make_kernel_matrix(K)
-        top, score = bic_select(meas, lambda n: kernel, ladder=(4,), tau_grid=(2.0,))
+        top, score = bic_select(
+            meas, HandMadeFamily(kernel), ladder=(4,), tau_grid=(2.0,)
+        )
         expect = n_l * np.log(2 * np.pi) + np.sum(np.log(var)) + 2 * np.log(n_l)
         assert score == pytest.approx(expect, abs=1e-8)
 
@@ -704,7 +724,9 @@ class TestBic:
         e = Q[:, :4] @ rng.uniform(1, 2, 4) + np.sqrt(0.8 * n_l) * Q[:, 7]
         meas = Measurement(np.linspace(0.5, 3.0, n_l), e, np.ones(n_l), repeats=1)
         kernels = {n: make_kernel_matrix(Q[:, : n - 2]) for n in (3, 4, 5, 6)}
-        top, score = bic_select(meas, lambda n: kernels[n], ladder=(3, 4, 5, 6))
+        top, score = bic_select(
+            meas, HandMadeFamily(*kernels.values()), ladder=(3, 4, 5, 6)
+        )
         # hand evaluation over the SAME admissible levels
         scores = {}
         for n in (3, 4, 5, 6):
@@ -846,13 +868,19 @@ class TestSharedLevelFits:
         )
         return counts
 
-    @staticmethod
-    def visiting(builder, visited):
-        def build(n_col):
-            visited.add(n_col - 2)
-            return builder(n_col)
+    class Visiting(KernelFamily):
+        """``family`` itself, with its matrices and level fits, noting in
+        ``visited`` the model dimension of every level asked for."""
 
-        return build
+        def __init__(self, family, visited):
+            super().__init__(
+                **{f.name: getattr(family, f.name) for f in dataclasses.fields(family)}
+            )
+            self.visited = visited
+
+        def __call__(self, n_col):
+            self.visited.add(n_col - 2)
+            return super().__call__(n_col)
 
     def assert_same(self, results, expected):
         for ranked, ranked_ref in zip(results, expected):
@@ -869,7 +897,7 @@ class TestSharedLevelFits:
         visited = [set(), set(), set()]
         counts = self.counted(monkeypatch)
         results = self.classical(
-            meas, [self.visiting(family, v) for v in visited]
+            meas, [self.Visiting(family, v) for v in visited]
         )
         morozov, unconstrained, bic = visited
         assert counts["nnls"] == {dim: 1 for dim in morozov | bic}
@@ -895,19 +923,42 @@ class TestSharedLevelFits:
         assert set(counts["nnls"].values()) == {1}
         self.assert_same(second, first)
 
-    def test_fresh_matrices_share_nothing(self, study_inputs, monkeypatch):
+
+def reachable(root):
+    """Every object reachable from ``root`` by ``gc.get_referents``, except
+    through modules, classes and functions, whose globals reach every live
+    object."""
+    import gc
+    import types
+
+    stop = (types.ModuleType, type, types.FunctionType, types.BuiltinFunctionType)
+    seen, todo = {id(root): root}, [root]
+    while todo:
+        for obj in gc.get_referents(todo.pop()):
+            if id(obj) not in seen and not isinstance(obj, stop):
+                seen[id(obj)] = obj
+                todo.append(obj)
+    return list(seen.values())
+
+
+class TestLevelFitLifetime:
+    """A level's fits live on its family: the ranked candidates of an
+    inversion keep no ridge curve or search state alive."""
+
+    study_inputs = TestSharedLevelFits.study_inputs
+    family = staticmethod(TestSharedLevelFits.family)
+
+    def test_ranked_candidates_keep_no_search_state(self, study_inputs):
+        from aeroinv.model_selection import invert_constrained
+        from aeroinv.tikhonov_qp import RidgeCurve, SearchState
+
         meas = study_inputs[3]
         family = self.family(study_inputs)
-        fresh = lambda n_col: KernelMatrix(
-            family(n_col).entries, family.wavelengths,
-            family(n_col).collocation_grid,
-        )
-        counts = self.counted(monkeypatch)
-        results = self.classical(meas, [fresh] * 3)
-        assert max(counts["nnls"].values()) == 2  # Morozov's levels, again in BIC
-        monkeypatch.undo()
-        expected = self.classical(meas, [self.family(study_inputs)] * 3)
-        self.assert_same(results, expected)
+        ranked = invert_constrained(meas, family, samples=500)
+        assert any(isinstance(o, SearchState) for o in reachable(family))
+        del family
+        kept = (RidgeCurve, SearchState)
+        assert [o for o in reachable(ranked) if isinstance(o, kept)] == []
 
 
 class TestSharedRidgeCurves:
@@ -991,12 +1042,8 @@ class TestSharedRidgeCurves:
     ):
         meas = study_inputs[3]
         family = self.family(study_inputs)
-        fresh = lambda n_col: KernelMatrix(
-            family(n_col).entries, family.wavelengths,
-            family(n_col).collocation_grid,
-        )
         counts = self.counted(monkeypatch, family, meas)
-        candidates = generate_models(meas, fresh)
+        candidates = generate_models(meas, family)
         assert len(candidates) > len({c.dim for c in candidates})  # several taus
         assert counts == {(dim, "tikhonov"): 1 for dim in {c.dim for c in candidates}}
 
@@ -1081,7 +1128,7 @@ class TestSearchState:
             for c in generate_models(meas, family, reg_kind=kind)
         ] + invert_morozov(meas, family)
         for c in candidates:
-            level = _level_fit(c.kernel, meas)
+            level = _level_fit(family, c.kernel, meas)
             target = c.tau * meas.n_wavelengths * level.delta_sq
             assert abs(c.residual_sq - target) <= _DISCREPANCY_RTOL * target
             K, r, n = level.K, level.r, c.weights
@@ -1113,7 +1160,7 @@ class TestSearchState:
         shared = self.family(study_inputs)
         generate_models(meas, shared)
         (dim,) = {c.dim for c in fresh}
-        state = _level_fit(shared(dim + 2), meas).search("tikhonov")
+        state = _level_fit(shared, shared(dim + 2), meas).search("tikhonov")
         assert state.start is not None and not state.start.all()
 
         searches, starts = [], []

@@ -5,12 +5,11 @@ import pytest
 from scipy.integrate import simpson
 
 from aeroinv.discretization import build_collocation_grid
-from aeroinv.errors import NonPositiveIntensity, ZeroTruth
+from aeroinv.errors import ZeroTruth
 from aeroinv.simulation_study import (
     N_FINE,
     N_INTEGRATION,
     SizeDistribution,
-    compute_extinction_from_intensities,
     eval_size_distribution,
     fine_grid,
     forward_extinctions,
@@ -131,37 +130,6 @@ class TestSimulateMeasurement:
         meas = simulate_measurement(wl, e, 0.30, repeats=300, rng=2)
         ratio = meas.variance / (0.30 * 50.0) ** 2
         assert np.all(ratio >= 0.7) and np.all(ratio <= 1.4)
-
-
-class TestIntensityExtinction:
-    def test_no_attenuation(self):
-        e = compute_extinction_from_intensities(
-            np.array([5.0]), np.array([5.0]), 0.0, 0.0, 800.0, 400.0
-        )
-        assert e[0] == 0.0
-
-    def test_unit_computation(self):
-        # one e-folding over a 400 mm gap
-        e = compute_extinction_from_intensities(
-            np.array([np.exp(-1.0)]), np.array([1.0]), 0.0, 0.0, 800.0, 400.0
-        )
-        assert e[0] == pytest.approx(2.5e-3)
-
-    def test_floated_section_cancels(self):
-        i_long, i_short = np.array([2.0]), np.array([3.0])
-        base = compute_extinction_from_intensities(
-            i_long, i_short, 0.1, 0.2, 800.0, 400.0, x_floated=0.0
-        )
-        moved = compute_extinction_from_intensities(
-            i_long, i_short, 0.1, 0.2, 800.0, 400.0, x_floated=55.0
-        )
-        assert base[0] == moved[0]
-
-    def test_nonpositive_intensity(self):
-        with pytest.raises(NonPositiveIntensity):
-            compute_extinction_from_intensities(
-                np.array([1.0]), np.array([2.0]), 1.5, 0.0, 800.0, 400.0
-            )
 
 
 class TestRelativeError:

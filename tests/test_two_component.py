@@ -124,6 +124,24 @@ class TestKernelFamily:
         assert jumps[1] <= 0.6 * jumps[0]
 
 
+class TestAnchorValidation:
+    @pytest.mark.parametrize(
+        "anchor_count, n_frac", [(1, 3), (0, 1), (-2, 5), (6, 5)]
+    )
+    def test_bad_anchors_fail_before_any_mie_work(
+        self, materials, monkeypatch, anchor_count, n_frac
+    ):
+        def no_mie(*args, **kwargs):
+            raise AssertionError("Mie rows built")
+
+        monkeypatch.setattr(two_component, "mixed_kernel_rows", no_mie)
+        with pytest.raises(ValueError):
+            build_kernel_family(
+                *materials, WAVELENGTHS, IGRID,
+                anchor_count=anchor_count, n_frac=n_frac,
+            )
+
+
 class TestOneFractionFamily:
     """A single material is a one-fraction family and a ladder builder."""
 
