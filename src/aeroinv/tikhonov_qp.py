@@ -10,11 +10,13 @@ is solved as plain nonnegative least squares on the row-augmented system
 [K; sqrt(gamma)*U] with R = U'U, which leaves the nonnegativity constraint on
 the original variables and preserves the KKT certificate in n-space.  A
 ``Regularizer`` holds R with U and U^-1, factored once when it is built,
-and every solver takes one in place of R.  The start is the passive set of
-scipy's compiled Lawson-Hanson NNLS on that system (Lawson & Hanson 1974,
-Solving Least Squares Problems, ch. 23); the package's own active-set loop
-on the Gram form then certifies it or finishes from it, so every solution
-carries the KKT check.
+and every solver takes one in place of R.  The package's own active-set
+loop on the Gram form solves it, from a caller's passive set or else from
+that of scipy's compiled Lawson-Hanson NNLS on the augmented system (Lawson
+& Hanson 1974, Solving Least Squares Problems, ch. 23).  It returns n as a
+fresh solve on its final passive set once no dual is violated, so its KKT
+check is the one certificate of a constrained solution; for gamma > 0 the
+minimizer is unique, and the start changes the loop's path, not its answer.
 
 With the constraints dropped (or at a fixed set of free variables) the
 solution is a ridge solution.  A ``RidgeCurve`` holds one generalized
@@ -30,29 +32,30 @@ The discrepancy principle picks gamma so that the residual equals a target.
 The residual increases strictly with gamma.  On a ridge curve every target
 of a level is solved at once: the closed-form residual on a grid of log
 gamma brackets each root, and a vectorized, safeguarded Newton iteration on
-log gamma finishes inside the bracket.  The residual is then recomputed
-from n at each root and must meet the target within ``_DISCREPANCY_RTOL``.
-A target the grid cannot bracket raises BracketFailure, and a root that
-fails the certificate RootFailure: the grid spans the whole gamma range of
-the constrained search, so no other bracket finds more.  The constrained
-fit keeps a bracket on log10 gamma, from 1e-30 to 1e12, and a passive set
-P, starting with every variable free.  Each step roots the ridge curve of
-P; if that root lies strictly inside the bracket it is the trial gamma, and
-if the root's solution is positive on P with nonnegative duals off P, the
-Gram loop certifies it there.  Otherwise the trial is the bracket's
-log-midpoint, solved by one NNLS warm-started from P: a gamma outside the
-bracket cannot meet the target, since the residual rises with gamma.  The
-trial's residual moves one end of the bracket, and its solution's positive
-set is the next P.  A search that meets no target within ``_SEARCH_STEPS``
-steps raises BracketFailure if an end of the bracket never moved and
-RootFailure otherwise.  The ridge curve of a passive set P depends only on
-(K[:, P], r, R_PP), not on the target, so the searches of several targets
-on one system share a ``SearchState``: it builds each P's curve once, and
-that curve roots every target of the pass in one ``RidgeCurve.roots``
-call, whose roots equal single-target ones bit for bit.  Within a pass,
-each search starts from the positive set of the previous search that
-returned (neighbouring targets tend to share it) instead of the all-free
-set, and ``begin`` opens the next pass with no start.
+log gamma finishes inside the bracket.  The unconstrained fit recomputes
+the residual from n at its root, which must meet the target within
+``_DISCREPANCY_RTOL``: a target the grid cannot bracket raises
+BracketFailure, and a root that fails this certificate RootFailure.  The
+grid spans the whole gamma range of the constrained search, so no other
+bracket finds more.
+
+The constrained fit keeps a bracket on log10 gamma, from 1e-30 to 1e12, and
+a passive set P, starting with every variable free.  Each step has one
+rule.  The trial gamma is the root of P's ridge curve if that root lies
+strictly inside the bracket, and the bracket's log-midpoint otherwise: a
+gamma outside the bracket cannot meet the target, since the residual rises
+with gamma.  The trial is solved by the Gram loop warm-started from P, and
+its residual moves one end of the bracket; its solution's positive set is
+the next P.  A search that meets no target within ``_SEARCH_STEPS`` steps
+raises BracketFailure if an end of the bracket never moved and RootFailure
+otherwise.  The ridge curve of a passive set P depends only on (K[:, P], r,
+R_PP), not on the target, so the searches of several targets on one system
+share a ``SearchState``: it builds each P's curve once, and that curve
+roots every target of the pass in one ``RidgeCurve.roots`` call, whose
+roots equal single-target ones bit for bit.  Within a pass, each search
+starts from the positive set of the previous search that returned
+(neighbouring targets tend to share it) instead of the all-free set, and
+``begin`` opens the next pass with no start.
 """
 
 from __future__ import annotations
@@ -372,16 +375,13 @@ class RidgeCurve:
                 t = np.where(done, t, np.where(inside, step, 0.5 * (lo + hi)))
         return np.where(bracketed & done, np.exp(t), np.nan)
 
-    def discrepancy(self, target_sq: float, gamma: float | None = None):
-        """``(gamma, n, residual_sq)`` with the residual at the target.
-
-        ``gamma`` is the target's entry of ``roots`` if already found.  No
-        root (nan: the grid of ``roots`` cannot bracket the target) raises
-        BracketFailure.  The residual is recomputed from n at the root; one
-        outside ``_DISCREPANCY_RTOL`` of the target raises RootFailure.
+    def discrepancy(self, target_sq: float, gamma: float):
+        """``(gamma, n, residual_sq)`` at ``gamma``, the target's entry of
+        ``roots``.  No root (nan: the grid of ``roots`` cannot bracket the
+        target) raises BracketFailure.  The residual is recomputed from n at
+        the root; one outside ``_DISCREPANCY_RTOL`` of the target raises
+        RootFailure.
         """
-        if gamma is None:
-            gamma = self.roots([target_sq])[0]
         if not np.isfinite(gamma):
             raise BracketFailure(f"no ridge-curve root for target {target_sq}")
         res, n = self.evaluate(gamma)
@@ -458,12 +458,13 @@ def solve_discrepancy(
     ||r||^2; within that range the residual-parameter map is a strictly
     monotone bijection, so a bracket on log10 gamma holds the root.
     ``base_residual_sq`` is the unregularized (NNLS) residual if the caller
-    has it; otherwise it is solved for here.  Each step tries the
-    ridge-curve root of the passive set P if it lies inside the bracket and
-    the bracket's midpoint otherwise (see the module docstring).  ``state``
-    is a ``SearchState`` on the same (K, r, reg) if the caller shares one
-    across targets; otherwise the search makes its own.  The first P is the
-    state's ``start`` if that is neither empty nor full, and every variable
+    has it; otherwise it is solved for here.  Each step's trial gamma is the
+    ridge-curve root of the passive set P if it lies strictly inside the
+    bracket, and the bracket's log-midpoint otherwise; every trial is solved
+    warm from P (see the module docstring).  ``state`` is a ``SearchState``
+    on the same (K, r, reg) if the caller shares one across targets;
+    otherwise the search makes its own.  The first P is the state's
+    ``start`` if that is neither empty nor full, and every variable
     otherwise.  Returns ``(gamma, QpSolution)``.
     """
     K = np.asarray(K, dtype=float)
@@ -480,25 +481,17 @@ def solve_discrepancy(
         state = SearchState(K, r, reg)
     N = K.shape[1]
     tol = _DISCREPANCY_RTOL * target_sq
-    dual_tol = _dual_tol(K.T @ r)
     lo, hi = _LOG_GAMMA_FLOOR, _LOG_GAMMA_CEILING
     passive = state.start
     if passive is None or not 0 < np.count_nonzero(passive) < N:
         passive = np.ones(N, dtype=bool)
     root = _ridge_root(state, passive, target_sq)
     for _ in range(_SEARCH_STEPS):
-        if root is not None and lo < np.log10(root[0]) < hi:
-            gamma, n_p = root
-            n = np.zeros(N)
-            n[passive] = n_p
-            grad = K.T @ (K @ n - r) + gamma * (reg.matrix @ n)
-            certified = np.all(n_p > 0.0) and np.all(grad[~passive] >= -dual_tol)
-            sol = solve_constrained_tikhonov(
-                K, r, reg, gamma, passive if certified else None
-            )
+        if lo < np.log10(root) < hi:
+            gamma = root
         else:
             gamma = 10.0 ** (0.5 * (lo + hi))
-            sol = solve_constrained_tikhonov(K, r, reg, gamma, passive)
+        sol = solve_constrained_tikhonov(K, r, reg, gamma, passive)
         excess = sol.residual_sq - target_sq
         if abs(excess) <= tol:
             state.start = sol.n > 0.0
@@ -522,14 +515,9 @@ def solve_discrepancy(
     )
 
 
-def _ridge_root(state: SearchState, passive, target_sq: float):
-    """``(gamma, n_P)`` at the ridge-curve root of the target on the
-    variables of ``passive``, or None if that curve has no certified root."""
+def _ridge_root(state: SearchState, passive, target_sq: float) -> float:
+    """The tabled ridge-curve root of the target on the variables of
+    ``passive``: nan if ``passive`` is empty or its curve has no root."""
     if not passive.any():
-        return None
-    curve, gamma = state.root(passive, target_sq)
-    try:
-        gamma, n_p, _ = curve.discrepancy(target_sq, gamma)
-    except (BracketFailure, RootFailure):
-        return None
-    return gamma, n_p
+        return np.nan
+    return float(state.root(passive, target_sq)[1])

@@ -78,7 +78,7 @@ _PRECHECK_MARGIN = 1e-6
 _QR_CHUNK = 16
 
 
-@dataclass
+@dataclass(eq=False)
 class KernelFamily:
     """Forward operators on a fraction grid, one stack per ladder level.
 
@@ -89,7 +89,8 @@ class KernelFamily:
     the latest ``Measurement`` object and a dict from the family's matrices
     to their fits, shared by every method run on the family for that
     measurement.  Another measurement object, even with equal arrays,
-    replaces the slot, and the fits are freed with the family.
+    replaces the slot, and the fits are freed with the family.  Families
+    compare and hash by identity, as ``KernelMatrix`` does.
     """
 
     wavelengths: np.ndarray

@@ -105,7 +105,8 @@ def test_ridge_discrepancy_search_meets_any_admissible_target(problem):
     K, r, reg, position = problem
     ls = np.linalg.lstsq(K, r, rcond=None)[0]
     target = target_between(weighted_residual(K, ls, r), r, position)
-    gamma, n, res = RidgeCurve(K, r, reg).discrepancy(target)
+    curve = RidgeCurve(K, r, reg)
+    gamma, n, res = curve.discrepancy(target, curve.roots([target])[0])
     assert abs(res - target) <= _DISCREPANCY_RTOL * target
     assert res == weighted_residual(K, n, r)
     # the returned weights solve the normal equations at gamma
@@ -269,7 +270,7 @@ def test_targets_outside_the_window_raise(problem, shift, below):
         target = (1.0 + shift) * r_norm_sq
     assert np.isnan(curve.roots([target])[0])
     with pytest.raises((TargetOutOfRange, BracketFailure)):
-        curve.discrepancy(target)
+        curve.discrepancy(target, curve.roots([target])[0])
     base = solve_nnls(K, r).residual_sq
     if not base < target < r_norm_sq:
         with pytest.raises((TargetOutOfRange, BracketFailure)):

@@ -346,7 +346,7 @@ def record_steps(monkeypatch):
 
     def root_of(*args, **kwargs):
         found = ridge_root(*args, **kwargs)
-        roots.append(None if found is None else found[0])
+        roots.append(None if np.isnan(found) else found)
         return found
 
     def solve_at(K, r, reg, gamma, init_passive=None):
@@ -423,12 +423,31 @@ class TestPassiveSetSearch:
         assert gamma_s == gamma
         assert np.array_equal(sol_s.n, sol.n)
 
+    def test_every_trial_solves_warm_from_its_passive_set(self, monkeypatch):
+        """No solve inside a search takes the compiled-NNLS start, also on
+        inputs where a passive set's ridge root has negative entries or
+        violated duals (the unreachable problem, and seed 10)."""
+        import aeroinv.tikhonov_qp as qp
+
+        compiled, compiled_start = [], qp._compiled_passive_set
+        monkeypatch.setattr(
+            qp, "_compiled_passive_set",
+            lambda A, b: compiled.append(A.shape) or compiled_start(A, b),
+        )
+        for K, r, reg, target in (self.unreachable_round_two(), self.instance(10)):
+            base = solve_nnls(K, r).residual_sq
+            compiled.clear()
+            gamma, sol = solve_discrepancy(K, r, reg, target, base)
+            assert compiled == []
+            assert abs(sol.residual_sq - target) <= qp._DISCREPANCY_RTOL * target
+            check_kkt(sol, K, r, reg.matrix, gamma)
+
     def test_forced_fallback_is_the_brent_search(self, monkeypatch):
         import aeroinv.tikhonov_qp as qp
 
         # with no ridge-curve root at all, every step falls back to the
         # bracket's midpoint
-        monkeypatch.setattr(qp, "_ridge_root", lambda *a, **k: None)
+        monkeypatch.setattr(qp, "_ridge_root", lambda *a, **k: np.nan)
         for seed in (3, 4):
             K, r, reg, target = self.instance(seed)
             gamma, sol = solve_discrepancy(K, r, reg, target)
@@ -463,7 +482,7 @@ class TestPassiveSetSearch:
         state = SearchState(K, r, reg)
         state.begin([target])
         state.root(None, target)  # the all-free curve, built and rooted
-        monkeypatch.setattr(qp, "_ridge_root", lambda *a, **k: None)
+        monkeypatch.setattr(qp, "_ridge_root", lambda *a, **k: np.nan)
         gamma, sol = solve_discrepancy(K, r, reg, target)
         built = []
         monkeypatch.setattr(qp, "RidgeCurve", lambda *a: built.append(a))
@@ -537,7 +556,7 @@ class TestRidgeCurve:
         target = 2.0 * float(r @ r)
         assert np.isnan(curve.roots([target])[0])
         with pytest.raises(BracketFailure):
-            curve.discrepancy(target)
+            curve.discrepancy(target, curve.roots([target])[0])
         with pytest.raises(BracketFailure):
             curve.discrepancy(target, np.nan)
         assert calls == []

@@ -175,6 +175,13 @@ class TestOneFractionFamily:
             assert np.array_equal(cache(n_col).entries, family(n_col).entries)
             assert cache(n_col).fraction_label is None
 
+    def test_families_compare_and_hash_by_identity(self, study_geometry):
+        wl, igrid, _, rows = study_geometry
+        a, b = KernelLevelCache(rows, wl, igrid), KernelLevelCache(rows, wl, igrid)
+        assert (a == b) is False
+        assert len({a, b}) == 2
+        assert a == a
+
     def test_single_component_candidates_carry_no_fraction(self, materials):
         water, _, air = materials
         family = build_kernel_family(
