@@ -116,21 +116,21 @@ def build_collocation_grid(n_col: int, integration_grid: RadiusGrid) -> RadiusGr
 
 
 def hat_basis_values(collocation_grid: RadiusGrid, r: np.ndarray) -> np.ndarray:
-    """Evaluate all hat basis functions at radii r; shape (n_col, len(r))."""
+    """Evaluate all hat basis functions at radii r; shape (n_col, len(r)).
+
+    A radius in the interval (c[j-1], c[j]] lies on the rising side of hat
+    j and the falling side of hat j - 1; r = c[0] is the peak of hat 0, and
+    a radius outside [c[0], c[-1]] lies on no hat."""
     c = collocation_grid.points
-    r = np.asarray(r, dtype=float)
+    r = np.asarray(r, dtype=float).ravel()
     vals = np.zeros((c.size, r.size))
-    for k in range(c.size):
-        b = np.zeros(r.size)
-        if k > 0:
-            mask = (r >= c[k - 1]) & (r <= c[k])
-            b[mask] = (r[mask] - c[k - 1]) / (c[k] - c[k - 1])
-        if k < c.size - 1:
-            mask = (r > c[k]) & (r <= c[k + 1])
-            b[mask] = (c[k + 1] - r[mask]) / (c[k + 1] - c[k])
-        if k == 0:
-            b[r == c[0]] = 1.0
-        vals[k] = b
+    j = np.searchsorted(c, r)  # c[j-1] < r <= c[j]
+    i = np.flatnonzero((j > 0) & (j < c.size))
+    j = j[i]
+    lo, hi, x = c[j - 1], c[j], r[i]
+    vals[j, i] = (x - lo) / (hi - lo)
+    vals[j - 1, i] = (hi - x) / (hi - lo)
+    vals[0, r == c[0]] = 1.0
     return vals
 
 

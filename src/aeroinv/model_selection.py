@@ -11,11 +11,21 @@ Candidates from at most ``max_disc`` levels are ranked by their marginal
 likelihood.
 
 What every method first computes on a level for a measurement (the weighted
-system, the admission NNLS residual, the least-squares fit and, per
-regularizer kind, the discrepancy-search state with its ridge curves) is
-computed once and shared: it lives on the forward model, a ``KernelFamily``,
-keyed by the identity of the measurement, so every method run on the family
-reuses it, and it is freed with the family.
+system, its least-squares bound, the admission NNLS residual, the
+least-squares fit and, per regularizer kind, the discrepancy-search state
+with its ridge curves) is computed once and shared: it lives on the forward
+model, a ``KernelFamily``, keyed by the identity of the measurement, so
+every method run on the family reuses it, and it is freed with the family.
+
+A level can open a target only if its unregularized residual lies below the
+walk's largest target, max(tau) * N_l * delta^2.  No nonnegative or
+least-squares residual lies below the least-squares bound ||r - Q Q'r||^2
+(``_least_squares_bounds``, one Householder QR of [K | r]), so every walk,
+the two-component one included, first compares that bound with the largest
+target times 1 + ``_PRECHECK_MARGIN`` (``_admission_limit``).  A level whose
+bound reaches it is settled: it opens no target, and the walk computes
+neither its NNLS nor its least-squares fit.  Any other level is fitted as
+before, so every candidate stays the same.
 
 Fits: constrained (nonnegative fit, constrained Tikhonov, whose search
 starts on the level's ridge curve, goes on to passive-set ridge curves and
@@ -35,9 +45,11 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
+import scipy.linalg
 
 from .discretization import KernelMatrix
 from .errors import (
+    AeroinvError,
     BracketFailure,
     EmptyCandidates,
     NoModels,
@@ -97,6 +109,16 @@ _TWOMEY_PRIOR_TABLE = "tables/twomey_prior.csv"
 # 1/_SCREEN_DIVISOR of the sample budget.
 _SCREEN_NATS = 10.0
 _SCREEN_DIVISOR = 5
+# Relative slack on a walk's largest target when the least-squares bound
+# settles a level.  The bound and the residuals it bounds are rounded, and
+# the two-component pre-check's cold NNLS may stop at another point than the
+# scan's warm-started one within the solver's dual tolerance (1e-10 of
+# max |K'r|); both move a residual by far less than 1e-6 of the target, so a
+# settled level has no residual below the target.
+_PRECHECK_MARGIN = 1e-6
+# systems per chunk of ``_least_squares_bounds``, which keeps its workspace
+# small
+_QR_CHUNK = 16
 
 
 @functools.lru_cache(maxsize=None)
@@ -163,6 +185,14 @@ class Measurement:
         that reads it."""
         return NoiseScaling.from_measurement(self)
 
+    @functools.cached_property
+    def log_likelihood_normalizer(self) -> float:
+        """log of the Gaussian likelihood's normalizing constant, computed
+        on first use like ``scaling``."""
+        return 0.5 * self.n_wavelengths * np.log(2.0 * np.pi) + 0.5 * float(
+            np.sum(np.log(self.scaling.obs_variance))
+        )
+
 
 @dataclass(frozen=True)
 class NoiseScaling:
@@ -212,20 +242,62 @@ class ModelCandidate:
         return self.kernel.interior_dim
 
 
+def _least_squares_bounds(stacked: np.ndarray, w: np.ndarray, r: np.ndarray):
+    """Least-squares residual of each weighted system (``stacked[i] *
+    w[:, None]``, r): a lower bound on its nonnegative and least-squares
+    residuals.
+
+    One LAPACK Householder QR (``dgeqrf``) of each weighted [K | r], N_l x
+    (N + 1), leaves |R[N, N]| = ||r - Q Q'r||, Q the first N Householder
+    columns, which is never formed.  Range K lies in span Q even when K is
+    rank-deficient, so no least-squares or nonnegative residual of the
+    system lies below R[N, N]^2 (Lawson & Hanson 1974, ch. 23).  With
+    N >= N_l the bound is 0.  At most ``_QR_CHUNK`` systems are weighted at
+    a time.
+    """
+    count, n_l, N = stacked.shape
+    bounds = np.zeros(count)
+    if N >= n_l:
+        return bounds
+    # a C-ordered (N + 1, N_l) block is the column-major [K | r] that
+    # dgeqrf factors in place
+    work = np.empty((min(count, _QR_CHUNK), N + 1, n_l))
+    for s in range(0, count, _QR_CHUNK):
+        chunk = stacked[s : s + _QR_CHUNK]
+        blocks = work[: len(chunk)]
+        np.multiply(chunk.transpose(0, 2, 1), w, out=blocks[:, :N])
+        blocks[:, N] = r
+        for i, block in enumerate(blocks, start=s):
+            qr, _, _, info = scipy.linalg.lapack.dgeqrf(block.T, overwrite_a=True)
+            if info != 0:
+                raise AeroinvError(f"Householder QR failed (dgeqrf info {info})")
+            bounds[i] = qr[N, N] ** 2
+    return bounds
+
+
+def _admission_limit(meas: Measurement, tau_grid) -> float:
+    """The largest target of ``tau_grid``, max(tau) * N_l * delta^2, times
+    1 + ``_PRECHECK_MARGIN``: a level whose least-squares bound reaches it
+    opens no target of the grid."""
+    top = max(tau_grid, default=0.0) * meas.n_wavelengths * meas.scaling.delta_sq
+    return top * (1.0 + _PRECHECK_MARGIN)
+
+
 class _LevelFit:
     """One level's fits to one measurement, shared by every method that
-    visits the level: the weighted system, and on first use the admission
-    NNLS residual, the least-squares fit and, per regularizer kind, the
-    discrepancy-search state (``tikhonov_qp.SearchState``).  That state
-    holds the ridge curve of every passive set a search on the level has
-    met, each with its table of roots; its all-free curve is the one the
-    unconstrained fit and its evidence read.  A neighbour start it carries
-    serves one pass only: every pass opens with ``SearchState.begin``.
-    All arrays are read-only."""
+    visits the level: the weighted system, and on first use its
+    least-squares bound, the admission NNLS residual, the least-squares fit
+    and, per regularizer kind, the discrepancy-search state
+    (``tikhonov_qp.SearchState``).  That state holds the ridge curve of
+    every passive set a search on the level has met, each with its table of
+    roots; its all-free curve is the one the unconstrained fit and its
+    evidence read.  A neighbour start it carries serves one pass only: every
+    pass opens with ``SearchState.begin``.  All arrays are read-only."""
 
     def __init__(self, kernel: KernelMatrix, meas: Measurement):
         w = meas.scaling.normalized_weights
         self.delta_sq = meas.scaling.delta_sq
+        self._entries, self._w = kernel.entries, w
         self.K = kernel.entries * w[:, None]
         self.r = meas.mean_extinction * w
         self.K.setflags(write=False)
@@ -240,6 +312,12 @@ class _LevelFit:
         n_l = self.r.size
         targets = [(float(tau), tau * n_l * self.delta_sq) for tau in tau_grid]
         return [(tau, t) for tau, t in targets if base_res < t < self.data_norm_sq]
+
+    @functools.cached_property
+    def bound(self) -> float:
+        """The level's least-squares bound (``_least_squares_bounds`` on a
+        stack of one): no residual of the level lies below it."""
+        return float(_least_squares_bounds(self._entries[None], self._w, self.r)[0])
 
     @functools.cached_property
     def nnls_residual(self) -> float:
@@ -365,16 +443,19 @@ def generate_models(
     ``kernel_builder`` is the forward model, a ``KernelFamily``:
     ``kernel_builder(n_col)`` is the KernelMatrix for a collocation size,
     and the fits of its levels live on the family (``_level_fit``), so the
-    methods run on one family for one measurement fit each level once.
-    Stops after ``max_disc`` levels produced candidates; raises NoModels if
-    none did.
+    methods run on one family for one measurement fit each level once.  A
+    level its least-squares bound settles gets no NNLS solve.  Stops after
+    ``max_disc`` levels produced candidates; raises NoModels if none did.
     """
+    limit = _admission_limit(meas, tau_grid)
 
     def fit_level(kernel):
+        level = _level_fit(kernel_builder, kernel, meas)
+        if level.bound >= limit:
+            return []
         return _level_candidates(
             kernel_builder, kernel, meas, tau_grid, reg_kind,
-            _level_fit(kernel_builder, kernel, meas).nnls_residual,
-            _constrained_fit,
+            level.nnls_residual, _constrained_fit,
         )
 
     return _walk_ladder(meas, kernel_builder, ladder, fit_level, max_disc)
@@ -409,15 +490,8 @@ def _statistical_system(candidate, meas) -> _StatisticalSystem:
     )
     return _StatisticalSystem(
         joint,
-        _log_likelihood_normalizer(meas),
+        meas.log_likelihood_normalizer,
         prior_normalizer(candidate.regularizer, scale).log_value,
-    )
-
-
-def _log_likelihood_normalizer(meas) -> float:
-    """log of the Gaussian likelihood's normalizing constant."""
-    return 0.5 * meas.n_wavelengths * np.log(2.0 * np.pi) + 0.5 * float(
-        np.sum(np.log(meas.scaling.obs_variance))
     )
 
 
@@ -664,7 +738,7 @@ def _log_evidence_unconstrained(level, candidate, meas):
     y = curve.coefficients(gamma)
     misfit = (candidate.residual_sq + gamma * float(y @ y)) / level.delta_sq
     log_det_ratio = -float(np.sum(np.log1p(curve.eigenvalues / gamma)))
-    return -0.5 * misfit + 0.5 * log_det_ratio - _log_likelihood_normalizer(meas)
+    return -0.5 * misfit + 0.5 * log_det_ratio - meas.log_likelihood_normalizer
 
 
 def invert_unconstrained(
@@ -675,10 +749,14 @@ def invert_unconstrained(
     reg_kind: str = "tikhonov",
     max_disc: int = DEFAULT_MAX_DISC,
 ) -> list[ModelCandidate]:
-    """Same pipeline with the constraints dropped and analytic evidence."""
+    """Same pipeline with the constraints dropped and analytic evidence.  A
+    level its least-squares bound settles gets no least-squares fit."""
+    limit = _admission_limit(meas, tau_grid)
 
     def fit_level(kernel):
         fits = _level_fit(kernel_builder, kernel, meas)
+        if fits.bound >= limit:
+            return []
         level = _level_candidates(
             kernel_builder, kernel, meas, tau_grid, reg_kind, fits.lstsq[1], _ridge_fit
         )
@@ -699,15 +777,19 @@ def bic_select(
     Admissibility reuses the constrained residual window of the model
     generation step; the scored fit per level is the unconstrained
     maximum-likelihood solution.  Like the other methods it scores at most
-    ``DEFAULT_MAX_DISC`` levels.  Returns ``(candidate, score)`` with ties
-    resolved toward the smaller dimension.
+    ``DEFAULT_MAX_DISC`` levels.  A level its least-squares bound settles
+    gets neither fit.  Returns ``(candidate, score)`` with ties resolved
+    toward the smaller dimension.
     """
     n_l = meas.n_wavelengths
-    log_norm_const = 2.0 * _log_likelihood_normalizer(meas)
+    log_norm_const = 2.0 * meas.log_likelihood_normalizer
+    limit = _admission_limit(meas, tau_grid)
 
     def fit_level(kernel):
         level = _level_fit(kernel_builder, kernel, meas)
-        if not level.open_targets(level.nnls_residual, tau_grid):
+        if level.bound >= limit or not level.open_targets(
+            level.nnls_residual, tau_grid
+        ):
             return []
         ls, res = level.lstsq
         dim = kernel.interior_dim

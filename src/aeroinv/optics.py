@@ -465,16 +465,16 @@ class _SeriesSum:
         # complex divided by the real 2n + 1 is numpy's multiplication by its
         # reciprocal, so the real arithmetic on float views gives the same bits
         inv_w = 1.0 / (2.0 * n + 1.0)
-        p = np.square(xi_n[s:, None])
+        p = np.square(xi_n[s:])
         p.view(float)[:] *= inv_w
-        c = p.view(float) * (n / self.x_col[s:])
-        cross = (xi_n[s:, None] * xi_prev[s:, None]).view(float)
+        c = p.view(float) * (n / self.x_pairs[2 * s :])
+        cross = (xi_n[s:] * xi_prev[s:]).view(float)
         cross *= inv_w
         c -= cross
-        c = c.view(complex)
+        c = c.view(complex)[:, None]
         u, z, z_flat = self.u[s:], self.z[:, s:], self.z_flat[:, s:]
         sq, ratio, acc = self.sq[:, s:], self.ratio[:, s:], self.acc[s:]
-        np.multiply(dn[s:], p, out=u)
+        np.multiply(dn[s:], p[:, None], out=u)
         np.multiply(u, self.factors[:, s:], out=z)
         z += c
         np.square(z_flat, out=sq)

@@ -263,13 +263,14 @@ def solve_constrained_tikhonov(
     N = K.shape[1]
     G = K.T @ K
     c = K.T @ r
-    A, b = K, r
     if gamma > 0.0:
-        U = reg.cholesky
-        G = G + gamma * (U.T @ U)
-        A = np.vstack([K, np.sqrt(gamma) * U])
-        b = np.concatenate([r, np.zeros(N)])
+        G = G + gamma * (reg.cholesky.T @ reg.cholesky)
     if init_passive is None:
+        # only the compiled start reads the row-augmented system
+        A, b = K, r
+        if gamma > 0.0:
+            A = np.vstack([K, np.sqrt(gamma) * reg.cholesky])
+            b = np.concatenate([r, np.zeros(N)])
         init_passive = _compiled_passive_set(A, b)
     dual_tol = _dual_tol(c)
     try:

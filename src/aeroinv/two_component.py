@@ -13,14 +13,16 @@ uniform prior over all stored triplets.
 A level admits a fraction in a pass only if that fraction's nonnegative
 residual lies below the pass's largest target, max(tau) * N_l * delta^2.
 Before it scans a level, generation bounds every fraction's nonnegative
-residual from below by its least-squares residual (one batched Householder
-QR, a chunk of fractions at a time) and solves NNLS only for the fractions
-whose bound lies below that target times 1 + ``_PRECHECK_MARGIN``.  If no
-solve lands below it either, no fraction of the level can be admitted, and
-the level is skipped without a scan.  Any other level, including one with a
-fraction inside the margin or a pre-check solve that raises, gets the same
-warm-started ``scan_fractions`` as before, so every candidate comes from
-the same scan and the records cannot change.
+residual from below by its least-squares residual
+(``model_selection._least_squares_bounds``: one LAPACK Householder QR of
+each fraction's [K | r], without Q, a chunk of fractions at a time) and
+solves NNLS only for the fractions whose bound lies below the walk's limit,
+that target times 1 + ``_PRECHECK_MARGIN`` (``_admission_limit``, the limit
+of every ladder walk).  If no solve lands below it either, no fraction of
+the level can be admitted, and the level is skipped without a scan.  Any
+other level, including one with a fraction inside the margin or a pre-check
+solve that raises, gets the same warm-started ``scan_fractions`` as before,
+so every candidate comes from the same scan and the records cannot change.
 """
 
 from __future__ import annotations
@@ -42,7 +44,9 @@ from .model_selection import (
     DEFAULT_LADDER,
     Measurement,
     ModelCandidate,
+    _admission_limit,
     _constrained_fit,
+    _least_squares_bounds,
     _level_candidates,
     _walk_ladder,
     select_models,
@@ -67,15 +71,6 @@ FALLBACK_TAU_GRID = tuple(np.round(np.arange(2.5, 5.01, 0.5), 10))
 DEFAULT_ANCHOR_COUNT = 101
 DEFAULT_N_FRAC = 201
 DEFAULT_N_MEAN = 5
-# Relative slack on the pass's largest target in the scan pre-check.  The
-# bound and the pre-check's cold NNLS residuals are rounded, and a cold solve
-# may stop at another point than the scan's warm-started one within the
-# solver's dual tolerance (1e-10 of max |K'r|); both move a residual by far
-# less than 1e-6 of the target, so a skipped level has no fraction that the
-# scan could find below the target.
-_PRECHECK_MARGIN = 1e-6
-# fractions per batched QR of the pre-check, which keeps its workspace small
-_QR_CHUNK = 16
 
 
 @dataclass(eq=False)
@@ -211,23 +206,6 @@ def scan_fractions(
     return FractionScan(residuals, (i0, i0 + 2, i0 + 4))
 
 
-def _least_squares_bounds(stacked: np.ndarray, w: np.ndarray, r: np.ndarray):
-    """Unconstrained least-squares residual of each weighted system
-    (``stacked[i] * w[:, None]``, r).
-
-    Each K gets a Householder QR and the residual is ||r - Q Q'r||^2, formed
-    from the difference so that nothing cancels.  Range K lies in span Q
-    even when K is rank-deficient, so no value exceeds the system's
-    nonnegative residual (Lawson & Hanson 1974, ch. 23).
-    """
-    bounds = np.empty(len(stacked))
-    for s in range(0, len(stacked), _QR_CHUNK):
-        Q = np.linalg.qr(stacked[s : s + _QR_CHUNK] * w[:, None]).Q
-        d = r - (Q @ (r @ Q)[..., None])[..., 0]
-        bounds[s : s + _QR_CHUNK] = np.einsum("fi,fi->f", d, d)
-    return bounds
-
-
 def _may_admit(stacked, w, r, bounds, limit: float) -> bool:
     """Whether any weighted system may have a nonnegative residual below
     ``limit``.
@@ -279,9 +257,8 @@ def generate_models_two_component(
         stacked = family.level_matrices(n_col)[1]
         return n_col, stacked, _least_squares_bounds(stacked, w, r)
 
-    n_l, delta_sq = meas.n_wavelengths, meas.scaling.delta_sq
     for taus in (tuple(tau_grid), FALLBACK_TAU_GRID):
-        limit = max(taus, default=0.0) * n_l * delta_sq * (1.0 + _PRECHECK_MARGIN)
+        limit = _admission_limit(meas, taus)
 
         def fit_level(level):
             n_col, stacked, bounds = level

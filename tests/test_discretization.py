@@ -54,6 +54,46 @@ class TestCollocationGrid:
                 uniform_grid(0.01, np.inf, 5)
 
 
+def hat_basis_loop(collocation_grid, r):
+    """One hat at a time: the reference ``hat_basis_values`` must equal."""
+    c = collocation_grid.points
+    r = np.asarray(r, dtype=float)
+    vals = np.zeros((c.size, r.size))
+    for k in range(c.size):
+        b = np.zeros(r.size)
+        if k > 0:
+            mask = (r >= c[k - 1]) & (r <= c[k])
+            b[mask] = (r[mask] - c[k - 1]) / (c[k] - c[k - 1])
+        if k < c.size - 1:
+            mask = (r > c[k]) & (r <= c[k + 1])
+            b[mask] = (c[k + 1] - r[mask]) / (c[k + 1] - c[k])
+        if k == 0:
+            b[r == c[0]] = 1.0
+        vals[k] = b
+    return vals
+
+
+class TestHatBasis:
+    def test_equals_the_per_hat_loop_bit_for_bit(self):
+        from aeroinv.simulation_study import integration_grid
+
+        igrid = integration_grid()
+        nodes = igrid.points
+        # the nodes, every midpoint and radii outside the grid on both sides
+        off_grid = np.concatenate(
+            ([nodes[0] - 1.0, nodes[0] - 1e-9], 0.5 * (nodes[1:] + nodes[:-1]),
+             [nodes[-1] + 1e-9, nodes[-1] + 1.0])
+        )
+        radii = np.concatenate((nodes, off_grid))
+        sizes = set()
+        for n_col in range(3, nodes.size + 1):
+            cgrid = build_collocation_grid(n_col, igrid)
+            sizes.add(len(cgrid))
+            got = hat_basis_values(cgrid, radii)
+            assert got.tobytes() == hat_basis_loop(cgrid, radii).tobytes()
+        assert len(sizes) > 200
+
+
 class TestAssembly:
     def test_constant_kernel_gives_hat_areas(self):
         igrid = uniform_grid(0.0, 1.0, 101)

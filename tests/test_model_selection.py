@@ -805,7 +805,9 @@ class TestChiSquareCalibration:
 
 class TestSharedLevelFits:
     """Morozov, unconstrained and BIC on one family and one measurement fit
-    each visited level once: one admission NNLS and one least-squares fit."""
+    each visited level at most once (one admission NNLS and one
+    least-squares fit), and a level its least-squares bound settles not at
+    all."""
 
     @pytest.fixture(scope="class")
     def study_inputs(self):
@@ -900,10 +902,29 @@ class TestSharedLevelFits:
             meas, [self.Visiting(family, v) for v in visited]
         )
         morozov, unconstrained, bic = visited
-        assert counts["nnls"] == {dim: 1 for dim in morozov | bic}
-        assert counts["lstsq"] == {dim: 1 for dim in unconstrained | bic}
-        # BIC admits every level Morozov visits, so it reuses their NNLS
+        from aeroinv.model_selection import MOROZOV_TAU, _admission_limit
+
+        fits = {k.interior_dim: f for k, f in family._fits[1].items()}
+
+        def opened(dims, taus):
+            limit = _admission_limit(meas, taus)
+            return {dim for dim in dims if fits[dim].bound < limit}
+
+        grid = DEFAULT_TAU_GRID
+        scored = {
+            dim for dim in opened(bic, grid)
+            if fits[dim].open_targets(fits[dim].nnls_residual, grid)
+        }
+        assert counts["nnls"] == {
+            dim: 1 for dim in opened(morozov, (MOROZOV_TAU,)) | opened(bic, grid)
+        }
+        assert counts["lstsq"] == {
+            dim: 1 for dim in opened(unconstrained, grid) | scored
+        }
+        # BIC admits every level Morozov visits, so it reuses their NNLS,
+        # and the bound settles some of them
         assert morozov <= bic and len(bic) > len(morozov)
+        assert opened(bic, grid) < bic
         monkeypatch.undo()
         expected = self.classical(
             meas, [self.family(study_inputs) for _ in range(3)]
@@ -959,6 +980,110 @@ class TestLevelFitLifetime:
         del family
         kept = (RidgeCurve, SearchState)
         assert [o for o in reachable(ranked) if isinstance(o, kept)] == []
+
+
+class TestBoundSettledLevels:
+    """Every single-material walk first compares each level's least-squares
+    bound with the walk's largest target: a level the bound settles gets no
+    NNLS and no least-squares fit, and every candidate is field for field
+    the one the walk returns with the bound set to 0."""
+
+    METHODS = ("constrained", "morozov", "unconstrained", "bic")
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        from aeroinv.optics import get_material, make_kernel
+        from aeroinv.simulation_study import (
+            forward_extinctions,
+            integration_grid,
+            kernel_rows,
+            parameter_grid,
+            simulate_measurement,
+            study_wavelengths,
+        )
+
+        wl, igrid = study_wavelengths(), integration_grid()
+        rows = kernel_rows(
+            make_kernel(get_material("h2o"), get_material("air")), wl, igrid
+        )
+        draws = []
+        for family, index, seed in [
+            ("rrsb", 44, 5), ("log_normal", 11, 5), ("hedrih", 77, 3)
+        ]:
+            dist = parameter_grid(family)[index]
+            e_true = forward_extinctions(dist, None, wl, grid=igrid, rows=rows)
+            draws.append(simulate_measurement(
+                wl, e_true, 0.30, 300, rng=np.random.default_rng(seed)
+            ))
+        return (rows, wl, igrid), draws
+
+    @staticmethod
+    def run(method, meas, family, kind):
+        """The method's candidates on a fresh family, or NoModels."""
+        from aeroinv.model_selection import invert_morozov
+
+        try:
+            if method == "constrained":
+                return generate_models(meas, family, reg_kind=kind)
+            if method == "morozov":
+                return invert_morozov(meas, family, reg_kind=kind)
+            if method == "unconstrained":
+                return invert_unconstrained(meas, family, reg_kind=kind)
+            return [bic_select(meas, family)[0]]
+        except NoModels:
+            return NoModels
+
+    @staticmethod
+    def assert_same(got, want):
+        if got is NoModels or want is NoModels:
+            assert got is want
+            return
+        assert len(got) == len(want)
+        for c, ref in zip(got, want):
+            for field in dataclasses.fields(c):
+                a, b = getattr(c, field.name), getattr(ref, field.name)
+                if field.name == "kernel":
+                    assert a.entries.tobytes() == b.entries.tobytes()
+                    assert a.fraction_label == b.fraction_label
+                elif isinstance(a, np.ndarray):
+                    assert a.tobytes() == b.tobytes(), field.name
+                elif field.name == "regularizer":
+                    assert a is b
+                else:
+                    assert a == b, field.name
+
+    @pytest.mark.parametrize("kind", ["tikhonov", "twomey"])
+    @pytest.mark.parametrize("draw", [0, 1, 2])
+    def test_settled_levels_get_no_fit_and_change_no_candidate(
+        self, draws, kind, draw, monkeypatch
+    ):
+        import aeroinv.model_selection as ms
+        from aeroinv.simulation_study import KernelLevelCache
+
+        inputs, measurements = draws
+        meas = measurements[draw]
+        counted = TestSharedLevelFits.counted
+        visiting = TestSharedLevelFits.Visiting
+        for method in self.METHODS:
+            # which fit admits a level: the unconstrained walk's is lstsq
+            fit = "lstsq" if method == "unconstrained" else "nnls"
+            runs = []
+            for bound in (True, False):
+                with monkeypatch.context() as patch:
+                    if not bound:
+                        patch.setattr(ms._LevelFit, "bound", 0.0)
+                    visited = set()
+                    family = visiting(KernelLevelCache(*inputs), visited)
+                    counts = counted(patch)
+                    runs.append((self.run(method, meas, family, kind), visited,
+                                 set(counts[fit])))
+            (got, visited, fitted), (want, ref_visited, ref_fitted) = runs
+            self.assert_same(got, want)
+            assert visited == ref_visited
+            # without the bound every visited level is fitted; with it, the
+            # settled ones are not
+            assert ref_fitted == ref_visited
+            assert fitted < visited, method
 
 
 class TestSharedRidgeCurves:

@@ -378,3 +378,20 @@ def test_least_squares_bound_never_exceeds_the_nnls_residual(problem):
         # products K n they subtract
         scale = float(r @ r) + float(np.sum((np.abs(K) @ np.abs(sol.n)) ** 2))
         assert 0.0 <= bound <= sol.residual_sq + 1e-12 * scale
+
+
+@SETTINGS
+@given(weighted_stacks())
+def test_least_squares_bound_never_exceeds_the_lstsq_residual(problem):
+    # the unconstrained walk admits a level by its least-squares residual,
+    # so the bound that settles a level must not exceed that either
+    from aeroinv.model_selection import _least_squares_bounds
+
+    stacked, w, r = problem
+    bounds = _least_squares_bounds(stacked, w, r)
+    for K, bound in zip(stacked * w[:, None], bounds):
+        ls = np.linalg.lstsq(K, r, rcond=None)[0]
+        d = K @ ls - r
+        # the nonnegative test's rounding scale, with the least-squares fit
+        scale = float(r @ r) + float(np.sum((np.abs(K) @ np.abs(ls)) ** 2))
+        assert 0.0 <= bound <= float(d @ d) + 1e-12 * scale

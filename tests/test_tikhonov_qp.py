@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from aeroinv.errors import IllConditioned, TargetOutOfRange
+from aeroinv.errors import IllConditioned, MaxIterations, TargetOutOfRange
 from aeroinv.tikhonov_qp import (
     QpSolution,
     Regularizer,
@@ -113,6 +113,25 @@ class TestSolvers:
             sol = solve_nnls(K, r)
             ref, _ = scipy_nnls(K, r)
             assert sol.n == pytest.approx(ref, abs=1e-8)
+
+    @pytest.mark.xfail(
+        raises=MaxIterations, strict=True,
+        reason="the dual tolerance scales with max |K'r| alone, so on a column "
+        "of norm 1e-104 the Gram loop re-enters a variable on rounding noise "
+        "and cycles to its cap",
+    )
+    def test_nnls_with_a_column_near_1e_minus_104(self):
+        # a hypothesis example of the least-squares bound property; scipy's
+        # compiled NNLS solves it, with residual 0.5
+        from scipy.optimize import nnls as scipy_nnls
+
+        tiny = 6.42336431e-105
+        K = np.array(
+            [[0.0, tiny, 2.0 * tiny], [-1.0, tiny, 1.0], [0.0, tiny, 2.0 * tiny]]
+        )
+        r = np.array([1.0, 0.0, 0.0])
+        sol = solve_nnls(K, r)
+        assert sol.residual_sq == pytest.approx(scipy_nnls(K, r)[1] ** 2)
 
 
 class TestDiscrepancy:
