@@ -195,8 +195,8 @@ def evaluate_distribution(weights, grid: RadiusGrid, r):
     if weights.size != len(grid) - 2:
         raise ValueError("weights length must equal interior dimension")
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(r_arr < grid.r_min) or np.any(r_arr > grid.r_max):
-        raise OutOfRange("radius outside reconstruction domain")
+    if not np.all((r_arr >= grid.r_min) & (r_arr <= grid.r_max)):
+        raise OutOfRange("radius outside reconstruction domain or not a number")
     padded = np.concatenate(([0.0], weights, [0.0]))
     out = np.interp(r_arr, grid.points, padded)
     return out if np.ndim(r) else float(out[0])

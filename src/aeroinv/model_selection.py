@@ -41,6 +41,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import operator
 from dataclasses import dataclass
 from importlib import resources
 
@@ -166,13 +167,18 @@ class Measurement:
             raise ValueError("wavelengths must be strictly increasing")
         if np.any(v <= 0.0):
             raise ValueError("variances must be positive")
-        if self.repeats < 1:
-            raise ValueError("repeats must be at least 1")
+        try:
+            repeats = operator.index(self.repeats)
+        except TypeError:
+            repeats = 0
+        if repeats < 1:
+            raise ValueError(f"repeats must be an integer >= 1, got {self.repeats!r}")
         for arr in (w, m, v):
             arr.setflags(write=False)
         object.__setattr__(self, "wavelengths", w)
         object.__setattr__(self, "mean_extinction", m)
         object.__setattr__(self, "variance", v)
+        object.__setattr__(self, "repeats", repeats)
 
     @property
     def n_wavelengths(self) -> int:

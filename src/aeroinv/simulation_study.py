@@ -231,6 +231,12 @@ def simulate_measurement(
     rng=None,
 ) -> Measurement:
     """Repeated noisy extinction draws summarized by sample mean/variance."""
+    if not repeats >= 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats!r}")
+    if not 0.0 <= noise_fraction < np.inf:
+        raise ValueError(
+            f"noise_fraction must be finite and nonnegative, got {noise_fraction!r}"
+        )
     if rng is None or isinstance(rng, int):
         rng = np.random.default_rng(rng)
     true_e = np.asarray(true_e, dtype=float)

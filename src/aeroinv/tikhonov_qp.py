@@ -6,17 +6,15 @@ is responsible for any back-scaling of the regularization parameter used in
 statistical computations.
 
 The generalized problem  min 0.5*||K n - r||^2 + 0.5*gamma*n'Rn  s.t. n >= 0
-is solved as plain nonnegative least squares on the row-augmented system
-[K; sqrt(gamma)*U] with R = U'U, which leaves the nonnegativity constraint on
-the original variables and preserves the KKT certificate in n-space.  A
-``Regularizer`` holds R with U and U^-1, factored once when it is built,
-and every solver takes one in place of R.  The package's own active-set
-loop on the Gram form solves it, from a caller's passive set or else from
-that of scipy's compiled Lawson-Hanson NNLS on the augmented system (Lawson
-& Hanson 1974, Solving Least Squares Problems, ch. 23).  It returns n as a
-fresh solve on its final passive set once no dual is violated, so its KKT
-check is the one certificate of a constrained solution; for gamma > 0 the
-minimizer is unique, and the start changes the loop's path, not its answer.
+is a nonnegative least-squares problem on the Gram form G = K'K + gamma*U'U,
+c = K'r, with R = U'U.  A ``Regularizer`` holds R with U and U^-1, factored
+once when it is built, and every solver takes one in place of R.  One
+Lawson-Hanson active-set loop (Lawson & Hanson 1974, Solving Least Squares
+Problems, ch. 23) solves it, entered with a caller's passive set or else
+with that of scipy's compiled NNLS on (K, r).  It returns n as a fresh solve
+on its final passive set once no dual is violated, so its KKT check is the
+one certificate of a constrained solution; for gamma > 0 the minimizer is
+unique, and the start changes the loop's path, not its answer.
 
 With the constraints dropped (or at a fixed set of free variables) the
 solution is a ridge solution.  A ``RidgeCurve`` holds one generalized
@@ -44,7 +42,7 @@ a passive set P, starting with every variable free.  Each step has one
 rule.  The trial gamma is the root of P's ridge curve if that root lies
 strictly inside the bracket, and the bracket's log-midpoint otherwise: a
 gamma outside the bracket cannot meet the target, since the residual rises
-with gamma.  The trial is solved by the Gram loop warm-started from P, and
+with gamma.  The trial is solved by the active-set loop entered with P, and
 its residual moves one end of the bracket; its solution's positive set is
 the next P.  A search that meets no target within ``_SEARCH_STEPS`` steps
 raises BracketFailure if an end of the bracket never moved and RootFailure
@@ -164,28 +162,47 @@ def _nnls_gram(G, c, max_iter, dual_tol, init_passive=None):
 
     Entering index is the most negative gradient component; exact ties break
     to the lowest index (Bland-style), which with the iteration cap rules out
-    cycling.  Returns (n, gradient, passive mask).
+    cycling.  A start ``init_passive`` is the passive set the inner loop is
+    entered with, from n = 0 and with no entering variable: every step length
+    is then 0, so the loop drops the passive variables whose solve is
+    nonpositive until the rest are positive, and goes on from there.
+    Returns (n, gradient, passive mask).
     """
     N = c.size
-    passive = np.zeros(N, dtype=bool)
     n = np.zeros(N)
-    iters = 0
-
-    if init_passive is not None and init_passive.any():
-        passive = init_passive.copy()
-        while passive.any():
-            iters += 1
-            if iters > max_iter:
-                raise MaxIterations("warm-started active-set solve exceeded cap")
-            s = _solve_passive(G, c, passive)
-            neg = passive & (s <= 0.0)
-            if not neg.any():
-                n = s
-                break
-            passive &= ~neg
-
     banned = np.zeros(N, dtype=bool)
+    passive = np.zeros(N, dtype=bool) if init_passive is None else init_passive.copy()
+    entered = False
+    iters = 0
     while True:
+        if passive.any():  # false only for a missing or empty start
+            while True:
+                iters += 1
+                if iters > max_iter:
+                    raise MaxIterations(f"active-set iteration cap {max_iter} exceeded")
+                s = _solve_passive(G, c, passive)
+                if entered and s[j] <= 0.0:
+                    # degenerate entry: the new variable came back nonpositive,
+                    # so ban it for this pass instead of cycling on it
+                    passive[j] = False
+                    banned[j] = True
+                    break
+                entered = False
+                neg = passive & (s <= 0.0)
+                if not neg.any():
+                    n = s
+                    banned[:] = False
+                    break
+                idx = np.flatnonzero(neg)
+                # a start's variables have n = 0; where s = 0 too, alpha is 0
+                d = n[idx] - s[idx]
+                alphas = np.divide(n[idx], d, out=np.zeros(d.size), where=d != 0.0)
+                alpha = max(min(alphas.min(), 1.0), 0.0)
+                n = n + alpha * (s - n)
+                drop = np.zeros(N, dtype=bool)
+                drop[idx[alphas <= alpha + 1e-12]] = True
+                n[drop] = 0.0
+                passive &= ~drop
         g = G @ n - c
         w = -g
         w[passive | banned] = -np.inf
@@ -194,31 +211,6 @@ def _nnls_gram(G, c, max_iter, dual_tol, init_passive=None):
             return n, g, passive
         passive[j] = True
         entered = True
-        while True:
-            iters += 1
-            if iters > max_iter:
-                raise MaxIterations(f"active-set iteration cap {max_iter} exceeded")
-            s = _solve_passive(G, c, passive)
-            if entered and s[j] <= 0.0:
-                # degenerate entry: the new variable came back nonpositive,
-                # so ban it for this pass instead of cycling on it
-                passive[j] = False
-                banned[j] = True
-                break
-            entered = False
-            neg = passive & (s <= 0.0)
-            if not neg.any():
-                n = s
-                banned[:] = False
-                break
-            idx = np.flatnonzero(neg)
-            alphas = n[idx] / (n[idx] - s[idx])
-            alpha = max(min(alphas.min(), 1.0), 0.0)
-            n = n + alpha * (s - n)
-            drop = np.zeros(N, dtype=bool)
-            drop[idx[alphas <= alpha + 1e-12]] = True
-            n[drop] = 0.0
-            passive &= ~drop
 
 
 def _dual_tol(c: np.ndarray) -> float:
@@ -226,11 +218,11 @@ def _dual_tol(c: np.ndarray) -> float:
     return 1e-10 * max(np.max(np.abs(c), initial=0.0), 1e-300)
 
 
-def _compiled_passive_set(A: np.ndarray, b: np.ndarray):
-    """Passive set of scipy's compiled Lawson-Hanson NNLS on (A, b), or
-    None if it stopped at its iteration cap."""
+def _compiled_passive_set(K: np.ndarray, r: np.ndarray):
+    """Passive set of scipy's compiled Lawson-Hanson NNLS on (K, r), the
+    unregularized problem, or None if it stopped at its iteration cap."""
     try:
-        x, _ = scipy.optimize.nnls(A, b)
+        x, _ = scipy.optimize.nnls(K, r)
     except RuntimeError:
         return None
     return x > 0.0
@@ -241,12 +233,13 @@ def solve_constrained_tikhonov(
     init_passive: np.ndarray | None = None,
 ) -> QpSolution:
     """Global minimizer of the constrained (generalized) Tikhonov functional
-    on pre-weighted (K, r) with regularizer ``reg`` and gamma >= 0; a
+    on pre-weighted (K, r) with regularizer ``reg`` and finite gamma >= 0; a
     gamma = 0 solve needs no regularizer.
 
     The Gram-form loop starts from ``init_passive`` if given, otherwise from
-    the compiled NNLS on the row-augmented system; a start it cannot finish
-    within the iteration cap is dropped for a start from scratch.
+    the passive set of the compiled NNLS on (K, r), whatever gamma is; a
+    start it cannot finish within the iteration cap is dropped for a start
+    from scratch.
     """
     K = np.asarray(K, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -256,8 +249,8 @@ def solve_constrained_tikhonov(
         raise ValueError("inconsistent problem dimensions")
     if not np.all(np.isfinite(K)) or not np.all(np.isfinite(r)):
         raise ValueError("K and r must be finite")
-    if gamma < 0.0:
-        raise ValueError("gamma must be nonnegative")
+    if not 0.0 <= gamma < np.inf:
+        raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
     if gamma > 0.0 and reg is None:
         raise ValueError("gamma > 0 needs a regularizer")
     N = K.shape[1]
@@ -266,12 +259,7 @@ def solve_constrained_tikhonov(
     if gamma > 0.0:
         G = G + gamma * (reg.cholesky.T @ reg.cholesky)
     if init_passive is None:
-        # only the compiled start reads the row-augmented system
-        A, b = K, r
-        if gamma > 0.0:
-            A = np.vstack([K, np.sqrt(gamma) * reg.cholesky])
-            b = np.concatenate([r, np.zeros(N)])
-        init_passive = _compiled_passive_set(A, b)
+        init_passive = _compiled_passive_set(K, r)
     dual_tol = _dual_tol(c)
     try:
         n, g, passive = _nnls_gram(G, c, 10 * max(N, 1), dual_tol, init_passive)

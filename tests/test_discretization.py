@@ -168,6 +168,13 @@ class TestEvaluateDistribution:
         with pytest.raises(OutOfRange):
             evaluate_distribution(self.weights, self.grid, 1.5)
 
+    def test_nan_radius_is_out_of_range(self):
+        with pytest.raises(OutOfRange):
+            evaluate_distribution(self.weights, self.grid, np.nan)
+        inside = self.grid.points[1]
+        with pytest.raises(OutOfRange):
+            evaluate_distribution(self.weights, self.grid, np.array([inside, np.nan]))
+
 
 class TestQuadratureConsistency:
     def test_forward_consistency_with_simpson(self):

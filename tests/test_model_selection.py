@@ -82,6 +82,14 @@ class TestMeasurementScaling:
         with pytest.raises(ValueError):
             Measurement(np.array([1.0, 2.0]), np.array([1.0]), np.array([1.0, 1.0]))
 
+    def test_repeats_must_be_an_integer_of_at_least_one(self):
+        w, m, v = np.array([1.0, 2.0]), np.ones(2), np.ones(2)
+        for repeats in (1.5, 2.0, "2", None, 0, -3):
+            with pytest.raises(ValueError, match="repeats"):
+                Measurement(w, m, v, repeats)
+        meas = Measurement(w, m, v, np.int64(3))
+        assert meas.repeats == 3 and type(meas.repeats) is int
+
     def test_scaling_fields(self):
         meas = Measurement(
             np.array([1.0, 2.0, 3.0]),

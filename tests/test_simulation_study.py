@@ -132,6 +132,16 @@ class TestSimulateMeasurement:
         assert np.all(ratio >= 0.7) and np.all(ratio <= 1.4)
 
 
+    def test_rejects_bad_repeats_and_noise(self):
+        wl, e = np.array([0.6, 1.2]), np.array([10.0, 20.0])
+        for repeats in (0, -1):
+            with pytest.raises(ValueError, match="repeats"):
+                simulate_measurement(wl, e, 0.3, repeats=repeats, rng=0)
+        for noise in (-0.3, np.nan, np.inf):
+            with pytest.raises(ValueError, match="noise_fraction"):
+                simulate_measurement(wl, e, noise, repeats=3, rng=0)
+
+
 class TestRelativeError:
     def test_zero_reconstruction_is_hundred_percent(self):
         dist = SizeDistribution("log_normal", 1e4, (0.3, 1.8))

@@ -63,8 +63,9 @@ class TestSolvers:
             solve_constrained_tikhonov(K, r, None, 0.5)
         with pytest.raises(ValueError, match="dimensions"):
             solve_constrained_tikhonov(K, r, Regularizer(np.eye(2)), 0.5)
-        with pytest.raises(ValueError, match="nonnegative"):
-            solve_constrained_tikhonov(K, r, Regularizer(np.eye(3)), -1.0)
+        for gamma in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                solve_constrained_tikhonov(K, r, Regularizer(np.eye(3)), gamma)
         assert solve_constrained_tikhonov(K, r, None, 0.0).n == pytest.approx(r)
 
     def test_identity_clamp(self):
@@ -132,6 +133,46 @@ class TestSolvers:
         r = np.array([1.0, 0.0, 0.0])
         sol = solve_nnls(K, r)
         assert sol.residual_sq == pytest.approx(scipy_nnls(K, r)[1] ** 2)
+
+    @pytest.mark.xfail(
+        raises=MaxIterations, strict=True,
+        reason="Gram entries near 1e-260 make the passive solves extremely "
+        "ill-conditioned, and the Gram loop cycles to its cap",
+    )
+    def test_nnls_with_entries_near_1e_minus_130(self):
+        # a tikhonov_problems draw of the property tests; scipy's compiled
+        # NNLS solves it, with residual 54.845
+        from scipy.optimize import nnls as scipy_nnls
+
+        K = np.full((5, 5), 1.5225902635815908e-130)
+        K[0, 1], K[0, 3] = 1.5, -7.4057513282135723
+        K[1, 0] = 7.6430804491910685e-89
+        r = np.array([7.6430804491910685e-89, 1.5, 0.0, -7.4057513282135723, 0.0])
+        sol = solve_nnls(K, r)
+        assert sol.residual_sq == pytest.approx(scipy_nnls(K, r)[1] ** 2)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_start_returns_the_same_bits(self, seed):
+        """With a unique, nondegenerate minimizer (gamma > 0, or gamma = 0
+        and full column rank) the start changes the loop's path, not its
+        answer: no start, all free, none free and random passive sets all
+        return n bit for bit."""
+        rng = np.random.default_rng(300 + seed)
+        for _ in range(25):
+            n = int(rng.integers(1, 10))
+            m = int(rng.integers(n, 16)) if seed % 2 else int(rng.integers(1, 16))
+            K = rng.normal(size=(m, n))
+            r = rng.normal(size=m)
+            M = rng.normal(size=(n, n))
+            reg = Regularizer(M @ M.T + n * np.eye(n))
+            gamma = 0.0 if seed % 2 else 10.0 ** rng.uniform(-4.0, 2.0)
+            starts = [np.ones(n, bool), np.zeros(n, bool)]
+            starts += [rng.uniform(size=n) < 0.5 for _ in range(6)]
+            ref = solve_constrained_tikhonov(K, r, reg, gamma)
+            for start in starts:
+                sol = solve_constrained_tikhonov(K, r, reg, gamma, start)
+                assert sol.n.tobytes() == ref.n.tobytes()
+                assert np.array_equal(sol.active_set, ref.active_set)
 
 
 class TestDiscrepancy:
