@@ -21,19 +21,19 @@ beside them and the series sum is added in the same pass, up to each
 column's truncation order and no further.  Any other call runs D_n downward
 from a start above both the truncation order and |mx| of its chunk.  A
 pass with at least ``_WIDE_INDICES`` indices per column (a kernel family's
-anchor fractions) runs its chunks on min(usable CPUs, chunks) threads: the
-calling thread and a pool created and joined inside the call.  The usable
-CPUs follow the process's CPU affinity, so a caller that wants one core
-restricts its affinity.  Narrower passes run on the calling thread alone.
-The rows are the same either way.  Apart from the output, memory is bounded
-by ``_MIE_BUDGET`` per worker.
+anchor fractions) runs its chunks on a thread pool of min(usable CPUs,
+chunks) workers, created and joined inside the call, while the calling
+thread waits.  The usable CPUs follow the process's CPU affinity, so a
+caller that wants one core restricts its affinity.  Narrower passes run on
+the calling thread alone.  The rows are the same either way.  Apart from
+the output, memory is bounded by ``_MIE_BUDGET`` per worker.
 """
 
 from __future__ import annotations
 
 import csv
 import os
-import threading
+from concurrent import futures
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path, PurePosixPath, PureWindowsPath
@@ -195,7 +195,7 @@ def get_material(name: str) -> IndexTable:
 def interpolate_index(table: IndexTable, l: float) -> complex:
     """Piecewise-linear interpolation of real and imaginary parts at l (um)."""
     w = table.wavelengths
-    if l < w[0] or l > w[-1]:
+    if not w[0] <= l <= w[-1]:  # NaN included
         raise OutOfBand(
             f"wavelength {l} um outside table range [{w[0]}, {w[-1]}] "
             f"for {table.material_name!r}"
@@ -212,8 +212,8 @@ def _interpolate_indices(tables, wavelengths: np.ndarray) -> list[np.ndarray]:
     Raises the scalar calls' OutOfBand for the first out-of-band wavelength,
     naming the first table (in order) that does not cover it.
     """
-    outside = np.array(
-        [(wavelengths < t.wavelengths[0]) | (wavelengths > t.wavelengths[-1])
+    outside = ~np.array(
+        [(wavelengths >= t.wavelengths[0]) & (wavelengths <= t.wavelengths[-1])
          for t in tables]
     )
     if outside.any():
@@ -281,13 +281,15 @@ def _qext_series(m: np.ndarray, x: np.ndarray, weight=None) -> np.ndarray:
     when A is small.
 
     A wide pass, at least ``_WIDE_INDICES`` indices per column, runs its
-    chunks on min(usable CPUs, chunks) threads (see ``_run_pool``): there
+    chunks, longest series first, on a ``ThreadPoolExecutor`` of
+    min(usable CPUs, chunks) workers that lives for this call only: there
     every ufunc call covers about ``_MIE_BUDGET`` elements and releases the
-    GIL.  A narrower pass runs its chunks in order on the calling thread,
-    where threads would only contend for the GIL.  Chunks share nothing but
-    disjoint elements of the output, so the rows do not depend on the
-    worker count.  Apart from the output, memory is bounded by the budget
-    per worker.
+    GIL.  The first error, or an interrupt, cancels the chunks not yet
+    started and is raised once the running ones have finished.  A narrower
+    pass runs its chunks in order on the calling thread, where threads
+    would only contend for the GIL.  Chunks share nothing but disjoint
+    elements of the output, so the rows do not depend on the worker count.
+    Apart from the output, memory is bounded by the budget per worker.
     """
     n_idx, n_wl = m.shape
     n_r = x.shape[1]
@@ -321,15 +323,20 @@ def _qext_series(m: np.ndarray, x: np.ndarray, weight=None) -> np.ndarray:
             q *= weight[ri, None]
         out[:, wi, ri] = q.T
 
-    tasks, workers = chunks(), 1
-    if n_idx >= _WIDE_INDICES:
-        tasks = list(tasks)
-        workers = min(_usable_cpus(), len(tasks))
-    if workers > 1:
-        _run_pool(run_chunk, tasks, workers)
-    else:
-        for task in tasks:
+    if n_idx < _WIDE_INDICES:
+        for task in chunks():
             run_chunk(*task)
+        return out
+    # by largest size parameter, so the longest series start first
+    tasks = sorted(chunks(), key=lambda task: task[0][task[2][-1]], reverse=True)
+    with futures.ThreadPoolExecutor(min(_usable_cpus(), len(tasks))) as pool:
+        try:
+            running = [pool.submit(run_chunk, *task) for task in tasks]
+            for done in futures.as_completed(running):
+                done.result()
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     return out
 
 
@@ -339,45 +346,6 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _run_pool(run_chunk, tasks, workers: int) -> None:
-    """``run_chunk(*task)`` for every task, on the calling thread and
-    ``workers - 1`` threads of a pool that lives for this call only.
-
-    All of them take tasks from one queue, by descending largest size
-    parameter, so the longest series start first; the calling thread works
-    rather than waits, which also spares a thread its own malloc arena.
-    The first error, or an interrupt, stops the queue and is raised once
-    the running tasks have finished; no worker outlives the call.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    tasks.sort(key=lambda task: task[0][task[2][-1]], reverse=True)
-    queue = iter(tasks)
-    lock = threading.Lock()
-    stop = threading.Event()
-
-    def drain():
-        while not stop.is_set():
-            with lock:
-                task = next(queue, None)
-            if task is None:
-                return
-            try:
-                run_chunk(*task)
-            except BaseException:
-                stop.set()
-                raise
-
-    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-        helpers = [pool.submit(drain) for _ in range(workers - 1)]
-        try:
-            drain()
-        finally:
-            stop.set()
-    for helper in helpers:
-        helper.result()
 
 
 def _upward_regime(m: np.ndarray, x: np.ndarray) -> bool:
@@ -564,13 +532,15 @@ def _extinction(m_med, m_parts, r, wavelengths, weight=None) -> np.ndarray:
     m_parts (A, W) in media m_med (W,) at radii r (R,) and wavelengths (W,)."""
     m_med = np.asarray(m_med, dtype=complex)
     m_parts = np.asarray(m_parts, dtype=complex)
+    wavelengths = np.asarray(wavelengths, dtype=float)
+    if not all(np.isfinite(v).all() for v in (m_med, m_parts, r, wavelengths)):
+        raise ValueError("radii, wavelengths and refractive indices must be finite")
     for v in (m_med, m_parts):
         bad = (v.real <= 0.0) | (v.imag < 0.0)
         if bad.any():
             raise ValueError(
                 f"refractive index {v[bad][0]} must have Re > 0 and Im >= 0"
             )
-    wavelengths = np.asarray(wavelengths, dtype=float)
     if np.any(r <= 0.0) or np.any(wavelengths <= 0.0):
         raise ValueError("radius and wavelength must be positive")
     x = 2.0 * np.pi * m_med.real[:, None] * r / wavelengths[:, None]

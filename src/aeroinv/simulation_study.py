@@ -12,6 +12,7 @@ table, ``invert``, serves the CLI and both studies, which share one loop.
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 from dataclasses import dataclass, replace
 
@@ -231,8 +232,12 @@ def simulate_measurement(
     rng=None,
 ) -> Measurement:
     """Repeated noisy extinction draws summarized by sample mean/variance."""
-    if not repeats >= 1:
-        raise ValueError(f"repeats must be at least 1, got {repeats!r}")
+    try:
+        n_draws = operator.index(repeats)
+    except TypeError:
+        n_draws = 0
+    if n_draws < 1:
+        raise ValueError(f"repeats must be an integer >= 1, got {repeats!r}")
     if not 0.0 <= noise_fraction < np.inf:
         raise ValueError(
             f"noise_fraction must be finite and nonnegative, got {noise_fraction!r}"
@@ -241,15 +246,15 @@ def simulate_measurement(
         rng = np.random.default_rng(rng)
     true_e = np.asarray(true_e, dtype=float)
     sd = noise_fraction * true_e
-    draws = true_e + rng.standard_normal((repeats, true_e.size)) * sd
-    if repeats > 1:
+    draws = true_e + rng.standard_normal((n_draws, true_e.size)) * sd
+    if n_draws > 1:
         means = draws.mean(axis=0)
         variances = draws.var(axis=0, ddof=1)
     else:
         means = draws[0]
         variances = np.zeros_like(means)
     variances = np.maximum(variances, VARIANCE_FLOOR)
-    return Measurement(np.asarray(wavelengths, float), means, variances, repeats)
+    return Measurement(np.asarray(wavelengths, float), means, variances, n_draws)
 
 
 def relative_l2_error(

@@ -302,6 +302,22 @@ class TestKernelValue:
         assert diffs[1] < diffs[0]
         assert diffs[2] < diffs[1]
 
+    @pytest.mark.parametrize(
+        "m_med, m_part, r, l",
+        [
+            (1.0, 1.33, np.nan, 1.0),
+            (1.0, 1.33, np.inf, 1.0),
+            (1.0, 1.33, 1.0, np.nan),
+            (1.0, 1.33, 1.0, np.inf),
+            (1.0, complex(np.nan, 0.0), 1.0, 1.0),
+            (1.0, complex(1.33, np.inf), 1.0, 1.0),
+            (np.nan, 1.33, 1.0, 1.0),
+        ],
+    )
+    def test_non_finite_input_is_rejected(self, m_med, m_part, r, l):
+        with pytest.raises(ValueError, match="must be finite"):
+            kernel_value(m_med, m_part, r, l)
+
 
 class TestMixedKernelRows:
     WAVELENGTHS = (0.6, 1.2, 2.3, 3.2)
@@ -334,6 +350,8 @@ class TestMixedKernelRows:
             mixed_kernel_rows(wide, csi, air, 0.5, (1.0, 0.2, 3.5), [0.5])
         with pytest.raises(OutOfBand, match=r"wavelength 4\.0 um .* for 'air'"):
             mixed_kernel_rows(wide, wide, air, 0.5, (1.0, 4.0, 0.05), [0.5])
+        with pytest.raises(OutOfBand, match=r"wavelength nan um .* for 'h2o'"):
+            mixed_kernel_rows(water, csi, air, 0.5, (1.0, np.nan), [0.5])
 
     def test_empty_axes_give_empty_rows(self, materials):
         water, csi, air = materials
@@ -341,6 +359,14 @@ class TestMixedKernelRows:
         assert rows.shape == (1, len(self.WAVELENGTHS), 0)
         rows = mixed_kernel_rows(water, csi, air, [], self.WAVELENGTHS, [0.5])
         assert rows.shape == (0, len(self.WAVELENGTHS), 1)
+
+    @pytest.mark.parametrize("r", [np.nan, np.inf])
+    def test_non_finite_radius_is_rejected(self, materials, r):
+        water, csi, air = materials
+        with pytest.raises(ValueError, match="must be finite"):
+            mixed_kernel_rows(water, csi, air, 0.5, self.WAVELENGTHS, [0.5, r])
+        with pytest.raises(ValueError, match="must be finite"):
+            MieKernel(water, csi, air, 0.5).rows(self.WAVELENGTHS, [r])
 
     def test_single_fraction_matches_mie_qext(self, materials):
         water, csi, air = materials
@@ -526,15 +552,10 @@ class TestSizeSortedPass:
     ):
         chunk_qext = optics._chunk_qext
         main = threading.get_ident()
-        helper_ran = threading.Event()
 
         def poisoned(m, xs):
-            # the calling thread takes chunks too; let a pool thread run one
-            if threading.get_ident() == main:
-                assert helper_ran.wait(timeout=30)
             q = chunk_qext(m, xs)
             if threading.get_ident() != main:
-                helper_ran.set()
                 q[0, 0] = np.nan
             return q
 
@@ -546,6 +567,32 @@ class TestSizeSortedPass:
                 *materials, np.linspace(0.0, 1.0, 11), study_wavelengths(),
                 integration_grid().points,
             )
+        assert threading.active_count() == before
+
+    def test_first_error_cancels_unstarted_chunks(self, materials, monkeypatch):
+        # the 101-anchor family is 89 chunks; once the first one fails, the
+        # chunks not yet started never run
+        chunk_qext = optics._chunk_qext
+        lock, calls = threading.Lock(), []
+
+        def poisoned(m, xs):
+            with lock:
+                calls.append(xs.size)
+                first = len(calls) == 1
+            q = chunk_qext(m, xs)
+            if first:
+                q[0, 0] = np.nan
+            return q
+
+        monkeypatch.setattr(optics, "_chunk_qext", poisoned)
+        monkeypatch.setattr(optics, "_usable_cpus", lambda: 2)
+        before = threading.active_count()
+        with pytest.raises(NonConvergent):
+            mixed_kernel_rows(
+                *materials, np.linspace(0.0, 1.0, 101), study_wavelengths(),
+                integration_grid().points,
+            )
+        assert len(calls) < 8
         assert threading.active_count() == before
 
     def test_narrow_pass_builds_no_pool(self, materials, monkeypatch):

@@ -134,7 +134,7 @@ class TestSimulateMeasurement:
 
     def test_rejects_bad_repeats_and_noise(self):
         wl, e = np.array([0.6, 1.2]), np.array([10.0, 20.0])
-        for repeats in (0, -1):
+        for repeats in (0, -1, 1.5, 2.0, "2"):
             with pytest.raises(ValueError, match="repeats"):
                 simulate_measurement(wl, e, 0.3, repeats=repeats, rng=0)
         for noise in (-0.3, np.nan, np.inf):
