@@ -26,7 +26,8 @@ class DimensionError(AeroinvError):
 
 
 class OutOfRange(AeroinvError):
-    """Radius query outside the reconstruction domain."""
+    """Radius outside the reconstruction domain, or Mie size parameter above
+    the series' bound ``optics._X_MAX``."""
 
 
 class MaxIterations(AeroinvError):

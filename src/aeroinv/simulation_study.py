@@ -17,7 +17,6 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.optimize import brentq
 
 from .discretization import (
@@ -216,6 +215,7 @@ def forward_extinctions(
     rows: np.ndarray | None = None,
 ) -> np.ndarray:
     """True extinctions by the composite Simpson rule on the fine grid."""
+    from scipy.integrate import simpson  # loaded by simulate, study and study2
     if grid is None:
         grid = fine_grid()
     if rows is None:
@@ -261,6 +261,7 @@ def relative_l2_error(
     weights, grid: RadiusGrid, dist: SizeDistribution, eval_grid: RadiusGrid | None = None
 ) -> float:
     """Reconstruction error, percent of the truth's fine-grid L2 norm."""
+    from scipy.integrate import simpson  # loaded by study and study2
     if eval_grid is None:
         eval_grid = fine_grid()
     pts = eval_grid.points
@@ -462,7 +463,9 @@ def _study_truths(config, family):
 
 def _tables(names):
     """Index tables of components a and b and ``MEDIUM``; one name is both."""
-    return [get_material(n) for n in (names[0], names[-1], MEDIUM)]
+    keys = (names[0], names[-1], MEDIUM)
+    tables = {n: get_material(n) for n in set(keys)}
+    return [tables[n] for n in keys]
 
 
 def kernel_family(names, wavelengths) -> KernelFamily:

@@ -31,7 +31,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .discretization import (
     KernelMatrix,
@@ -109,6 +108,8 @@ class KernelFamily:
                 self.integration_grid, grid
             )
             if self.n_fractions > 1:
+                from scipy.interpolate import CubicSpline  # invert2 and study2
+
                 spline = CubicSpline(
                     self.anchor_fractions, stacked, axis=0, bc_type="natural"
                 )

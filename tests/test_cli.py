@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aeroinv
 from aeroinv.cli import (
     MAX_MC_SAMPLES,
     main,
@@ -643,3 +648,54 @@ class TestOneInputPath:
         assert main(["simulate", "--out", str(tmp_path)]) == 1  # a directory
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+DEFERRED = ("scipy.integrate", "scipy.interpolate")
+
+
+def run_fresh(cwd, *steps):
+    """Run the Python statements ``steps`` in one new interpreter and return,
+    after each, which ``DEFERRED`` subpackages it has loaded.  The test
+    process cannot tell: its own imports load both."""
+    code = ["import json, sys", "seen = []"]
+    for step in steps:
+        code += [step, f"seen.append(sorted(set({DEFERRED!r}) & set(sys.modules)))"]
+    code.append("print(json.dumps(seen))")
+    src = str(Path(aeroinv.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "\n".join(code)],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def cli_step(*argv):
+    return f"from aeroinv.cli import main\nif main({list(argv)!r}): sys.exit(1)"
+
+
+class TestColdStart:
+    """``simpson`` and ``CubicSpline`` are imported where they are called, so
+    a cold ``aeroinv invert`` does not pay for scipy.integrate or
+    scipy.interpolate."""
+
+    def test_import_and_invert_load_neither(self, measurement_file, tmp_path):
+        seen = run_fresh(
+            tmp_path, "import aeroinv", "import aeroinv.cli",
+            cli_step("invert", "--measurement", str(measurement_file),
+                     "--out", "inv.json"),
+        )
+        assert seen == [[], [], []]
+        assert json.loads((tmp_path / "inv.json").read_text())["candidates"]
+
+    def test_simulate_then_invert2_each_in_a_new_interpreter(self, tmp_path):
+        simulate = cli_step("simulate", "--materials", "h2o,csi",
+                            "--water-fraction", "0.67", "--out", "mix.csv")
+        assert run_fresh(tmp_path, simulate) == [["scipy.integrate"]]
+        invert2 = cli_step("invert2", "--measurement", "mix.csv",
+                           "--out", "inv2.json")
+        assert run_fresh(tmp_path, invert2) == [["scipy.interpolate"]]
+        record = json.loads((tmp_path / "inv2.json").read_text())
+        assert 0.0 <= record["retrieved_fraction"] <= 1.0

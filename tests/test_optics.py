@@ -2,6 +2,7 @@ import concurrent.futures
 import csv
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from aeroinv import optics
 from aeroinv.discretization import kernel_rows
-from aeroinv.errors import NonConvergent, OutOfBand
+from aeroinv.errors import NonConvergent, OutOfBand, OutOfRange
 from aeroinv.optics import (
     IndexTable,
     MieKernel,
@@ -416,6 +417,43 @@ def row_error(rows, reference):
     """Largest deviation, relative to the maximum of its row."""
     scale = np.abs(reference).max(axis=-1, keepdims=True)
     return float(np.max(np.abs(rows - reference) / scale))
+
+
+class TestSizeParameterBound:
+    """Above ``_X_MAX`` the series would run one Python step per order (about
+    35 min and two 0.5 GB order arrays at x = 6.3e7); the call is refused
+    before any of it."""
+
+    @staticmethod
+    def refused(call):
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(OutOfRange, match="size parameter"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return time.perf_counter() - start, peak
+
+    def test_kernel_value_above_the_bound(self):
+        seconds, peak = self.refused(lambda: kernel_value(1.0, 1.33, 1e7, 1.0))
+        assert seconds < 0.05 and peak < 1e6
+
+    def test_mixed_kernel_rows_above_the_bound(self):
+        h2o, csi, air = (get_material(n) for n in ("h2o", "csi", "air"))
+        radii = np.array([0.5, 1e7])
+        seconds, peak = self.refused(
+            lambda: mixed_kernel_rows(h2o, csi, air, (0.0, 0.5, 1.0),
+                                      study_wavelengths(), radii)
+        )
+        assert seconds < 0.05 and peak < 1e6
+
+    def test_just_below_the_bound_runs(self):
+        r = 0.999 * optics._X_MAX / (2.0 * np.pi)
+        k = kernel_value(1.0, 1.33, np.array([1.0, r]), 1.0)
+        assert np.isfinite(k).all()
+        assert k[1] == pytest.approx(2.0 * np.pi * r**2, rel=0.01)
 
 
 class TestSizeSortedPass:
