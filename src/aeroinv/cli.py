@@ -340,39 +340,46 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=1))
 
 
+# (header, field) of the columns both study report tables end with
+_RUN_COLUMNS = (
+    ("no_model_failures", "no_model_failures"),
+    ("search_failures", "search_failures"), ("avg_time_s", "avg_time"),
+    ("worst_time_s", "worst_time"), ("avg_dim", "avg_dim"), ("runs", "runs"),
+    ("avg_log_marginal_se", "avg_log_marginal_se"),
+    ("worst_log_marginal_se", "worst_log_marginal_se"),
+)
+# (header, field) of each column of the per-method table, after its key
+_METHOD_COLUMNS = (
+    ("avg_l2_pct", "avg_l2"), ("worst_l2_pct", "worst_l2"),
+    ("l2_failures", "l2_failures"), *_RUN_COLUMNS,
+)
+# (header, field) of each column of the per-fraction table, after its key
+_FRACTION_COLUMNS = (
+    ("water_percent", "water_percent"), ("avg_l2_pct", "avg_l2"),
+    ("avg_dev_pct", "avg_dev"), ("worst_dev_pct", "worst_dev"),
+    ("l2_failures", "l2_failures"), ("dev_failures", "dev_failures"),
+    *_RUN_COLUMNS,
+)
+
+
 def _write_report_csv(path: Path, report) -> None:
-    """Flat per-method table mirroring the study's aggregate layout."""
+    """Flat per-method table mirroring the study's aggregate layout, then the
+    per-fraction table of a two-component study."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
-            ["family", "method", "reg_kind", "avg_l2_pct", "worst_l2_pct",
-             "l2_failures", "no_model_failures", "search_failures",
-             "avg_time_s", "worst_time_s", "avg_dim", "runs",
-             "avg_log_marginal_se", "worst_log_marginal_se"]
+            ["family", "method", "reg_kind", *(h for h, _ in _METHOD_COLUMNS)]
         )
-        for (fam, meth, reg), st in sorted(report.method_stats.items()):
-            writer.writerow(
-                [fam, meth, reg, st.avg_l2, st.worst_l2, st.l2_failures,
-                 st.no_model_failures, st.search_failures, st.avg_time,
-                 st.worst_time, st.avg_dim, st.runs, st.avg_log_marginal_se,
-                 st.worst_log_marginal_se]
-            )
+        for key, st in sorted(report.method_stats.items()):
+            writer.writerow([*key, *(getattr(st, f) for _, f in _METHOD_COLUMNS)])
         if report.fraction_stats:
             writer.writerow([])
             writer.writerow(
-                ["family", "reg_kind", "water_percent", "avg_l2_pct", "avg_dev_pct",
-                 "worst_dev_pct", "l2_failures", "dev_failures",
-                 "no_model_failures", "search_failures", "avg_time_s",
-                 "worst_time_s", "avg_dim", "runs", "avg_log_marginal_se",
-                 "worst_log_marginal_se"]
+                ["family", "reg_kind", *(h for h, _ in _FRACTION_COLUMNS)]
             )
             for (fam, reg, _), st in sorted(report.fraction_stats.items()):
                 writer.writerow(
-                    [fam, reg, st.water_percent, st.avg_l2, st.avg_dev,
-                     st.worst_dev, st.l2_failures, st.dev_failures,
-                     st.no_model_failures, st.search_failures, st.avg_time,
-                     st.worst_time, st.avg_dim, st.runs, st.avg_log_marginal_se,
-                     st.worst_log_marginal_se]
+                    [fam, reg, *(getattr(st, f) for _, f in _FRACTION_COLUMNS)]
                 )
 
 

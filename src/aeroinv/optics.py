@@ -19,20 +19,25 @@ column of a call lies in Wiscombe's (1980) regime, Re m >= 1 and small
 enough Im(m) x, the logarithmic derivative D_n(mx) runs upward from cot(mx)
 beside them and the series sum is added in the same pass, up to each
 column's truncation order and no further.  Any other call runs D_n downward
-from a start above both the truncation order and |mx| of its chunk.  A
-pass with at least ``_WIDE_INDICES`` indices per column (a kernel family's
-anchor fractions) runs its chunks on a thread pool of min(usable CPUs,
-chunks) workers, created and joined inside the call, while the calling
-thread waits.  The usable CPUs follow the process's CPU affinity, so a
-caller that wants one core restricts its affinity.  Narrower passes run on
-the calling thread alone.  The rows are the same either way.  Apart from
-the output, memory is bounded by ``_MIE_BUDGET`` per worker.
+from a start above both the truncation order and |mx| of its chunk.  The
+per-column terms of the series are built once per group of consecutive
+chunks, as a table bounded by ``_GROUP_ORDERS`` orders, and each chunk of
+the group adds its indices' part from slices of it; a group of one chunk
+builds them order by order, with no table.  A pass with at least
+``_WIDE_INDICES`` indices per column (a kernel family's anchor fractions)
+runs its groups on a thread pool of min(usable CPUs, groups) workers,
+created and joined inside the call, while the calling thread waits.  The
+usable CPUs follow the process's CPU affinity, so a caller that wants one
+core restricts its affinity.  Narrower passes run on the calling thread
+alone.  The rows are the same either way.  Apart from the output, memory is
+bounded per worker by ``_MIE_BUDGET`` elements and a group's table.
 """
 
 from __future__ import annotations
 
 import csv
 import os
+import threading
 from concurrent import futures
 from dataclasses import dataclass
 from importlib import resources
@@ -65,13 +70,18 @@ _LOGDERIV_MARGIN = 30
 # them holds at most this many (index, column) elements; a downward chunk
 # also at most an eighth as many columns, which bounds its table of orders.
 _MIE_BUDGET = 16_384
-# Indices per column from which a pass runs its chunks on a thread pool.  At
-# 8 or more the chunk width is set by the index count and every ufunc call
-# covers about ``_MIE_BUDGET`` elements; on a narrower pass (one index, as in
-# single-material rows) the ufunc calls are bound by the GIL: 48 x 300 rows
-# cut into two upward chunks took 25.2 ms on two threads against 24.1 ms as
-# one chunk on the calling thread (median of 15, 2 cores).
+# Indices per column from which a pass runs its groups on a thread pool.  At
+# 8 or more the chunk width is set by the index count and a chunk's (index,
+# column) calls cover about ``_MIE_BUDGET`` elements; on a narrower pass (one
+# index, as in single-material rows) the ufunc calls are bound by the GIL:
+# 48 x 300 rows cut into two upward chunks took 25.2 ms on two threads
+# against 24.1 ms as one chunk on the calling thread (median of 15, 2 cores).
 _WIDE_INDICES = 8
+# Series orders, summed over its columns, that a group of chunks may run
+# together (see ``_qext_series``).  Its table of per-column terms takes 32
+# bytes per order and column, so at most 2 MiB; one table for the whole
+# 101-anchor pass would raise its tracemalloc peak by 12 MB.
+_GROUP_ORDERS = 4 * _MIE_BUDGET
 # Largest size parameter the series runs (the study's largest is 73.3): time
 # is linear in x, one Python step per order, 0.36 s at the bound (2 cores).
 _X_MAX = 6_000.0
@@ -259,6 +269,63 @@ def lorentz_lorenz_mix(m1: complex, m2: complex, f1: float) -> complex:
     return m
 
 
+def _c_prod(a, b):
+    """CPython's complex product, ``_Py_c_prod``, of (real, imag) pairs of
+    float arrays: every product rounded, no fused multiply-add."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _c_quot(a, b):
+    """CPython's complex quotient, ``_Py_c_quot``, of (real, imag) pairs of
+    float arrays, for finite nonzero b: Smith's method, which divides
+    through by the part of b that is larger in magnitude."""
+    br, bi = b
+    by_real = np.abs(br) >= np.abs(bi)
+    ratio = np.where(by_real, bi / br, br / bi)
+    denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
+    re = np.where(by_real, a[0] + a[1] * ratio, a[0] * ratio + a[1])
+    im = np.where(by_real, a[1] - a[0] * ratio, a[1] * ratio - a[0])
+    return re / denom, im / denom
+
+
+def _mixed_indices(m_a: np.ndarray, m_b: np.ndarray, fractions) -> np.ndarray:
+    """``lorentz_lorenz_mix(m_a[w], m_b[w], f)`` for every fraction f and
+    wavelength w, shape (F, W), bit for bit, of valid indices m_a and m_b.
+
+    The float arithmetic repeats CPython 3.11's evaluation of the scalar's
+    complex expression: ``m**2`` is 1 * (m m), a real operand becomes a
+    complex with imaginary part 0, and products and quotients are
+    ``_c_prod`` and ``_c_quot``; the square root is numpy's, as there.  A
+    fraction outside [0, 1], a degenerate mix or a non-finite result runs
+    the scalar loop, which raises its first error in its own order.
+    """
+    f = fractions[:, None]
+
+    def part(m, weight):  # weight * (m**2 - 1.0) / (m**2 + 2.0)
+        sq = _c_prod((1.0, 0.0), _c_prod((m.real, m.imag), (m.real, m.imag)))
+        num = (sq[0] - 1.0, sq[1] - 0.0)
+        return _c_quot(_c_prod((weight, 0.0), num), (sq[0] + 2.0, sq[1] + 0.0))
+
+    with np.errstate(all="ignore"):
+        a, b = part(m_a, f), part(m_b, 1.0 - f)
+        lhs = (a[0] + b[0], a[1] + b[1])
+        denom = (1.0 - lhs[0], 0.0 - lhs[1])
+        twice = _c_prod((2.0, 0.0), lhs)
+        msq = np.empty((f.size, m_a.size), dtype=complex)
+        msq.real, msq.imag = _c_quot((1.0 + twice[0], 0.0 + twice[1]), denom)
+        m = np.sqrt(msq)
+        degenerate = (f != 0.0) & (f != 1.0) & (np.hypot(*denom) < 1e-14)
+    m = np.where(m.real < 0.0, -m, m)
+    m.imag[m.imag < 0.0] = 0.0  # rounding noise, as in the scalar
+    m = np.where(f == 1.0, m_a, np.where(f == 0.0, m_b, m))
+    valid = np.all((0.0 <= f) & (f <= 1.0)) and np.isfinite(m).all()
+    if degenerate.any() or not valid:
+        for ma, mb in zip(m_a, m_b):
+            for p in fractions:
+                lorentz_lorenz_mix(ma, mb, float(p))
+    return m
+
+
 def _qext_series(m: np.ndarray, x: np.ndarray, weight=None) -> np.ndarray:
     """Mie extinction efficiencies, shape (A, W, R), for relative indices m of
     shape (A, W) at size parameters x of shape (W, R).
@@ -276,23 +343,34 @@ def _qext_series(m: np.ndarray, x: np.ndarray, weight=None) -> np.ndarray:
     index arrays.  The work arrays thus stay cache-sized, and a column of
     small x never runs the orders of the largest x of its wavelength.
 
+    Consecutive chunks of a pass form groups whose columns run at most
+    ``_GROUP_ORDERS`` series orders together; a chunk that runs more is a
+    group alone.  A group of several chunks builds the per-column terms of
+    every order (``_Terms``) for all its columns first, as one table, and
+    then runs each chunk's kernel on its slices of that table, so a
+    chunk-order makes only its (index, column) calls.  A group of one chunk
+    lets its kernel build them order by order, with no table.
+
     The call checks once whether every (index, column) lies in Wiscombe's
     regime (``_upward_regime``).  If so, every chunk runs the upward pass of
     ``_chunk_qext``; the 48 x 300 rows of one material are a single chunk.
     If not, every chunk runs ``_chunk_qext_downward`` and holds at most
-    ``_MIE_BUDGET // 8`` columns, which bounds its (orders, columns) table
-    when A is small.
+    ``_MIE_BUDGET // 8`` columns, which bounds its table of orders when A is
+    small.
 
     A wide pass, at least ``_WIDE_INDICES`` indices per column, runs its
-    chunks, longest series first, on a ``ThreadPoolExecutor`` of
-    min(usable CPUs, chunks) workers that lives for this call only: there
-    every ufunc call covers about ``_MIE_BUDGET`` elements and releases the
-    GIL.  The first error, or an interrupt, cancels the chunks not yet
-    started and is raised once the running ones have finished.  A narrower
-    pass runs its chunks in order on the calling thread, where threads
-    would only contend for the GIL.  Chunks share nothing but disjoint
-    elements of the output, so the rows do not depend on the worker count.
-    Apart from the output, memory is bounded by the budget per worker.
+    groups, longest series first, on a ``ThreadPoolExecutor`` of
+    min(usable CPUs, groups) workers that lives for this call only.  There
+    a chunk's (index, column) calls cover about ``_MIE_BUDGET`` elements and
+    a group's per-column calls up to its column count, so most calls
+    release the GIL.  The first error, or an interrupt, stops every chunk
+    not yet started: the groups not yet started are cancelled, the running
+    ones stop before their next chunk, and the error is raised once they
+    have returned.  A narrower pass runs its groups in order on the calling
+    thread, where threads would only contend for the GIL.  Chunks share
+    nothing but disjoint elements of the output, so the rows depend neither
+    on the worker count nor on the grouping.  Apart from the output, memory
+    is bounded per worker by the budget and a group's table.
     """
     n_idx, n_wl = m.shape
     n_r = x.shape[1]
@@ -306,19 +384,33 @@ def _qext_series(m: np.ndarray, x: np.ndarray, weight=None) -> np.ndarray:
     else:
         kernel = _chunk_qext_downward
         chunk = max(min(_MIE_BUDGET // n_idx, _MIE_BUDGET // 8), 1)
+    stop = threading.Event()  # set by the first error: no chunk starts after it
 
-    def chunks():
-        """(size parameters of the pass, w0, sorted columns of one chunk)."""
+    def groups():
+        """(size parameters of the pass, w0, sorted columns of one group, the
+        bounds of its chunks within them)."""
         for w0 in range(0, n_wl, wl_per_pass):
             xp = x[w0 : w0 + wl_per_pass].ravel()
             order = np.argsort(xp, kind="stable")
-            for c0 in range(0, order.size, chunk):
-                yield xp, w0, order[c0 : c0 + chunk]
+            bounds = np.append(np.arange(0, order.size, chunk), order.size)
+            cuts, total = [0], 0
+            for i, k in enumerate(np.add.reduceat(_n_trunc(xp[order]), bounds[:-1])):
+                if total + k > _GROUP_ORDERS and i > cuts[-1]:
+                    cuts.append(i)
+                    total = 0
+                total += k
+            cuts.append(bounds.size - 1)
+            for a, b in zip(cuts, cuts[1:]):
+                lo = bounds[a]
+                yield xp, w0, order[lo : bounds[b]], bounds[a : b + 1] - lo
 
-    def run_chunk(xp, w0, cols):
+    def run_chunk(xp, w0, cols, terms=None):
         wi = w0 + cols // n_r
         ri = cols % n_r
-        q = kernel(m_by_wl[wi], xp[cols])
+        if terms is None:
+            q = kernel(m_by_wl[wi], xp[cols])
+        else:
+            q = kernel(m_by_wl[wi], xp[cols], terms)
         if not np.all(np.isfinite(q)):
             raise NonConvergent("Mie series recurrences produced non-finite values")
         np.maximum(q, 0.0, out=q)
@@ -326,18 +418,31 @@ def _qext_series(m: np.ndarray, x: np.ndarray, weight=None) -> np.ndarray:
             q *= weight[ri, None]
         out[:, wi, ri] = q.T
 
+    def run_group(xp, w0, cols, bounds):
+        try:
+            table = _term_table(xp[cols]) if bounds.size > 2 else None
+            for c0, c1 in zip(bounds[:-1], bounds[1:]):
+                if stop.is_set():
+                    return
+                terms = None if table is None else _chunk_terms(table, c0, c1)
+                run_chunk(xp, w0, cols[c0:c1], terms)
+        except BaseException:
+            stop.set()
+            raise
+
     if n_idx < _WIDE_INDICES:
-        for task in chunks():
-            run_chunk(*task)
+        for task in groups():
+            run_group(*task)
         return out
     # by largest size parameter, so the longest series start first
-    tasks = sorted(chunks(), key=lambda task: task[0][task[2][-1]], reverse=True)
+    tasks = sorted(groups(), key=lambda task: task[0][task[2][-1]], reverse=True)
     with futures.ThreadPoolExecutor(min(_usable_cpus(), len(tasks))) as pool:
         try:
-            running = [pool.submit(run_chunk, *task) for task in tasks]
+            running = [pool.submit(run_group, *task) for task in tasks]
             for done in futures.as_completed(running):
                 done.result()
         except BaseException:
+            stop.set()
             pool.shutdown(cancel_futures=True)
             raise
     return out
@@ -362,38 +467,122 @@ def _upward_regime(m: np.ndarray, x: np.ndarray) -> bool:
     return bool(np.all(re >= 1.0) and np.all(m.imag * x.max(axis=1) <= bound))
 
 
-class _SeriesSum:
-    """The extinction sum of one chunk, C columns with ascending size
-    parameters xs and relative indices m of shape (C, A), added order by
-    order; both kernels drive it.
+def _n_trunc(xs: np.ndarray) -> np.ndarray:
+    """Series length of each size parameter: n_trunc = ceil(x + 4 x^(1/3) + 2)."""
+    return np.ceil(xs + 4.0 * np.cbrt(xs) + 2.0).astype(int)
 
-    The series for column x runs to n_trunc = ceil(x + 4 x^(1/3) + 2).  On
-    ascending size parameters the columns still inside their series at order
-    n are a suffix, ``first[n]:``, which in the column-major (C, A) layout is
-    one contiguous block; every step touches only that block.
+
+@dataclass
+class _Terms:
+    """The per-column terms of the extinction sum of C columns with ascending
+    size parameters xs, which do not depend on the index.
+
+    The series for column x runs to its n_trunc (``_n_trunc``).  On
+    ascending size parameters the columns still inside their series at
+    order n are a suffix, ``first[n]:``, and every term covers only that
+    suffix.
 
     With t = D_n/m + n/x, a_n = (t psi_n - psi_{n-1}) / (t xi_n - xi_{n-1}),
     xi_n(x) = psi_n(x) - i chi_n(x).  The Wronskian
     psi_n chi_{n-1} - psi_{n-1} chi_n = -1 turns this into
     Re a_n = psi_n^2/|xi_n|^2 + Im z/|z|^2, z = xi_n^2 t - xi_n xi_{n-1}, so
     the per-index work is one squared modulus and no complex division; b_n
-    is the same with t = D_n m + n/x.  ``xi_step`` adds the psi part, which
-    does not depend on m, once per column; ``add_order`` adds the rest.
+    is the same with t = D_n m + n/x.  ``base`` sums the psi parts,
+    (2n + 1) 2 psi_n^2/|xi_n|^2, and z / (2n + 1) = p_n t + c_n with
+    p_n = xi_n^2 / (2n + 1) and c_n = p_n n / x - xi_n xi_{n-1} / (2n + 1).
+    ``orders`` holds (p_n, c_n) for n = 1 .. n_max: an iterator that adds
+    each order's psi part to ``base`` as it goes (``_column_terms``), or a
+    table, whose ``base`` is complete (``_term_table``).
     """
 
-    def __init__(self, m: np.ndarray, xs: np.ndarray):
-        n_trunc = np.ceil(xs + 4.0 * np.cbrt(xs) + 2.0).astype(int)
-        self.n_max = int(n_trunc[-1])
-        # first column whose series still runs at order n
-        self.first = np.searchsorted(n_trunc, np.arange(self.n_max + 1), side="left")
-        self.xs = xs
-        self.x_col = xs[:, None]
-        # the xi recurrence is real: it runs on interleaved (psi, -chi) pairs
-        self.x_pairs = np.repeat(xs, 2)
-        # sum of (2n + 1) 2 psi_n^2/|xi_n|^2, the psi parts of Re(a_n + b_n)
-        self.base = np.zeros(xs.size)
-        self.psi_sq = np.empty(xs.size)
-        self.abs_sq = np.empty(xs.size)
+    xs: np.ndarray
+    first: np.ndarray
+    base: np.ndarray
+    orders: object
+
+
+def _column_terms(xs: np.ndarray) -> _Terms:
+    """The ``_Terms`` of columns with ascending size parameters xs, built
+    order by order as they are consumed; no order is kept."""
+    n_trunc = _n_trunc(xs)
+    # first column whose series still runs at order n
+    first = np.searchsorted(n_trunc, np.arange(n_trunc[-1] + 1), side="left")
+    base = np.zeros(xs.size)
+    return _Terms(xs, first, base, _term_orders(xs, first, base))
+
+
+def _term_orders(xs, first, base):
+    """Yield (p_n, c_n) for n = 1 .. n_max over the columns ``first[n]:``,
+    adding the psi part of order n to ``base`` (see ``_Terms``).
+
+    xi_n(x) steps up from xi_{-1} and xi_0 on three rolling rows, only for
+    the columns still inside their series: a column stops at its own
+    n_trunc, so the fast-growing chi cannot overflow.  The xi recurrence is
+    real, so it runs on interleaved (psi, -chi) pairs.
+    """
+    x_pairs = np.repeat(xs, 2)
+    psi_sq, abs_sq = np.empty((2, xs.size))
+    prev, cur, new = np.empty((3, xs.size), dtype=complex)
+    prev[:] = np.cos(xs) + 1j * np.sin(xs)
+    cur[:] = np.sin(xs) - 1j * np.cos(xs)
+    for n in range(1, first.size):
+        s = first[n]
+        row = new[s:].view(float)
+        np.divide(2.0 * n - 1.0, x_pairs[2 * s :], out=row)
+        row *= cur[s:].view(float)
+        row -= prev[s:].view(float)
+        ps, ab = psi_sq[s:], abs_sq[s:]
+        np.square(row[0::2], out=ps)
+        np.square(row[1::2], out=ab)
+        ab += ps
+        ps *= (2.0 * n + 1.0) * 2.0
+        base[s:] += ps / ab
+        # a complex divided by the real 2n + 1 is numpy's multiplication by
+        # its reciprocal, so the real arithmetic on float views gives the
+        # same bits
+        inv_w = 1.0 / (2.0 * n + 1.0)
+        p = np.square(new[s:])
+        p.view(float)[:] *= inv_w
+        c = p.view(float) * (n / x_pairs[2 * s :])
+        cross = (new[s:] * cur[s:]).view(float)
+        cross *= inv_w
+        c -= cross
+        yield p, c.view(complex)
+        prev, cur, new = cur, new, prev
+
+
+def _term_table(xs: np.ndarray) -> _Terms:
+    """The ``_Terms`` of columns with ascending size parameters xs, every
+    order kept: 32 bytes per order and column, sum(n_trunc) in all."""
+    terms = _column_terms(xs)
+    terms.orders = list(terms.orders)
+    return terms
+
+
+def _chunk_terms(table: _Terms, c0: int, c1: int) -> _Terms:
+    """The ``_Terms`` of columns c0:c1 of a table, as slices of it."""
+    f = table.first
+    n_max = int(np.searchsorted(f, c1, side="left")) - 1  # n_trunc of column c1 - 1
+    orders = []
+    for n, (p, c) in enumerate(table.orders[:n_max], 1):
+        live = slice(max(c0, f[n]) - f[n], c1 - f[n])  # p_n starts at column f[n]
+        orders.append((p[live], c[live]))
+    first = np.maximum(f[: n_max + 1] - c0, 0)
+    return _Terms(table.xs[c0:c1], first, table.base[c0:c1], orders)
+
+
+class _SeriesSum:
+    """The D_n part of the extinction sum of one chunk, C columns with
+    relative indices m of shape (C, A) and ``_Terms`` terms, added order by
+    order; both kernels drive it.
+
+    In the column-major (C, A) layout the columns still inside their series
+    at order n, ``terms.first[n]:``, are one contiguous block, and every
+    step touches only that block.
+    """
+
+    def __init__(self, m: np.ndarray, terms: _Terms):
+        self.terms = terms
         # t = D_n * factor + n / x, for a_n and b_n; the leading axis keeps
         # each factor's (C, A) block contiguous
         self.factors = np.stack((1.0 / m, m))
@@ -404,50 +593,15 @@ class _SeriesSum:
         self.ratio = np.empty(self.factors.shape, dtype=float)
         self.acc = np.zeros(m.shape)  # sum of (2n + 1) Im z / |z|^2 over a_n, b_n
 
-    def xi_start(self, xi_m1: np.ndarray, xi_0: np.ndarray) -> None:
-        """Write xi_{-1}(x) and xi_0(x) into two complex rows."""
-        xi_m1[:] = np.cos(self.xs) + 1j * np.sin(self.xs)
-        xi_0[:] = np.sin(self.xs) - 1j * np.cos(self.xs)
-
-    def xi_step(self, n: int, new: np.ndarray, cur: np.ndarray, prev: np.ndarray):
-        """xi_n into ``new`` from xi_{n-1} (``cur``) and xi_{n-2} (``prev``),
-        complex rows, for the columns still inside their series, and add the
-        psi part of order n.  A column stops at its own n_trunc, so the
-        fast-growing chi cannot overflow."""
-        s = self.first[n]
-        row = new[s:].view(float)
-        np.divide(2.0 * n - 1.0, self.x_pairs[2 * s :], out=row)
-        row *= cur[s:].view(float)
-        row -= prev[s:].view(float)
-        psi_sq, abs_sq = self.psi_sq[s:], self.abs_sq[s:]
-        np.square(row[0::2], out=psi_sq)
-        np.square(row[1::2], out=abs_sq)
-        abs_sq += psi_sq
-        psi_sq *= (2.0 * n + 1.0) * 2.0
-        self.base[s:] += psi_sq / abs_sq
-
-    def add_order(self, n: int, xi_n, xi_prev, dn: np.ndarray) -> None:
-        """Add the D_n part of order n's term, from xi_n and xi_{n-1}
-        (complex rows) and D_n(mx) (shape (C, A)), for the columns still
-        inside their series."""
-        s = self.first[n]
-        # z / (2n + 1) = p t + c, so Im z / |z|^2 carries the series weight:
-        # p = xi_n^2 / (2n + 1), c = p n / x - xi_n xi_{n-1} / (2n + 1).  A
-        # complex divided by the real 2n + 1 is numpy's multiplication by its
-        # reciprocal, so the real arithmetic on float views gives the same bits
-        inv_w = 1.0 / (2.0 * n + 1.0)
-        p = np.square(xi_n[s:])
-        p.view(float)[:] *= inv_w
-        c = p.view(float) * (n / self.x_pairs[2 * s :])
-        cross = (xi_n[s:] * xi_prev[s:]).view(float)
-        cross *= inv_w
-        c -= cross
-        c = c.view(complex)[:, None]
+    def add_order(self, n: int, p, c, dn: np.ndarray) -> None:
+        """Add the D_n part of order n's term, from its p_n and c_n and D_n(mx)
+        (shape (C, A)), for the columns still inside their series."""
+        s = self.terms.first[n]
         u, z, z_flat = self.u[s:], self.z[:, s:], self.z_flat[:, s:]
         sq, ratio, acc = self.sq[:, s:], self.ratio[:, s:], self.acc[s:]
         np.multiply(dn[s:], p[:, None], out=u)
         np.multiply(u, self.factors[:, s:], out=z)
-        z += c
+        z += c[:, None]
         np.square(z_flat, out=sq)
         np.add(sq[..., 0::2], sq[..., 1::2], out=ratio)
         np.divide(z_flat[..., 1::2], ratio, out=ratio)
@@ -455,20 +609,26 @@ class _SeriesSum:
         acc += ratio[1]
 
     def qext(self) -> np.ndarray:
-        return (self.base[:, None] + self.acc) * (2.0 / self.x_col**2)
+        """Q_ext, shape (C, A), once every order of the terms is added."""
+        xs, base = self.terms.xs, self.terms.base
+        return (base[:, None] + self.acc) * (2.0 / xs[:, None] ** 2)
 
 
-def _chunk_qext(m: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def _chunk_qext(
+    m: np.ndarray, xs: np.ndarray, terms: _Terms | None = None
+) -> np.ndarray:
     """Q_ext, shape (C, A), of C columns with ascending size parameters xs
     and relative indices m of shape (C, A), in one upward pass.
 
     Valid only inside Wiscombe's regime (``_upward_regime``).  Each order n
-    = 1 .. n_max builds xi_n(x) from three rolling rows, steps the
-    logarithmic derivative upward from D_0 = cot(mx),
-    D_n = 1/(n/mx - D_{n-1}) - n/mx, and adds the term of order n, each only
-    for the columns still inside their series (see ``_SeriesSum``).  No
-    order above a column's n_trunc is computed and no table of orders is
-    kept: memory is a few (C, A) work arrays, updated in place.
+    = 1 .. n_max steps the logarithmic derivative upward from
+    D_0 = cot(mx), D_n = 1/(n/mx - D_{n-1}) - n/mx, and adds the term of
+    order n, each only for the columns still inside their series (see
+    ``_SeriesSum``).  ``terms`` are the chunk's slices of its group's table
+    (``_qext_series``); without them the chunk builds its own order by order
+    (``_column_terms``), so no order above a column's n_trunc is computed,
+    no table of orders is kept and memory is a few (C, A) work arrays,
+    updated in place.
 
     Above |mx| the upward step amplifies rounding, by about
     ((2n + 1)/|mx|)^2 an order.  That costs nothing where x is not small,
@@ -476,46 +636,42 @@ def _chunk_qext(m: np.ndarray, xs: np.ndarray) -> np.ndarray:
     keeps only 7 to 10 significant digits (5e-8 relative at worst on the
     mixture family), on values below 1e-10 of their row's maximum.
     """
-    series = _SeriesSum(m, xs)
-    prev, cur, new = np.empty((3, xs.size), dtype=complex)  # rolling xi rows
-    series.xi_start(prev, cur)
-    mx = m * series.x_col
+    terms = _column_terms(xs) if terms is None else terms
+    series = _SeriesSum(m, terms)
+    mx = m * xs[:, None]
     inv_mx = 1.0 / mx
     dn = 1.0 / np.tan(mx)
     rn = np.empty_like(dn)
-    for n in range(1, series.n_max + 1):
-        series.xi_step(n, new, cur, prev)
-        s = series.first[n]
+    for n, (p, c) in enumerate(terms.orders, 1):
+        s = terms.first[n]
         d, r = dn[s:], rn[s:]
         np.multiply(inv_mx[s:], n, out=r)
         np.subtract(r, d, out=d)
         np.reciprocal(d, out=d)
         d -= r
-        series.add_order(n, new, cur, dn)
-        prev, cur, new = cur, new, prev
+        series.add_order(n, p, c, dn)
     return series.qext()
 
 
-def _chunk_qext_downward(m: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def _chunk_qext_downward(
+    m: np.ndarray, xs: np.ndarray, terms: _Terms | None = None
+) -> np.ndarray:
     """``_chunk_qext`` for any index: D_n(mx) runs downward.
 
-    One upward pass builds xi_n(x) for every order into an (orders, C)
-    table.  D_n(mx) then runs downward over all (C, A) at once from D = 0 at
-    max(n_trunc, ceil(max |mx|)) + _LOGDERIV_MARGIN over the chunk (Wiscombe
-    1980, Appl. Opt. 19:1505; the same rule as Bohren and Huffman's BHMIE),
-    and the term of order n is added in the same step.  Starting below |mx|
-    leaves D inaccurate at the low orders: for CsI in air a start at
-    max(n_trunc) + 15 put Q_ext off by up to 12% on the study's fine grid.
+    It needs the terms of every order at once: the chunk's slices of its
+    group's table, or else its own table (``_term_table``).  D_n(mx) then
+    runs downward over all (C, A) at once from D = 0 at
+    max(n_trunc, ceil(max |mx|)) + _LOGDERIV_MARGIN over the chunk
+    (Wiscombe 1980, Appl. Opt. 19:1505; the same rule as Bohren and
+    Huffman's BHMIE), and the term of order n is added in the same step.
+    Starting below |mx| leaves D inaccurate at the low orders: for CsI in
+    air a start at max(n_trunc) + 15 put Q_ext off by up to 12% on the
+    study's fine grid.
     """
-    series = _SeriesSum(m, xs)
-    n_max, x_col = series.n_max, series.x_col
-    # xi[n + 1] holds xi_n(x), n = -1 .. n_max
-    xi = np.zeros((n_max + 2, xs.size), dtype=complex)
-    series.xi_start(xi[0], xi[1])
-    for n in range(1, n_max + 1):
-        series.xi_step(n, xi[n + 1], xi[n], xi[n - 1])
-
-    mx = m * x_col
+    terms = _term_table(xs) if terms is None else terms
+    series = _SeriesSum(m, terms)
+    n_max = len(terms.orders)
+    mx = m * xs[:, None]
     inv_mx = 1.0 / mx
     n_start = max(n_max, int(np.ceil(np.abs(mx).max()))) + _LOGDERIV_MARGIN
     dn = np.zeros(m.shape, dtype=complex)
@@ -526,7 +682,7 @@ def _chunk_qext_downward(m: np.ndarray, xs: np.ndarray) -> np.ndarray:
         np.reciprocal(dn, out=dn)
         np.subtract(rn, dn, out=dn)
         if n - 1 <= n_max:
-            series.add_order(n - 1, xi[n], xi[n - 1], dn)
+            series.add_order(n - 1, *terms.orders[n - 2], dn)
     return series.qext()
 
 
@@ -581,9 +737,7 @@ def mixed_kernel_rows(
     m_a, m_b, m_med = _interpolate_indices(
         (component_a, component_b, medium), wavelengths
     )
-    m_parts = np.empty((fractions.size, wavelengths.size), dtype=complex)
-    for wi, (a, b) in enumerate(zip(m_a, m_b)):
-        m_parts[:, wi] = [lorentz_lorenz_mix(a, b, float(p)) for p in fractions]
+    m_parts = _mixed_indices(m_a, m_b, fractions)
     return _extinction(m_med, m_parts, r, wavelengths, weight=np.pi * r**2)
 
 

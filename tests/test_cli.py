@@ -10,6 +10,7 @@ import pytest
 import aeroinv
 from aeroinv.cli import (
     MAX_MC_SAMPLES,
+    _write_report_csv,
     main,
     parse_config,
     read_measurement,
@@ -18,6 +19,7 @@ from aeroinv.cli import (
 from aeroinv.errors import UsageError
 from aeroinv.model_selection import _SCREEN_DIVISOR, Measurement
 from aeroinv.orthant_mvn import DEFAULT_SAMPLES
+from aeroinv.simulation_study import FractionStats, MethodStats, StudyReport
 
 
 class TestParseConfig:
@@ -107,6 +109,43 @@ class TestMeasurementIo:
         assert np.array_equal(back.mean_extinction, meas.mean_extinction)
         assert np.array_equal(back.variance, meas.variance)
         assert back.repeats == meas.repeats
+
+
+class TestReportCsv:
+    def test_headers_and_rows_byte_for_byte(self, tmp_path):
+        method = MethodStats(
+            runs=12, avg_l2=23.72, worst_l2=61.5, l2_failures=1,
+            no_model_failures=0, search_failures=2, avg_time=0.125,
+            worst_time=1.5, avg_dim=17.25, avg_log_marginal_se=0.0031,
+            worst_log_marginal_se=None,
+        )
+        fraction = FractionStats(
+            water_percent=33.0, runs=4, avg_l2=15.48, avg_dev=1.25,
+            worst_dev=3.5, l2_failures=0, dev_failures=1, no_model_failures=0,
+            search_failures=0, avg_time=0.75, worst_time=0.9, avg_dim=21.0,
+            avg_log_marginal_se=None, worst_log_marginal_se=0.0045,
+        )
+        report = StudyReport(
+            records=(),
+            method_stats={("rrsb", "constrained", "tikhonov"): method},
+            fraction_stats={("log_normal", "tikhonov", 33.0): fraction},
+        )
+        path = tmp_path / "report.csv"
+        _write_report_csv(path, report)
+        assert path.read_bytes() == (
+            b"family,method,reg_kind,avg_l2_pct,worst_l2_pct,l2_failures,"
+            b"no_model_failures,search_failures,avg_time_s,worst_time_s,avg_dim,"
+            b"runs,avg_log_marginal_se,worst_log_marginal_se\r\n"
+            b"rrsb,constrained,tikhonov,23.72,61.5,1,0,2,0.125,1.5,17.25,12,0.0031,"
+            b"\r\n"
+            b"\r\n"
+            b"family,reg_kind,water_percent,avg_l2_pct,avg_dev_pct,worst_dev_pct,"
+            b"l2_failures,dev_failures,no_model_failures,search_failures,"
+            b"avg_time_s,worst_time_s,avg_dim,runs,avg_log_marginal_se,"
+            b"worst_log_marginal_se\r\n"
+            b"log_normal,tikhonov,33.0,15.48,1.25,3.5,0,1,0,0,0.75,0.9,21.0,4,,"
+            b"0.0045\r\n"
+        )
 
 
 @pytest.fixture(scope="module")

@@ -132,6 +132,38 @@ class TestLorentzLorenzMix:
             assert abs(lorentz_lorenz_mix(m1, m2, 1.0) - m1) <= 1e-14
             assert abs(lorentz_lorenz_mix(m1, m2, 0.0) - m2) <= 1e-14
 
+    @staticmethod
+    def scalar_mix(m_a, m_b, fractions):
+        return np.array(
+            [[lorentz_lorenz_mix(a, b, float(f)) for a, b in zip(m_a, m_b)]
+             for f in fractions]
+        )
+
+    def test_vectorized_mix_bit_for_bit_on_the_family(self):
+        # every index of the 101-anchor family, the endpoints f = 0 and 1
+        # included; bytes compare the signs of zeros too
+        m_a, m_b = optics._interpolate_indices(
+            (get_material("h2o"), get_material("csi")), study_wavelengths()
+        )
+        fractions = np.linspace(0.0, 1.0, 101)
+        for a, b in ((m_a, m_b), (m_b, m_a), (m_a, m_a)):
+            mixed = optics._mixed_indices(a, b, fractions)
+            assert mixed.tobytes() == self.scalar_mix(a, b, fractions).tobytes()
+
+    def test_vectorized_mix_bit_for_bit_on_random_indices(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            # real and absorbing indices, Re m on both sides of 1, so both
+            # branches of the complex quotient run
+            m_a, m_b = (
+                rng.uniform(0.05, 5.0, 40)
+                + 1j * rng.choice([0.0, 1.0], 40) * rng.uniform(0.0, 3.0, 40) ** 3
+                for _ in range(2)
+            )
+            fractions = np.concatenate([rng.uniform(0.0, 1.0, 15), [0.0, 0.5, 1.0]])
+            mixed = optics._mixed_indices(m_a, m_b, fractions)
+            assert mixed.tobytes() == self.scalar_mix(m_a, m_b, fractions).tobytes()
+
 
 def reference_qext(m, x):
     """Per-order Mie sum for one size parameter: a_n and b_n by complex
@@ -591,8 +623,8 @@ class TestSizeSortedPass:
         chunk_qext = optics._chunk_qext
         main = threading.get_ident()
 
-        def poisoned(m, xs):
-            q = chunk_qext(m, xs)
+        def poisoned(m, xs, *terms):
+            q = chunk_qext(m, xs, *terms)
             if threading.get_ident() != main:
                 q[0, 0] = np.nan
             return q
@@ -613,11 +645,11 @@ class TestSizeSortedPass:
         chunk_qext = optics._chunk_qext
         lock, calls = threading.Lock(), []
 
-        def poisoned(m, xs):
+        def poisoned(m, xs, *terms):
             with lock:
                 calls.append(xs.size)
                 first = len(calls) == 1
-            q = chunk_qext(m, xs)
+            q = chunk_qext(m, xs, *terms)
             if first:
                 q[0, 0] = np.nan
             return q
@@ -631,6 +663,83 @@ class TestSizeSortedPass:
                 integration_grid().points,
             )
         assert len(calls) < 8
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize(
+        "group_orders", [0, 10**9], ids=["one_chunk", "whole_pass"]
+    )
+    def test_family_rows_independent_of_grouping(
+        self, materials, family_rows, monkeypatch, group_orders, workers
+    ):
+        # a group of one chunk streams its terms; one group of every chunk
+        # slices them all from one table
+        monkeypatch.setattr(optics, "_GROUP_ORDERS", group_orders)
+        monkeypatch.setattr(optics, "_usable_cpus", lambda: workers)
+        rows = mixed_kernel_rows(
+            *materials, np.linspace(0.0, 1.0, 101), study_wavelengths(),
+            integration_grid().points,
+        )
+        assert np.array_equal(rows, family_rows)
+
+    def test_family_pass_peak_memory(self, materials, monkeypatch):
+        monkeypatch.setattr(optics, "_usable_cpus", lambda: 1)
+        args = (
+            *materials, np.linspace(0.0, 1.0, 101), study_wavelengths(),
+            integration_grid().points,
+        )
+        tracemalloc.start()
+        try:
+            rows = mixed_kernel_rows(*args)
+            peak = tracemalloc.get_traced_memory()[1] - rows.nbytes
+        finally:
+            tracemalloc.stop()
+        # 6.5 MB: 4.6 MB of chunk work arrays, as before groups existed, and
+        # one group's table of at most 2 MiB; one table for the whole pass
+        # would peak at 16.9 MB
+        assert peak <= 8e6
+
+    def test_failed_chunk_stops_its_group_and_unstarted_groups(
+        self, materials, monkeypatch
+    ):
+        chunk_qext = optics._chunk_qext
+        lock, calls, failed_at = threading.Lock(), [], []
+
+        def poisoned(m, xs, *terms):
+            with lock:
+                calls.append(threading.get_ident())
+                poison = len(calls) == poison_at
+            q = chunk_qext(m, xs, *terms)
+            if poison:
+                q[0, 0] = np.nan
+                with lock:
+                    failed_at.append(len(calls))
+            return q
+
+        monkeypatch.setattr(optics, "_chunk_qext", poisoned)
+        args = (
+            *materials, np.linspace(0.0, 1.0, 101), study_wavelengths(),
+            integration_grid().points,
+        )
+        # one worker: the first group holds more than two chunks, so the
+        # failure of its second chunk ends the pass there
+        monkeypatch.setattr(optics, "_usable_cpus", lambda: 1)
+        poison_at = 2
+        with pytest.raises(NonConvergent):
+            mixed_kernel_rows(*args)
+        assert len(calls) == 2
+        # two workers: the failing thread starts no chunk after its failure;
+        # the other thread may begin one before it sees the failure
+        monkeypatch.setattr(optics, "_usable_cpus", lambda: 2)
+        calls.clear()
+        failed_at.clear()
+        poison_at = 1
+        before = threading.active_count()
+        with pytest.raises(NonConvergent):
+            mixed_kernel_rows(*args)
+        failing, later = calls[0], calls[failed_at[0] :]
+        assert failing not in calls[1:]
+        assert len(later) <= 1
         assert threading.active_count() == before
 
     def test_narrow_pass_builds_no_pool(self, materials, monkeypatch):
