@@ -32,8 +32,10 @@ starts on the level's ridge curve, goes on to passive-set ridge curves and
 bisects its log-gamma bracket where no curve has a root in it) and its
 single-factor "morozov" variant; unconstrained (least squares, then the
 level's ridge curve, whose eigendecomposition also gives the Gaussian
-evidence in closed form); and BIC, which admits a level by the nonnegative
-fit and scores its least-squares fit.
+evidence in closed form: one stacked pass per level roots, fits, certifies
+and scores every open target at once, with the bits of one target at a
+time); and BIC, which admits a level by the nonnegative fit and scores its
+least-squares fit.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ from .orthant_mvn import (
 from .tikhonov_qp import (
     Regularizer,
     SearchState,
+    _row_dots,
     solve_discrepancy,
     solve_nnls,
 )
@@ -368,23 +371,18 @@ def _constrained_fit(search, base_res, target_sq):
     return gamma, sol.n, sol.residual_sq
 
 
-def _ridge_fit(search, base_res, target_sq):
-    """Unconstrained discrepancy solution on the level's all-free curve."""
-    curve, root = search.root(None, target_sq)
-    return curve.discrepancy(target_sq, root)
-
-
 def _level_candidates(forward, kernel, meas, tau_grid, reg_kind, base_res, fit):
-    """Candidates for the level ``kernel`` of ``forward`` (empty if none
-    admissible).
+    """Constrained candidates for the level ``kernel`` of ``forward`` (empty
+    if none admissible).
 
     ``base_res`` is the level's unregularized residual, which decides the
     admissible targets.  One pass of the level's search state
     (``_LevelFit.search``) is opened over them, so each ridge curve roots
     them all in one call and each search after the first starts from the
     positive set of the last one that returned; ``fit(search, base_res,
-    target)`` maps each target, in ascending order, to ``(gamma, weights,
-    residual_sq)`` on the weighted system.
+    target)``, ``_constrained_fit`` or a caller's wrapper of it, maps each
+    target, in ascending order, to ``(gamma, weights, residual_sq)`` on the
+    weighted system.
     """
     level = _level_fit(forward, kernel, meas)
     targets = level.open_targets(base_res, tau_grid)
@@ -392,24 +390,30 @@ def _level_candidates(forward, kernel, meas, tau_grid, reg_kind, base_res, fit):
         return []
     search = level.search(reg_kind)
     search.begin(t for _, t in targets)
-    out = []
+    fits = []
     for tau, target in targets:
         try:
-            gamma, weights, res = fit(search, base_res, target)
+            fits.append((tau, *fit(search, base_res, target)))
         except (TargetOutOfRange, BracketFailure):
             continue
-        out.append(
-            ModelCandidate(
-                weights=weights,
-                kernel=kernel,
-                regularizer=search.reg,
-                gamma=gamma,
-                tau=tau,
-                residual_sq=res,
-                fraction=kernel.fraction_label,
-            )
+    return _candidates(kernel, search.reg, fits)
+
+
+def _candidates(kernel, reg, fits):
+    """A candidate on the level ``kernel`` under ``reg`` for each ``(tau,
+    gamma, weights, residual_sq)`` of ``fits``."""
+    return [
+        ModelCandidate(
+            weights=weights,
+            kernel=kernel,
+            regularizer=reg,
+            gamma=gamma,
+            tau=tau,
+            residual_sq=res,
+            fraction=kernel.fraction_label,
         )
-    return out
+        for tau, gamma, weights, res in fits
+    ]
 
 
 def _walk_ladder(meas, kernel_builder, ladder, fit_level, max_levels):
@@ -620,10 +624,16 @@ def _rank(candidates, log_marginals):
     post = np.exp(values - values.max())
     post /= post.sum()
     enriched = [
-        dataclasses.replace(
-            c,
+        ModelCandidate(
+            weights=c.weights,
+            kernel=c.kernel,
+            regularizer=c.regularizer,
+            gamma=c.gamma,
+            tau=c.tau,
+            residual_sq=c.residual_sq,
             log_marginal=float(lm),
             posterior=float(p),
+            fraction=c.fraction,
             log_marginal_se=getattr(lm, "std_error", None),
             log_marginal_samples=getattr(lm, "samples", None),
             log_marginal_tilted=getattr(lm, "tilted", None),
@@ -728,22 +738,22 @@ def invert_morozov(
     return [dataclasses.replace(candidates[0], posterior=1.0)]
 
 
-def _log_evidence_unconstrained(level, candidate, meas):
-    """Closed-form Gaussian evidence (no orthant restriction) of a candidate
-    on the level whose fits are ``level``.
+def _log_evidence_unconstrained(curve, gamma, residual_sq, meas):
+    """Closed-form Gaussian evidence (no orthant restriction) of the ridge
+    solutions at ``gamma`` (one or an array) with residuals ``residual_sq``
+    on the level's all-free ``curve``.
 
     On the weighted system the statistical precision is
-    (K'K + gamma R) / delta^2, so the level's shared ridge curve
-    diagonalizes it: with y its coefficients at gamma, the misfit is
-    (residual + gamma y'y) / delta^2, with the residual the candidate's own
-    (its ridge solution at gamma), and the prior-to-posterior determinant
-    ratio is prod gamma / (lam + gamma); det V cancels.
+    (K'K + gamma R) / delta^2, so the ridge curve diagonalizes it: with y
+    its coefficients at gamma, the misfit is (residual + gamma y'y) /
+    delta^2, and the prior-to-posterior determinant ratio is
+    prod gamma / (lam + gamma), summed as logs along each row; det V
+    cancels.
     """
-    curve = level.search(candidate.regularizer.kind).curve()
-    gamma = candidate.gamma
     y = curve.coefficients(gamma)
-    misfit = (candidate.residual_sq + gamma * float(y @ y)) / level.delta_sq
-    log_det_ratio = -float(np.sum(np.log1p(curve.eigenvalues / gamma)))
+    misfit = (residual_sq + gamma * _row_dots(y)) / meas.scaling.delta_sq
+    log_ratios = np.log1p(curve.eigenvalues / np.asarray(gamma)[..., None])
+    log_det_ratio = -log_ratios.sum(axis=-1)
     return -0.5 * misfit + 0.5 * log_det_ratio - meas.log_likelihood_normalizer
 
 
@@ -756,17 +766,37 @@ def invert_unconstrained(
     max_disc: int = DEFAULT_MAX_DISC,
 ) -> list[ModelCandidate]:
     """Same pipeline with the constraints dropped and analytic evidence.  A
-    level its least-squares bound settles gets no least-squares fit."""
+    level its least-squares bound settles gets no least-squares fit.
+
+    Each level is one stacked pass on its all-free ridge curve: one
+    ``roots`` call for its open targets, then the weights, certificates and
+    evidence of every rooted target at once.  A target with no root is
+    skipped; the first root, in tau order, that fails its certificate
+    raises RootFailure.
+    """
     limit = _admission_limit(meas, tau_grid)
 
     def fit_level(kernel):
         fits = _level_fit(kernel_builder, kernel, meas)
         if fits.bound >= limit:
             return []
-        level = _level_candidates(
-            kernel_builder, kernel, meas, tau_grid, reg_kind, fits.lstsq[1], _ridge_fit
+        opened = fits.open_targets(fits.lstsq[1], tau_grid)
+        if not opened:
+            return []
+        search = fits.search(reg_kind)
+        targets = [t for _, t in opened]
+        search.begin(targets)
+        curve, roots = search.roots(None, targets)
+        rooted = np.isfinite(roots)
+        if not rooted.any():
+            return []
+        gamma, weights, res = curve.discrepancy(
+            np.array(targets)[rooted], roots[rooted]
         )
-        return [(c, _log_evidence_unconstrained(fits, c, meas)) for c in level]
+        log_marginals = _log_evidence_unconstrained(curve, gamma, res, meas)
+        taus = [tau for (tau, _), ok in zip(opened, rooted) if ok]
+        fitted = zip(taus, gamma.tolist(), weights, res.tolist())
+        return list(zip(_candidates(kernel, search.reg, fitted), log_marginals.tolist()))
 
     scored = _walk_ladder(meas, kernel_builder, ladder, fit_level, max_disc)
     return _rank([c for c, _ in scored], [lm for _, lm in scored])

@@ -245,7 +245,9 @@ def lorentz_lorenz_mix(m1: complex, m2: complex, f1: float) -> complex:
     """Effective refractive index of a two-component mixture.
 
     Solves (m^2 - 1)/(m^2 + 2) = f1*L(m1) + (1 - f1)*L(m2) for m, taking the
-    root with positive real part and nonnegative imaginary part.
+    root with positive real part and nonnegative imaginary part.  An index
+    whose square overflows (|m| above about 1.3e154) raises DegenerateMix,
+    as does a right-hand side within 1e-14 of 1.
     """
     if not 0.0 <= f1 <= 1.0:
         raise ValueError("f1 must lie in [0, 1]")
@@ -255,7 +257,13 @@ def lorentz_lorenz_mix(m1: complex, m2: complex, f1: float) -> complex:
         return m1
     if f1 == 0.0:
         return m2
-    lhs = f1 * (m1**2 - 1.0) / (m1**2 + 2.0) + (1.0 - f1) * (m2**2 - 1.0) / (m2**2 + 2.0)
+    try:
+        lhs = (
+            f1 * (m1**2 - 1.0) / (m1**2 + 2.0)
+            + (1.0 - f1) * (m2**2 - 1.0) / (m2**2 + 2.0)
+        )
+    except OverflowError as exc:
+        raise DegenerateMix(f"mixing {m1} with {m2} overflows: {exc}") from exc
     denom = 1.0 - lhs
     if abs(denom) < 1e-14:
         raise DegenerateMix("mixing relation right-hand side equals 1")

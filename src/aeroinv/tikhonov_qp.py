@@ -25,13 +25,20 @@ O(N * N_lambda) per gamma.  It is computed in standard form, from the
 singular values and singular vectors of K U^-1, so that K'K is never
 formed and the small eigenvalues keep their accuracy; the left singular
 vectors also give the residual in closed form (the secular equation).
+``evaluate`` and ``discrepancy`` take a stack of gamma as well as one: the
+coefficients of every gamma form the rows of one array, and n, K n - r and
+the residuals come from one stacked ``np.matmul`` each, whose per-row
+products are the BLAS calls of a single gamma, so a stack equals its rows
+evaluated alone bit for bit; a single gamma runs the same code with no
+stack axis.
 
 The discrepancy principle picks gamma so that the residual equals a target.
 The residual increases strictly with gamma.  On a ridge curve every target
-of a level is solved at once: the closed-form residual on a grid of log
-gamma brackets each root, and a vectorized, safeguarded Newton iteration on
-log gamma finishes inside the bracket.  The unconstrained fit recomputes
-the residual from n at its root, which must meet the target within
+of a level is solved at once: the closed-form residual (and nothing else)
+on a fixed grid of log gamma brackets each root, and a vectorized,
+safeguarded Newton iteration on log gamma finishes inside the bracket.  The
+unconstrained fit recomputes the residual from n at its roots, all in one
+stacked evaluation, and each must meet its target within
 ``_DISCREPANCY_RTOL``: a target the grid cannot bracket raises
 BracketFailure, and a root that fails this certificate RootFailure.  The
 grid spans the whole gamma range of the constrained search, so no other
@@ -94,6 +101,8 @@ _ROOT_GRID = np.log(10.0) * np.arange(
     4 * _LOG_GAMMA_FLOOR, 4 * _LOG_GAMMA_CEILING + 1
 ) / 4.0
 _ROOT_GRID.setflags(write=False)
+_ROOT_GAMMAS = np.exp(_ROOT_GRID)[:, None]  # the grid's gamma, one per row
+_ROOT_GAMMAS.setflags(write=False)
 _NEWTON_RTOL = 1e-2 * _DISCREPANCY_RTOL
 _NEWTON_STEPS = 60
 
@@ -314,48 +323,58 @@ class RidgeCurve:
         self.residual_ls = float(d @ d)
         self._lam, self._b_sq = self.eigenvalues[: s.size], b**2
 
-    def coefficients(self, gamma: float) -> np.ndarray:
-        """y = z / (lam + gamma), the solution in the eigenbasis; y'y = n'Rn."""
-        return self.z / (self.eigenvalues + gamma)
+    def coefficients(self, gamma) -> np.ndarray:
+        """y = z / (lam + gamma), the solution in the eigenbasis; y'y = n'Rn.
+        An array of gamma gives one row of y per entry."""
+        return self.z / (self.eigenvalues + np.asarray(gamma)[..., None])
 
-    def evaluate(self, gamma: float):
-        n = self.V @ self.coefficients(gamma)
-        d = self.K @ n - self.r
-        return float(d @ d), n
+    def evaluate(self, gamma):
+        """``(residual_sq, n)`` at ``gamma``, the residual computed from n.
+        An array of gamma gives a residual per entry and n in rows, each
+        equal bit for bit to its gamma evaluated alone."""
+        n = np.matmul(self.V, self.coefficients(gamma)[..., None])[..., 0]
+        res = _row_dots(np.matmul(self.K, n[..., None])[..., 0] - self.r)
+        return (float(res) if res.ndim == 0 else res), n
+
+    def _terms(self, gamma: np.ndarray):
+        """For each gamma of a column, (gamma / (lam + gamma))^2 b^2, whose
+        row sums plus residual_ls are the closed-form residual, and
+        lam + gamma."""
+        shifted = self._lam + gamma
+        return (gamma / shifted) ** 2 * self._b_sq, shifted
 
     def _secular(self, log_gamma: np.ndarray):
         """Closed-form residual at each gamma = exp(log_gamma) and its
         derivative with respect to log gamma."""
-        gamma = np.exp(log_gamma)[:, None]
-        lam = self._lam
-        phi = gamma / (lam + gamma)
-        terms = phi**2 * self._b_sq
-        slope = 2.0 * (terms * (lam / (lam + gamma))).sum(axis=1)
+        terms, shifted = self._terms(np.exp(log_gamma)[:, None])
+        slope = 2.0 * (terms * (self._lam / shifted)).sum(axis=1)
         return self.residual_ls + terms.sum(axis=1), slope
 
     def roots(self, targets) -> np.ndarray:
         """The gamma whose closed-form residual meets each target, all at once.
 
-        The residual on ``_ROOT_GRID``, four points per decade from 1e-30 to
-        1e12, brackets each target between two grid points; safeguarded
-        Newton on log gamma then runs inside that bracket, bisecting
-        whenever a step leaves it.  A target the grid does not bracket, or
-        whose iteration has not converged to within ``_NEWTON_RTOL`` after
-        ``_NEWTON_STEPS`` steps, gets nan.
+        The residual alone on ``_ROOT_GRID``, four points per decade from
+        1e-30 to 1e12, brackets each target between two grid points;
+        safeguarded Newton on log gamma then runs inside that bracket,
+        bisecting whenever a step leaves it.  A target the grid does not
+        bracket, or whose iteration has not converged to within
+        ``_NEWTON_RTOL`` after ``_NEWTON_STEPS`` steps, gets nan.
         """
         targets = np.asarray(targets, dtype=float)
-        ladder = np.maximum.accumulate(self._secular(_ROOT_GRID)[0])
+        grid_res = self.residual_ls + self._terms(_ROOT_GAMMAS)[0].sum(axis=1)
+        ladder = np.maximum.accumulate(grid_res)
         j = np.clip(np.searchsorted(ladder, targets), 1, _ROOT_GRID.size - 1)
         lo, hi = _ROOT_GRID[j - 1], _ROOT_GRID[j]
         f_lo, f_hi = ladder[j - 1] - targets, ladder[j] - targets
         bracketed = (f_lo < 0.0) & (f_hi >= 0.0)
+        tol, unbracketed = _NEWTON_RTOL * targets, ~bracketed
         with np.errstate(divide="ignore", invalid="ignore"):
             t = np.where(bracketed, lo - f_lo * (hi - lo) / (f_hi - f_lo), lo)
             for _ in range(_NEWTON_STEPS):
                 res, slope = self._secular(t)
                 f = res - targets
-                done = np.abs(f) <= _NEWTON_RTOL * targets
-                if (done | ~bracketed).all():
+                done = np.abs(f) <= tol
+                if (done | unbracketed).all():
                     break
                 lo = np.where(f < 0.0, t, lo)
                 hi = np.where(f > 0.0, t, hi)
@@ -364,19 +383,33 @@ class RidgeCurve:
                 t = np.where(done, t, np.where(inside, step, 0.5 * (lo + hi)))
         return np.where(bracketed & done, np.exp(t), np.nan)
 
-    def discrepancy(self, target_sq: float, gamma: float):
+    def discrepancy(self, target_sq, gamma):
         """``(gamma, n, residual_sq)`` at ``gamma``, the target's entry of
-        ``roots``.  No root (nan: the grid of ``roots`` cannot bracket the
-        target) raises BracketFailure.  The residual is recomputed from n at
-        the root; one outside ``_DISCREPANCY_RTOL`` of the target raises
-        RootFailure.
+        ``roots``; arrays of targets and their roots give arrays (n in
+        rows) from one stacked ``evaluate``.  A nan root (the grid of
+        ``roots`` cannot bracket the target) raises BracketFailure before
+        anything is evaluated.  The residual is recomputed from n at the
+        root; the first one outside ``_DISCREPANCY_RTOL`` of its target
+        raises RootFailure.
         """
-        if not np.isfinite(gamma):
-            raise BracketFailure(f"no ridge-curve root for target {target_sq}")
+        target_sq = np.asarray(target_sq, dtype=float)
+        gamma = np.asarray(gamma, dtype=float)
+        unrooted = np.flatnonzero(~np.isfinite(gamma))
+        if unrooted.size:
+            t = float(np.ravel(target_sq)[unrooted[0]])
+            raise BracketFailure(f"no ridge-curve root for target {t}")
         res, n = self.evaluate(gamma)
-        if abs(res - target_sq) > _DISCREPANCY_RTOL * target_sq:
-            raise RootFailure(f"ridge root {gamma} misses target {target_sq}: {res}")
-        return float(gamma), n, res
+        miss = np.flatnonzero(np.abs(res - target_sq) > _DISCREPANCY_RTOL * target_sq)
+        if miss.size:
+            g, t, d = (float(np.ravel(a)[miss[0]]) for a in (gamma, target_sq, res))
+            raise RootFailure(f"ridge root {g} misses target {t}: {d}")
+        return (float(gamma) if gamma.ndim == 0 else gamma), n, res
+
+
+def _row_dots(a: np.ndarray):
+    """a_i . a_i for each row of a stack: one ``np.matmul`` whose per-row
+    products are the dot products of the rows alone, bit for bit."""
+    return np.matmul(a[..., None, :], a[..., :, None])[..., 0, 0]
 
 
 class SearchState:
@@ -386,9 +419,9 @@ class SearchState:
     Each passive set P (a boolean mask; None frees every variable) gets one
     ridge curve, built on first use from the columns of P and the principal
     block R_PP: it depends on (K[:, P], r, R_PP) alone.  Each curve keeps a
-    table of its roots.  ``root(P, target)`` looks the target up there; a
-    target not yet in it is rooted together with every other target of the
-    open pass not in it, in one ``RidgeCurve.roots`` call.
+    table of its roots.  ``roots(P, targets)`` looks the targets up there;
+    if one is not yet in it, every target of the open pass and of
+    ``targets`` not in it is rooted in one ``RidgeCurve.roots`` call.
     ``begin(targets)`` opens a pass over ``targets`` and clears ``start``.
     ``solve_discrepancy`` sets ``start`` to the positive set of every
     solution it returns, and the next search on the state starts from that
@@ -418,23 +451,17 @@ class SearchState:
             entry = self._curves[key] = (RidgeCurve(K, self.r, reg), {})
         return entry
 
-    def curve(self) -> RidgeCurve:
-        """The all-free curve, on (K, r, R) itself."""
-        return self._entry(None)[0]
-
-    def root(self, passive, target_sq: float):
-        """``(curve, gamma)``: P's curve and its ``roots`` entry (nan if
-        the grid cannot bracket the target)."""
+    def roots(self, passive, targets):
+        """``(curve, gammas)``: P's curve and the ``roots`` entry of each
+        target, an array (nan where the grid cannot bracket the target)."""
         curve, table = self._entry(passive)
-        gamma = table.get(target_sq)
-        if gamma is None:
+        if any(t not in table for t in targets):
             new = [
-                t for t in dict.fromkeys((*self._targets, target_sq))
+                t for t in dict.fromkeys((*self._targets, *targets))
                 if t not in table
             ]
             table.update(zip(new, curve.roots(new)))
-            gamma = table[target_sq]
-        return curve, gamma
+        return curve, np.array([table[t] for t in targets])
 
 
 def solve_discrepancy(
@@ -509,4 +536,4 @@ def _ridge_root(state: SearchState, passive, target_sq: float) -> float:
     ``passive``: nan if ``passive`` is empty or its curve has no root."""
     if not passive.any():
         return np.nan
-    return float(state.root(passive, target_sq)[1])
+    return float(state.roots(passive, (target_sq,))[1][0])

@@ -601,6 +601,30 @@ class TestUnknownMaterial:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_overflowing_index_is_one_error_line(
+        self, measurement_file, tmp_path, capsys, monkeypatch
+    ):
+        """``invert2`` on a table whose index overflows the mixing relation
+        exits 1 with one ``error:`` line (DegenerateMix) and no traceback."""
+        data_dir = tmp_path / "mat"
+        data_dir.mkdir()
+        (data_dir / "huge.csv").write_text(
+            "wavelength_um,real,imag\n0.3,1e200,0.0\n4.0,1e200,0.0\n"
+        )
+        monkeypatch.setenv("AEROSOL_DATA_DIR", str(data_dir))
+        out = tmp_path / "out.json"
+        code = main(
+            ["invert2", "--materials", "huge,csi", "--measurement",
+             str(measurement_file), "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: mixing")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+        record = json.loads(out.read_text())
+        assert record["error"]["type"] == "DegenerateMix"
+
     def test_material_count_checked(self, capsys):
         assert main(["invert2", "--measurement", "m.csv", "--materials", "h2o"]) == 1
         assert "--materials needs 2" in capsys.readouterr().err

@@ -367,6 +367,7 @@ class TestUnconstrained:
 
     def test_evidence_matches_quadrature(self):
         from aeroinv.model_selection import _level_fit, _log_evidence_unconstrained
+        from aeroinv.tikhonov_qp import RidgeCurve
 
         rng = np.random.default_rng(0)
         K_N = rng.uniform(0.5, 2.0, (4, 2))
@@ -385,7 +386,8 @@ class TestUnconstrained:
             gamma=0.7, tau=1.0, residual_sq=float(np.sum((K_w @ n - r_w) ** 2)),
         )
         level = _level_fit(HandMadeFamily(kernel), kernel, meas)
-        lz = _log_evidence_unconstrained(level, cand, meas)
+        curve = RidgeCurve(level.K, level.r, reg)
+        lz = _log_evidence_unconstrained(curve, cand.gamma, cand.residual_sq, meas)
         R_stat = (0.7 / sc.delta_sq) * np.eye(2)
 
         def integrand(n2, n1):
@@ -434,6 +436,147 @@ class TestUnconstrainedDiscrepancy:
                 assert abs(cand.residual_sq - target) <= _DISCREPANCY_RTOL * target
                 checked += 1
         assert checked > 0
+
+
+class TestStackedUnconstrainedPass:
+    """``invert_unconstrained`` fits, certifies and scores each level's
+    targets in one stacked pass on its ridge curve; it returns what fitting
+    one target at a time returns, field for field."""
+
+    @pytest.fixture(scope="class")
+    def study_inputs(self):
+        from aeroinv.optics import get_material, make_kernel
+        from aeroinv.simulation_study import (
+            forward_extinctions,
+            integration_grid,
+            kernel_rows,
+            parameter_grid,
+            simulate_measurement,
+            study_wavelengths,
+        )
+
+        wl, igrid = study_wavelengths(), integration_grid()
+        rows = kernel_rows(
+            make_kernel(get_material("h2o"), get_material("air")), wl, igrid
+        )
+        draws = []
+        for i, (family, index) in enumerate(
+            [("log_normal", 0), ("rrsb", 44), ("hedrih", 77)]
+        ):
+            dist = parameter_grid(family)[index]
+            e_true = forward_extinctions(dist, None, wl, grid=igrid, rows=rows)
+            draws.append(simulate_measurement(wl, e_true, 0.30, 300, rng=300 + i))
+        return rows, wl, igrid, draws
+
+    @staticmethod
+    def builder(study_inputs):
+        from aeroinv.simulation_study import KernelLevelCache
+
+        rows, wl, igrid, _ = study_inputs
+        return KernelLevelCache(rows, wl, igrid)
+
+    @staticmethod
+    def one_at_a_time(meas, builder, kind):
+        """The ladder walk of ``invert_unconstrained`` fitting one target at
+        a time: a fresh ridge curve per level, one ``roots`` and one
+        ``discrepancy`` call per target, and the closed-form evidence of
+        each candidate written out on its own."""
+        from aeroinv.errors import BracketFailure
+        from aeroinv.model_selection import (
+            DEFAULT_LADDER,
+            DEFAULT_MAX_DISC,
+            _admission_limit,
+            _level_fit,
+            _rank,
+        )
+        from aeroinv.tikhonov_qp import RidgeCurve
+
+        limit = _admission_limit(meas, DEFAULT_TAU_GRID)
+        scored, filled = [], 0
+        for n_col in DEFAULT_LADDER:
+            if n_col - 2 > meas.n_wavelengths:
+                break
+            kernel = builder(n_col)
+            level = _level_fit(builder, kernel, meas)
+            if level.bound >= limit:
+                continue
+            reg = build_regularizer(kind, kernel.interior_dim)
+            curve = RidgeCurve(level.K, level.r, reg)
+            found = []
+            for tau, target in level.open_targets(level.lstsq[1], DEFAULT_TAU_GRID):
+                try:
+                    gamma, n, res = curve.discrepancy(target, curve.roots([target])[0])
+                except BracketFailure:
+                    continue
+                y = curve.coefficients(gamma)
+                misfit = (res + gamma * float(y @ y)) / meas.scaling.delta_sq
+                log_det = -float(np.sum(np.log1p(curve.eigenvalues / gamma)))
+                lm = -0.5 * misfit + 0.5 * log_det - meas.log_likelihood_normalizer
+                cand = ModelCandidate(
+                    weights=n, kernel=kernel, regularizer=reg, gamma=gamma,
+                    tau=tau, residual_sq=res, fraction=kernel.fraction_label,
+                )
+                found.append((cand, lm))
+            if found:
+                scored += found
+                filled += 1
+                if filled >= DEFAULT_MAX_DISC:
+                    break
+        return _rank([c for c, _ in scored], [lm for _, lm in scored])
+
+    @pytest.mark.parametrize("kind", ["tikhonov", "first_diff", "twomey"])
+    def test_every_field_matches_one_target_at_a_time(self, study_inputs, kind):
+        for meas in study_inputs[3]:
+            ranked = invert_unconstrained(
+                meas, self.builder(study_inputs), reg_kind=kind
+            )
+            ref = self.one_at_a_time(meas, self.builder(study_inputs), kind)
+            assert len(ranked) == len(ref) > 1
+            for got, want in zip(ranked, ref):
+                for field in dataclasses.fields(got):
+                    a, b = getattr(got, field.name), getattr(want, field.name)
+                    if field.name == "kernel":
+                        assert a.entries.tobytes() == b.entries.tobytes()
+                    elif isinstance(a, np.ndarray):
+                        assert a.tobytes() == b.tobytes(), field.name
+                    else:
+                        assert a == b, field.name
+
+    def test_first_certificate_miss_in_tau_order_raises(
+        self, study_inputs, monkeypatch
+    ):
+        """Roots moved off two targets of one level fail their certificates:
+        RootFailure names the smaller tau's target, as the walk one target
+        at a time does."""
+        import aeroinv.tikhonov_qp as qp
+        from aeroinv.errors import RootFailure
+
+        meas = study_inputs[3][1]
+        ranked = invert_unconstrained(meas, self.builder(study_inputs))
+        dims = [c.dim for c in ranked]
+        dim = max(dims, key=dims.count)  # the level with the most candidates
+        taus = sorted(c.tau for c in ranked if c.dim == dim)
+        assert len(taus) >= 3
+        target = {
+            tau: tau * meas.n_wavelengths * meas.scaling.delta_sq for tau in taus
+        }
+        # the largest and the second-smallest tau, listed largest first
+        moved = [target[taus[-1]], target[taus[1]]]
+        roots = qp.RidgeCurve.roots
+
+        def moved_roots(self, targets):
+            got = roots(self, targets)
+            if self.V.shape[0] != dim:
+                return got
+            return np.where(np.isin(targets, moved), 10.0, 1.0) * got
+
+        monkeypatch.setattr(qp.RidgeCurve, "roots", moved_roots)
+        with pytest.raises(RootFailure) as stacked:
+            invert_unconstrained(meas, self.builder(study_inputs))
+        with pytest.raises(RootFailure) as alone:
+            self.one_at_a_time(meas, self.builder(study_inputs), "tikhonov")
+        assert f"misses target {float(moved[1])}:" in str(stacked.value)
+        assert str(stacked.value) == str(alone.value)
 
 
 def cho_factor_evidence(candidate, meas, scaling):
@@ -697,6 +840,40 @@ class TestStackedSetupRanking:
                 else:
                     assert a == b, field.name
         assert top_within_noise(ranked) == top_within_noise(ref)
+
+
+class TestRankCopies:
+    def test_ranked_copy_carries_every_field(self):
+        """``_rank`` copies candidates with the ``ModelCandidate``
+        constructor: every field, one added later included, equals that of a
+        ``dataclasses.replace`` copy.  Each field starts as a value of its
+        own, so a field the constructor call leaves out shows."""
+        from aeroinv.model_selection import LogEvidence, _rank
+
+        kernel = make_kernel_matrix(np.eye(3))
+
+        def candidate(tau):
+            values = {f.name: object() for f in dataclasses.fields(ModelCandidate)}
+            values.update(kernel=kernel, tau=tau)  # read by the sort key
+            return ModelCandidate(**values)
+
+        cands = [candidate(0.8), candidate(1.2)]
+        lms = [LogEvidence(-3.0, 0.01, 4096, True), LogEvidence(-1.0, 0.02, 819, False)]
+        post = np.exp(np.array([-2.0, 0.0]))
+        post /= post.sum()
+        ref = [
+            dataclasses.replace(
+                c, log_marginal=float(lm), posterior=float(p),
+                log_marginal_se=lm.std_error, log_marginal_samples=lm.samples,
+                log_marginal_tilted=lm.tilted,
+            )
+            for c, lm, p in zip(cands, lms, post)
+        ][::-1]
+        ranked = _rank(cands, lms)
+        assert len(ranked) == 2
+        for got, want in zip(ranked, ref):
+            for field in dataclasses.fields(ModelCandidate):
+                assert getattr(got, field.name) == getattr(want, field.name), field.name
 
 
 class TestBic:

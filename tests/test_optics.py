@@ -164,6 +164,23 @@ class TestLorentzLorenzMix:
             mixed = optics._mixed_indices(m_a, m_b, fractions)
             assert mixed.tobytes() == self.scalar_mix(m_a, m_b, fractions).tobytes()
 
+    def test_overflowing_index_raises_degenerate_mix(self):
+        """An index whose square overflows is a typed error, from the scalar
+        mix and from the rows of a table holding it (whose vectorized mix
+        falls back to the scalar loop), not an OverflowError."""
+        from aeroinv.errors import DegenerateMix
+
+        with pytest.raises(DegenerateMix, match="overflows"):
+            lorentz_lorenz_mix(1e200 + 0j, 1.33, 0.5)
+        with pytest.raises(DegenerateMix, match="overflows"):
+            lorentz_lorenz_mix(1.33, 1e200 + 0j, 0.5)
+        water, air = get_material("h2o"), get_material("air")
+        huge = IndexTable(np.array([0.3, 4.0]), np.array([1e200 + 0j, 1e200 + 0j]))
+        with pytest.raises(DegenerateMix, match="overflows"):
+            mixed_kernel_rows(huge, water, air, 0.5, [1.0], [0.5])
+        # the pure components need no mix
+        assert lorentz_lorenz_mix(1e200 + 0j, 1.33, 1.0) == 1e200 + 0j
+
 
 def reference_qext(m, x):
     """Per-order Mie sum for one size parameter: a_n and b_n by complex

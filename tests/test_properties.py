@@ -278,6 +278,67 @@ def test_targets_outside_the_window_raise(problem, shift, below):
 
 
 @st.composite
+def stacked_ridge_problems(draw):
+    """A ridge curve on K with N = 1..48 columns and 1..60 rows, of any rank
+    (N > N_lambda and rank-deficient K among them), a stack of 1..12 gamma
+    and the entries of the stack whose targets its certificate misses."""
+    n = draw(st.integers(1, 48))
+    m = draw(st.integers(1, 60))
+    rank = draw(st.integers(1, min(m, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    K = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, n))
+    r = rng.normal(size=m)
+    reg = build_regularizer(draw(st.sampled_from(REGULARIZER_KINDS)), n)
+    size = draw(st.integers(1, 12))
+    gammas = 10.0 ** rng.uniform(-12.0, 6.0, size)
+    misses = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+    return RidgeCurve(K, r, reg), gammas, misses
+
+
+def _outcome(call):
+    """A call's result, or its error's type and message."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@SETTINGS
+@given(stacked_ridge_problems())
+def test_stacked_ridge_evaluation_equals_stacks_of_one(problem):
+    # the unconstrained walk evaluates and certifies a level's roots in one
+    # stacked pass; its records stay those of one gamma at a time
+    curve, gammas, misses = problem
+    res, n = curve.evaluate(gammas)
+    assert res.shape == gammas.shape and n.shape == (gammas.size, curve.V.shape[0])
+    for i, gamma in enumerate(gammas):
+        res_i, n_i = curve.evaluate(gamma)
+        assert n_i.tobytes() == n[i].tobytes()
+        assert np.float64(res_i).tobytes() == res[i].tobytes()
+    # targets met exactly pass every certificate; a missed one raises
+    # RootFailure for the first miss, as the calls one at a time do
+    targets = np.where(misses, 2.0 * res + 1.0, res)
+    got = _outcome(lambda: curve.discrepancy(targets, gammas))
+    alone = [_outcome(lambda: curve.discrepancy(t, g)) for t, g in zip(targets, gammas)]
+    failed = [o for o in alone if isinstance(o[0], type)]
+    if failed:
+        assert got == failed[0]
+    else:
+        g, n_s, res_s = got
+        assert g.tobytes() == gammas.tobytes()
+        for i, (g_i, n_i, res_i) in enumerate(alone):
+            assert g_i == gammas[i]
+            assert n_i.tobytes() == n_s[i].tobytes()
+            assert np.float64(res_i).tobytes() == res_s[i].tobytes()
+    # an unrooted entry raises BracketFailure for the first one
+    unrooted = np.where(misses, np.nan, gammas)
+    if misses.any():
+        first = int(np.argmax(misses))
+        want = _outcome(lambda: curve.discrepancy(targets[first], np.nan))
+        assert _outcome(lambda: curve.discrepancy(targets, unrooted)) == want
+
+
+@st.composite
 def evidence_candidates(draw):
     """A small candidate of any regularizer kind with its measurement."""
     from aeroinv.discretization import KernelMatrix, RadiusGrid

@@ -541,7 +541,7 @@ class TestPassiveSetSearch:
         K, r, reg, target = self.instance(3)
         state = SearchState(K, r, reg)
         state.begin([target])
-        state.root(None, target)  # the all-free curve, built and rooted
+        state.roots(None, [target])  # the all-free curve, built and rooted
         monkeypatch.setattr(qp, "_ridge_root", lambda *a, **k: np.nan)
         gamma, sol = solve_discrepancy(K, r, reg, target)
         built = []
@@ -672,6 +672,60 @@ class TestRidgeCurve:
             nan_seen += int(np.isnan(batched).sum())
             finite_seen += int(np.isfinite(batched).sum())
         assert nan_seen and finite_seen
+
+    # Roots of the curves of ``test_roots_frozen_on_seeded_curves``, one set
+    # per numpy exp: its x86-64-v4 (AVX-512) loop and its baseline loop
+    # round a few arguments differently in the last bit, which moves one
+    # Newton iterate of the first curve.
+    FROZEN_ROOTS = {
+        "x86-64-v4": (
+            "0x1.da1195d732aeap-43", "0x1.1f68fc3385831p-21",
+            "0x1.bd5cce94f4dbfp-12", "0x1.ddcff98d2704cp+0",
+            "0x1.78a9b9d1c864bp-37", "0x1.5f902de773440p-34",
+            "0x1.bfaed449aebf5p-32", "0x1.1536c52eb31d5p-6",
+            "0x1.20c25dcc7231ep-39", "0x1.337df8205aa3ep-30",
+            "0x1.033e2ce341807p-21", "0x1.b2704ec7dc6b1p-10",
+        ),
+        "baseline": (
+            "0x1.da1195d732aeap-43", "0x1.1f68fc3385831p-21",
+            "0x1.bd5cce94f4dbfp-12", "0x1.ddcff98d2704dp+0",
+            "0x1.78a9b9d1c864bp-37", "0x1.5f902de773440p-34",
+            "0x1.bfaed449aebf5p-32", "0x1.1536c52eb31d5p-6",
+            "0x1.20c25dcc7231ep-39", "0x1.337df8205aa3ep-30",
+            "0x1.033e2ce341807p-21", "0x1.b2704ec7dc6b1p-10",
+        ),
+    }
+
+    def test_roots_frozen_on_seeded_curves(self):
+        """``roots`` on three seeded curves (square, N > N_l, and N < N_l
+        with a least-squares residual) returns these bits, so a change that
+        moves an iterate of the grid or of the Newton steps fails here.
+
+        K is diagonal (padded with zero rows or columns) and R a diagonal
+        of powers of 4, so the SVD, its factors and the data are exact
+        whatever BLAS kernels run them, and the data norm is an exactly
+        rounded sum: the bits depend on ``roots`` and numpy's exp alone.
+        """
+        import math
+
+        from aeroinv.tikhonov_qp import RidgeCurve
+
+        got = []
+        for seed, (n_l, N) in enumerate([(20, 20), (12, 20), (30, 8)]):
+            rng = np.random.default_rng(seed)
+            k = min(n_l, N)
+            K = np.zeros((n_l, N))
+            K[np.arange(k), np.arange(k)] = rng.normal(size=k) * 10.0 ** rng.uniform(
+                -6.0, 0.0, k
+            )
+            r = np.zeros(n_l)
+            r[: k + 1] = rng.normal(size=min(k + 1, n_l))
+            R = np.diag(4.0 ** rng.integers(-3, 4, N))
+            curve = RidgeCurve(K, r, Regularizer(R))
+            lo, hi = curve.residual_ls, math.fsum(r**2)
+            targets = [lo + p * (hi - lo) for p in (0.05, 0.3, 0.6, 0.95)]
+            got += [float(g).hex() for g in curve.roots(targets)]
+        assert tuple(got) in self.FROZEN_ROOTS.values()
 
     def test_singular_factor_raises_ill_conditioned(self, monkeypatch):
         """A factor LAPACK cannot invert (info > 0) is a typed error."""
