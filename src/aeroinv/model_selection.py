@@ -11,11 +11,12 @@ Candidates from at most ``max_disc`` levels are ranked by their marginal
 likelihood.
 
 What every method first computes on a level for a measurement (the weighted
-system, its least-squares bound, the admission NNLS residual, the
-least-squares fit and, per regularizer kind, the discrepancy-search state
-with its ridge curves) is computed once and shared: it lives on the forward
-model, a ``KernelFamily``, keyed by the identity of the measurement, so
-every method run on the family reuses it, and it is freed with the family.
+data and kernel matrix, its least-squares bound, the admission NNLS
+residual, the least-squares fit and, per regularizer kind, the
+discrepancy-search state with its ridge curves) is computed once, on first
+use, and shared: it lives on the forward model, a ``KernelFamily``, keyed
+by the identity of the measurement, so every method run on the family
+reuses it, and it is freed with the family.
 
 A level can open a target only if its unregularized residual lies below the
 walk's largest target, max(tau) * N_l * delta^2.  No nonnegative or
@@ -24,8 +25,9 @@ least-squares residual lies below the least-squares bound ||r - Q Q'r||^2
 the two-component one included, first compares that bound with the largest
 target times 1 + ``_PRECHECK_MARGIN`` (``_admission_limit``).  A level whose
 bound reaches it is settled: it opens no target, and the walk computes
-neither its NNLS nor its least-squares fit.  Any other level is fitted as
-before, so every candidate stays the same.
+neither its NNLS nor its least-squares fit and never forms its weighted
+kernel matrix (the bound weights [K | r] in a block of its own).  Any
+other level is fitted as before, so every candidate stays the same.
 
 Fits: constrained (nonnegative fit, constrained Tikhonov, whose search
 starts on the level's ridge curve, goes on to passive-set ridge curves and
@@ -120,9 +122,6 @@ _SCREEN_DIVISOR = 5
 # max |K'r|); both move a residual by far less than 1e-6 of the target, so a
 # settled level has no residual below the target.
 _PRECHECK_MARGIN = 1e-6
-# systems per chunk of ``_least_squares_bounds``, which keeps its workspace
-# small
-_QR_CHUNK = 16
 
 
 @functools.lru_cache(maxsize=None)
@@ -182,6 +181,14 @@ class Measurement:
         object.__setattr__(self, "mean_extinction", m)
         object.__setattr__(self, "variance", v)
         object.__setattr__(self, "repeats", repeats)
+        # every level's weighted data r = m * weights has this norm; no fit
+        # or residual of a level can be formed once it overflows (or once a
+        # variance of the mean underflows to 0).  The scaling is not kept:
+        # ``scaling`` makes it on first use.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            r = m * NoiseScaling.from_measurement(self).normalized_weights
+            if not np.isfinite((r**2).sum()):
+                raise ValueError("the weighted data norm of the means is not finite")
 
     @property
     def n_wavelengths(self) -> int:
@@ -261,8 +268,8 @@ def _least_squares_bounds(stacked: np.ndarray, w: np.ndarray, r: np.ndarray):
     columns, which is never formed.  Range K lies in span Q even when K is
     rank-deficient, so no least-squares or nonnegative residual of the
     system lies below R[N, N]^2 (Lawson & Hanson 1974, ch. 23).  With
-    N >= N_l the bound is 0.  At most ``_QR_CHUNK`` systems are weighted at
-    a time.
+    N >= N_l the bound is 0.  The systems are weighted one at a time into
+    one block, so a stack of one costs one product and one ``dgeqrf``.
     """
     count, n_l, N = stacked.shape
     bounds = np.zeros(count)
@@ -270,17 +277,14 @@ def _least_squares_bounds(stacked: np.ndarray, w: np.ndarray, r: np.ndarray):
         return bounds
     # a C-ordered (N + 1, N_l) block is the column-major [K | r] that
     # dgeqrf factors in place
-    work = np.empty((min(count, _QR_CHUNK), N + 1, n_l))
-    for s in range(0, count, _QR_CHUNK):
-        chunk = stacked[s : s + _QR_CHUNK]
-        blocks = work[: len(chunk)]
-        np.multiply(chunk.transpose(0, 2, 1), w, out=blocks[:, :N])
-        blocks[:, N] = r
-        for i, block in enumerate(blocks, start=s):
-            qr, _, _, info = scipy.linalg.lapack.dgeqrf(block.T, overwrite_a=True)
-            if info != 0:
-                raise AeroinvError(f"Householder QR failed (dgeqrf info {info})")
-            bounds[i] = qr[N, N] ** 2
+    block = np.empty((N + 1, n_l))
+    for i, K in enumerate(stacked):
+        np.multiply(K.T, w, out=block[:N])
+        block[N] = r
+        qr, _, _, info = scipy.linalg.lapack.dgeqrf(block.T, overwrite_a=True)
+        if info != 0:
+            raise AeroinvError(f"Householder QR failed (dgeqrf info {info})")
+        bounds[i] = qr[N, N] ** 2
     return bounds
 
 
@@ -294,25 +298,32 @@ def _admission_limit(meas: Measurement, tau_grid) -> float:
 
 class _LevelFit:
     """One level's fits to one measurement, shared by every method that
-    visits the level: the weighted system, and on first use its
-    least-squares bound, the admission NNLS residual, the least-squares fit
-    and, per regularizer kind, the discrepancy-search state
-    (``tikhonov_qp.SearchState``).  That state holds the ridge curve of
-    every passive set a search on the level has met, each with its table of
-    roots; its all-free curve is the one the unconstrained fit and its
-    evidence read.  A neighbour start it carries serves one pass only: every
-    pass opens with ``SearchState.begin``.  All arrays are read-only."""
+    visits the level: the weighted data, and on first use the weighted
+    kernel matrix, the level's least-squares bound, the admission NNLS
+    residual, the least-squares fit and, per regularizer kind, the
+    discrepancy-search state (``tikhonov_qp.SearchState``).  That state
+    holds the ridge curve of every passive set a search on the level has
+    met, each with its table of roots; its all-free curve is the one the
+    unconstrained fit and its evidence read.  A neighbour start it carries
+    serves one pass only: every pass opens with ``SearchState.begin``.  All
+    arrays are read-only."""
 
     def __init__(self, kernel: KernelMatrix, meas: Measurement):
         w = meas.scaling.normalized_weights
         self.delta_sq = meas.scaling.delta_sq
         self._entries, self._w = kernel.entries, w
-        self.K = kernel.entries * w[:, None]
         self.r = meas.mean_extinction * w
-        self.K.setflags(write=False)
         self.r.setflags(write=False)
-        self.data_norm_sq = float(np.sum(self.r**2))
+        self.data_norm_sq = float((self.r**2).sum())
         self._searches = {}  # regularizer kind -> SearchState
+
+    @functools.cached_property
+    def K(self) -> np.ndarray:
+        """The weighted kernel matrix, formed on first use: a level its
+        least-squares bound settles never forms it."""
+        K = self._entries * self._w[:, None]
+        K.setflags(write=False)
+        return K
 
     def open_targets(self, base_res: float, tau_grid):
         """(tau, target) pairs whose residual target tau * N_l * delta^2

@@ -172,12 +172,17 @@ def _checked(H, v):
     return H, v
 
 
+# LAPACK's Cholesky, the routine scipy.linalg.cholesky resolves for float64
+(_POTRF,) = scipy.linalg.get_lapack_funcs(("potrf",), dtype=np.float64)
+
+
 def _factor(H: np.ndarray):
-    """Upper Cholesky factor U of H = U'U, log det H and H^-1 = U^-1 U^-T."""
-    try:
-        U = scipy.linalg.cholesky(H, lower=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise CholeskyFailure("matrix is not positive definite") from exc
+    """Upper Cholesky factor U of H = U'U, log det H and H^-1 = U^-1 U^-T.
+    ``H`` is a ``_checked`` matrix, so ``_POTRF`` runs without the checks
+    of ``scipy.linalg.cholesky``."""
+    U, info = _POTRF(H, lower=0)
+    if info != 0:
+        raise CholeskyFailure("matrix is not positive definite")
     # LAPACK's triangular inverse: at dimensions up to ~50 a threaded BLAS-3
     # solve against the identity spends more on thread start-up than on work
     U_inv, info = scipy.linalg.lapack.dtrtri(U, lower=0)

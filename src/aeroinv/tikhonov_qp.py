@@ -7,8 +7,9 @@ statistical computations.
 
 The generalized problem  min 0.5*||K n - r||^2 + 0.5*gamma*n'Rn  s.t. n >= 0
 is a nonnegative least-squares problem on the Gram form G = K'K + gamma*U'U,
-c = K'r, with R = U'U.  A ``Regularizer`` holds R with U and U^-1, factored
-once when it is built, and every solver takes one in place of R.  One
+c = K'r, with R = U'U.  A ``Regularizer`` holds R with U, U^-1 and the Gram
+U'U, computed once when it is built, and every solver takes one in place
+of R; a gamma > 0 solve adds gamma * U'U to K'K.  One
 Lawson-Hanson active-set loop (Lawson & Hanson 1974, Solving Least Squares
 Problems, ch. 23) solves it, entered with a caller's passive set or else
 with that of scipy's compiled NNLS on (K, r).  It returns n as a fresh solve
@@ -25,12 +26,17 @@ O(N * N_lambda) per gamma.  It is computed in standard form, from the
 singular values and singular vectors of K U^-1, so that K'K is never
 formed and the small eigenvalues keep their accuracy; the left singular
 vectors also give the residual in closed form (the secular equation).
-``evaluate`` and ``discrepancy`` take a stack of gamma as well as one: the
-coefficients of every gamma form the rows of one array, and n, K n - r and
-the residuals come from one stacked ``np.matmul`` each, whose per-row
-products are the BLAS calls of a single gamma, so a stack equals its rows
-evaluated alone bit for bit; a single gamma runs the same code with no
-stack axis.
+The SVD (``gesvd``) and the Cholesky factor of R (``potrf``) are LAPACK
+called directly: the routines scipy's wrappers resolve, with the same
+workspace and the same check that the input is finite, so the factors are
+the wrappers' bit for bit without their per-call overhead, which on these
+small systems costs as much as the work.  A LAPACK failure raises a typed
+error.  ``evaluate`` and ``discrepancy`` take a stack of gamma as well as
+one: the coefficients of every gamma form the rows of one array, and n,
+K n - r and the residuals come from one stacked ``np.matmul`` each, whose
+per-row products are the BLAS calls of a single gamma, so a stack equals
+its rows evaluated alone bit for bit; a single gamma runs the same code
+with no stack axis.
 
 The discrepancy principle picks gamma so that the residual equals a target.
 The residual increases strictly with gamma.  On a ridge curve every target
@@ -72,6 +78,7 @@ import scipy.linalg
 import scipy.optimize
 
 from .errors import (
+    AeroinvError,
     BracketFailure,
     IllConditioned,
     MaxIterations,
@@ -121,17 +128,53 @@ class QpSolution:
         return self.n.size
 
 
+# LAPACK's SVD and Cholesky, called directly: the routines that
+# scipy.linalg.svd(..., lapack_driver="gesvd") and scipy.linalg.cholesky
+# resolve for float64, without their argument checks and workspace queries
+_GESVD, _GESVD_LWORK = scipy.linalg.get_lapack_funcs(
+    ("gesvd", "gesvd_lwork"), dtype=np.float64, ilp64="preferred"
+)
+(_POTRF,) = scipy.linalg.get_lapack_funcs(("potrf",), dtype=np.float64)
+
+
 def _cholesky_upper(R: np.ndarray) -> np.ndarray:
-    try:
-        return scipy.linalg.cholesky(R, lower=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise IllConditioned("regularizer is not positive definite") from exc
+    """Upper Cholesky factor of R, what ``scipy.linalg.cholesky(R)``
+    returns, with its checks on R."""
+    if not np.isfinite(R).all():
+        raise ValueError("array must not contain infs or NaNs")
+    R = np.atleast_2d(R)
+    if R.ndim != 2 or R.shape[0] != R.shape[1]:
+        raise ValueError(
+            f"Input array is expected to be square but has the shape: {R.shape}."
+        )
+    U, info = _POTRF(R, lower=0)
+    if info != 0:
+        raise IllConditioned("regularizer is not positive definite")
+    return U
+
+
+def _svd(A: np.ndarray, full_matrices: bool):
+    """``scipy.linalg.svd(A, full_matrices, lapack_driver="gesvd")``: the
+    same LAPACK call with the same workspace, and the same check that A is
+    finite; a LAPACK failure raises AeroinvError."""
+    if not np.isfinite(A).all():
+        raise ValueError("array must not contain infs or NaNs")
+    if A.size == 0:  # LAPACK rejects it; scipy returns the empty factors
+        return scipy.linalg.svd(A, full_matrices, lapack_driver="gesvd")
+    lwork = int(_GESVD_LWORK(*A.shape, compute_uv=1, full_matrices=full_matrices)[0])
+    Q, s, Wt, info = _GESVD(
+        A, compute_uv=1, full_matrices=full_matrices, lwork=lwork, overwrite_a=True
+    )
+    if info != 0:
+        raise AeroinvError(f"SVD failed (dgesvd info {info})")
+    return Q, s, Wt
 
 
 @dataclass(frozen=True)
 class Regularizer:
-    """SPD regularization matrix R with its upper Cholesky factor U (R = U'U)
-    and U^-1, all read-only, factored once on construction.  ``kind`` names
+    """SPD regularization matrix R with its upper Cholesky factor U, U^-1
+    and the Gram U'U (R up to rounding, the form every gamma > 0 solve
+    adds), all read-only, computed once on construction.  ``kind`` names
     the stencil (``model_selection.build_regularizer`` shares one instance
     per kind and size); a principal block of R has none."""
 
@@ -139,6 +182,7 @@ class Regularizer:
     kind: str | None = None
     cholesky: np.ndarray = field(init=False, repr=False)
     cholesky_inverse: np.ndarray = field(init=False, repr=False)
+    gram: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         R = np.asarray(self.matrix, dtype=float)
@@ -149,7 +193,10 @@ class Regularizer:
                 f"regularizer factor is singular (dtrtri info {info})"
             )
         R = R.copy()  # the caller's array stays writeable
-        for name, a in (("matrix", R), ("cholesky", U), ("cholesky_inverse", U_inv)):
+        for name, a in (
+            ("matrix", R), ("cholesky", U), ("cholesky_inverse", U_inv),
+            ("gram", U.T @ U),
+        ):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
@@ -224,7 +271,7 @@ def _nnls_gram(G, c, max_iter, dual_tol, init_passive=None):
 
 def _dual_tol(c: np.ndarray) -> float:
     """Smallest gradient component that counts as a violated dual."""
-    return 1e-10 * max(np.max(np.abs(c), initial=0.0), 1e-300)
+    return 1e-10 * max(np.abs(c).max(initial=0.0), 1e-300)
 
 
 def _compiled_passive_set(K: np.ndarray, r: np.ndarray):
@@ -256,7 +303,7 @@ def solve_constrained_tikhonov(
         reg is not None and reg.matrix.shape != (K.shape[1],) * 2
     ):
         raise ValueError("inconsistent problem dimensions")
-    if not np.all(np.isfinite(K)) or not np.all(np.isfinite(r)):
+    if not np.isfinite(K).all() or not np.isfinite(r).all():
         raise ValueError("K and r must be finite")
     if not 0.0 <= gamma < np.inf:
         raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
@@ -266,7 +313,7 @@ def solve_constrained_tikhonov(
     G = K.T @ K
     c = K.T @ r
     if gamma > 0.0:
-        G = G + gamma * (reg.cholesky.T @ reg.cholesky)
+        G += gamma * reg.gram
     if init_passive is None:
         init_passive = _compiled_passive_set(K, r)
     dual_tol = _dual_tol(c)
@@ -307,9 +354,7 @@ class RidgeCurve:
     def __init__(self, K: np.ndarray, r: np.ndarray, reg: Regularizer):
         U_inv = reg.cholesky_inverse
         K_std = K @ U_inv
-        Q, s, Wt = scipy.linalg.svd(
-            K_std, full_matrices=K.shape[0] < K.shape[1], lapack_driver="gesvd"
-        )
+        Q, s, Wt = _svd(K_std, full_matrices=K.shape[0] < K.shape[1])
         self.K, self.r = K, r
         self.eigenvalues = np.zeros(K.shape[1])
         self.eigenvalues[: s.size] = s**2
@@ -336,19 +381,39 @@ class RidgeCurve:
         res = _row_dots(np.matmul(self.K, n[..., None])[..., 0] - self.r)
         return (float(res) if res.ndim == 0 else res), n
 
-    def _terms(self, gamma: np.ndarray):
-        """For each gamma of a column, (gamma / (lam + gamma))^2 b^2, whose
-        row sums plus residual_ls are the closed-form residual, and
-        lam + gamma."""
-        shifted = self._lam + gamma
-        return (gamma / shifted) ** 2 * self._b_sq, shifted
+    def _grid_residuals(self) -> np.ndarray:
+        """The closed-form residual at each gamma of ``_ROOT_GRID``: the row
+        sums of (gamma / (lam + gamma))^2 b^2, formed in one buffer, plus
+        residual_ls."""
+        terms = np.add(self._lam, _ROOT_GAMMAS)
+        np.divide(_ROOT_GAMMAS, terms, out=terms)
+        np.square(terms, out=terms)
+        terms *= self._b_sq
+        res = terms.sum(axis=1)
+        res += self.residual_ls
+        return res
 
-    def _secular(self, log_gamma: np.ndarray):
+    def _secular(self, log_gamma: np.ndarray, work=None):
         """Closed-form residual at each gamma = exp(log_gamma) and its
-        derivative with respect to log gamma."""
-        terms, shifted = self._terms(np.exp(log_gamma)[:, None])
-        slope = 2.0 * (terms * (self._lam / shifted)).sum(axis=1)
-        return self.residual_ls + terms.sum(axis=1), slope
+        derivative with respect to log gamma.  ``work`` is three buffers,
+        one column and two (len(log_gamma), rank) arrays, that hold gamma
+        and the terms, so an iteration allocates no intermediate rows."""
+        if work is None:
+            work = _secular_work(log_gamma.size, self._lam.size)
+        gamma, shifted, terms = work
+        np.exp(log_gamma[:, None], out=gamma)
+        np.add(self._lam, gamma, out=shifted)
+        np.divide(gamma, shifted, out=terms)
+        np.square(terms, out=terms)
+        terms *= self._b_sq
+        res = terms.sum(axis=1)
+        res += self.residual_ls
+        # slope = 2 sum terms * lam / (lam + gamma), in the buffer of lam + gamma
+        np.divide(self._lam, shifted, out=shifted)
+        shifted *= terms
+        slope = shifted.sum(axis=1)
+        slope *= 2.0
+        return res, slope
 
     def roots(self, targets) -> np.ndarray:
         """The gamma whose closed-form residual meets each target, all at once.
@@ -361,26 +426,33 @@ class RidgeCurve:
         ``_NEWTON_RTOL`` after ``_NEWTON_STEPS`` steps, gets nan.
         """
         targets = np.asarray(targets, dtype=float)
-        grid_res = self.residual_ls + self._terms(_ROOT_GAMMAS)[0].sum(axis=1)
-        ladder = np.maximum.accumulate(grid_res)
-        j = np.clip(np.searchsorted(ladder, targets), 1, _ROOT_GRID.size - 1)
+        ladder = np.maximum.accumulate(self._grid_residuals())
+        j = np.searchsorted(ladder, targets)
+        j = np.minimum(np.maximum(j, 1), _ROOT_GRID.size - 1)
         lo, hi = _ROOT_GRID[j - 1], _ROOT_GRID[j]
         f_lo, f_hi = ladder[j - 1] - targets, ladder[j] - targets
         bracketed = (f_lo < 0.0) & (f_hi >= 0.0)
         tol, unbracketed = _NEWTON_RTOL * targets, ~bracketed
+        # each step writes into these buffers: the secular terms, the
+        # Newton step and the bisection point
+        work = _secular_work(targets.size, self._lam.size)
+        step, mid = np.empty(targets.size), np.empty(targets.size)
         with np.errstate(divide="ignore", invalid="ignore"):
             t = np.where(bracketed, lo - f_lo * (hi - lo) / (f_hi - f_lo), lo)
             for _ in range(_NEWTON_STEPS):
-                res, slope = self._secular(t)
-                f = res - targets
+                f, slope = self._secular(t, work)
+                f -= targets
                 done = np.abs(f) <= tol
                 if (done | unbracketed).all():
                     break
-                lo = np.where(f < 0.0, t, lo)
-                hi = np.where(f > 0.0, t, hi)
-                step = t - f / slope
-                inside = (step > lo) & (step < hi)
-                t = np.where(done, t, np.where(inside, step, 0.5 * (lo + hi)))
+                np.copyto(lo, t, where=f < 0.0)
+                np.copyto(hi, t, where=f > 0.0)
+                np.divide(f, slope, out=step)
+                np.subtract(t, step, out=step)
+                np.add(lo, hi, out=mid)
+                mid *= 0.5
+                np.copyto(mid, step, where=(step > lo) & (step < hi))
+                np.copyto(t, mid, where=~done)
         return np.where(bracketed & done, np.exp(t), np.nan)
 
     def discrepancy(self, target_sq, gamma):
@@ -404,6 +476,11 @@ class RidgeCurve:
             g, t, d = (float(np.ravel(a)[miss[0]]) for a in (gamma, target_sq, res))
             raise RootFailure(f"ridge root {g} misses target {t}: {d}")
         return (float(gamma) if gamma.ndim == 0 else gamma), n, res
+
+
+def _secular_work(count: int, rank: int):
+    """Buffers of ``RidgeCurve._secular`` for ``count`` values of gamma."""
+    return np.empty((count, 1)), np.empty((count, rank)), np.empty((count, rank))
 
 
 def _row_dots(a: np.ndarray):

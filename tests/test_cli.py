@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -349,6 +350,30 @@ class TestBadMeasurementInput:
         assert err.startswith("usage error:") and "0.7" in err
         assert "Traceback" not in err
         assert not (tmp_path / "inv.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["invert"], ["invert", "--method", "unconstrained"], ["invert2"]],
+    )
+    def test_overflowing_data_norm_is_a_usage_error(self, tmp_path, capsys, argv):
+        """Means whose weighted squares overflow are refused when the file
+        is read: one usage error line, no warning and no output, not an
+        overflow turned into a "no model" result."""
+        path = tmp_path / "huge.csv"
+        path.write_text(
+            "wavelength_um,mean_extinction,variance\n"
+            + "".join(f"{w},1e200,1.0\n" for w in (0.6, 0.9, 1.2))
+        )
+        out = tmp_path / "inv.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*argv, "--measurement", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert "data norm" in err
+        assert caught == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("repeats", [0, -3])
     def test_measurement_needs_a_repeat(self, repeats):

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,22 @@ class TestMeasurementScaling:
             Measurement(np.array([1.0]), np.array([1.0]), np.array([0.0]))
         with pytest.raises(ValueError):
             Measurement(np.array([1.0, 2.0]), np.array([1.0]), np.array([1.0, 1.0]))
+
+    def test_overflowing_weighted_data_norm_is_refused(self):
+        """Means whose weighted squares sum to a finite norm pass; one more
+        decade, or a weight that is not finite, is a ValueError, raised
+        without a warning before any level is fitted."""
+        w, v = np.array([1.0, 2.0, 3.0]), np.array([1.0, 4.0, 0.25])
+        # normalized weights 2, 1, 4: the weighted squares are 4, 1, 16 m^2
+        Measurement(w, np.full(3, 1e153), v)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in ([1e154, 0.0, 0.0], [0.0, 0.0, 1e154], [1e200] * 3):
+                with pytest.raises(ValueError, match="data norm"):
+                    Measurement(w, np.array(m), v)
+            # a variance of the mean that underflows to 0 has infinite weight
+            with pytest.raises(ValueError, match="data norm"):
+                Measurement(w, np.ones(3), np.array([1.0, 5e-324, 1.0]), 10)
 
     def test_repeats_must_be_an_integer_of_at_least_one(self):
         w, m, v = np.array([1.0, 2.0]), np.ones(2), np.ones(2)
@@ -1269,6 +1286,32 @@ class TestBoundSettledLevels:
             # settled ones are not
             assert ref_fitted == ref_visited
             assert fitted < visited, method
+
+    def test_settled_levels_never_form_the_weighted_kernel(self, draws):
+        """After every walk on one family, a level the bound settles for
+        every method has no weighted K and every other level formed one;
+        each level's bound is its entry of a stacked
+        ``_least_squares_bounds`` call bit for bit."""
+        import aeroinv.model_selection as ms
+        from aeroinv.simulation_study import KernelLevelCache
+
+        inputs, measurements = draws
+        limit = ms._admission_limit(measurements[0], ms.DEFAULT_TAU_GRID)
+        family = KernelLevelCache(*inputs)
+        for method in self.METHODS:
+            self.run(method, measurements[0], family, "tikhonov")
+        levels = list(family._fits[1].values())
+        settled = [level for level in levels if level.bound >= limit]
+        assert settled and len(settled) < len(levels)
+        for level in levels:
+            assert ("K" in vars(level)) == (level.bound < limit)
+        for level in levels:
+            entries = level._entries
+            stacked = np.stack([2.0 * entries, entries, entries[:, ::-1]])
+            bounds = ms._least_squares_bounds(stacked, level._w, level.r)
+            assert float(bounds[1]).hex() == level.bound.hex()
+            if "K" in vars(level):
+                assert level.K.tobytes() == (entries * level._w[:, None]).tobytes()
 
 
 class TestSharedRidgeCurves:

@@ -88,7 +88,7 @@ class TestOrthantProbability:
         """A factor LAPACK cannot invert (info > 0) is a typed error."""
         singular = np.triu(np.ones((3, 3)))
         singular[1, 1] = 0.0
-        monkeypatch.setattr(scipy.linalg, "cholesky", lambda H, lower: singular)
+        monkeypatch.setattr(ortho, "_POTRF", lambda H, lower: (singular, 0))
         with pytest.raises(CholeskyFailure, match="singular"):
             log_orthant_probability(np.eye(3), np.zeros(3))
 

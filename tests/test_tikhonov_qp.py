@@ -753,6 +753,130 @@ class TestRidgeCurve:
         np.testing.assert_allclose(reg.cholesky.T @ reg.cholesky, R, rtol=1e-15)
 
 
+def seeded_systems():
+    """Weighted systems (K, r) and regularizers: every stencil kind, a
+    random SPD matrix, N < N_l, N > N_l and a rank-deficient K."""
+    from aeroinv.model_selection import REGULARIZER_KINDS, build_regularizer
+
+    for seed, (n_l, N, rank) in enumerate(
+        [(48, 5, 5), (48, 20, 20), (12, 20, 12), (30, 8, 3), (6, 9, 2), (1, 1, 1)]
+    ):
+        rng = np.random.default_rng(seed)
+        K = rng.normal(size=(n_l, rank)) @ rng.normal(size=(rank, N))
+        r = rng.normal(size=n_l)
+        A = rng.normal(size=(N, N))
+        regs = [build_regularizer(kind, N) for kind in REGULARIZER_KINDS]
+        yield K, r, [*regs, Regularizer(A @ A.T + N * np.eye(N))]
+
+
+class TestDirectLapackKernels:
+    """``RidgeCurve``, ``Regularizer`` and ``orthant_mvn._factor`` call
+    LAPACK's ``gesvd`` and ``potrf`` directly: each returns byte for byte
+    what the scipy wrappers return, keeps their checks on non-finite input
+    and turns a LAPACK failure into a typed error."""
+
+    @staticmethod
+    def reference_curve(K, r, reg):
+        """``(eigenvalues, V, z, residual_ls, b^2)`` through
+        ``scipy.linalg.svd``."""
+        import scipy.linalg
+
+        U_inv = reg.cholesky_inverse
+        Q, s, Wt = scipy.linalg.svd(
+            K @ U_inv, full_matrices=K.shape[0] < K.shape[1], lapack_driver="gesvd"
+        )
+        lam = np.zeros(K.shape[1])
+        lam[: s.size] = s**2
+        V = U_inv @ Wt.T
+        z = V.T @ (K.T @ r)
+        z[s.size :] = 0.0
+        b = Q.T @ r
+        d = r - Q @ b
+        return lam, V, z, float(d @ d), b**2
+
+    def test_ridge_curves_equal_the_scipy_svd_bytes(self):
+        from aeroinv.tikhonov_qp import RidgeCurve
+
+        for K, r, regs in seeded_systems():
+            for reg in regs:
+                curve = RidgeCurve(K, r, reg)
+                lam, V, z, res_ls, b_sq = self.reference_curve(K, r, reg)
+                got = (curve.eigenvalues, curve.V, curve.z, curve._b_sq)
+                for a, b in zip(got, (lam, V, z, b_sq)):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+                assert curve.residual_ls == res_ls
+
+    def test_regularizers_equal_the_scipy_cholesky_bytes(self):
+        import scipy.linalg
+
+        for _, _, regs in seeded_systems():
+            for reg in regs:
+                U = scipy.linalg.cholesky(reg.matrix, lower=False)
+                assert reg.cholesky.tobytes() == U.tobytes()
+                assert reg.gram.tobytes() == (U.T @ U).tobytes()
+                assert not reg.gram.flags.writeable
+
+    def test_factor_equals_the_scipy_cholesky_bytes(self):
+        import scipy.linalg
+
+        from aeroinv.orthant_mvn import _factor
+
+        for K, _, regs in seeded_systems():
+            for H in [K.T @ K + reg.matrix for reg in regs]:
+                U = scipy.linalg.cholesky(H, lower=False)
+                U_inv, info = scipy.linalg.lapack.dtrtri(U, lower=0)
+                assert info == 0
+                logdet = 2.0 * float(np.sum(np.log(np.diag(U))))
+                got_U, got_logdet, got_cov = _factor(H)
+                assert got_U.tobytes() == U.tobytes()
+                assert got_logdet == logdet
+                assert got_cov.tobytes() == (U_inv @ U_inv.T).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises_the_scipy_message(self, bad):
+        from aeroinv.tikhonov_qp import RidgeCurve
+
+        K, r = np.ones((4, 3)), np.ones(4)
+        K[1, 2] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(
+            ValueError, match="must not contain infs or NaNs"
+        ):
+            RidgeCurve(K, r, Regularizer(np.eye(3)))
+        R = np.eye(3)
+        R[0, 2] = bad  # potrf reads only the upper triangle, the check all
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            Regularizer(R)
+
+    def test_lapack_failures_raise_typed_errors(self, monkeypatch):
+        import scipy.linalg
+
+        from aeroinv import orthant_mvn, tikhonov_qp
+        from aeroinv.errors import AeroinvError, CholeskyFailure
+        from aeroinv.orthant_mvn import log_orthant_probability
+
+        def failing(routine):
+            return lambda *args, **kwargs: (*routine(*args, **kwargs)[:-1], 1)
+
+        reg = Regularizer(np.eye(3))
+        lapack = scipy.linalg.lapack
+        monkeypatch.setattr(tikhonov_qp, "_GESVD", failing(lapack.dgesvd))
+        with pytest.raises(AeroinvError, match="dgesvd info 1"):
+            tikhonov_qp.RidgeCurve(np.ones((4, 3)), np.ones(4), reg)
+        monkeypatch.setattr(tikhonov_qp, "_POTRF", failing(lapack.dpotrf))
+        with pytest.raises(IllConditioned):
+            Regularizer(np.eye(3))
+        monkeypatch.setattr(orthant_mvn, "_POTRF", failing(lapack.dpotrf))
+        with pytest.raises(CholeskyFailure):
+            log_orthant_probability(np.eye(3), np.zeros(3))
+
+    def test_empty_system_keeps_the_scipy_factors(self):
+        from aeroinv.tikhonov_qp import RidgeCurve
+
+        curve = RidgeCurve(np.ones((0, 3)), np.ones(0), Regularizer(np.eye(3)))
+        assert curve.eigenvalues.tobytes() == np.zeros(3).tobytes()
+        assert curve.residual_ls == 0.0
+
+
 def degenerate_problems():
     rng = np.random.default_rng(21)
     K = np.abs(rng.normal(size=(8, 5)))
