@@ -635,16 +635,10 @@ def _rank(candidates, log_marginals):
     post = np.exp(values - values.max())
     post /= post.sum()
     enriched = [
-        ModelCandidate(
-            weights=c.weights,
-            kernel=c.kernel,
-            regularizer=c.regularizer,
-            gamma=c.gamma,
-            tau=c.tau,
-            residual_sq=c.residual_sq,
+        dataclasses.replace(
+            c,
             log_marginal=float(lm),
             posterior=float(p),
-            fraction=c.fraction,
             log_marginal_se=getattr(lm, "std_error", None),
             log_marginal_samples=getattr(lm, "samples", None),
             log_marginal_tilted=getattr(lm, "tilted", None),
@@ -685,7 +679,9 @@ def select_models(
     Each candidate's statistical system is built once and serves both its
     bound and its estimate.  The samplers of candidates of one dimension
     are set up together (``orthant_mvn.prepare``), which changes no
-    estimate; each estimate then runs only its points.  Candidates are
+    estimate; each estimate then runs only its points.  A candidate whose
+    reordered factor fails raises ``CholeskyFailure`` there, before any
+    integral runs.  Candidates are
     visited in descending ``_log_evidence_bound`` (a stable sort, so ties
     keep their order).  One
     whose bound lies more than ``_SCREEN_NATS`` below the largest

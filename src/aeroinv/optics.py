@@ -277,63 +277,6 @@ def lorentz_lorenz_mix(m1: complex, m2: complex, f1: float) -> complex:
     return m
 
 
-def _c_prod(a, b):
-    """CPython's complex product, ``_Py_c_prod``, of (real, imag) pairs of
-    float arrays: every product rounded, no fused multiply-add."""
-    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
-
-
-def _c_quot(a, b):
-    """CPython's complex quotient, ``_Py_c_quot``, of (real, imag) pairs of
-    float arrays, for finite nonzero b: Smith's method, which divides
-    through by the part of b that is larger in magnitude."""
-    br, bi = b
-    by_real = np.abs(br) >= np.abs(bi)
-    ratio = np.where(by_real, bi / br, br / bi)
-    denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
-    re = np.where(by_real, a[0] + a[1] * ratio, a[0] * ratio + a[1])
-    im = np.where(by_real, a[1] - a[0] * ratio, a[1] * ratio - a[0])
-    return re / denom, im / denom
-
-
-def _mixed_indices(m_a: np.ndarray, m_b: np.ndarray, fractions) -> np.ndarray:
-    """``lorentz_lorenz_mix(m_a[w], m_b[w], f)`` for every fraction f and
-    wavelength w, shape (F, W), bit for bit, of valid indices m_a and m_b.
-
-    The float arithmetic repeats CPython 3.11's evaluation of the scalar's
-    complex expression: ``m**2`` is 1 * (m m), a real operand becomes a
-    complex with imaginary part 0, and products and quotients are
-    ``_c_prod`` and ``_c_quot``; the square root is numpy's, as there.  A
-    fraction outside [0, 1], a degenerate mix or a non-finite result runs
-    the scalar loop, which raises its first error in its own order.
-    """
-    f = fractions[:, None]
-
-    def part(m, weight):  # weight * (m**2 - 1.0) / (m**2 + 2.0)
-        sq = _c_prod((1.0, 0.0), _c_prod((m.real, m.imag), (m.real, m.imag)))
-        num = (sq[0] - 1.0, sq[1] - 0.0)
-        return _c_quot(_c_prod((weight, 0.0), num), (sq[0] + 2.0, sq[1] + 0.0))
-
-    with np.errstate(all="ignore"):
-        a, b = part(m_a, f), part(m_b, 1.0 - f)
-        lhs = (a[0] + b[0], a[1] + b[1])
-        denom = (1.0 - lhs[0], 0.0 - lhs[1])
-        twice = _c_prod((2.0, 0.0), lhs)
-        msq = np.empty((f.size, m_a.size), dtype=complex)
-        msq.real, msq.imag = _c_quot((1.0 + twice[0], 0.0 + twice[1]), denom)
-        m = np.sqrt(msq)
-        degenerate = (f != 0.0) & (f != 1.0) & (np.hypot(*denom) < 1e-14)
-    m = np.where(m.real < 0.0, -m, m)
-    m.imag[m.imag < 0.0] = 0.0  # rounding noise, as in the scalar
-    m = np.where(f == 1.0, m_a, np.where(f == 0.0, m_b, m))
-    valid = np.all((0.0 <= f) & (f <= 1.0)) and np.isfinite(m).all()
-    if degenerate.any() or not valid:
-        for ma, mb in zip(m_a, m_b):
-            for p in fractions:
-                lorentz_lorenz_mix(ma, mb, float(p))
-    return m
-
-
 def _qext_series(m: np.ndarray, x: np.ndarray, weight=None) -> np.ndarray:
     """Mie extinction efficiencies, shape (A, W, R), for relative indices m of
     shape (A, W) at size parameters x of shape (W, R).
@@ -737,7 +680,9 @@ def mixed_kernel_rows(
 
     ``fractions`` are volume fractions of component a.  One size-sorted Mie
     pass covers every (fraction, wavelength, radius); the values are those
-    of ``kernel_value`` at the Lorentz-Lorenz mixed index.
+    of ``kernel_value`` at the Lorentz-Lorenz mixed index.  The indices are
+    mixed by ``lorentz_lorenz_mix``, wavelength by wavelength, so the first
+    degenerate mix raises its error before any Mie work.
     """
     fractions = np.atleast_1d(np.asarray(fractions, dtype=float))
     wavelengths = np.atleast_1d(np.asarray(wavelengths, dtype=float))
@@ -745,7 +690,10 @@ def mixed_kernel_rows(
     m_a, m_b, m_med = _interpolate_indices(
         (component_a, component_b, medium), wavelengths
     )
-    m_parts = _mixed_indices(m_a, m_b, fractions)
+    m_parts = np.empty((fractions.size, wavelengths.size), dtype=complex)
+    for w, (a, b) in enumerate(zip(m_a, m_b)):
+        for i, f in enumerate(fractions):
+            m_parts[i, w] = lorentz_lorenz_mix(a, b, float(f))
     return _extinction(m_med, m_parts, r, wavelengths, weight=np.pi * r**2)
 
 

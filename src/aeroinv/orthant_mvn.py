@@ -10,9 +10,11 @@ psi(x, mu), found by Newton's method, which also gives the upper bound
 exp(psi*) on the probability.  That set-up (the reordered factor and the
 tilt) does not depend on the sample budget.  It runs on stacks of integrals
 of one dimension: ``prepare`` sets up many forms in one pass per
-dimension, and a form set up alone is a stack of one.  Each member's arithmetic is the same,
-operation by operation, whatever it is stacked with, so its set-up and its
-estimate do not depend on the stack.  Points are randomly shifted square-root
+dimension, and a form set up alone is a stack of one.  Each member's
+arithmetic is the same, operation by operation, whatever it is stacked
+with, so its set-up and its estimate do not depend on the stack, and a
+stack raises ``CholeskyFailure`` exactly when one of its members would
+alone.  Points are randomly shifted square-root
 lattice points, wrapped into the unit cube by x - floor(x) (x mod 1,
 exactly, for x >= 0) and folded by the baker's transform |2w - 1|.  All
 accumulation happens in log space so that strongly shifted orthants and
@@ -431,9 +433,8 @@ def prepare(forms) -> None:
 
     Each form gets the set-up it would compute alone, bit for bit, so
     ``orthant_integral`` returns the same estimate either way; only the
-    point loop is left to run.  If a member's reordered factor fails, no
-    form of its dimension is set up here: each is set up alone when its
-    integral asks, and that member raises then.
+    point loop is left to run.  A member whose reordered factor fails
+    would fail alone too, so its ``CholeskyFailure`` propagates from here.
     """
     groups = {}
     for form in forms:
@@ -442,11 +443,7 @@ def prepare(forms) -> None:
         squares = [form.completed_square for form in group]
         cov = np.stack([square[2] for square in squares])
         lower = -np.stack([square[1] for square in squares])
-        try:
-            setups = _setups(cov, lower)
-        except CholeskyFailure:
-            continue
-        for form, setup in zip(group, setups):
+        for form, setup in zip(group, _setups(cov, lower)):
             form.__dict__["sampler_setup"] = setup
 
 

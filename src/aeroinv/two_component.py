@@ -21,8 +21,9 @@ that target times 1 + ``_PRECHECK_MARGIN`` (``_admission_limit``, the limit
 of every ladder walk).  If no solve lands below it either, no fraction of
 the level can be admitted, and the level is skipped without a scan.  Any
 other level, including one with a fraction inside the margin or a pre-check
-solve that raises, gets the same warm-started ``scan_fractions`` as before,
-so every candidate comes from the same scan and the records cannot change.
+solve that stops at its iteration cap or fails its passive least-squares
+step, gets the same warm-started ``scan_fractions`` as before, so every
+candidate comes from the same scan and the records cannot change.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .discretization import (
     build_collocation_grid,
     weighted_interior_basis,
 )
-from .errors import AeroinvError, NoModels
+from .errors import MaxIterations, NoModels
 from .model_selection import (
     DEFAULT_LADDER,
     Measurement,
@@ -213,15 +214,17 @@ def _may_admit(stacked, w, r, bounds, limit: float) -> bool:
 
     Only systems whose least-squares bound lies below ``limit`` get a cold
     NNLS solve, and the first of those below ``limit`` settles the answer.
-    A solve that raises (or a bound that is not a number) leaves the
-    decision to the scan.
+    A solve that stops at its iteration cap, or whose passive least-squares
+    step fails (``LinAlgError``), leaves the decision to the scan, as does a
+    bound that is not a number.  On finite systems a cold NNLS raises
+    nothing else, so any other error propagates.
     """
     try:
         for i in np.flatnonzero(~(bounds >= limit)):
             sol = solve_constrained_tikhonov(stacked[i] * w[:, None], r, None, 0.0)
             if not sol.residual_sq >= limit:
                 return True
-    except (AeroinvError, ValueError, np.linalg.LinAlgError):
+    except (MaxIterations, np.linalg.LinAlgError):
         return True
     return False
 

@@ -477,6 +477,41 @@ class TestEvidenceErrorOutput:
         assert records["unconstrained"]["diagnostics"]["top_within_noise"] is None
 
 
+class TestLowNoisePath:
+    def test_record_says_when_constrained_returned_morozov(
+        self, measurement_file, tmp_path
+    ):
+        """Variances near 1e-14 put delta^2 below LOW_NOISE_DELTA_SQ, where the
+        constrained method returns Morozov's result; the means are scaled by
+        1e-12 with them, so the same problem stays solvable."""
+        meas = read_measurement(measurement_file)
+        low = tmp_path / "low.csv"
+        write_measurement(
+            low,
+            Measurement(meas.wavelengths, meas.mean_extinction * 1e-12,
+                        meas.variance * 1e-24, meas.repeats),
+        )
+        assert 1e-15 < read_measurement(low).variance.max() < 1e-13
+        records = {}
+        for name, path, method in (
+            ("normal", measurement_file, "constrained"),
+            ("low", low, "constrained"),
+            ("low_morozov", low, "morozov"),
+        ):
+            out = tmp_path / f"{name}.json"
+            code = main(
+                ["invert", "--measurement", str(path), "--out", str(out),
+                 "--method", method]
+            )
+            assert code == 0
+            records[name] = json.loads(out.read_text())
+        assert records["normal"]["diagnostics"]["low_noise_morozov"] is False
+        assert records["low"]["diagnostics"]["low_noise_morozov"] is True
+        assert records["low"]["method"] == "constrained"
+        assert records["low"]["candidates"] == records["low_morozov"]["candidates"]
+        assert records["low_morozov"]["diagnostics"]["low_noise_morozov"] is False
+
+
 class TestNumericFlagsAtTheBoundary:
     @pytest.mark.parametrize(
         "argv, flag",

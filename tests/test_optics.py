@@ -132,42 +132,10 @@ class TestLorentzLorenzMix:
             assert abs(lorentz_lorenz_mix(m1, m2, 1.0) - m1) <= 1e-14
             assert abs(lorentz_lorenz_mix(m1, m2, 0.0) - m2) <= 1e-14
 
-    @staticmethod
-    def scalar_mix(m_a, m_b, fractions):
-        return np.array(
-            [[lorentz_lorenz_mix(a, b, float(f)) for a, b in zip(m_a, m_b)]
-             for f in fractions]
-        )
-
-    def test_vectorized_mix_bit_for_bit_on_the_family(self):
-        # every index of the 101-anchor family, the endpoints f = 0 and 1
-        # included; bytes compare the signs of zeros too
-        m_a, m_b = optics._interpolate_indices(
-            (get_material("h2o"), get_material("csi")), study_wavelengths()
-        )
-        fractions = np.linspace(0.0, 1.0, 101)
-        for a, b in ((m_a, m_b), (m_b, m_a), (m_a, m_a)):
-            mixed = optics._mixed_indices(a, b, fractions)
-            assert mixed.tobytes() == self.scalar_mix(a, b, fractions).tobytes()
-
-    def test_vectorized_mix_bit_for_bit_on_random_indices(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            # real and absorbing indices, Re m on both sides of 1, so both
-            # branches of the complex quotient run
-            m_a, m_b = (
-                rng.uniform(0.05, 5.0, 40)
-                + 1j * rng.choice([0.0, 1.0], 40) * rng.uniform(0.0, 3.0, 40) ** 3
-                for _ in range(2)
-            )
-            fractions = np.concatenate([rng.uniform(0.0, 1.0, 15), [0.0, 0.5, 1.0]])
-            mixed = optics._mixed_indices(m_a, m_b, fractions)
-            assert mixed.tobytes() == self.scalar_mix(m_a, m_b, fractions).tobytes()
-
     def test_overflowing_index_raises_degenerate_mix(self):
         """An index whose square overflows is a typed error, from the scalar
-        mix and from the rows of a table holding it (whose vectorized mix
-        falls back to the scalar loop), not an OverflowError."""
+        mix and from the rows of a table holding it (which mix each index
+        with the scalar), not an OverflowError."""
         from aeroinv.errors import DegenerateMix
 
         with pytest.raises(DegenerateMix, match="overflows"):

@@ -216,20 +216,27 @@ class TestStackedSetup:
         failed = batch[1].sampler_setup
         assert not failed.mu.any() and failed.log_bound == 0.0
 
-    def test_a_failed_factor_leaves_each_form_to_set_up_alone(self, monkeypatch):
+    def test_a_failed_factor_raises_alone_and_in_stacks(self):
+        """A nearly singular H (rank 3 plus 5e-16 I) whose covariance loses
+        positive definiteness in the reordered factor: it raises
+        ``CholeskyFailure`` alone and from ``prepare`` in any stack."""
+        rng = np.random.default_rng(41)
+        A = rng.normal(size=(4, 3))
+        H = A @ A.T + 10 ** rng.uniform(-17, -12) * np.eye(4)
+        bad = QuadraticForm(H, H @ rng.normal(size=4))
+        with pytest.raises(CholeskyFailure, match="positive definiteness"):
+            fresh(bad).sampler_setup
+        with pytest.raises(CholeskyFailure, match="positive definiteness"):
+            orthant_integral(fresh(bad), seed=5)
         forms = random_forms(4, 3, seed=2)
-        refs = [orthant_integral(fresh(f), seed=5) for f in forms]
-        inner = ortho._priority_cholesky
-
-        def failing_in_stacks(cov, lower):
-            if len(lower) > 1:
-                raise CholeskyFailure("covariance lost positive definiteness")
-            return inner(cov, lower)
-
-        monkeypatch.setattr(ortho, "_priority_cholesky", failing_in_stacks)
-        ortho.prepare(forms)
-        assert not any("sampler_setup" in vars(f) for f in forms)
-        assert [orthant_integral(f, seed=5) for f in forms] == refs
+        for at in range(len(forms) + 1):
+            batch = [fresh(f) for f in forms]
+            batch.insert(at, fresh(bad))
+            with pytest.raises(CholeskyFailure, match="positive definiteness"):
+                ortho.prepare(batch)
+            assert not any("sampler_setup" in vars(f) for f in batch)
+        ortho.prepare(forms)  # the others set up as usual without it
+        assert all("sampler_setup" in vars(f) for f in forms)
 
     def test_forms_are_stacked_by_dimension(self, monkeypatch):
         forms = random_forms(3, 3, seed=0) + random_forms(5, 2, seed=1)

@@ -10,6 +10,7 @@ from aeroinv.discretization import (
     uniform_grid,
     weighted_interior_basis,
 )
+from aeroinv.errors import MaxIterations
 from aeroinv.model_selection import DEFAULT_LADDER, NoiseScaling, invert_morozov
 from aeroinv.optics import (
     get_material,
@@ -427,11 +428,14 @@ class TestScanPrecheck:
         assert settled_by_nnls > 0
         assert fallback_walks == 1
 
+    @pytest.mark.parametrize(
+        "error",
+        [MaxIterations("stand-in"), np.linalg.LinAlgError("stand-in")],
+        ids=["MaxIterations", "LinAlgError"],
+    )
     def test_a_precheck_solve_that_raises_leaves_the_level_to_the_scan(
-        self, family, materials, monkeypatch
+        self, family, materials, monkeypatch, error
     ):
-        from aeroinv.errors import MaxIterations
-
         meas = self.measurement(materials, "log_normal", (0.3, 1.8), 0.67, 0)
         solve = two_component.solve_constrained_tikhonov
         raised = []
@@ -440,7 +444,7 @@ class TestScanPrecheck:
             # the pre-check solves cold (4 arguments), the scan with a hint
             if len(args) == 4:
                 raised.append(args)
-                raise MaxIterations("stand-in")
+                raise error
             return solve(*args)
 
         name = "solve_constrained_tikhonov"
@@ -450,6 +454,23 @@ class TestScanPrecheck:
         monkeypatch.setattr(two_component, name, solve)
         monkeypatch.setattr(two_component, "_may_admit", lambda *a: True)
         self.assert_same(got, generate_models_two_component(family, meas))
+
+    def test_any_other_precheck_error_propagates(
+        self, family, materials, monkeypatch
+    ):
+        meas = self.measurement(materials, "log_normal", (0.3, 1.8), 0.67, 0)
+        solve = two_component.solve_constrained_tikhonov
+
+        def cold_solve_fails(*args):
+            if len(args) == 4:  # the pre-check's cold solve
+                raise ValueError("stand-in")
+            return solve(*args)
+
+        monkeypatch.setattr(
+            two_component, "solve_constrained_tikhonov", cold_solve_fails
+        )
+        with pytest.raises(ValueError, match="stand-in"):
+            generate_models_two_component(family, meas)
 
     @staticmethod
     def assert_same(got, expect):
