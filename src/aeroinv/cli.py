@@ -23,7 +23,7 @@ import numpy as np
 from . import simulation_study as study
 from .discretization import evaluate_distribution
 from .errors import AeroinvError, NoModels, UsageError
-from .model_selection import LOW_NOISE_DELTA_SQ, Measurement, top_within_noise
+from .model_selection import Measurement, is_low_noise, top_within_noise
 from .optics import get_material, mixed_kernel_rows, read_table
 from .two_component import scan_fractions
 
@@ -307,8 +307,7 @@ def _inversion_record(ranked, meas, elapsed, method) -> dict:
             "log_marginal_samples": [d["log_marginal_samples"] for d in candidates],
             "untilted_integrals": sum(c.log_marginal_tilted is False for c in ranked),
             "top_within_noise": top_within_noise(ranked),
-            "low_noise_morozov": method == "constrained"
-            and meas.scaling.delta_sq < LOW_NOISE_DELTA_SQ,
+            "low_noise_morozov": method == "constrained" and is_low_noise(meas),
             "elapsed_s": float(elapsed),
         },
         "method": method,
@@ -349,6 +348,7 @@ _RUN_COLUMNS = (
     ("worst_time_s", "worst_time"), ("avg_dim", "avg_dim"), ("runs", "runs"),
     ("avg_log_marginal_se", "avg_log_marginal_se"),
     ("worst_log_marginal_se", "worst_log_marginal_se"),
+    ("untilted_integrals", "untilted_integrals"),
 )
 # (header, field) of each column of the per-method table, after its key
 _METHOD_COLUMNS = (

@@ -1,14 +1,15 @@
 """Model generation over discretization levels and Bayesian model ranking.
 
-Every method walks the collocation levels coarse to fine in one ladder walk
-and differs only in its per-level fit.  On each level the unregularized fit
-decides, together with the data norm, which residual targets from the
-safety-factor grid are attainable; each one yields a reconstruction whose
-parameter the discrepancy principle sets (``tikhonov_qp``).  Each ridge
-curve of the level roots all of its open targets in one call, and each
-target's search starts from the passive set where the previous one ended.
-Candidates from at most ``max_disc`` levels are ranked by their marginal
-likelihood.
+Every method walks the collocation sizes of ``DEFAULT_LADDER`` coarse to
+fine in one ladder walk and differs only in its per-level fit.  On each
+level the unregularized fit decides, together with the data norm, which
+residual targets from the safety-factor grid are attainable; each one
+yields a reconstruction whose parameter the discrepancy principle sets
+(``tikhonov_qp``).  Each ridge curve of the level roots all of its open
+targets in one call, and each target's search starts from the passive set
+where the previous one ended.  Candidates from at most ``DEFAULT_MAX_DISC``
+levels are ranked by their evidence, the orthant integral of one quadratic
+form each (``_statistical_system``).
 
 What every method first computes on a level for a measurement (the weighted
 data and kernel matrix, its least-squares bound, the admission NNLS
@@ -46,7 +47,7 @@ import csv
 import dataclasses
 import functools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -156,6 +157,10 @@ class Measurement:
     mean_extinction: np.ndarray
     variance: np.ndarray
     repeats: int = 1
+    # ``NoiseScaling.from_measurement(self)``: the noise scaling the
+    # measurement fixes, made once on construction and shared by every
+    # method that reads it
+    scaling: NoiseScaling = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.wavelengths, dtype=float)
@@ -181,30 +186,24 @@ class Measurement:
         object.__setattr__(self, "mean_extinction", m)
         object.__setattr__(self, "variance", v)
         object.__setattr__(self, "repeats", repeats)
+        scaling = NoiseScaling.from_measurement(self)
         # every level's weighted data r = m * weights has this norm; no fit
         # or residual of a level can be formed once it overflows (or once a
-        # variance of the mean underflows to 0).  The scaling is not kept:
-        # ``scaling`` makes it on first use.
+        # variance of the mean underflows to 0)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            r = m * NoiseScaling.from_measurement(self).normalized_weights
+            r = m * scaling.normalized_weights
             if not np.isfinite((r**2).sum()):
                 raise ValueError("the weighted data norm of the means is not finite")
+        object.__setattr__(self, "scaling", scaling)
 
     @property
     def n_wavelengths(self) -> int:
         return self.wavelengths.size
 
     @functools.cached_property
-    def scaling(self) -> "NoiseScaling":
-        """``NoiseScaling.from_measurement(self)``: the noise scaling the
-        measurement fixes, computed on first use and shared by every method
-        that reads it."""
-        return NoiseScaling.from_measurement(self)
-
-    @functools.cached_property
     def log_likelihood_normalizer(self) -> float:
         """log of the Gaussian likelihood's normalizing constant, computed
-        on first use like ``scaling``."""
+        on first use."""
         return 0.5 * self.n_wavelengths * np.log(2.0 * np.pi) + 0.5 * float(
             np.sum(np.log(self.scaling.obs_variance))
         )
@@ -374,15 +373,7 @@ def _level_fit(forward, kernel: KernelMatrix, meas: Measurement) -> _LevelFit:
     return slot[1][kernel]
 
 
-def _constrained_fit(search, base_res, target_sq):
-    """Constrained discrepancy solve on the level's shared search state."""
-    gamma, sol = solve_discrepancy(
-        search.K, search.r, search.reg, target_sq, base_res, state=search
-    )
-    return gamma, sol.n, sol.residual_sq
-
-
-def _level_candidates(forward, kernel, meas, tau_grid, reg_kind, base_res, fit):
+def _level_candidates(forward, kernel, meas, tau_grid, reg_kind, base_res):
     """Constrained candidates for the level ``kernel`` of ``forward`` (empty
     if none admissible).
 
@@ -390,10 +381,8 @@ def _level_candidates(forward, kernel, meas, tau_grid, reg_kind, base_res, fit):
     admissible targets.  One pass of the level's search state
     (``_LevelFit.search``) is opened over them, so each ridge curve roots
     them all in one call and each search after the first starts from the
-    positive set of the last one that returned; ``fit(search, base_res,
-    target)``, ``_constrained_fit`` or a caller's wrapper of it, maps each
-    target, in ascending order, to ``(gamma, weights, residual_sq)`` on the
-    weighted system.
+    positive set of the last one that returned; ``solve_discrepancy`` fits
+    each target, in ascending order, on the weighted system.
     """
     level = _level_fit(forward, kernel, meas)
     targets = level.open_targets(base_res, tau_grid)
@@ -404,9 +393,12 @@ def _level_candidates(forward, kernel, meas, tau_grid, reg_kind, base_res, fit):
     fits = []
     for tau, target in targets:
         try:
-            fits.append((tau, *fit(search, base_res, target)))
+            gamma, sol = solve_discrepancy(
+                search.K, search.r, search.reg, target, base_res, state=search
+            )
         except (TargetOutOfRange, BracketFailure):
             continue
+        fits.append((tau, gamma, sol.n, sol.residual_sq))
     return _candidates(kernel, search.reg, fits)
 
 
@@ -427,20 +419,20 @@ def _candidates(kernel, reg, fits):
     ]
 
 
-def _walk_ladder(meas, kernel_builder, ladder, fit_level, max_levels):
-    """Visit ladder levels coarse to fine, collecting ``fit_level`` results.
+def _walk_ladder(meas, fit_level, max_levels):
+    """Visit the ``DEFAULT_LADDER`` levels coarse to fine, collecting the
+    list ``fit_level(n_col)`` returns for each collocation size.
 
-    ``fit_level(kernel_builder(n_col))`` returns a level's list of results;
-    levels whose model dimension exceeds the number of wavelengths are not
+    Levels whose model dimension exceeds the number of wavelengths are not
     visited.  Stops after ``max_levels`` levels gave results; raises
     NoModels if none did.
     """
     found = []
     filled_levels = 0
-    for n_col in ladder:
+    for n_col in DEFAULT_LADDER:
         if n_col - 2 > meas.n_wavelengths:
             break
-        level = fit_level(kernel_builder(n_col))
+        level = fit_level(n_col)
         if level:
             found.extend(level)
             filled_levels += 1
@@ -454,7 +446,6 @@ def _walk_ladder(meas, kernel_builder, ladder, fit_level, max_levels):
 def generate_models(
     meas: Measurement,
     kernel_builder,
-    ladder=DEFAULT_LADDER,
     tau_grid=DEFAULT_TAU_GRID,
     reg_kind: str = "tikhonov",
     max_disc: int = DEFAULT_MAX_DISC,
@@ -470,35 +461,28 @@ def generate_models(
     """
     limit = _admission_limit(meas, tau_grid)
 
-    def fit_level(kernel):
+    def fit_level(n_col):
+        kernel = kernel_builder(n_col)
         level = _level_fit(kernel_builder, kernel, meas)
         if level.bound >= limit:
             return []
         return _level_candidates(
-            kernel_builder, kernel, meas, tau_grid, reg_kind,
-            level.nnls_residual, _constrained_fit,
+            kernel_builder, kernel, meas, tau_grid, reg_kind, level.nnls_residual
         )
 
-    return _walk_ladder(meas, kernel_builder, ladder, fit_level, max_disc)
+    return _walk_ladder(meas, fit_level, max_disc)
 
 
-@dataclass(frozen=True)
-class _StatisticalSystem:
-    """A candidate's evidence integral: the log evidence is the log of the
-    orthant integral of ``joint`` minus ``log_b`` (the likelihood's
-    normalizer) minus ``log_prior_norm`` (the prior's)."""
-
-    joint: QuadraticForm
-    log_b: float
-    log_prior_norm: float
-
-
-def _statistical_system(candidate, meas) -> _StatisticalSystem:
-    """Evidence exponent, likelihood normalizer and prior normalizer.
+def _statistical_system(candidate, meas) -> QuadraticForm:
+    """The candidate's evidence form: the log of its orthant integral is the
+    log evidence, and the log of its integral over all of R^N
+    (``log_gaussian_integral``) bounds every estimate of it from above.
 
     Statistics run on the unnormalized covariance, so the regularizer stored
     with the normalized-problem parameter is rescaled by 1/delta^2 here: the
-    prior precision is ``scale * R``.
+    prior precision is ``scale * R``.  The likelihood's normalizer b and the
+    prior's Z_prior divide the integral, so q = e'e + 2 (log b + log
+    Z_prior).
     """
     scaling = meas.scaling
     var = scaling.obs_variance
@@ -506,14 +490,9 @@ def _statistical_system(candidate, meas) -> _StatisticalSystem:
     e_stat = meas.mean_extinction / np.sqrt(var)
     scale = candidate.gamma / scaling.delta_sq
     R_stat = scale * candidate.regularizer.matrix
-    joint = QuadraticForm(
-        K_stat.T @ K_stat + R_stat, K_stat.T @ e_stat, float(e_stat @ e_stat)
-    )
-    return _StatisticalSystem(
-        joint,
-        meas.log_likelihood_normalizer,
-        prior_normalizer(candidate.regularizer, scale).log_value,
-    )
+    log_prior_norm = prior_normalizer(candidate.regularizer, scale).log_value
+    q = float(e_stat @ e_stat) + 2.0 * (meas.log_likelihood_normalizer + log_prior_norm)
+    return QuadraticForm(K_stat.T @ K_stat + R_stat, K_stat.T @ e_stat, q)
 
 
 def _estimate_log_prior_orthant_probability(kind: str, N: int):
@@ -598,14 +577,11 @@ class LogEvidence(float):
         return self
 
 
-def _log_evidence(system: _StatisticalSystem, samples: int, seed: int) -> LogEvidence:
-    """One QMC orthant integral of the joint exponent; its relative error
+def _log_evidence(form: QuadraticForm, samples: int, seed: int) -> LogEvidence:
+    """One QMC orthant integral of the evidence form; its relative error
     (the standard error of its log) is the returned ``std_error``."""
-    est = orthant_integral(system.joint, samples, seed)
-    return LogEvidence(
-        est.log_value - system.log_b - system.log_prior_norm,
-        est.std_error, est.samples, est.tilted,
-    )
+    est = orthant_integral(form, samples, seed)
+    return LogEvidence(est.log_value, est.std_error, est.samples, est.tilted)
 
 
 def log_marginal_likelihood(
@@ -616,16 +592,6 @@ def log_marginal_likelihood(
 ) -> LogEvidence:
     """Log evidence of one candidate under its truncated-Gaussian prior."""
     return _log_evidence(_statistical_system(candidate, meas), samples, seed)
-
-
-def _log_evidence_bound(system: _StatisticalSystem) -> float:
-    """Closed-form upper bound on the log evidence: the log evidence with
-    the joint orthant probability set to 1, i.e. the joint Gaussian
-    integral over all of R^N (``log_gaussian_integral``) in place of the
-    orthant integral.  Every estimate, at any budget and seed, is at most
-    this value up to rounding.  The joint form keeps its Cholesky factor,
-    so the estimate that follows does not factor it again."""
-    return log_gaussian_integral(system.joint) - system.log_b - system.log_prior_norm
 
 
 def _rank(candidates, log_marginals):
@@ -676,71 +642,73 @@ def select_models(
 ) -> list[ModelCandidate]:
     """Rank candidates by posterior probability under a uniform model prior.
 
-    Each candidate's statistical system is built once and serves both its
-    bound and its estimate.  The samplers of candidates of one dimension
-    are set up together (``orthant_mvn.prepare``), which changes no
-    estimate; each estimate then runs only its points.  A candidate whose
-    reordered factor fails raises ``CholeskyFailure`` there, before any
-    integral runs.  Candidates are
-    visited in descending ``_log_evidence_bound`` (a stable sort, so ties
-    keep their order).  One
-    whose bound lies more than ``_SCREEN_NATS`` below the largest
-    full-budget log evidence so far is screened: its estimate gets
-    ``samples // _SCREEN_DIVISOR`` points.
-    Every other candidate gets ``samples`` points, the same call with the
-    same arguments as without the screen.  Since every estimate is at most
-    its bound, a screened candidate never ranks first and its posterior is
-    below exp(-_SCREEN_NATS) of the top's.
+    Each candidate's evidence form (``_statistical_system``) is built once
+    and serves both its bound, the log of its integral over all of R^N
+    (``log_gaussian_integral``), and its estimate, which share one Cholesky
+    factor.  The samplers of candidates of one dimension are set up
+    together (``orthant_mvn.prepare``), which changes no estimate; each
+    estimate then runs only its points.  A candidate whose reordered factor
+    fails raises ``CholeskyFailure`` there, before any integral runs.
+    Candidates are visited in descending bound (a stable sort, so ties keep
+    their order).  One whose bound lies more than ``_SCREEN_NATS`` below
+    the largest full-budget log evidence so far is screened: its estimate
+    gets ``samples // _SCREEN_DIVISOR`` points.  Every other candidate gets
+    ``samples`` points, the same call with the same arguments as without
+    the screen.  Since every estimate is at most its bound, a screened
+    candidate never ranks first and its posterior is below
+    exp(-_SCREEN_NATS) of the top's.
     """
     if not candidates:
         raise EmptyCandidates("no candidates to select from")
-    systems = [_statistical_system(c, meas) for c in candidates]
-    bounds = [_log_evidence_bound(s) for s in systems]
-    prepare(s.joint for s in systems)
+    forms = [_statistical_system(c, meas) for c in candidates]
+    bounds = [log_gaussian_integral(form) for form in forms]
+    prepare(forms)
     log_marginals = [None] * len(candidates)
     best = -np.inf
     for i in sorted(range(len(candidates)), key=lambda i: -bounds[i]):
         screened = bounds[i] < best - _SCREEN_NATS
         budget = max(samples // _SCREEN_DIVISOR, 1) if screened else samples
-        log_marginals[i] = _log_evidence(systems[i], budget, seed)
+        log_marginals[i] = _log_evidence(forms[i], budget, seed)
         if not screened:
             best = max(best, log_marginals[i])
     return _rank(candidates, log_marginals)
 
 
+def is_low_noise(meas: Measurement) -> bool:
+    """Whether the measurement is nearly noise-free, delta^2 below
+    ``LOW_NOISE_DELTA_SQ``: there the statistical computations degenerate,
+    and ``invert_constrained`` returns Morozov's candidate instead."""
+    return meas.scaling.delta_sq < LOW_NOISE_DELTA_SQ
+
+
 def invert_constrained(
     meas: Measurement,
     kernel_builder,
-    ladder=DEFAULT_LADDER,
     tau_grid=DEFAULT_TAU_GRID,
     reg_kind: str = "tikhonov",
-    max_disc: int = DEFAULT_MAX_DISC,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> list[ModelCandidate]:
     """Full constrained pipeline: generate candidates, rank them.
 
-    For nearly noise-free data the statistical computations degenerate, so the
-    Bayesian ranking is skipped in favor of the coarsest admissible model at
-    the classical safety factor.
+    For nearly noise-free data (``is_low_noise``) the Bayesian ranking is
+    skipped in favor of the coarsest admissible model at the classical
+    safety factor.
     """
-    if meas.scaling.delta_sq < LOW_NOISE_DELTA_SQ:
-        return invert_morozov(meas, kernel_builder, ladder, reg_kind)
-    candidates = generate_models(
-        meas, kernel_builder, ladder, tau_grid, reg_kind, max_disc
-    )
+    if is_low_noise(meas):
+        return invert_morozov(meas, kernel_builder, reg_kind)
+    candidates = generate_models(meas, kernel_builder, tau_grid, reg_kind)
     return select_models(candidates, meas, samples, seed)
 
 
 def invert_morozov(
     meas: Measurement,
     kernel_builder,
-    ladder=DEFAULT_LADDER,
     reg_kind: str = "tikhonov",
 ) -> list[ModelCandidate]:
     """Single-factor variant: tau = 1.1, coarsest admissible level only."""
     candidates = generate_models(
-        meas, kernel_builder, ladder, (MOROZOV_TAU,), reg_kind, max_disc=1
+        meas, kernel_builder, (MOROZOV_TAU,), reg_kind, max_disc=1
     )
     return [dataclasses.replace(candidates[0], posterior=1.0)]
 
@@ -767,13 +735,12 @@ def _log_evidence_unconstrained(curve, gamma, residual_sq, meas):
 def invert_unconstrained(
     meas: Measurement,
     kernel_builder,
-    ladder=DEFAULT_LADDER,
     tau_grid=DEFAULT_TAU_GRID,
     reg_kind: str = "tikhonov",
-    max_disc: int = DEFAULT_MAX_DISC,
 ) -> list[ModelCandidate]:
-    """Same pipeline with the constraints dropped and analytic evidence.  A
-    level its least-squares bound settles gets no least-squares fit.
+    """Same pipeline with the constraints dropped and analytic evidence,
+    over at most ``DEFAULT_MAX_DISC`` levels.  A level its least-squares
+    bound settles gets no least-squares fit.
 
     Each level is one stacked pass on its all-free ridge curve: one
     ``roots`` call for its open targets, then the weights, certificates and
@@ -783,7 +750,8 @@ def invert_unconstrained(
     """
     limit = _admission_limit(meas, tau_grid)
 
-    def fit_level(kernel):
+    def fit_level(n_col):
+        kernel = kernel_builder(n_col)
         fits = _level_fit(kernel_builder, kernel, meas)
         if fits.bound >= limit:
             return []
@@ -805,14 +773,13 @@ def invert_unconstrained(
         fitted = zip(taus, gamma.tolist(), weights, res.tolist())
         return list(zip(_candidates(kernel, search.reg, fitted), log_marginals.tolist()))
 
-    scored = _walk_ladder(meas, kernel_builder, ladder, fit_level, max_disc)
+    scored = _walk_ladder(meas, fit_level, DEFAULT_MAX_DISC)
     return _rank([c for c, _ in scored], [lm for _, lm in scored])
 
 
 def bic_select(
     meas: Measurement,
     kernel_builder,
-    ladder=DEFAULT_LADDER,
     tau_grid=DEFAULT_TAU_GRID,
 ):
     """Score the coarsest admissible levels by the information criterion.
@@ -828,7 +795,8 @@ def bic_select(
     log_norm_const = 2.0 * meas.log_likelihood_normalizer
     limit = _admission_limit(meas, tau_grid)
 
-    def fit_level(kernel):
+    def fit_level(n_col):
+        kernel = kernel_builder(n_col)
         level = _level_fit(kernel_builder, kernel, meas)
         if level.bound >= limit or not level.open_targets(
             level.nnls_residual, tau_grid
@@ -839,7 +807,7 @@ def bic_select(
         score = log_norm_const + res / level.delta_sq + dim * np.log(n_l)
         return [(float(score), dim, ls, res, kernel)]
 
-    scored = _walk_ladder(meas, kernel_builder, ladder, fit_level, DEFAULT_MAX_DISC)
+    scored = _walk_ladder(meas, fit_level, DEFAULT_MAX_DISC)
     score, _, ls, res, kernel = min(scored, key=lambda t: (t[0], t[1]))
     candidate = ModelCandidate(
         weights=ls,

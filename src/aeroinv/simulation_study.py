@@ -350,6 +350,9 @@ class RunRecord:
     # standard error of the top candidate's log evidence; None where the
     # method has no Monte Carlo evidence (the classical methods) or no model
     log_marginal_se: float | None = None
+    # ranked candidates whose evidence integral ran untilted (Newton's
+    # method for the minimax tilt gave up); None like log_marginal_se
+    untilted_integrals: int | None = None
 
 
 @dataclass(frozen=True)
@@ -366,6 +369,8 @@ class MethodStats:
     # mean and largest RunRecord.log_marginal_se over the runs that have one
     avg_log_marginal_se: float | None
     worst_log_marginal_se: float | None
+    # sum of RunRecord.untilted_integrals over the runs that have one
+    untilted_integrals: int | None
 
 
 @dataclass(frozen=True)
@@ -384,6 +389,7 @@ class FractionStats:
     avg_dim: float
     avg_log_marginal_se: float | None
     worst_log_marginal_se: float | None
+    untilted_integrals: int | None
 
 
 @dataclass(frozen=True)
@@ -410,6 +416,9 @@ def _aggregate(records, by_fraction: bool = False) -> dict:
         se = np.array(
             [r.log_marginal_se for r in rows if r.log_marginal_se is not None]
         )
+        untilted = [
+            r.untilted_integrals for r in rows if r.untilted_integrals is not None
+        ]
         common = dict(
             runs=len(rows),
             avg_l2=float(l2.mean()),
@@ -421,6 +430,7 @@ def _aggregate(records, by_fraction: bool = False) -> dict:
             avg_dim=float(dims.mean()),
             avg_log_marginal_se=float(se.mean()) if se.size else None,
             worst_log_marginal_se=float(se.max()) if se.size else None,
+            untilted_integrals=sum(untilted) if untilted else None,
         )
         if not by_fraction:
             stats[key] = MethodStats(worst_l2=float(l2.max()), **common)
@@ -571,11 +581,14 @@ def _invert_one(
     A run that finds no model, or whose discrepancy search fails to converge
     (``RootFailure``), records the coarsest grid with zero weights."""
     t0 = time.perf_counter()
-    status = "success"
+    status, untilted = "success", None
     try:
-        top = invert(meas, builder, method, reg_kind, config, mc_seed)[0]
+        ranked = invert(meas, builder, method, reg_kind, config, mc_seed)
+        top = ranked[0]
         weights, grid, dim = top.weights, top.kernel.collocation_grid, top.dim
         p_recon, se = top.fraction, top.log_marginal_se
+        if top.log_marginal_tilted is not None:
+            untilted = sum(c.log_marginal_tilted is False for c in ranked)
     except (NoModels, RootFailure) as exc:
         status = (
             "no_model_failure" if isinstance(exc, NoModels) else "search_failure"
@@ -606,4 +619,5 @@ def _invert_one(
         status=status,
         **fraction,
         log_marginal_se=se,
+        untilted_integrals=untilted,
     )

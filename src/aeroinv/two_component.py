@@ -8,14 +8,17 @@ grid; a single material is a one-fraction family, without a spline.  Model
 generation scans the unregularized nonnegative residual across all
 fractions, keeps a spread of fractions from the best sliding window, and
 applies the discrepancy principle there; ranking is ``select_models`` with a
-uniform prior over all stored triplets.
+uniform prior over all stored triplets.  Generation is the ladder walk of
+``model_selection`` (``_walk_ladder``), stopped at the first level of
+``DEFAULT_LADDER`` that yields candidates; its per-level fit takes the
+collocation size and reads the level's stacked matrices from the family.
 
 A level admits a fraction in a pass only if that fraction's nonnegative
 residual lies below the pass's largest target, max(tau) * N_l * delta^2.
 Before it scans a level, generation bounds every fraction's nonnegative
 residual from below by its least-squares residual
 (``model_selection._least_squares_bounds``: one LAPACK Householder QR of
-each fraction's [K | r], without Q, a chunk of fractions at a time) and
+each fraction's [K | r], without Q, one fraction at a time) and
 solves NNLS only for the fractions whose bound lies below the walk's limit,
 that target times 1 + ``_PRECHECK_MARGIN`` (``_admission_limit``, the limit
 of every ladder walk).  If no solve lands below it either, no fraction of
@@ -41,11 +44,9 @@ from .discretization import (
 )
 from .errors import MaxIterations, NoModels
 from .model_selection import (
-    DEFAULT_LADDER,
     Measurement,
     ModelCandidate,
     _admission_limit,
-    _constrained_fit,
     _least_squares_bounds,
     _level_candidates,
     _walk_ladder,
@@ -234,7 +235,6 @@ def generate_models_two_component(
     meas: Measurement,
     tau_grid=TAU_GRID_TWO_COMPONENT,
     reg_kind: str = "tikhonov",
-    ladder=DEFAULT_LADDER,
 ) -> list[ModelCandidate]:
     """Candidates from the first ladder level admitting any scanned fraction.
 
@@ -243,10 +243,10 @@ def generate_models_two_component(
     each fraction's unregularized residual.  If the primary safety-factor
     grid yields nothing on any level, one retry runs with
     ``FALLBACK_TAU_GRID`` before giving up; it reuses each level's fraction
-    scan.  A level is scanned only if ``_may_admit`` finds that some
-    fraction may lie below the pass's largest target (see the module
-    docstring); a level it settles has no fraction below that target, so
-    its scan would have admitted nothing.
+    scan and its least-squares bounds.  A level is scanned only if
+    ``_may_admit`` finds that some fraction may lie below the pass's
+    largest target (see the module docstring); a level it settles has no
+    fraction below that target, so its scan would have admitted nothing.
     """
 
     @functools.cache
@@ -257,28 +257,27 @@ def generate_models_two_component(
     r = meas.mean_extinction * w
 
     @functools.cache
-    def bound_level(n_col):
-        stacked = family.level_matrices(n_col)[1]
-        return n_col, stacked, _least_squares_bounds(stacked, w, r)
+    def bounds(n_col):
+        return _least_squares_bounds(family.level_matrices(n_col)[1], w, r)
 
     for taus in (tuple(tau_grid), FALLBACK_TAU_GRID):
         limit = _admission_limit(meas, taus)
 
-        def fit_level(level):
-            n_col, stacked, bounds = level
-            if not _may_admit(stacked, w, r, bounds, limit):
+        def fit_level(n_col):
+            stacked = family.level_matrices(n_col)[1]
+            if not _may_admit(stacked, w, r, bounds(n_col), limit):
                 return []
             scan = scan_level(n_col)
             out = []
             for fi in scan.selected:
                 out += _level_candidates(
                     family, family.kernel_matrix(n_col, fi), meas, taus, reg_kind,
-                    scan.residuals[fi], _constrained_fit,
+                    scan.residuals[fi],
                 )
             return out
 
         try:
-            return _walk_ladder(meas, bound_level, ladder, fit_level, max_levels=1)
+            return _walk_ladder(meas, fit_level, max_levels=1)
         except NoModels:
             continue
     raise NoModels("no fraction/level/tau combination fits the data")

@@ -118,13 +118,14 @@ class TestReportCsv:
             runs=12, avg_l2=23.72, worst_l2=61.5, l2_failures=1,
             no_model_failures=0, search_failures=2, avg_time=0.125,
             worst_time=1.5, avg_dim=17.25, avg_log_marginal_se=0.0031,
-            worst_log_marginal_se=None,
+            worst_log_marginal_se=None, untilted_integrals=3,
         )
         fraction = FractionStats(
             water_percent=33.0, runs=4, avg_l2=15.48, avg_dev=1.25,
             worst_dev=3.5, l2_failures=0, dev_failures=1, no_model_failures=0,
             search_failures=0, avg_time=0.75, worst_time=0.9, avg_dim=21.0,
             avg_log_marginal_se=None, worst_log_marginal_se=0.0045,
+            untilted_integrals=None,
         )
         report = StudyReport(
             records=(),
@@ -136,16 +137,16 @@ class TestReportCsv:
         assert path.read_bytes() == (
             b"family,method,reg_kind,avg_l2_pct,worst_l2_pct,l2_failures,"
             b"no_model_failures,search_failures,avg_time_s,worst_time_s,avg_dim,"
-            b"runs,avg_log_marginal_se,worst_log_marginal_se\r\n"
+            b"runs,avg_log_marginal_se,worst_log_marginal_se,untilted_integrals\r\n"
             b"rrsb,constrained,tikhonov,23.72,61.5,1,0,2,0.125,1.5,17.25,12,0.0031,"
-            b"\r\n"
+            b",3\r\n"
             b"\r\n"
             b"family,reg_kind,water_percent,avg_l2_pct,avg_dev_pct,worst_dev_pct,"
             b"l2_failures,dev_failures,no_model_failures,search_failures,"
             b"avg_time_s,worst_time_s,avg_dim,runs,avg_log_marginal_se,"
-            b"worst_log_marginal_se\r\n"
+            b"worst_log_marginal_se,untilted_integrals\r\n"
             b"log_normal,tikhonov,33.0,15.48,1.25,3.5,0,1,0,0,0.75,0.9,21.0,4,,"
-            b"0.0045\r\n"
+            b"0.0045,\r\n"
         )
 
 
@@ -206,10 +207,50 @@ class TestCommands:
         assert report["records"][0]["status"] in (
             "success", "l2_failure", "no_model_failure"
         )
+        # every evidence integral of a normal run is tilted
+        assert report["records"][0]["untilted_integrals"] == 0
+        assert report["method_stats"][0]["untilted_integrals"] == 0
         csv_path = out.with_suffix(".csv")
         assert csv_path.exists()
-        header = csv_path.read_text().splitlines()[0]
+        header, row = csv_path.read_text().splitlines()
         assert header.startswith("family,method,reg_kind,avg_l2_pct")
+        assert header.endswith(",untilted_integrals") and row.endswith(",0")
+
+    def test_study_counts_untilted_integrals(self, tmp_path, monkeypatch):
+        """The first orthant set-up of the study runs untilted: the
+        constrained record, its JSON method row and its CSV row count one
+        untilted integral, and the methods without Monte Carlo evidence
+        count none (None, an empty cell)."""
+        import aeroinv.orthant_mvn as ortho
+
+        tilt, forced = ortho._minimax_tilt, []
+
+        def first_untilted(L, lower, means):
+            mu, psi, tilted = tilt(L, lower, means)
+            if not forced:
+                forced.append(lower.shape[0])
+                mu[0], psi[0], tilted[0] = 0.0, 0.0, False
+            return mu, psi, tilted
+
+        monkeypatch.setattr(ortho, "_minimax_tilt", first_untilted)
+        out = tmp_path / "study.json"
+        code = main(
+            ["study", "--family", "log_normal", "--method", "all",
+             "--params", "44", "--repeats", "1", "--mc-samples", "2000",
+             "--out", str(out)]
+        )
+        assert code == 0 and forced
+        report = json.loads(out.read_text())
+        expect = {m: None for m in ("morozov", "unconstrained", "bic")}
+        expect["constrained"] = 1
+        got = {r["method"]: r["untilted_integrals"] for r in report["records"]}
+        assert got == expect
+        got = {s["method"]: s["untilted_integrals"] for s in report["method_stats"]}
+        assert got == expect
+        header, *rows = out.with_suffix(".csv").read_text().splitlines()
+        assert header.endswith(",untilted_integrals")
+        got = {row.split(",")[1]: row.rsplit(",", 1)[1] for row in rows}
+        assert got == {m: "" if n is None else str(n) for m, n in expect.items()}
 
     def test_usage_error_exit_code(self):
         assert main([]) == 1

@@ -662,7 +662,7 @@ class TestHardEvidenceIntegrals:
         estimate agrees with a larger one where the untilted sampler is off
         by hundreds of nats."""
         meas, cands = draw("rrsb", 50, 50)
-        forms = [msel._statistical_system(c, meas).joint for c in cands]
+        forms = [msel._statistical_system(c, meas) for c in cands]
         ests = [orthant_integral(f, seed=0) for f in forms]
         gaps = [
             e.log_bound - ortho.log_gaussian_integral(f) for e, f in zip(ests, forms)

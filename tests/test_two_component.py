@@ -4,7 +4,7 @@ import pytest
 import dataclasses
 from collections import Counter
 
-from aeroinv import two_component
+from aeroinv import model_selection, two_component
 from aeroinv.discretization import (
     assemble_kernel_matrix,
     uniform_grid,
@@ -336,11 +336,11 @@ class TestGenerateAndSelect:
             meas.wavelengths, meas.mean_extinction, meas.variance, meas.repeats
         )
         primary_limit = 2.25 * meas.n_wavelengths * meas.scaling.delta_sq
-        inner = two_component._constrained_fit
+        inner = model_selection.solve_discrepancy
         searches = Counter()
 
-        def primary_rejected(search, base_res, target_sq):
-            out = inner(search, base_res, target_sq)
+        def primary_rejected(K, r, reg, target_sq, *args, **kwargs):
+            out = inner(K, r, reg, target_sq, *args, **kwargs)
             if target_sq < primary_limit:
                 searches["primary"] += 1
                 raise BracketFailure("stand-in: primary-pass search rejected")
@@ -359,10 +359,11 @@ class TestGenerateAndSelect:
             rooted[self.key] += 1
             return roots(self, targets)
 
-        monkeypatch.setattr(two_component, "_constrained_fit", primary_rejected)
+        monkeypatch.setattr(model_selection, "solve_discrepancy", primary_rejected)
+        monkeypatch.setattr(model_selection, "DEFAULT_LADDER", (n_col,))
         monkeypatch.setattr(qp.RidgeCurve, "__init__", counting_init)
         monkeypatch.setattr(qp.RidgeCurve, "roots", counting_roots)
-        got = generate_models_two_component(family, meas, ladder=(n_col,))
+        got = generate_models_two_component(family, meas)
         assert got and {c.tau for c in got} <= set(FALLBACK_TAU_GRID)
         assert searches["primary"] and searches["fallback"]
         assert set(built.values()) == {1}
