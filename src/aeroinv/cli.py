@@ -25,7 +25,6 @@ from .discretization import evaluate_distribution
 from .errors import AeroinvError, NoModels, UsageError
 from .model_selection import Measurement, is_low_noise, top_within_noise
 from .optics import get_material, mixed_kernel_rows, read_table
-from .two_component import scan_fractions
 
 RECORD_SCHEMA = "aeroinv-inversion/1"
 REPORT_SCHEMA = "aeroinv-report/1"
@@ -456,9 +455,8 @@ def _cmd_invert(args) -> int:
             zip(recon["radius_um"], recon["density"]),
         )
     if args.emit_plot_data and forward.n_fractions > 1:
-        scan = scan_fractions(
-            forward, meas, n_col=len(ranked[0].kernel.collocation_grid)
-        )
+        # the scan of the top candidate's level, kept by its generation
+        scan = forward.level(meas, len(ranked[0].kernel.collocation_grid)).scan
         _write_csv(
             out.with_suffix(".fractions.csv"), ["fraction", "nnls_residual_sq"],
             zip(forward.fractions, scan.residuals),

@@ -62,8 +62,8 @@ def uniform_grid(r_min: float, r_max: float, n: int) -> RadiusGrid:
 class KernelMatrix:
     """Discrete forward operator mapping interior basis weights to extinctions.
 
-    Compared and hashed by identity: its ``KernelFamily`` keys a level's
-    fits by the matrix itself."""
+    Compared and hashed by identity: field equality on its arrays would be
+    ambiguous.  No cache is keyed by it."""
 
     entries: np.ndarray  # (N_l, interior_dim)
     wavelengths: np.ndarray

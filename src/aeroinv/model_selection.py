@@ -11,24 +11,25 @@ where the previous one ended.  Candidates from at most ``DEFAULT_MAX_DISC``
 levels are ranked by their evidence, the orthant integral of one quadratic
 form each (``_statistical_system``).
 
-What every method first computes on a level for a measurement (the weighted
-data and kernel matrix, its least-squares bound, the admission NNLS
-residual, the least-squares fit and, per regularizer kind, the
-discrepancy-search state with its ridge curves) is computed once, on first
-use, and shared: it lives on the forward model, a ``KernelFamily``, keyed
-by the identity of the measurement, so every method run on the family
-reuses it, and it is freed with the family.
+What every method computes on a level for a measurement is computed once,
+on first use, in the level's one state (``_LevelState``), which the forward
+model, a ``KernelFamily``, keeps for its latest measurement
+(``KernelFamily.level``): the weighted data, every fraction's least-squares
+bound and, per fraction, a ``_LevelFit`` (the weighted kernel matrix, the
+admission NNLS residual, the least-squares fit and, per regularizer kind,
+the discrepancy-search state with its ridge curves).  Every method run on
+the family reuses it, and it is freed with the family.
 
 A level can open a target only if its unregularized residual lies below the
 walk's largest target, max(tau) * N_l * delta^2.  No nonnegative or
 least-squares residual lies below the least-squares bound ||r - Q Q'r||^2
-(``_least_squares_bounds``, one Householder QR of [K | r]), so every walk,
-the two-component one included, first compares that bound with the largest
-target times 1 + ``_PRECHECK_MARGIN`` (``_admission_limit``).  A level whose
-bound reaches it is settled: it opens no target, and the walk computes
-neither its NNLS nor its least-squares fit and never forms its weighted
-kernel matrix (the bound weights [K | r] in a block of its own).  Any
-other level is fitted as before, so every candidate stays the same.
+(``_least_squares_bounds``, one Householder QR of [K | r]), so the ladder
+walk (``_walk_ladder``), the one place a level is settled, first compares
+the level's smallest bound with that target times 1 + ``_PRECHECK_MARGIN``
+(``_admission_limit``).  A settled level opens no target: no fit of it is
+computed and its weighted kernel matrix is never formed (the bound weights
+[K | r] in a block of its own).  Any other level is fitted as before, so
+every candidate stays the same.
 
 Fits: constrained (nonnegative fit, constrained Tikhonov, whose search
 starts on the level's ridge curve, goes on to passive-set ridge curves and
@@ -296,24 +297,16 @@ def _admission_limit(meas: Measurement, tau_grid) -> float:
 
 
 class _LevelFit:
-    """One level's fits to one measurement, shared by every method that
-    visits the level: the weighted data, and on first use the weighted
-    kernel matrix, the level's least-squares bound, the admission NNLS
-    residual, the least-squares fit and, per regularizer kind, the
-    discrepancy-search state (``tikhonov_qp.SearchState``).  That state
-    holds the ridge curve of every passive set a search on the level has
-    met, each with its table of roots; its all-free curve is the one the
-    unconstrained fit and its evidence read.  A neighbour start it carries
-    serves one pass only: every pass opens with ``SearchState.begin``.  All
-    arrays are read-only."""
+    """The fits of one fraction's system on a level, each made on first use.
+    A discrepancy-search state (``tikhonov_qp.SearchState``) holds the ridge
+    curve of every passive set its searches met, each with its table of
+    roots; the all-free curve is the one the unconstrained fit and its
+    evidence read.  Every pass opens with ``SearchState.begin``, so a
+    neighbour start serves one pass only.  A fit holds the level's weighted
+    data and weights, not the level.  All arrays are read-only."""
 
-    def __init__(self, kernel: KernelMatrix, meas: Measurement):
-        w = meas.scaling.normalized_weights
-        self.delta_sq = meas.scaling.delta_sq
-        self._entries, self._w = kernel.entries, w
-        self.r = meas.mean_extinction * w
-        self.r.setflags(write=False)
-        self.data_norm_sq = float((self.r**2).sum())
+    def __init__(self, entries: np.ndarray, w: np.ndarray, r: np.ndarray):
+        self._entries, self._w, self.r = entries, w, r
         self._searches = {}  # regularizer kind -> SearchState
 
     @functools.cached_property
@@ -324,6 +317,57 @@ class _LevelFit:
         K.setflags(write=False)
         return K
 
+    @functools.cached_property
+    def nnls_residual(self) -> float:
+        """Residual of the unregularized nonnegative fit, solved cold."""
+        return solve_nnls(self.K, self.r).residual_sq
+
+    @functools.cached_property
+    def lstsq(self):
+        """The unconstrained least-squares fit and its residual."""
+        ls = np.linalg.lstsq(self.K, self.r, rcond=None)[0]
+        ls.setflags(write=False)
+        d = self.K @ ls - self.r
+        return ls, float(d @ d)
+
+    def search(self, kind: str) -> SearchState:
+        """The discrepancy-search state under the ``kind`` regularizer, made
+        on first use per kind."""
+        if kind not in self._searches:
+            reg = build_regularizer(kind, self.K.shape[1])
+            self._searches[kind] = SearchState(self.K, self.r, reg)
+        return self._searches[kind]
+
+
+class _LevelState:
+    """One ladder level of a family for one measurement: the stacked
+    matrices (fractions, N_l, N), the weighted data r, its norm, delta^2,
+    every fraction's least-squares bound (``bounds``) and the smallest of
+    them (``bound``, not a number if any bound is not); on first use a
+    ``_LevelFit`` per fraction index and, for a mixture, the fraction scan
+    (``two_component.FractionScan``).  It holds no reference to its family
+    and its fits none to it, so a dropped family is freed without a
+    collection."""
+
+    def __init__(self, n_col: int, stacked: np.ndarray, meas: Measurement):
+        self.n_col, self.stacked = n_col, stacked
+        self.w = meas.scaling.normalized_weights
+        self.delta_sq = meas.scaling.delta_sq
+        self.r = meas.mean_extinction * self.w
+        self.r.setflags(write=False)
+        self.data_norm_sq = float((self.r**2).sum())
+        self.bounds = _least_squares_bounds(stacked, self.w, self.r)
+        self.bounds.setflags(write=False)
+        self.bound = float(self.bounds.min())
+        self.scan = None
+        self._fits = {}  # fraction index -> _LevelFit
+
+    def fit(self, i: int) -> _LevelFit:
+        """The fits of fraction ``i``'s system, made on first use."""
+        if i not in self._fits:
+            self._fits[i] = _LevelFit(self.stacked[i], self.w, self.r)
+        return self._fits[i]
+
     def open_targets(self, base_res: float, tau_grid):
         """(tau, target) pairs whose residual target tau * N_l * delta^2
         lies strictly between the unregularized residual ``base_res`` and
@@ -332,63 +376,22 @@ class _LevelFit:
         targets = [(float(tau), tau * n_l * self.delta_sq) for tau in tau_grid]
         return [(tau, t) for tau, t in targets if base_res < t < self.data_norm_sq]
 
-    @functools.cached_property
-    def bound(self) -> float:
-        """The level's least-squares bound (``_least_squares_bounds`` on a
-        stack of one): no residual of the level lies below it."""
-        return float(_least_squares_bounds(self._entries[None], self._w, self.r)[0])
 
-    @functools.cached_property
-    def nnls_residual(self) -> float:
-        """Residual of the level's unregularized nonnegative fit."""
-        return solve_nnls(self.K, self.r).residual_sq
+def _level_candidates(level, i, kernel, tau_grid, reg_kind, base_res):
+    """Constrained candidates for fraction ``i`` of ``level``, whose matrix
+    is ``kernel`` (empty if none admissible).
 
-    @functools.cached_property
-    def lstsq(self):
-        """The level's unconstrained least-squares fit and its residual."""
-        ls = np.linalg.lstsq(self.K, self.r, rcond=None)[0]
-        ls.setflags(write=False)
-        d = self.K @ ls - self.r
-        return ls, float(d @ d)
-
-    def search(self, kind: str) -> SearchState:
-        """The level's discrepancy-search state under the ``kind``
-        regularizer, made on first use per kind."""
-        if kind not in self._searches:
-            reg = build_regularizer(kind, self.K.shape[1])
-            self._searches[kind] = SearchState(self.K, self.r, reg)
-        return self._searches[kind]
-
-
-def _level_fit(forward, kernel: KernelMatrix, meas: Measurement) -> _LevelFit:
-    """The fits of the family ``forward``'s level matrix ``kernel`` to
-    ``meas``, made on first use and kept in the family's slot while ``meas``
-    is its latest measurement; the slot holds ``meas`` itself, so an id can
-    never be reused while the fits live."""
-    slot = forward._fits
-    if not slot or slot[0] is not meas:
-        slot[:] = [meas, {}]
-    if kernel not in slot[1]:
-        slot[1][kernel] = _LevelFit(kernel, meas)
-    return slot[1][kernel]
-
-
-def _level_candidates(forward, kernel, meas, tau_grid, reg_kind, base_res):
-    """Constrained candidates for the level ``kernel`` of ``forward`` (empty
-    if none admissible).
-
-    ``base_res`` is the level's unregularized residual, which decides the
-    admissible targets.  One pass of the level's search state
-    (``_LevelFit.search``) is opened over them, so each ridge curve roots
-    them all in one call and each search after the first starts from the
-    positive set of the last one that returned; ``solve_discrepancy`` fits
-    each target, in ascending order, on the weighted system.
+    ``base_res`` is the system's unregularized residual, which decides the
+    admissible targets.  One pass of its search state (``_LevelFit.search``)
+    is opened over them, so each ridge curve roots them all in one call and
+    each search after the first starts from the positive set of the last one
+    that returned; ``solve_discrepancy`` fits each target, in ascending
+    order, on the weighted system.
     """
-    level = _level_fit(forward, kernel, meas)
     targets = level.open_targets(base_res, tau_grid)
     if not targets:
         return []
-    search = level.search(reg_kind)
+    search = level.fit(i).search(reg_kind)
     search.begin(t for _, t in targets)
     fits = []
     for tau, target in targets:
@@ -419,22 +422,32 @@ def _candidates(kernel, reg, fits):
     ]
 
 
-def _walk_ladder(meas, fit_level, max_levels):
-    """Visit the ``DEFAULT_LADDER`` levels coarse to fine, collecting the
-    list ``fit_level(n_col)`` returns for each collocation size.
+def _walk_ladder(meas, family, tau_grid, fit_level, max_levels):
+    """Visit the ``DEFAULT_LADDER`` levels of ``family`` coarse to fine,
+    collecting the list ``fit_level(level, kernel, limit)`` returns for the
+    state ``family.level(meas, n_col)`` and matrix ``family(n_col)`` of
+    each level that is not settled.
 
-    Levels whose model dimension exceeds the number of wavelengths are not
-    visited.  Stops after ``max_levels`` levels gave results; raises
-    NoModels if none did.
+    This is the one place a level is settled: when its smallest
+    least-squares bound reaches ``limit`` (``_admission_limit`` of
+    ``tau_grid``), no residual of it lies below any target; a bound that is
+    not a number leaves the level open.  Levels whose model dimension
+    exceeds the number of wavelengths are not visited.  Stops after
+    ``max_levels`` levels gave results; raises NoModels if none did.
     """
+    limit = _admission_limit(meas, tau_grid)
     found = []
     filled_levels = 0
     for n_col in DEFAULT_LADDER:
         if n_col - 2 > meas.n_wavelengths:
             break
-        level = fit_level(n_col)
-        if level:
-            found.extend(level)
+        kernel = family(n_col)
+        level = family.level(meas, n_col)
+        if level.bound >= limit:
+            continue
+        fitted = fit_level(level, kernel, limit)
+        if fitted:
+            found.extend(fitted)
             filled_levels += 1
             if filled_levels >= max_levels:
                 break
@@ -454,23 +467,17 @@ def generate_models(
 
     ``kernel_builder`` is the forward model, a ``KernelFamily``:
     ``kernel_builder(n_col)`` is the KernelMatrix for a collocation size,
-    and the fits of its levels live on the family (``_level_fit``), so the
-    methods run on one family for one measurement fit each level once.  A
-    level its least-squares bound settles gets no NNLS solve.  Stops after
-    ``max_disc`` levels produced candidates; raises NoModels if none did.
+    and its level states (``KernelFamily.level``) let the methods run on one
+    family for one measurement fit each level once.  A settled level gets
+    no NNLS solve.  Stops after ``max_disc`` levels produced candidates;
+    raises NoModels if none did.
     """
-    limit = _admission_limit(meas, tau_grid)
 
-    def fit_level(n_col):
-        kernel = kernel_builder(n_col)
-        level = _level_fit(kernel_builder, kernel, meas)
-        if level.bound >= limit:
-            return []
-        return _level_candidates(
-            kernel_builder, kernel, meas, tau_grid, reg_kind, level.nnls_residual
-        )
+    def fit_level(level, kernel, limit):
+        base_res = level.fit(0).nnls_residual
+        return _level_candidates(level, 0, kernel, tau_grid, reg_kind, base_res)
 
-    return _walk_ladder(meas, fit_level, max_disc)
+    return _walk_ladder(meas, kernel_builder, tau_grid, fit_level, max_disc)
 
 
 def _statistical_system(candidate, meas) -> QuadraticForm:
@@ -748,17 +755,13 @@ def invert_unconstrained(
     skipped; the first root, in tau order, that fails its certificate
     raises RootFailure.
     """
-    limit = _admission_limit(meas, tau_grid)
 
-    def fit_level(n_col):
-        kernel = kernel_builder(n_col)
-        fits = _level_fit(kernel_builder, kernel, meas)
-        if fits.bound >= limit:
-            return []
-        opened = fits.open_targets(fits.lstsq[1], tau_grid)
+    def fit_level(level, kernel, limit):
+        fit = level.fit(0)
+        opened = level.open_targets(fit.lstsq[1], tau_grid)
         if not opened:
             return []
-        search = fits.search(reg_kind)
+        search = fit.search(reg_kind)
         targets = [t for _, t in opened]
         search.begin(targets)
         curve, roots = search.roots(None, targets)
@@ -773,7 +776,7 @@ def invert_unconstrained(
         fitted = zip(taus, gamma.tolist(), weights, res.tolist())
         return list(zip(_candidates(kernel, search.reg, fitted), log_marginals.tolist()))
 
-    scored = _walk_ladder(meas, fit_level, DEFAULT_MAX_DISC)
+    scored = _walk_ladder(meas, kernel_builder, tau_grid, fit_level, DEFAULT_MAX_DISC)
     return _rank([c for c, _ in scored], [lm for _, lm in scored])
 
 
@@ -793,21 +796,17 @@ def bic_select(
     """
     n_l = meas.n_wavelengths
     log_norm_const = 2.0 * meas.log_likelihood_normalizer
-    limit = _admission_limit(meas, tau_grid)
 
-    def fit_level(n_col):
-        kernel = kernel_builder(n_col)
-        level = _level_fit(kernel_builder, kernel, meas)
-        if level.bound >= limit or not level.open_targets(
-            level.nnls_residual, tau_grid
-        ):
+    def fit_level(level, kernel, limit):
+        fit = level.fit(0)
+        if not level.open_targets(fit.nnls_residual, tau_grid):
             return []
-        ls, res = level.lstsq
+        ls, res = fit.lstsq
         dim = kernel.interior_dim
         score = log_norm_const + res / level.delta_sq + dim * np.log(n_l)
         return [(float(score), dim, ls, res, kernel)]
 
-    scored = _walk_ladder(meas, fit_level, DEFAULT_MAX_DISC)
+    scored = _walk_ladder(meas, kernel_builder, tau_grid, fit_level, DEFAULT_MAX_DISC)
     score, _, ls, res, kernel = min(scored, key=lambda t: (t[0], t[1]))
     candidate = ModelCandidate(
         weights=ls,

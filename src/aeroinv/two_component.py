@@ -14,24 +14,20 @@ uniform prior over all stored triplets.  Generation is the ladder walk of
 collocation size and reads the level's stacked matrices from the family.
 
 A level admits a fraction in a pass only if that fraction's nonnegative
-residual lies below the pass's largest target, max(tau) * N_l * delta^2.
-Before it scans a level, generation bounds every fraction's nonnegative
-residual from below by its least-squares residual
-(``model_selection._least_squares_bounds``: one LAPACK Householder QR of
-each fraction's [K | r], without Q, one fraction at a time) and
-solves NNLS only for the fractions whose bound lies below the walk's limit,
-that target times 1 + ``_PRECHECK_MARGIN`` (``_admission_limit``, the limit
-of every ladder walk).  If no solve lands below it either, no fraction of
-the level can be admitted, and the level is skipped without a scan.  Any
-other level, including one with a fraction inside the margin or a pre-check
-solve that stops at its iteration cap or fails its passive least-squares
-step, gets the same warm-started ``scan_fractions`` as before, so every
-candidate comes from the same scan and the records cannot change.
+residual lies below the pass's largest target.  The walk settles a level
+whose every fraction's least-squares bound reaches its limit (the bounds
+live on the family's level state, ``KernelFamily.level``).  On any other
+level, the fractions whose bound lies below the limit get their admission
+NNLS, the level's cold solve; if none lands below it either, the level is
+skipped without a scan.  Any other level, including one whose pre-check
+solve stops at its iteration cap or fails its passive least-squares step,
+gets the same warm-started ``scan_fractions`` as before, kept on its state
+for the fallback pass and ``invert2 --emit-plot-data``, so every candidate
+comes from the same scan and the records cannot change.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,9 +42,8 @@ from .errors import MaxIterations, NoModels
 from .model_selection import (
     Measurement,
     ModelCandidate,
-    _admission_limit,
-    _least_squares_bounds,
     _level_candidates,
+    _LevelState,
     _walk_ladder,
     select_models,
 )
@@ -81,11 +76,12 @@ class KernelFamily:
     ``family(n_col)`` is the level's matrix at the first fraction: a
     one-fraction family, whose matrices carry no fraction label, is the
     ``kernel_builder`` of every method in ``model_selection``.  The family
-    also keeps the level fits (``model_selection._level_fit``) in one slot:
-    the latest ``Measurement`` object and a dict from the family's matrices
-    to their fits, shared by every method run on the family for that
+    also keeps one state per ladder level for one measurement
+    (``level(meas, n_col)``, a ``model_selection._LevelState``) in one slot:
+    the latest ``Measurement`` object and a dict from collocation sizes to
+    level states, shared by every method run on the family for that
     measurement.  Another measurement object, even with equal arrays,
-    replaces the slot, and the fits are freed with the family.  Families
+    replaces the slot, and the states are freed with the family.  Families
     compare and hash by identity, as ``KernelMatrix`` does.
     """
 
@@ -96,7 +92,7 @@ class KernelFamily:
     _anchor_rows: np.ndarray = field(repr=False)  # (anchors, N_l, n_nodes)
     _levels: dict = field(default_factory=dict, repr=False)
     _matrices: dict = field(default_factory=dict, repr=False)
-    _fits: list = field(default_factory=list, repr=False)  # [meas, {matrix: fit}]
+    _state: list = field(default_factory=list, repr=False)  # [meas, {n_col: state}]
 
     @property
     def n_fractions(self) -> int:
@@ -132,6 +128,18 @@ class KernelFamily:
 
     def __call__(self, n_col: int) -> KernelMatrix:
         return self.kernel_matrix(n_col, 0)
+
+    def level(self, meas: Measurement, n_col: int) -> _LevelState:
+        """The state of level ``n_col`` for ``meas``, made on first use and
+        kept while ``meas`` (held itself, so its id is never reused) is the
+        family's latest measurement."""
+        slot = self._state
+        if not slot or slot[0] is not meas:
+            slot[:] = [meas, {}]
+        if n_col not in slot[1]:
+            stacked = self.level_matrices(n_col)[1]
+            slot[1][n_col] = _LevelState(n_col, stacked, meas)
+        return slot[1][n_col]
 
 
 @dataclass(frozen=True)
@@ -195,35 +203,32 @@ def scan_fractions(
     Ties between equal-mean windows resolve to the lowest starting index; the
     selected sub-indices are the first, third, and fifth window members.
     """
-    _, stacked = family.level_matrices(n_col)
-    w = meas.scaling.normalized_weights
-    r = meas.mean_extinction * w
+    level = family.level(meas, n_col)
     residuals = np.empty(family.n_fractions)
     hint = None
-    for i in range(family.n_fractions):
-        K = stacked[i] * w[:, None]
-        sol = solve_constrained_tikhonov(K, r, None, 0.0, hint)
+    for i, entries in enumerate(level.stacked):
+        K = entries * level.w[:, None]
+        sol = solve_constrained_tikhonov(K, level.r, None, 0.0, hint)
         hint = sol.n > 0.0
         residuals[i] = sol.residual_sq
     i0 = minimal_mean_window(residuals)
     return FractionScan(residuals, (i0, i0 + 2, i0 + 4))
 
 
-def _may_admit(stacked, w, r, bounds, limit: float) -> bool:
-    """Whether any weighted system may have a nonnegative residual below
-    ``limit``.
+def _may_admit(level, limit: float) -> bool:
+    """Whether any fraction's system of ``level`` may have a nonnegative
+    residual below ``limit``.
 
-    Only systems whose least-squares bound lies below ``limit`` get a cold
-    NNLS solve, and the first of those below ``limit`` settles the answer.
-    A solve that stops at its iteration cap, or whose passive least-squares
-    step fails (``LinAlgError``), leaves the decision to the scan, as does a
-    bound that is not a number.  On finite systems a cold NNLS raises
-    nothing else, so any other error propagates.
+    Only fractions whose least-squares bound lies below ``limit``, or is not
+    a number, get their admission NNLS (``_LevelFit.nnls_residual``), and
+    the first of those below ``limit`` settles the answer.  A solve that
+    stops at its iteration cap, or whose passive least-squares step fails
+    (``LinAlgError``), leaves the decision to the scan.  On finite systems a
+    cold NNLS raises nothing else, so any other error propagates.
     """
     try:
-        for i in np.flatnonzero(~(bounds >= limit)):
-            sol = solve_constrained_tikhonov(stacked[i] * w[:, None], r, None, 0.0)
-            if not sol.residual_sq >= limit:
+        for i in np.flatnonzero(~(level.bounds >= limit)):
+            if not level.fit(i).nnls_residual >= limit:
                 return True
     except (MaxIterations, np.linalg.LinAlgError):
         return True
@@ -242,42 +247,30 @@ def generate_models_two_component(
     passes the discrepancy window, with the scanned nonnegative residual as
     each fraction's unregularized residual.  If the primary safety-factor
     grid yields nothing on any level, one retry runs with
-    ``FALLBACK_TAU_GRID`` before giving up; it reuses each level's fraction
-    scan and its least-squares bounds.  A level is scanned only if
-    ``_may_admit`` finds that some fraction may lie below the pass's
-    largest target (see the module docstring); a level it settles has no
-    fraction below that target, so its scan would have admitted nothing.
+    ``FALLBACK_TAU_GRID`` before giving up; it reuses each level's scan,
+    bounds and admission solves, kept on the level's state.  A level is
+    scanned only if ``_may_admit`` finds that some fraction may lie below
+    the pass's largest target (see the module docstring); a level it
+    settles has no fraction below that target, so its scan would have
+    admitted nothing.
     """
-
-    @functools.cache
-    def scan_level(n_col):
-        return scan_fractions(family, meas, n_col)
-
-    w = meas.scaling.normalized_weights
-    r = meas.mean_extinction * w
-
-    @functools.cache
-    def bounds(n_col):
-        return _least_squares_bounds(family.level_matrices(n_col)[1], w, r)
-
     for taus in (tuple(tau_grid), FALLBACK_TAU_GRID):
-        limit = _admission_limit(meas, taus)
 
-        def fit_level(n_col):
-            stacked = family.level_matrices(n_col)[1]
-            if not _may_admit(stacked, w, r, bounds(n_col), limit):
+        def fit_level(level, kernel, limit):
+            if not _may_admit(level, limit):
                 return []
-            scan = scan_level(n_col)
+            if level.scan is None:
+                level.scan = scan_fractions(family, meas, level.n_col)
             out = []
-            for fi in scan.selected:
+            for fi in level.scan.selected:
                 out += _level_candidates(
-                    family, family.kernel_matrix(n_col, fi), meas, taus, reg_kind,
-                    scan.residuals[fi],
+                    level, fi, family.kernel_matrix(level.n_col, fi), taus,
+                    reg_kind, level.scan.residuals[fi],
                 )
             return out
 
         try:
-            return _walk_ladder(meas, fit_level, max_levels=1)
+            return _walk_ladder(meas, family, taus, fit_level, max_levels=1)
         except NoModels:
             continue
     raise NoModels("no fraction/level/tau combination fits the data")

@@ -277,6 +277,53 @@ class TestCommands:
         assert rows[0] == "fraction,nnls_residual_sq"
         assert len(rows) == 1 + 201
 
+    def test_invert2_plot_data_reuses_the_level_scan(self, tmp_path, monkeypatch):
+        """``invert2 --emit-plot-data`` writes the fraction scan its
+        generation kept: each scanned level is scanned once, and the CSV
+        holds the rows of ``scan_fractions`` on a fresh family byte for
+        byte."""
+        from collections import Counter
+
+        from aeroinv import simulation_study, two_component
+        from aeroinv.cli import _write_csv
+
+        meas_path = tmp_path / "mix.csv"
+        assert main(
+            ["simulate", "--family", "rrsb", "--param-index", "7", "--seed", "3",
+             "--materials", "h2o,csi", "--water-fraction", "0.3",
+             "--out", str(meas_path)]
+        ) == 0
+        scan = two_component.scan_fractions
+        scanned = Counter()
+
+        def counting_scan(family, meas, n_col):
+            scanned[n_col] += 1
+            return scan(family, meas, n_col)
+
+        # every aeroinv module that binds the scan calls the counting one
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "aeroinv":
+                for attr, value in list(vars(module).items()):
+                    if value is scan:
+                        monkeypatch.setattr(module, attr, counting_scan)
+        out = tmp_path / "inv2.json"
+        assert main(
+            ["invert2", "--measurement", str(meas_path), "--out", str(out),
+             "--mc-samples", "2000", "--emit-plot-data"]
+        ) == 0
+        monkeypatch.undo()
+        n_col = len(json.loads(out.read_text())["candidates"][0]["grid_points"])
+        assert scanned and set(scanned.values()) == {1} and n_col in scanned
+        meas = read_measurement(meas_path)
+        family = simulation_study.kernel_family(("h2o", "csi"), meas.wavelengths)
+        fresh = scan(family, meas, n_col)
+        expect = tmp_path / "fresh.fractions.csv"
+        _write_csv(
+            expect, ["fraction", "nnls_residual_sq"],
+            zip(family.fractions, fresh.residuals),
+        )
+        assert out.with_suffix(".fractions.csv").read_bytes() == expect.read_bytes()
+
     def test_study2_reduced_reports_fraction_table(self, tmp_path):
         out = tmp_path / "study2.json"
         code = main(

@@ -50,6 +50,11 @@ class HandMadeFamily(KernelFamily):
     def __call__(self, n_col):
         return self.levels[n_col]
 
+    def level_matrices(self, n_col):
+        """The level's grid and its matrix as a stack of one."""
+        kernel = self.levels[n_col]
+        return kernel.collocation_grid, kernel.entries[None]
+
 
 class TestRegularizers:
     def test_tikhonov_identity(self):
@@ -403,7 +408,7 @@ class TestUnconstrained:
         assert sum(c.posterior for c in ranked) == pytest.approx(1.0, abs=1e-12)
 
     def test_evidence_matches_quadrature(self):
-        from aeroinv.model_selection import _level_fit, _log_evidence_unconstrained
+        from aeroinv.model_selection import _log_evidence_unconstrained
         from aeroinv.tikhonov_qp import RidgeCurve
 
         rng = np.random.default_rng(0)
@@ -422,8 +427,8 @@ class TestUnconstrained:
             weights=n, kernel=kernel, regularizer=reg,
             gamma=0.7, tau=1.0, residual_sq=float(np.sum((K_w @ n - r_w) ** 2)),
         )
-        level = _level_fit(HandMadeFamily(kernel), kernel, meas)
-        curve = RidgeCurve(level.K, level.r, reg)
+        fit = HandMadeFamily(kernel).level(meas, 4).fit(0)
+        curve = RidgeCurve(fit.K, fit.r, reg)
         lz = _log_evidence_unconstrained(curve, cand.gamma, cand.residual_sq, meas)
         R_stat = (0.7 / sc.delta_sq) * np.eye(2)
 
@@ -523,7 +528,6 @@ class TestStackedUnconstrainedPass:
             DEFAULT_LADDER,
             DEFAULT_MAX_DISC,
             _admission_limit,
-            _level_fit,
             _rank,
         )
         from aeroinv.tikhonov_qp import RidgeCurve
@@ -534,13 +538,14 @@ class TestStackedUnconstrainedPass:
             if n_col - 2 > meas.n_wavelengths:
                 break
             kernel = builder(n_col)
-            level = _level_fit(builder, kernel, meas)
+            level = builder.level(meas, n_col)
             if level.bound >= limit:
                 continue
+            fit = level.fit(0)
             reg = build_regularizer(kind, kernel.interior_dim)
-            curve = RidgeCurve(level.K, level.r, reg)
+            curve = RidgeCurve(fit.K, fit.r, reg)
             found = []
-            for tau, target in level.open_targets(level.lstsq[1], DEFAULT_TAU_GRID):
+            for tau, target in level.open_targets(fit.lstsq[1], DEFAULT_TAU_GRID):
                 try:
                     gamma, n, res = curve.discrepancy(target, curve.roots([target])[0])
                 except BracketFailure:
@@ -1170,16 +1175,16 @@ class TestSharedLevelFits:
         morozov, unconstrained, bic = visited
         from aeroinv.model_selection import MOROZOV_TAU, _admission_limit
 
-        fits = {k.interior_dim: f for k, f in family._fits[1].items()}
+        levels = {n_col - 2: level for n_col, level in family._state[1].items()}
 
         def opened(dims, taus):
             limit = _admission_limit(meas, taus)
-            return {dim for dim in dims if fits[dim].bound < limit}
+            return {dim for dim in dims if levels[dim].bound < limit}
 
         grid = DEFAULT_TAU_GRID
         scored = {
             dim for dim in opened(bic, grid)
-            if fits[dim].open_targets(fits[dim].nnls_residual, grid)
+            if levels[dim].open_targets(levels[dim].fit(0).nnls_residual, grid)
         }
         assert counts["nnls"] == {
             dim: 1 for dim in opened(morozov, (MOROZOV_TAU,)) | opened(bic, grid)
@@ -1246,6 +1251,57 @@ class TestLevelFitLifetime:
         del family
         kept = (RidgeCurve, SearchState)
         assert [o for o in reachable(ranked) if isinstance(o, kept)] == []
+
+    def test_a_dropped_family_frees_its_level_stacks_without_a_collection(
+        self, study_inputs
+    ):
+        """Neither a level state nor its fits refer back to their family or
+        level, so reference counting alone frees a fitted family and every
+        level stack it built: a one-fraction family after a constrained
+        inversion and an 11-anchor mixture family after its generation."""
+        import gc
+        import weakref
+
+        from aeroinv.model_selection import invert_constrained
+        from aeroinv.optics import get_material
+        from aeroinv.simulation_study import (
+            SizeDistribution,
+            forward_extinctions,
+            simulate_measurement,
+        )
+        from aeroinv.two_component import (
+            build_kernel_family,
+            generate_models_two_component,
+        )
+
+        rows, wl, igrid, meas = study_inputs
+
+        def single():
+            family = self.family(study_inputs)
+            return family, invert_constrained(meas, family, samples=500)
+
+        def mixture():
+            water, csi, air = (get_material(m) for m in ("h2o", "csi", "air"))
+            family = build_kernel_family(water, csi, air, wl, igrid, anchor_count=11)
+            dist = SizeDistribution("log_normal", 1e4, (0.3, 1.8))
+            e_true = forward_extinctions(
+                dist, None, wl, grid=igrid, rows=family._anchor_rows[5]
+            )
+            mix = simulate_measurement(wl, e_true, 0.05, 300, rng=4)
+            return family, generate_models_two_component(family, mix)
+
+        for fit in (single, mixture):
+            family, candidates = fit()
+            assert candidates and family._state[1]
+            refs = [weakref.ref(family)] + [
+                weakref.ref(stacked) for _, stacked in family._levels.values()
+            ]
+            gc.disable()
+            try:
+                del family, candidates
+                assert [ref() for ref in refs] == [None] * len(refs), fit.__name__
+            finally:
+                gc.enable()
 
 
 class TestBoundSettledLevels:
@@ -1337,7 +1393,10 @@ class TestBoundSettledLevels:
             for bound in (True, False):
                 with monkeypatch.context() as patch:
                     if not bound:
-                        patch.setattr(ms._LevelFit, "bound", 0.0)
+                        patch.setattr(
+                            ms, "_least_squares_bounds",
+                            lambda stacked, w, r: np.zeros(len(stacked)),
+                        )
                     visited = set()
                     family = visiting(KernelLevelCache(*inputs), visited)
                     counts = counted(patch)
@@ -1364,18 +1423,20 @@ class TestBoundSettledLevels:
         family = KernelLevelCache(*inputs)
         for method in self.METHODS:
             self.run(method, measurements[0], family, "tikhonov")
-        levels = list(family._fits[1].values())
+        levels = list(family._state[1].values())
         settled = [level for level in levels if level.bound >= limit]
         assert settled and len(settled) < len(levels)
         for level in levels:
-            assert ("K" in vars(level)) == (level.bound < limit)
-        for level in levels:
-            entries = level._entries
+            formed = 0 in level._fits and "K" in vars(level.fit(0))
+            assert formed == (level.bound < limit)
+            entries = level.stacked[0]
             stacked = np.stack([2.0 * entries, entries, entries[:, ::-1]])
-            bounds = ms._least_squares_bounds(stacked, level._w, level.r)
+            bounds = ms._least_squares_bounds(stacked, level.w, level.r)
             assert float(bounds[1]).hex() == level.bound.hex()
-            if "K" in vars(level):
-                assert level.K.tobytes() == (entries * level._w[:, None]).tobytes()
+            if formed:
+                assert level.fit(0).K.tobytes() == (
+                    entries * level.w[:, None]
+                ).tobytes()
 
 
 class TestSharedRidgeCurves:
@@ -1535,7 +1596,7 @@ class TestSearchState:
     def test_candidates_meet_their_targets_with_a_kkt_certificate(
         self, study_inputs
     ):
-        from aeroinv.model_selection import _level_fit, invert_morozov
+        from aeroinv.model_selection import invert_morozov
         from aeroinv.tikhonov_qp import _DISCREPANCY_RTOL, _dual_tol
 
         meas = study_inputs[3]
@@ -1545,10 +1606,10 @@ class TestSearchState:
             for c in generate_models(meas, family, reg_kind=kind)
         ] + invert_morozov(meas, family)
         for c in candidates:
-            level = _level_fit(family, c.kernel, meas)
+            level = family.level(meas, len(c.kernel.collocation_grid))
             target = c.tau * meas.n_wavelengths * level.delta_sq
             assert abs(c.residual_sq - target) <= _DISCREPANCY_RTOL * target
-            K, r, n = level.K, level.r, c.weights
+            K, r, n = level.fit(0).K, level.r, c.weights
             d = K @ n - r
             assert c.residual_sq == float(d @ d)
             grad = K.T @ d + c.gamma * (c.regularizer.matrix @ n)
@@ -1570,14 +1631,14 @@ class TestSearchState:
         import dataclasses
 
         import aeroinv.tikhonov_qp as qp
-        from aeroinv.model_selection import _level_fit, invert_morozov
+        from aeroinv.model_selection import invert_morozov
 
         meas = study_inputs[3]
         fresh = invert_morozov(meas, self.family(study_inputs))
         shared = self.family(study_inputs)
         generate_models(meas, shared)
         (dim,) = {c.dim for c in fresh}
-        state = _level_fit(shared, shared(dim + 2), meas).search("tikhonov")
+        state = shared.level(meas, dim + 2).fit(0).search("tikhonov")
         assert state.start is not None and not state.start.all()
 
         searches, starts = [], []

@@ -425,7 +425,7 @@ def weighted_stacks(draw):
 @SETTINGS
 @given(weighted_stacks())
 def test_least_squares_bound_never_exceeds_the_nnls_residual(problem):
-    from aeroinv.two_component import _least_squares_bounds
+    from aeroinv.model_selection import _least_squares_bounds
 
     stacked, w, r = problem
     bounds = _least_squares_bounds(stacked, w, r)

@@ -305,7 +305,11 @@ class TestGenerateAndSelect:
             return scan(fam, m, n_col)
 
         monkeypatch.setattr(two_component, "scan_fractions", counting_scan)
-        got = generate_models_two_component(family, meas, tau_grid=(1e-12,))
+        # a twin measurement gets fresh level states, with no scan kept yet
+        twin = model_selection.Measurement(
+            meas.wavelengths, meas.mean_extinction, meas.variance, meas.repeats
+        )
+        got = generate_models_two_component(family, twin, tau_grid=(1e-12,))
         assert len(scanned) > 1
         assert set(scanned.values()) == {1}
         assert len(got) == len(expect) > 0
@@ -392,6 +396,21 @@ class TestScanPrecheck:
     level it visits."""
 
     @staticmethod
+    def scanning_every_level(family, meas, monkeypatch):
+        """Generation on a twin of ``meas``, so on fresh level states, with
+        neither the walk's bound nor the pre-check settling any level."""
+        twin = model_selection.Measurement(
+            meas.wavelengths, meas.mean_extinction, meas.variance, meas.repeats
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                model_selection, "_least_squares_bounds",
+                lambda stacked, w, r: np.zeros(len(stacked)),
+            )
+            patch.setattr(two_component, "_may_admit", lambda *a: True)
+            return generate_models_two_component(family, twin)
+
+    @staticmethod
     def measurement(materials, family_name, params, p_true, seed):
         from aeroinv.simulation_study import SizeDistribution, forward_extinctions
 
@@ -409,9 +428,9 @@ class TestScanPrecheck:
         precheck = two_component._may_admit
         calls = []
 
-        def recording(stacked, w, r, bounds, limit):
-            may = precheck(stacked, w, r, bounds, limit)
-            calls.append((limit, may, bool(np.any(bounds < limit))))
+        def recording(level, limit):
+            may = precheck(level, limit)
+            calls.append((limit, may, bool(np.any(level.bounds < limit))))
             return may
 
         settled_by_nnls = fallback_walks = 0
@@ -420,10 +439,12 @@ class TestScanPrecheck:
             calls.clear()
             monkeypatch.setattr(two_component, "_may_admit", recording)
             got = generate_models_two_component(family, meas)
+            monkeypatch.undo()
             settled_by_nnls += sum(low and not may for _, may, low in calls)
             fallback_walks += len({limit for limit, _, _ in calls}) > 1
-            monkeypatch.setattr(two_component, "_may_admit", lambda *a: True)
-            self.assert_same(got, generate_models_two_component(family, meas))
+            self.assert_same(
+                got, self.scanning_every_level(family, meas, monkeypatch)
+            )
         # some level was settled by its subset NNLS, not by its bounds alone,
         # and one walk reached the fallback pass
         assert settled_by_nnls > 0
@@ -438,38 +459,28 @@ class TestScanPrecheck:
         self, family, materials, monkeypatch, error
     ):
         meas = self.measurement(materials, "log_normal", (0.3, 1.8), 0.67, 0)
-        solve = two_component.solve_constrained_tikhonov
         raised = []
 
         def cold_solve_fails(*args):
-            # the pre-check solves cold (4 arguments), the scan with a hint
-            if len(args) == 4:
-                raised.append(args)
-                raise error
-            return solve(*args)
+            # the pre-check's cold solve is the level's admission NNLS
+            raised.append(args)
+            raise error
 
-        name = "solve_constrained_tikhonov"
-        monkeypatch.setattr(two_component, name, cold_solve_fails)
+        monkeypatch.setattr(model_selection, "solve_nnls", cold_solve_fails)
         got = generate_models_two_component(family, meas)
         assert raised
-        monkeypatch.setattr(two_component, name, solve)
-        monkeypatch.setattr(two_component, "_may_admit", lambda *a: True)
-        self.assert_same(got, generate_models_two_component(family, meas))
+        monkeypatch.undo()
+        self.assert_same(got, self.scanning_every_level(family, meas, monkeypatch))
 
     def test_any_other_precheck_error_propagates(
         self, family, materials, monkeypatch
     ):
         meas = self.measurement(materials, "log_normal", (0.3, 1.8), 0.67, 0)
-        solve = two_component.solve_constrained_tikhonov
 
-        def cold_solve_fails(*args):
-            if len(args) == 4:  # the pre-check's cold solve
-                raise ValueError("stand-in")
-            return solve(*args)
+        def cold_solve_fails(*args):  # the pre-check's admission NNLS
+            raise ValueError("stand-in")
 
-        monkeypatch.setattr(
-            two_component, "solve_constrained_tikhonov", cold_solve_fails
-        )
+        monkeypatch.setattr(model_selection, "solve_nnls", cold_solve_fails)
         with pytest.raises(ValueError, match="stand-in"):
             generate_models_two_component(family, meas)
 
