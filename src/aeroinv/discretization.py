@@ -4,7 +4,8 @@ The forward operator is discretized by collocation with triangular (hat)
 basis functions on a subgrid of a fixed integration grid.  Reconstructions
 are forced to vanish at both domain endpoints, so the two boundary basis
 functions are eliminated and the model dimension is the number of interior
-collocation nodes.
+collocation nodes.  A ``KernelMatrix`` keeps no wavelengths: its forward
+model, a ``two_component.KernelFamily``, keeps them once.
 """
 
 from __future__ import annotations
@@ -66,27 +67,19 @@ class KernelMatrix:
     ambiguous.  No cache is keyed by it."""
 
     entries: np.ndarray  # (N_l, interior_dim)
-    wavelengths: np.ndarray
     collocation_grid: RadiusGrid
     fraction_label: float | None = None
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)
-        w = np.asarray(self.wavelengths, dtype=float)
-        if e.shape != (w.size, len(self.collocation_grid) - 2):
+        if e.ndim != 2 or e.shape[1] != len(self.collocation_grid) - 2:
             raise ValueError("entries shape must be (N_l, n_col - 2)")
         e.setflags(write=False)
-        w.setflags(write=False)
         object.__setattr__(self, "entries", e)
-        object.__setattr__(self, "wavelengths", w)
 
     @property
     def interior_dim(self) -> int:
         return self.entries.shape[1]
-
-    @property
-    def n_wavelengths(self) -> int:
-        return self.entries.shape[0]
 
 
 def build_collocation_grid(n_col: int, integration_grid: RadiusGrid) -> RadiusGrid:
@@ -165,7 +158,7 @@ def assemble_kernel_matrix(
         )
     rows = kernel_rows(kernel, wavelengths, integration_grid)
     entries = rows @ weighted_interior_basis(integration_grid, collocation_grid)
-    return KernelMatrix(entries, wavelengths, collocation_grid, fraction_label)
+    return KernelMatrix(entries, collocation_grid, fraction_label)
 
 
 def weighted_interior_basis(

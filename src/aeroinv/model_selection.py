@@ -9,7 +9,8 @@ yields a reconstruction whose parameter the discrepancy principle sets
 targets in one call, and each target's search starts from the passive set
 where the previous one ended.  Candidates from at most ``DEFAULT_MAX_DISC``
 levels are ranked by their evidence, the orthant integral of one quadratic
-form each (``_statistical_system``).
+form each (``_statistical_system``), whose ``IntegralEstimate`` the ranked
+candidate copies: log value, standard error, sample count and tilt.
 
 What every method computes on a level for a measurement is computed once,
 on first use, in the level's one state (``_LevelState``), which the forward
@@ -84,7 +85,6 @@ __all__ = [
     "Measurement",
     "NoiseScaling",
     "ModelCandidate",
-    "LogEvidence",
     "REGULARIZER_KINDS",
     "DEFAULT_TAU_GRID",
     "MOROZOV_TAU",
@@ -570,41 +570,21 @@ def prior_normalizer(regularizer: Regularizer, scale: float) -> IntegralEstimate
     return IntegralEstimate(rel_err, samples, log_value)
 
 
-class LogEvidence(float):
-    """A log marginal likelihood carrying the standard error of its Monte
-    Carlo estimate in ``std_error``, its number of QMC points in
-    ``samples`` and whether its sampler ran with the minimax tilt in
-    ``tilted``."""
-
-    def __new__(cls, value: float, std_error: float, samples: int, tilted: bool):
-        self = super().__new__(cls, value)
-        self.std_error = float(std_error)
-        self.samples = int(samples)
-        self.tilted = bool(tilted)
-        return self
-
-
-def _log_evidence(form: QuadraticForm, samples: int, seed: int) -> LogEvidence:
-    """One QMC orthant integral of the evidence form; its relative error
-    (the standard error of its log) is the returned ``std_error``."""
-    est = orthant_integral(form, samples, seed)
-    return LogEvidence(est.log_value, est.std_error, est.samples, est.tilted)
-
-
 def log_marginal_likelihood(
     candidate: ModelCandidate,
     meas: Measurement,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
-) -> LogEvidence:
-    """Log evidence of one candidate under its truncated-Gaussian prior."""
-    return _log_evidence(_statistical_system(candidate, meas), samples, seed)
+) -> IntegralEstimate:
+    """Log evidence of one candidate under its truncated-Gaussian prior, as
+    the orthant integral of its evidence form (``log_value``)."""
+    return orthant_integral(_statistical_system(candidate, meas), samples, seed)
 
 
-def _rank(candidates, log_marginals):
-    """Posterior-sorted copies; a ``LogEvidence`` also sets ``log_marginal_se``,
-    ``log_marginal_samples`` and ``log_marginal_tilted``."""
-    values = np.asarray(log_marginals, dtype=float)
+def _rank(candidates, evidence):
+    """Posterior-sorted copies; an evidence is a log value or an
+    ``IntegralEstimate``, which also sets the standard error, samples and tilt."""
+    values = np.array([getattr(e, "log_value", e) for e in evidence], dtype=float)
     post = np.exp(values - values.max())
     post /= post.sum()
     enriched = [
@@ -612,11 +592,11 @@ def _rank(candidates, log_marginals):
             c,
             log_marginal=float(lm),
             posterior=float(p),
-            log_marginal_se=getattr(lm, "std_error", None),
-            log_marginal_samples=getattr(lm, "samples", None),
-            log_marginal_tilted=getattr(lm, "tilted", None),
+            log_marginal_se=getattr(e, "std_error", None),
+            log_marginal_samples=getattr(e, "samples", None),
+            log_marginal_tilted=getattr(e, "tilted", None),
         )
-        for c, lm, p in zip(candidates, log_marginals, post)
+        for c, e, lm, p in zip(candidates, evidence, values, post)
     ]
     enriched.sort(
         key=lambda c: (-c.posterior, c.dim, c.tau if c.tau is not None else 0.0)
@@ -670,15 +650,15 @@ def select_models(
     forms = [_statistical_system(c, meas) for c in candidates]
     bounds = [log_gaussian_integral(form) for form in forms]
     prepare(forms)
-    log_marginals = [None] * len(candidates)
+    estimates = [None] * len(candidates)
     best = -np.inf
     for i in sorted(range(len(candidates)), key=lambda i: -bounds[i]):
         screened = bounds[i] < best - _SCREEN_NATS
         budget = max(samples // _SCREEN_DIVISOR, 1) if screened else samples
-        log_marginals[i] = _log_evidence(forms[i], budget, seed)
+        estimates[i] = orthant_integral(forms[i], budget, seed)
         if not screened:
-            best = max(best, log_marginals[i])
-    return _rank(candidates, log_marginals)
+            best = max(best, estimates[i].log_value)
+    return _rank(candidates, estimates)
 
 
 def is_low_noise(meas: Measurement) -> bool:

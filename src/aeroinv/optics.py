@@ -118,9 +118,6 @@ class IndexTable:
         object.__setattr__(self, "wavelengths", w)
         object.__setattr__(self, "indices", m)
 
-    def __call__(self, l: float) -> complex:
-        return interpolate_index(self, l)
-
 
 def read_table(path, names) -> tuple[np.ndarray, list[list[str]]]:
     """Columns ``names`` of a comma-separated text table as numbers, shape

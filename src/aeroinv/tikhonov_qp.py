@@ -116,12 +116,14 @@ _NEWTON_STEPS = 60
 
 @dataclass(frozen=True)
 class QpSolution:
-    """KKT-certified minimizer of a nonnegativity-constrained problem."""
+    """KKT-certified minimizer of a nonnegativity-constrained problem, with
+    the count of passive solves that fell back to least squares."""
 
     n: np.ndarray
     duals: np.ndarray
     residual_sq: float
     active_set: np.ndarray = field(repr=False)
+    lstsq_fallbacks: int = 0
 
     @property
     def dim(self) -> int:
@@ -201,19 +203,22 @@ class Regularizer:
             object.__setattr__(self, name, a)
 
 
-def _solve_passive(G: np.ndarray, c: np.ndarray, passive: np.ndarray) -> np.ndarray:
+def _solve_passive(G, c, passive, fallbacks) -> np.ndarray:
+    """Minimizer of 0.5 n'Gn - c'n on the passive variables, 0 elsewhere; a
+    singular block falls back to least squares, counted in ``fallbacks[0]``."""
     idx = np.flatnonzero(passive)
     sub = G[idx[:, None], idx]
     try:
         s = np.linalg.solve(sub, c[idx])
     except np.linalg.LinAlgError:
+        fallbacks[0] += 1
         s = np.linalg.lstsq(sub, c[idx], rcond=None)[0]
     out = np.zeros(c.size)
     out[idx] = s
     return out
 
 
-def _nnls_gram(G, c, max_iter, dual_tol, init_passive=None):
+def _nnls_gram(G, c, max_iter, dual_tol, init_passive, fallbacks):
     """Lawson-Hanson NNLS on the Gram form: min 0.5 n'Gn - c'n s.t. n >= 0.
 
     Entering index is the most negative gradient component; exact ties break
@@ -222,7 +227,8 @@ def _nnls_gram(G, c, max_iter, dual_tol, init_passive=None):
     entered with, from n = 0 and with no entering variable: every step length
     is then 0, so the loop drops the passive variables whose solve is
     nonpositive until the rest are positive, and goes on from there.
-    Returns (n, gradient, passive mask).
+    Returns (n, gradient, passive mask); ``fallbacks`` (``_solve_passive``)
+    keeps its count when the cap raises.
     """
     N = c.size
     n = np.zeros(N)
@@ -236,7 +242,7 @@ def _nnls_gram(G, c, max_iter, dual_tol, init_passive=None):
                 iters += 1
                 if iters > max_iter:
                     raise MaxIterations(f"active-set iteration cap {max_iter} exceeded")
-                s = _solve_passive(G, c, passive)
+                s = _solve_passive(G, c, passive, fallbacks)
                 if entered and s[j] <= 0.0:
                     # degenerate entry: the new variable came back nonpositive,
                     # so ban it for this pass instead of cycling on it
@@ -316,13 +322,13 @@ def solve_constrained_tikhonov(
         G += gamma * reg.gram
     if init_passive is None:
         init_passive = _compiled_passive_set(K, r)
-    dual_tol = _dual_tol(c)
+    cap, dual_tol, fallbacks = 10 * max(N, 1), _dual_tol(c), [0]
     try:
-        n, g, passive = _nnls_gram(G, c, 10 * max(N, 1), dual_tol, init_passive)
+        n, g, passive = _nnls_gram(G, c, cap, dual_tol, init_passive, fallbacks)
     except MaxIterations:
         if init_passive is None:
             raise
-        n, g, passive = _nnls_gram(G, c, 10 * max(N, 1), dual_tol, None)
+        n, g, passive = _nnls_gram(G, c, cap, dual_tol, None, fallbacks)
     duals = np.where(passive, 0.0, np.maximum(g, 0.0))
     resid = K @ n - r
     return QpSolution(
@@ -330,6 +336,7 @@ def solve_constrained_tikhonov(
         duals=duals,
         residual_sq=float(resid @ resid),
         active_set=np.flatnonzero(~passive),
+        lstsq_fallbacks=fallbacks[0],
     )
 
 

@@ -4,26 +4,22 @@ retrieval for two-component aerosols.
 A kernel family holds the discrete forward operators for a grid of mixing
 fractions.  Mie kernels are assembled at a coarser set of anchor fractions
 and interpolated entrywise by natural cubic splines onto the full fraction
-grid; a single material is a one-fraction family, without a spline.  Model
-generation scans the unregularized nonnegative residual across all
-fractions, keeps a spread of fractions from the best sliding window, and
-applies the discrepancy principle there; ranking is ``select_models`` with a
-uniform prior over all stored triplets.  Generation is the ladder walk of
-``model_selection`` (``_walk_ladder``), stopped at the first level of
-``DEFAULT_LADDER`` that yields candidates; its per-level fit takes the
-collocation size and reads the level's stacked matrices from the family.
+grid; a single material is a one-fraction family, without a spline.  The
+family alone keeps its wavelengths, and refuses a measurement taken at
+others (``KernelFamily.level``).  Model generation scans the unregularized
+nonnegative residual across all fractions, keeps a spread of fractions from
+the best sliding window, and applies the discrepancy principle there;
+ranking is ``select_models`` with a uniform prior over all stored triplets.
+Generation is the ladder walk of ``model_selection`` (``_walk_ladder``),
+stopped at the first level of ``DEFAULT_LADDER`` that yields candidates; its
+per-level fit takes the collocation size and reads the level's stacked
+matrices from the family.
 
 A level admits a fraction in a pass only if that fraction's nonnegative
-residual lies below the pass's largest target.  The walk settles a level
-whose every fraction's least-squares bound reaches its limit (the bounds
-live on the family's level state, ``KernelFamily.level``).  On any other
-level, the fractions whose bound lies below the limit get their admission
-NNLS, the level's cold solve; if none lands below it either, the level is
-skipped without a scan.  Any other level, including one whose pre-check
-solve stops at its iteration cap or fails its passive least-squares step,
-gets the same warm-started ``scan_fractions`` as before, kept on its state
-for the fallback pass and ``invert2 --emit-plot-data``, so every candidate
-comes from the same scan and the records cannot change.
+residual lies below the pass's largest target.  Besides the walk's
+least-squares settle, a level is scanned (``scan_fractions``, kept on its
+state for the fallback pass and ``invert2 --emit-plot-data``) only if some
+fraction may lie below that target (``_may_admit``).
 """
 
 from __future__ import annotations
@@ -121,8 +117,7 @@ class KernelFamily:
             grid, stacked = self.level_matrices(n_col)
             label = float(self.fractions[fraction_index])
             self._matrices[key] = KernelMatrix(
-                stacked[fraction_index], self.wavelengths, grid,
-                label if self.n_fractions > 1 else None,
+                stacked[fraction_index], grid, label if self.n_fractions > 1 else None
             )
         return self._matrices[key]
 
@@ -132,14 +127,33 @@ class KernelFamily:
     def level(self, meas: Measurement, n_col: int) -> _LevelState:
         """The state of level ``n_col`` for ``meas``, made on first use and
         kept while ``meas`` (held itself, so its id is never reused) is the
-        family's latest measurement."""
+        family's latest measurement.  A measurement taken at other
+        wavelengths than the family's raises ValueError."""
         slot = self._state
         if not slot or slot[0] is not meas:
+            _check_wavelengths(self.wavelengths, meas.wavelengths)
             slot[:] = [meas, {}]
         if n_col not in slot[1]:
             stacked = self.level_matrices(n_col)[1]
             slot[1][n_col] = _LevelState(n_col, stacked, meas)
         return slot[1][n_col]
+
+
+def _check_wavelengths(family, measured: np.ndarray) -> None:
+    """Raise ValueError, naming both counts and the first wavelength that
+    differs, unless the measured wavelengths equal the family's."""
+    family = np.asarray(family, dtype=float)
+    if np.array_equal(family, measured):
+        return
+    n = min(family.size, measured.size)
+    differ = np.flatnonzero(family[:n] != measured[:n])
+    i = int(differ[0]) if differ.size else n
+    at = lambda a: f"{float(a[i])!r} um" if i < a.size else "none"
+    raise ValueError(
+        f"the measurement has {measured.size} wavelengths and the kernel family "
+        f"{family.size}; they first differ at index {i}: {at(measured)} "
+        f"measured against {at(family)} in the family"
+    )
 
 
 @dataclass(frozen=True)
@@ -165,11 +179,14 @@ def build_kernel_family(
     Only the kernel values on the integration grid are stored per anchor;
     level matrices are assembled and splined lazily.  A single material is
     ``build_kernel_family(p, p, medium, ..., anchor_count=1, n_frac=1)``.
+    A mixture's fraction scan needs ``n_frac`` >= ``DEFAULT_N_MEAN``.
     """
     if not 1 <= anchor_count <= n_frac:
         raise ValueError("anchor_count must lie in [1, n_frac]")
     if anchor_count == 1 and n_frac > 1:
         raise ValueError("a spline over several fractions needs two anchors")
+    if 1 < n_frac < DEFAULT_N_MEAN:
+        raise ValueError(f"a mixture needs n_frac >= {DEFAULT_N_MEAN}, the scan window")
     wavelengths = np.asarray(wavelengths, dtype=float)
     anchors = np.linspace(0.0, 1.0, anchor_count)
     fractions = np.linspace(0.0, 1.0, n_frac)

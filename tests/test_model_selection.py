@@ -21,14 +21,14 @@ from aeroinv.model_selection import (
     select_models,
     top_within_noise,
 )
+from aeroinv.orthant_mvn import IntegralEstimate
 from aeroinv.two_component import KernelFamily
 
 
 def make_kernel_matrix(entries, fraction=None):
     entries = np.asarray(entries, dtype=float)
-    n_l, dim = entries.shape
-    grid = RadiusGrid(np.linspace(0.0, 1.0, dim + 2))
-    return KernelMatrix(entries, np.linspace(0.5, 3.0, n_l), grid, fraction)
+    grid = RadiusGrid(np.linspace(0.0, 1.0, entries.shape[1] + 2))
+    return KernelMatrix(entries, grid, fraction)
 
 
 @pytest.fixture
@@ -40,11 +40,14 @@ def ladder(monkeypatch):
 
 class HandMadeFamily(KernelFamily):
     """A one-fraction family whose ladder levels are the given matrices,
-    each at its own collocation size."""
+    each at its own collocation size, at ``wavelengths`` (by default N_l
+    evenly spaced from 0.5 to 3 um)."""
 
-    def __init__(self, *kernels):
+    def __init__(self, *kernels, wavelengths=None):
+        if wavelengths is None:
+            wavelengths = np.linspace(0.5, 3.0, kernels[0].entries.shape[0])
         one = np.zeros(1)
-        super().__init__(kernels[0].wavelengths, None, one, one, None)
+        super().__init__(wavelengths, None, one, one, None)
         self.levels = {len(k.collocation_grid): k for k in kernels}
 
     def __call__(self, n_col):
@@ -248,7 +251,7 @@ class TestMarginalLikelihood:
 
     def test_scalar_toy_against_quadrature(self):
         cand, meas = self.toy_candidate(gamma=1.0)
-        got = log_marginal_likelihood(cand, meas, samples=5000, seed=0)
+        got = log_marginal_likelihood(cand, meas, samples=5000, seed=0).log_value
         # direct evaluation: int_0^inf N(0; n, 1) * prior(n) dn over the
         # normalized prior restricted to n >= 0
         joint = si.quad(lambda n: np.exp(-0.5 * n**2 - 0.5 * n**2), 0, 30)[0]
@@ -279,7 +282,7 @@ class TestMarginalLikelihood:
                 weights=np.zeros(2), kernel=kernel, regularizer=reg,
                 gamma=gamma, tau=1.0, residual_sq=0.0,
             )
-            lm[gamma] = log_marginal_likelihood(cand, meas, 200000, seed=4)
+            lm[gamma] = log_marginal_likelihood(cand, meas, 200000, seed=4).log_value
         assert lm[5e4] < lm[0.5]
 
         # cross-check the moderate-gamma value against dense 2-D quadrature
@@ -327,14 +330,16 @@ class TestSelectModels:
         lm = log_marginal_likelihood(cands[0], meas, samples=2000, seed=0)
         ranked = select_models(cands, meas, samples=2000, seed=0)
         for c in ranked:
-            assert c.log_marginal == float(lm)
+            assert c.log_marginal == lm.log_value
             assert c.log_marginal_se == lm.std_error
             assert np.isfinite(c.log_marginal_se) and c.log_marginal_se >= 0.0
 
     def test_softmax_weights(self, monkeypatch):
         cands, meas = self.base_candidates([0.0, -1.0, -2.0])
         values = iter([0.0, -1.0, -2.0])
-        monkeypatch.setattr(msel, "_log_evidence", lambda *a, **k: next(values))
+        monkeypatch.setattr(
+            msel, "orthant_integral", lambda *a: IntegralEstimate(0.0, 1, next(values))
+        )
         ranked = msel.select_models(cands, meas, samples=1000, seed=0)
         post = np.array([c.posterior for c in ranked])
         expect = np.exp([0.0, -1.0, -2.0])
@@ -344,7 +349,9 @@ class TestSelectModels:
 
     def test_equal_marginals_split_evenly(self, monkeypatch):
         cands, meas = self.base_candidates([0.5, 0.5])
-        monkeypatch.setattr(msel, "_log_evidence", lambda *a, **k: 0.5)
+        monkeypatch.setattr(
+            msel, "orthant_integral", lambda *a: IntegralEstimate(0.0, 1, 0.5)
+        )
         ranked = msel.select_models(cands, meas, samples=1000, seed=0)
         assert [c.posterior for c in ranked] == pytest.approx([0.5, 0.5])
         # tie-break: smaller tau first (same dim)
@@ -359,7 +366,7 @@ class TestSelectModels:
 
         def fake_evidence(i, samples, seed):
             calls.append((i, samples))
-            return table[i][1]
+            return IntegralEstimate(0.0, samples, table[i][1])
 
         # each candidate's evidence form stands in as its index
         monkeypatch.setattr(
@@ -367,7 +374,7 @@ class TestSelectModels:
         )
         monkeypatch.setattr(msel, "log_gaussian_integral", lambda i: table[i][0])
         monkeypatch.setattr(msel, "prepare", lambda forms: None)  # no forms here
-        monkeypatch.setattr(msel, "_log_evidence", fake_evidence)
+        monkeypatch.setattr(msel, "orthant_integral", fake_evidence)
         msel.select_models(cands, meas, samples=5000, seed=0)
         # best full-budget value -0.5: only the bound below -10.5 is screened
         assert calls == [(4, 5000), (0, 5000), (1, 5000), (3, 5000), (2, 1000)]
@@ -427,7 +434,7 @@ class TestUnconstrained:
             weights=n, kernel=kernel, regularizer=reg,
             gamma=0.7, tau=1.0, residual_sq=float(np.sum((K_w @ n - r_w) ** 2)),
         )
-        fit = HandMadeFamily(kernel).level(meas, 4).fit(0)
+        fit = HandMadeFamily(kernel, wavelengths=meas.wavelengths).level(meas, 4).fit(0)
         curve = RidgeCurve(fit.K, fit.r, reg)
         lz = _log_evidence_unconstrained(curve, cand.gamma, cand.residual_sq, meas)
         R_stat = (0.7 / sc.delta_sq) * np.eye(2)
@@ -759,7 +766,7 @@ class TestEvidenceScreen:
             )
             bound = log_gaussian_integral(_statistical_system(c, meas))
             for samples in (200, 1000):
-                lm = log_marginal_likelihood(c, meas, samples, seed=3)
+                lm = log_marginal_likelihood(c, meas, samples, seed=3).log_value
                 three_parts = (
                     orthant_integral(joint, samples, seed=3).log_value
                     - log_b - log_z_prior
@@ -797,7 +804,7 @@ class TestEvidenceScreen:
                 else DEFAULT_SAMPLES
             )
             lm = log_marginal_likelihood(cands[i], meas, budget, seed=5)
-            assert r.log_marginal == float(lm)
+            assert r.log_marginal == lm.log_value
             assert r.log_marginal_se == lm.std_error
             if budget == screened_budget:
                 screened.append(r)
@@ -895,15 +902,15 @@ class TestStackedSetupRanking:
         from aeroinv.orthant_mvn import log_gaussian_integral
 
         bounds = [log_gaussian_integral(_statistical_system(c, meas)) for c in cands]
-        log_marginals = [None] * len(cands)
+        estimates = [None] * len(cands)
         best = -np.inf
         for i in sorted(range(len(cands)), key=lambda i: -bounds[i]):
             screened = bounds[i] < best - _SCREEN_NATS
             budget = max(samples // _SCREEN_DIVISOR, 1) if screened else samples
-            log_marginals[i] = log_marginal_likelihood(cands[i], meas, budget, seed)
+            estimates[i] = log_marginal_likelihood(cands[i], meas, budget, seed)
             if not screened:
-                best = max(best, log_marginals[i])
-        return _rank(cands, log_marginals)
+                best = max(best, estimates[i].log_value)
+        return _rank(cands, estimates)
 
     @pytest.mark.parametrize("kind", ["tikhonov", "twomey"])
     @pytest.mark.parametrize("draw", [0, 1, 2])
@@ -935,7 +942,7 @@ class TestRankCopies:
         constructor: every field, one added later included, equals that of a
         ``dataclasses.replace`` copy.  Each field starts as a value of its
         own, so a field the constructor call leaves out shows."""
-        from aeroinv.model_selection import LogEvidence, _rank
+        from aeroinv.model_selection import _rank
 
         kernel = make_kernel_matrix(np.eye(3))
 
@@ -945,12 +952,15 @@ class TestRankCopies:
             return ModelCandidate(**values)
 
         cands = [candidate(0.8), candidate(1.2)]
-        lms = [LogEvidence(-3.0, 0.01, 4096, True), LogEvidence(-1.0, 0.02, 819, False)]
+        lms = [
+            IntegralEstimate(0.01, 4096, -3.0, tilted=True),
+            IntegralEstimate(0.02, 819, -1.0, tilted=False),
+        ]
         post = np.exp(np.array([-2.0, 0.0]))
         post /= post.sum()
         ref = [
             dataclasses.replace(
-                c, log_marginal=float(lm), posterior=float(p),
+                c, log_marginal=lm.log_value, posterior=float(p),
                 log_marginal_se=lm.std_error, log_marginal_samples=lm.samples,
                 log_marginal_tilted=lm.tilted,
             )

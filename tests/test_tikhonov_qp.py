@@ -151,6 +151,39 @@ class TestSolvers:
         sol = solve_nnls(K, r)
         assert sol.residual_sq == pytest.approx(scipy_nnls(K, r)[1] ** 2)
 
+    @staticmethod
+    def underflowing_gram():
+        # a hypothesis example of the least-squares bound property: K'K
+        # underflows to 0, so every passive block is singular
+        K = np.zeros((4, 3))
+        K[0, 0] = 1.2096078289276711e-297
+        return K, np.array([0.1, 0.0, 0.1, 0.1])
+
+    def test_least_squares_fallbacks_are_counted(self):
+        assert solve_nnls(*self.underflowing_gram()).lstsq_fallbacks > 0
+        K = np.random.default_rng(0).uniform(0.5, 2.0, (6, 3))
+        assert solve_nnls(K, K @ np.array([1.0, 2.0, 3.0])).lstsq_fallbacks == 0
+
+    def test_a_dropped_start_counts_both_passes(self, monkeypatch):
+        import aeroinv.tikhonov_qp as tq
+
+        K, r = self.underflowing_gram()
+        scratch = [0]
+        tq._nnls_gram(K.T @ K, K.T @ r, 30, tq._dual_tol(K.T @ r), None, scratch)
+        assert scratch[0] > 0
+        gram = tq._nnls_gram
+
+        def capped_start(G, c, max_iter, dual_tol, start, fallbacks):
+            if start is not None:
+                fallbacks[0] += 1
+                raise MaxIterations("capped")
+            return gram(G, c, max_iter, dual_tol, start, fallbacks)
+
+        monkeypatch.setattr(tq, "_nnls_gram", capped_start)
+        start = np.ones(3, dtype=bool)
+        sol = solve_constrained_tikhonov(K, r, None, 0.0, start)
+        assert sol.lstsq_fallbacks == 1 + scratch[0]
+
     @pytest.mark.parametrize("seed", range(4))
     def test_every_start_returns_the_same_bits(self, seed):
         """With a unique, nondegenerate minimizer (gamma > 0, or gamma = 0
@@ -903,7 +936,7 @@ class TestCompiledStart:
 
         G = K.T @ K + gamma * R
         c = K.T @ r
-        return _nnls_gram(G, c, 10 * K.shape[1], _dual_tol(c))
+        return _nnls_gram(G, c, 10 * K.shape[1], _dual_tol(c), None, [0])
 
     def test_random_problems(self):
         rng = np.random.default_rng(13)

@@ -127,7 +127,7 @@ class TestKernelFamily:
 
 class TestAnchorValidation:
     @pytest.mark.parametrize(
-        "anchor_count, n_frac", [(1, 3), (0, 1), (-2, 5), (6, 5)]
+        "anchor_count, n_frac", [(1, 3), (0, 1), (-2, 5), (6, 5), (2, 3)]
     )
     def test_bad_anchors_fail_before_any_mie_work(
         self, materials, monkeypatch, anchor_count, n_frac
@@ -182,6 +182,39 @@ class TestOneFractionFamily:
         assert (a == b) is False
         assert len({a, b}) == 2
         assert a == a
+
+    def test_a_measurement_at_other_wavelengths_is_refused(self, study_geometry):
+        import re
+
+        from aeroinv.model_selection import Measurement, invert_constrained
+        from aeroinv.simulation_study import forward_extinctions, parameter_grid
+
+        wl, igrid, family, rows = study_geometry
+        dist = parameter_grid("log_normal")[44]
+        e_true = forward_extinctions(dist, None, wl, grid=igrid, rows=rows)
+        meas = simulate_measurement(wl, e_true, 0.30, 300, rng=3)
+        data = (meas.mean_extinction, meas.variance)
+        shifted = Measurement(1.1 * wl, *data, meas.repeats)
+        first, own = float(1.1 * wl[0]), float(wl[0])
+        with pytest.raises(
+            ValueError,
+            match=re.escape(
+                f"48 wavelengths and the kernel family 48; they first differ at "
+                f"index 0: {first!r} um measured against {own!r} um"
+            ),
+        ):
+            invert_constrained(shifted, family)
+        short = Measurement(wl[:47], *(a[:47] for a in data), meas.repeats)
+        with pytest.raises(
+            ValueError,
+            match=re.escape(
+                f"47 wavelengths and the kernel family 48; they first differ at "
+                f"index 47: none measured against {float(wl[47])!r} um"
+            ),
+        ):
+            invert_constrained(short, family)
+        # the family's own wavelengths still invert after the refusals
+        assert invert_morozov(meas, family)[0].fraction is None
 
     def test_single_component_candidates_carry_no_fraction(self, materials):
         water, _, air = materials
